@@ -9,7 +9,7 @@
 pub use zenesis_image::filter::{gaussian_blur, median_filter};
 
 use zenesis_image::Image;
-use zenesis_par::par_map_range;
+use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
 /// Bilateral filter: Gaussian in space (sigma `sigma_s`, radius `3*sigma_s`)
 /// and in intensity (sigma `sigma_r`).
@@ -28,7 +28,7 @@ pub fn bilateral(img: &Image<f32>, sigma_s: f32, sigma_r: f32) -> Image<f32> {
                 (-((dx * dx + dy * dy) as f32) / s2).exp();
         }
     }
-    let data = par_map_range(w * h, |i| {
+    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
         let (x, y) = ((i % w) as isize, (i / w) as isize);
         let center = img.get_clamped(x, y);
         let mut num = 0.0f32;
@@ -66,7 +66,7 @@ pub fn nlm_lite(img: &Image<f32>, search: usize, strength: f32) -> Image<f32> {
         }
         d / 9.0
     };
-    let data = par_map_range(w * h, |i| {
+    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
         let (x, y) = ((i % w) as isize, (i / w) as isize);
         let mut num = 0.0f32;
         let mut den = 0.0f32;

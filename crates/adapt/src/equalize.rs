@@ -6,6 +6,7 @@
 
 use zenesis_image::histogram::Histogram;
 use zenesis_image::Image;
+use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
 /// Global histogram equalization via the CDF remap.
 pub fn equalize(img: &Image<f32>) -> Image<f32> {
@@ -38,9 +39,11 @@ pub fn clahe(img: &Image<f32>, tiles: usize, clip_limit: f64) -> Image<f32> {
     let bins = 256usize;
     let tile_w = w.div_ceil(tiles);
     let tile_h = h.div_ceil(tiles);
-    // Per-tile clipped CDFs.
+    // Per-tile clipped CDFs. A tile costs its area, so the grain rule
+    // counts pixels, not tiles.
     let n_tiles = tiles * tiles;
-    let cdfs: Vec<Vec<f64>> = zenesis_par::par_map_range(n_tiles, |t| {
+    let min_tiles = SMALL_WORK_ELEMS.div_ceil(tile_w * tile_h);
+    let cdfs: Vec<Vec<f64>> = par_map_range_min(n_tiles, min_tiles, |t| {
         let (tx, ty) = (t % tiles, t / tiles);
         let x0 = tx * tile_w;
         let y0 = ty * tile_h;

@@ -326,8 +326,8 @@ pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
     // If the token carries a trace id (the serving layer attaches one
     // per request) and this thread has none installed yet, install it
     // for the duration of the job so every span and event below — on
-    // this thread and, via `zenesis-par` propagation, on pool/scoped
-    // workers — is tagged with the job's trace.
+    // this thread and, via `zenesis-par` propagation, on the team's
+    // helpers — is tagged with the job's trace.
     let _trace = zenesis_obs::trace_guard(match zenesis_obs::current_trace() {
         Some(_) => None,
         None => cancel.trace_id().and_then(zenesis_obs::TraceId::from_u64),

@@ -203,19 +203,24 @@ impl Zenesis {
             });
         }
         // Grounding and the SAM image encoding are independent; fork-join
-        // overlaps them (SAM's design point: encode once, decode many).
+        // overlaps them (SAM's design point: encode once, decode many) —
+        // unless the slice is under the grain threshold, where neither
+        // arm takes as long as waking a helper does.
         let ((grounding, emb), ground_ms) = zenesis_obs::timed("pipeline.ground", || {
-            zenesis_par::join(
-                || self.dino.ground(&adapted, prompt),
-                || self.sam.encode_cached(&adapted),
-            )
+            let ground = || self.dino.ground(&adapted, prompt);
+            let encode = || self.sam.encode_cached(&adapted);
+            if w * h < zenesis_par::SMALL_WORK_ELEMS {
+                (ground(), encode())
+            } else {
+                zenesis_par::join(ground, encode)
+            }
         });
         zenesis_obs::record_ms("pipeline.ground.lat", ground_ms);
         if guards && zenesis_fault::trip("sam.decode").is_some() {
             return Err(SliceError::Injected { site: "sam.decode" });
         }
 
-        let ((masks, combined), segment_ms) = zenesis_obs::timed("pipeline.segment", || {
+        let ((masks, combined, relevance), segment_ms) = zenesis_obs::timed("pipeline.segment", || {
             let polarity = if grounding.dark_polarity {
                 Polarity::Dark
             } else {
@@ -237,20 +242,21 @@ impl Zenesis {
             // mask pixels the grounding supports): intersect with the
             // dilated high-relevance region. Dilation by half a patch
             // forgives the coarse patch grid at structure boundaries.
+            // The upsampled map is also the one the result carries.
+            let relevance = grounding.relevance_full(w, h);
             if let Some(floor) = self.config.relevance_floor {
-                let support = BitMask::from_threshold(&grounding.relevance_full(w, h), floor);
+                let support = BitMask::from_threshold(&relevance, floor);
                 let support = zenesis_image::morphology::dilate(
                     &support,
                     zenesis_image::morphology::Structuring::Square(grounding.patch / 2),
                 );
                 combined.and_with(&support);
             }
-            (masks, combined)
+            (masks, combined, relevance)
         });
         zenesis_obs::record_ms("pipeline.segment.lat", segment_ms);
         zenesis_obs::record_ms("pipeline.total.lat", adapt_ms + ground_ms + segment_ms);
 
-        let relevance = grounding.relevance_full(w, h);
         if guards {
             let bad = relevance.as_slice().iter().filter(|v| !v.is_finite()).count();
             if bad > 0 {

@@ -20,6 +20,7 @@
 
 use zenesis_image::filter::{gradient_magnitude, local_std, orientation_coherence};
 use zenesis_image::Image;
+use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 use zenesis_tensor::Matrix;
 
 /// Number of semantic channels shared between text and image encoders.
@@ -74,9 +75,11 @@ impl FeatureGrid {
         // contiguous row slices of each channel map — no per-sample
         // bounds-checked (x, y) indexing — with the same y-outer /
         // x-inner accumulation order as the naive form, so pooled values
-        // are bit-identical to it.
+        // are bit-identical to it. A patch costs its area, so the grain
+        // rule counts pixels, not patches.
         let n = gw * gh;
-        let rows: Vec<[f32; N_CHANNELS]> = zenesis_par::par_map_range(n, |t| {
+        let min_patches = SMALL_WORK_ELEMS.div_ceil(patch * patch);
+        let rows: Vec<[f32; N_CHANNELS]> = par_map_range_min(n, min_patches, |t| {
             let (gx, gy) = (t % gw, t / gw);
             let x0 = gx * patch;
             let y0 = gy * patch;

@@ -16,7 +16,7 @@
 //! pipeline checksums (e.g. the `tiff-smoke` golden mask) rely on this.
 
 use crate::image::Image;
-use zenesis_par::{par_map_range, par_rows, par_rows2_min, small_work_threshold};
+use zenesis_par::{par_map_range_min, par_rows, par_rows2_min, SMALL_WORK_ELEMS};
 use zenesis_tensor::{simd_level, SimdLevel};
 
 /// Compile a row-band kernel body twice — portable baseline and an AVX2
@@ -176,7 +176,7 @@ pub fn median_filter(img: &Image<f32>, radius: usize) -> Image<f32> {
     }
     let (w, h) = img.dims();
     let side = 2 * radius + 1;
-    let data = par_map_range(w * h, |i| {
+    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
         let (x, y) = ((i % w) as isize, (i / w) as isize);
         let mut window = Vec::with_capacity(side * side);
         for dy in -(radius as isize)..=(radius as isize) {
@@ -248,7 +248,7 @@ pub fn sobel(img: &Image<f32>) -> (Image<f32>, Image<f32>) {
     let (w, h) = img.dims();
     let mut gx = vec![0.0f32; w * h];
     let mut gy = vec![0.0f32; w * h];
-    par_rows2_min(&mut gx, &mut gy, w, small_work_threshold(), |y0, bx, by| {
+    par_rows2_min(&mut gx, &mut gy, w, SMALL_WORK_ELEMS, |y0, bx, by| {
         sobel_band(img, y0, bx, by);
     });
     (
@@ -294,7 +294,7 @@ pub fn local_std(img: &Image<f32>, radius: usize) -> Image<f32> {
     let sq = img.map(|v| v * v);
     let mean_sq = box_blur(&sq, radius);
     let (w, h) = img.dims();
-    let data = par_map_range(w * h, |i| {
+    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
         let var = mean_sq.as_slice()[i] - mean.as_slice()[i] * mean.as_slice()[i];
         var.max(0.0).sqrt()
     });
@@ -319,7 +319,7 @@ pub fn orientation_coherence(img: &Image<f32>, sigma: f32) -> Image<f32> {
     let jxx = gaussian_blur(&jxx, sigma);
     let jyy = gaussian_blur(&jyy, sigma);
     let jxy = gaussian_blur(&jxy, sigma);
-    let data = par_map_range(w * h, |i| {
+    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
         let a = jxx.as_slice()[i];
         let b = jyy.as_slice()[i];
         let c = jxy.as_slice()[i];

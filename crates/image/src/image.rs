@@ -3,6 +3,7 @@
 use crate::error::{ImageError, Result};
 use crate::geometry::BoxRegion;
 use crate::pixel::Pixel;
+use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
 /// A single-channel 2-D image with row-major storage.
 ///
@@ -52,7 +53,7 @@ impl<T: Pixel> Image<T> {
     /// Build an image by evaluating `f(x, y)` at every pixel (parallel).
     pub fn from_fn(width: usize, height: usize, f: impl Fn(usize, usize) -> T + Sync) -> Self {
         assert!(width > 0 && height > 0, "image dimensions must be non-zero");
-        let data = zenesis_par::par_map_range(width * height, |i| f(i % width, i / width));
+        let data = par_map_range_min(width * height, SMALL_WORK_ELEMS, |i| f(i % width, i / width));
         Image {
             width,
             height,
@@ -155,7 +156,7 @@ impl<T: Pixel> Image<T> {
         Image {
             width: self.width,
             height: self.height,
-            data: zenesis_par::par_map(&self.data, |&v| f(v)),
+            data: par_map_range_min(self.data.len(), SMALL_WORK_ELEMS, |i| f(self.data[i])),
         }
     }
 
@@ -165,7 +166,7 @@ impl<T: Pixel> Image<T> {
         Image {
             width: self.width,
             height: self.height,
-            data: zenesis_par::par_map_range(self.data.len(), |i| {
+            data: par_map_range_min(self.data.len(), SMALL_WORK_ELEMS, |i| {
                 f(i % w, i / w, self.data[i])
             }),
         }

@@ -19,7 +19,7 @@
 //! per-element IEEE operations, so results are bit-identical. Above
 //! [`zenesis_tensor::PAR_MIN_MADDS`] multiply-adds, query rows are split
 //! into disjoint row bands (`MatViewMut::split_rows`) processed across
-//! the `zenesis-par` pool with a per-worker scratch arena; per-row score
+//! the `zenesis-par` team with a per-band scratch arena; per-row score
 //! and contraction order never depends on the band boundaries, so
 //! outputs are bit-stable across thread counts.
 
@@ -654,7 +654,7 @@ fn fused_rows(
 }
 
 /// Fan the fused walk out across disjoint query-row bands of `out`.
-/// Workers are scoped `zenesis-par` threads, each with its own scratch
+/// Bands run on the `zenesis-par` team, each with its own scratch
 /// arena; band boundaries never change per-row results (see
 /// [`fused_rows_impl`]), so outputs are bit-identical at every thread
 /// count.
@@ -683,8 +683,8 @@ fn attention_fused_par(
         rest = tail;
     }
     par_for_each(&mut bands, |(q_r0, band)| {
-        // Per-worker arena: scoped workers own their scratch, so bands
-        // never contend on the caller's workspace.
+        // Per-band arena: a band may run on the caller, whose own
+        // workspace this call has borrowed, or on a helper.
         let mut ws = Workspace::new();
         let mut scores = ws.take(4 * n_kv);
         fused_rows(q, k, Some(packed), v, scale, *q_r0, band, &mut scores);
@@ -1121,9 +1121,10 @@ impl MultiHeadAttention {
                 );
             }
         } else {
-            // Parallel heads: each worker computes its head into a
-            // contiguous buffer (workers are scoped threads — they own
-            // their scratch), then rows are scattered into the concat
+            // Parallel heads: each head is computed into a contiguous
+            // buffer with scratch of its own (the caller's workspace is
+            // borrowed, and a head may run on the caller as well as on a
+            // helper), then rows are scattered into the concat
             // bands with plain memcpys.
             let outs: Vec<Matrix> = zenesis_par::par_map_range(self.heads, |h| {
                 let c0 = h * head_dim;

@@ -10,7 +10,7 @@
 //!      "thread": "main", "start_us": 1042, "dur_us": 311}
 //!   ],
 //!   "counters": {"sam.embed_cache.hit": 4},
-//!   "gauges": {"par.pool.queue_depth": 0},
+//!   "gauges": {"serve.queue_depth": 0},
 //!   "histograms": {
 //!     "pipeline.adapt.lat": {"count": 20, "mean": 4210.0, "p50": 4100.0,
 //!                            "p90": 5300.0, "p99": 6100.0, "max": 6233}

@@ -1,8 +1,10 @@
 //! Global thread-count configuration.
 //!
 //! All parallel entry points in this crate consult [`current_threads`] at
-//! call time, so a benchmark can sweep thread counts with [`set_threads`]
-//! without rebuilding pools. The initial value comes from the
+//! call time, so a benchmark can sweep thread counts with [`set_threads`]:
+//! the resident team grows to the largest count asked for, and a call
+//! uses only as many helpers as the count current when it starts. The
+//! initial value comes from the
 //! `ZENESIS_THREADS` environment variable, falling back to the machine's
 //! available parallelism.
 

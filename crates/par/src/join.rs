@@ -1,12 +1,21 @@
 //! Two-way fork-join, the primitive rayon calls `join`.
 //!
-//! `join(a, b)` runs both closures, potentially in parallel (b on a scoped
-//! worker thread while a runs on the caller), and returns both results.
-//! With the global thread count at 1 it degrades to sequential calls.
+//! `join(a, b)` posts `b` to the resident team, runs `a` on the caller,
+//! then takes `b` back if no helper claimed it, and returns both results.
+//! With the global thread count at 1, or inside a data-parallel chunk, it
+//! degrades to sequential calls.
+
+use parking_lot::Mutex;
 
 use crate::config::current_threads;
+use crate::scope::in_worker;
+use crate::team;
 
-/// Run two independent closures, in parallel when workers are available.
+/// Run two independent closures, in parallel when a helper is free.
+///
+/// Spans opened inside `b` on a helper attribute to the span that called
+/// `join`, not to a detached root, and carry the caller's trace context.
+/// A panic in either closure is re-raised here with its own payload.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -14,22 +23,24 @@ where
     RA: Send,
     RB: Send,
 {
-    if current_threads() <= 1 {
+    if current_threads() <= 1 || in_worker() {
         return (a(), b());
     }
-    // Spans opened inside `b` on the worker thread attribute to the span
-    // that called `join`, not to a detached root — and carry the
-    // caller's trace context.
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || {
-            zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, b))
-        });
-        let ra = a();
-        let rb = hb.join().expect("join closure panicked");
-        (ra, rb)
-    })
+    // `fan_out` wants one `Fn(usize)`: the slots let a shared closure
+    // take each `FnOnce` out and put its result in.
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    team::fan_out(2, &|arm| {
+        if arm == 0 {
+            let a = a.lock().take().expect("arm claimed twice");
+            *ra.lock() = Some(a());
+        } else {
+            let b = b.lock().take().expect("arm claimed twice");
+            *rb.lock() = Some(b());
+        }
+    });
+    let done = "fan_out returned, so both arms ran";
+    (ra.into_inner().expect(done), rb.into_inner().expect(done))
 }
 
 #[cfg(test)]

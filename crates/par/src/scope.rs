@@ -1,33 +1,34 @@
-//! Scoped, chunked, self-scheduling data parallelism.
+//! Chunked, self-scheduling data parallelism on the resident team.
 //!
 //! Every function here follows the same pattern: the index space `0..n` is
-//! split into chunks; worker threads claim chunks by bumping a shared atomic
-//! counter (dynamic scheduling, so uneven per-item cost balances out); output
-//! written through disjoint `&mut` slices so results are identical to the
-//! sequential order. `std::thread::scope` lets the closures borrow from the
-//! caller without `'static` bounds, and propagates worker panics.
+//! split into chunks whose boundaries depend only on `(n,
+//! current_threads())`; the caller and the team's helpers claim chunks by
+//! bumping a shared atomic counter (dynamic scheduling, so uneven per-item
+//! cost balances out); output is written through disjoint `&mut` slices so
+//! results are identical to the sequential order whoever ran which chunk.
+//! [`run_chunks`] is the one skeleton; [`crate::team`] is what it runs on.
 
 use std::cell::Cell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 use crate::config::current_threads;
+use crate::team;
 
 thread_local! {
-    /// Set for the lifetime of a scoped-parallelism worker thread.
+    /// Set while this thread runs a chunk of a data-parallel call.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True on a thread currently executing inside a scoped `zenesis-par`
-/// worker closure (`par_for_each*`, `par_map*`, `par_reduce_range`,
-/// `par_rows*`). Every parallel entry point in this module checks it and
-/// runs inline when set, so nested data parallelism (a parallel matmul
-/// called from a per-head attention worker, say) degrades to sequential
-/// execution on the worker instead of fanning out again and
-/// oversubscribing the machine. Persistent [`crate::ThreadPool`] workers
-/// are deliberately *not* marked: served jobs are coarse-grained and may
-/// legitimately fan out into data parallelism.
+/// True on a thread currently executing a chunk of a data-parallel call
+/// (`par_for_each*`, `par_map*`, `par_reduce_range`, `par_rows*`), be it a
+/// helper or the participating caller. Every parallel entry point in this
+/// crate checks it and runs inline when set, so nested data parallelism (a
+/// parallel matmul called from a per-head attention chunk, say) degrades to
+/// sequential execution instead of fanning out again. The two arms of a
+/// [`crate::join`] are deliberately *not* marked: they are coarse stages
+/// that may legitimately fan out into data parallelism.
 ///
 /// Because every parallel result is bit-identical to its sequential
 /// counterpart (disjoint `&mut` bands, sequential order within a band),
@@ -36,34 +37,28 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
-/// Mark the current thread as a worker for the duration of `f`. Workers
-/// are fresh scoped threads that die at scope exit, so there is no prior
-/// state to restore.
+/// Mark the current thread as a worker for the duration of `f`. Helpers
+/// and the caller both outlive the call, so the previous value is restored
+/// on return and on unwind.
 #[inline]
 fn as_worker<R>(f: impl FnOnce() -> R) -> R {
-    IN_WORKER.with(|flag| flag.set(true));
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|flag| flag.replace(true)));
     f()
 }
 
-/// Default element count below which [`par_rows`] runs inline on the
-/// caller thread: spawning scoped workers costs tens of microseconds,
-/// which dwarfs the work itself for small buffers (a 3x256 attention
-/// score matrix, a handful of layer-norm rows). Callers whose per-element
-/// cost is far from O(1) should use [`par_rows_min`] with their own
-/// threshold.
+/// Element count below which [`par_rows`] and the per-pixel callers of
+/// [`par_map_range_min`] run inline on the caller thread: waking a helper
+/// and waiting for it costs a few microseconds, which dwarfs the work
+/// itself for small buffers (a 3x256 attention score matrix, a handful of
+/// layer-norm rows, a 16×16 slice). Callers whose per-element cost is far
+/// from O(1) should pass their own threshold to the `_min` variants.
 pub const SMALL_WORK_ELEMS: usize = 4096;
-
-/// The active small-work threshold: `ZENESIS_PAR_MIN_WORK` when set (0
-/// disables the inline fast path entirely), else [`SMALL_WORK_ELEMS`].
-pub fn small_work_threshold() -> usize {
-    static T: OnceLock<usize> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("ZENESIS_PAR_MIN_WORK")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(SMALL_WORK_ELEMS)
-    })
-}
 
 /// Chunk length heuristic: enough chunks for dynamic load balancing
 /// (~4 per worker) but not so many that the atomic counter contends.
@@ -75,15 +70,38 @@ pub fn chunk_len(n: usize, workers: usize) -> usize {
     (n.div_ceil(target_chunks)).max(1)
 }
 
-/// Report the chunking decision to the profiler (`ZENESIS_OBS=full`):
+/// The chunk length for `n` items, or `None` when the call must run
+/// inline: one thread, fewer than two items, or already inside a chunk.
+///
+/// With `ZENESIS_OBS=full` the decision is reported to the profiler:
 /// `par.chunk.items` is the items-per-chunk distribution and
 /// `par.chunk.count` the chunks-per-call distribution, together showing
 /// whether the heuristic keeps workers busy without counter contention.
-fn note_chunks(chunk: usize, n_chunks: usize) {
+fn plan(n: usize) -> Option<usize> {
+    let workers = current_threads();
+    if workers <= 1 || n < 2 || in_worker() {
+        return None;
+    }
+    let chunk = chunk_len(n, workers);
     if zenesis_obs::full() {
         zenesis_obs::histogram("par.chunk.items").record(chunk as u64);
-        zenesis_obs::histogram("par.chunk.count").record(n_chunks as u64);
+        zenesis_obs::histogram("par.chunk.count").record(n.div_ceil(chunk) as u64);
     }
+    Some(chunk)
+}
+
+/// Hand each item of `chunks` — pre-split, disjoint pieces of the output —
+/// to `f(chunk_index, piece)` exactly once, on the team.
+fn run_chunks<C, F>(chunks: impl Iterator<Item = C>, f: F)
+where
+    C: Send,
+    F: Fn(usize, C) + Sync,
+{
+    let slots: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
+    team::fan_out(slots.len(), &|c| {
+        let piece = slots[c].lock().take().expect("chunk claimed twice");
+        as_worker(|| f(c, piece));
+    });
 }
 
 /// Run `f` over every element of `data` in parallel, mutating in place.
@@ -101,41 +119,15 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = data.len();
-    let workers = current_threads();
-    if workers <= 1 || n < 2 || in_worker() {
+    let Some(chunk) = plan(data.len()) else {
         for (i, v) in data.iter_mut().enumerate() {
             f(i, v);
         }
         return;
-    }
-    let chunk = chunk_len(n, workers);
-    let n_chunks = n.div_ceil(chunk);
-    note_chunks(chunk, n_chunks);
-    let next = AtomicUsize::new(0);
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
-    // Pre-split into disjoint chunks so each worker only touches its claim.
-    let chunks: Vec<&mut [T]> = data.chunks_mut(chunk).collect();
-    let slots: Vec<parking_lot::Mutex<Option<&mut [T]>>> = chunks
-        .into_iter()
-        .map(|c| parking_lot::Mutex::new(Some(c)))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_chunks) {
-            s.spawn(|| as_worker(|| {
-                zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, || loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let slice = slots[c].lock().take().expect("chunk claimed twice");
-                    let base = c * chunk;
-                    for (off, v) in slice.iter_mut().enumerate() {
-                        f(base + off, v);
-                    }
-                }))
-            }));
+    };
+    run_chunks(data.chunks_mut(chunk), |c, slice| {
+        for (off, v) in slice.iter_mut().enumerate() {
+            f(c * chunk + off, v);
         }
     });
 }
@@ -152,71 +144,59 @@ where
 
 /// Map the index range `0..n` to a `Vec` in parallel, preserving order.
 ///
-/// This is the workhorse primitive: rows of an image, slices of a volume,
-/// attention heads — anything indexable maps through here.
+/// This is the workhorse primitive: slices of a volume, tiles, windows,
+/// attention heads, seeds — anything indexable with few heavy items maps
+/// through here and fans out from `n = 2`. Per-pixel maps, whose items are
+/// cheap, go through [`par_map_range_min`] instead.
 pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let workers = current_threads();
-    if workers <= 1 || n < 2 || in_worker() {
+    par_map_range_min(n, 0, f)
+}
+
+/// [`par_map_range`] with an explicit inline threshold: ranges shorter
+/// than `min_elems` are mapped on the caller thread. Per-pixel maps pass
+/// [`SMALL_WORK_ELEMS`], the rule [`par_rows`] applies to its buffers.
+pub fn par_map_range_min<U, F>(n: usize, min_elems: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    let Some(chunk) = (n >= min_elems).then(|| plan(n)).flatten() else {
         return (0..n).map(f).collect();
-    }
-    let chunk = chunk_len(n, workers);
-    let n_chunks = n.div_ceil(chunk);
-    note_chunks(chunk, n_chunks);
-    let next = AtomicUsize::new(0);
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
+    };
     let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
     // SAFETY: every slot is written exactly once below before assume_init.
     #[allow(clippy::uninit_vec)]
     unsafe {
         out.set_len(n);
     }
-    {
-        let out_slots: Vec<parking_lot::Mutex<Option<&mut [MaybeUninit<U>]>>> = out
-            .chunks_mut(chunk)
-            .map(|c| parking_lot::Mutex::new(Some(c)))
-            .collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(n_chunks) {
-                s.spawn(|| as_worker(|| {
-                    zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, || loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let slice = out_slots[c].lock().take().expect("chunk claimed twice");
-                        let base = c * chunk;
-                        for (off, slot) in slice.iter_mut().enumerate() {
-                            slot.write(f(base + off));
-                        }
-                    }))
-                }));
-            }
-        });
-        // If a worker panicked, scope() already propagated it; reaching here
-        // means all n slots are initialized. (On the panic path the
-        // MaybeUninit buffer drops without dropping initialized elements:
-        // they leak rather than double-drop — safe, and acceptable because
-        // a propagated panic is already fatal to the computation.)
-    }
-    // SAFETY: all elements initialized (scope joined all workers; each chunk
-    // fully written by exactly one worker).
+    // If a chunk panics, `run_chunks` re-raises it here and the
+    // MaybeUninit buffer drops without dropping initialized elements: they
+    // leak rather than double-drop — safe, and acceptable because a
+    // propagated panic is already fatal to the computation.
+    run_chunks(out.chunks_mut(chunk), |c, slice| {
+        for (off, slot) in slice.iter_mut().enumerate() {
+            slot.write(f(c * chunk + off));
+        }
+    });
+    // SAFETY: all elements initialized (`run_chunks` returned, so each
+    // chunk was fully written by exactly one thread).
     unsafe {
         let mut out = std::mem::ManuallyDrop::new(out);
         Vec::from_raw_parts(out.as_mut_ptr() as *mut U, n, out.capacity())
     }
 }
 
-/// Parallel map-reduce over `0..n`: `fold` each index into a per-worker
-/// accumulator starting from `identity()`, then `combine` the accumulators.
+/// Parallel map-reduce over `0..n`: `fold` the indices of each chunk into
+/// an accumulator starting from `identity()`, then `combine` the chunk
+/// accumulators in chunk order.
 ///
 /// `combine` must be associative and `identity` a true identity for the
-/// result to be independent of scheduling; a proptest enforces this for the
-/// reductions used in-tree.
+/// result to equal the sequential fold; it need not be commutative. A
+/// proptest enforces this with `Vec` append.
 pub fn par_reduce_range<A, F, C, I>(n: usize, identity: I, fold: F, combine: C) -> A
 where
     A: Send,
@@ -224,46 +204,15 @@ where
     F: Fn(A, usize) -> A + Sync,
     C: Fn(A, A) -> A + Sync,
 {
-    let workers = current_threads();
-    if workers <= 1 || n < 2 || in_worker() {
+    let Some(chunk) = plan(n) else {
         return (0..n).fold(identity(), fold);
-    }
-    let chunk = chunk_len(n, workers);
-    let n_chunks = n.div_ceil(chunk);
-    note_chunks(chunk, n_chunks);
-    let next = AtomicUsize::new(0);
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
-    let partials = parking_lot::Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_chunks) {
-            s.spawn(|| as_worker(|| {
-                zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, || {
-                    let mut acc = identity();
-                    let mut did_work = false;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        did_work = true;
-                        let lo = c * chunk;
-                        let hi = (lo + chunk).min(n);
-                        for i in lo..hi {
-                            acc = fold(acc, i);
-                        }
-                    }
-                    if did_work {
-                        partials.lock().push(acc);
-                    }
-                }))
-            }));
-        }
+    };
+    let mut partials: Vec<Option<A>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
+    run_chunks(partials.iter_mut(), |c, slot| {
+        let lo = c * chunk;
+        *slot = Some((lo..(lo + chunk).min(n)).fold(identity(), &fold));
     });
-    partials
-        .into_inner()
-        .into_iter()
-        .fold(identity(), combine)
+    partials.into_iter().flatten().fold(identity(), combine)
 }
 
 /// Process a flat row-major 2-D buffer (`rows` rows of `row_len` elements)
@@ -271,8 +220,8 @@ where
 ///
 /// `f(row_start, band)` where `band` covers rows `row_start..row_start+k`.
 ///
-/// Buffers smaller than [`small_work_threshold`] elements run inline on
-/// the caller thread — fan-out overhead beats any parallel win there.
+/// Buffers smaller than [`SMALL_WORK_ELEMS`] elements run inline on the
+/// caller thread — fan-out overhead beats any parallel win there.
 /// Use [`par_rows_min`] to supply a custom threshold when per-element
 /// cost is unusual (e.g. a matmul row costs O(k), not O(1)).
 pub fn par_rows<T, F>(data: &mut [T], row_len: usize, f: F)
@@ -280,7 +229,18 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    par_rows_min(data, row_len, small_work_threshold(), f)
+    par_rows_min(data, row_len, SMALL_WORK_ELEMS, f)
+}
+
+/// Rows per band for a `len`-element buffer of `row_len`-element rows, or
+/// `None` when it must be processed inline as one band.
+fn plan_rows(len: usize, row_len: usize, min_elems: usize) -> Option<usize> {
+    assert!(row_len > 0, "row_len must be positive");
+    assert_eq!(len % row_len, 0, "buffer not a whole number of rows");
+    if len < min_elems {
+        return None;
+    }
+    plan(len / row_len)
 }
 
 /// [`par_rows`] with an explicit inline threshold: buffers with fewer
@@ -290,37 +250,11 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(row_len > 0, "row_len must be positive");
-    assert_eq!(data.len() % row_len, 0, "buffer not a whole number of rows");
-    let rows = data.len() / row_len;
-    let workers = current_threads();
-    if workers <= 1 || rows < 2 || data.len() < min_elems || in_worker() {
-        f(0, data);
-        return;
-    }
-    let rows_per_band = chunk_len(rows, workers);
-    let n_bands = rows.div_ceil(rows_per_band);
-    note_chunks(rows_per_band, n_bands);
-    let next = AtomicUsize::new(0);
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
-    let bands: Vec<parking_lot::Mutex<Option<&mut [T]>>> = data
-        .chunks_mut(rows_per_band * row_len)
-        .map(|c| parking_lot::Mutex::new(Some(c)))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_bands) {
-            s.spawn(|| as_worker(|| {
-                zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, || loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_bands {
-                        break;
-                    }
-                    let band = bands[b].lock().take().expect("band claimed twice");
-                    f(b * rows_per_band, band);
-                }))
-            }));
-        }
+    let Some(rows_per_band) = plan_rows(data.len(), row_len, min_elems) else {
+        return f(0, data);
+    };
+    run_chunks(data.chunks_mut(rows_per_band * row_len), |b, band| {
+        f(b * rows_per_band, band)
     });
 }
 
@@ -333,47 +267,22 @@ where
     T: Send,
     F: Fn(usize, &mut [T], &mut [T]) + Sync,
 {
-    assert!(row_len > 0, "row_len must be positive");
     assert_eq!(a.len(), b.len(), "paired buffers differ in length");
-    assert_eq!(a.len() % row_len, 0, "buffer not a whole number of rows");
-    let rows = a.len() / row_len;
-    let workers = current_threads();
-    if workers <= 1 || rows < 2 || a.len() < min_elems || in_worker() {
-        f(0, a, b);
-        return;
-    }
-    let rows_per_band = chunk_len(rows, workers);
-    let n_bands = rows.div_ceil(rows_per_band);
-    note_chunks(rows_per_band, n_bands);
-    let next = AtomicUsize::new(0);
-    let parent = zenesis_obs::current();
-    let trace = zenesis_obs::current_trace();
-    type Band<'b, T> = parking_lot::Mutex<Option<(&'b mut [T], &'b mut [T])>>;
-    let bands: Vec<Band<'_, T>> = a
-        .chunks_mut(rows_per_band * row_len)
-        .zip(b.chunks_mut(rows_per_band * row_len))
-        .map(|(ca, cb)| parking_lot::Mutex::new(Some((ca, cb))))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_bands) {
-            s.spawn(|| as_worker(|| {
-                zenesis_obs::with_trace(trace, || zenesis_obs::with_parent(parent, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_bands {
-                        break;
-                    }
-                    let (ba, bb) = bands[i].lock().take().expect("band claimed twice");
-                    f(i * rows_per_band, ba, bb);
-                }))
-            }));
-        }
-    });
+    let Some(rows_per_band) = plan_rows(a.len(), row_len, min_elems) else {
+        return f(0, a, b);
+    };
+    let band_len = rows_per_band * row_len;
+    run_chunks(
+        a.chunks_mut(band_len).zip(b.chunks_mut(band_len)),
+        |i, (ba, bb)| f(i * rows_per_band, ba, bb),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ThreadsGuard;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_range_order_preserved() {

@@ -1,11 +1,12 @@
 //! The parallel runtime must carry span parenthood across thread
-//! boundaries: a span opened inside a pool task, a `join` branch, or a
-//! data-parallel closure attributes to the span that was open on the
-//! submitting thread. Tests filter snapshots by their own root span id,
-//! so they are immune to spans recorded by other tests in this process.
+//! boundaries: a span opened inside a `join` branch or a data-parallel
+//! closure attributes to the span that was open on the calling thread —
+//! and, helpers being resident, to nothing once that call has returned.
+//! Tests filter snapshots by their own root span id, so they are immune
+//! to spans recorded by other tests in this process.
 
 use zenesis_obs::{ObsLevel, SpanId, SpanRecord};
-use zenesis_par::ThreadPool;
+use zenesis_par::ThreadsGuard;
 
 fn ensure_spans() {
     zenesis_obs::set_level(ObsLevel::Spans);
@@ -19,25 +20,34 @@ fn children_of(root: SpanId) -> Vec<SpanRecord> {
 }
 
 #[test]
-fn pool_tasks_attribute_to_submitting_span() {
+fn helpers_drop_the_callers_span_when_the_call_returns() {
     ensure_spans();
-    let pool = ThreadPool::new(3);
+    let _g = ThreadsGuard::new(4);
     let root_id;
     {
-        let root = zenesis_obs::span("pool.test.root");
+        let root = zenesis_obs::span("hygiene.test.root");
         root_id = root.id().expect("recording on");
-        for i in 0..6 {
-            pool.execute(move || {
-                let _s = zenesis_obs::span(format!("pool.test.task{i}"));
-            });
-        }
-        pool.wait_idle();
+        zenesis_par::par_map_range(64, |_| {
+            let _s = zenesis_obs::span("hygiene.test.under_root");
+        });
     }
+    // No span is open now: whichever thread runs an item, caller or
+    // helper, must record it as a root, not under the finished call.
+    zenesis_par::par_map_range(64, |_| {
+        let _s = zenesis_obs::span("hygiene.test.after");
+    });
     let kids = children_of(root_id);
-    assert_eq!(kids.len(), 6, "every pool task must attach to the root");
-    for k in &kids {
-        assert!(k.name.starts_with("pool.test.task"), "{}", k.name);
-    }
+    assert_eq!(kids.len(), 64);
+    assert!(kids.iter().all(|k| k.name == "hygiene.test.under_root"));
+    let after: Vec<SpanRecord> = zenesis_obs::snapshot()
+        .into_iter()
+        .filter(|s| s.name == "hygiene.test.after")
+        .collect();
+    assert_eq!(after.len(), 64);
+    assert!(
+        after.iter().all(|s| s.parent.is_none()),
+        "stale parent on a helper"
+    );
 }
 
 #[test]
@@ -93,31 +103,20 @@ fn par_map_range_attributes_every_chunk() {
 }
 
 #[test]
-fn full_level_pool_metrics_are_recorded() {
+fn full_level_chunk_metrics_are_recorded() {
     ensure_spans();
-    zenesis_obs::set_level(ObsLevel::Full);
-    let pool = ThreadPool::new(2);
-    for _ in 0..8 {
-        pool.execute(|| {
-            std::hint::black_box(0u64);
-        });
-    }
-    pool.wait_idle();
-    zenesis_obs::set_level(ObsLevel::Spans);
-    let snap = zenesis_obs::metrics_snapshot();
-    let hist_count = |n: &str| {
-        snap.histograms
+    let _g = ThreadsGuard::new(2);
+    let count = |n: &str| {
+        zenesis_obs::metrics_snapshot()
+            .histograms
             .iter()
             .find(|(k, _)| k == n)
-            .map(|(_, s)| s.count)
-            .unwrap_or_else(|| panic!("missing histogram {n}"))
+            .map_or(0, |(_, s)| s.count)
     };
-    assert!(hist_count("par.pool.task.lat") >= 8);
-    assert!(hist_count("par.pool.wait.lat") >= 8);
-    assert!(
-        snap.counters
-            .iter()
-            .any(|(k, v)| k.starts_with("par.pool.worker") && k.ends_with(".busy_ns") && *v > 0),
-        "at least one worker must accumulate busy time"
-    );
+    let (items, chunks) = (count("par.chunk.items"), count("par.chunk.count"));
+    zenesis_obs::set_level(ObsLevel::Full);
+    zenesis_par::par_map_range(64, |i| i);
+    zenesis_obs::set_level(ObsLevel::Spans);
+    assert!(count("par.chunk.items") > items);
+    assert!(count("par.chunk.count") > chunks);
 }

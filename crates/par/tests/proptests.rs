@@ -31,6 +31,26 @@ proptest! {
         prop_assert_eq!(seq, par);
     }
 
+    /// `Vec` append is associative but not commutative: only a combine in
+    /// chunk order reproduces the sequential fold.
+    #[test]
+    fn par_reduce_combines_in_index_order(n in 0usize..600, t in 0usize..3) {
+        let _g = ThreadsGuard::new([1, 2, 8][t]);
+        let par = par_reduce_range(
+            n,
+            Vec::new,
+            |mut acc, i| {
+                acc.push(i);
+                acc
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        );
+        prop_assert_eq!(par, (0..n).collect::<Vec<_>>());
+    }
+
     #[test]
     fn par_rows_covers_buffer(rows in 1usize..40, row_len in 1usize..40, threads in 1usize..6) {
         let _g = ThreadsGuard::new(threads);

@@ -274,7 +274,11 @@ fn reactor_loop(
                             drop(stream);
                             continue;
                         }
-                        if stream.set_nonblocking(true).is_err() {
+                        // Responses are small and written whole: with
+                        // Nagle on, each would wait for the client's
+                        // (delayed) ACK of the one before it.
+                        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err()
+                        {
                             continue;
                         }
                         let id = next_conn_id;
@@ -404,6 +408,9 @@ mod poller {
             fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
         }
         loop {
+            // SAFETY: `PollFd` is `#[repr(C)]` with `struct pollfd`'s
+            // layout, and the pointer and count describe one exclusively
+            // borrowed slice, which poll(2) only writes `revents` of.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
             // EINTR: retry; any other failure degrades to the sleep
             // fallback so the reactor keeps making progress.

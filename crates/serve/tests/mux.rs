@@ -294,3 +294,53 @@ fn connection_cap_refuses_the_overflow() {
     mux.shutdown();
     server.shutdown();
 }
+
+/// Accepted sockets must have `TCP_NODELAY` set. Without it Nagle's
+/// algorithm holds a small response back until the previous one has been
+/// acknowledged, and a client that is only listening acknowledges on its
+/// delayed-ACK timer (40 ms on Linux): the second of two answers written
+/// a few milliseconds apart arrives a timer period late. Each round
+/// pipelines an immediate and a 5 ms job and measures how far apart their
+/// answers arrive; after the first few exchanges the client's stack is in
+/// delayed-ACK mode, so the median round shows the stall if it is there.
+#[test]
+fn second_small_response_is_not_held_behind_an_unacknowledged_first() {
+    const ROUNDS: usize = 21;
+    let runner: JobRunner = Arc::new(|spec, _cancel| {
+        if prompt_of(spec).starts_with("pause") {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        ok_result()
+    });
+    let server = Arc::new(Server::start_with_runner(config(2, 64), runner));
+    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
+        .expect("spawn mux");
+    let mut s = TcpStream::connect(mux.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut r = BufReader::new(s.try_clone().expect("clone"));
+    let mut gaps_ms = Vec::with_capacity(ROUNDS);
+    let mut line = String::new();
+    for round in 0..ROUNDS as u64 {
+        let pair = format!(
+            "{}\n{}\n",
+            request(2 * round, "now", None, None),
+            request(2 * round + 1, "pause", None, None)
+        );
+        s.write_all(pair.as_bytes()).expect("write");
+        line.clear();
+        r.read_line(&mut line).expect("first answer");
+        let first = Instant::now();
+        line.clear();
+        r.read_line(&mut line).expect("second answer");
+        gaps_ms.push(first.elapsed().as_secs_f64() * 1e3);
+    }
+    gaps_ms.sort_by(|a, b| a.total_cmp(b));
+    let median = gaps_ms[ROUNDS / 2];
+    assert!(
+        median < 25.0,
+        "second answers arrive {median:.1} ms after the first (5 ms apart at the server): \
+         held for a delayed ACK; gaps {gaps_ms:?}"
+    );
+    mux.shutdown();
+    server.shutdown();
+}

@@ -22,10 +22,11 @@
 //! is identical at either width, so SIMD-on and forced-scalar results
 //! are bit-identical (see `src/simd.rs`).
 //!
-//! Products below [`PAR_MIN_MADDS`] multiply-adds skip the thread pool
-//! entirely — fan-out overhead dominates small kernels (a 3-token
-//! grounding query, a SAM prompt head), and the serving layer already
-//! parallelizes across jobs at that scale.
+//! Products below [`PAR_MIN_MADDS`] multiply-adds never leave the caller
+//! thread — waking a helper and waiting for it costs more than small
+//! kernels take (a 3-token grounding query, a SAM prompt head, the
+//! 1024×8×32 patch projection of a 256² slice), and the serving layer
+//! already parallelizes across jobs at that scale.
 
 use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
@@ -38,7 +39,13 @@ pub const NR: usize = 8;
 pub const MR: usize = 32;
 
 /// Multiply-add count below which the product runs on the caller thread.
-pub const PAR_MIN_MADDS: usize = 1 << 18;
+///
+/// A 2^18 product takes ≈ 16 µs on one thread, and a helper that has to
+/// be woken arrives later than that: measured on the resident team, two
+/// threads run it at 0.4–0.5× the speed of one (docs/PERFORMANCE.md has
+/// the sweep). The gate sits above grounding's 1024×8×32 = 2^18 shape,
+/// the one product of that size a 256² slice issues.
+pub const PAR_MIN_MADDS: usize = 1 << 19;
 
 /// Pack `rhs` (`k x n`, row-major) into NR-wide k-major column panels.
 /// `packed` must hold `n.div_ceil(NR) * NR * k` elements; tail columns
@@ -295,8 +302,8 @@ pub(crate) fn matmul_packed(
     let madds = m * n * k;
     // `in_worker()` keeps nested calls (e.g. per-head matmuls already
     // fanned out by the attention layer) on the caller thread instead of
-    // oversubscribing the pool; the bit-stability contract makes the
-    // inline and fanned-out results identical anyway.
+    // fanning out again; the bit-stability contract makes the inline and
+    // fanned-out results identical anyway.
     if madds < PAR_MIN_MADDS || current_threads() <= 1 || in_worker() {
         band_kernel(lhs, k, n, &packed, 0, out);
     } else {
