@@ -153,6 +153,21 @@ pub struct AdaptTrace {
     pub out_height: usize,
 }
 
+impl AdaptTrace {
+    /// Provenance of `stage`'s output, from one pass over it.
+    fn of(stage: &AdaptStage, out: &Image<f32>) -> Self {
+        let (out_min, out_max, out_mean) = out.min_max_mean();
+        AdaptTrace {
+            stage: stage.name().to_string(),
+            out_min,
+            out_max,
+            out_mean,
+            out_width: out.width(),
+            out_height: out.height(),
+        }
+    }
+}
+
 /// An ordered list of adaptation stages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct AdaptPipeline {
@@ -271,15 +286,7 @@ impl AdaptPipeline {
             cur = stage.apply(&cur);
             drop(span);
             Self::guard_stage(stage, &mut cur)?;
-            let (lo, hi) = cur.min_max();
-            traces.push(AdaptTrace {
-                stage: stage.name().to_string(),
-                out_min: lo,
-                out_max: hi,
-                out_mean: cur.mean_norm(),
-                out_width: cur.width(),
-                out_height: cur.height(),
-            });
+            traces.push(AdaptTrace::of(stage, &cur));
         }
         Ok((cur, traces))
     }
@@ -330,15 +337,7 @@ impl AdaptPipeline {
                 .then(|| zenesis_obs::span(format!("adapt.{}", stage.name())));
             cur = stage.apply(&cur);
             drop(span);
-            let (lo, hi) = cur.min_max();
-            traces.push(AdaptTrace {
-                stage: stage.name().to_string(),
-                out_min: lo,
-                out_max: hi,
-                out_mean: cur.mean_norm(),
-                out_width: cur.width(),
-                out_height: cur.height(),
-            });
+            traces.push(AdaptTrace::of(stage, &cur));
         }
         (cur, traces)
     }

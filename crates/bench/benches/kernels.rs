@@ -6,8 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zenesis_adapt::{AdaptPipeline, AdaptStage};
 use zenesis_data::{generate_slice, PhantomConfig, SampleKind};
-use zenesis_ground::FeatureGrid;
-use zenesis_image::Image;
+use zenesis_ground::{DinoConfig, FeatureGrid, GroundingDino};
+use zenesis_image::filter::median_filter;
+use zenesis_image::morphology::{dilate, erode, Structuring};
+use zenesis_image::{BitMask, Image};
 use zenesis_nn::{attention, attention_weights, SwinStage, VitEncoder};
 use zenesis_par::ThreadsGuard;
 use zenesis_sam::{ImageEmbedding, PromptSet, Sam, SamConfig};
@@ -168,8 +170,36 @@ fn bench_ground_and_sam(c: &mut Criterion) {
     group.finish();
 }
 
+/// The non-model glue of `segment_slice` at the served slice size (256²):
+/// the relevance gate's upsample and dilation, the adaptation median, and
+/// one box decode.
+fn bench_slice_path(c: &mut Criterion) {
+    let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 9).with_size(256, 256));
+    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let grounding = GroundingDino::new(DinoConfig::default())
+        .ground(&adapted, "needle-like crystalline catalyst");
+    let support = BitMask::from_threshold(&grounding.relevance_full(256, 256), 0.60);
+    let se = Structuring::Square(grounding.patch / 2);
+    let emb = ImageEmbedding::encode(&adapted, 1.0);
+    let bbox = g.truth.bounding_box().unwrap();
+    let mut group = c.benchmark_group("slice_path");
+    group.sample_size(20);
+    group.bench_function("dilate_256_sq4", |b| b.iter(|| dilate(&support, se)));
+    group.bench_function("erode_256_sq4", |b| b.iter(|| erode(&support, se)));
+    group.bench_function("median_256_r1", |b| b.iter(|| median_filter(&adapted, 1)));
+    group.bench_function("median_256_r2", |b| b.iter(|| median_filter(&adapted, 2)));
+    group.bench_function("decode_box_256", |b| {
+        b.iter(|| zenesis_sam::decoder::decode_box(&emb, bbox, 2, 6, true, true))
+    });
+    group.bench_function("relevance_full_256", |b| {
+        b.iter(|| grounding.relevance_full(256, 256))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_slice_path,
     bench_adapt,
     bench_transformer,
     bench_kernel_sweep,

@@ -44,7 +44,13 @@ impl Labels {
 
     /// Extract one component as a mask. `label` in `1..=count`.
     pub fn component_mask(&self, label: u32) -> BitMask {
-        BitMask::from_fn(self.width, self.height, |x, y| self.get(x, y) == label)
+        self.mask_where(|l| l == label)
+    }
+
+    /// The pixels whose label satisfies `keep` (background is label 0), in
+    /// one pass over the label image however many components are kept.
+    pub fn mask_where(&self, keep: impl Fn(u32) -> bool) -> BitMask {
+        BitMask::from_slice(self.width, self.height, &self.labels, |&l| keep(l))
     }
 
     /// Per-component statistics, indexed by `label - 1`.

@@ -167,29 +167,128 @@ pub fn box_blur(img: &Image<f32>, radius: usize) -> Image<f32> {
     convolve_separable(img, &kernel)
 }
 
+/// `(min, max)` of two non-NaN values: a compare-exchange, the unit of
+/// the sorting networks below. It compiles to a min/max instruction pair.
+#[inline(always)]
+fn cx(a: f32, b: f32) -> (f32, f32) {
+    if b < a {
+        (b, a)
+    } else {
+        (a, b)
+    }
+}
+
+#[inline(always)]
+fn min3(a: f32, b: f32, c: f32) -> f32 {
+    cx(cx(a, b).0, c).0
+}
+
+#[inline(always)]
+fn max3(a: f32, b: f32, c: f32) -> f32 {
+    cx(cx(a, b).1, c).1
+}
+
+#[inline(always)]
+fn med3(a: f32, b: f32, c: f32) -> f32 {
+    let (lo, hi) = cx(a, b);
+    cx(lo, cx(hi, c).0).1
+}
+
+/// `dst[x] = f(src[x - 1], src[x], src[x + 1])` with replicate-clamped
+/// ends; the interior is one loop over contiguous windows.
+#[inline(always)]
+fn map_triples(src: &[f32], dst: &mut [f32], f: impl Fn(f32, f32, f32) -> f32) {
+    let w = src.len();
+    dst[0] = f(src[0], src[0], src[1.min(w - 1)]);
+    if w > 1 {
+        dst[w - 1] = f(src[w - 2], src[w - 1], src[w - 1]);
+    }
+    for (o, t) in dst[1..].iter_mut().zip(src.windows(3)) {
+        *o = f(t[0], t[1], t[2]);
+    }
+}
+
+/// 3x3 median of a band of output rows by selection network. Sort each
+/// column of the three (row-clamped) source rows into `lo <= mid <= hi`;
+/// the median of the nine is then the median of: the largest of three
+/// neighbouring `lo`s, the median of the `mid`s, the smallest of the
+/// `hi`s. Every step is a whole-row loop over contiguous slices.
+#[inline(always)]
+fn median3_band_impl(img: &Image<f32>, y0: usize, band: &mut [f32]) {
+    let (w, h) = img.dims();
+    let [mut lo, mut mid, mut hi, mut max_lo, mut med_mid] = [(); 5].map(|()| vec![0.0f32; w]);
+    for (dy, orow) in band.chunks_mut(w).enumerate() {
+        let (ym, yc, yp) = rows3(img, y0 + dy, h);
+        for x in 0..w {
+            let (a, b) = cx(ym[x], yc[x]);
+            let (b, c) = cx(b, yp[x]);
+            let (a, b) = cx(a, b);
+            (lo[x], mid[x], hi[x]) = (a, b, c);
+        }
+        map_triples(&lo, &mut max_lo, max3);
+        map_triples(&mid, &mut med_mid, med3);
+        map_triples(&hi, orow, min3);
+        for (o, (&a, &b)) in orow.iter_mut().zip(max_lo.iter().zip(med_mid.iter())) {
+            *o = med3(a, b, *o);
+        }
+    }
+}
+
+simd_dispatch!(median3_band => median3_band_impl(
+    img: &Image<f32>,
+    y0: usize,
+    band: &mut [f32],
+));
+
+/// Median of a band of output rows by selection from the gathered window;
+/// one window buffer serves the whole band.
+fn median_band(img: &Image<f32>, radius: usize, y0: usize, band: &mut [f32]) {
+    let w = img.width();
+    let r = radius as isize;
+    let mut window = Vec::with_capacity((2 * radius + 1) * (2 * radius + 1));
+    for (dy, orow) in band.chunks_mut(w).enumerate() {
+        let y = (y0 + dy) as isize;
+        for (x, o) in orow.iter_mut().enumerate() {
+            let x = x as isize;
+            window.clear();
+            for wy in y - r..=y + r {
+                for wx in x - r..=x + r {
+                    window.push(img.get_clamped(wx, wy));
+                }
+            }
+            let mid = window.len() / 2;
+            *o = *window
+                .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("NaN in image"))
+                .1;
+        }
+    }
+}
+
 /// Median filter over a `(2*radius+1)^2` window, replicate border.
 ///
 /// The salt-and-pepper remover of choice for FIB-SEM shot noise.
+/// `radius == 1`, the adaptation recipe's setting, runs as a branch-free
+/// selection network over whole rows; other radii select from a gathered
+/// window. Both give the value an ascending sort of the window has in the
+/// middle; the bits are those of a window element, and only a window that
+/// holds both `-0.0` and `+0.0` around its median (they compare equal)
+/// leaves open which of the two comes out.
+///
+/// # Panics
+/// With `"NaN in image"` if any sample is NaN (`radius > 0`).
 pub fn median_filter(img: &Image<f32>, radius: usize) -> Image<f32> {
     if radius == 0 {
         return img.clone();
     }
+    assert!(!img.as_slice().iter().any(|v| v.is_nan()), "NaN in image");
     let (w, h) = img.dims();
-    let side = 2 * radius + 1;
-    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
-        let (x, y) = ((i % w) as isize, (i / w) as isize);
-        let mut window = Vec::with_capacity(side * side);
-        for dy in -(radius as isize)..=(radius as isize) {
-            for dx in -(radius as isize)..=(radius as isize) {
-                window.push(img.get_clamped(x + dx, y + dy));
-            }
-        }
-        let mid = window.len() / 2;
-        *window
-            .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("NaN in image"))
-            .1
-    });
-    Image::from_vec(w, h, data).expect("shape preserved")
+    let mut out = vec![0.0f32; w * h];
+    if radius == 1 {
+        par_rows(&mut out, w, |y0, band| median3_band(img, y0, band));
+    } else {
+        par_rows(&mut out, w, |y0, band| median_band(img, radius, y0, band));
+    }
+    Image::from_vec(w, h, out).expect("shape preserved")
 }
 
 /// Both Sobel responses at column `x` (clamped neighbours `xm`/`xp`),

@@ -214,16 +214,27 @@ impl<T: Pixel> Image<T> {
         }
     }
 
-    /// Nearest-neighbour resize.
+    /// Nearest-neighbour resize: output pixel `i` samples source index
+    /// `((i + 0.5) * old / new) as usize` along each axis.
     pub fn resize_nearest(&self, new_w: usize, new_h: usize) -> Image<T> {
         assert!(new_w > 0 && new_h > 0);
-        let sx = self.width as f64 / new_w as f64;
-        let sy = self.height as f64 / new_h as f64;
-        Image::from_fn(new_w, new_h, |x, y| {
-            let ox = ((x as f64 + 0.5) * sx) as usize;
-            let oy = ((y as f64 + 0.5) * sy) as usize;
-            self.get(ox.min(self.width - 1), oy.min(self.height - 1))
-        })
+        let source = |new: usize, old: usize| {
+            let scale = old as f64 / new as f64;
+            (0..new).map(move |i| (((i as f64 + 0.5) * scale) as usize).min(old - 1))
+        };
+        // The column table is shared by every output row; each output row
+        // is a gather from one source row.
+        let cols: Vec<usize> = source(new_w, self.width).collect();
+        let mut data = Vec::with_capacity(new_w * new_h);
+        for oy in source(new_h, self.height) {
+            let row = self.row(oy);
+            data.extend(cols.iter().map(|&ox| row[ox]));
+        }
+        Image {
+            width: new_w,
+            height: new_h,
+            data,
+        }
     }
 
     /// Transpose rows and columns.
@@ -264,6 +275,28 @@ impl<T: Pixel> Image<T> {
     pub fn mean_norm(&self) -> f64 {
         let s: f64 = self.data.iter().map(|v| v.to_norm() as f64).sum();
         s / self.data.len() as f64
+    }
+
+    /// [`min_max`](Self::min_max) and [`mean_norm`](Self::mean_norm) in
+    /// one pass over the samples: the same `<` comparisons and the same
+    /// left-to-right `f64` sum, so all three values are bit-identical to
+    /// the separate calls.
+    pub fn min_max_mean(&self) -> (T, T, f64) {
+        let mut lo = self.data[0];
+        let mut hi = self.data[0];
+        // Whatever zero `Sum for f64` starts from (its sign decides the
+        // sign of an all-`-0.0` sum).
+        let mut sum: f64 = std::iter::empty::<f64>().sum();
+        for &v in &self.data {
+            if v < lo {
+                lo = v;
+            }
+            if hi < v {
+                hi = v;
+            }
+            sum += v.to_norm() as f64;
+        }
+        (lo, hi, sum / self.data.len() as f64)
     }
 
     /// Population variance of the canonical values.
@@ -469,6 +502,7 @@ mod tests {
         let m = img.mean_norm();
         assert!((m - (0..12).sum::<usize>() as f64 / 12.0 / 255.0).abs() < 1e-9);
         assert!(img.variance_norm() > 0.0);
+        assert_eq!(img.min_max_mean(), (0, 11, m));
         let flat = Image::<u8>::filled(5, 5, 9);
         assert_eq!(flat.variance_norm(), 0.0);
     }

@@ -11,7 +11,53 @@ use crate::geometry::{BoxRegion, Point};
 use crate::image::Image;
 use crate::pixel::Pixel;
 
+/// A word with the low `n` bits set (`1 <= n <= 64`).
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+/// Read `n` bits (`1 <= n <= 64`) starting at bit index `bit`.
+#[inline]
+fn load_bits(words: &[u64], bit: usize, n: usize) -> u64 {
+    let (i, sh) = (bit / 64, bit % 64);
+    let mut v = words[i] >> sh;
+    if sh + n > 64 {
+        v |= words[i + 1] << (64 - sh);
+    }
+    v & low_bits(n)
+}
+
+/// Overwrite `n` bits (`1 <= n <= 64`) starting at bit index `bit` with
+/// the low `n` bits of `v`.
+#[inline]
+fn store_bits(words: &mut [u64], bit: usize, n: usize, v: u64) {
+    let (i, sh) = (bit / 64, bit % 64);
+    let keep = low_bits(n);
+    let v = v & keep;
+    words[i] = (words[i] & !(keep << sh)) | (v << sh);
+    if sh + n > 64 {
+        words[i + 1] = (words[i + 1] & !(keep >> (64 - sh))) | (v >> (64 - sh));
+    }
+}
+
+/// Copy `n` bits from `src` at bit index `src_bit` over `dst` at
+/// `dst_bit`, a word's worth at a time.
+fn copy_bits(dst: &mut [u64], dst_bit: usize, src: &[u64], src_bit: usize, n: usize) {
+    let mut done = 0;
+    while done < n {
+        let k = (n - done).min(64);
+        store_bits(dst, dst_bit + done, k, load_bits(src, src_bit + done, k));
+        done += k;
+    }
+}
+
 /// A `width x height` binary mask packed into 64-bit words, row-major.
+///
+/// Bit `y * width + x` holds pixel `(x, y)`: rows are **not** padded to a
+/// word boundary, so a row generally starts in the middle of a word.
+/// Kernels that shift or combine whole rows work on a row-aligned copy
+/// (the crate-internal `to_rows` / `from_rows`) instead of on `words`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMask {
     width: usize,
@@ -43,24 +89,48 @@ impl BitMask {
 
     /// Threshold an image: `true` where `pixel > thr` (canonical domain).
     pub fn from_threshold<T: Pixel>(img: &Image<T>, thr: f32) -> Self {
-        let mut m = Self::new(img.width(), img.height());
-        for (i, v) in img.as_slice().iter().enumerate() {
-            if v.to_norm() > thr {
-                m.set_index(i, true);
+        Self::from_slice(img.width(), img.height(), img.as_slice(), |v| {
+            v.to_norm() > thr
+        })
+    }
+
+    /// Build from a predicate over coordinates (evaluated row-major).
+    pub fn from_fn(width: usize, height: usize, f: impl Fn(usize, usize) -> bool) -> Self {
+        let mut m = Self::new(width, height);
+        let (mut x, mut y) = (0, 0);
+        for word in &mut m.words {
+            for bit in 0..64 {
+                if y == height {
+                    break;
+                }
+                *word |= (f(x, y) as u64) << bit;
+                x += 1;
+                if x == width {
+                    (x, y) = (0, y + 1);
+                }
             }
         }
         m
     }
 
-    /// Build from a predicate over coordinates.
-    pub fn from_fn(width: usize, height: usize, f: impl Fn(usize, usize) -> bool) -> Self {
+    /// Build from one value per pixel (row-major) and a predicate on it:
+    /// 64 predicate bits are gathered in a register and stored as one
+    /// word, instead of a read-modify-write of the backing vector per
+    /// pixel.
+    pub(crate) fn from_slice<T>(
+        width: usize,
+        height: usize,
+        data: &[T],
+        pred: impl Fn(&T) -> bool,
+    ) -> Self {
         let mut m = Self::new(width, height);
-        for y in 0..height {
-            for x in 0..width {
-                if f(x, y) {
-                    m.set(x, y, true);
-                }
+        assert_eq!(data.len(), m.len(), "one value per pixel");
+        for (word, chunk) in m.words.iter_mut().zip(data.chunks(64)) {
+            let mut acc = 0u64;
+            for (bit, v) in chunk.iter().enumerate() {
+                acc |= (pred(v) as u64) << bit;
             }
+            *word = acc;
         }
         m
     }
@@ -68,7 +138,11 @@ impl BitMask {
     /// Mask that is true exactly inside `region` (clamped to the raster).
     pub fn from_box(width: usize, height: usize, region: BoxRegion) -> Self {
         let r = region.clamp_to(width, height);
-        Self::from_fn(width, height, |x, y| r.contains(Point::new(x, y)))
+        let mut m = Self::new(width, height);
+        if !r.is_empty() {
+            m.paste(&Self::full(r.width(), r.height()), r.x0, r.y0);
+        }
+        m
     }
 
     /// The packed 64-bit words, row-major (serialization — the checkpoint
@@ -96,6 +170,49 @@ impl BitMask {
         };
         m.clear_tail();
         m
+    }
+
+    /// Words per row of the row-aligned form.
+    #[inline]
+    pub(crate) fn row_words(&self) -> usize {
+        self.width.div_ceil(64)
+    }
+
+    /// Row-aligned copy: row `y` occupies words `y * row_words()..` with
+    /// column `x` at bit `x % 64` of word `x / 64`; the unused high bits
+    /// of each row's last word are zero.
+    pub(crate) fn to_rows(&self) -> Vec<u64> {
+        let rw = self.row_words();
+        let mut rows = vec![0u64; rw * self.height];
+        for y in 0..self.height {
+            copy_bits(&mut rows, y * rw * 64, &self.words, y * self.width, self.width);
+        }
+        rows
+    }
+
+    /// Inverse of [`to_rows`](Self::to_rows); the unused high bits of each
+    /// row's last word are ignored.
+    pub(crate) fn from_rows(width: usize, height: usize, rows: &[u64]) -> Self {
+        let mut m = Self::new(width, height);
+        let rw = m.row_words();
+        assert_eq!(rows.len(), rw * height, "row-aligned length mismatch");
+        for y in 0..height {
+            copy_bits(&mut m.words, y * width, rows, y * rw * 64, width);
+        }
+        m
+    }
+
+    /// Overwrite the rectangle with top-left corner `(x0, y0)` with `src`;
+    /// out-of-raster parts of `src` are discarded.
+    pub fn paste(&mut self, src: &BitMask, x0: usize, y0: usize) {
+        if x0 >= self.width {
+            return;
+        }
+        let cols = src.width.min(self.width - x0);
+        for sy in 0..src.height.min(self.height.saturating_sub(y0)) {
+            let at = (y0 + sy) * self.width + x0;
+            copy_bits(&mut self.words, at, &src.words, sy * src.width, cols);
+        }
     }
 
     #[inline]

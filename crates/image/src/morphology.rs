@@ -4,7 +4,7 @@
 //! SAM's mask decoder uses closing + hole filling to regularize grown
 //! regions; the phantom generator uses dilation to thicken needle skeletons.
 
-use crate::geometry::Point;
+use crate::geometry::{BoxRegion, Point};
 use crate::mask::BitMask;
 
 /// Structuring element shape.
@@ -17,52 +17,142 @@ pub enum Structuring {
 }
 
 impl Structuring {
-    fn offsets(&self) -> Vec<(isize, isize)> {
+    fn radius(&self) -> usize {
         match *self {
-            Structuring::Square(r) => {
-                let r = r as isize;
-                let mut v = Vec::new();
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        v.push((dx, dy));
-                    }
-                }
-                v
-            }
-            Structuring::Disk(r) => {
-                let ri = r as isize;
-                let r2 = (r * r) as isize;
-                let mut v = Vec::new();
-                for dy in -ri..=ri {
-                    for dx in -ri..=ri {
-                        if dx * dx + dy * dy <= r2 {
-                            v.push((dx, dy));
-                        }
-                    }
-                }
-                v
-            }
+            Structuring::Square(r) | Structuring::Disk(r) => r,
+        }
+    }
+
+    /// The element is a stack of horizontal runs: at vertical offset
+    /// `±dy` (`dy <= radius`) it covers `dx` in `-half_width..=half_width`.
+    fn half_width(&self, dy: usize) -> usize {
+        match *self {
+            Structuring::Square(r) => r,
+            Structuring::Disk(r) => (r * r - dy * dy).isqrt(),
         }
     }
 }
 
+/// `dst |= src` moved `s` columns toward higher x, over one row-aligned
+/// row: bits carry between neighbouring words.
+fn or_moved_up(dst: &mut [u64], src: &[u64], s: usize) {
+    let (q, b) = (s / 64, s % 64);
+    for i in q..src.len() {
+        dst[i] |= src[i - q] << b;
+        if b > 0 && i > q {
+            dst[i] |= src[i - q - 1] >> (64 - b);
+        }
+    }
+}
+
+/// `dst |= src` moved `s` columns toward lower x.
+fn or_moved_down(dst: &mut [u64], src: &[u64], s: usize) {
+    let (q, b) = (s / 64, s % 64);
+    for i in q..src.len() {
+        dst[i - q] |= src[i] >> b;
+        if b > 0 && i + 1 < src.len() {
+            dst[i - q] |= src[i + 1] << (64 - b);
+        }
+    }
+}
+
+/// `row` becomes the OR of itself moved `0..=hw` columns one way (`hw <
+/// width`), by doubling: a row that covers moves `0..=c` covers
+/// `0..=c + s` after OR-ing in its copy moved `s <= c + 1` further.
+fn spread_one_way(
+    row: &mut [u64],
+    hw: usize,
+    scratch: &mut [u64],
+    or_moved: fn(&mut [u64], &[u64], usize),
+) {
+    let mut covered = 0;
+    while covered < hw {
+        let s = (covered + 1).min(hw - covered);
+        scratch.copy_from_slice(row);
+        or_moved(row, scratch, s);
+        covered += s;
+    }
+}
+
+/// `dst` = `src` OR-ed with itself moved by every `dx` in `-hw..=hw`.
+/// The two directions are spread separately: bits pushed past the row's
+/// last column one way must not come back the other way. They are left
+/// in the last word's unused high bits, which `from_rows` ignores.
+fn hspread(dst: &mut [u64], src: &[u64], hw: usize, scratch: &mut [u64]) {
+    let (up, scratch) = scratch.split_at_mut(src.len());
+    up.copy_from_slice(src);
+    spread_one_way(up, hw, scratch, or_moved_up);
+    dst.copy_from_slice(src);
+    spread_one_way(dst, hw, scratch, or_moved_down);
+    for (d, u) in dst.iter_mut().zip(up.iter()) {
+        *d |= u;
+    }
+}
+
 /// Dilation: a pixel is set if any structuring-element neighbour is set.
+///
+/// Word-parallel: `out[y]` is the OR over `dy` of row `y + dy` spread
+/// horizontally by the element's half-width at `dy`; rows outside the
+/// raster contribute nothing. Offsets are clamped to the raster, so the
+/// cost is bounded by the mask, not by the radius.
 pub fn dilate(mask: &BitMask, se: Structuring) -> BitMask {
-    let offs = se.offsets();
-    BitMask::from_fn(mask.width(), mask.height(), |x, y| {
-        offs.iter()
-            .any(|&(dx, dy)| mask.get_or_false(x as isize + dx, y as isize + dy))
-    })
+    let (w, h) = mask.dims();
+    // Every offset that can land inside the raster from inside it has
+    // `|dx| < w` and `|dy| < h`, so `dx^2 + dy^2 < (w + h)^2`: larger
+    // radii behave exactly like this one, and `r * r` stays small.
+    let se = match se {
+        Structuring::Square(r) => Structuring::Square(r.min(w + h)),
+        Structuring::Disk(r) => Structuring::Disk(r.min(w + h)),
+    };
+    // Per `dy` that can stay inside the raster, clamped likewise.
+    let half_widths: Vec<usize> = (0..=se.radius().min(h - 1))
+        .map(|dy| se.half_width(dy).min(w - 1))
+        .collect();
+    let rw = mask.row_words();
+    let rows = mask.to_rows();
+    let mut out = vec![0u64; rows.len()];
+    let mut spread = vec![0u64; rw];
+    let mut scratch = vec![0u64; 2 * rw];
+    for (y, src) in rows.chunks(rw).enumerate() {
+        if src.iter().all(|&word| word == 0) {
+            continue;
+        }
+        // Half-widths only shrink as `dy` grows: re-spread from the
+        // source row when they change (never, for a square).
+        let mut spread_hw = None;
+        for (dy, &hw) in half_widths.iter().enumerate() {
+            if spread_hw != Some(hw) {
+                hspread(&mut spread, src, hw, &mut scratch);
+                spread_hw = Some(hw);
+            }
+            let targets = [y.checked_sub(dy), (dy > 0 && y + dy < h).then_some(y + dy)];
+            for t in targets.into_iter().flatten() {
+                for (o, s) in out[t * rw..][..rw].iter_mut().zip(&spread) {
+                    *o |= s;
+                }
+            }
+        }
+    }
+    BitMask::from_rows(w, h, &out)
 }
 
 /// Erosion: a pixel stays set only if all structuring-element neighbours
 /// are set (outside the raster counts as unset).
+///
+/// By duality this is the complement of the dilated complement wherever
+/// no offset leaves the raster (outside it, "unset" for erosion and
+/// "contributes nothing" for dilation are not dual). Everywhere else,
+/// within `radius` of the border, the pixel erodes away: both elements
+/// reach `(±r, 0)` and `(0, ±r)`.
 pub fn erode(mask: &BitMask, se: Structuring) -> BitMask {
-    let offs = se.offsets();
-    BitMask::from_fn(mask.width(), mask.height(), |x, y| {
-        offs.iter()
-            .all(|&(dx, dy)| mask.get_or_false(x as isize + dx, y as isize + dy))
-    })
+    let (w, h) = mask.dims();
+    let r = se.radius();
+    if r >= w.min(h).div_ceil(2) {
+        return BitMask::new(w, h);
+    }
+    let mut out = dilate(&mask.not(), se).not();
+    out.and_with(&BitMask::from_box(w, h, BoxRegion::new(r, r, w - r, h - r)));
+    out
 }
 
 /// Opening: erosion then dilation — removes specks smaller than the SE.
@@ -116,7 +206,6 @@ pub fn fill_holes(mask: &BitMask) -> BitMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::BoxRegion;
 
     #[test]
     fn dilate_grows_erode_shrinks() {

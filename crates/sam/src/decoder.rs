@@ -108,16 +108,13 @@ pub fn decode_points(
         mask.subtract(&veto);
         // Keep only components still connected to a foreground seed.
         let labels = label_components(&mask, Connectivity::Four);
-        let mut keep = BitMask::new(mask.width(), mask.height());
-        for s in fg {
-            if s.x < mask.width() && s.y < mask.height() {
-                let l = labels.get(s.x, s.y);
-                if l != 0 {
-                    keep.or_with(&labels.component_mask(l));
-                }
-            }
-        }
-        mask = keep;
+        let seeded: Vec<u32> = fg
+            .iter()
+            .filter(|s| s.x < mask.width() && s.y < mask.height())
+            .map(|s| labels.get(s.x, s.y))
+            .filter(|&l| l != 0)
+            .collect();
+        mask = labels.mask_where(|l| seeded.contains(&l));
     }
     mask
 }
@@ -179,32 +176,33 @@ pub fn decode_box(
         }
         t += dir * 0.02;
     }
-    // Foreground = selected side of the split, inside the ROI only.
-    let mut mask = BitMask::new(w, h);
-    for y in roi.y0..roi.y1 {
-        for x in roi.x0..roi.x1 {
-            let above = emb.smooth.get(x, y) > thr;
-            if above == bright_fg {
-                mask.set(x, y, true);
-            }
-        }
+    // Foreground = selected side of the split, inside the ROI only: the
+    // cleanup below works on the ROI-sized raster and is pasted back, so
+    // a small box does not pay for full-image passes.
+    let mut local = BitMask::from_threshold(&crop, thr);
+    if !bright_fg {
+        local = local.not();
     }
     // Drop specks, then fill interior holes. (No morphological closing:
     // it would merge and thicken the 1-2 px structures the crystalline
     // samples are made of; hole filling and component filtering do the
     // regularization instead.)
-    let labels = label_components(&mask, Connectivity::Eight);
-    let mut cleaned = BitMask::new(w, h);
-    for s in labels.stats() {
-        if s.area >= min_area {
-            cleaned.or_with(&labels.component_mask(s.label));
-        }
-    }
+    let labels = label_components(&local, Connectivity::Eight);
+    // Indexed by label; label 0 is the background.
+    let keep: Vec<bool> = std::iter::once(false)
+        .chain(labels.stats().iter().map(|s| s.area >= min_area))
+        .collect();
+    let mut local = labels.mask_where(|l| keep[l as usize]);
     if fill {
-        fill_holes(&cleaned)
-    } else {
-        cleaned
+        // A hole is background with no 4-path to the image border. The
+        // image is empty outside the ROI, so background on the ROI's rim
+        // always has such a path and any path from inside crosses the
+        // rim: holes of the ROI raster are exactly the holes of the image.
+        local = fill_holes(&local);
     }
+    let mut mask = BitMask::new(w, h);
+    mask.paste(&local, roi.x0, roi.y0);
+    mask
 }
 
 /// Refine a rough mask prompt: reseed from its interior and regrow.
