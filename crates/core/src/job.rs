@@ -16,6 +16,8 @@ use crate::config::ZenesisConfig;
 use crate::method::Method;
 use crate::modes;
 use crate::pipeline::Zenesis;
+use crate::stream::SliceSource;
+use crate::temporal::{VolumeError, VolumeResult};
 
 /// Largest accepted slice side for generated inputs. Oversized specs are
 /// rejected up front with a structured error instead of attempting a
@@ -356,34 +358,26 @@ pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
 /// Map a completed volume run onto the job contract, writing the masks
 /// as a multi-page TIFF first when the job asked for them — a mask file
 /// that failed to land is a failed job, not a silent omission.
-fn finish_volume(
-    masks: &[zenesis_image::BitMask],
-    corrections: usize,
-    degraded: Vec<usize>,
-    failed: Vec<usize>,
-    depth: usize,
-    masks_out: Option<&String>,
-) -> JobResult {
+fn finish_volume(r: &VolumeResult, masks_out: Option<&String>) -> JobResult {
     if let Some(path) = masks_out {
-        if let Err(e) = zenesis_tiff::save_mask_volume_tiff(masks, path) {
+        if let Err(e) = zenesis_tiff::save_mask_volume_tiff(&r.masks, path) {
             return JobResult::Error {
                 message: format!("cannot write masks to {path:?}: {e}"),
             };
         }
     }
     JobResult::Volume {
-        depth,
-        corrections,
-        per_slice_pixels: masks.iter().map(|m| m.count()).collect(),
-        degraded,
-        failed,
+        depth: r.masks.len(),
+        corrections: r.corrections(),
+        per_slice_pixels: r.masks.iter().map(|m| m.count()).collect(),
+        degraded: r.degraded_slices(),
+        failed: r.failed_slices(),
     }
 }
 
 /// Map a fault-tolerant volume run's failure onto the job contract:
 /// cancellation is `Timeout`, abort conditions are structured errors.
-fn volume_error_result(e: crate::temporal::VolumeError, cancel: &CancelToken) -> JobResult {
-    use crate::temporal::VolumeError;
+fn volume_error_result(e: VolumeError, cancel: &CancelToken) -> JobResult {
     match e {
         VolumeError::Cancelled(partial) => JobResult::Timeout {
             message: cancel_message(cancel),
@@ -472,31 +466,20 @@ fn run_job_inner(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
                 dir: d.into(),
                 resume: *resume,
             });
-            match input {
+            let src: Box<dyn SliceSource> = match input {
                 InputSpec::PhantomVolume {
                     kind,
                     seed,
                     depth,
                     side,
                     outlier_slices,
-                } => {
-                    let v = generate_volume((*kind).into(), *side, *depth, *seed, outlier_slices);
-                    match z.segment_volume_resumable(&v.volume, prompt, cancel, ckpt.as_ref()) {
-                        Ok(r) => finish_volume(
-                            &r.masks,
-                            r.corrections(),
-                            r.degraded_slices(),
-                            r.failed_slices(),
-                            *depth,
-                            masks_out.as_ref(),
-                        ),
-                        Err(e) => volume_error_result(e, cancel),
-                    }
-                }
+                } => Box::new(
+                    generate_volume((*kind).into(), *side, *depth, *seed, outlier_slices).volume,
+                ),
                 InputSpec::TiffVolumeFile { path } => {
-                    // Streamed: the reader scans only the page directory
-                    // here; pixel payloads are pulled slice-by-slice by
-                    // the pipeline, so the stack never has to fit in RAM.
+                    // The reader scans only the page directory here;
+                    // pixel payloads are pulled slice-by-slice by the
+                    // executor, so the stack never has to fit in RAM.
                     let reader = match zenesis_tiff::VolumeReader::open(path) {
                         Ok(r) => r,
                         Err(e) => {
@@ -520,21 +503,17 @@ fn run_job_inner(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
                             ),
                         };
                     }
-                    match z.segment_volume_streamed(&reader, prompt, cancel, ckpt.as_ref()) {
-                        Ok(r) => finish_volume(
-                            &r.masks,
-                            r.corrections(),
-                            r.degraded_slices(),
-                            r.failed_slices(),
-                            depth,
-                            masks_out.as_ref(),
-                        ),
-                        Err(e) => volume_error_result(e, cancel),
+                    Box::new(reader)
+                }
+                _ => {
+                    return JobResult::Error {
+                        message: "batch mode takes a volume".into(),
                     }
                 }
-                _ => JobResult::Error {
-                    message: "batch mode takes a volume".into(),
-                },
+            };
+            match z.segment_volume_streamed(&*src, prompt, cancel, ckpt.as_ref()) {
+                Ok(r) => finish_volume(&r, masks_out.as_ref()),
+                Err(e) => volume_error_result(e, cancel),
             }
         }
         JobSpec::Evaluate {

@@ -10,7 +10,8 @@
 //!   segmentation, with a full provenance trace (Fig. 2).
 //! * [`temporal`] — the heuristic box refinement for volumes (Fig. 7):
 //!   sliding-window mean box width/height, factor-thresholded outlier
-//!   replacement.
+//!   replacement; the per-slice quarantine and decode steps the volume
+//!   executor calls, and its outcome, error and result types.
 //! * [`rectify`] — human-in-the-loop Rectify Segmentation (Fig. 6):
 //!   random candidate boxes (full-width / full-height per the paper) and
 //!   nearest-segment selection from a user click.
@@ -26,9 +27,10 @@
 //! * [`session`] — interactive session state with undo history.
 //! * [`checkpoint`] — the crash-safe per-slice journal behind Mode B's
 //!   checkpoint/resume (CRC-guarded JSONL, torn-tail tolerant).
-//! * [`stream`] — out-of-core Mode B: the same fault-tolerant volume
-//!   pipeline over a [`stream::SliceSource`] (e.g. a streaming TIFF
-//!   stack), holding O(one slice) of pixel data (see docs/DATA.md).
+//! * [`stream`] — the one Mode B volume executor: the fault-tolerant
+//!   volume pipeline over a [`stream::SliceSource`] (a streaming TIFF
+//!   stack or an in-memory `Volume<T>`), holding O(workers × one slice)
+//!   of pixel data (see docs/DATA.md).
 
 pub mod checkpoint;
 pub mod config;
@@ -48,5 +50,5 @@ pub use config::ZenesisConfig;
 pub use method::Method;
 pub use multi::{MultiResult, ObjectSpec};
 pub use pipeline::{SliceError, SliceResult, Zenesis};
-pub use stream::{SliceSource, StreamVolumeResult};
+pub use stream::SliceSource;
 pub use temporal::{SliceOutcome, TemporalConfig, VolumeCancelled, VolumeError, VolumeResult};

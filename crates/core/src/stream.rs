@@ -1,40 +1,38 @@
-//! Streaming Mode B: segment a volume read slice-by-slice.
+//! Mode B: segment a volume slice by slice.
 //!
-//! [`Zenesis::segment_volume_streamed`] is the out-of-core counterpart
-//! of [`Zenesis::segment_volume_resumable`]: instead of a materialized
-//! `Volume<T>`, it pulls slices on demand from a [`SliceSource`] (a
-//! streaming TIFF stack, in practice) and never retains a slice's f32
+//! [`Zenesis::segment_volume_streamed`] is the one volume executor. It
+//! pulls slices on demand from a [`SliceSource`] — a streaming TIFF
+//! stack, or an in-memory `Volume<T>` — and never retains a slice's f32
 //! pixels past the stage that needs them. Peak pixel residency is
 //! O(active workers × one slice); only the per-slice *bit* masks and
 //! detections — 32x smaller than the pixels — accumulate across the
 //! run.
 //!
 //! Both passes that touch pixels (stage 1 adapt+ground, stage 3 decode)
-//! read the slice independently. That re-read is safe under fault
-//! injection because an injection decision is a pure function of
-//! `(seed, site, slice index)`: a slice that read cleanly in stage 1
-//! reads cleanly again in stage 3, and checkpoint replay of either pass
-//! reproduces the original decision. Adaptation is deterministic, so
-//! the re-adapted pixels entering stage 3 are bit-identical to the ones
-//! stage 1 saw — the same property the journal's replay path already
-//! relies on.
+//! read the slice independently, in-memory volumes included. That
+//! re-read is safe under fault injection because an injection decision
+//! is a pure function of `(seed, site, slice index)`: a slice that read
+//! cleanly in stage 1 reads cleanly again in stage 3, and checkpoint
+//! replay of either pass reproduces the original decision. Adaptation
+//! is deterministic, so the re-adapted pixels entering stage 3 are
+//! bit-identical to the ones stage 1 saw — the same property the
+//! journal's replay path relies on.
 //!
-//! Everything else — quarantine/retry/Otsu ladder, temporal box
-//! refinement, CRC-journaled checkpoint/resume, cancellation, the
-//! too-many-failures floor — is shared with the in-memory path, and a
-//! streamed run over the same pixels produces bit-identical masks.
+//! The executor carries the whole fault-tolerance contract of
+//! docs/ROBUSTNESS.md: the quarantine/retry/Otsu ladder, temporal box
+//! refinement, CRC-journaled checkpoint/resume, cancellation, and the
+//! too-many-failures floor.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use zenesis_ground::Detection;
-use zenesis_image::{BitMask, BoxRegion, Image};
+use zenesis_image::{BitMask, BoxRegion, Image, Pixel, Volume};
 use zenesis_par::CancelToken;
 use zenesis_sam::MemoryBank;
 
 use crate::checkpoint::{self, CheckpointSpec, Replay};
-use crate::pipeline::{SliceResult, Zenesis};
+use crate::pipeline::Zenesis;
 use crate::temporal::{
-    empty_trace, refine_boxes, SliceBoxEvent, SliceOutcome, VolumeCancelled, VolumeError,
+    panic_message, refine_boxes, SliceOutcome, StageOne, VolumeCancelled, VolumeError, VolumeResult,
 };
 
 /// A volume whose slices are produced on demand, normalized to f32.
@@ -54,18 +52,19 @@ pub trait SliceSource: Sync {
     fn read_slice(&self, z: usize) -> Result<Image<f32>, String>;
 }
 
-/// A fully materialized volume trivially streams (tests, small stacks).
-impl SliceSource for zenesis_image::Volume<f32> {
+/// A materialized volume streams by converting one slice at a time, so
+/// stage 1 sees exactly the pixels `segment_slice` would.
+impl<T: Pixel> SliceSource for Volume<T> {
     fn depth(&self) -> usize {
-        zenesis_image::Volume::depth(self)
+        Volume::depth(self)
     }
 
     fn dims(&self) -> (usize, usize) {
-        self.slice(0).dims()
+        self.slices().first().map_or((0, 0), |s| s.dims())
     }
 
     fn read_slice(&self, z: usize) -> Result<Image<f32>, String> {
-        Ok(self.slice(z).clone())
+        Ok(self.slice(z).to_f32())
     }
 }
 
@@ -85,62 +84,42 @@ impl SliceSource for zenesis_tiff::VolumeReader {
     }
 }
 
-/// What stage 1 keeps per slice: detections, the stage-1 mask, and the
-/// health outcome. The adapted pixels are deliberately dropped —
-/// holding them for every slice is exactly what the streaming path
-/// exists to avoid.
-struct StageOne {
-    detections: Vec<Detection>,
-    combined: BitMask,
-    outcome: SliceOutcome,
-}
-
-/// Result of streaming volume processing. Identical masks/events/
-/// outcomes to [`crate::VolumeResult`] over the same pixels, minus the
-/// retained per-slice `SliceResult`s (no adapted pixels survive the
-/// run).
-#[derive(Debug)]
-pub struct StreamVolumeResult {
-    /// Per-slice segmentation masks.
-    pub masks: Vec<BitMask>,
-    /// What the temporal heuristic did per slice.
-    pub events: Vec<SliceBoxEvent>,
-    /// Per-slice health.
-    pub outcomes: Vec<SliceOutcome>,
-}
-
-impl StreamVolumeResult {
-    /// Number of slices whose box was corrected.
-    pub fn corrections(&self) -> usize {
-        self.events.iter().filter(|e| e.corrected).count()
-    }
-
-    /// Indices of slices served by a fallback.
-    pub fn degraded_slices(&self) -> Vec<usize> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_degraded())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices of slices that produced nothing (empty mask).
-    pub fn failed_slices(&self) -> Vec<usize> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_failed())
-            .map(|(i, _)| i)
-            .collect()
-    }
+/// The run was cancelled during a stage: report the pixel counts of
+/// the slices that finished it, in slice order.
+fn cancelled<'a>(total: usize, done: impl Iterator<Item = &'a BitMask>) -> VolumeError {
+    let per_slice_pixels: Vec<usize> = done.map(BitMask::count).collect();
+    VolumeError::Cancelled(VolumeCancelled {
+        completed: per_slice_pixels.len(),
+        total,
+        per_slice_pixels,
+    })
 }
 
 impl Zenesis {
+    /// Mode B batch processing of an in-memory volume with temporal
+    /// refinement: [`Zenesis::segment_volume_streamed`] with no deadline
+    /// and no journal.
+    pub fn segment_volume<T: Pixel>(&self, vol: &Volume<T>, prompt: &str) -> VolumeResult {
+        self.segment_volume_streamed(vol, prompt, &CancelToken::new(), None)
+            .expect("a fresh token never cancels and a healthy volume never aborts")
+    }
+
     /// Mode B over a [`SliceSource`]: the full fault-tolerant volume
-    /// pipeline — quarantine ladder, temporal refinement, cancellation,
-    /// optional CRC-journaled checkpoint/resume — without ever holding
-    /// more than O(active workers) slices of pixel data in memory.
+    /// pipeline without ever holding more than O(active workers) slices
+    /// of pixel data in memory.
+    ///
+    /// Stage 1 reads, adapts and grounds every slice in parallel, with
+    /// per-slice quarantine and Otsu fallback; stage 2 runs the
+    /// (sequential, windowed) box heuristic; stage 3 decodes masks in
+    /// parallel with the refined boxes. When `config.use_memory` is set,
+    /// decoding instead runs sequentially through a SAM2 memory bank,
+    /// with the refined box of each slice seeding the cold start.
+    ///
+    /// `cancel` is polled before each slice of stages 1 and 3, so a
+    /// deadline or an explicit stop yields [`VolumeError::Cancelled`]
+    /// with the completed slices' pixel counts. When `checkpoint` is
+    /// given, a crash-safe journal makes a killed run resumable without
+    /// recomputing finished slices, bit-identically.
     ///
     /// A slice whose *read* fails (after one retry) is recorded as
     /// [`SliceOutcome::Failed`] with an empty mask: with no pixels
@@ -153,8 +132,8 @@ impl Zenesis {
         prompt: &str,
         cancel: &CancelToken,
         checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<StreamVolumeResult, VolumeError> {
-        let _root = zenesis_obs::span("pipeline.segment_volume_streamed");
+    ) -> Result<VolumeResult, VolumeError> {
+        let _root = zenesis_obs::span("pipeline.segment_volume");
         let depth = src.depth();
         let (w, h) = src.dims();
         let (journal, replay) = match checkpoint {
@@ -175,7 +154,13 @@ impl Zenesis {
         };
         // Stage 1: read + adapt + ground each slice in parallel, then
         // immediately compact to detections/mask/outcome so the slice's
-        // pixels are freed before the next slice is pulled.
+        // pixels are freed before the next slice is pulled. Workers tick
+        // a shared progress counter and, when recording, emit one
+        // `slice.done` event with per-slice latency, throughput, and ETA
+        // — the live-telemetry feed for long Mode B batches. The timing
+        // clock and mask count are only computed when recording, so
+        // `ZENESIS_OBS=off` adds a single atomic add per slice. Slices
+        // found in the checkpoint journal skip the pipeline entirely.
         let progress = zenesis_par::Progress::new(depth);
         let maybe_stage1: Vec<Option<StageOne>> = zenesis_par::par_map_range(depth, |z| {
             if cancel.is_cancelled() {
@@ -204,8 +189,10 @@ impl Zenesis {
             if let Some(j) = &journal {
                 j.record_slice(z, &one.outcome, &one.detections, &one.combined);
             }
-            // Same post-journal death sites as the in-memory path: the
-            // slice is durable, so a kill/hang here is recoverable.
+            // Post-journal death sites: the slice is already durable,
+            // so a kill/hang here costs at most this worker's life —
+            // the restarted worker replays it and trips nothing,
+            // guaranteeing forward progress per worker generation.
             zenesis_fault::with_unit(z as u64, || {
                 let _ = zenesis_fault::trip("worker.kill");
                 let _ = zenesis_fault::trip("worker.hang");
@@ -224,30 +211,26 @@ impl Zenesis {
             }
             Some(one)
         });
-        if maybe_stage1.iter().any(|s| s.is_none()) {
-            let per_slice_pixels: Vec<usize> = maybe_stage1
-                .iter()
-                .flatten()
-                .map(|s| s.combined.count())
-                .collect();
-            return Err(VolumeError::Cancelled(VolumeCancelled {
-                completed: per_slice_pixels.len(),
-                total: depth,
-                per_slice_pixels,
-            }));
+        if maybe_stage1.iter().any(Option::is_none) {
+            return Err(cancelled(
+                depth,
+                maybe_stage1.iter().flatten().map(|s| &s.combined),
+            ));
         }
         let stage1: Vec<StageOne> = maybe_stage1.into_iter().flatten().collect();
+        // Graceful degradation has a floor: a volume where most slices
+        // produced nothing is not a result, it is a lie with a mask
+        // format. Abort rather than hand back mostly-empty garbage.
         let failed = stage1.iter().filter(|s| s.outcome.is_failed()).count();
         if failed * 2 > depth {
-            zenesis_obs::events::warn(format!(
-                "volume abandoned: {failed}/{depth} slices failed"
-            ));
+            zenesis_obs::events::warn(format!("volume abandoned: {failed}/{depth} slices failed"));
             return Err(VolumeError::TooManyFailures {
                 failed,
                 total: depth,
             });
         }
-        // Stage 2: temporal refinement (identical to the in-memory path).
+        // Stage 2: temporal refinement over the primary (highest-score)
+        // boxes.
         let refine_span = zenesis_obs::span("temporal.refine");
         let raw_boxes: Vec<Option<BoxRegion>> = stage1
             .iter()
@@ -263,14 +246,19 @@ impl Zenesis {
                 });
             }
         }
-        // Stage 3: decode masks, re-reading and re-adapting each slice
-        // that actually decodes. Slices that keep their stage-1 mask
-        // (failed, or degraded without a rescue box) are never re-read.
+        // Stage 3: decode masks with the refined primary box plus the
+        // secondary boxes that pass the same size screen, re-reading and
+        // re-adapting each slice that decodes. A decode that panics or
+        // trips a fault keeps the slice's stage-1 mask instead (Otsu
+        // fallback for degraded slices, empty for failed ones).
         let _decode = zenesis_obs::span("temporal.decode");
         let maybe_masks: Vec<Option<(BitMask, bool)>> = if self.config.use_memory {
-            // Sequential memory-bank decode; mirrors the in-memory path
-            // (no replay shortcut, no mask journaling) so the bank's
-            // warm state matches an unbroken run.
+            // The memory bank is sequential and stateful, so every slice
+            // is re-read and propagated — failed ones included, seeding
+            // the bank with their stage-1 mask so temporal continuity
+            // survives the gap — and replayed masks are not shortcut or
+            // journaled: the bank's warm state must match an unbroken
+            // run.
             let mut bank = MemoryBank::new(self.config.temporal.window.max(1));
             let mut out = Vec::with_capacity(depth);
             for (z, s1) in stage1.iter().enumerate() {
@@ -278,49 +266,50 @@ impl Zenesis {
                     out.push(None);
                     continue;
                 }
-                match self.rebuild_slice_for_decode(src, z, s1) {
-                    Ok(slice) => {
-                        let adapted = Arc::clone(&slice.adapted);
-                        let used_box = used[z];
-                        let decoded = zenesis_fault::with_unit(z as u64, || {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                bank.propagate(self.sam(), &adapted, || {
-                                    if s1.outcome.is_failed()
-                                        || (!s1.outcome.is_ok() && used_box.is_none())
-                                    {
-                                        s1.combined.clone()
-                                    } else {
-                                        self.decode_with_box(
-                                            &adapted,
-                                            used_box,
-                                            &slice,
-                                            window_dims[z],
-                                        )
-                                    }
-                                })
-                            }))
-                        });
-                        out.push(Some(match decoded {
-                            Ok(mask) => (mask, false),
-                            Err(p) => {
-                                self.report_decode_degraded(
-                                    z,
-                                    &crate::temporal::panic_message(p),
-                                );
-                                (s1.combined.clone(), true)
-                            }
-                        }));
-                    }
+                let adapted = match self.readapt(src, z, &s1.outcome) {
+                    Ok(adapted) => adapted,
+                    // No pixels to propagate: keep the stage-1 mask and
+                    // leave the bank untouched. A slice whose stage-1
+                    // read failed the same way is already `Failed`, not
+                    // newly degraded.
                     Err(reason) => {
-                        // No pixels to propagate: keep the stage-1 mask
-                        // and leave the bank untouched for this slice.
-                        self.report_decode_degraded(z, &reason);
-                        out.push(Some((s1.combined.clone(), true)));
+                        let degraded = !s1.outcome.is_failed();
+                        if degraded {
+                            self.report_decode_degraded(z, &reason);
+                        }
+                        out.push(Some((s1.combined.clone(), degraded)));
+                        continue;
                     }
-                }
+                };
+                let used_box = used[z];
+                let decoded = zenesis_fault::with_unit(z as u64, || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        bank.propagate(self.sam(), &adapted, || {
+                            if s1.outcome.keeps_stage1_mask(used_box) {
+                                s1.combined.clone()
+                            } else {
+                                self.decode_with_box(
+                                    &adapted,
+                                    used_box,
+                                    &s1.detections,
+                                    window_dims[z],
+                                )
+                            }
+                        })
+                    }))
+                });
+                out.push(Some(match decoded {
+                    Ok(mask) => (mask, false),
+                    Err(p) => {
+                        self.report_decode_degraded(z, &panic_message(p));
+                        (s1.combined.clone(), true)
+                    }
+                }));
             }
             out
         } else {
+            // Slices that keep their stage-1 mask (failed, or degraded
+            // without a rescue box) are never re-read.
             zenesis_par::par_map_range(depth, |z| {
                 if cancel.is_cancelled() {
                     return None;
@@ -329,41 +318,30 @@ impl Zenesis {
                     return Some((rep.mask.clone(), rep.degraded_by_decode));
                 }
                 let s1 = &stage1[z];
-                let (mask, degraded) =
-                    if s1.outcome.is_failed() || (!s1.outcome.is_ok() && used[z].is_none()) {
-                        (s1.combined.clone(), false)
-                    } else {
-                        match self.rebuild_slice_for_decode(src, z, s1) {
-                            Ok(slice) => self.decode_slice_guarded(
-                                z,
-                                &slice,
-                                &s1.outcome,
-                                used[z],
-                                window_dims[z],
-                            ),
-                            Err(reason) => {
-                                self.report_decode_degraded(z, &reason);
-                                (s1.combined.clone(), true)
-                            }
+                let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used[z]) {
+                    (s1.combined.clone(), false)
+                } else {
+                    match self.readapt(src, z, &s1.outcome) {
+                        Ok(adapted) => {
+                            self.decode_slice_guarded(z, &adapted, s1, used[z], window_dims[z])
                         }
-                    };
+                        Err(reason) => {
+                            self.report_decode_degraded(z, &reason);
+                            (s1.combined.clone(), true)
+                        }
+                    }
+                };
                 if let Some(j) = &journal {
                     j.record_mask(z, &mask, degraded);
                 }
                 Some((mask, degraded))
             })
         };
-        if maybe_masks.iter().any(|m| m.is_none()) {
-            let per_slice_pixels: Vec<usize> = maybe_masks
-                .iter()
-                .flatten()
-                .map(|(m, _)| m.count())
-                .collect();
-            return Err(VolumeError::Cancelled(VolumeCancelled {
-                completed: per_slice_pixels.len(),
-                total: depth,
-                per_slice_pixels,
-            }));
+        if maybe_masks.iter().any(Option::is_none) {
+            return Err(cancelled(
+                depth,
+                maybe_masks.iter().flatten().map(|(m, _)| m),
+            ));
         }
         let mut outcomes: Vec<SliceOutcome> = stage1.into_iter().map(|s| s.outcome).collect();
         let mut masks = Vec::with_capacity(depth);
@@ -375,7 +353,7 @@ impl Zenesis {
             }
             masks.push(mask);
         }
-        Ok(StreamVolumeResult {
+        Ok(VolumeResult {
             masks,
             events,
             outcomes,
@@ -384,11 +362,7 @@ impl Zenesis {
 
     /// Read slice `z` with one retry, under the slice's fault unit so
     /// an `io.tiff` injection decision is reproducible across passes.
-    fn read_slice_guarded(
-        &self,
-        src: &dyn SliceSource,
-        z: usize,
-    ) -> Result<Image<f32>, String> {
+    fn read_slice_guarded(&self, src: &dyn SliceSource, z: usize) -> Result<Image<f32>, String> {
         zenesis_fault::with_unit(z as u64, || {
             let mut reason = String::new();
             for _attempt in 0..2 {
@@ -416,31 +390,20 @@ impl Zenesis {
         }
     }
 
-    /// Re-read and re-adapt slice `z` for stage-3 decoding, rebuilding
-    /// the same `SliceResult` shape the in-memory path would hold:
-    /// healthy slices re-run the full (deterministic) adaptation,
-    /// quarantined slices the sanitized minimal one — exactly the rule
-    /// checkpoint replay already uses, so the decoded masks are
-    /// bit-identical to the in-memory path's.
-    fn rebuild_slice_for_decode(
+    /// Re-read and re-adapt slice `z` for stage-3 decoding: healthy
+    /// slices re-run the full (deterministic) adaptation, quarantined
+    /// slices the sanitized minimal one — the adaptation stage 1 used,
+    /// so stage 3 decodes from the pixels stage 1 saw.
+    fn readapt(
         &self,
         src: &dyn SliceSource,
         z: usize,
-        s1: &StageOne,
-    ) -> Result<SliceResult, String> {
+        outcome: &SliceOutcome,
+    ) -> Result<Image<f32>, String> {
         let raw = self.read_slice_guarded(src, z)?;
-        let adapted = match s1.outcome {
+        Ok(match outcome {
             SliceOutcome::Ok => self.config.adapt.run(&raw),
             _ => self.sanitized_minimal_adapt(&raw),
-        };
-        let (w, h) = adapted.dims();
-        Ok(SliceResult {
-            adapted: Arc::new(adapted),
-            detections: s1.detections.clone(),
-            masks: Vec::new(),
-            combined: s1.combined.clone(),
-            relevance: Image::zeros(w, h),
-            trace: empty_trace(),
         })
     }
 }

@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use zenesis_adapt::AdaptPipeline;
-use zenesis_image::{BitMask, BoxRegion, Image, Pixel, Volume};
+use zenesis_ground::Detection;
+use zenesis_image::{BitMask, BoxRegion, Image, Pixel};
 use zenesis_par::CancelToken;
-use zenesis_sam::{MemoryBank, PromptSet};
+use zenesis_sam::PromptSet;
 
-use crate::checkpoint::{self, CheckpointSpec, Replay};
 use crate::pipeline::{PipelineTrace, SliceResult, Zenesis};
 
 /// Temporal refinement parameters.
@@ -74,6 +74,12 @@ pub enum SliceOutcome {
 }
 
 impl SliceOutcome {
+    /// Stage 3 keeps the stage-1 mask of a failed slice, and of a
+    /// degraded one the temporal heuristic gave no rescue box.
+    pub(crate) fn keeps_stage1_mask(&self, primary: Option<BoxRegion>) -> bool {
+        self.is_failed() || (!self.is_ok() && primary.is_none())
+    }
+
     /// The primary pipeline produced this slice.
     pub fn is_ok(&self) -> bool {
         matches!(self, SliceOutcome::Ok)
@@ -88,6 +94,16 @@ impl SliceOutcome {
     pub fn is_failed(&self) -> bool {
         matches!(self, SliceOutcome::Failed { .. })
     }
+}
+
+/// What stage 1 keeps per slice: detections, the stage-1 mask, and the
+/// health outcome. The adapted pixels are deliberately dropped —
+/// holding them for every slice would break the volume executor's
+/// O(workers × slice) residency bound.
+pub(crate) struct StageOne {
+    pub(crate) detections: Vec<Detection>,
+    pub(crate) combined: BitMask,
+    pub(crate) outcome: SliceOutcome,
 }
 
 /// A volume run could not complete.
@@ -154,8 +170,6 @@ pub struct VolumeCancelled {
 pub struct VolumeResult {
     /// Per-slice segmentation masks.
     pub masks: Vec<BitMask>,
-    /// Per-slice full results (detections, traces).
-    pub slices: Vec<SliceResult>,
     /// What the temporal heuristic did per slice.
     pub events: Vec<SliceBoxEvent>,
     /// Per-slice health: which slices came from the primary pipeline,
@@ -290,7 +304,7 @@ pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A zeroed trace for fallback / replayed slices (no stages ran).
-pub(crate) fn empty_trace() -> PipelineTrace {
+fn empty_trace() -> PipelineTrace {
     PipelineTrace {
         adapt_ms: 0.0,
         ground_ms: 0.0,
@@ -303,242 +317,6 @@ pub(crate) fn empty_trace() -> PipelineTrace {
 }
 
 impl Zenesis {
-    /// Mode B batch processing of a volume with temporal refinement.
-    ///
-    /// Stage 1 adapts and grounds every slice in parallel; stage 2 runs
-    /// the (sequential, windowed) box heuristic; stage 3 decodes masks in
-    /// parallel with the refined boxes. When `config.use_memory` is set,
-    /// decoding instead runs sequentially through a SAM2 memory bank,
-    /// with the refined box of each slice seeding the cold start.
-    pub fn segment_volume<T: Pixel>(&self, vol: &Volume<T>, prompt: &str) -> VolumeResult {
-        self.segment_volume_cancellable(vol, prompt, &CancelToken::new())
-            .expect("a fresh token never cancels and a healthy volume never aborts")
-    }
-
-    /// [`Zenesis::segment_volume`] with cooperative cancellation: the
-    /// per-slice pipeline loop (stage 1) and the mask-decoding loop
-    /// (stage 3) poll `cancel` before each slice, so a deadline or an
-    /// explicit stop yields [`VolumeError::Cancelled`] with the completed
-    /// slices' pixel counts instead of running the whole volume.
-    pub fn segment_volume_cancellable<T: Pixel>(
-        &self,
-        vol: &Volume<T>,
-        prompt: &str,
-        cancel: &CancelToken,
-    ) -> Result<VolumeResult, VolumeError> {
-        self.segment_volume_resumable(vol, prompt, cancel, None)
-    }
-
-    /// The full fault-tolerant Mode B entry point: cancellation, per-slice
-    /// quarantine with baseline fallback, and (when `checkpoint` is given)
-    /// a crash-safe journal that makes a killed run resumable without
-    /// recomputing finished slices. With no faults armed and no journal to
-    /// replay this produces output bit-identical to the plain pipeline.
-    pub fn segment_volume_resumable<T: Pixel>(
-        &self,
-        vol: &Volume<T>,
-        prompt: &str,
-        cancel: &CancelToken,
-        checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<VolumeResult, VolumeError> {
-        let _root = zenesis_obs::span("pipeline.segment_volume");
-        let depth = vol.depth();
-        let (journal, replay) = match checkpoint {
-            Some(spec) => {
-                let config_json = serde_json::to_string(&self.config)
-                    .map_err(|e| VolumeError::Checkpoint(format!("config fingerprint: {e}")))?;
-                let (w, h) = vol.slice(0).dims();
-                let header = checkpoint::Header::new(depth, w, h, prompt, &config_json);
-                let opened = checkpoint::Journal::open(&spec.dir, &header, spec.resume)
-                    .map_err(|e| {
-                        VolumeError::Checkpoint(format!(
-                            "cannot open journal in {}: {e}",
-                            spec.dir.display()
-                        ))
-                    })?;
-                (Some(opened.journal), opened.replay)
-            }
-            None => (None, Replay::default()),
-        };
-        // Stage 1: per-slice pipeline (parallel over slices). Workers
-        // tick a shared progress counter and, when recording, emit one
-        // `slice.done` event with per-slice latency, throughput, and ETA
-        // — the live-telemetry feed for long Mode B batches. The timing
-        // clock and mask count are only computed when recording, so
-        // `ZENESIS_OBS=off` adds a single atomic add per slice. Slices
-        // found in the checkpoint journal skip the pipeline entirely.
-        let progress = zenesis_par::Progress::new(depth);
-        let maybe_slices: Vec<Option<(SliceResult, SliceOutcome)>> =
-            zenesis_par::par_map_range(depth, |z| {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                if let Some(rep) = replay.slices.get(&z) {
-                    let pair = self.reconstruct_slice(vol.slice(z), rep);
-                    progress.tick();
-                    return Some(pair);
-                }
-                let t0 = zenesis_obs::enabled().then(std::time::Instant::now);
-                let (r, outcome) = self.run_slice_guarded(vol.slice(z), z, prompt, cancel)?;
-                if let Some(j) = &journal {
-                    j.record_slice(z, &outcome, &r.detections, &r.combined);
-                }
-                // Post-journal death sites: the slice is already durable,
-                // so a kill/hang here costs at most this worker's life —
-                // the restarted worker replays it and trips nothing,
-                // guaranteeing forward progress per worker generation.
-                zenesis_fault::with_unit(z as u64, || {
-                    let _ = zenesis_fault::trip("worker.kill");
-                    let _ = zenesis_fault::trip("worker.hang");
-                });
-                progress.tick();
-                if let Some(t0) = t0 {
-                    zenesis_obs::events::emit(zenesis_obs::events::Event::SliceDone {
-                        index: z,
-                        done: progress.done_clamped(),
-                        total: depth,
-                        lat_ms: t0.elapsed().as_secs_f64() * 1e3,
-                        mask_pixels: r.combined.count() as u64,
-                        rate: progress.rate(),
-                        eta_s: progress.eta_secs(),
-                    });
-                }
-                Some((r, outcome))
-            });
-        if maybe_slices.iter().any(|s| s.is_none()) {
-            let per_slice_pixels: Vec<usize> = maybe_slices
-                .iter()
-                .flatten()
-                .map(|(s, _)| s.combined.count())
-                .collect();
-            return Err(VolumeError::Cancelled(VolumeCancelled {
-                completed: per_slice_pixels.len(),
-                total: depth,
-                per_slice_pixels,
-            }));
-        }
-        let (slices, mut outcomes): (Vec<SliceResult>, Vec<SliceOutcome>) =
-            maybe_slices.into_iter().flatten().unzip();
-        // Graceful degradation has a floor: a volume where most slices
-        // produced nothing is not a result, it is a lie with a mask
-        // format. Abort rather than hand back mostly-empty garbage.
-        let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-        if failed * 2 > depth {
-            zenesis_obs::events::warn(format!(
-                "volume abandoned: {failed}/{depth} slices failed"
-            ));
-            return Err(VolumeError::TooManyFailures {
-                failed,
-                total: depth,
-            });
-        }
-        // Stage 2: temporal refinement over the primary (highest-score)
-        // boxes.
-        let refine_span = zenesis_obs::span("temporal.refine");
-        let raw_boxes: Vec<Option<BoxRegion>> = slices
-            .iter()
-            .map(|s| s.detections.first().map(|d| d.bbox))
-            .collect();
-        let (used, events, window_dims) = refine_boxes(&raw_boxes, &self.config.temporal);
-        drop(refine_span);
-        if zenesis_obs::enabled() {
-            for e in events.iter().filter(|e| e.corrected) {
-                zenesis_obs::events::emit(zenesis_obs::events::Event::TemporalReplace {
-                    slice: e.slice,
-                    had_detection: e.raw_box.is_some(),
-                });
-            }
-        }
-        // Stage 3: decode masks with the refined primary box plus the
-        // secondary (non-primary) boxes that pass the same size screen.
-        // The same cancellation checkpoint guards each decode: a deadline
-        // that fires mid-decode still returns promptly. A decode that
-        // panics or trips a fault keeps the slice's stage-1 mask instead
-        // (Otsu fallback for degraded slices, empty for failed ones).
-        let _decode = zenesis_obs::span("temporal.decode");
-        let maybe_masks: Vec<Option<(BitMask, bool)>> = if self.config.use_memory {
-            // The memory bank is sequential and stateful, so replayed
-            // masks are not shortcut here: every slice re-propagates to
-            // keep the bank's warm state identical to an unbroken run.
-            let mut bank = MemoryBank::new(self.config.temporal.window.max(1));
-            let mut out = Vec::with_capacity(depth);
-            for z in 0..depth {
-                if cancel.is_cancelled() {
-                    out.push(None);
-                    continue;
-                }
-                // Arc clone: shares the adapted pixels with the slice result.
-                let adapted = Arc::clone(&slices[z].adapted);
-                let used_box = used[z];
-                let decoded = zenesis_fault::with_unit(z as u64, || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        bank.propagate(self.sam(), &adapted, || {
-                            if outcomes[z].is_failed()
-                                || (!outcomes[z].is_ok() && used_box.is_none())
-                            {
-                                // Seed the bank with the fallback mask so
-                                // temporal continuity survives the gap.
-                                slices[z].combined.clone()
-                            } else {
-                                self.decode_with_box(&adapted, used_box, &slices[z], window_dims[z])
-                            }
-                        })
-                    }))
-                });
-                out.push(Some(match decoded {
-                    Ok(mask) => (mask, false),
-                    Err(p) => {
-                        self.report_decode_degraded(z, &panic_message(p));
-                        (slices[z].combined.clone(), true)
-                    }
-                }));
-            }
-            out
-        } else {
-            zenesis_par::par_map_range(depth, |z| {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                if let Some(rep) = replay.masks.get(&z) {
-                    return Some((rep.mask.clone(), rep.degraded_by_decode));
-                }
-                let (mask, degraded) =
-                    self.decode_slice_guarded(z, &slices[z], &outcomes[z], used[z], window_dims[z]);
-                if let Some(j) = &journal {
-                    j.record_mask(z, &mask, degraded);
-                }
-                Some((mask, degraded))
-            })
-        };
-        if maybe_masks.iter().any(|m| m.is_none()) {
-            let per_slice_pixels: Vec<usize> = maybe_masks
-                .iter()
-                .flatten()
-                .map(|(m, _)| m.count())
-                .collect();
-            return Err(VolumeError::Cancelled(VolumeCancelled {
-                completed: per_slice_pixels.len(),
-                total: depth,
-                per_slice_pixels,
-            }));
-        }
-        let mut masks = Vec::with_capacity(depth);
-        for (z, (mask, degraded_by_decode)) in maybe_masks.into_iter().flatten().enumerate() {
-            if degraded_by_decode && outcomes[z].is_ok() {
-                outcomes[z] = SliceOutcome::Degraded {
-                    reason: "mask decode failed; stage-1 mask used".into(),
-                };
-            }
-            masks.push(mask);
-        }
-        Ok(VolumeResult {
-            masks,
-            slices,
-            events,
-            outcomes,
-        })
-    }
-
     /// Stage 1 with quarantine: try the primary pipeline (panics and
     /// structured errors both caught), retry once, then fall back to the
     /// Otsu baseline on a sanitized minimally-adapted slice. Returns
@@ -673,49 +451,17 @@ impl Zenesis {
         }
     }
 
-    /// Rebuild a stage-1 slice result from its journal record. Healthy
-    /// slices re-run the (deterministic) adaptation so stage 3 decodes
-    /// from identical pixels; quarantined slices rebuild the fallback
-    /// adaptation the same way.
-    pub(crate) fn reconstruct_slice<T: Pixel>(
-        &self,
-        raw: &Image<T>,
-        rep: &checkpoint::ReplaySlice,
-    ) -> (SliceResult, SliceOutcome) {
-        let adapted = match rep.outcome {
-            SliceOutcome::Ok => self.config.adapt.run(&raw.to_f32()),
-            _ => self.sanitized_minimal_adapt(raw),
-        };
-        let (w, h) = adapted.dims();
-        (
-            SliceResult {
-                adapted: Arc::new(adapted),
-                detections: rep.detections.clone(),
-                masks: Vec::new(),
-                combined: rep.combined.clone(),
-                relevance: Image::zeros(w, h),
-                trace: empty_trace(),
-            },
-            rep.outcome.clone(),
-        )
-    }
-
     /// Stage 3 with quarantine: decode with two attempts (panics and the
     /// `sam.decode` fault site caught); on failure keep the stage-1 mask
-    /// and flag the slice degraded. Failed slices and degraded slices
-    /// with no temporal rescue box skip decode and keep their stage-1
-    /// mask outright.
+    /// and flag the slice degraded.
     pub(crate) fn decode_slice_guarded(
         &self,
         z: usize,
-        slice: &SliceResult,
-        outcome: &SliceOutcome,
+        adapted: &Image<f32>,
+        s1: &StageOne,
         primary: Option<BoxRegion>,
         window_dims: Option<(f64, f64)>,
     ) -> (BitMask, bool) {
-        if outcome.is_failed() || (!outcome.is_ok() && primary.is_none()) {
-            return (slice.combined.clone(), false);
-        }
         zenesis_fault::with_unit(z as u64, || {
             let mut reason = String::new();
             for _attempt in 0..2 {
@@ -723,7 +469,7 @@ impl Zenesis {
                     if zenesis_fault::trip("sam.decode").is_some() {
                         return Err("injected fault at sam.decode".to_string());
                     }
-                    Ok(self.decode_with_box(&slice.adapted, primary, slice, window_dims))
+                    Ok(self.decode_with_box(adapted, primary, &s1.detections, window_dims))
                 }));
                 match decoded {
                     Ok(Ok(m)) => return (m, false),
@@ -732,7 +478,7 @@ impl Zenesis {
                 }
             }
             self.report_decode_degraded(z, &reason);
-            (slice.combined.clone(), true)
+            (s1.combined.clone(), true)
         })
     }
 
@@ -751,7 +497,7 @@ impl Zenesis {
         &self,
         adapted: &Image<f32>,
         primary: Option<BoxRegion>,
-        slice: &SliceResult,
+        detections: &[Detection],
         window_dims: Option<(f64, f64)>,
     ) -> BitMask {
         let (w, h) = adapted.dims();
@@ -760,7 +506,7 @@ impl Zenesis {
         if let Some(b) = primary {
             combined.or_with(&self.sam().segment(&emb, &PromptSet::from_box(b)));
         }
-        for d in slice.detections.iter().skip(1) {
+        for d in detections.iter().skip(1) {
             if let Some((mean_w, mean_h)) = window_dims {
                 if is_outlier(&d.bbox, mean_w, mean_h, self.config.temporal.size_factor) {
                     continue;

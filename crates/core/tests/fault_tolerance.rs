@@ -52,7 +52,7 @@ fn decode_panics_degrade_slices_but_the_volume_completes() {
         .site("sam.decode", FaultKind::Panic, 0.5, 99)
         .arm();
     let r = z
-        .segment_volume_cancellable(&v.volume, PROMPT, &CancelToken::new())
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), None)
         .expect("panics must not kill the volume");
     assert_eq!(r.masks.len(), 8, "every slice produces a mask");
     let degraded = r.degraded_slices();
@@ -63,7 +63,7 @@ fn decode_panics_degrade_slices_but_the_volume_completes() {
     assert!(r.failed_slices().is_empty(), "otsu fallback rescues slices");
     for z in &degraded {
         assert!(
-            r.masks[*z].count() > 0 || r.slices[*z].combined.count() == r.masks[*z].count(),
+            r.masks[*z].count() > 0,
             "degraded slice {z} carries its fallback mask"
         );
     }
@@ -87,7 +87,7 @@ fn nan_poisoning_in_adaptation_is_caught_and_degraded() {
         .site("adapt.denoise", FaultKind::Nan, 0.5, 12)
         .arm();
     let r = z
-        .segment_volume_cancellable(&v.volume, PROMPT, &CancelToken::new())
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), None)
         .expect("NaN poisoning must not kill the volume");
     assert_eq!(r.masks.len(), 6);
     let degraded = r.degraded_slices();
@@ -110,7 +110,7 @@ fn grounding_errors_fall_back_to_otsu() {
         .site("ground.dino", FaultKind::Error, 1.0, 3)
         .arm();
     let r = z
-        .segment_volume_cancellable(&v.volume, PROMPT, &CancelToken::new())
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), None)
         .expect("grounding faults must not kill the volume");
     // Every slice degraded (prob 1.0), none failed: Otsu still segments
     // the phantom, and the volume reports exactly what happened.
@@ -130,7 +130,7 @@ fn mostly_failed_volume_aborts_instead_of_lying() {
     let _armed = FaultPlan::new()
         .site("ground.dino", FaultKind::Error, 1.0, 5)
         .arm();
-    match z.segment_volume_cancellable(&vol, PROMPT, &CancelToken::new()) {
+    match z.segment_volume_streamed(&vol, PROMPT, &CancelToken::new(), None) {
         Err(VolumeError::TooManyFailures { failed, total }) => {
             assert_eq!((failed, total), (4, 4));
         }
@@ -151,7 +151,7 @@ fn deadline_expiry_during_quarantine_reports_cancelled() {
         .site("sam.decode", FaultKind::Panic, 1.0, 1)
         .arm();
     let cancel = CancelToken::with_deadline(Duration::from_millis(5));
-    match z.segment_volume_cancellable(&v.volume, PROMPT, &cancel) {
+    match z.segment_volume_streamed(&v.volume, PROMPT, &cancel, None) {
         Err(VolumeError::Cancelled(partial)) => {
             assert!(partial.completed < partial.total);
         }
@@ -176,7 +176,7 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
     // Checkpointed run writes the full journal.
     let spec = CheckpointSpec::new(&dir);
     let first = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("checkpointed run completes");
     assert_eq!(first.masks, reference.masks, "journaling must not change output");
 
@@ -195,7 +195,7 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
     // Resumed run: replays the valid prefix, recomputes the rest, and
     // must land on exactly the reference masks.
     let resumed = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("resumed run completes");
     assert_eq!(resumed.masks, reference.masks, "resume must be bit-identical");
     assert_eq!(resumed.outcomes, reference.outcomes);
@@ -218,14 +218,14 @@ fn no_resume_discards_the_journal_and_still_matches() {
     let z = pipeline();
     let spec = CheckpointSpec::new(&dir);
     let first = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("first run completes");
     let fresh = CheckpointSpec {
         dir: dir.clone(),
         resume: false,
     };
     let second = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&fresh))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&fresh))
         .expect("fresh run completes");
     assert_eq!(first.masks, second.masks);
     let _ = std::fs::remove_dir_all(&dir);
@@ -242,13 +242,13 @@ fn journal_for_a_different_prompt_is_ignored() {
     let v = volume(3);
     let z = pipeline();
     let spec = CheckpointSpec::new(&dir);
-    z.segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+    z.segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("first run completes");
     // Same directory, different prompt: the header fingerprint mismatch
     // must force a fresh run (and fresh results), not a bogus replay.
     let reference = z.segment_volume(&v.volume, "bright catalyst particles");
     let other = z
-        .segment_volume_resumable(
+        .segment_volume_streamed(
             &v.volume,
             "bright catalyst particles",
             &CancelToken::new(),
@@ -271,7 +271,7 @@ fn sigkill_child_writer() {
     };
     let v = volume(24);
     let spec = CheckpointSpec::new(std::path::Path::new(&dir));
-    let _ = pipeline().segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec));
+    let _ = pipeline().segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec));
 }
 
 #[test]
@@ -325,7 +325,7 @@ fn sigkill_mid_append_resumes_bit_identically() {
     let truncated_before = zenesis_obs::counter("checkpoint.truncated").get();
     let spec = CheckpointSpec::new(&dir);
     let resumed = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("resume after SIGKILL completes");
     assert_eq!(resumed.masks, reference.masks, "resume must be bit-identical");
     assert_eq!(resumed.outcomes, reference.outcomes);
@@ -351,7 +351,7 @@ fn dropped_checkpoint_writes_never_fail_the_run() {
         .arm();
     let spec = CheckpointSpec::new(&dir);
     let r = z
-        .segment_volume_resumable(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
+        .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("dropped journal writes are best-effort");
     assert_eq!(r.masks.len(), 4);
     assert!(r.outcomes.iter().all(|o| o.is_ok()));

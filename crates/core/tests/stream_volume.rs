@@ -1,10 +1,10 @@
 //! The streaming Mode B contract: a TIFF stack pulled slice-by-slice
 //! through [`Zenesis::segment_volume_streamed`] must produce masks
-//! bit-identical to the in-memory path over the same pixels, survive
-//! `io.tiff` fault injection through the quarantine ladder, and resume
-//! bit-identically from a torn checkpoint journal — the full chaos
-//! drill of `docs/ROBUSTNESS.md`, now with the codec in the blast
-//! radius.
+//! bit-identical to the same volume held in memory (the codec's
+//! normalisation against `to_f32`), survive `io.tiff` fault injection
+//! through the quarantine ladder, and resume bit-identically from a
+//! torn checkpoint journal — the full chaos drill of
+//! `docs/ROBUSTNESS.md`, now with the codec in the blast radius.
 //!
 //! Tests serialize on one mutex: the fault plan is process-global.
 
@@ -104,6 +104,35 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
     }
     // Slices the fault spared are segmented normally.
     assert!(r.masks.iter().any(|m| m.count() > 0));
+}
+
+/// The memory bank re-reads every slice in stage 3, failed ones
+/// included; the repeat read failure of a slice that is already
+/// `Failed` must not also count it as degraded.
+#[test]
+fn memory_bank_does_not_degrade_failed_reads() {
+    let _g = lock();
+    let v = generate_volume(SampleKind::Crystalline, 64, 8, 7, &[]);
+    let config = ZenesisConfig {
+        use_memory: true,
+        ..ZenesisConfig::default()
+    };
+    let z = Zenesis::new(config);
+    let reader = tiff_reader(&v, "bank-chaos");
+    let _armed = FaultPlan::new()
+        .site("io.tiff", FaultKind::Error, 0.3, 41)
+        .arm();
+    let degraded = zenesis_obs::counter("slice.degraded");
+    let before = degraded.get();
+    let r = z
+        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
+        .expect("io.tiff faults must not kill the volume");
+    assert!(!r.failed_slices().is_empty(), "seed must fail some reads");
+    assert_eq!(
+        (degraded.get() - before) as usize,
+        r.degraded_slices().len(),
+        "slice.degraded counts each degraded slice once, and no failed one"
+    );
 }
 
 #[test]
