@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use zenesis_data::{benchmark_dataset, generate_volume, PhantomConfig, SampleKind};
-use zenesis_image::BoxRegion;
+use zenesis_image::{BoxRegion, Image};
 use zenesis_metrics::dashboard;
 use zenesis_par::CancelToken;
 
@@ -16,6 +16,7 @@ use crate::config::ZenesisConfig;
 use crate::method::Method;
 use crate::modes;
 use crate::pipeline::Zenesis;
+use crate::slice_cache::{Lookup, SliceCache};
 use crate::stream::SliceSource;
 use crate::temporal::{VolumeError, VolumeResult};
 
@@ -315,7 +316,7 @@ impl JobResult {
     }
 }
 
-/// Execute a job.
+/// Execute a job. Stateless: every call gets a fresh [`JobEngine`].
 pub fn run_job(spec: &JobSpec) -> JobResult {
     run_job_with_cancel(spec, &CancelToken::new())
 }
@@ -323,36 +324,111 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
 /// Execute a job under a cancellation token. Deadline-carrying tokens
 /// turn long batch/evaluate jobs into [`JobResult::Timeout`] results at
 /// the next per-slice / per-sample checkpoint; the job never hangs past
-/// a cooperative poll interval.
+/// a cooperative poll interval. Stateless, like [`run_job`].
 pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
-    // If the token carries a trace id (the serving layer attaches one
-    // per request) and this thread has none installed yet, install it
-    // for the duration of the job so every span and event below — on
-    // this thread and, via `zenesis-par` propagation, on the team's
-    // helpers — is tagged with the job's trace.
-    let _trace = zenesis_obs::trace_guard(match zenesis_obs::current_trace() {
-        Some(_) => None,
-        None => cancel.trace_id().and_then(zenesis_obs::TraceId::from_u64),
-    });
-    let _root = zenesis_obs::span("job.run");
-    let mode = match spec {
-        JobSpec::Interactive { .. } => "interactive",
-        JobSpec::Batch { .. } => "batch",
-        JobSpec::Evaluate { .. } => "evaluate",
-    };
-    // The clock exists only when recording: job timing is observability
-    // payload, not part of the result, so `off` must cost nothing.
-    let started = zenesis_obs::enabled().then(std::time::Instant::now);
-    zenesis_obs::events::emit(zenesis_obs::events::Event::JobStart { mode: mode.into() });
-    let result = run_job_inner(spec, cancel);
-    if let Some(t0) = started {
-        zenesis_obs::events::emit(zenesis_obs::events::Event::JobEnd {
-            mode: mode.into(),
-            ok: result.is_ok(),
-            dur_ms: t0.elapsed().as_secs_f64() * 1e3,
-        });
+    JobEngine::new(1).run_with_cancel(spec, cancel)
+}
+
+/// Runs jobs against state that outlives them: one resident pipeline for
+/// the default config and a [`SliceCache`] of prepared slices.
+///
+/// An interactive job without a `config` is served by the resident
+/// pipeline: its slice is prepared once ([`Zenesis::prepare`]) and every
+/// later prompt on the same pixels runs only the prompt tail
+/// ([`Zenesis::segment_prepared`]). Results are bit-identical to a fresh
+/// [`run_job`]; only `total_ms` differs, covering the prompt tail alone
+/// on a cache hit. Jobs with an explicit config, and batch and evaluate
+/// jobs, build their own pipeline per job, so no embedding LRU of theirs
+/// stays resident.
+pub struct JobEngine {
+    zenesis: Zenesis,
+    slices: SliceCache,
+}
+
+impl JobEngine {
+    /// An engine whose slice cache holds `cache_capacity` prepared slices.
+    pub fn new(cache_capacity: usize) -> JobEngine {
+        JobEngine {
+            zenesis: Zenesis::new(ZenesisConfig::default()),
+            slices: SliceCache::new(cache_capacity),
+        }
     }
-    result
+
+    /// The resident default-config pipeline.
+    pub fn zenesis(&self) -> &Zenesis {
+        &self.zenesis
+    }
+
+    /// The cache of prepared slices.
+    pub fn slice_cache(&self) -> &SliceCache {
+        &self.slices
+    }
+
+    /// Execute a job under a cancellation token (see
+    /// [`run_job_with_cancel`]).
+    pub fn run_with_cancel(&self, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
+        // If the token carries a trace id (the serving layer attaches one
+        // per request) and this thread has none installed yet, install it
+        // for the duration of the job so every span and event below — on
+        // this thread and, via `zenesis-par` propagation, on the team's
+        // helpers — is tagged with the job's trace.
+        let _trace = zenesis_obs::trace_guard(match zenesis_obs::current_trace() {
+            Some(_) => None,
+            None => cancel.trace_id().and_then(zenesis_obs::TraceId::from_u64),
+        });
+        let _root = zenesis_obs::span("job.run");
+        let mode = match spec {
+            JobSpec::Interactive { .. } => "interactive",
+            JobSpec::Batch { .. } => "batch",
+            JobSpec::Evaluate { .. } => "evaluate",
+        };
+        // The clock exists only when recording: job timing is
+        // observability payload, not part of the result, so `off` must
+        // cost nothing.
+        let started = zenesis_obs::enabled().then(std::time::Instant::now);
+        zenesis_obs::events::emit(zenesis_obs::events::Event::JobStart { mode: mode.into() });
+        let result = run_job_inner(self, spec, cancel);
+        if let Some(t0) = started {
+            zenesis_obs::events::emit(zenesis_obs::events::Event::JobEnd {
+                mode: mode.into(),
+                ok: result.is_ok(),
+                dur_ms: t0.elapsed().as_secs_f64() * 1e3,
+            });
+        }
+        result
+    }
+
+    /// Mode A on one loaded slice.
+    fn interactive(
+        &self,
+        raw: Image<f32>,
+        prompt: &str,
+        config: Option<&ZenesisConfig>,
+    ) -> JobResult {
+        let (detections, combined, total_ms) = match config {
+            None => {
+                let (prepared, lookup) =
+                    self.slices.get_or_prepare(raw, |raw| self.zenesis.prepare(raw));
+                let s = self.zenesis.segment_prepared(&prepared, prompt);
+                let prepare_ms = if lookup == Lookup::Miss {
+                    prepared.prepare_ms
+                } else {
+                    0.0
+                };
+                (s.detections, s.combined, prepare_ms + s.trace.total_ms)
+            }
+            Some(config) => {
+                let r = Zenesis::new(config.clone()).segment_slice(&raw, prompt);
+                (r.detections, r.combined, r.trace.total_ms)
+            }
+        };
+        JobResult::Slice {
+            detections: detections.iter().map(|d| d.bbox).collect(),
+            mask_pixels: combined.count(),
+            coverage: combined.coverage(),
+            total_ms,
+        }
+    }
 }
 
 /// Map a completed volume run onto the job contract, writing the masks
@@ -399,7 +475,7 @@ fn cancel_message(cancel: &CancelToken) -> String {
     }
 }
 
-fn run_job_inner(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
+fn run_job_inner(engine: &JobEngine, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
     if let Err(message) = spec.validate() {
         return JobResult::Error {
             message: format!("invalid job spec: {message}"),
@@ -418,40 +494,25 @@ fn run_job_inner(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
             prompt,
             config,
         } => {
-            let z = Zenesis::new(config.clone().unwrap_or_default());
-            match input {
-                InputSpec::PhantomSlice { kind, seed, side } => {
-                    let g = zenesis_data::generate_slice(
-                        &PhantomConfig::new((*kind).into(), *seed).with_size(*side, *side),
-                    );
-                    let r = z.segment_slice(&g.raw, prompt);
-                    JobResult::Slice {
-                        detections: r.detections.iter().map(|d| d.bbox).collect(),
-                        mask_pixels: r.combined.count(),
-                        coverage: r.coverage(),
-                        total_ms: r.trace.total_ms,
-                    }
-                }
+            let raw = match input {
+                InputSpec::PhantomSlice { kind, seed, side } => zenesis_data::generate_slice(
+                    &PhantomConfig::new((*kind).into(), *seed).with_size(*side, *side),
+                )
+                .raw
+                .to_f32(),
                 file @ (InputSpec::TiffFile { .. }
                 | InputSpec::PgmFile { .. }
-                | InputSpec::PpmFile { .. }) => {
-                    match file.load_file().expect("file-backed input") {
-                        Ok(img) => {
-                            let r = z.segment_slice(&img, prompt);
-                            JobResult::Slice {
-                                detections: r.detections.iter().map(|d| d.bbox).collect(),
-                                mask_pixels: r.combined.count(),
-                                coverage: r.coverage(),
-                                total_ms: r.trace.total_ms,
-                            }
-                        }
-                        Err(message) => JobResult::Error { message },
+                | InputSpec::PpmFile { .. }) => match file.load_file().expect("file-backed input") {
+                    Ok(img) => img,
+                    Err(message) => return JobResult::Error { message },
+                },
+                _ => {
+                    return JobResult::Error {
+                        message: "interactive mode takes a single slice".into(),
                     }
                 }
-                _ => JobResult::Error {
-                    message: "interactive mode takes a single slice".into(),
-                },
-            }
+            };
+            engine.interactive(raw, prompt, config.as_ref())
         }
         JobSpec::Batch {
             input,

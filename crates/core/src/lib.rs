@@ -23,7 +23,11 @@
 //!   image with relevance-based conflict resolution; paper future work).
 //! * [`method`] — the unified method interface used by evaluation:
 //!   Otsu / SAM-only / Zenesis (Tables 1-3).
-//! * [`job`] — the serde JSON job contract a web UI submits ("no-code").
+//! * [`job`] — the serde JSON job contract a web UI submits ("no-code"),
+//!   and the [`job::JobEngine`] a server keeps resident to run it.
+//! * [`slice_cache`] — the engine's content-keyed cache of prepared
+//!   slices (Mode A re-prompts skip adapt, grounding's image side and
+//!   the SAM encode).
 //! * [`session`] — interactive session state with undo history.
 //! * [`checkpoint`] — the crash-safe per-slice journal behind Mode B's
 //!   checkpoint/resume (CRC-guarded JSONL, torn-tail tolerant).
@@ -42,6 +46,7 @@ pub mod multi;
 pub mod pipeline;
 pub mod rectify;
 pub mod session;
+pub mod slice_cache;
 pub mod stream;
 pub mod temporal;
 
@@ -49,6 +54,6 @@ pub use checkpoint::CheckpointSpec;
 pub use config::ZenesisConfig;
 pub use method::Method;
 pub use multi::{MultiResult, ObjectSpec};
-pub use pipeline::{SliceError, SliceResult, Zenesis};
+pub use pipeline::{Prepared, Segmentation, SliceError, SliceResult, Zenesis};
 pub use stream::SliceSource;
 pub use temporal::{SliceOutcome, TemporalConfig, VolumeCancelled, VolumeError, VolumeResult};

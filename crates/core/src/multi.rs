@@ -65,14 +65,13 @@ impl Zenesis {
     pub fn segment_multi(&self, adapted: &Image<f32>, objects: &[ObjectSpec]) -> MultiResult {
         assert!(objects.len() <= 255, "at most 255 object classes");
         let (w, h) = adapted.dims();
-        // Share the adapted image across all per-object runs: one copy
-        // here instead of one per object.
-        let shared = std::sync::Arc::new(adapted.clone());
-        // Per-object: one pipeline run each; the SliceResult carries the
-        // relevance field needed for conflict resolution.
+        // The image is prepared once; per object only the prompt tail
+        // runs, and its result carries the relevance field needed for
+        // conflict resolution.
+        let prepared = self.prepare_adapted(adapted);
         let per_object: Vec<(BitMask, Image<f32>)> =
             zenesis_par::par_map(objects, |spec| {
-                let result = self.segment_adapted(&shared, &spec.prompt);
+                let result = self.segment_prepared(&prepared, &spec.prompt);
                 (result.combined, result.relevance)
             });
         // Conflict resolution.

@@ -8,6 +8,11 @@
 //! [`PipelineTrace`] carried on every [`SliceResult`] is filled from the
 //! same wall-clock measurements whether or not recording is on, so
 //! outputs are identical with observability disabled.
+//!
+//! A slice run splits into a prompt-independent [`Prepared`] half
+//! ([`Zenesis::prepare`], span `pipeline.prepare`) and a prompt tail
+//! ([`Zenesis::segment_prepared`]); re-prompting one slice pays the first
+//! half once.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -15,9 +20,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use zenesis_adapt::AdaptTrace;
-use zenesis_ground::{Detection, GroundingDino};
+use zenesis_ground::{Detection, Grounding, GroundingDino, ImageSide};
 use zenesis_image::{BitMask, Image, Pixel};
-use zenesis_sam::{Polarity, PromptSet, Sam};
+use zenesis_sam::{ImageEmbedding, Polarity, PromptSet, Sam};
 
 use crate::config::ZenesisConfig;
 
@@ -102,6 +107,67 @@ impl SliceResult {
     }
 }
 
+/// The prompt-independent half of one slice run, from
+/// [`Zenesis::prepare`]: grounding's image side and the SAM embedding.
+/// Any number of prompts decode against it through
+/// [`Zenesis::segment_prepared`] — SAM's "encode once, decode many". It
+/// keeps no pixels of the slice itself.
+pub struct Prepared {
+    image: ImageSide,
+    emb: ImageEmbedding,
+    /// Wall time of producing it — adaptation (when prepared from a raw
+    /// slice), grounding's image side and the SAM encode — in ms: what
+    /// each re-prompt of the slice no longer pays.
+    pub prepare_ms: f64,
+}
+
+impl Prepared {
+    /// Slice `(width, height)` in pixels.
+    pub fn dims(&self) -> (usize, usize) {
+        self.emb.dims()
+    }
+
+    /// Heap bytes held: the SAM embedding's three rasters and
+    /// grounding's patch keys.
+    pub fn heap_bytes(&self) -> usize {
+        let (w, h) = self.dims();
+        3 * w * h * std::mem::size_of::<f32>() + self.image.heap_bytes()
+    }
+}
+
+/// What one prompt produces on a prepared slice: a [`SliceResult`]
+/// without the adapted pixels.
+#[derive(Debug, Clone)]
+pub struct Segmentation {
+    /// DINO detections that survived thresholds and NMS.
+    pub detections: Vec<Detection>,
+    /// Per-detection masks, aligned with `detections`.
+    pub masks: Vec<BitMask>,
+    /// Union of all per-detection masks after the relevance gate.
+    pub combined: BitMask,
+    /// Patch-level grounding relevance upsampled to image resolution.
+    pub relevance: Image<f32>,
+    /// Stage provenance. Preparation is not in it: `adapt_ms` is 0 and
+    /// `ground_ms` covers the prompt side of grounding only.
+    pub trace: PipelineTrace,
+}
+
+/// Run two independent per-image passes. Fork-join overlaps them
+/// (SAM's design point: encode once, decode many) unless the slice is
+/// under the grain threshold, where neither arm takes as long as waking
+/// a helper does.
+fn overlap<RA: Send, RB: Send>(
+    pixels: usize,
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB) {
+    if pixels < zenesis_par::SMALL_WORK_ELEMS {
+        (a(), b())
+    } else {
+        zenesis_par::join(a, b)
+    }
+}
+
 /// The assembled platform pipeline.
 pub struct Zenesis {
     pub config: ZenesisConfig,
@@ -183,7 +249,48 @@ impl Zenesis {
         }
     }
 
-    /// Shared tail of the pipeline. With `guards` off (the interactive
+    /// The prompt-independent half of [`Zenesis::segment_slice`]: adapt,
+    /// then grounding's image side and the SAM encode (span
+    /// `pipeline.prepare`). The plain `encode` is used, so this never
+    /// fills the [`Sam::encode_cached`] LRU.
+    pub fn prepare<T: Pixel>(&self, raw: &Image<T>) -> Prepared {
+        let ((adapted, _), adapt_ms) = zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
+        zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
+        let mut prepared = self.prepare_adapted(&adapted);
+        prepared.prepare_ms += adapt_ms;
+        prepared
+    }
+
+    /// [`Zenesis::prepare`] on an already-adapted image (Mode A sessions
+    /// and multi-object passes adapt once themselves).
+    pub fn prepare_adapted(&self, adapted: &Image<f32>) -> Prepared {
+        let ((image, emb), prepare_ms) = zenesis_obs::timed("pipeline.prepare", || {
+            overlap(
+                adapted.len(),
+                || self.dino.prepare(adapted),
+                || self.sam.encode(adapted),
+            )
+        });
+        Prepared {
+            image,
+            emb,
+            prepare_ms,
+        }
+    }
+
+    /// The prompt-dependent half: ground `prompt` against the prepared
+    /// image side, decode one mask per box, apply the relevance gate.
+    /// Bit-identical to the same fields of [`Zenesis::segment_slice`] on
+    /// the raw slice `prepared` came from.
+    pub fn segment_prepared(&self, prepared: &Prepared, prompt: &str) -> Segmentation {
+        let (grounding, ground_ms) = zenesis_obs::timed("pipeline.ground", || {
+            self.dino.ground_prepared(&prepared.image, prompt)
+        });
+        zenesis_obs::record_ms("pipeline.ground.lat", ground_ms);
+        self.decode(grounding, &prepared.emb, Vec::new(), 0.0, ground_ms)
+    }
+
+    /// Full run on an adapted image. With `guards` off (the interactive
     /// paths) this is infallible and checks nothing — zero overhead over
     /// the pre-guard implementation. With `guards` on (the volume path)
     /// fault sites `ground.dino` / `sam.decode` may trip and stage
@@ -196,30 +303,54 @@ impl Zenesis {
         prompt: &str,
         guards: bool,
     ) -> Result<SliceResult, SliceError> {
-        let (w, h) = adapted.dims();
         if guards && zenesis_fault::trip("ground.dino").is_some() {
             return Err(SliceError::Injected {
                 site: "ground.dino",
             });
         }
-        // Grounding and the SAM image encoding are independent; fork-join
-        // overlaps them (SAM's design point: encode once, decode many) —
-        // unless the slice is under the grain threshold, where neither
-        // arm takes as long as waking a helper does.
+        // Grounding and the SAM image encoding are independent.
         let ((grounding, emb), ground_ms) = zenesis_obs::timed("pipeline.ground", || {
-            let ground = || self.dino.ground(&adapted, prompt);
-            let encode = || self.sam.encode_cached(&adapted);
-            if w * h < zenesis_par::SMALL_WORK_ELEMS {
-                (ground(), encode())
-            } else {
-                zenesis_par::join(ground, encode)
-            }
+            overlap(
+                adapted.len(),
+                || self.dino.ground(&adapted, prompt),
+                || self.sam.encode_cached(&adapted),
+            )
         });
         zenesis_obs::record_ms("pipeline.ground.lat", ground_ms);
         if guards && zenesis_fault::trip("sam.decode").is_some() {
             return Err(SliceError::Injected { site: "sam.decode" });
         }
+        let s = self.decode(grounding, &emb, adapt_stages, adapt_ms, ground_ms);
+        if guards {
+            let bad = s.relevance.as_slice().iter().filter(|v| !v.is_finite()).count();
+            if bad > 0 {
+                return Err(SliceError::NonFinite {
+                    stage: "ground.relevance".into(),
+                    count: bad,
+                });
+            }
+        }
+        Ok(SliceResult {
+            adapted,
+            detections: s.detections,
+            masks: s.masks,
+            combined: s.combined,
+            relevance: s.relevance,
+            trace: s.trace,
+        })
+    }
 
+    /// The tail every run shares: one SAM decode per box, their union,
+    /// the relevance gate.
+    fn decode(
+        &self,
+        grounding: Grounding,
+        emb: &ImageEmbedding,
+        adapt_stages: Vec<AdaptTrace>,
+        adapt_ms: f64,
+        ground_ms: f64,
+    ) -> Segmentation {
+        let (w, h) = emb.dims();
         let ((masks, combined, relevance), segment_ms) = zenesis_obs::timed("pipeline.segment", || {
             let polarity = if grounding.dark_polarity {
                 Polarity::Dark
@@ -231,7 +362,7 @@ impl Zenesis {
                 .iter()
                 .map(|d| {
                     self.sam
-                        .segment(&emb, &PromptSet::from_box(d.bbox).with_polarity(polarity))
+                        .segment(emb, &PromptSet::from_box(d.bbox).with_polarity(polarity))
                 })
                 .collect();
             let mut combined = BitMask::new(w, h);
@@ -256,18 +387,7 @@ impl Zenesis {
         });
         zenesis_obs::record_ms("pipeline.segment.lat", segment_ms);
         zenesis_obs::record_ms("pipeline.total.lat", adapt_ms + ground_ms + segment_ms);
-
-        if guards {
-            let bad = relevance.as_slice().iter().filter(|v| !v.is_finite()).count();
-            if bad > 0 {
-                return Err(SliceError::NonFinite {
-                    stage: "ground.relevance".into(),
-                    count: bad,
-                });
-            }
-        }
-        Ok(SliceResult {
-            adapted,
+        Segmentation {
             masks,
             combined,
             relevance,
@@ -281,7 +401,7 @@ impl Zenesis {
                 n_detections: grounding.detections.len(),
             },
             detections: grounding.detections,
-        })
+        }
     }
 }
 

@@ -1,12 +1,10 @@
 //! Mode A: the interactive session (prompt, inspect, rectify, refine)
 //! with undo history — the state behind the paper's web UI.
 
-use std::sync::Arc;
-
 use zenesis_image::{BitMask, Image, Pixel, Point};
 
 use crate::config::ZenesisConfig;
-use crate::pipeline::{SliceResult, Zenesis};
+use crate::pipeline::{Prepared, Segmentation, Zenesis};
 use crate::rectify::CandidateCriteria;
 
 /// One recorded interaction.
@@ -21,24 +19,29 @@ pub enum Interaction {
 /// An interactive single-slice session.
 pub struct Session {
     zenesis: Zenesis,
-    /// Adapted once at open; shared with every re-prompt without copying.
-    adapted: Arc<Image<f32>>,
+    /// Adapted once at open.
+    adapted: Image<f32>,
+    /// Prepared once at open; every prompt runs only the prompt tail.
+    prepared: Prepared,
     /// Mask history; last entry is the current segmentation.
     history: Vec<BitMask>,
     /// Interaction log (for reproducibility / audit).
     pub log: Vec<Interaction>,
-    /// Last full pipeline result, if any.
-    last_result: Option<SliceResult>,
+    /// Last prompt's segmentation, if any.
+    last_result: Option<Segmentation>,
 }
 
 impl Session {
-    /// Open a session on a raw image (adaptation runs once).
+    /// Open a session on a raw image (adaptation, grounding's image side
+    /// and the SAM encode run once).
     pub fn open<T: Pixel>(config: ZenesisConfig, raw: &Image<T>) -> Self {
         let zenesis = Zenesis::new(config);
         let (adapted, _) = zenesis.adapt(raw);
+        let prepared = zenesis.prepare_adapted(&adapted);
         Session {
             zenesis,
-            adapted: Arc::new(adapted),
+            adapted,
+            prepared,
             history: Vec::new(),
             log: Vec::new(),
             last_result: None,
@@ -59,13 +62,13 @@ impl Session {
     }
 
     /// The detections of the last prompt, if any.
-    pub fn last_result(&self) -> Option<&SliceResult> {
+    pub fn last_result(&self) -> Option<&Segmentation> {
         self.last_result.as_ref()
     }
 
     /// Prompt-driven segmentation; pushes the result onto the history.
     pub fn prompt(&mut self, text: &str) -> &BitMask {
-        let result = self.zenesis.segment_adapted(&self.adapted, text);
+        let result = self.zenesis.segment_prepared(&self.prepared, text);
         self.history.push(result.combined.clone());
         self.last_result = Some(result);
         self.log.push(Interaction::Prompted {

@@ -81,6 +81,28 @@ impl Grounding {
     }
 }
 
+/// The prompt-independent half of grounding one image, from
+/// [`GroundingDino::prepare`]. Holds only what the prompt side reads, so
+/// it can outlive the image.
+#[derive(Debug, Clone)]
+pub struct ImageSide {
+    /// Patch keys in the shared embedding space, `(gw*gh) x embed_dim`.
+    k: Matrix,
+    gw: usize,
+    gh: usize,
+    /// Image `(width, height)` in pixels.
+    dims: (usize, usize),
+    /// Input-health factor in `[0, 1]`.
+    health: f32,
+}
+
+impl ImageSide {
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.k.rows() * self.k.cols() * std::mem::size_of::<f32>()
+    }
+}
+
 /// Text-conditioned box generator over adapted scientific images.
 pub struct GroundingDino {
     pub config: DinoConfig,
@@ -122,38 +144,17 @@ impl GroundingDino {
         self.lexicon.add_concept(&concept.name, concept.vector);
     }
 
-    /// Ground `prompt` in the adapted image. An empty prompt (or one that
-    /// reduces to no tokens) returns an empty grounding — text is the
-    /// control signal; without it there is nothing to ground.
-    pub fn ground(&self, img: &Image<f32>, prompt: &str) -> Grounding {
-        let _root = zenesis_obs::span("ground.dino");
-        let tokens = {
-            let _s = zenesis_obs::span("ground.tokenize");
-            tokenize(prompt)
-        };
-        let grid = {
-            let _s = zenesis_obs::span("ground.encode");
-            FeatureGrid::compute_at_scale(img, self.config.patch, self.config.feature_sigma)
-        };
+    /// The prompt-independent image side of grounding (the span
+    /// `ground.encode`): patch features, projected into the shared space
+    /// and optionally contextualized, plus the input-health factor.
+    /// Compute it once per image and ground any number of prompts against
+    /// it with [`GroundingDino::ground_prepared`].
+    pub fn prepare(&self, img: &Image<f32>) -> ImageSide {
+        let _s = zenesis_obs::span("ground.encode");
+        let grid = FeatureGrid::compute_at_scale(img, self.config.patch, self.config.feature_sigma);
         let (gw, gh) = (grid.gw, grid.gh);
-        let dark_polarity = self.prompt_is_dark(&tokens);
-        if tokens.is_empty() {
-            return Grounding {
-                detections: Vec::new(),
-                relevance: Image::zeros(gw, gh),
-                patch: self.config.patch,
-                tokens,
-                dark_polarity,
-            };
-        }
-        // Text side: tokens -> attribute vectors -> shared projection.
-        let attn_span = zenesis_obs::span("ground.attention");
-        let tvecs = self.lexicon.encode_tokens(&tokens);
-        let tmat = Matrix::from_fn(tvecs.len(), N_CHANNELS, |r, c| tvecs[r][c]);
-        let mut q = tmat.matmul(&self.projection);
-        q.scale(self.config.logit_scale);
-        // Image side: patch features -> shared projection -> optional
-        // Swin contextualization (residual, so semantics survive).
+        // Patch features -> shared projection -> optional Swin
+        // contextualization (residual, so semantics survive).
         let mut k = grid.feats.matmul(&self.projection);
         if let Some(bb) = &self.backbone {
             let ctx = bb.forward(&k, gw, gh);
@@ -176,8 +177,57 @@ impl GroundingDino {
             let spread = (hist.percentile(0.999) - hist.percentile(0.001)).max(0.0);
             (spread / 0.35).min(1.0)
         };
+        ImageSide {
+            k,
+            gw,
+            gh,
+            dims: img.dims(),
+            health,
+        }
+    }
+
+    /// Ground `prompt` in the adapted image. An empty prompt (or one that
+    /// reduces to no tokens) returns an empty grounding — text is the
+    /// control signal; without it there is nothing to ground.
+    pub fn ground(&self, img: &Image<f32>, prompt: &str) -> Grounding {
+        let _root = zenesis_obs::span("ground.dino");
+        self.ground_text(&self.prepare(img), prompt)
+    }
+
+    /// [`GroundingDino::ground`] against an image side computed earlier
+    /// by [`GroundingDino::prepare`]: the same arithmetic in the same
+    /// order, so the result is bit-identical.
+    pub fn ground_prepared(&self, side: &ImageSide, prompt: &str) -> Grounding {
+        let _root = zenesis_obs::span("ground.dino");
+        self.ground_text(side, prompt)
+    }
+
+    /// The prompt side of grounding: tokens, cross-modal attention,
+    /// relevance, box decoding.
+    fn ground_text(&self, side: &ImageSide, prompt: &str) -> Grounding {
+        let tokens = {
+            let _s = zenesis_obs::span("ground.tokenize");
+            tokenize(prompt)
+        };
+        let (gw, gh) = (side.gw, side.gh);
+        let dark_polarity = self.prompt_is_dark(&tokens);
+        if tokens.is_empty() {
+            return Grounding {
+                detections: Vec::new(),
+                relevance: Image::zeros(gw, gh),
+                patch: self.config.patch,
+                tokens,
+                dark_polarity,
+            };
+        }
+        // Text side: tokens -> attribute vectors -> shared projection.
+        let attn_span = zenesis_obs::span("ground.attention");
+        let tvecs = self.lexicon.encode_tokens(&tokens);
+        let tmat = Matrix::from_fn(tvecs.len(), N_CHANNELS, |r, c| tvecs[r][c]);
+        let mut q = tmat.matmul(&self.projection);
+        q.scale(self.config.logit_scale);
         // Eq. (1): softmax(Q K^T / sqrt(d)) over patches, per token.
-        let weights = attention_weights(&q, &k);
+        let weights = attention_weights(&q, &side.k);
         // Standardize each token's attention distribution and squash with
         // a sigmoid, so relevance is invariant to how much of the image
         // matches (a background prompt matching 80% of patches scores as
@@ -186,7 +236,7 @@ impl GroundingDino {
         // keeps noise-textured distractor patches (which may excite one
         // generic token) below threshold. A (near-)uniform distribution
         // maps to 0.5 everywhere.
-        let n = grid.len();
+        let n = gw * gh;
         let mut rel = vec![0.0f32; n];
         let n_tok = weights.rows() as f32;
         for t in 0..weights.rows() {
@@ -200,7 +250,7 @@ impl GroundingDino {
                 } else {
                     0.0
                 };
-                *r += health / (1.0 + (-z).exp()) / n_tok;
+                *r += side.health / (1.0 + (-z).exp()) / n_tok;
             }
         }
         drop(attn_span);
@@ -210,8 +260,8 @@ impl GroundingDino {
             gw,
             gh,
             self.config.patch,
-            img.width(),
-            img.height(),
+            side.dims.0,
+            side.dims.1,
             self.config.box_threshold,
             self.config.text_threshold,
             prompt,
@@ -349,6 +399,26 @@ mod tests {
         let a = dino.ground(&img, "bright particles");
         let b = dino.ground(&img, "bright particles");
         assert_eq!(a.detections, b.detections);
+    }
+
+    #[test]
+    fn one_prepared_side_answers_every_prompt_like_ground() {
+        for depth in [0, 2] {
+            let dino = GroundingDino::new(DinoConfig {
+                backbone_depth: depth,
+                ..DinoConfig::default()
+            });
+            let img = bright_square_img();
+            let side = dino.prepare(&img);
+            for p in ["bright", "dark background", "bright particles", ""] {
+                let (a, b) = (dino.ground(&img, p), dino.ground_prepared(&side, p));
+                assert_eq!(a.detections, b.detections, "{p:?} depth {depth}");
+                let bits = |g: &Grounding| -> Vec<u32> {
+                    g.relevance.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "{p:?} depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod lexicon;
 pub mod tokenizer;
 
 pub use boxes::{nms, Detection};
-pub use dino::{DinoConfig, GroundingDino, Grounding};
+pub use dino::{DinoConfig, GroundingDino, Grounding, ImageSide};
 pub use finetune::{learn_concept, Exemplar, FinetuneConfig, LearnedConcept};
 pub use features::{FeatureGrid, CHANNEL_NAMES, N_CHANNELS};
 pub use lexicon::Lexicon;

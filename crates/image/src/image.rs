@@ -314,6 +314,20 @@ impl<T: Pixel> Image<T> {
     }
 }
 
+impl Image<f32> {
+    /// Equal dimensions and equal bit patterns: the identity rule of the
+    /// content-keyed caches. Unlike `==` it is reflexive on NaN pixels,
+    /// and it tells `-0.0` from `+0.0`.
+    pub fn same_bits(&self, other: &Image<f32>) -> bool {
+        // XOR-fold each 64-pixel block (vectorizes), stop at the first
+        // block that differs.
+        self.dims() == other.dims()
+            && self.data.chunks(64).zip(other.data.chunks(64)).all(|(a, b)| {
+                a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x.to_bits() ^ y.to_bits())) == 0
+            })
+    }
+}
+
 /// An interleaved 8-bit RGB image (the "web-native" format foundation
 /// models expect; scientific data is converted *to* this, never from).
 #[derive(Debug, Clone, PartialEq)]
@@ -523,5 +537,21 @@ mod tests {
     fn rgb_shape_validation() {
         assert!(RgbImage::from_vec(2, 2, vec![0; 12]).is_ok());
         assert!(RgbImage::from_vec(2, 2, vec![0; 11]).is_err());
+    }
+
+    #[test]
+    fn same_bits_is_bit_pattern_equality() {
+        // 131 pixels: two full 64-pixel blocks and a ragged one.
+        let img = Image::<f32>::from_fn(131, 1, |x, _| x as f32 * 0.5);
+        assert!(img.same_bits(&img.clone()));
+        let mut nan = img.clone();
+        nan.set(130, 0, f32::NAN);
+        assert!(nan.same_bits(&nan.clone()), "NaN matches itself");
+        assert!(!nan.same_bits(&img));
+        let mut neg_zero = img.clone();
+        neg_zero.set(0, 0, -0.0);
+        assert!(!neg_zero.same_bits(&img), "-0.0 is not +0.0");
+        let flat = Image::<f32>::zeros(4, 6);
+        assert!(!flat.same_bits(&Image::zeros(6, 4)), "dims count");
     }
 }

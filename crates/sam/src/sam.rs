@@ -123,24 +123,34 @@ struct CacheEntry {
     emb: Arc<ImageEmbedding>,
 }
 
-/// FNV-1a over the image dimensions and raw pixel bit patterns.
+impl CacheEntry {
+    /// Same content: bit patterns, not f32 `==`, so an image holding NaN
+    /// finds its own entry instead of inserting a copy per call.
+    fn matches(&self, hash: u64, sigma: f32, img: &Image<f32>) -> bool {
+        self.hash == hash && self.sigma.to_bits() == sigma.to_bits() && self.img.same_bits(img)
+    }
+}
+
+/// Multiply-rotate hash over the image dimensions and the pixel bit
+/// patterns, two pixels per 64-bit word and two independent lanes, so
+/// the dependency chain is a quarter of the pixel count. Only a
+/// prefilter: a hit still requires [`Image::same_bits`].
 fn hash_image(img: &Image<f32>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for d in [img.width() as u64, img.height() as u64] {
-        for b in d.to_le_bytes() {
-            eat(b);
-        }
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let word = |p: &[f32]| p[0].to_bits() as u64 | (p[1].to_bits() as u64) << 32;
+    let px = img.as_slice();
+    let quads = px.chunks_exact(4);
+    let tail = quads.remainder();
+    let (mut a, mut b) = (mix(0, img.width() as u64), mix(0, img.height() as u64));
+    for q in quads {
+        a = mix(a, word(&q[..2]));
+        b = mix(b, word(&q[2..]));
     }
-    for v in img.as_slice() {
-        for b in v.to_bits().to_le_bytes() {
-            eat(b);
-        }
+    for v in tail {
+        a = mix(a, v.to_bits() as u64);
     }
-    h
+    mix(a, b)
 }
 
 /// The promptable segmenter. Encode once, decode many prompts.
@@ -178,10 +188,7 @@ impl Sam {
         let h = hash_image(img);
         {
             let mut cache = self.cache.lock();
-            if let Some(pos) = cache
-                .iter()
-                .position(|e| e.hash == h && e.sigma == sigma && e.img == *img)
-            {
+            if let Some(pos) = cache.iter().position(|e| e.matches(h, sigma, img)) {
                 let entry = cache.remove(pos);
                 let emb = Arc::clone(&entry.emb);
                 cache.push(entry); // most-recently-used goes last
@@ -214,10 +221,7 @@ impl Sam {
         // same image while we encoded. Inserting a second entry would
         // waste a slot and evict a live embedding, so adopt the winner's
         // entry (keeping one shared `Arc`) and discard ours.
-        if let Some(pos) = cache
-            .iter()
-            .position(|e| e.hash == h && e.sigma == sigma && e.img == *img)
-        {
+        if let Some(pos) = cache.iter().position(|e| e.matches(h, sigma, img)) {
             let entry = cache.remove(pos);
             let existing = Arc::clone(&entry.emb);
             cache.push(entry); // the race still counts as a use: MRU
@@ -507,6 +511,31 @@ mod tests {
             embs.iter().any(|e| Arc::ptr_eq(e, &canonical)),
             "the cached embedding must be one of the raced results"
         );
+    }
+
+    #[test]
+    fn nan_image_hits_its_own_entry() {
+        // Regression: f32 `==` made a NaN-pixel image unequal to itself,
+        // so every call missed and pushed another copy into the LRU.
+        let sam = Sam::new(SamConfig::default());
+        let mut img = disk_image();
+        img.set(5, 7, f32::NAN);
+        let a = sam.encode_cached(&img);
+        let b = sam.encode_cached(&img);
+        assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
+        assert_eq!(sam.embed_cache_len(), 1);
+    }
+
+    #[test]
+    fn hash_covers_dims_and_every_pixel() {
+        let img = Image::<f32>::from_fn(7, 5, |x, y| (x * 5 + y) as f32);
+        assert_ne!(hash_image(&img), hash_image(&img.transpose()));
+        // Each pixel position, the odd tail included, feeds the hash.
+        for i in 0..img.len() {
+            let mut other = img.clone();
+            other.set(i % 7, i / 7, -1.0);
+            assert_ne!(hash_image(&img), hash_image(&other), "pixel {i}");
+        }
     }
 
     #[test]

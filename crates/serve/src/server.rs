@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
-use zenesis_core::job::{message_is_transient_input, run_job_with_cancel, JobResult, JobSpec};
+use zenesis_core::job::{message_is_transient_input, JobEngine, JobResult, JobSpec};
 use zenesis_obs::events::{self, Event};
 use zenesis_obs::TraceId;
 use zenesis_par::CancelToken;
@@ -123,8 +123,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// The job execution function. Production uses
-/// [`run_job_with_cancel`]; tests inject runners that panic or fail
+/// The job execution function. Production uses a resident
+/// [`JobEngine`]; tests inject runners that panic or fail
 /// transiently to exercise the isolation and retry paths.
 pub type JobRunner = Arc<dyn Fn(&JobSpec, &CancelToken) -> JobResult + Send + Sync>;
 
@@ -186,9 +186,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start workers running the real job pipeline.
+    /// Start workers running the real job pipeline: one resident
+    /// [`JobEngine`] shared by every worker. Its slice cache holds
+    /// `workers + 1` prepared slices: one per concurrently running job,
+    /// plus one so that a session's slice survives another worker
+    /// starting on a new one.
     pub fn start(config: ServeConfig) -> Server {
-        Server::start_with_runner(config, Arc::new(run_job_with_cancel))
+        let engine = Arc::new(JobEngine::new(config.workers.max(1) + 1));
+        Server::start_with_runner(
+            config,
+            Arc::new(move |spec: &JobSpec, cancel: &CancelToken| {
+                engine.run_with_cancel(spec, cancel)
+            }),
+        )
     }
 
     /// Start workers with an injected runner (test hook: panics, fake
