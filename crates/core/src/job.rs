@@ -6,6 +6,8 @@
 //! built-in phantom generator (this reproduction's "instrument") so a job
 //! is fully self-contained and reproducible from its JSON alone.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use zenesis_data::{benchmark_dataset, generate_volume, PhantomConfig, SampleKind};
 use zenesis_image::{BoxRegion, Image};
@@ -16,7 +18,7 @@ use crate::config::ZenesisConfig;
 use crate::method::Method;
 use crate::modes;
 use crate::pipeline::Zenesis;
-use crate::slice_cache::{Lookup, SliceCache};
+use crate::slice_cache::SliceCache;
 use crate::stream::SliceSource;
 use crate::temporal::{VolumeError, VolumeResult};
 
@@ -316,7 +318,7 @@ impl JobResult {
     }
 }
 
-/// Execute a job. Stateless: every call gets a fresh [`JobEngine`].
+/// Execute a job. Stateless: every job builds the pipeline it runs.
 pub fn run_job(spec: &JobSpec) -> JobResult {
     run_job_with_cancel(spec, &CancelToken::new())
 }
@@ -326,7 +328,7 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
 /// the next per-slice / per-sample checkpoint; the job never hangs past
 /// a cooperative poll interval. Stateless, like [`run_job`].
 pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
-    JobEngine::new(1).run_with_cancel(spec, cancel)
+    run_traced(None, spec, cancel)
 }
 
 /// Runs jobs against state that outlives them: one resident pipeline for
@@ -336,10 +338,10 @@ pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
 /// pipeline: its slice is prepared once ([`Zenesis::prepare`]) and every
 /// later prompt on the same pixels runs only the prompt tail
 /// ([`Zenesis::segment_prepared`]). Results are bit-identical to a fresh
-/// [`run_job`]; only `total_ms` differs, covering the prompt tail alone
-/// on a cache hit. Jobs with an explicit config, and batch and evaluate
-/// jobs, build their own pipeline per job, so no embedding LRU of theirs
-/// stays resident.
+/// [`run_job`]; only `total_ms` differs, covering the cache lookup and
+/// the prompt tail on a hit. Jobs with an explicit config, and batch and
+/// evaluate jobs, build their own pipeline per job, so no embedding LRU
+/// of theirs stays resident.
 pub struct JobEngine {
     zenesis: Zenesis,
     slices: SliceCache,
@@ -367,67 +369,65 @@ impl JobEngine {
     /// Execute a job under a cancellation token (see
     /// [`run_job_with_cancel`]).
     pub fn run_with_cancel(&self, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
-        // If the token carries a trace id (the serving layer attaches one
-        // per request) and this thread has none installed yet, install it
-        // for the duration of the job so every span and event below — on
-        // this thread and, via `zenesis-par` propagation, on the team's
-        // helpers — is tagged with the job's trace.
-        let _trace = zenesis_obs::trace_guard(match zenesis_obs::current_trace() {
-            Some(_) => None,
-            None => cancel.trace_id().and_then(zenesis_obs::TraceId::from_u64),
-        });
-        let _root = zenesis_obs::span("job.run");
-        let mode = match spec {
-            JobSpec::Interactive { .. } => "interactive",
-            JobSpec::Batch { .. } => "batch",
-            JobSpec::Evaluate { .. } => "evaluate",
-        };
-        // The clock exists only when recording: job timing is
-        // observability payload, not part of the result, so `off` must
-        // cost nothing.
-        let started = zenesis_obs::enabled().then(std::time::Instant::now);
-        zenesis_obs::events::emit(zenesis_obs::events::Event::JobStart { mode: mode.into() });
-        let result = run_job_inner(self, spec, cancel);
-        if let Some(t0) = started {
-            zenesis_obs::events::emit(zenesis_obs::events::Event::JobEnd {
-                mode: mode.into(),
-                ok: result.is_ok(),
-                dur_ms: t0.elapsed().as_secs_f64() * 1e3,
-            });
-        }
-        result
+        run_traced(Some(self), spec, cancel)
     }
+}
 
-    /// Mode A on one loaded slice.
-    fn interactive(
-        &self,
-        raw: Image<f32>,
-        prompt: &str,
-        config: Option<&ZenesisConfig>,
-    ) -> JobResult {
-        let (detections, combined, total_ms) = match config {
-            None => {
-                let (prepared, lookup) =
-                    self.slices.get_or_prepare(raw, |raw| self.zenesis.prepare(raw));
-                let s = self.zenesis.segment_prepared(&prepared, prompt);
-                let prepare_ms = if lookup == Lookup::Miss {
-                    prepared.prepare_ms
-                } else {
-                    0.0
-                };
-                (s.detections, s.combined, prepare_ms + s.trace.total_ms)
-            }
-            Some(config) => {
-                let r = Zenesis::new(config.clone()).segment_slice(&raw, prompt);
-                (r.detections, r.combined, r.trace.total_ms)
-            }
-        };
-        JobResult::Slice {
-            detections: detections.iter().map(|d| d.bbox).collect(),
-            mask_pixels: combined.count(),
-            coverage: combined.coverage(),
-            total_ms,
-        }
+/// Run a job inside its `job.run` span, tagged with the token's trace id,
+/// between `JobStart` and `JobEnd` events.
+fn run_traced(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
+    // If the token carries a trace id (the serving layer attaches one
+    // per request) and this thread has none installed yet, install it
+    // for the duration of the job so every span and event below — on
+    // this thread and, via `zenesis-par` propagation, on the team's
+    // helpers — is tagged with the job's trace.
+    let _trace = zenesis_obs::trace_guard(match zenesis_obs::current_trace() {
+        Some(_) => None,
+        None => cancel.trace_id().and_then(zenesis_obs::TraceId::from_u64),
+    });
+    let _root = zenesis_obs::span("job.run");
+    let mode = match spec {
+        JobSpec::Interactive { .. } => "interactive",
+        JobSpec::Batch { .. } => "batch",
+        JobSpec::Evaluate { .. } => "evaluate",
+    };
+    // The clock exists only when recording: job timing is observability
+    // payload, not part of the result, so `off` must cost nothing.
+    let started = zenesis_obs::enabled().then(std::time::Instant::now);
+    zenesis_obs::events::emit(zenesis_obs::events::Event::JobStart { mode: mode.into() });
+    let result = run_job_inner(engine, spec, cancel);
+    if let Some(t0) = started {
+        zenesis_obs::events::emit(zenesis_obs::events::Event::JobEnd {
+            mode: mode.into(),
+            ok: result.is_ok(),
+            dur_ms: t0.elapsed().as_secs_f64() * 1e3,
+        });
+    }
+    result
+}
+
+/// Mode A on one loaded slice: prepare it, through `cache` when given,
+/// then run the prompt tail. `total_ms` is the time spent obtaining the
+/// prepared slice (preparing it, waiting for a concurrent job that is,
+/// or finding it cached) plus the tail.
+fn interactive(
+    zenesis: &Zenesis,
+    cache: Option<&SliceCache>,
+    raw: Image<f32>,
+    prompt: &str,
+) -> JobResult {
+    let started = std::time::Instant::now();
+    let prepared = match cache {
+        Some(cache) => cache.get_or_prepare(raw, |raw| zenesis.prepare(raw)).0,
+        None => Arc::new(zenesis.prepare(&raw)),
+    };
+    let prepare_ms = started.elapsed().as_secs_f64() * 1e3;
+    let s = zenesis.segment_prepared(&prepared, prompt);
+    JobResult::Slice {
+        detections: s.detections.iter().map(|d| d.bbox).collect(),
+        mask_pixels: s.combined.count(),
+        coverage: s.combined.coverage(),
+        total_ms: prepare_ms + s.trace.total_ms,
     }
 }
 
@@ -475,7 +475,7 @@ fn cancel_message(cancel: &CancelToken) -> String {
     }
 }
 
-fn run_job_inner(engine: &JobEngine, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
+fn run_job_inner(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
     if let Err(message) = spec.validate() {
         return JobResult::Error {
             message: format!("invalid job spec: {message}"),
@@ -512,7 +512,17 @@ fn run_job_inner(engine: &JobEngine, spec: &JobSpec, cancel: &CancelToken) -> Jo
                     }
                 }
             };
-            engine.interactive(raw, prompt, config.as_ref())
+            match (engine, config) {
+                (Some(engine), None) => {
+                    interactive(&engine.zenesis, Some(&engine.slices), raw, prompt)
+                }
+                (_, config) => interactive(
+                    &Zenesis::new(config.clone().unwrap_or_default()),
+                    None,
+                    raw,
+                    prompt,
+                ),
+            }
         }
         JobSpec::Batch {
             input,

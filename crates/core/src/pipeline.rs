@@ -115,10 +115,6 @@ impl SliceResult {
 pub struct Prepared {
     image: ImageSide,
     emb: ImageEmbedding,
-    /// Wall time of producing it — adaptation (when prepared from a raw
-    /// slice), grounding's image side and the SAM encode — in ms: what
-    /// each re-prompt of the slice no longer pays.
-    pub prepare_ms: f64,
 }
 
 impl Prepared {
@@ -256,26 +252,19 @@ impl Zenesis {
     pub fn prepare<T: Pixel>(&self, raw: &Image<T>) -> Prepared {
         let ((adapted, _), adapt_ms) = zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
         zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
-        let mut prepared = self.prepare_adapted(&adapted);
-        prepared.prepare_ms += adapt_ms;
-        prepared
+        self.prepare_adapted(&adapted)
     }
 
     /// [`Zenesis::prepare`] on an already-adapted image (Mode A sessions
     /// and multi-object passes adapt once themselves).
     pub fn prepare_adapted(&self, adapted: &Image<f32>) -> Prepared {
-        let ((image, emb), prepare_ms) = zenesis_obs::timed("pipeline.prepare", || {
-            overlap(
-                adapted.len(),
-                || self.dino.prepare(adapted),
-                || self.sam.encode(adapted),
-            )
-        });
-        Prepared {
-            image,
-            emb,
-            prepare_ms,
-        }
+        let _span = zenesis_obs::span("pipeline.prepare");
+        let (image, emb) = overlap(
+            adapted.len(),
+            || self.dino.prepare(adapted),
+            || self.sam.encode(adapted),
+        );
+        Prepared { image, emb }
     }
 
     /// The prompt-dependent half: ground `prompt` against the prepared
