@@ -11,7 +11,6 @@ use zenesis_image::filter::median_filter;
 use zenesis_image::morphology::{dilate, erode, Structuring};
 use zenesis_image::{BitMask, Image};
 use zenesis_nn::{attention, attention_weights, SwinStage, VitEncoder};
-use zenesis_par::ThreadsGuard;
 use zenesis_sam::{ImageEmbedding, PromptSet, Sam, SamConfig};
 use zenesis_tensor::Matrix;
 
@@ -58,12 +57,19 @@ fn bench_transformer(c: &mut Criterion) {
     let swin = SwinStage::new(4, 64, 4, 2, 6);
     let tokens = Matrix::seeded_uniform(256, 64, 1.0, 7);
     group.bench_function("swin_stage_16x16", |b| b.iter(|| swin.forward(&tokens, 16, 16)));
+    // The product shape: the grounding backbone (window 4, dim 32, 4
+    // heads) over a 128² slice's 16×16 patch grid.
+    let swin32 = SwinStage::new(4, 32, 4, 2, 6);
+    let tokens32 = Matrix::seeded_uniform(256, 32, 1.0, 8);
+    group.bench_function("swin_stage_16x16_d32", |b| {
+        b.iter(|| swin32.forward(&tokens32, 16, 16))
+    });
     group.finish();
 }
 
-/// Size sweep over the blocked matmul and the fused-vs-unfused attention
-/// kernels — the scaling evidence behind `docs/PERFORMANCE.md` and the
-/// `kernel-bench-smoke` CI gate.
+/// Size sweep over the blocked matmul and the fused attention kernel
+/// against a materialized-scores reference — the scaling evidence behind
+/// `docs/PERFORMANCE.md` and the `kernel-bench-smoke` CI gate.
 fn bench_kernel_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_sweep");
     group.sample_size(15);
@@ -99,53 +105,6 @@ fn bench_kernel_sweep(c: &mut Criterion) {
         // matrix, then a second pass multiplies by V.
         group.bench_with_input(BenchmarkId::new("unfused", &label), &d, |b, _| {
             b.iter(|| attention_weights(&q, &k).matmul(&v))
-        });
-    }
-    group.finish();
-}
-
-/// Thread-scaling sweep: the row-banded packed matmul and the query-banded
-/// fused attention at 1/2/4 workers. The `ThreadsGuard` is held for the
-/// whole measurement, so every iteration runs at the labelled count. The
-/// outputs are bit-identical across the sweep (see
-/// `crates/nn/tests/determinism.rs`) — only wall-clock may change.
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_par");
-    group.sample_size(15);
-    let a256 = Matrix::seeded_uniform(256, 256, 1.0, 51);
-    let b256 = Matrix::seeded_uniform(256, 256, 1.0, 52);
-    let a512 = Matrix::seeded_uniform(512, 512, 1.0, 53);
-    let b512 = Matrix::seeded_uniform(512, 512, 1.0, 54);
-    for t in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("matmul_256", t), &t, |bch, &t| {
-            let _g = ThreadsGuard::new(t);
-            bch.iter(|| a256.matmul(&b256))
-        });
-        group.bench_with_input(BenchmarkId::new("matmul_512", t), &t, |bch, &t| {
-            let _g = ThreadsGuard::new(t);
-            bch.iter(|| a512.matmul(&b512))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("attention_par");
-    group.sample_size(20);
-    // n_q = 24 stays on the query-banded fused kernel; 64 rows takes the
-    // unfused materialized-scores route (parallel matmul + row softmax).
-    let qf = Matrix::seeded_uniform(24, 64, 1.0, 61);
-    let kf = Matrix::seeded_uniform(512, 64, 1.0, 62);
-    let vf = Matrix::seeded_uniform(512, 64, 1.0, 63);
-    let qu = Matrix::seeded_uniform(64, 64, 1.0, 64);
-    let ku = Matrix::seeded_uniform(256, 64, 1.0, 65);
-    let vu = Matrix::seeded_uniform(256, 64, 1.0, 66);
-    for t in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("fused_24x512x64", t), &t, |bch, &t| {
-            let _g = ThreadsGuard::new(t);
-            bch.iter(|| attention(&qf, &kf, &vf))
-        });
-        group.bench_with_input(BenchmarkId::new("unfused_64x256x64", t), &t, |bch, &t| {
-            let _g = ThreadsGuard::new(t);
-            bch.iter(|| attention(&qu, &ku, &vu))
         });
     }
     group.finish();
@@ -203,7 +162,6 @@ criterion_group!(
     bench_adapt,
     bench_transformer,
     bench_kernel_sweep,
-    bench_parallel_scaling,
     bench_ground_and_sam
 );
 criterion_main!(benches);

@@ -2,31 +2,32 @@
 //! and the pre-norm transformer block.
 //!
 //! The attention forward is **fused**: [`attention_into`] packs K once
-//! into `KP`-wide k-major panels (the matmul RHS layout), then walks the
-//! query rows pairwise, computing each row's scores *vertically* — eight
-//! scores per vector op, no horizontal reductions — then softmax and the
-//! weighted-value accumulation back to back. The full `n_q x n_kv` score
-//! matrix is never materialized (one `2·n_kv` scratch row plus the packed
-//! keys, checked out of a [`Workspace`], are the footprint). Heads are
-//! sliced as zero-copy column-band views and written straight into the
-//! concatenation buffer, so [`MultiHeadAttention::forward`] performs no
-//! per-head copies of Q/K/V and no re-concatenation pass.
+//! into `NR`-wide k-major panels (the matmul RHS layout), then walks the
+//! query rows in groups of four, two and one. One const-generic body per
+//! group size `R` scores the group against the panels with matmul's own
+//! micro-kernels — eight scores per vector op, no horizontal reductions —
+//! then runs softmax and the weighted-value accumulation back to back.
+//! The full `n_q x n_kv` score matrix is never materialized (a `4·n_kv`
+//! scratch block plus the packed keys, checked out of a [`Workspace`],
+//! are the footprint). Heads are sliced as zero-copy column-band views and
+//! written straight into the concatenation buffer, so
+//! [`MultiHeadAttention::forward`] performs no per-head gather and no
+//! re-concatenation pass.
 //!
-//! Two execution escalations sit on top of the fused walk. The fused
-//! row loop is compiled twice — portable baseline and an AVX2
-//! `#[target_feature]` re-compilation of the same body — and dispatched
-//! at runtime (`zenesis_tensor::simd_level`); both builds run identical
-//! per-element IEEE operations, so results are bit-identical. Above
-//! [`zenesis_tensor::PAR_MIN_MADDS`] multiply-adds, query rows are split
-//! into disjoint row bands (`MatViewMut::split_rows`) processed across
-//! the `zenesis-par` team with a per-band scratch arena; per-row score
-//! and contraction order never depends on the band boundaries, so
-//! outputs are bit-stable across thread counts.
+//! A row's arithmetic never depends on the group it falls in: each score
+//! accumulates `kk` ascending and is scaled once, and each output lane
+//! accumulates `j` ascending and is scaled by `1/sum` once. The row walk
+//! is compiled twice — portable baseline and an AVX2 `#[target_feature]`
+//! re-compilation of the same body — and dispatched at runtime
+//! (`zenesis_tensor::simd_level`); both builds run identical per-element
+//! IEEE operations, so results are bit-identical. Nothing here fans out
+//! to other threads: the pipeline runs this attention only inside the
+//! Swin contextualizer, whose windows are already spread over the
+//! `zenesis-par` team (`encoder.rs`).
 
-use zenesis_par::{chunk_len, current_threads, in_worker, par_for_each};
 use zenesis_tensor::{
-    fast_exp, gelu_inplace, layernorm_rows_into, simd_level, softmax_rows, softmax_rows_inplace,
-    MatView, MatViewMut, Matrix, SimdLevel, Workspace, PAR_MIN_MADDS,
+    fast_exp, gelu_inplace, layernorm_rows_into, micro_rx1, micro_rx2, simd_level, softmax_rows,
+    MatView, MatViewMut, Matrix, SimdLevel, Workspace, NR,
 };
 
 /// `softmax(Q K^T / sqrt(d)) V` — Eq. (1) of the paper.
@@ -40,95 +41,28 @@ pub fn attention(q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
     })
 }
 
-/// Key-panel width: 8 scores ride in one AVX2 register (two SSE2
-/// registers on the baseline) through the vertical score pass.
-const KP: usize = 8;
+/// Output lanes held in registers per sweep of the value contraction.
+const VALUE_CHUNK: usize = 16;
 
-/// Minimum query rows before packing K pays for itself. The pack pass
-/// costs about one query row's worth of score madds, so a 3-token
-/// grounding query would spend a third of its score pass repacking;
-/// below this, rows score straight off the K view instead.
-const PACK_MIN_ROWS: usize = 4;
-
-/// Horizontal dot with eight independent accumulator lanes, for the
-/// direct (unpacked) small-batch scorer. Lane count and reduction tree
-/// match [`score_row_direct`]'s main loop: remainder key rows go through
-/// this function, and a row's score may not depend on which computed it.
-#[inline(always)]
-fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let ac = a.chunks_exact(8);
-    let bc = b.chunks_exact(8);
-    let (ra, rb) = (ac.remainder(), bc.remainder());
-    for (pa, pb) in ac.zip(bc) {
-        for l in 0..8 {
-            acc[l] += pa[l] * pb[l];
-        }
-    }
-    for (x, y) in ra.iter().zip(rb) {
-        acc[0] += x * y;
-    }
-    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
-}
-
-/// One query row scored straight off the K view — the tiny-`n_q` path
-/// where packing can't amortize. Four key rows in flight hide K's load
-/// latency; scores use a horizontal 8-lane reduction, so this path's
-/// bits differ from the packed path's only in being its own (fixed)
-/// reduction order — the route depends solely on `n_q`, never on thread
-/// count or SIMD level, so determinism contracts are unaffected.
-#[inline(always)]
-fn score_row_direct(q_row: &[f32], k: &MatView, scale: f32, scores: &mut [f32]) -> f32 {
-    let n_kv = k.rows();
-    let d = q_row.len();
-    let mut j = 0;
-    while j + 4 <= n_kv {
-        let mut acc = [[0.0f32; 8]; 4];
-        for (jr, a) in acc.iter_mut().enumerate() {
-            let kr = &k.row(j + jr)[..d];
-            for (pq, pk) in q_row.chunks_exact(8).zip(kr.chunks_exact(8)) {
-                for l in 0..8 {
-                    a[l] += pq[l] * pk[l];
-                }
-            }
-            for (x, y) in q_row.chunks_exact(8).remainder().iter().zip(kr.chunks_exact(8).remainder())
-            {
-                a[0] += x * y;
-            }
-        }
-        for (jr, a) in acc.iter().enumerate() {
-            scores[j + jr] =
-                (((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))) * scale;
-        }
-        j += 4;
-    }
-    while j < n_kv {
-        scores[j] = dot8(q_row, &k.row(j)[..d]) * scale;
-        j += 1;
-    }
-    max8(&scores[..n_kv])
-}
-
-/// Pack the key rows into `KP`-wide k-major panels
-/// (`panel[kk*KP + jr] = K[j0+jr][kk]`), tail rows zero-filled — the same
-/// layout the matmul kernels use for their packed RHS. Packing is O(n_kv·d)
-/// against the O(n_q·n_kv·d) score pass, done once per attention call and
-/// shared by every query row and every parallel band.
+/// Pack the key rows into `NR`-wide k-major panels
+/// (`panel[kk*NR + jr] = K[j0+jr][kk]`), tail rows zero-filled — the
+/// layout matmul packs the right-hand side of `A·Bᵀ` into, so the score
+/// pass runs matmul's micro-kernels unchanged. Packing is O(n_kv·d)
+/// against the O(n_q·n_kv·d) score pass, done once per attention call.
 fn pack_keys(k: &MatView, packed: &mut [f32]) {
     let d = k.cols();
     let n_kv = k.rows();
-    let pl = KP * d;
-    debug_assert_eq!(packed.len(), n_kv.div_ceil(KP) * pl);
+    let pl = NR * d;
+    debug_assert_eq!(packed.len(), n_kv.div_ceil(NR) * pl);
     for (p, dst) in packed.chunks_exact_mut(pl).enumerate() {
-        let j0 = p * KP;
-        let rows = KP.min(n_kv - j0);
-        if rows < KP {
+        let j0 = p * NR;
+        let rows = NR.min(n_kv - j0);
+        if rows < NR {
             dst.fill(0.0);
         }
         for jr in 0..rows {
             for (kk, &x) in k.row(j0 + jr).iter().enumerate() {
-                dst[kk * KP + jr] = x;
+                dst[kk * NR + jr] = x;
             }
         }
     }
@@ -155,593 +89,6 @@ fn max8(scores: &[f32]) -> f32 {
     r
 }
 
-/// One query row against four full key panels: 32 scores in flight (four
-/// independent 8-lane accumulators) hide the add latency of the vertical
-/// contraction. Each score is `sum_kk q[kk]*K[j][kk]` accumulated in `kk`
-/// source order — no horizontal reduction anywhere, and bit-identical to
-/// the naive in-order dot product.
-#[inline(always)]
-fn score1_full4(q: &[f32], p: [&[f32]; 4], scale: f32, out: &mut [f32]) {
-    let mut acc = [[0.0f32; KP]; 4];
-    let [pa, pb, pc, pd] = p;
-    let it = pa
-        .chunks_exact(KP)
-        .zip(pb.chunks_exact(KP))
-        .zip(pc.chunks_exact(KP))
-        .zip(pd.chunks_exact(KP))
-        .zip(q);
-    for ((((ca, cb), cc), cd), &x) in it {
-        for l in 0..KP {
-            acc[0][l] += x * ca[l];
-        }
-        for l in 0..KP {
-            acc[1][l] += x * cb[l];
-        }
-        for l in 0..KP {
-            acc[2][l] += x * cc[l];
-        }
-        for l in 0..KP {
-            acc[3][l] += x * cd[l];
-        }
-    }
-    for (g, a) in acc.iter().enumerate() {
-        for l in 0..KP {
-            out[g * KP + l] = a[l] * scale;
-        }
-    }
-}
-
-/// One query row against one (possibly tail-padded) key panel; only the
-/// `w` valid scores are written back. Accumulation order per score is
-/// identical to [`score1_full4`], so panel grouping never changes results.
-#[inline(always)]
-fn score1_panel(q: &[f32], pa: &[f32], scale: f32, w: usize, out: &mut [f32]) {
-    let mut acc = [0.0f32; KP];
-    for (ca, &x) in pa.chunks_exact(KP).zip(q) {
-        for l in 0..KP {
-            acc[l] += x * ca[l];
-        }
-    }
-    for (o, a) in out[..w].iter_mut().zip(acc) {
-        *o = a * scale;
-    }
-}
-
-/// A *pair* of query rows against two full key panels: each panel value is
-/// loaded once and contracted against both queries, halving the packed-K
-/// traffic that bounds the score pass (four 8-lane accumulators in flight).
-#[inline(always)]
-fn score2_full2(
-    q0: &[f32],
-    q1: &[f32],
-    pa: &[f32],
-    pb: &[f32],
-    scale: f32,
-    out0: &mut [f32],
-    out1: &mut [f32],
-) {
-    let mut acc = [[0.0f32; KP]; 4];
-    let it = pa
-        .chunks_exact(KP)
-        .zip(pb.chunks_exact(KP))
-        .zip(q0.iter().zip(q1));
-    for ((ca, cb), (&x0, &x1)) in it {
-        for l in 0..KP {
-            acc[0][l] += x0 * ca[l];
-        }
-        for l in 0..KP {
-            acc[1][l] += x0 * cb[l];
-        }
-        for l in 0..KP {
-            acc[2][l] += x1 * ca[l];
-        }
-        for l in 0..KP {
-            acc[3][l] += x1 * cb[l];
-        }
-    }
-    for l in 0..KP {
-        out0[l] = acc[0][l] * scale;
-    }
-    for l in 0..KP {
-        out0[KP + l] = acc[1][l] * scale;
-    }
-    for l in 0..KP {
-        out1[l] = acc[2][l] * scale;
-    }
-    for l in 0..KP {
-        out1[KP + l] = acc[3][l] * scale;
-    }
-}
-
-/// A pair of query rows against one (possibly tail-padded) key panel.
-#[inline(always)]
-fn score2_panel(
-    q0: &[f32],
-    q1: &[f32],
-    pa: &[f32],
-    scale: f32,
-    w: usize,
-    out0: &mut [f32],
-    out1: &mut [f32],
-) {
-    let mut acc = [[0.0f32; KP]; 2];
-    for (ca, (&x0, &x1)) in pa.chunks_exact(KP).zip(q0.iter().zip(q1)) {
-        for l in 0..KP {
-            acc[0][l] += x0 * ca[l];
-        }
-        for l in 0..KP {
-            acc[1][l] += x1 * ca[l];
-        }
-    }
-    for (o, a) in out0[..w].iter_mut().zip(acc[0]) {
-        *o = a * scale;
-    }
-    for (o, a) in out1[..w].iter_mut().zip(acc[1]) {
-        *o = a * scale;
-    }
-}
-
-/// One query row's scaled scores against the packed keys, returning the
-/// row max. Works for any runtime `d`: vectorization is across the eight
-/// scores of a panel, not across the contraction, so no monomorphization
-/// on the feature dimension is needed.
-#[inline(always)]
-fn score_row_packed(
-    q_row: &[f32],
-    packed: &[f32],
-    n_kv: usize,
-    scale: f32,
-    scores: &mut [f32],
-) -> f32 {
-    let pl = KP * q_row.len();
-    let full = n_kv / KP;
-    let mut p = 0;
-    while p + 4 <= full {
-        let base = p * pl;
-        score1_full4(
-            q_row,
-            [
-                &packed[base..base + pl],
-                &packed[base + pl..base + 2 * pl],
-                &packed[base + 2 * pl..base + 3 * pl],
-                &packed[base + 3 * pl..base + 4 * pl],
-            ],
-            scale,
-            &mut scores[p * KP..(p + 4) * KP],
-        );
-        p += 4;
-    }
-    while p < full {
-        score1_panel(q_row, &packed[p * pl..(p + 1) * pl], scale, KP, &mut scores[p * KP..]);
-        p += 1;
-    }
-    let w = n_kv - full * KP;
-    if w > 0 {
-        score1_panel(q_row, &packed[full * pl..(full + 1) * pl], scale, w, &mut scores[full * KP..]);
-    }
-    max8(&scores[..n_kv])
-}
-
-/// Paired-row scores against the packed keys. Per-row accumulation order
-/// matches [`score_row_packed`] exactly (same `kk`-ascending chain per
-/// score, same [`max8`] fold), so pairing never changes a row's result —
-/// which is what lets any band partition of the query rows reproduce the
-/// serial output bit for bit.
-#[inline(always)]
-fn score_row2_packed(
-    q0: &[f32],
-    q1: &[f32],
-    packed: &[f32],
-    n_kv: usize,
-    scale: f32,
-    s0: &mut [f32],
-    s1: &mut [f32],
-) -> (f32, f32) {
-    let pl = KP * q0.len();
-    let full = n_kv / KP;
-    let mut p = 0;
-    while p + 2 <= full {
-        let base = p * pl;
-        let j0 = p * KP;
-        let (pa, pb) = (&packed[base..base + pl], &packed[base + pl..base + 2 * pl]);
-        score2_full2(q0, q1, pa, pb, scale, &mut s0[j0..], &mut s1[j0..]);
-        p += 2;
-    }
-    if p < full {
-        let j0 = p * KP;
-        score2_panel(q0, q1, &packed[p * pl..(p + 1) * pl], scale, KP, &mut s0[j0..], &mut s1[j0..]);
-    }
-    let w = n_kv - full * KP;
-    if w > 0 {
-        let j0 = full * KP;
-        score2_panel(q0, q1, &packed[full * pl..(full + 1) * pl], scale, w, &mut s0[j0..], &mut s1[j0..]);
-    }
-    (max8(&s0[..n_kv]), max8(&s1[..n_kv]))
-}
-
-/// Four query rows against two full key panels — the same 8-accumulator,
-/// two-panel shape as the matmul micro-kernel (`micro_rx2::<4>`): two
-/// panel loads amortize over four query broadcasts, sixteen vector madds
-/// per `kk` step, and the accumulators exactly fill the AVX2 register
-/// file without spilling.
-#[inline(always)]
-fn score4_full2(q: [&[f32]; 4], pa: &[f32], pb: &[f32], scale: f32, out: [&mut [f32]; 4]) {
-    let kx = pa.len() / KP;
-    let [q0, q1, q2, q3] = q.map(|s| &s[..kx]);
-    // Eight named accumulator locals: in this (register-rich) surrounding
-    // loop LLVM keeps row-indexed `[[f32; KP]; 4]` accumulators on the
-    // stack, which costs a 2x slowdown in load-add-store traffic.
-    let mut a0 = [0.0f32; KP];
-    let mut a1 = [0.0f32; KP];
-    let mut a2 = [0.0f32; KP];
-    let mut a3 = [0.0f32; KP];
-    let mut b0 = [0.0f32; KP];
-    let mut b1 = [0.0f32; KP];
-    let mut b2 = [0.0f32; KP];
-    let mut b3 = [0.0f32; KP];
-    for (kk, (ca, cb)) in pa.chunks_exact(KP).zip(pb.chunks_exact(KP)).enumerate() {
-        let x0 = q0[kk];
-        for l in 0..KP {
-            a0[l] += x0 * ca[l];
-        }
-        for l in 0..KP {
-            b0[l] += x0 * cb[l];
-        }
-        let x1 = q1[kk];
-        for l in 0..KP {
-            a1[l] += x1 * ca[l];
-        }
-        for l in 0..KP {
-            b1[l] += x1 * cb[l];
-        }
-        let x2 = q2[kk];
-        for l in 0..KP {
-            a2[l] += x2 * ca[l];
-        }
-        for l in 0..KP {
-            b2[l] += x2 * cb[l];
-        }
-        let x3 = q3[kk];
-        for l in 0..KP {
-            a3[l] += x3 * ca[l];
-        }
-        for l in 0..KP {
-            b3[l] += x3 * cb[l];
-        }
-    }
-    for (o, (a, b)) in out.into_iter().zip([(a0, b0), (a1, b1), (a2, b2), (a3, b3)]) {
-        for l in 0..KP {
-            o[l] = a[l] * scale;
-        }
-        for l in 0..KP {
-            o[KP + l] = b[l] * scale;
-        }
-    }
-}
-
-/// Quad-row scores against the packed keys. Each row's `kk`-ascending
-/// accumulation chain and [`max8`] fold match [`score_row_packed`]
-/// exactly, so how rows are grouped (4 / 2 / 1) never changes a row's
-/// scores; leftover and tail panels reuse the paired-row panel kernel on
-/// each half of the quad.
-#[inline(always)]
-fn score_row4_packed(
-    q: [&[f32]; 4],
-    packed: &[f32],
-    n_kv: usize,
-    scale: f32,
-    s: [&mut [f32]; 4],
-) -> [f32; 4] {
-    let [q0, q1, q2, q3] = q;
-    let [s0, s1, s2, s3] = s;
-    let pl = KP * q0.len();
-    let full = n_kv / KP;
-    let mut p = 0;
-    while p + 2 <= full {
-        let base = p * pl;
-        let j0 = p * KP;
-        let (pa, pb) = (&packed[base..base + pl], &packed[base + pl..base + 2 * pl]);
-        score4_full2(
-            [q0, q1, q2, q3],
-            pa,
-            pb,
-            scale,
-            [&mut s0[j0..], &mut s1[j0..], &mut s2[j0..], &mut s3[j0..]],
-        );
-        p += 2;
-    }
-    if p < full {
-        let j0 = p * KP;
-        let pa = &packed[p * pl..(p + 1) * pl];
-        score2_panel(q0, q1, pa, scale, KP, &mut s0[j0..], &mut s1[j0..]);
-        score2_panel(q2, q3, pa, scale, KP, &mut s2[j0..], &mut s3[j0..]);
-    }
-    let w = n_kv - full * KP;
-    if w > 0 {
-        let j0 = full * KP;
-        let pa = &packed[full * pl..(full + 1) * pl];
-        score2_panel(q0, q1, pa, scale, w, &mut s0[j0..], &mut s1[j0..]);
-        score2_panel(q2, q3, pa, scale, w, &mut s2[j0..], &mut s3[j0..]);
-    }
-    [max8(&s0[..n_kv]), max8(&s1[..n_kv]), max8(&s2[..n_kv]), max8(&s3[..n_kv])]
-}
-
-/// Fused `softmax(Q Kᵀ / sqrt(d)) V` over strided views, row-band by
-/// row-band: for each query row, scores are computed into a reused
-/// scratch row, normalized in place, and immediately contracted against
-/// V — the score matrix never exists as a whole. `out` must be
-/// `n_q x d_v` (any row stride, e.g. a column band of a concat buffer).
-///
-/// Very large self-attention shapes (many query rows against a K+V
-/// working set that overflows the close caches) are instead routed
-/// through the packed matmul kernels with a materialized score matrix —
-/// see `UNFUSED_MIN_KV_FLOATS` for the measured crossover.
-pub fn attention_into(
-    q: &MatView,
-    k: &MatView,
-    v: &MatView,
-    out: &mut MatViewMut,
-    ws: &mut Workspace,
-) {
-    assert_eq!(q.cols(), k.cols(), "q/k feature dims differ");
-    assert_eq!(k.rows(), v.rows(), "k/v token counts differ");
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (q.rows(), v.cols()),
-        "attention output shape mismatch"
-    );
-    let n_kv = k.rows();
-    let scale = 1.0 / (q.cols() as f32).sqrt();
-    if q.rows() >= UNFUSED_MIN_ROWS && n_kv * (q.cols() + v.cols()) >= UNFUSED_MIN_KV_FLOATS {
-        attention_unfused(q, k, v, out, ws);
-        return;
-    }
-    if q.rows() < PACK_MIN_ROWS {
-        // Tiny query batch (a 3-token grounding query): packing K costs
-        // about one row's score madds — score directly instead.
-        let mut scores = ws.take(4 * n_kv);
-        fused_rows(q, k, None, v, scale, 0, out, &mut scores);
-        ws.recycle_vec(scores);
-        return;
-    }
-    // Pack K once for the whole call: every query row (and every parallel
-    // band) scores against the same panels.
-    let mut packed = ws.take(n_kv.div_ceil(KP) * KP * q.cols());
-    pack_keys(k, &mut packed);
-    // A strided V (a head's column band) makes the value contraction
-    // re-stream one scattered cache line per value row for every query
-    // row; materializing V contiguous once keeps that sweep L1-resident.
-    // Same floats in the same order, so results are unchanged.
-    let vmat = if v.is_contiguous() { None } else { Some(view_to_matrix_ws(v, ws)) };
-    let vv = match &vmat {
-        Some(m) => m.view(),
-        None => *v,
-    };
-    let madds = q.rows() * n_kv * (q.cols() + v.cols());
-    if madds >= PAR_MIN_MADDS && current_threads() > 1 && !in_worker() {
-        attention_fused_par(q, k, &packed, &vv, scale, out);
-    } else {
-        let mut scores = ws.take(4 * n_kv);
-        fused_rows(q, k, Some(&packed), &vv, scale, 0, out, &mut scores);
-        ws.recycle_vec(scores);
-    }
-    if let Some(m) = vmat {
-        ws.recycle(m);
-    }
-    ws.recycle_vec(packed);
-}
-
-/// The fused score → softmax → contraction walk over the query rows
-/// covered by `out` (global query rows `q_r0 .. q_r0 + out.rows()`).
-/// Query rows go two at a time: the score pass loads each packed-key
-/// panel value once and contracts it against both query rows, halving K
-/// traffic. Each row's result is independent of how rows are grouped
-/// ([`score_row2_packed`] and [`score_row_packed`] contract each row
-/// identically), so any band partition of the query rows reproduces the
-/// serial output bit for bit.
-///
-/// `#[inline(always)]` so the dispatch wrappers below re-compile this
-/// body — and the score/finish kernels it inlines — under their own
-/// target features.
-#[allow(clippy::too_many_arguments)] // mirrors the twice-compiled kernel ABI
-#[inline(always)]
-fn fused_rows_impl(
-    q: &MatView,
-    k: &MatView,
-    packed: Option<&[f32]>,
-    v: &MatView,
-    scale: f32,
-    q_r0: usize,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    let n_kv = v.rows();
-    let (sa, sb) = scores.split_at_mut(2 * n_kv);
-    let (s0, s1) = sa.split_at_mut(n_kv);
-    let (s2, s3) = sb.split_at_mut(n_kv);
-    let rows = out.rows();
-    let Some(packed) = packed else {
-        // Tiny query batch: score straight off the K view (see
-        // `PACK_MIN_ROWS`).
-        for r in 0..rows {
-            let max = score_row_direct(q.row(q_r0 + r), k, scale, s0);
-            finish_row(s0, max, v, out.row_mut(r));
-        }
-        return;
-    };
-    let mut r = 0;
-    while r + 4 <= rows {
-        let m = score_row4_packed(
-            [q.row(q_r0 + r), q.row(q_r0 + r + 1), q.row(q_r0 + r + 2), q.row(q_r0 + r + 3)],
-            packed,
-            n_kv,
-            scale,
-            [&mut *s0, &mut *s1, &mut *s2, &mut *s3],
-        );
-        let o = out.rows_quad_mut(r);
-        finish_row4([&mut *s0, &mut *s1, &mut *s2, &mut *s3], m, v, o);
-        r += 4;
-    }
-    if r + 2 <= rows {
-        let (max0, max1) =
-            score_row2_packed(q.row(q_r0 + r), q.row(q_r0 + r + 1), packed, n_kv, scale, s0, s1);
-        let (o0, o1) = out.rows_pair_mut(r);
-        finish_row2(s0, max0, s1, max1, v, o0, o1);
-        r += 2;
-    }
-    if r < rows {
-        let max = score_row_packed(q.row(q_r0 + r), packed, n_kv, scale, s0);
-        finish_row(s0, max, v, out.row_mut(r));
-    }
-}
-
-/// Portable-baseline compilation of the fused walk.
-#[allow(clippy::too_many_arguments)] // mirrors the twice-compiled kernel ABI
-fn fused_rows_scalar(
-    q: &MatView,
-    k: &MatView,
-    packed: Option<&[f32]>,
-    v: &MatView,
-    scale: f32,
-    q_r0: usize,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    fused_rows_impl(q, k, packed, v, scale, q_r0, out, scores);
-}
-
-/// AVX2 re-compilation of the identical body: the 8-lane score panels
-/// and 32/16-wide value-contraction chunks widen to 256-bit ops. No FMA
-/// is emitted (separate mul and add in the source), so per-lane rounding
-/// matches the portable build exactly.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // mirrors the twice-compiled kernel ABI
-unsafe fn fused_rows_avx2(
-    q: &MatView,
-    k: &MatView,
-    packed: Option<&[f32]>,
-    v: &MatView,
-    scale: f32,
-    q_r0: usize,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    fused_rows_impl(q, k, packed, v, scale, q_r0, out, scores);
-}
-
-/// Runtime-dispatched fused walk (see `zenesis-tensor`'s `src/simd.rs`
-/// for the bit-stability contract).
-#[allow(clippy::too_many_arguments)] // mirrors the twice-compiled kernel ABI
-fn fused_rows(
-    q: &MatView,
-    k: &MatView,
-    packed: Option<&[f32]>,
-    v: &MatView,
-    scale: f32,
-    q_r0: usize,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { fused_rows_avx2(q, k, packed, v, scale, q_r0, out, scores) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => fused_rows_scalar(q, k, packed, v, scale, q_r0, out, scores),
-        SimdLevel::Scalar => fused_rows_scalar(q, k, packed, v, scale, q_r0, out, scores),
-    }
-}
-
-/// Fan the fused walk out across disjoint query-row bands of `out`.
-/// Bands run on the `zenesis-par` team, each with its own scratch
-/// arena; band boundaries never change per-row results (see
-/// [`fused_rows_impl`]), so outputs are bit-identical at every thread
-/// count.
-fn attention_fused_par(
-    q: &MatView,
-    k: &MatView,
-    packed: &[f32],
-    v: &MatView,
-    scale: f32,
-    out: &mut MatViewMut,
-) {
-    let n_q = out.rows();
-    let n_kv = v.rows();
-    let band_rows = chunk_len(n_q, current_threads());
-    let mut bands: Vec<(usize, MatViewMut)> = Vec::with_capacity(n_q.div_ceil(band_rows));
-    let mut rest = out.reborrow();
-    let mut r0 = 0;
-    loop {
-        if rest.rows() <= band_rows {
-            bands.push((r0, rest));
-            break;
-        }
-        let (band, tail) = rest.split_rows(band_rows);
-        bands.push((r0, band));
-        r0 += band_rows;
-        rest = tail;
-    }
-    par_for_each(&mut bands, |(q_r0, band)| {
-        // Per-band arena: a band may run on the caller, whose own
-        // workspace this call has borrowed, or on a helper.
-        let mut ws = Workspace::new();
-        let mut scores = ws.take(4 * n_kv);
-        fused_rows(q, k, Some(packed), v, scale, *q_r0, band, &mut scores);
-        ws.recycle_vec(scores);
-    });
-}
-
-/// Minimum query rows before the unfused (materialized-scores) path can
-/// pay for its packing: below this, the fused row-band kernel always wins.
-const UNFUSED_MIN_ROWS: usize = 32;
-
-/// Combined K+V resident size (`n_kv * (d + d_v)` floats) above which a
-/// large-`n_q` attention goes matmul-bound: the fused kernel re-streams
-/// all of V once per query row, so once K+V overflow the close caches the
-/// packed matmul kernels win despite materializing the score matrix.
-/// Measured crossover on the bench sweep sits between 16k floats (fused
-/// wins 128×256 at d=d_v=32) and 32k floats (unfused wins 256×256 at
-/// d=d_v=64 by ~1.5×); the pipeline's own head shapes stay fused.
-const UNFUSED_MIN_KV_FLOATS: usize = 24 * 1024;
-
-/// Materialize a (possibly strided) view into a workspace matrix.
-fn view_to_matrix_ws(v: &MatView, ws: &mut Workspace) -> Matrix {
-    let mut m = ws.matrix(v.rows(), v.cols());
-    for r in 0..v.rows() {
-        m.row_mut(r).copy_from_slice(v.row(r));
-    }
-    m
-}
-
-/// Unfused large-shape path: scores = Q·Kᵀ/√d through the packed matmul,
-/// softmax rows in place, then a second packed product against V. The
-/// row-wise copies in and out are O(n·d) against O(n²·d) compute.
-fn attention_unfused(
-    q: &MatView,
-    k: &MatView,
-    v: &MatView,
-    out: &mut MatViewMut,
-    ws: &mut Workspace,
-) {
-    let scale = 1.0 / (q.cols() as f32).sqrt();
-    let qm = view_to_matrix_ws(q, ws);
-    let km = view_to_matrix_ws(k, ws);
-    let mut scores = qm.matmul_transposed_ws(&km, ws);
-    ws.recycle(qm);
-    ws.recycle(km);
-    scores.scale(scale);
-    softmax_rows_inplace(&mut scores);
-    let vm = view_to_matrix_ws(v, ws);
-    let om = scores.matmul_ws(&vm, ws);
-    ws.recycle(scores);
-    ws.recycle(vm);
-    for r in 0..om.rows() {
-        out.row_mut(r).copy_from_slice(om.row(r));
-    }
-    ws.recycle(om);
-}
-
 /// Unnormalized stable exponentials in place, returning their sum via an
 /// eight-lane reduction (so it doesn't serialize on one add chain).
 #[inline(always)]
@@ -761,292 +108,257 @@ fn exp_sum(scores: &mut [f32], max: f32) -> f32 {
     sum
 }
 
-/// [`finish_row`] for a pair of query rows: every V row is loaded once
-/// and contracted against both rows' weights, halving V traffic. Per-row
-/// accumulation (`j` ascending, the same 32/16/remainder chunking) is
-/// identical to the single-row walk, so pairing never changes results.
+/// `R` query rows' scaled scores against the packed keys (`s[r]` is row
+/// `r`'s `n_kv` scores), returning each row's max. Panel pairs go through
+/// `micro_rx2::<R>` — two panel loads per `kk` step amortized over `R`
+/// query broadcasts — and a leftover full panel and the zero-padded tail
+/// panel through `micro_rx1::<R>`. Every score is `sum_kk q[kk]*K[j][kk]`
+/// accumulated `kk` ascending, then multiplied by `scale`: bit-identical
+/// to the naive in-order dot product, whatever `R` or panel grouping.
 #[inline(always)]
-fn finish_row2(
-    s0: &mut [f32],
-    max0: f32,
-    s1: &mut [f32],
-    max1: f32,
-    v: &MatView,
-    o0: &mut [f32],
-    o1: &mut [f32],
-) {
-    let inv0 = 1.0 / exp_sum(s0, max0);
-    let inv1 = 1.0 / exp_sum(s1, max1);
-    let d_v = v.cols();
-    let mut c0 = 0;
-    while c0 + 32 <= d_v {
-        value_chunk2::<32>(s0, s1, v, c0, inv0, inv1, o0, o1);
-        c0 += 32;
+fn score_rows<const R: usize>(
+    q: [&[f32]; R],
+    packed: &[f32],
+    scale: f32,
+    s: &mut [&mut [f32]; R],
+) -> [f32; R] {
+    let n_kv = s[0].len();
+    // Keys `j0 .. j0 + NR` are one panel, starting at `packed[j0 * d]`.
+    let d = q[0].len();
+    let mut j0 = 0;
+    while j0 + 2 * NR <= n_kv {
+        let (pa, pb) = packed[j0 * d..(j0 + 2 * NR) * d].split_at(NR * d);
+        let mut a = [[0.0f32; NR]; R];
+        let mut b = [[0.0f32; NR]; R];
+        micro_rx2(q, pa, pb, &mut a, &mut b);
+        for r in 0..R {
+            for (o, x) in s[r][j0..j0 + NR].iter_mut().zip(a[r]) {
+                *o = x * scale;
+            }
+            for (o, x) in s[r][j0 + NR..j0 + 2 * NR].iter_mut().zip(b[r]) {
+                *o = x * scale;
+            }
+        }
+        j0 += 2 * NR;
     }
-    if c0 + 16 <= d_v {
-        value_chunk2::<16>(s0, s1, v, c0, inv0, inv1, o0, o1);
-        c0 += 16;
+    while j0 < n_kv {
+        let mut a = [[0.0f32; NR]; R];
+        micro_rx1(q, &packed[j0 * d..(j0 + NR) * d], &mut a);
+        for r in 0..R {
+            // Only the tail panel's valid lanes are written back.
+            for (o, x) in s[r][j0..].iter_mut().zip(a[r]) {
+                *o = x * scale;
+            }
+        }
+        j0 += NR;
     }
-    if c0 < d_v {
-        value_chunk2_rem(s0, s1, v, c0, inv0, inv1, o0, o1);
-    }
+    core::array::from_fn(|r| max8(s[r]))
 }
 
-/// One `W`-wide output chunk of the paired value contraction: both rows'
-/// chunks live in registers across a single sweep over the value rows.
-/// A contiguous V streams through a plain chunk iterator (no per-row
-/// offset arithmetic); a strided V falls back to per-row slicing.
+/// One output chunk `c0 .. c0 + w` (`w ≤ VALUE_CHUNK`) of the value
+/// contraction for `R` rows of softmax weights `s`: the chunk lives in
+/// registers across a single sweep over the (contiguous) value rows, and
+/// each V row is loaded once for all `R` rows. Called with a constant
+/// `w = VALUE_CHUNK` for full chunks, so those compile to fixed-width
+/// vector ops.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat scores/weights pairs keep the kernel ABI obvious
-fn value_chunk2<const W: usize>(
-    s0: &[f32],
-    s1: &[f32],
-    v: &MatView,
+fn value_chunk<const R: usize>(
+    s: [&[f32]; R],
+    v_rows: core::slice::ChunksExact<'_, f32>,
     c0: usize,
-    inv0: f32,
-    inv1: f32,
-    o0: &mut [f32],
-    o1: &mut [f32],
+    w: usize,
+    inv: [f32; R],
+    o: &mut [&mut [f32]; R],
 ) {
-    let mut a0 = [0.0f32; W];
-    let mut a1 = [0.0f32; W];
-    if let Some(rows) = v.contiguous_rows() {
-        for ((&w0, &w1), vr) in s0.iter().zip(s1.iter()).zip(rows) {
-            let vc = &vr[c0..c0 + W];
-            for l in 0..W {
-                a0[l] += w0 * vc[l];
-            }
-            for l in 0..W {
-                a1[l] += w1 * vc[l];
-            }
-        }
-    } else {
-        for (j, (&w0, &w1)) in s0.iter().zip(s1.iter()).enumerate() {
-            let vc = &v.row(j)[c0..c0 + W];
-            for l in 0..W {
-                a0[l] += w0 * vc[l];
-            }
-            for l in 0..W {
-                a1[l] += w1 * vc[l];
+    let mut acc = [[0.0f32; VALUE_CHUNK]; R];
+    for (j, vr) in v_rows.enumerate() {
+        let vc = &vr[c0..c0 + w];
+        for r in 0..R {
+            let x = s[r][j];
+            for (a, &y) in acc[r][..w].iter_mut().zip(vc) {
+                *a += x * y;
             }
         }
     }
-    for (o, a) in o0[c0..c0 + W].iter_mut().zip(a0) {
-        *o = a * inv0;
-    }
-    for (o, a) in o1[c0..c0 + W].iter_mut().zip(a1) {
-        *o = a * inv1;
-    }
-}
-
-/// The sub-16-wide tail of the paired value contraction (same remainder
-/// shape as the single-row walk).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn value_chunk2_rem(
-    s0: &[f32],
-    s1: &[f32],
-    v: &MatView,
-    c0: usize,
-    inv0: f32,
-    inv1: f32,
-    o0: &mut [f32],
-    o1: &mut [f32],
-) {
-    let rem = v.cols() - c0;
-    let mut a0 = [0.0f32; 16];
-    let mut a1 = [0.0f32; 16];
-    for (j, (&w0, &w1)) in s0.iter().zip(s1.iter()).enumerate() {
-        let vc = &v.row(j)[c0..];
-        for (a, &vv) in a0[..rem].iter_mut().zip(vc) {
-            *a += w0 * vv;
-        }
-        for (a, &vv) in a1[..rem].iter_mut().zip(vc) {
-            *a += w1 * vv;
-        }
-    }
-    for (o, a) in o0[c0..].iter_mut().zip(a0) {
-        *o = a * inv0;
-    }
-    for (o, a) in o1[c0..].iter_mut().zip(a1) {
-        *o = a * inv1;
-    }
-}
-
-/// [`finish_row`] for four query rows: every V row is loaded once and
-/// contracted against all four rows' weights, quartering V traffic and
-/// running eight independent accumulation chains (4 rows x 2 registers
-/// at the 16-wide step), which hides the no-FMA add latency the pairwise
-/// walk was bound by. Chunks step 16 wide — not 32 — so those running
-/// accumulators stay in registers; chunk width only groups independent
-/// output lanes, so per-row results match the single-row walk bit for
-/// bit.
-#[inline(always)]
-fn finish_row4(s: [&mut [f32]; 4], max: [f32; 4], v: &MatView, mut o: [&mut [f32]; 4]) {
-    let [s0, s1, s2, s3] = s;
-    let inv = [
-        1.0 / exp_sum(s0, max[0]),
-        1.0 / exp_sum(s1, max[1]),
-        1.0 / exp_sum(s2, max[2]),
-        1.0 / exp_sum(s3, max[3]),
-    ];
-    let sr = [&*s0, &*s1, &*s2, &*s3];
-    let d_v = v.cols();
-    let mut c0 = 0;
-    while c0 + 16 <= d_v {
-        value_chunk4::<16>(sr, v, c0, inv, &mut o);
-        c0 += 16;
-    }
-    if c0 < d_v {
-        value_chunk4_rem(sr, v, c0, inv, &mut o);
-    }
-}
-
-/// One `W`-wide output chunk of the quad value contraction (see
-/// [`value_chunk2`] for the contiguous-vs-strided streaming split). The
-/// four accumulators are separate named locals with sequential per-row
-/// inner loops — indexing a `[[f32; W]; 4]` by row defeats scalarization
-/// and LLVM keeps the whole accumulator block on the stack (measured: a
-/// 2x slowdown from load-add-store traffic in the hot loop).
-#[inline(always)]
-fn value_chunk4<const W: usize>(
-    s: [&[f32]; 4],
-    v: &MatView,
-    c0: usize,
-    inv: [f32; 4],
-    o: &mut [&mut [f32]; 4],
-) {
-    let mut a0 = [0.0f32; W];
-    let mut a1 = [0.0f32; W];
-    let mut a2 = [0.0f32; W];
-    let mut a3 = [0.0f32; W];
-    if let Some(rows) = v.contiguous_rows() {
-        for (((&w0, &w1), (&w2, &w3)), vr) in
-            s[0].iter().zip(s[1]).zip(s[2].iter().zip(s[3])).zip(rows)
-        {
-            let vc = &vr[c0..c0 + W];
-            for l in 0..W {
-                a0[l] += w0 * vc[l];
-            }
-            for l in 0..W {
-                a1[l] += w1 * vc[l];
-            }
-            for l in 0..W {
-                a2[l] += w2 * vc[l];
-            }
-            for l in 0..W {
-                a3[l] += w3 * vc[l];
-            }
-        }
-    } else {
-        for (j, ((&w0, &w1), (&w2, &w3))) in
-            s[0].iter().zip(s[1]).zip(s[2].iter().zip(s[3])).enumerate()
-        {
-            let vc = &v.row(j)[c0..c0 + W];
-            for l in 0..W {
-                a0[l] += w0 * vc[l];
-            }
-            for l in 0..W {
-                a1[l] += w1 * vc[l];
-            }
-            for l in 0..W {
-                a2[l] += w2 * vc[l];
-            }
-            for l in 0..W {
-                a3[l] += w3 * vc[l];
-            }
-        }
-    }
-    for (r, a) in [a0, a1, a2, a3].into_iter().enumerate() {
-        for (dst, a) in o[r][c0..c0 + W].iter_mut().zip(a) {
+    for r in 0..R {
+        for (dst, a) in o[r][c0..c0 + w].iter_mut().zip(acc[r]) {
             *dst = a * inv[r];
         }
     }
 }
 
-/// The sub-16-wide tail of the quad value contraction.
+/// Softmax and value contraction for `R` query rows whose scaled scores
+/// and maxes are computed: `VALUE_CHUNK`-wide output chunks, then the
+/// remainder. Each output lane sums `w_j · V[j][c]` with `j` ascending
+/// and is multiplied by its row's `1/sum` once at the end, so chunking
+/// and grouping never change a row's result. `v` must be contiguous.
 #[inline(always)]
-fn value_chunk4_rem(s: [&[f32]; 4], v: &MatView, c0: usize, inv: [f32; 4], o: &mut [&mut [f32]; 4]) {
-    let rem = v.cols() - c0;
-    let mut a0 = [0.0f32; 16];
-    let mut a1 = [0.0f32; 16];
-    let mut a2 = [0.0f32; 16];
-    let mut a3 = [0.0f32; 16];
-    for (j, ((&w0, &w1), (&w2, &w3))) in
-        s[0].iter().zip(s[1]).zip(s[2].iter().zip(s[3])).enumerate()
-    {
-        let vc = &v.row(j)[c0..];
-        for (a, &vv) in a0[..rem].iter_mut().zip(vc) {
-            *a += w0 * vv;
-        }
-        for (a, &vv) in a1[..rem].iter_mut().zip(vc) {
-            *a += w1 * vv;
-        }
-        for (a, &vv) in a2[..rem].iter_mut().zip(vc) {
-            *a += w2 * vv;
-        }
-        for (a, &vv) in a3[..rem].iter_mut().zip(vc) {
-            *a += w3 * vv;
-        }
+fn value_rows<const R: usize>(
+    s: [&mut [f32]; R],
+    max: [f32; R],
+    v: &MatView,
+    mut o: [&mut [f32]; R],
+) {
+    let v_rows = v.contiguous_rows().expect("value rows are contiguous");
+    let mut inv = [0.0f32; R];
+    for r in 0..R {
+        inv[r] = 1.0 / exp_sum(s[r], max[r]);
     }
-    for (r, a) in [a0, a1, a2, a3].into_iter().enumerate() {
-        for (dst, a) in o[r][c0..].iter_mut().zip(a) {
-            *dst = a * inv[r];
-        }
+    let s = s.map(|row| &*row);
+    let d_v = v.cols();
+    let mut c0 = 0;
+    while c0 + VALUE_CHUNK <= d_v {
+        value_chunk(s, v_rows.clone(), c0, VALUE_CHUNK, inv, &mut o);
+        c0 += VALUE_CHUNK;
+    }
+    if c0 < d_v {
+        value_chunk(s, v_rows, c0, d_v - c0, inv, &mut o);
     }
 }
 
-/// Softmax + value contraction for one query row whose scaled scores
-/// (and their max) are already computed.
+/// Score, softmax and contract query rows `r0 .. r0 + R` into the same
+/// rows of `out`, with `scores` as the `R x n_kv` scratch.
 #[inline(always)]
-fn finish_row(scores: &mut [f32], max: f32, v: &MatView, orow: &mut [f32]) {
-    let d_v = v.cols();
-    // The 1/sum normalizer is applied once to the output row instead of
-    // to every weight.
-    let inv = 1.0 / exp_sum(scores, max);
-    // Contract against V in fixed-width output chunks: each chunk of
-    // the output row lives in registers across the whole sweep over
-    // the value rows, so the only memory traffic is the V loads.
-    let mut c0 = 0;
-    while c0 + 32 <= d_v {
-        let mut acc = [0.0f32; 32];
-        for (j, &w) in scores.iter().enumerate() {
-            let vc = &v.row(j)[c0..c0 + 32];
-            for l in 0..32 {
-                acc[l] += w * vc[l];
-            }
-        }
-        for (o, a) in orow[c0..c0 + 32].iter_mut().zip(acc) {
-            *o = a * inv;
-        }
-        c0 += 32;
+fn fused_group<const R: usize>(
+    q: &MatView,
+    packed: &[f32],
+    v: &MatView,
+    scale: f32,
+    r0: usize,
+    out: &mut MatViewMut,
+    scores: &mut [f32],
+) {
+    let mut rows = scores.chunks_exact_mut(v.rows());
+    let mut s: [&mut [f32]; R] =
+        core::array::from_fn(|_| rows.next().expect("scratch holds four score rows"));
+    let q_rows = core::array::from_fn(|i| q.row(r0 + i));
+    let max = score_rows(q_rows, packed, scale, &mut s);
+    value_rows(s, max, v, out.rows_mut::<R>(r0));
+}
+
+/// The fused score → softmax → contraction walk over every query row, in
+/// groups of four, then two, then one.
+///
+/// `#[inline(always)]` so the dispatch wrappers below re-compile this
+/// body — and the kernels it inlines — under their own target features.
+#[inline(always)]
+fn fused_rows_impl(
+    q: &MatView,
+    packed: &[f32],
+    v: &MatView,
+    scale: f32,
+    out: &mut MatViewMut,
+    scores: &mut [f32],
+) {
+    let n_q = out.rows();
+    let mut r = 0;
+    while r + 4 <= n_q {
+        fused_group::<4>(q, packed, v, scale, r, out, scores);
+        r += 4;
     }
-    if c0 + 16 <= d_v {
-        let mut acc = [0.0f32; 16];
-        for (j, &w) in scores.iter().enumerate() {
-            let vc = &v.row(j)[c0..c0 + 16];
-            for l in 0..16 {
-                acc[l] += w * vc[l];
-            }
-        }
-        for (o, a) in orow[c0..c0 + 16].iter_mut().zip(acc) {
-            *o = a * inv;
-        }
-        c0 += 16;
+    if r + 2 <= n_q {
+        fused_group::<2>(q, packed, v, scale, r, out, scores);
+        r += 2;
     }
-    if c0 < d_v {
-        let rem = d_v - c0;
-        let mut acc = [0.0f32; 16];
-        for (j, &w) in scores.iter().enumerate() {
-            let vc = &v.row(j)[c0..];
-            for (a, &vv) in acc[..rem].iter_mut().zip(vc) {
-                *a += w * vv;
-            }
-        }
-        for (o, a) in orow[c0..].iter_mut().zip(acc) {
-            *o = a * inv;
-        }
+    if r < n_q {
+        fused_group::<1>(q, packed, v, scale, r, out, scores);
     }
+}
+
+/// Portable-baseline compilation of the fused walk.
+fn fused_rows_scalar(
+    q: &MatView,
+    packed: &[f32],
+    v: &MatView,
+    scale: f32,
+    out: &mut MatViewMut,
+    scores: &mut [f32],
+) {
+    fused_rows_impl(q, packed, v, scale, out, scores);
+}
+
+/// AVX2 re-compilation of the identical body: the 8-lane score panels
+/// and 16-wide value chunks widen to 256-bit ops. No FMA is emitted
+/// (separate mul and add in the source), so per-lane rounding matches
+/// the portable build exactly.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fused_rows_avx2(
+    q: &MatView,
+    packed: &[f32],
+    v: &MatView,
+    scale: f32,
+    out: &mut MatViewMut,
+    scores: &mut [f32],
+) {
+    fused_rows_impl(q, packed, v, scale, out, scores);
+}
+
+/// Runtime-dispatched fused walk (see `zenesis-tensor`'s `src/simd.rs`
+/// for the bit-stability contract).
+fn fused_rows(
+    q: &MatView,
+    packed: &[f32],
+    v: &MatView,
+    scale: f32,
+    out: &mut MatViewMut,
+    scores: &mut [f32],
+) {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
+        SimdLevel::Avx2 => unsafe { fused_rows_avx2(q, packed, v, scale, out, scores) },
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2 => fused_rows_scalar(q, packed, v, scale, out, scores),
+        SimdLevel::Scalar => fused_rows_scalar(q, packed, v, scale, out, scores),
+    }
+}
+
+/// Fused `softmax(Q Kᵀ / sqrt(d)) V` over strided views: for each group
+/// of query rows, scores are computed into a reused scratch block,
+/// normalized in place, and immediately contracted against V — the score
+/// matrix never exists as a whole. `out` must be `n_q x d_v` (any row
+/// stride, e.g. a column band of a concat buffer).
+pub fn attention_into(
+    q: &MatView,
+    k: &MatView,
+    v: &MatView,
+    out: &mut MatViewMut,
+    ws: &mut Workspace,
+) {
+    assert_eq!(q.cols(), k.cols(), "q/k feature dims differ");
+    assert_eq!(k.rows(), v.rows(), "k/v token counts differ");
+    assert_eq!(
+        (out.rows(), out.cols()),
+        (q.rows(), v.cols()),
+        "attention output shape mismatch"
+    );
+    let n_kv = k.rows();
+    let scale = 1.0 / (q.cols() as f32).sqrt();
+    // Pack K once for the whole call: every query row scores against the
+    // same panels.
+    let mut packed = ws.take(n_kv.div_ceil(NR) * NR * q.cols());
+    pack_keys(k, &mut packed);
+    // A strided V (a head's column band) makes the value contraction
+    // re-stream one scattered cache line per value row for every row
+    // group; copying V contiguous once keeps that sweep L1-resident.
+    // Same floats in the same order, so results are unchanged.
+    let vmat = v.contiguous_rows().is_none().then(|| {
+        let mut m = ws.matrix(v.rows(), v.cols());
+        for r in 0..v.rows() {
+            m.row_mut(r).copy_from_slice(v.row(r));
+        }
+        m
+    });
+    let vv = vmat.as_ref().map_or(*v, Matrix::view);
+    // One scratch score row per query row of the largest group.
+    let mut scores = ws.take(4 * n_kv);
+    fused_rows(q, &packed, &vv, scale, out, &mut scores);
+    ws.recycle_vec(scores);
+    if let Some(m) = vmat {
+        ws.recycle(m);
+    }
+    ws.recycle_vec(packed);
 }
 
 /// Raw attention weights `softmax(Q K^T / sqrt(d))` — the relevance map
@@ -1100,54 +412,16 @@ impl MultiHeadAttention {
         let k = x_kv.matmul_ws(&self.wk, ws);
         let v = x_kv.matmul_ws(&self.wv, ws);
         let head_dim = self.dim / self.heads;
-        let n_q = q.rows();
-        let mut concat = ws.matrix(n_q, self.dim);
-        // Fan out across heads only when there is real work: small heads
-        // (a 3-token grounding query) run inline and strictly zero-copy.
-        let madds_per_head = 2 * n_q * k.rows() * head_dim;
-        if current_threads() <= 1
-            || in_worker()
-            || self.heads < 2
-            || madds_per_head * self.heads < PAR_MIN_MADDS
-        {
-            for h in 0..self.heads {
-                let c0 = h * head_dim;
-                attention_into(
-                    &q.col_band(c0, head_dim),
-                    &k.col_band(c0, head_dim),
-                    &v.col_band(c0, head_dim),
-                    &mut concat.col_band_mut(c0, head_dim),
-                    ws,
-                );
-            }
-        } else {
-            // Parallel heads: each head is computed into a contiguous
-            // buffer with scratch of its own (the caller's workspace is
-            // borrowed, and a head may run on the caller as well as on a
-            // helper), then rows are scattered into the concat
-            // bands with plain memcpys.
-            let outs: Vec<Matrix> = zenesis_par::par_map_range(self.heads, |h| {
-                let c0 = h * head_dim;
-                let mut head_out = Matrix::zeros(n_q, head_dim);
-                let mut local = Workspace::new();
-                attention_into(
-                    &q.col_band(c0, head_dim),
-                    &k.col_band(c0, head_dim),
-                    &v.col_band(c0, head_dim),
-                    &mut head_out.view_mut(),
-                    &mut local,
-                );
-                head_out
-            });
-            for (h, head_out) in outs.iter().enumerate() {
-                let c0 = h * head_dim;
-                for r in 0..n_q {
-                    concat.row_mut(r)[c0..c0 + head_dim].copy_from_slice(head_out.row(r));
-                }
-            }
-            for head_out in outs {
-                ws.recycle(head_out);
-            }
+        let mut concat = ws.matrix(q.rows(), self.dim);
+        for h in 0..self.heads {
+            let c0 = h * head_dim;
+            attention_into(
+                &q.col_band(c0, head_dim),
+                &k.col_band(c0, head_dim),
+                &v.col_band(c0, head_dim),
+                &mut concat.col_band_mut(c0, head_dim),
+                ws,
+            );
         }
         let out = concat.matmul_ws(&self.wo, ws);
         ws.recycle(q);

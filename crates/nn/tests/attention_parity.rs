@@ -1,14 +1,16 @@
-//! Parity suite: the fused attention kernel (running-max score pass,
+//! Parity suite: the fused attention kernel (packed vertical score pass,
 //! `fast_exp` softmax, normalizer folded into the output scale) must
 //! match an unfused libm-exact reference — materialized score matrix,
 //! `f32::exp` softmax, separate A·V product — to within 1e-4.
 //!
-//! The shape grid deliberately hits every dispatch path in the fused
-//! kernel: head dims in {8, 16, 32, 64, 128} take the const-generic
-//! specializations, odd head dims fall back to the generic scorer,
-//! odd `n_kv` exercises the dot-product tail, odd `n_q` the unpaired
-//! final query row, and assorted `d_v` widths cover the 32-wide,
-//! 16-wide, and remainder output-accumulator blocks.
+//! `attention_into` has one route: K packed into 8-wide panels, query
+//! rows in groups of 4, 2 and 1. The shape grid hits every branch of it:
+//! query counts that leave 2- and 1-row groups (and batches smaller
+//! than one 4-row group), key counts that leave a leftover full panel
+//! and a zero-padded tail panel, any head width `d` (the score pass is
+//! vertical across keys, so `d` is only a loop bound), and `d_v` widths
+//! covering whole 16-wide output chunks, chunks plus a remainder, and a
+//! remainder alone.
 
 use proptest::prelude::*;
 use zenesis_nn::attention;
@@ -62,7 +64,8 @@ fn check(n_q: usize, n_kv: usize, d: usize, d_v: usize) {
 
 #[test]
 fn fused_attention_matches_naive_specialized_dims() {
-    // The const-generic fast paths: d ∈ {8, 16, 32, 64, 128}.
+    // Power-of-two head widths, up to wider than any head the pipeline
+    // builds.
     for d in [8usize, 16, 32, 64, 128] {
         check(4, 64, d, d);
         check(3, 256, d, 32); // the benchmarked grounding shape family
@@ -71,8 +74,7 @@ fn fused_attention_matches_naive_specialized_dims() {
 
 #[test]
 fn fused_attention_matches_naive_generic_dims() {
-    // Odd head dims route through the generic scorer, including the
-    // sub-4 and non-multiple-of-4 remainders.
+    // Odd head widths, including ones narrower than a SIMD register.
     for d in [1usize, 3, 7, 12, 33, 100] {
         check(5, 37, d, 19);
     }
@@ -82,17 +84,17 @@ fn fused_attention_matches_naive_generic_dims() {
 fn fused_attention_matches_naive_edge_shapes() {
     check(1, 1, 8, 1); // fully degenerate
     check(1, 257, 32, 64); // single query row, odd kv count
-    check(7, 2, 16, 3); // odd n_q → unpaired tail row
+    check(7, 2, 16, 3); // 4-, 2- and 1-row groups
     check(2, 5, 64, 1); // d_v=1: pure remainder accumulator
-    check(3, 9, 32, 17); // 16-wide block + remainder
-    check(2, 11, 32, 48); // 32-wide + 16-wide, no remainder
-    check(5, 13, 32, 100); // 3×32 + remainder-4
+    check(3, 9, 32, 17); // 16-wide chunk + remainder
+    check(2, 11, 32, 48); // three 16-wide chunks, no remainder
+    check(5, 13, 32, 100); // six 16-wide chunks + remainder-4
 }
 
 #[test]
 fn fused_attention_matches_naive_large_dispatch() {
-    // Big enough (n_q ≥ 32, K+V ≥ 24k floats) to take the unfused
-    // materialized-scores route inside `attention_into`.
+    // Many query rows against a K+V working set that overflows L1: the
+    // fused route, at self-attention sizes far beyond any Swin window.
     check(40, 128, 96, 96);
     check(64, 256, 64, 64);
 }
@@ -131,12 +133,12 @@ fn fused_attention_remainder_sweep_both_paths() {
             check_dispatch_vs_scalar(n_q, n_kv, 32, 24);
         }
     }
-    // Odd head dims through the generic scorer at the large-kv end.
+    // Odd head widths at the large-kv end.
     for d in [7usize, 33] {
         check(3, 509, d, 19);
         check_dispatch_vs_scalar(3, 509, d, 19);
     }
-    // The unfused materialized-scores route (n_q >= 32, large K+V).
+    // A large self-attention shape.
     check_dispatch_vs_scalar(40, 512, 64, 64);
 }
 

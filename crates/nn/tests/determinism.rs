@@ -1,17 +1,19 @@
 //! Determinism suite (S2): the k-major bit-stability contract.
 //!
-//! Every parallel kernel in the hot path — the banded packed matmul, the
-//! query-band fused attention, and the full ViT encoder stack built on
-//! them — splits work into disjoint *output* regions and contracts `k` in
-//! source order inside each region. Thread count therefore changes only
-//! which thread writes a row, never the sequence of IEEE operations that
-//! produces it. Likewise the AVX2 and scalar kernel paths compile the
-//! same `#[inline(always)]` body (no FMA contraction), so forcing the
-//! scalar fallback must reproduce the dispatched output bit-for-bit.
+//! Matmul and fused attention run on the calling thread: no thread count
+//! reaches them. What still fans out is coarse — Swin windows across the
+//! `zenesis-par` team, and the grain-gated row-wise kernels (layer norm,
+//! GELU, row softmax) — and each of those splits work into disjoint
+//! *output* regions with the per-element arithmetic unchanged inside each
+//! region. Thread count therefore changes only which thread writes a row,
+//! never the sequence of IEEE operations that produces it. Likewise the
+//! AVX2 and scalar kernel paths compile the same `#[inline(always)]` body
+//! (no FMA contraction), so forcing the scalar fallback must reproduce
+//! the dispatched output bit-for-bit.
 //!
-//! These tests pin both properties: outputs are bit-identical across
-//! thread counts {1, 2, 8} and across SIMD-on vs forced-scalar, at shapes
-//! large enough to actually engage the parallel paths (`PAR_MIN_MADDS`).
+//! These tests pin both properties: kernels are bit-identical across
+//! SIMD-on vs forced-scalar, and the encoders are bit-identical across
+//! thread counts {1, 2, 8} as well.
 //!
 //! Thread count and the scalar override are process-global, so every test
 //! serializes on one mutex rather than racing guards against each other.
@@ -19,9 +21,9 @@
 use std::sync::Mutex;
 
 use zenesis_image::Image;
-use zenesis_nn::{attention, VitEncoder};
+use zenesis_nn::{attention, SwinStage, VitEncoder};
 use zenesis_par::ThreadsGuard;
-use zenesis_tensor::{Matrix, ScalarGuard, PAR_MIN_MADDS};
+use zenesis_tensor::{Matrix, ScalarGuard};
 
 static GUARD_LOCK: Mutex<()> = Mutex::new(());
 
@@ -45,104 +47,58 @@ fn assert_same_bits(a: &[u32], b: &[u32], label: &str) {
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
-fn matmul_bit_identical_across_thread_counts() {
+fn attention_and_matmul_bit_identical_simd_vs_forced_scalar() {
     let _l = GUARD_LOCK.lock().unwrap();
-    // 192·160·176 ≈ 5.4M madds — far past the parallel gate, and sized so
-    // row blocks split unevenly at every tested thread count.
-    let (m, k, n) = (192usize, 160usize, 176usize);
-    assert!(m * k * n >= PAR_MIN_MADDS);
-    let a = Matrix::seeded_uniform(m, k, 2.0, 11);
-    let b = Matrix::seeded_uniform(k, n, 2.0, 12);
-    let bt = Matrix::seeded_uniform(n, k, 2.0, 13);
-
-    let (base, base_t) = {
-        let _t = ThreadsGuard::new(1);
-        (bits(&a.matmul(&b)), bits(&a.matmul_transposed(&bt)))
-    };
-    for t in THREAD_COUNTS {
-        let _t = ThreadsGuard::new(t);
-        assert_same_bits(&base, &bits(&a.matmul(&b)), &format!("matmul t={t}"));
-        assert_same_bits(
-            &base_t,
-            &bits(&a.matmul_transposed(&bt)),
-            &format!("matmul_transposed t={t}"),
-        );
-    }
-}
-
-#[test]
-fn fused_attention_bit_identical_across_thread_counts() {
-    let _l = GUARD_LOCK.lock().unwrap();
-    // n_q = 24 stays under the unfused-route row threshold, so this pins
-    // the query-banded *fused* kernel; 24·512·64 ≈ 786k madds engages the
-    // parallel gate. Odd-ball n_q=23 also leaves an unpaired tail row in
-    // some bands at t=8.
+    // Odd n_q = 23 leaves an unpaired last query row after the 4- and
+    // 2-row groups; 300 keys leave a leftover full panel and a tail.
     for (n_q, n_kv, d, d_v) in [(24usize, 512usize, 32usize, 32usize), (23, 300, 64, 48)] {
-        assert!(n_q * n_kv * (d + d_v) >= PAR_MIN_MADDS);
-        let q = Matrix::seeded_uniform(n_q, d, 2.0, 21);
-        let k = Matrix::seeded_uniform(n_kv, d, 2.0, 22);
-        let v = Matrix::seeded_uniform(n_kv, d_v, 2.0, 23);
-        let base = {
-            let _t = ThreadsGuard::new(1);
-            bits(&attention(&q, &k, &v))
-        };
-        for t in THREAD_COUNTS {
-            let _t = ThreadsGuard::new(t);
-            assert_same_bits(
-                &base,
-                &bits(&attention(&q, &k, &v)),
-                &format!("fused attention {n_q}x{n_kv} t={t}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn unfused_attention_bit_identical_across_thread_counts() {
-    let _l = GUARD_LOCK.lock().unwrap();
-    // n_q ≥ 32 with a large K+V takes the materialized-scores route:
-    // parallel matmul + parallel row softmax + parallel matmul.
-    let (n_q, n_kv, d) = (64usize, 256usize, 64usize);
-    let q = Matrix::seeded_uniform(n_q, d, 2.0, 31);
-    let k = Matrix::seeded_uniform(n_kv, d, 2.0, 32);
-    let v = Matrix::seeded_uniform(n_kv, d, 2.0, 33);
-    let base = {
-        let _t = ThreadsGuard::new(1);
-        bits(&attention(&q, &k, &v))
-    };
-    for t in THREAD_COUNTS {
-        let _t = ThreadsGuard::new(t);
-        assert_same_bits(&base, &bits(&attention(&q, &k, &v)), &format!("unfused t={t}"));
-    }
-}
-
-#[test]
-fn attention_bit_identical_simd_vs_forced_scalar_at_every_thread_count() {
-    let _l = GUARD_LOCK.lock().unwrap();
-    let (n_q, n_kv, d, d_v) = (24usize, 512usize, 32usize, 32usize);
-    let q = Matrix::seeded_uniform(n_q, d, 2.0, 41);
-    let k = Matrix::seeded_uniform(n_kv, d, 2.0, 42);
-    let v = Matrix::seeded_uniform(n_kv, d_v, 2.0, 43);
-    let a = Matrix::seeded_uniform(96, 80, 2.0, 44);
-    let b = Matrix::seeded_uniform(80, 88, 2.0, 45);
-    for t in THREAD_COUNTS {
-        let _t = ThreadsGuard::new(t);
-        let (att, mm) = (bits(&attention(&q, &k, &v)), bits(&a.matmul(&b)));
+        let q = Matrix::seeded_uniform(n_q, d, 2.0, 41);
+        let k = Matrix::seeded_uniform(n_kv, d, 2.0, 42);
+        let v = Matrix::seeded_uniform(n_kv, d_v, 2.0, 43);
+        let att = bits(&attention(&q, &k, &v));
         let _g = ScalarGuard::new();
         assert_same_bits(
             &att,
             &bits(&attention(&q, &k, &v)),
-            &format!("attention simd-vs-scalar t={t}"),
+            &format!("attention {n_q}x{n_kv} simd-vs-scalar"),
         );
-        assert_same_bits(&mm, &bits(&a.matmul(&b)), &format!("matmul simd-vs-scalar t={t}"));
+    }
+    let a = Matrix::seeded_uniform(96, 80, 2.0, 44);
+    let b = Matrix::seeded_uniform(80, 88, 2.0, 45);
+    let bt = Matrix::seeded_uniform(88, 80, 2.0, 46);
+    let (mm, mmt) = (bits(&a.matmul(&b)), bits(&a.matmul_transposed(&bt)));
+    let _g = ScalarGuard::new();
+    assert_same_bits(&mm, &bits(&a.matmul(&b)), "matmul simd-vs-scalar");
+    let scalar_t = bits(&a.matmul_transposed(&bt));
+    assert_same_bits(&mmt, &scalar_t, "matmul_transposed simd-vs-scalar");
+}
+
+#[test]
+fn swin_stage_bit_identical_across_thread_counts() {
+    let _l = GUARD_LOCK.lock().unwrap();
+    // The grounding backbone's shape: window 4, dim 32, 4 heads. Windows
+    // fan out across the team; each window's block runs inline.
+    let swin = SwinStage::new(4, 32, 4, 2, 0x5EED ^ 0x31);
+    let tokens = Matrix::seeded_uniform(16 * 16, 32, 1.0, 51);
+    let base = {
+        let _t = ThreadsGuard::new(1);
+        bits(&swin.forward(&tokens, 16, 16))
+    };
+    for t in THREAD_COUNTS {
+        let _t = ThreadsGuard::new(t);
+        let out = bits(&swin.forward(&tokens, 16, 16));
+        assert_same_bits(&base, &out, &format!("swin t={t}"));
+        let _g = ScalarGuard::new();
+        let scalar = bits(&swin.forward(&tokens, 16, 16));
+        assert_same_bits(&base, &scalar, &format!("swin scalar t={t}"));
     }
 }
 
 #[test]
 fn vit_encoder_bit_identical_across_thread_counts_and_simd_paths() {
     let _l = GUARD_LOCK.lock().unwrap();
-    // End-to-end: patch embed + per-head attention fan-out + parallel
-    // matmul + GELU MLP + layernorm, all under one forward pass.
+    // End-to-end: patch embed + multi-head attention + matmul + GELU MLP
+    // + layernorm, all under one forward pass.
     let img = Image::<f32>::from_fn(64, 64, |x, y| ((x * 7 + y * 13) % 97) as f32 / 96.0);
     let vit = VitEncoder::new(8, 64, 4, 2, 5);
     let base = {

@@ -148,7 +148,10 @@ pub fn worker_main() -> i32 {
     // how the supervisor tells "hung" (beats flow, pulse frozen) from
     // "dead" (no beats at all). It beats once immediately so the
     // supervisor sees life — and can close its crash-recovery window —
-    // before the first slice completes.
+    // before the first slice completes. It waits parked rather than
+    // asleep, so the result hand-over below wakes it at once instead of
+    // waiting out the rest of a beat interval (7.5 s at the default
+    // heartbeat).
     let done = Arc::new(AtomicBool::new(false));
     let beat_done = Arc::clone(&done);
     let interval = Duration::from_millis((heartbeat_ms / 4).max(MIN_BEAT_INTERVAL_MS));
@@ -160,7 +163,7 @@ pub fn worker_main() -> i32 {
                 if emit_line(&format!("{{\"beat\":{pulse}}}")).is_err() {
                     return; // supervisor gone; nobody left to reassure
                 }
-                std::thread::sleep(interval);
+                std::thread::park_timeout(interval);
             }
         })
         .expect("spawn worker beat thread");
@@ -172,6 +175,7 @@ pub fn worker_main() -> i32 {
         },
     };
     done.store(true, Ordering::Relaxed);
+    beater.thread().unpark();
     let _ = beater.join();
     let result_json = serde_json::to_string(&result).expect("job results serialize");
     if emit_line(&format!("{{\"result\":{result_json}}}")).is_err() {

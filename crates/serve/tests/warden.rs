@@ -86,6 +86,19 @@ fn run_batch(heartbeat_ms: u64, dir: &Path, depth: usize) -> Response {
 }
 
 #[test]
+fn process_worker_answers_without_waiting_out_a_beat_interval() {
+    let _guard = lock();
+    std::env::remove_var("ZENESIS_FAULT");
+    // A 30 s heartbeat puts the child's beat interval at 7.5 s; the
+    // result must not wait for the beat thread's next wake-up.
+    let t0 = Instant::now();
+    let resp = run_batch(30_000, &checkpoint_dir("handover"), 2);
+    let took = t0.elapsed();
+    assert_eq!(resp.status(), "ok", "{:?}", resp.result);
+    assert!(took < Duration::from_secs(4), "answered after {took:?}");
+}
+
+#[test]
 fn killed_workers_recover_bit_identically_from_the_journal() {
     let _guard = lock();
     zenesis_obs::set_level(zenesis_obs::ObsLevel::Spans);

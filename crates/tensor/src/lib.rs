@@ -2,18 +2,18 @@
 //!
 //! The minimal dense-linear-algebra substrate under the Zenesis
 //! transformer stack: a row-major [`Matrix`] with panel-packed,
-//! cache-blocked, row-parallel matrix multiplication, zero-copy strided
-//! views ([`MatView`] / [`MatViewMut`]) for slicing attention heads
-//! without copies, a reusable scratch arena ([`Workspace`]) that keeps
-//! the transformer hot loops allocation-free, plus the handful of
-//! pointwise and row-wise kernels attention needs (softmax, layer norm,
-//! GELU).
+//! cache-blocked matrix multiplication, zero-copy strided views
+//! ([`MatView`] / [`MatViewMut`]) for slicing attention heads without
+//! copies, a reusable scratch arena ([`Workspace`]) that keeps the
+//! transformer hot loops allocation-free, plus the handful of pointwise
+//! and row-wise kernels attention needs (softmax, layer norm, GELU).
 //!
-//! Everything is `f32` and CPU-side; the parallel scheduling comes from
-//! `zenesis-par` and follows the Rust Performance Book's advice: flat
-//! buffers, preallocated (and recycled) outputs, no per-element
-//! allocation, inner loops over contiguous memory shaped for the
-//! autovectorizer. See `docs/PERFORMANCE.md` for the kernel design.
+//! Everything is `f32` and CPU-side; the row-wise kernels fan out over
+//! `zenesis-par` above its grain gate, and everything follows the Rust
+//! Performance Book's advice: flat buffers, preallocated (and recycled)
+//! outputs, no per-element allocation, inner loops over contiguous
+//! memory shaped for the autovectorizer. See `docs/PERFORMANCE.md` for
+//! the kernel design.
 
 mod matmul;
 mod matrix;
@@ -22,7 +22,9 @@ mod simd;
 mod view;
 mod workspace;
 
-pub use matmul::{MR, NR, PAR_MIN_MADDS};
+#[doc(hidden)]
+pub use matmul::{micro_rx1, micro_rx2};
+pub use matmul::{MR, NR};
 pub use matrix::Matrix;
 pub use ops::{
     fast_exp, fast_tanh, gelu, gelu_inplace, layernorm_rows, layernorm_rows_into, softmax_row,

@@ -16,36 +16,25 @@
 //! The k dimension is contracted in source order, so results are
 //! bit-identical to the naive triple loop.
 //!
-//! The band kernel is compiled twice — portable baseline and an AVX2
+//! The product kernel is compiled twice — portable baseline and an AVX2
 //! `#[target_feature]` re-compilation of the *same body* — and
 //! dispatched at runtime (`simd::simd_level`). Per-lane operation order
 //! is identical at either width, so SIMD-on and forced-scalar results
 //! are bit-identical (see `src/simd.rs`).
 //!
-//! Products below [`PAR_MIN_MADDS`] multiply-adds never leave the caller
-//! thread — waking a helper and waiting for it costs more than small
-//! kernels take (a 3-token grounding query, a SAM prompt head, the
-//! 1024×8×32 patch projection of a 256² slice), and the serving layer
-//! already parallelizes across jobs at that scale.
+//! A product always runs on the calling thread. The pipeline's products
+//! are small (the largest a 256² slice issues is the 1024×8×32 patch
+//! projection, ≈ 16 µs), and waking a helper costs more than that; the
+//! parallelism is coarser — slices, windows, server workers.
 
 use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
-use zenesis_par::{current_threads, in_worker, par_rows_min};
 
 /// Panel width: accumulator lanes per output-column group.
 pub const NR: usize = 8;
 
 /// Row-block height: output rows sharing one L1-resident panel sweep.
 pub const MR: usize = 32;
-
-/// Multiply-add count below which the product runs on the caller thread.
-///
-/// A 2^18 product takes ≈ 16 µs on one thread, and a helper that has to
-/// be woken arrives later than that: measured on the resident team, two
-/// threads run it at 0.4–0.5× the speed of one (docs/PERFORMANCE.md has
-/// the sweep). The gate sits above grounding's 1024×8×32 = 2^18 shape,
-/// the one product of that size a 256² slice issues.
-pub const PAR_MIN_MADDS: usize = 1 << 19;
 
 /// Pack `rhs` (`k x n`, row-major) into NR-wide k-major column panels.
 /// `packed` must hold `n.div_ceil(NR) * NR * k` elements; tail columns
@@ -97,8 +86,12 @@ fn pack_rhs_t(rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
 /// chains — one panel with many broadcasts trips its SLP pass into
 /// cross-row shuffle soup. Per-element contraction order is `kk`
 /// ascending either way, so panel grouping never changes results.
+///
+/// Public (hidden) so the fused attention score pass runs this exact
+/// kernel against keys packed in the same layout.
+#[doc(hidden)]
 #[inline(always)]
-fn micro_rx2<const R: usize>(
+pub fn micro_rx2<const R: usize>(
     a: [&[f32]; R],
     pa: &[f32],
     pb: &[f32],
@@ -124,8 +117,9 @@ fn micro_rx2<const R: usize>(
 
 /// `R` output rows against one (possibly tail-narrow) panel — the
 /// remainder companion of [`micro_rx2`], same per-row contraction order.
+#[doc(hidden)]
 #[inline(always)]
-fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR]; R]) {
+pub fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR]; R]) {
     let kx = pa.len() / NR;
     let a = a.map(|s| &s[..kx]);
     for (kk, ca) in pa.chunks_exact(NR).enumerate() {
@@ -138,28 +132,21 @@ fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR]; R
     }
 }
 
-/// Compute one band of output rows (`row_start..row_start + band_rows`)
-/// against the fully packed RHS. `#[inline(always)]` so the dispatch
-/// wrappers below re-compile this body (and the micro-kernels it inlines)
-/// under their own target features.
+/// Compute every output row of `out` (`m x n`) against the fully packed
+/// RHS. `#[inline(always)]` so the dispatch wrappers below re-compile
+/// this body (and the micro-kernels it inlines) under their own target
+/// features.
 #[inline(always)]
-fn band_kernel_impl(
-    lhs: &[f32],
-    k: usize,
-    n: usize,
-    packed: &[f32],
-    row_start: usize,
-    band: &mut [f32],
-) {
+fn packed_kernel_impl(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
     let n_panels = n.div_ceil(NR);
     // Full-width panels are consumed two at a time by the paired
     // micro-kernel; a leftover full panel and the zero-padded tail panel
     // take the single-panel path.
     let pair_panels = (n / NR) & !1;
-    let band_rows = band.len() / n;
+    let m = out.len() / n;
     let mut rb = 0;
-    while rb < band_rows {
-        let rows_here = MR.min(band_rows - rb);
+    while rb < m {
+        let rows_here = MR.min(m - rb);
         let r_end = rb + rows_here;
         // Panel loop outside the row loop: the panel pair stays in L1
         // while every row of the block consumes it.
@@ -170,12 +157,11 @@ fn band_kernel_impl(
             let j0 = p * NR;
             let mut r = rb;
             while r + 4 <= r_end {
-                let i = row_start + r;
                 let a_rows = [
-                    &lhs[i * k..(i + 1) * k],
-                    &lhs[(i + 1) * k..(i + 2) * k],
-                    &lhs[(i + 2) * k..(i + 3) * k],
-                    &lhs[(i + 3) * k..(i + 4) * k],
+                    &lhs[r * k..(r + 1) * k],
+                    &lhs[(r + 1) * k..(r + 2) * k],
+                    &lhs[(r + 2) * k..(r + 3) * k],
+                    &lhs[(r + 3) * k..(r + 4) * k],
                 ];
                 let mut acc_a = [[0.0f32; NR]; 4];
                 let mut acc_b = [[0.0f32; NR]; 4];
@@ -184,19 +170,18 @@ fn band_kernel_impl(
                     // Both panels are full width: fixed-size copies become
                     // single vector stores, not memcpy calls.
                     let o0 = (r + dr) * n + j0;
-                    band[o0..o0 + NR].copy_from_slice(&acc_a[dr]);
-                    band[o0 + NR..o0 + 2 * NR].copy_from_slice(&acc_b[dr]);
+                    out[o0..o0 + NR].copy_from_slice(&acc_a[dr]);
+                    out[o0 + NR..o0 + 2 * NR].copy_from_slice(&acc_b[dr]);
                 }
                 r += 4;
             }
             while r < r_end {
-                let i = row_start + r;
                 let mut acc_a = [[0.0f32; NR]; 1];
                 let mut acc_b = [[0.0f32; NR]; 1];
-                micro_rx2([&lhs[i * k..(i + 1) * k]], pa, pb, &mut acc_a, &mut acc_b);
+                micro_rx2([&lhs[r * k..(r + 1) * k]], pa, pb, &mut acc_a, &mut acc_b);
                 let o0 = r * n + j0;
-                band[o0..o0 + NR].copy_from_slice(&acc_a[0]);
-                band[o0 + NR..o0 + 2 * NR].copy_from_slice(&acc_b[0]);
+                out[o0..o0 + NR].copy_from_slice(&acc_a[0]);
+                out[o0 + NR..o0 + 2 * NR].copy_from_slice(&acc_b[0]);
                 r += 1;
             }
             p += 2;
@@ -207,26 +192,24 @@ fn band_kernel_impl(
             let width = NR.min(n - j0);
             let mut r = rb;
             while r + 4 <= r_end {
-                let i = row_start + r;
                 let a_rows = [
-                    &lhs[i * k..(i + 1) * k],
-                    &lhs[(i + 1) * k..(i + 2) * k],
-                    &lhs[(i + 2) * k..(i + 3) * k],
-                    &lhs[(i + 3) * k..(i + 4) * k],
+                    &lhs[r * k..(r + 1) * k],
+                    &lhs[(r + 1) * k..(r + 2) * k],
+                    &lhs[(r + 2) * k..(r + 3) * k],
+                    &lhs[(r + 3) * k..(r + 4) * k],
                 ];
                 let mut acc = [[0.0f32; NR]; 4];
                 micro_rx1(a_rows, panel, &mut acc);
                 for (dr, acc_row) in acc.iter().enumerate() {
                     let o0 = (r + dr) * n + j0;
-                    band[o0..o0 + width].copy_from_slice(&acc_row[..width]);
+                    out[o0..o0 + width].copy_from_slice(&acc_row[..width]);
                 }
                 r += 4;
             }
             while r < r_end {
-                let i = row_start + r;
                 let mut acc = [[0.0f32; NR]; 1];
-                micro_rx1([&lhs[i * k..(i + 1) * k]], panel, &mut acc);
-                band[r * n + j0..r * n + j0 + width].copy_from_slice(&acc[0][..width]);
+                micro_rx1([&lhs[r * k..(r + 1) * k]], panel, &mut acc);
+                out[r * n + j0..r * n + j0 + width].copy_from_slice(&acc[0][..width]);
                 r += 1;
             }
             p += 1;
@@ -235,16 +218,9 @@ fn band_kernel_impl(
     }
 }
 
-/// Portable-baseline compilation of the band kernel.
-fn band_kernel_scalar(
-    lhs: &[f32],
-    k: usize,
-    n: usize,
-    packed: &[f32],
-    row_start: usize,
-    band: &mut [f32],
-) {
-    band_kernel_impl(lhs, k, n, packed, row_start, band);
+/// Portable-baseline compilation of the product kernel.
+fn packed_kernel_scalar(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
+    packed_kernel_impl(lhs, k, n, packed, out);
 }
 
 /// AVX2 re-compilation of the identical body: the independent `NR = 8`
@@ -253,32 +229,24 @@ fn band_kernel_scalar(
 /// matches the scalar build exactly.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn band_kernel_avx2(
-    lhs: &[f32],
-    k: usize,
-    n: usize,
-    packed: &[f32],
-    row_start: usize,
-    band: &mut [f32],
-) {
-    band_kernel_impl(lhs, k, n, packed, row_start, band);
+unsafe fn packed_kernel_avx2(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
+    packed_kernel_impl(lhs, k, n, packed, out);
 }
 
-/// Runtime-dispatched band kernel (see `src/simd.rs` for the contract).
-fn band_kernel(lhs: &[f32], k: usize, n: usize, packed: &[f32], row_start: usize, band: &mut [f32]) {
+/// Runtime-dispatched product kernel (see `src/simd.rs` for the contract).
+fn packed_kernel(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { band_kernel_avx2(lhs, k, n, packed, row_start, band) },
+        SimdLevel::Avx2 => unsafe { packed_kernel_avx2(lhs, k, n, packed, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => band_kernel_scalar(lhs, k, n, packed, row_start, band),
-        SimdLevel::Scalar => band_kernel_scalar(lhs, k, n, packed, row_start, band),
+        SimdLevel::Avx2 => packed_kernel_scalar(lhs, k, n, packed, out),
+        SimdLevel::Scalar => packed_kernel_scalar(lhs, k, n, packed, out),
     }
 }
 
 /// Shared driver: pack the RHS (plain or transposed layout), then fill
-/// `out` (`m x n`) row-band by row-band, parallel only above the
-/// small-work threshold.
+/// `out` (`m x n`) on the calling thread.
 #[allow(clippy::too_many_arguments)] // flat (buffer, dims) pairs keep the kernel ABI obvious
 pub(crate) fn matmul_packed(
     lhs: &[f32],
@@ -299,19 +267,7 @@ pub(crate) fn matmul_packed(
     } else {
         pack_rhs(rhs, k, n, &mut packed);
     }
-    let madds = m * n * k;
-    // `in_worker()` keeps nested calls (e.g. per-head matmuls already
-    // fanned out by the attention layer) on the caller thread instead of
-    // fanning out again; the bit-stability contract makes the inline and
-    // fanned-out results identical anyway.
-    if madds < PAR_MIN_MADDS || current_threads() <= 1 || in_worker() {
-        band_kernel(lhs, k, n, &packed, 0, out);
-    } else {
-        let packed_ref = &packed;
-        par_rows_min(out, n, 0, |row_start, band| {
-            band_kernel(lhs, k, n, packed_ref, row_start, band);
-        });
-    }
+    packed_kernel(lhs, k, n, &packed, out);
     ws.recycle_vec(packed);
 }
 

@@ -60,8 +60,7 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
 }
 
 /// [`softmax_rows`] in place — row-parallel and SIMD-dispatched; rows
-/// are independent, so banding never changes results. The unfused
-/// attention path uses this on its materialized score matrix.
+/// are independent, so banding never changes results.
 pub fn softmax_rows_inplace(m: &mut Matrix) {
     let cols = m.cols();
     par_rows(m.as_mut_slice(), cols, |_, band| {

@@ -45,16 +45,9 @@ impl<'a> MatView<'a> {
         self.cols
     }
 
-    /// Whether rows are adjacent in memory (stride == cols). Kernels that
-    /// re-stream every row many times check this to decide whether a
-    /// one-time contiguous repack pays for itself.
-    #[inline]
-    pub fn is_contiguous(&self) -> bool {
-        self.stride == self.cols
-    }
-
-    /// The rows as a plain chunk iterator when the view is contiguous —
-    /// lets hot sweeps zip rows without per-row offset arithmetic.
+    /// The rows as a plain chunk iterator when the view is contiguous
+    /// (stride == cols), else `None` — lets hot sweeps zip rows without
+    /// per-row offset arithmetic.
     #[inline]
     pub fn contiguous_rows(&self) -> Option<core::slice::ChunksExact<'a, f32>> {
         if self.stride == self.cols {
@@ -116,25 +109,19 @@ impl<'a> MatViewMut<'a> {
         self.cols
     }
 
-    /// Rows `r` and `r + 1` mutably at once, for kernels that produce
-    /// output rows in pairs.
+    /// Rows `r .. r + R` mutably at once, for kernels that produce `R`
+    /// output rows per step.
     #[inline]
-    pub fn rows_pair_mut(&mut self, r: usize) -> (&mut [f32], &mut [f32]) {
-        debug_assert!(r + 1 < self.rows);
-        let (lo, hi) = self.data.split_at_mut((r + 1) * self.stride);
-        (&mut lo[r * self.stride..r * self.stride + self.cols], &mut hi[..self.cols])
-    }
-
-    /// Rows `r .. r + 4` mutably at once, for kernels that produce output
-    /// rows four at a time.
-    #[inline]
-    pub fn rows_quad_mut(&mut self, r: usize) -> [&mut [f32]; 4] {
-        debug_assert!(r + 3 < self.rows);
-        let cols = self.cols;
-        let (a, rest) = self.data[r * self.stride..].split_at_mut(self.stride);
-        let (b, rest) = rest.split_at_mut(self.stride);
-        let (c, d) = rest.split_at_mut(self.stride);
-        [&mut a[..cols], &mut b[..cols], &mut c[..cols], &mut d[..cols]]
+    pub fn rows_mut<const R: usize>(&mut self, r: usize) -> [&mut [f32]; R] {
+        assert!(r + R <= self.rows, "rows {r}..{} outside the view", r + R);
+        let (cols, gap) = (self.cols, self.stride - self.cols);
+        let mut rest = &mut self.data[r * self.stride..];
+        core::array::from_fn(|_| {
+            let (row, tail) = core::mem::take(&mut rest).split_at_mut(cols);
+            // The last row of a view need not be followed by a full stride.
+            rest = tail.get_mut(gap..).unwrap_or_default();
+            row
+        })
     }
 
     /// One row as a contiguous mutable slice.
@@ -148,27 +135,6 @@ impl<'a> MatViewMut<'a> {
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows);
         &self.data[r * self.stride..r * self.stride + self.cols]
-    }
-
-    /// Re-borrow as a shorter-lived view, so a `&mut MatViewMut` can be
-    /// consumed by [`MatViewMut::split_rows`] without giving up the
-    /// original.
-    pub fn reborrow(&mut self) -> MatViewMut<'_> {
-        MatViewMut { data: &mut *self.data, rows: self.rows, cols: self.cols, stride: self.stride }
-    }
-
-    /// Split into two disjoint row bands at row `r` (`0 < r < rows`):
-    /// rows `0..r` and rows `r..rows`. Both halves keep the original
-    /// stride, so splitting a column band of a concat buffer hands out
-    /// disjoint `&mut` regions that parallel workers can fill
-    /// independently.
-    pub fn split_rows(self, r: usize) -> (MatViewMut<'a>, MatViewMut<'a>) {
-        assert!(r > 0 && r < self.rows, "row split point out of range");
-        let (lo, hi) = self.data.split_at_mut(r * self.stride);
-        (
-            MatViewMut { data: lo, rows: r, cols: self.cols, stride: self.stride },
-            MatViewMut { data: hi, rows: self.rows - r, cols: self.cols, stride: self.stride },
-        )
     }
 }
 
@@ -252,41 +218,29 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_covers_strided_band_disjointly() {
+    fn rows_mut_hands_out_disjoint_rows_of_a_strided_band() {
         let mut m = Matrix::zeros(6, 5);
         {
-            let band = m.col_band_mut(1, 3);
-            let (mut top, rest) = band.split_rows(2);
-            let (mut mid, mut bot) = rest.split_rows(1);
-            assert_eq!((top.rows(), mid.rows(), bot.rows()), (2, 1, 3));
-            for r in 0..2 {
-                top.row_mut(r).fill(1.0);
+            let mut band = m.col_band_mut(1, 3);
+            for (i, row) in band.rows_mut::<4>(2).into_iter().enumerate() {
+                assert_eq!(row.len(), 3);
+                row.fill(i as f32 + 1.0);
             }
-            mid.row_mut(0).fill(2.0);
-            for r in 0..3 {
-                bot.row_mut(r).fill(3.0);
-            }
+            // The band's last row: no full stride follows it.
+            let [last] = band.rows_mut::<1>(5);
+            last.fill(9.0);
         }
         for r in 0..6 {
-            let want = if r < 2 { 1.0 } else if r < 3 { 2.0 } else { 3.0 };
+            let want = match r {
+                2..=4 => (r - 1) as f32,
+                5 => 9.0,
+                _ => 0.0,
+            };
             assert_eq!(m.get(r, 0), 0.0, "outside band untouched");
             assert_eq!(m.get(r, 4), 0.0, "outside band untouched");
             for c in 1..4 {
                 assert_eq!(m.get(r, c), want, "row {r} col {c}");
             }
         }
-    }
-
-    #[test]
-    fn reborrow_then_split_leaves_original_usable() {
-        let mut m = Matrix::zeros(4, 2);
-        let mut v = m.view_mut();
-        {
-            let (mut a, mut b) = v.reborrow().split_rows(3);
-            a.row_mut(0).fill(7.0);
-            b.row_mut(0).fill(8.0);
-        }
-        assert_eq!(v.row(0), &[7.0, 7.0]);
-        assert_eq!(v.row(3), &[8.0, 8.0]);
     }
 }
