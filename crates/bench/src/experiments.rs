@@ -93,7 +93,6 @@ pub fn fig3(outdir: &Path) -> zenesis_image::Result<Vec<(String, f64, f64)>> {
     {
         let g = generate_slice(&PhantomConfig::new(kind, SEED).with_size(SIDE, SIDE));
         let (adapted, _) = z.adapt(&g.raw);
-        let adapted = std::sync::Arc::new(adapted);
         // Same tool-level views as Tables 1-3: baselines see the minimal
         // stretch, Zenesis sees its own adaptation.
         let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
@@ -118,11 +117,11 @@ pub fn fig3(outdir: &Path) -> zenesis_image::Result<Vec<(String, f64, f64)>> {
             )?;
             // Colour overlay with boxes for the Zenesis panel, on the
             // view the method actually saw.
-            let view = if *m == Method::Zenesis { &*adapted } else { &baseline_view };
+            let view = if *m == Method::Zenesis { &adapted } else { &baseline_view };
             let mut rgb = RgbImage::from_gray(view);
             overlay_mask(&mut rgb, &pred, [220, 60, 40], 0.45);
             if *m == Method::Zenesis {
-                let r = z.segment_adapted(&adapted, prompt);
+                let r = z.segment_prepared(&z.prepare_adapted(&adapted), prompt);
                 for d in &r.detections {
                     draw_box_outline(&mut rgb, d.bbox, [60, 220, 60]);
                 }
@@ -158,8 +157,7 @@ pub fn fig5() -> (usize, usize, f64) {
     let z = Zenesis::new(ZenesisConfig::default());
     let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, SEED).with_size(SIDE, SIDE));
     let (adapted, _) = z.adapt(&g.raw);
-    let adapted = std::sync::Arc::new(adapted);
-    let parent = z.segment_adapted(&adapted, "bright catalyst particles");
+    let parent = z.segment_prepared(&z.prepare_adapted(&adapted), "bright catalyst particles");
     let Some(best) = parent.detections.first() else {
         return (0, 0, 0.0);
     };
@@ -190,12 +188,12 @@ pub fn fig6() -> (f64, f64) {
     let z = Zenesis::new(cfg);
     let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, SEED).with_size(SIDE, SIDE));
     let (adapted, _) = z.adapt(&g.raw);
-    let adapted = std::sync::Arc::new(adapted);
-    let broken = z.segment_adapted(&adapted, "bright catalyst particles");
+    let prepared = z.prepare_adapted(&adapted);
+    let broken = z.segment_prepared(&prepared, "bright catalyst particles");
     let before = broken.combined.iou(&g.truth);
     let (cx, cy) = g.truth.centroid().expect("non-empty truth");
     let click = Point::new(cx.round() as usize, cy.round() as usize);
-    let after = match z.rectify(&adapted, click, 24, CandidateCriteria::Mixed, 7) {
+    let after = match z.rectify(prepared.embedding(), click, 24, CandidateCriteria::Mixed, 7) {
         Some(c) => {
             let mut merged = broken.combined.clone();
             merged.or_with(&c.mask);
@@ -303,7 +301,7 @@ pub fn ablation(side: usize, seed: u64) -> Vec<(String, f64, f64)> {
             for s in &ds.samples {
                 let (adapted, _) = z.adapt(&s.raw);
                 let pred = z
-                    .segment_adapted(&std::sync::Arc::new(adapted), s.kind.default_prompt())
+                    .segment_prepared(&z.prepare_adapted(&adapted), s.kind.default_prompt())
                     .combined;
                 let iou = Confusion::from_masks(&pred, &s.truth).iou();
                 let idx = match s.kind {
@@ -416,8 +414,9 @@ pub fn interaction_efficiency(max_clicks: usize) -> Vec<(usize, f64)> {
     let z = Zenesis::new(cfg);
     let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, SEED).with_size(SIDE, SIDE));
     let (adapted, _) = z.adapt(&g.raw);
-    let adapted = std::sync::Arc::new(adapted);
-    let mut mask = z.segment_adapted(&adapted, "catalyst particles").combined;
+    let prepared = z.prepare_adapted(&adapted);
+    let emb = prepared.embedding();
+    let mut mask = z.segment_prepared(&prepared, "catalyst particles").combined;
     let mut curve = vec![(0usize, mask.iou(&g.truth))];
     for k in 1..=max_clicks {
         // Largest missing truth component.
@@ -432,7 +431,7 @@ pub fn interaction_efficiency(max_clicks: usize) -> Vec<(usize, f64)> {
             target.centroid.0.round() as usize,
             target.centroid.1.round() as usize,
         );
-        if let Some(c) = z.rectify(&adapted, click, 24, CandidateCriteria::Mixed, k as u64) {
+        if let Some(c) = z.rectify(emb, click, 24, CandidateCriteria::Mixed, k as u64) {
             mask.or_with(&c.mask);
         }
         curve.push((k, mask.iou(&g.truth)));

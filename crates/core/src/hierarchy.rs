@@ -4,11 +4,9 @@
 //! for hierarchical segmentation by triggering GroundingDINO and SAM on
 //! subregions for more detailed analysis."
 
-use std::sync::Arc;
-
 use zenesis_image::{BitMask, BoxRegion, Image};
 
-use crate::pipeline::{SliceResult, Zenesis};
+use crate::pipeline::{Segmentation, Zenesis};
 
 /// A child segmentation produced inside a parent region, mapped back to
 /// parent coordinates.
@@ -21,7 +19,7 @@ pub struct ChildSegmentation {
     /// Combined child mask in parent coordinates (clipped to `region`).
     pub mask: BitMask,
     /// The sub-image result (crop coordinates), for inspection.
-    pub crop_result: SliceResult,
+    pub crop_result: Segmentation,
 }
 
 impl Zenesis {
@@ -37,7 +35,7 @@ impl Zenesis {
         let (w, h) = adapted.dims();
         let region = region.clamp_to(w, h);
         let crop = adapted.crop(region).ok()?;
-        let crop_result = self.segment_adapted(&Arc::new(crop), prompt);
+        let crop_result = self.segment_prepared(&self.prepare_adapted(&crop), prompt);
         // Map back to parent coordinates.
         let detections: Vec<zenesis_ground::Detection> = crop_result
             .detections
@@ -102,8 +100,8 @@ mod tests {
     #[test]
     fn parent_then_child_segmentation() {
         let z = Zenesis::new(ZenesisConfig::default());
-        let img = Arc::new(scene());
-        let parent = z.segment_adapted(&img, "bright particles");
+        let img = scene();
+        let parent = z.segment_prepared(&z.prepare_adapted(&img), "bright particles");
         assert!(!parent.detections.is_empty());
         // Level 2: look for dark pores inside the parent's best box.
         let child = z

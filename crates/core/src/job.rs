@@ -340,8 +340,7 @@ pub fn run_job_with_cancel(spec: &JobSpec, cancel: &CancelToken) -> JobResult {
 /// ([`Zenesis::segment_prepared`]). Results are bit-identical to a fresh
 /// [`run_job`]; only `total_ms` differs, covering the cache lookup and
 /// the prompt tail on a hit. Jobs with an explicit config, and batch and
-/// evaluate jobs, build their own pipeline per job, so no embedding LRU
-/// of theirs stays resident.
+/// evaluate jobs, build their own pipeline per job.
 pub struct JobEngine {
     zenesis: Zenesis,
     slices: SliceCache,

@@ -56,4 +56,6 @@ pub use method::Method;
 pub use multi::{MultiResult, ObjectSpec};
 pub use pipeline::{Prepared, Segmentation, SliceError, SliceResult, Zenesis};
 pub use stream::SliceSource;
-pub use temporal::{SliceOutcome, TemporalConfig, VolumeCancelled, VolumeError, VolumeResult};
+pub use temporal::{
+    panic_message, SliceOutcome, TemporalConfig, VolumeCancelled, VolumeError, VolumeResult,
+};

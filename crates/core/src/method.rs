@@ -7,8 +7,6 @@
 //! be fed), while Zenesis brings its own adaptation layer. That asymmetry
 //! is the paper's point: data readiness is part of the platform.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 use zenesis_image::{BitMask, Image};
 
@@ -48,22 +46,19 @@ impl Method {
         &self,
         z: &Zenesis,
         baseline_view: &Image<f32>,
-        adapted: &Arc<Image<f32>>,
+        adapted: &Image<f32>,
         prompt: &str,
     ) -> BitMask {
         match self {
             Method::Otsu => zenesis_baseline::segment_otsu(baseline_view),
-            Method::SamOnly => {
-                let emb = z.sam().encode_cached(baseline_view);
-                z.sam().segment_auto(&emb)
-            }
-            Method::Zenesis => z.segment_adapted(adapted, prompt).combined,
+            Method::SamOnly => z.sam().segment_auto(&z.sam().encode(baseline_view)),
+            Method::Zenesis => z.segment_prepared(&z.prepare_adapted(adapted), prompt).combined,
         }
     }
 
     /// Segment with a single shared view (used by quick demos; the
     /// benchmark harness uses [`Method::segment_views`]).
-    pub fn segment(&self, z: &Zenesis, adapted: &Arc<Image<f32>>, prompt: &str) -> BitMask {
+    pub fn segment(&self, z: &Zenesis, adapted: &Image<f32>, prompt: &str) -> BitMask {
         self.segment_views(z, adapted, adapted, prompt)
     }
 }
@@ -91,7 +86,6 @@ mod tests {
             }
         });
         let z = Zenesis::new(ZenesisConfig::default());
-        let img = Arc::new(img);
         for m in Method::all() {
             let mask = m.segment(&z, &img, "bright particles");
             assert_eq!(mask.dims(), (64, 64), "{}", m.name());

@@ -79,19 +79,18 @@ pub fn evaluate_cancellable(
 /// tool gets); Zenesis sees its own adaptation. See [`Method`].
 pub fn evaluate_sample(z: &Zenesis, sample: &Sample, methods: &[Method]) -> Vec<SampleEval> {
     let (adapted, _) = z.adapt(&sample.raw);
-    let adapted = std::sync::Arc::new(adapted);
     // The baseline rendition is only needed when a baseline method runs.
-    let baseline_view = if methods.iter().any(|m| *m != Method::Zenesis) {
-        zenesis_adapt::AdaptPipeline::minimal().run(&sample.raw.to_f32())
-    } else {
-        (*adapted).clone()
-    };
+    let minimal = methods
+        .iter()
+        .any(|m| *m != Method::Zenesis)
+        .then(|| zenesis_adapt::AdaptPipeline::minimal().run(&sample.raw.to_f32()));
+    let baseline_view = minimal.as_ref().unwrap_or(&adapted);
     let prompt = sample.kind.default_prompt();
     methods
         .iter()
         .map(|m| {
             let t0 = Instant::now();
-            let pred: BitMask = m.segment_views(z, &baseline_view, &adapted, prompt);
+            let pred: BitMask = m.segment_views(z, baseline_view, &adapted, prompt);
             let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
             let scores = Confusion::from_masks(&pred, &sample.truth).scores();
             SampleEval {

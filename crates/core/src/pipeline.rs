@@ -4,15 +4,18 @@
 //! `pipeline.segment_slice` over `pipeline.adapt` / `pipeline.ground` /
 //! `pipeline.segment`, which in turn cover the per-stage, grounding, and
 //! decoder sub-spans of the lower layers — plus the
-//! `pipeline.{adapt,ground,segment,total}.lat` latency histograms. The
+//! `pipeline.{adapt,prepare,ground,segment,total}.lat` latency
+//! histograms (`pipeline.prepare` nests inside `pipeline.ground` here). The
 //! [`PipelineTrace`] carried on every [`SliceResult`] is filled from the
 //! same wall-clock measurements whether or not recording is on, so
 //! outputs are identical with observability disabled.
 //!
-//! A slice run splits into a prompt-independent [`Prepared`] half
-//! ([`Zenesis::prepare`], span `pipeline.prepare`) and a prompt tail
-//! ([`Zenesis::segment_prepared`]); re-prompting one slice pays the first
-//! half once.
+//! Every slice run is a prompt-independent [`Prepared`] half
+//! ([`Zenesis::prepare`], span `pipeline.prepare`) followed by a prompt
+//! tail ([`Zenesis::segment_prepared`]); re-prompting one slice pays the
+//! first half once. [`Zenesis::segment_slice`] is the two back to back.
+//! Callers that reuse a SAM embedding hold it themselves
+//! ([`Prepared::embedding`]) and pass it on; no path looks one up.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -84,8 +87,8 @@ pub struct PipelineTrace {
 /// The result of segmenting one slice.
 #[derive(Debug, Clone)]
 pub struct SliceResult {
-    /// The adapted (model-ready) image, shared so re-prompting and
-    /// temporal refinement never copy the pixels.
+    /// The adapted (model-ready) image; re-prompting it goes through
+    /// [`Zenesis::prepare_adapted`] once, then the prompt tail.
     pub adapted: Arc<Image<f32>>,
     /// DINO detections that survived thresholds and NMS.
     pub detections: Vec<Detection>,
@@ -121,6 +124,12 @@ impl Prepared {
     /// Slice `(width, height)` in pixels.
     pub fn dims(&self) -> (usize, usize) {
         self.emb.dims()
+    }
+
+    /// The SAM embedding, for decoders outside the prompt tail
+    /// (Rectify's candidate boxes).
+    pub fn embedding(&self) -> &ImageEmbedding {
+        &self.emb
     }
 
     /// Heap bytes held: the SAM embedding's three rasters and
@@ -164,6 +173,15 @@ fn overlap<RA: Send, RB: Send>(
     }
 }
 
+/// The SAM polarity of a grounding's `dark_polarity`.
+fn polarity(dark: bool) -> Polarity {
+    if dark {
+        Polarity::Dark
+    } else {
+        Polarity::Bright
+    }
+}
+
 /// The assembled platform pipeline.
 pub struct Zenesis {
     pub config: ZenesisConfig,
@@ -195,6 +213,12 @@ impl Zenesis {
         self.dino.teach(concept);
     }
 
+    /// The intensity side `prompt` asks for: the polarity its grounding
+    /// decodes with on any image, since it depends on the prompt alone.
+    pub(crate) fn prompt_polarity(&self, prompt: &str) -> Polarity {
+        polarity(self.dino.prompt_is_dark(&zenesis_ground::tokenize(prompt)))
+    }
+
     /// Adapt a raw image of any bit depth into the model-ready domain.
     pub fn adapt<T: Pixel>(&self, raw: &Image<T>) -> (Image<f32>, Vec<AdaptTrace>) {
         self.config.adapt.run_traced(&raw.to_f32())
@@ -206,7 +230,7 @@ impl Zenesis {
         let ((adapted, adapt_stages), adapt_ms) =
             zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
         zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
-        match self.segment_adapted_inner(Arc::new(adapted), adapt_stages, adapt_ms, prompt, false) {
+        match self.run_adapted(adapted, adapt_stages, adapt_ms, prompt, false) {
             Ok(r) => r,
             Err(_) => unreachable!("the unguarded pipeline is infallible"),
         }
@@ -227,43 +251,30 @@ impl Zenesis {
         });
         let (adapted, adapt_stages) = adapt_res.map_err(SliceError::Adapt)?;
         zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
-        self.segment_adapted_inner(Arc::new(adapted), adapt_stages, adapt_ms, prompt, true)
-    }
-
-    /// Pipeline on an already-adapted image (Mode A re-prompting reuses
-    /// the adaptation). The `Arc` is cloned, not the pixels; the count of
-    /// avoided copies is the `core.adapt_reuse` metric.
-    pub fn segment_adapted(&self, adapted: &Arc<Image<f32>>, prompt: &str) -> SliceResult {
-        if zenesis_obs::enabled() {
-            zenesis_obs::counter("core.adapt_reuse").inc();
-            zenesis_obs::counter("core.adapt_reuse.bytes_saved")
-                .add((adapted.len() * std::mem::size_of::<f32>()) as u64);
-        }
-        match self.segment_adapted_inner(Arc::clone(adapted), Vec::new(), 0.0, prompt, false) {
-            Ok(r) => r,
-            Err(_) => unreachable!("the unguarded pipeline is infallible"),
-        }
+        self.run_adapted(adapted, adapt_stages, adapt_ms, prompt, true)
     }
 
     /// The prompt-independent half of [`Zenesis::segment_slice`]: adapt,
     /// then grounding's image side and the SAM encode (span
-    /// `pipeline.prepare`). The plain `encode` is used, so this never
-    /// fills the [`Sam::encode_cached`] LRU.
+    /// `pipeline.prepare`).
     pub fn prepare<T: Pixel>(&self, raw: &Image<T>) -> Prepared {
         let ((adapted, _), adapt_ms) = zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
         zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
         self.prepare_adapted(&adapted)
     }
 
-    /// [`Zenesis::prepare`] on an already-adapted image (Mode A sessions
-    /// and multi-object passes adapt once themselves).
+    /// [`Zenesis::prepare`] on an already-adapted image (Mode A sessions,
+    /// multi-object passes, Further Segment crops and the evaluation
+    /// methods adapt once themselves).
     pub fn prepare_adapted(&self, adapted: &Image<f32>) -> Prepared {
-        let _span = zenesis_obs::span("pipeline.prepare");
-        let (image, emb) = overlap(
-            adapted.len(),
-            || self.dino.prepare(adapted),
-            || self.sam.encode(adapted),
-        );
+        let ((image, emb), prepare_ms) = zenesis_obs::timed("pipeline.prepare", || {
+            overlap(
+                adapted.len(),
+                || self.dino.prepare(adapted),
+                || self.sam.encode(adapted),
+            )
+        });
+        zenesis_obs::record_ms("pipeline.prepare.lat", prepare_ms);
         Prepared { image, emb }
     }
 
@@ -279,14 +290,15 @@ impl Zenesis {
         self.decode(grounding, &prepared.emb, Vec::new(), 0.0, ground_ms)
     }
 
-    /// Full run on an adapted image. With `guards` off (the interactive
-    /// paths) this is infallible and checks nothing — zero overhead over
-    /// the pre-guard implementation. With `guards` on (the volume path)
+    /// Full run on an adapted image: [`Zenesis::prepare_adapted`], then
+    /// the prompt tail. With `guards` off (the interactive paths) this is
+    /// infallible and checks nothing. With `guards` on (the volume path)
     /// fault sites `ground.dino` / `sam.decode` may trip and stage
-    /// outputs are screened for non-finite values.
-    fn segment_adapted_inner(
+    /// outputs are screened for non-finite values. `ground_ms` covers
+    /// both the image side and the prompt side of grounding.
+    fn run_adapted(
         &self,
-        adapted: Arc<Image<f32>>,
+        adapted: Image<f32>,
         adapt_stages: Vec<AdaptTrace>,
         adapt_ms: f64,
         prompt: &str,
@@ -297,19 +309,16 @@ impl Zenesis {
                 site: "ground.dino",
             });
         }
-        // Grounding and the SAM image encoding are independent.
-        let ((grounding, emb), ground_ms) = zenesis_obs::timed("pipeline.ground", || {
-            overlap(
-                adapted.len(),
-                || self.dino.ground(&adapted, prompt),
-                || self.sam.encode_cached(&adapted),
-            )
+        let ((prepared, grounding), ground_ms) = zenesis_obs::timed("pipeline.ground", || {
+            let prepared = self.prepare_adapted(&adapted);
+            let grounding = self.dino.ground_prepared(&prepared.image, prompt);
+            (prepared, grounding)
         });
         zenesis_obs::record_ms("pipeline.ground.lat", ground_ms);
         if guards && zenesis_fault::trip("sam.decode").is_some() {
             return Err(SliceError::Injected { site: "sam.decode" });
         }
-        let s = self.decode(grounding, &emb, adapt_stages, adapt_ms, ground_ms);
+        let s = self.decode(grounding, &prepared.emb, adapt_stages, adapt_ms, ground_ms);
         if guards {
             let bad = s.relevance.as_slice().iter().filter(|v| !v.is_finite()).count();
             if bad > 0 {
@@ -320,7 +329,7 @@ impl Zenesis {
             }
         }
         Ok(SliceResult {
-            adapted,
+            adapted: Arc::new(adapted),
             detections: s.detections,
             masks: s.masks,
             combined: s.combined,
@@ -341,11 +350,7 @@ impl Zenesis {
     ) -> Segmentation {
         let (w, h) = emb.dims();
         let ((masks, combined, relevance), segment_ms) = zenesis_obs::timed("pipeline.segment", || {
-            let polarity = if grounding.dark_polarity {
-                Polarity::Dark
-            } else {
-                Polarity::Bright
-            };
+            let polarity = polarity(grounding.dark_polarity);
             let masks: Vec<BitMask> = grounding
                 .detections
                 .iter()
@@ -436,11 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn segment_adapted_reuses_adaptation() {
+    fn prepare_adapted_reuses_adaptation() {
         let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 3));
         let z = pipeline();
         let full = z.segment_slice(&g.raw, "bright catalyst particles");
-        let re = z.segment_adapted(&full.adapted, "bright catalyst particles");
+        let prepared = z.prepare_adapted(&full.adapted);
+        let re = z.segment_prepared(&prepared, "bright catalyst particles");
         assert_eq!(re.combined, full.combined);
         assert_eq!(re.trace.adapt_ms, 0.0);
     }

@@ -13,8 +13,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zenesis_image::distance::point_to_mask_distance;
-use zenesis_image::{BitMask, BoxRegion, Image, Point};
-use zenesis_sam::PromptSet;
+use zenesis_image::{BitMask, BoxRegion, Point};
+use zenesis_sam::{ImageEmbedding, PromptSet};
 
 use crate::pipeline::Zenesis;
 
@@ -83,34 +83,32 @@ pub fn random_boxes(
 }
 
 impl Zenesis {
-    /// Decode candidate boxes into masks on an adapted image.
-    pub fn decode_candidates(
-        &self,
-        adapted: &Image<f32>,
-        boxes: &[BoxRegion],
-    ) -> Vec<Candidate> {
+    /// Decode candidate boxes into masks against an image's SAM
+    /// embedding.
+    pub fn decode_candidates(&self, emb: &ImageEmbedding, boxes: &[BoxRegion]) -> Vec<Candidate> {
         let _s = zenesis_obs::span("rectify.candidates");
-        let emb = self.sam().encode_cached(adapted);
         zenesis_par::par_map(boxes, |&bbox| Candidate {
             bbox,
-            mask: self.sam().segment(&emb, &PromptSet::from_box(bbox)),
+            mask: self.sam().segment(emb, &PromptSet::from_box(bbox)),
         })
     }
 
-    /// The full Rectify interaction: generate candidates, decode them,
-    /// and pick the one whose mask is nearest to the user's click.
-    /// Returns `None` when every candidate decodes to an empty mask.
+    /// The full Rectify interaction: generate candidates, decode them
+    /// against `emb` (the embedding the caller already holds — a
+    /// session's [`crate::Prepared::embedding`]), and pick the one whose
+    /// mask is nearest to the user's click. Returns `None` when every
+    /// candidate decodes to an empty mask.
     pub fn rectify(
         &self,
-        adapted: &Image<f32>,
+        emb: &ImageEmbedding,
         click: Point,
         n_candidates: usize,
         criteria: CandidateCriteria,
         seed: u64,
     ) -> Option<Candidate> {
-        let (w, h) = adapted.dims();
+        let (w, h) = emb.dims();
         let boxes = random_boxes(w, h, n_candidates, criteria, seed);
-        let candidates = self.decode_candidates(adapted, &boxes);
+        let candidates = self.decode_candidates(emb, &boxes);
         let picked = select_nearest(candidates, click);
         if zenesis_obs::enabled() {
             zenesis_obs::events::emit(zenesis_obs::events::Event::RectifyPick {
@@ -150,6 +148,7 @@ pub fn select_nearest(candidates: Vec<Candidate>, click: Point) -> Option<Candid
 mod tests {
     use super::*;
     use crate::config::ZenesisConfig;
+    use zenesis_image::Image;
 
     #[test]
     fn random_boxes_respect_criteria() {
@@ -234,8 +233,9 @@ mod tests {
             }
         });
         let z = Zenesis::new(ZenesisConfig::default());
+        let emb = z.sam().encode(&img);
         let picked = z
-            .rectify(&img, Point::new(40, 24), 12, CandidateCriteria::Mixed, 3)
+            .rectify(&emb, Point::new(40, 24), 12, CandidateCriteria::Mixed, 3)
             .expect("some candidate");
         assert!(picked.mask.get(40, 24), "picked mask must cover the click");
     }

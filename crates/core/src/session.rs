@@ -78,12 +78,12 @@ impl Session {
     }
 
     /// Rectify the current segmentation with a user click: random
-    /// candidate boxes, nearest-segment selection. The chosen candidate's
-    /// mask is unioned into the current mask. Returns whether a candidate
-    /// was applied.
+    /// candidate boxes decoded against the embedding prepared at open,
+    /// nearest-segment selection. The chosen candidate's mask is unioned
+    /// into the current mask. Returns whether a candidate was applied.
     pub fn rectify(&mut self, click: Point, n_candidates: usize, seed: u64) -> bool {
         match self.zenesis.rectify(
-            &self.adapted,
+            self.prepared.embedding(),
             click,
             n_candidates,
             CandidateCriteria::Mixed,

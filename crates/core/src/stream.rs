@@ -16,7 +16,8 @@
 //! replay of either pass reproduces the original decision. Adaptation
 //! is deterministic, so the re-adapted pixels entering stage 3 are
 //! bit-identical to the ones stage 1 saw — the same property the
-//! journal's replay path relies on.
+//! journal's replay path relies on. Stage 3 encodes each slice it
+//! decodes once and hands that embedding to every decode of the slice.
 //!
 //! The executor carries the whole fault-tolerance contract of
 //! docs/ROBUSTNESS.md: the quarantine/retry/Otsu ladder, temporal box
@@ -27,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use zenesis_image::{BitMask, BoxRegion, Image, Pixel, Volume};
 use zenesis_par::CancelToken;
-use zenesis_sam::MemoryBank;
+use zenesis_sam::{ImageEmbedding, MemoryBank};
 
 use crate::checkpoint::{self, CheckpointSpec, Replay};
 use crate::pipeline::Zenesis;
@@ -247,11 +248,16 @@ impl Zenesis {
             }
         }
         // Stage 3: decode masks with the refined primary box plus the
-        // secondary boxes that pass the same size screen, re-reading and
-        // re-adapting each slice that decodes. A decode that panics or
-        // trips a fault keeps the slice's stage-1 mask instead (Otsu
-        // fallback for degraded slices, empty for failed ones).
+        // secondary boxes that pass the same size screen, re-reading,
+        // re-adapting and encoding each slice that decodes. A decode that
+        // panics or trips a fault keeps the slice's stage-1 mask instead
+        // (Otsu fallback for degraded slices, empty for failed ones).
+        // Every box decodes with the prompt's polarity, as in stage 1.
         let _decode = zenesis_obs::span("temporal.decode");
+        let polarity = self.prompt_polarity(prompt);
+        let decode = |z: usize, emb: &ImageEmbedding| {
+            self.decode_with_box(emb, polarity, used[z], &stage1[z].detections, window_dims[z])
+        };
         let maybe_masks: Vec<Option<(BitMask, bool)>> = if self.config.use_memory {
             // The memory bank is sequential and stateful, so every slice
             // is re-read and propagated — failed ones included, seeding
@@ -266,8 +272,8 @@ impl Zenesis {
                     out.push(None);
                     continue;
                 }
-                let adapted = match self.readapt(src, z, &s1.outcome) {
-                    Ok(adapted) => adapted,
+                let emb = match self.reencode(src, z, &s1.outcome) {
+                    Ok(emb) => emb,
                     // No pixels to propagate: keep the stage-1 mask and
                     // leave the bank untouched. A slice whose stage-1
                     // read failed the same way is already `Failed`, not
@@ -281,19 +287,13 @@ impl Zenesis {
                         continue;
                     }
                 };
-                let used_box = used[z];
                 let decoded = zenesis_fault::with_unit(z as u64, || {
                     catch_unwind(AssertUnwindSafe(|| {
-                        bank.propagate(self.sam(), &adapted, || {
-                            if s1.outcome.keeps_stage1_mask(used_box) {
+                        bank.propagate(self.sam(), &emb, || {
+                            if s1.outcome.keeps_stage1_mask(used[z]) {
                                 s1.combined.clone()
                             } else {
-                                self.decode_with_box(
-                                    &adapted,
-                                    used_box,
-                                    &s1.detections,
-                                    window_dims[z],
-                                )
+                                decode(z, &emb)
                             }
                         })
                     }))
@@ -301,7 +301,7 @@ impl Zenesis {
                 out.push(Some(match decoded {
                     Ok(mask) => (mask, false),
                     Err(p) => {
-                        self.report_decode_degraded(z, &panic_message(p));
+                        self.report_decode_degraded(z, &panic_message(p.as_ref()));
                         (s1.combined.clone(), true)
                     }
                 }));
@@ -321,10 +321,8 @@ impl Zenesis {
                 let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used[z]) {
                     (s1.combined.clone(), false)
                 } else {
-                    match self.readapt(src, z, &s1.outcome) {
-                        Ok(adapted) => {
-                            self.decode_slice_guarded(z, &adapted, s1, used[z], window_dims[z])
-                        }
+                    match self.reencode(src, z, &s1.outcome) {
+                        Ok(emb) => self.decode_slice_guarded(z, s1, || decode(z, &emb)),
                         Err(reason) => {
                             self.report_decode_degraded(z, &reason);
                             (s1.combined.clone(), true)
@@ -390,20 +388,22 @@ impl Zenesis {
         }
     }
 
-    /// Re-read and re-adapt slice `z` for stage-3 decoding: healthy
-    /// slices re-run the full (deterministic) adaptation, quarantined
-    /// slices the sanitized minimal one — the adaptation stage 1 used,
-    /// so stage 3 decodes from the pixels stage 1 saw.
-    fn readapt(
+    /// Re-read, re-adapt and encode slice `z` for stage-3 decoding:
+    /// healthy slices re-run the full (deterministic) adaptation,
+    /// quarantined slices the sanitized minimal one — the adaptation
+    /// stage 1 used, so stage 3 decodes from the pixels stage 1 saw.
+    /// The adapted pixels are dropped once encoded.
+    fn reencode(
         &self,
         src: &dyn SliceSource,
         z: usize,
         outcome: &SliceOutcome,
-    ) -> Result<Image<f32>, String> {
+    ) -> Result<ImageEmbedding, String> {
         let raw = self.read_slice_guarded(src, z)?;
-        Ok(match outcome {
+        let adapted = match outcome {
             SliceOutcome::Ok => self.config.adapt.run(&raw),
             _ => self.sanitized_minimal_adapt(&raw),
-        })
+        };
+        Ok(self.sam().encode(&adapted))
     }
 }

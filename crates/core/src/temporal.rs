@@ -14,7 +14,7 @@ use zenesis_adapt::AdaptPipeline;
 use zenesis_ground::Detection;
 use zenesis_image::{BitMask, BoxRegion, Image, Pixel};
 use zenesis_par::CancelToken;
-use zenesis_sam::PromptSet;
+use zenesis_sam::{ImageEmbedding, Polarity, PromptSet};
 
 use crate::pipeline::{PipelineTrace, SliceResult, Zenesis};
 
@@ -292,11 +292,12 @@ pub fn refine_boxes(raw: &[Option<BoxRegion>], cfg: &TemporalConfig) -> RefinedB
     (used, events, dims)
 }
 
-/// Human-readable message out of a caught panic payload.
-pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
+/// Stringify a caught panic payload the way `std` does for uncaught
+/// panics.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
+    } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
@@ -339,7 +340,7 @@ impl Zenesis {
                 match catch_unwind(AssertUnwindSafe(|| self.try_segment_slice(raw, prompt))) {
                     Ok(Ok(r)) => return Some((r, SliceOutcome::Ok)),
                     Ok(Err(e)) => reason = e.to_string(),
-                    Err(p) => reason = format!("panic: {}", panic_message(p)),
+                    Err(p) => reason = format!("panic: {}", panic_message(p.as_ref())),
                 }
                 if attempt == 0 {
                     zenesis_obs::counter("slice.quarantined").inc();
@@ -373,7 +374,7 @@ impl Zenesis {
                 Err(p) => {
                     let why = format!(
                         "primary pipeline failed ({reason}); otsu fallback panicked: {}",
-                        panic_message(p)
+                        panic_message(p.as_ref())
                     );
                     (self.empty_slice_result(raw), SliceOutcome::Failed { reason: why })
                 }
@@ -451,16 +452,14 @@ impl Zenesis {
         }
     }
 
-    /// Stage 3 with quarantine: decode with two attempts (panics and the
-    /// `sam.decode` fault site caught); on failure keep the stage-1 mask
-    /// and flag the slice degraded.
+    /// Stage 3 with quarantine: run `decode` with two attempts (panics
+    /// and the `sam.decode` fault site caught); on failure keep the
+    /// stage-1 mask and flag the slice degraded.
     pub(crate) fn decode_slice_guarded(
         &self,
         z: usize,
-        adapted: &Image<f32>,
         s1: &StageOne,
-        primary: Option<BoxRegion>,
-        window_dims: Option<(f64, f64)>,
+        decode: impl Fn() -> BitMask,
     ) -> (BitMask, bool) {
         zenesis_fault::with_unit(z as u64, || {
             let mut reason = String::new();
@@ -469,12 +468,12 @@ impl Zenesis {
                     if zenesis_fault::trip("sam.decode").is_some() {
                         return Err("injected fault at sam.decode".to_string());
                     }
-                    Ok(self.decode_with_box(adapted, primary, &s1.detections, window_dims))
+                    Ok(decode())
                 }));
                 match decoded {
                     Ok(Ok(m)) => return (m, false),
                     Ok(Err(e)) => reason = e,
-                    Err(p) => reason = format!("panic: {}", panic_message(p)),
+                    Err(p) => reason = format!("panic: {}", panic_message(p.as_ref())),
                 }
             }
             self.report_decode_degraded(z, &reason);
@@ -490,21 +489,26 @@ impl Zenesis {
         });
     }
 
-    /// Decode a slice using a refined primary box (if any) together with
-    /// the secondary detections that pass the same temporal size screen
-    /// (a glitched slice's garbage boxes must not leak in as secondaries).
+    /// Decode a slice's embedding using a refined primary box (if any)
+    /// together with the secondary detections that pass the same
+    /// temporal size screen (a glitched slice's garbage boxes must not
+    /// leak in as secondaries), every box with the prompt's `polarity`.
     pub(crate) fn decode_with_box(
         &self,
-        adapted: &Image<f32>,
+        emb: &ImageEmbedding,
+        polarity: Polarity,
         primary: Option<BoxRegion>,
         detections: &[Detection],
         window_dims: Option<(f64, f64)>,
     ) -> BitMask {
-        let (w, h) = adapted.dims();
-        let emb = self.sam().encode_cached(adapted);
+        let (w, h) = emb.dims();
+        let decode = |b| {
+            self.sam()
+                .segment(emb, &PromptSet::from_box(b).with_polarity(polarity))
+        };
         let mut combined = BitMask::new(w, h);
         if let Some(b) = primary {
-            combined.or_with(&self.sam().segment(&emb, &PromptSet::from_box(b)));
+            combined.or_with(&decode(b));
         }
         for d in detections.iter().skip(1) {
             if let Some((mean_w, mean_h)) = window_dims {
@@ -512,7 +516,7 @@ impl Zenesis {
                     continue;
                 }
             }
-            combined.or_with(&self.sam().segment(&emb, &PromptSet::from_box(d.bbox)));
+            combined.or_with(&decode(d.bbox));
         }
         combined
     }

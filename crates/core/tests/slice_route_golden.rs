@@ -11,7 +11,7 @@
 //! Tests serialize on one mutex: the volume test's executor and the
 //! thread team are process-global.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use zenesis_adapt::AdaptPipeline;
 use zenesis_core::rectify::CandidateCriteria;
@@ -91,7 +91,7 @@ fn method_masks_are_pinned() {
     let mut got = Vec::new();
     for (kind, seed) in [(SampleKind::Amorphous, 41), (SampleKind::Crystalline, 42)] {
         let g = generate_slice(&PhantomConfig::new(kind, seed).with_size(96, 96));
-        let adapted = Arc::new(z.adapt(&g.raw).0);
+        let adapted = z.adapt(&g.raw).0;
         let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
         for m in Method::all() {
             let mask = m.segment_views(&z, &baseline_view, &adapted, kind.default_prompt());
@@ -140,7 +140,9 @@ fn further_segment_child_is_pinned() {
 fn rectify_picks_are_pinned() {
     let _l = lock();
     let z = pipeline();
-    let adapted = adapted_phantom(&z, SampleKind::Amorphous, 44, 96);
+    let emb = z
+        .sam()
+        .encode(&adapted_phantom(&z, SampleKind::Amorphous, 44, 96));
     let mut got = Vec::new();
     for (i, (x, y)) in [(48, 48), (20, 70), (75, 30), (5, 5)]
         .into_iter()
@@ -148,7 +150,7 @@ fn rectify_picks_are_pinned() {
     {
         let picked = z
             .rectify(
-                &adapted,
+                &emb,
                 Point::new(x, y),
                 16,
                 CandidateCriteria::Mixed,
@@ -217,4 +219,27 @@ fn memory_bank_volume_is_pinned() {
         h.word(r.corrections() as u64);
     });
     check(&[("use_memory volume".into(), got)], &[0x010c633336406327]);
+}
+
+/// No product path fills `Sam`'s embedding LRU: batch volumes (with and
+/// without the memory bank), the three evaluation methods and Further
+/// Segment all encode once and pass the embedding on.
+#[test]
+fn no_product_path_fills_the_embedding_lru() {
+    let _l = lock();
+    let mut z = pipeline();
+    let prompt = SampleKind::Crystalline.default_prompt();
+    let v = generate_volume(SampleKind::Crystalline, 64, 4, 47, &[]);
+    z.segment_volume(&v.volume, prompt);
+    z.config.use_memory = true;
+    z.segment_volume(&v.volume, prompt);
+    let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 48).with_size(64, 64));
+    let adapted = z.adapt(&g.raw).0;
+    let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
+    for m in Method::all() {
+        m.segment_views(&z, &baseline_view, &adapted, prompt);
+    }
+    z.further_segment(&adapted, BoxRegion::new(8, 8, 56, 56), prompt)
+        .expect("region inside the image");
+    assert_eq!(z.sam().embed_cache_len(), 0);
 }

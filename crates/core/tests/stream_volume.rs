@@ -10,6 +10,7 @@
 
 use std::sync::Mutex;
 
+use zenesis_core::temporal::refine_boxes;
 use zenesis_core::{CheckpointSpec, Zenesis, ZenesisConfig};
 use zenesis_data::{generate_volume, SampleKind};
 use zenesis_fault::{FaultKind, FaultPlan};
@@ -104,6 +105,54 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
     }
     // Slices the fault spared are segmented normally.
     assert!(r.masks.iter().any(|m| m.count() > 0));
+}
+
+/// Stage 3 decodes with the prompt's polarity. With the relevance gate
+/// off, a slice the temporal heuristic leaves alone and whose secondary
+/// detections all pass its size screen must get exactly the mask
+/// `segment_slice` gives it, dark prompt included; the memory bank's
+/// cold start (slice 0) decodes the same way.
+#[test]
+fn stage_three_decodes_a_dark_prompt_dark() {
+    let _g = lock();
+    const DARK: &str = "dark pores";
+    let v = generate_volume(SampleKind::Amorphous, 64, 6, 7, &[]);
+    let config = ZenesisConfig {
+        relevance_floor: None,
+        ..ZenesisConfig::default()
+    };
+    let single: Vec<_> = (0..6)
+        .map(|i| Zenesis::new(config.clone()).segment_slice(v.volume.slice(i), DARK))
+        .collect();
+    let raw_boxes: Vec<_> = single
+        .iter()
+        .map(|r| r.detections.first().map(|d| d.bbox))
+        .collect();
+    let (_, events, window_dims) = refine_boxes(&raw_boxes, &config.temporal);
+    let f = config.temporal.size_factor;
+    let passes_screen = |i: usize| {
+        single[i].detections.iter().skip(1).all(|d| {
+            window_dims[i].is_none_or(|(mw, mh)| {
+                let (w, h) = (d.bbox.width() as f64, d.bbox.height() as f64);
+                w <= f * mw && h <= f * mh && w >= mw / f && h >= mh / f
+            })
+        })
+    };
+    let checked: Vec<usize> = (0..6)
+        .filter(|&i| !events[i].corrected && passes_screen(i))
+        .collect();
+    assert!(checked.contains(&0), "slice 0 is never screened");
+    let volume = Zenesis::new(config.clone()).segment_volume(&v.volume, DARK);
+    for &i in &checked {
+        assert!(single[i].combined.count() > 0, "slice {i} finds dark structure");
+        assert_eq!(volume.masks[i], single[i].combined, "slice {i}");
+    }
+    let memory = Zenesis::new(ZenesisConfig {
+        use_memory: true,
+        ..config
+    })
+    .segment_volume(&v.volume, DARK);
+    assert_eq!(memory.masks[0], single[0].combined, "memory bank cold start");
 }
 
 /// The memory bank re-reads every slice in stage 3, failed ones

@@ -9,9 +9,10 @@
 
 use std::collections::VecDeque;
 
-use zenesis_image::{BitMask, Image};
+use zenesis_image::BitMask;
 
 use crate::decoder::decode_mask_prior;
+use crate::embedding::ImageEmbedding;
 use crate::sam::{Sam, SamConfig};
 
 /// Rolling memory of recent slice masks.
@@ -71,21 +72,21 @@ impl MemoryBank {
         Some(out)
     }
 
-    /// Decode the next slice conditioned on memory: the consensus mask is
-    /// used as a mask prompt (propagation); the result is pushed into the
-    /// bank and returned. With an empty bank this falls back to `fallback`
-    /// (e.g. a cold per-slice segmentation), which is also recorded.
+    /// Decode the next slice, given its embedding `emb`, conditioned on
+    /// memory: the consensus mask is used as a mask prompt (propagation);
+    /// the result is pushed into the bank and returned. With an empty bank
+    /// this falls back to `fallback` (e.g. a cold per-slice segmentation
+    /// against the same embedding), which is also recorded.
     pub fn propagate(
         &mut self,
         sam: &Sam,
-        slice: &Image<f32>,
+        emb: &ImageEmbedding,
         fallback: impl FnOnce() -> BitMask,
     ) -> BitMask {
-        let emb = sam.encode_cached(slice);
         let mask = match self.consensus() {
             Some(prior) if prior.count() > 0 => {
                 let cfg: &SamConfig = &sam.config;
-                decode_mask_prior(&emb, &prior, cfg.step_tol, cfg.tolerances[1])
+                decode_mask_prior(emb, &prior, cfg.step_tol, cfg.tolerances[1])
             }
             _ => fallback(),
         };
@@ -97,7 +98,7 @@ impl MemoryBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zenesis_image::BoxRegion;
+    use zenesis_image::{BoxRegion, Image};
 
     fn mask_at(x0: usize) -> BitMask {
         BitMask::from_box(32, 32, BoxRegion::new(x0, 10, x0 + 10, 20))
@@ -158,7 +159,8 @@ mod tests {
         bank.push(m0);
         // Propagate through drifting slices; fallback must not be needed.
         for shift in 1..5 {
-            let m = bank.propagate(&sam, &slice(shift), || panic!("fallback used"));
+            let emb = sam.encode(&slice(shift));
+            let m = bank.propagate(&sam, &emb, || panic!("fallback used"));
             let truth = BitMask::from_fn(48, 48, |x, y| {
                 (16 + shift..32 + shift).contains(&x) && (16..32).contains(&y)
             });
@@ -175,7 +177,7 @@ mod tests {
         let mut bank = MemoryBank::new(2);
         let img = Image::<f32>::filled(16, 16, 0.5);
         let fallback_mask = BitMask::from_box(16, 16, BoxRegion::new(0, 0, 4, 4));
-        let got = bank.propagate(&sam, &img, || fallback_mask.clone());
+        let got = bank.propagate(&sam, &sam.encode(&img), || fallback_mask.clone());
         assert_eq!(got, fallback_mask);
         assert_eq!(bank.len(), 1);
     }

@@ -109,9 +109,7 @@ pub struct MaskPrediction {
     pub level: usize,
 }
 
-/// Capacity of the per-`Sam` embedding cache: enough for the working set
-/// of re-prompting sessions and short temporal windows without holding a
-/// whole volume's embeddings alive.
+/// Capacity of the per-`Sam` embedding cache behind [`Sam::encode_cached`].
 const EMBED_CACHE_CAP: usize = 8;
 
 struct CacheEntry {
@@ -153,11 +151,9 @@ fn hash_image(img: &Image<f32>) -> u64 {
     mix(a, b)
 }
 
-/// The promptable segmenter. Encode once, decode many prompts.
-///
-/// [`Sam::encode_cached`] memoizes embeddings in a small LRU keyed by
-/// image content, so re-prompting the same adapted image (Mode A
-/// sessions, temporal refinement) skips the expensive encode pass.
+/// The promptable segmenter. Encode once ([`Sam::encode`]), decode many
+/// prompts against that embedding: callers that reuse an embedding hold
+/// it and pass it on.
 pub struct Sam {
     pub config: SamConfig,
     cache: Mutex<Vec<CacheEntry>>,
@@ -177,8 +173,11 @@ impl Sam {
         ImageEmbedding::encode(img, self.config.encode_sigma)
     }
 
-    /// Encode with memoization: identical image content (and encode
-    /// sigma) returns the cached embedding. Hit/miss counts appear as the
+    /// Encode with memoization in a small LRU keyed by image content:
+    /// identical image content (and encode sigma) returns the cached
+    /// embedding, which is exactly what [`Sam::encode`] computes. No
+    /// pipeline path calls this; every product caller encodes once and
+    /// passes the embedding on. Hit/miss counts appear as the
     /// `sam.embed_cache.hit` / `sam.embed_cache.miss` metrics when
     /// observability is enabled; the cache itself is active at every
     /// level, and is deterministic, so outputs do not depend on

@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use zenesis_core::job::{message_is_transient_input, JobEngine, JobResult, JobSpec};
+use zenesis_core::panic_message;
 use zenesis_obs::events::{self, Event};
 use zenesis_obs::TraceId;
 use zenesis_par::CancelToken;
@@ -466,17 +467,6 @@ fn set_depth_gauges(depths: QueueDepths) {
     zenesis_obs::gauge("serve.queue_depth").set(depths.total() as i64);
     zenesis_obs::gauge("serve.lane.interactive.depth").set(depths.interactive as i64);
     zenesis_obs::gauge("serve.lane.batch.depth").set(depths.batch as i64);
-}
-
-/// Stringify a panic payload the way `std` does for uncaught panics.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Transient-input classification, delegated to the structured

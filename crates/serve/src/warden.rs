@@ -12,13 +12,13 @@
 //! * **Heartbeats** — the child beats every quarter window with its
 //!   progress pulse. No message for one whole window ⇒ dead
 //!   (`reason: "heartbeat"`). Beats flowing but the pulse frozen for
-//!   [`STALL_WINDOWS`] windows ⇒ hung (`reason: "stall"`); a hung child
+//!   `STALL_WINDOWS` windows ⇒ hung (`reason: "stall"`); a hung child
 //!   is killed, because a stuck slice never finishes on its own. EOF
 //!   on the pipe ⇒ the process died and is reaped for its exit status
 //!   (`reason: "exit ..."`).
 //! * **Restart with capped backoff** — a crashed worker is respawned
-//!   after [`RESTART_BACKOFF_BASE_MS`] shifted by the consecutive
-//!   no-progress crash count, capped at [`MAX_RESTART_BACKOFF_MS`].
+//!   after `RESTART_BACKOFF_BASE_MS` shifted by the consecutive
+//!   no-progress crash count, capped at `MAX_RESTART_BACKOFF_MS`.
 //!   Progress (journal growth) resets the backoff: a worker dying its
 //!   way through a poisonous *slice* still advances, while a worker
 //!   dying before it can journal anything backs off harder.
@@ -547,11 +547,11 @@ mod tests {
 
     #[test]
     fn respawned_specs_always_resume() {
-        let mut spec = batch_spec(&format!(
-            r#"{{"mode": "batch",
-                "input": {{"source": "phantom_volume", "kind": "amorphous", "seed": 3, "depth": 4}},
-                "prompt": "bright particles", "checkpoint_dir": "/tmp/x", "resume": false}}"#
-        ));
+        let mut spec = batch_spec(
+            r#"{"mode": "batch",
+                "input": {"source": "phantom_volume", "kind": "amorphous", "seed": 3, "depth": 4},
+                "prompt": "bright particles", "checkpoint_dir": "/tmp/x", "resume": false}"#,
+        );
         force_resume(&mut spec);
         match spec {
             JobSpec::Batch { resume, .. } => assert!(resume),

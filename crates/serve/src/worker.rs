@@ -32,9 +32,8 @@ use std::time::Duration;
 
 use serde_json::Value;
 use zenesis_core::job::{run_job_with_cancel, JobResult, JobSpec};
+use zenesis_core::panic_message;
 use zenesis_par::CancelToken;
-
-use crate::server::panic_message;
 
 /// Floor on the beat interval so a tiny heartbeat window cannot turn
 /// the beat thread into a busy loop.

@@ -57,18 +57,23 @@ fn segment_slice_emits_documented_span_tree() {
     let root = find("pipeline.segment_slice");
     let adapt = find("pipeline.adapt");
     let ground = find("pipeline.ground");
+    let prepare = find("pipeline.prepare");
     let segment = find("pipeline.segment");
     let dino = find("ground.dino");
     assert_eq!(adapt.parent, Some(root.id));
     assert_eq!(ground.parent, Some(root.id));
     assert_eq!(segment.parent, Some(root.id));
+    // The ground phase covers the slice's preparation (grounding's image
+    // side and, on the other join branch, the SAM encode) and then the
+    // prompt side; mask decoding sits under the segment phase.
+    assert_eq!(prepare.parent, Some(ground.id));
     assert_eq!(dino.parent, Some(ground.id));
-    for leaf in ["ground.tokenize", "ground.encode", "ground.attention", "ground.nms"] {
+    for leaf in ["ground.encode", "sam.encode"] {
+        assert_eq!(find(leaf).parent, Some(prepare.id), "{leaf}");
+    }
+    for leaf in ["ground.tokenize", "ground.attention", "ground.nms"] {
         assert_eq!(find(leaf).parent, Some(dino.id), "{leaf}");
     }
-    // Image encoding runs on the other join branch but still under the
-    // ground phase; mask decoding sits under the segment phase.
-    assert_eq!(find("sam.encode").parent, Some(ground.id));
     assert!(spans
         .iter()
         .filter(|s| s.name == "sam.decode")
