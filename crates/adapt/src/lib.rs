@@ -21,6 +21,8 @@
 //! * [`resample`] — bilinear resizing to model-native resolutions.
 //! * [`pipeline`] — the composable stage list with provenance tracing.
 
+#![forbid(unsafe_code)]
+
 pub mod denoise;
 pub mod flatten;
 pub mod destripe;

@@ -5,6 +5,8 @@
 //! forms. These are the "traditional methods" whose failure on raw
 //! low-contrast crystalline FIB-SEM motivates Zenesis.
 
+#![forbid(unsafe_code)]
+
 mod otsu;
 
 pub use otsu::{

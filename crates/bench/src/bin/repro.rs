@@ -39,6 +39,8 @@
 //! default `out/volume.tif`) so the two input paths can be compared
 //! bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 

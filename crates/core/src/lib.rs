@@ -10,8 +10,9 @@
 //!   segmentation, with a full provenance trace (Fig. 2).
 //! * [`temporal`] — the heuristic box refinement for volumes (Fig. 7):
 //!   sliding-window mean box width/height, factor-thresholded outlier
-//!   replacement; the per-slice quarantine and decode steps the volume
-//!   executor calls, and its outcome, error and result types.
+//!   replacement, causal so the volume executor applies it over the
+//!   finished prefix; the per-slice quarantine and decode steps the
+//!   volume executor calls, and its outcome, error and result types.
 //! * [`rectify`] — human-in-the-loop Rectify Segmentation (Fig. 6):
 //!   random candidate boxes (full-width / full-height per the paper) and
 //!   nearest-segment selection from a user click.
@@ -33,8 +34,11 @@
 //!   checkpoint/resume (CRC-guarded JSONL, torn-tail tolerant).
 //! * [`stream`] — the one Mode B volume executor: the fault-tolerant
 //!   volume pipeline over a [`stream::SliceSource`] (a streaming TIFF
-//!   stack or an in-memory `Volume<T>`), holding O(workers × one slice)
-//!   of pixel data (see docs/DATA.md).
+//!   stack or an in-memory `Volume<T>`), one pipelined pass that reads
+//!   and encodes each slice once and holds O(threads) slices of pixels
+//!   and embeddings (see docs/DATA.md).
+
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod config;

@@ -231,7 +231,7 @@ impl Zenesis {
             zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
         zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
         match self.run_adapted(adapted, adapt_stages, adapt_ms, prompt, false) {
-            Ok(r) => r,
+            Ok((r, _)) => r,
             Err(_) => unreachable!("the unguarded pipeline is infallible"),
         }
     }
@@ -240,11 +240,14 @@ impl Zenesis {
     /// boundary is checked for non-finite values and armed fault sites
     /// ([`zenesis_fault`]) may fire. Identical output to
     /// [`Zenesis::segment_slice`] on healthy input with no faults armed.
+    /// The SAM embedding the masks were decoded from comes back with the
+    /// result, so a caller decoding more boxes on the slice (Mode B's
+    /// refined boxes) encodes nothing again.
     pub fn try_segment_slice<T: Pixel>(
         &self,
         raw: &Image<T>,
         prompt: &str,
-    ) -> Result<SliceResult, SliceError> {
+    ) -> Result<(SliceResult, ImageEmbedding), SliceError> {
         let _root = zenesis_obs::span("pipeline.segment_slice");
         let (adapt_res, adapt_ms) = zenesis_obs::timed("pipeline.adapt", || {
             self.config.adapt.run_traced_checked(&raw.to_f32())
@@ -295,7 +298,8 @@ impl Zenesis {
     /// infallible and checks nothing. With `guards` on (the volume path)
     /// fault sites `ground.dino` / `sam.decode` may trip and stage
     /// outputs are screened for non-finite values. `ground_ms` covers
-    /// both the image side and the prompt side of grounding.
+    /// both the image side and the prompt side of grounding. The SAM
+    /// embedding comes back beside the result.
     fn run_adapted(
         &self,
         adapted: Image<f32>,
@@ -303,7 +307,7 @@ impl Zenesis {
         adapt_ms: f64,
         prompt: &str,
         guards: bool,
-    ) -> Result<SliceResult, SliceError> {
+    ) -> Result<(SliceResult, ImageEmbedding), SliceError> {
         if guards && zenesis_fault::trip("ground.dino").is_some() {
             return Err(SliceError::Injected {
                 site: "ground.dino",
@@ -328,14 +332,15 @@ impl Zenesis {
                 });
             }
         }
-        Ok(SliceResult {
+        let result = SliceResult {
             adapted: Arc::new(adapted),
             detections: s.detections,
             masks: s.masks,
             combined: s.combined,
             relevance: s.relevance,
             trace: s.trace,
-        })
+        };
+        Ok((result, prepared.emb))
     }
 
     /// The tail every run shares: one SAM decode per box, their union,

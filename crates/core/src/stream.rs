@@ -2,22 +2,34 @@
 //!
 //! [`Zenesis::segment_volume_streamed`] is the one volume executor. It
 //! pulls slices on demand from a [`SliceSource`] — a streaming TIFF
-//! stack, or an in-memory `Volume<T>` — and never retains a slice's f32
-//! pixels past the stage that needs them. Peak pixel residency is
-//! O(active workers × one slice); only the per-slice *bit* masks and
-//! detections — 32x smaller than the pixels — accumulate across the
-//! run.
+//! stack, or an in-memory `Volume<T>` — and runs them through one
+//! pipelined pass. Each slice is read, adapted and encoded once:
 //!
-//! Both passes that touch pixels (stage 1 adapt+ground, stage 3 decode)
-//! read the slice independently, in-memory volumes included. That
-//! re-read is safe under fault injection because an injection decision
-//! is a pure function of `(seed, site, slice index)`: a slice that read
-//! cleanly in stage 1 reads cleanly again in stage 3, and checkpoint
-//! replay of either pass reproduces the original decision. Adaptation
-//! is deterministic, so the re-adapted pixels entering stage 3 are
-//! bit-identical to the ones stage 1 saw — the same property the
-//! journal's replay path relies on. Stage 3 encodes each slice it
-//! decodes once and hands that embedding to every decode of the slice.
+//! 1. **Stage 1.** Workers claim slices one at a time in z order, read,
+//!    adapt and ground each through the quarantine ladder, and keep the
+//!    SAM embedding stage 1 built (for a quarantined slice, the encode of
+//!    the sanitized minimal adaptation its Otsu fallback ran).
+//! 2. **Refinement.** The temporal heuristic is causal — slice z is
+//!    judged only against slices before it — so a cursor judges each
+//!    slice as soon as every slice up to it has finished stage 1.
+//! 3. **Decode.** A judged slice decodes its refined boxes from the
+//!    embedding it kept, then drops it. The worker that completes the
+//!    prefix decodes its own slice at once, then any parked successors;
+//!    decodes of different slices run concurrently, except through the
+//!    `use_memory` bank, which propagates in z order.
+//!
+//! Slices that finish stage 1 ahead of the prefix park in a ring of
+//! `threads + 1` slots; a worker that would overflow it decodes or waits
+//! instead of claiming. So at most threads + ring capacity embeddings
+//! are resident, and only per-slice *bit* masks and detections — 32x
+//! smaller than the pixels — accumulate across the run.
+//!
+//! A slice replayed from the checkpoint journal without a mask record
+//! has no pixels in hand and is re-read and re-encoded before it
+//! decodes (`reencode`). That is safe under fault injection because an
+//! injection decision is a pure function of `(seed, site, slice index)`
+//! and adaptation is deterministic, so the replay decodes from the
+//! pixels the original run saw.
 //!
 //! The executor carries the whole fault-tolerance contract of
 //! docs/ROBUSTNESS.md: the quarantine/retry/Otsu ladder, temporal box
@@ -25,15 +37,16 @@
 //! too-many-failures floor.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use zenesis_image::{BitMask, BoxRegion, Image, Pixel, Volume};
-use zenesis_par::CancelToken;
-use zenesis_sam::{ImageEmbedding, MemoryBank};
+use zenesis_par::{CancelToken, Progress};
+use zenesis_sam::{ImageEmbedding, MemoryBank, Polarity};
 
-use crate::checkpoint::{self, CheckpointSpec, Replay};
+use crate::checkpoint::{self, CheckpointSpec, Journal, Replay};
 use crate::pipeline::Zenesis;
 use crate::temporal::{
-    panic_message, refine_boxes, SliceOutcome, StageOne, VolumeCancelled, VolumeError, VolumeResult,
+    panic_message, Refiner, SliceOutcome, StageOne, VolumeCancelled, VolumeError, VolumeResult,
 };
 
 /// A volume whose slices are produced on demand, normalized to f32.
@@ -85,8 +98,148 @@ impl SliceSource for zenesis_tiff::VolumeReader {
     }
 }
 
-/// The run was cancelled during a stage: report the pixel counts of
-/// the slices that finished it, in slice order.
+/// Where a slice's decode gets its embedding.
+enum Source {
+    /// The embedding stage 1 built in this run.
+    Encoded(ImageEmbedding),
+    /// Stage 1 was replayed from the journal: re-read and encode the
+    /// slice if it decodes.
+    Replayed,
+    /// No pixels: the read failed, or (without the memory bank) the
+    /// slice failed and keeps its stage-1 mask, so it never decodes.
+    NoPixels,
+}
+
+/// A slice that has finished stage 1 and not yet decoded.
+struct Parked {
+    z: usize,
+    s1: StageOne,
+    source: Source,
+}
+
+/// A judged slice handed to one worker to decode, with the memory bank
+/// when the run uses one.
+struct Job {
+    slice: Parked,
+    used: Option<BoxRegion>,
+    window: Option<(f64, f64)>,
+    bank: Option<MemoryBank>,
+}
+
+/// Everything the workers of one run share read-only.
+struct Run<'a> {
+    src: &'a dyn SliceSource,
+    prompt: &'a str,
+    cancel: &'a CancelToken,
+    journal: Option<&'a Journal>,
+    replay: &'a Replay,
+    progress: Progress,
+    polarity: Polarity,
+    depth: usize,
+    dims: (usize, usize),
+    ring_cap: usize,
+}
+
+/// The pipeline's schedule, behind one mutex.
+struct State {
+    /// Next slice to claim for stage 1.
+    next: usize,
+    /// Claimed slices whose stage 1 has not finished.
+    in_flight: usize,
+    /// Finished slices not yet handed to a decode: every one past the
+    /// refiner's cursor, and judged ones waiting for the bank. Claims
+    /// keep `ring.len() + in_flight` within the ring capacity.
+    ring: Vec<Parked>,
+    /// The temporal heuristic over the finished prefix.
+    refiner: Refiner,
+    /// Slices whose stage 1 failed outright.
+    failed: usize,
+    /// Final outcome and mask of each decoded slice.
+    done: Vec<Option<(SliceOutcome, BitMask)>>,
+    /// Memory-bank mode: the bank while no decode holds it, and the
+    /// slice it propagates next.
+    bank: Option<MemoryBank>,
+    bank_next: usize,
+    /// Memory-bank mode: decodes go through `bank` in z order.
+    memory: bool,
+    /// A worker saw cancellation or unwound: nobody claims or decodes.
+    halted: bool,
+}
+
+impl State {
+    /// Judge every parked slice the finished prefix now reaches.
+    fn advance(&mut self) {
+        let _span = zenesis_obs::span("temporal.refine");
+        while let Some(p) = self.ring.iter().find(|p| p.z == self.refiner.cursor()) {
+            let event = self.refiner.push(p.s1.detections.first().map(|d| d.bbox));
+            if event.corrected && zenesis_obs::enabled() {
+                zenesis_obs::events::emit(zenesis_obs::events::Event::TemporalReplace {
+                    slice: event.slice,
+                    had_detection: event.raw_box.is_some(),
+                });
+            }
+        }
+    }
+
+    /// Take parked slice `z` off the ring for decoding, if it can decode
+    /// now: judged, and in memory-bank mode next in line for the bank.
+    fn take(&mut self, z: usize) -> Option<Job> {
+        let ready = z < self.refiner.cursor()
+            && (!self.memory || (self.bank.is_some() && self.bank_next == z));
+        if !ready {
+            return None;
+        }
+        let slice = self.ring.swap_remove(self.ring.iter().position(|p| p.z == z)?);
+        let (used, window) = self.refiner.judged(z);
+        Some(Job {
+            slice,
+            used,
+            window,
+            bank: self.bank.take(),
+        })
+    }
+
+    /// Take any parked slice that can decode now.
+    fn take_ready(&mut self) -> Option<Job> {
+        let z = if self.memory {
+            self.bank_next
+        } else {
+            let cursor = self.refiner.cursor();
+            self.ring.iter().map(|p| p.z).find(|&z| z < cursor)?
+        };
+        self.take(z)
+    }
+}
+
+/// The schedule and the condition workers wait on for ring space.
+struct Shared {
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+impl Shared {
+    /// The lock is poisoned only when a worker unwound while holding it;
+    /// that halts the run and re-raises the panic on the caller, so the
+    /// peers only read `halted` from a poisoned state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Halts the run when a worker unwinds, so no peer waits on it.
+struct HaltOnUnwind<'a>(&'a Shared);
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().halted = true;
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// The run was cancelled: report the pixel counts of the slices that
+/// finished, in slice order.
 fn cancelled<'a>(total: usize, done: impl Iterator<Item = &'a BitMask>) -> VolumeError {
     let per_slice_pixels: Vec<usize> = done.map(BitMask::count).collect();
     VolumeError::Cancelled(VolumeCancelled {
@@ -106,19 +259,21 @@ impl Zenesis {
     }
 
     /// Mode B over a [`SliceSource`]: the full fault-tolerant volume
-    /// pipeline without ever holding more than O(active workers) slices
-    /// of pixel data in memory.
+    /// pipeline without ever holding more than O(threads) slices of
+    /// pixel data or embeddings in memory.
     ///
     /// Stage 1 reads, adapts and grounds every slice in parallel, with
-    /// per-slice quarantine and Otsu fallback; stage 2 runs the
-    /// (sequential, windowed) box heuristic; stage 3 decodes masks in
-    /// parallel with the refined boxes. When `config.use_memory` is set,
-    /// decoding instead runs sequentially through a SAM2 memory bank,
-    /// with the refined box of each slice seeding the cold start.
+    /// per-slice quarantine and Otsu fallback; the (sequential, windowed)
+    /// box heuristic judges each slice once every slice before it has
+    /// finished stage 1; the slice then decodes its masks with the
+    /// refined boxes from the embedding stage 1 built. When
+    /// `config.use_memory` is set, decoding instead runs through a SAM2
+    /// memory bank in z order, with the refined box of each slice seeding
+    /// the cold start.
     ///
-    /// `cancel` is polled before each slice of stages 1 and 3, so a
+    /// `cancel` is polled before each slice's stage 1 and decode, so a
     /// deadline or an explicit stop yields [`VolumeError::Cancelled`]
-    /// with the completed slices' pixel counts. When `checkpoint` is
+    /// with the decoded slices' pixel counts. When `checkpoint` is
     /// given, a crash-safe journal makes a killed run resumable without
     /// recomputing finished slices, bit-identically.
     ///
@@ -153,213 +308,287 @@ impl Zenesis {
             }
             None => (None, Replay::default()),
         };
-        // Stage 1: read + adapt + ground each slice in parallel, then
-        // immediately compact to detections/mask/outcome so the slice's
-        // pixels are freed before the next slice is pulled. Workers tick
-        // a shared progress counter and, when recording, emit one
-        // `slice.done` event with per-slice latency, throughput, and ETA
-        // — the live-telemetry feed for long Mode B batches. The timing
-        // clock and mask count are only computed when recording, so
-        // `ZENESIS_OBS=off` adds a single atomic add per slice. Slices
-        // found in the checkpoint journal skip the pipeline entirely.
-        let progress = zenesis_par::Progress::new(depth);
-        let maybe_stage1: Vec<Option<StageOne>> = zenesis_par::par_map_range(depth, |z| {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            if let Some(rep) = replay.slices.get(&z) {
-                progress.tick();
-                return Some(StageOne {
-                    detections: rep.detections.clone(),
-                    combined: rep.combined.clone(),
-                    outcome: rep.outcome.clone(),
-                });
-            }
-            let t0 = zenesis_obs::enabled().then(std::time::Instant::now);
-            let one = match self.read_slice_guarded(src, z) {
-                Ok(raw) => {
-                    let (r, outcome) = self.run_slice_guarded(&raw, z, prompt, cancel)?;
-                    StageOne {
-                        detections: r.detections,
-                        combined: r.combined,
-                        outcome,
-                    }
-                }
-                Err(reason) => self.failed_read_slice(z, w, h, reason),
-            };
-            if let Some(j) = &journal {
-                j.record_slice(z, &one.outcome, &one.detections, &one.combined);
-            }
-            // Post-journal death sites: the slice is already durable,
-            // so a kill/hang here costs at most this worker's life —
-            // the restarted worker replays it and trips nothing,
-            // guaranteeing forward progress per worker generation.
-            zenesis_fault::with_unit(z as u64, || {
-                let _ = zenesis_fault::trip("worker.kill");
-                let _ = zenesis_fault::trip("worker.hang");
-            });
-            progress.tick();
-            if let Some(t0) = t0 {
-                zenesis_obs::events::emit(zenesis_obs::events::Event::SliceDone {
-                    index: z,
-                    done: progress.done_clamped(),
-                    total: depth,
-                    lat_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    mask_pixels: one.combined.count() as u64,
-                    rate: progress.rate(),
-                    eta_s: progress.eta_secs(),
-                });
-            }
-            Some(one)
-        });
-        if maybe_stage1.iter().any(Option::is_none) {
-            return Err(cancelled(
-                depth,
-                maybe_stage1.iter().flatten().map(|s| &s.combined),
-            ));
-        }
-        let stage1: Vec<StageOne> = maybe_stage1.into_iter().flatten().collect();
+        let threads = zenesis_par::current_threads();
+        let memory = self.config.use_memory;
+        let run = Run {
+            src,
+            prompt,
+            cancel,
+            journal: journal.as_ref(),
+            replay: &replay,
+            progress: Progress::new(depth),
+            polarity: self.prompt_polarity(prompt),
+            depth,
+            dims: (w, h),
+            ring_cap: threads + 1,
+        };
+        let shared = Shared {
+            state: Mutex::new(State {
+                next: 0,
+                in_flight: 0,
+                ring: Vec::with_capacity(run.ring_cap),
+                refiner: Refiner::new(self.config.temporal, depth),
+                failed: 0,
+                done: (0..depth).map(|_| None).collect(),
+                bank: memory.then(|| MemoryBank::new(self.config.temporal.window.max(1))),
+                bank_next: 0,
+                memory,
+                halted: false,
+            }),
+            wake: Condvar::new(),
+        };
+        // One worker per thread; with one thread the only worker runs
+        // inline and, claiming in z order, never parks or waits.
+        zenesis_par::par_map_range(threads.min(depth), |_| self.work(&run, &shared));
+        let state = shared.state.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Graceful degradation has a floor: a volume where most slices
         // produced nothing is not a result, it is a lie with a mask
         // format. Abort rather than hand back mostly-empty garbage.
-        let failed = stage1.iter().filter(|s| s.outcome.is_failed()).count();
-        if failed * 2 > depth {
+        if state.refiner.cursor() == depth && state.failed * 2 > depth {
+            let failed = state.failed;
             zenesis_obs::events::warn(format!("volume abandoned: {failed}/{depth} slices failed"));
             return Err(VolumeError::TooManyFailures {
                 failed,
                 total: depth,
             });
         }
-        // Stage 2: temporal refinement over the primary (highest-score)
-        // boxes.
-        let refine_span = zenesis_obs::span("temporal.refine");
-        let raw_boxes: Vec<Option<BoxRegion>> = stage1
-            .iter()
-            .map(|s| s.detections.first().map(|d| d.bbox))
-            .collect();
-        let (used, events, window_dims) = refine_boxes(&raw_boxes, &self.config.temporal);
-        drop(refine_span);
-        if zenesis_obs::enabled() {
-            for e in events.iter().filter(|e| e.corrected) {
-                zenesis_obs::events::emit(zenesis_obs::events::Event::TemporalReplace {
-                    slice: e.slice,
-                    had_detection: e.raw_box.is_some(),
-                });
-            }
+        if state.done.iter().any(Option::is_none) {
+            return Err(cancelled(depth, state.done.iter().flatten().map(|(_, m)| m)));
         }
-        // Stage 3: decode masks with the refined primary box plus the
-        // secondary boxes that pass the same size screen, re-reading,
-        // re-adapting and encoding each slice that decodes. A decode that
-        // panics or trips a fault keeps the slice's stage-1 mask instead
-        // (Otsu fallback for degraded slices, empty for failed ones).
-        // Every box decodes with the prompt's polarity, as in stage 1.
-        let _decode = zenesis_obs::span("temporal.decode");
-        let polarity = self.prompt_polarity(prompt);
-        let decode = |z: usize, emb: &ImageEmbedding| {
-            self.decode_with_box(emb, polarity, used[z], &stage1[z].detections, window_dims[z])
-        };
-        let maybe_masks: Vec<Option<(BitMask, bool)>> = if self.config.use_memory {
-            // The memory bank is sequential and stateful, so every slice
-            // is re-read and propagated — failed ones included, seeding
-            // the bank with their stage-1 mask so temporal continuity
-            // survives the gap — and replayed masks are not shortcut or
-            // journaled: the bank's warm state must match an unbroken
-            // run.
-            let mut bank = MemoryBank::new(self.config.temporal.window.max(1));
-            let mut out = Vec::with_capacity(depth);
-            for (z, s1) in stage1.iter().enumerate() {
-                if cancel.is_cancelled() {
-                    out.push(None);
-                    continue;
-                }
-                let emb = match self.reencode(src, z, &s1.outcome) {
-                    Ok(emb) => emb,
-                    // No pixels to propagate: keep the stage-1 mask and
-                    // leave the bank untouched. A slice whose stage-1
-                    // read failed the same way is already `Failed`, not
-                    // newly degraded.
-                    Err(reason) => {
-                        let degraded = !s1.outcome.is_failed();
-                        if degraded {
-                            self.report_decode_degraded(z, &reason);
-                        }
-                        out.push(Some((s1.combined.clone(), degraded)));
-                        continue;
-                    }
-                };
-                let decoded = zenesis_fault::with_unit(z as u64, || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        bank.propagate(self.sam(), &emb, || {
-                            if s1.outcome.keeps_stage1_mask(used[z]) {
-                                s1.combined.clone()
-                            } else {
-                                decode(z, &emb)
-                            }
-                        })
-                    }))
-                });
-                out.push(Some(match decoded {
-                    Ok(mask) => (mask, false),
-                    Err(p) => {
-                        self.report_decode_degraded(z, &panic_message(p.as_ref()));
-                        (s1.combined.clone(), true)
-                    }
-                }));
-            }
-            out
-        } else {
-            // Slices that keep their stage-1 mask (failed, or degraded
-            // without a rescue box) are never re-read.
-            zenesis_par::par_map_range(depth, |z| {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                if let Some(rep) = replay.masks.get(&z) {
-                    return Some((rep.mask.clone(), rep.degraded_by_decode));
-                }
-                let s1 = &stage1[z];
-                let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used[z]) {
-                    (s1.combined.clone(), false)
-                } else {
-                    match self.reencode(src, z, &s1.outcome) {
-                        Ok(emb) => self.decode_slice_guarded(z, s1, || decode(z, &emb)),
-                        Err(reason) => {
-                            self.report_decode_degraded(z, &reason);
-                            (s1.combined.clone(), true)
-                        }
-                    }
-                };
-                if let Some(j) = &journal {
-                    j.record_mask(z, &mask, degraded);
-                }
-                Some((mask, degraded))
-            })
-        };
-        if maybe_masks.iter().any(Option::is_none) {
-            return Err(cancelled(
-                depth,
-                maybe_masks.iter().flatten().map(|(m, _)| m),
-            ));
-        }
-        let mut outcomes: Vec<SliceOutcome> = stage1.into_iter().map(|s| s.outcome).collect();
-        let mut masks = Vec::with_capacity(depth);
-        for (z, (mask, degraded_by_decode)) in maybe_masks.into_iter().flatten().enumerate() {
-            if degraded_by_decode && outcomes[z].is_ok() {
-                outcomes[z] = SliceOutcome::Degraded {
-                    reason: "mask decode failed; stage-1 mask used".into(),
-                };
-            }
-            masks.push(mask);
-        }
+        let (outcomes, masks) = state.done.into_iter().flatten().unzip();
         Ok(VolumeResult {
             masks,
-            events,
+            events: state.refiner.finish().1,
             outcomes,
         })
     }
 
+    /// One worker's part of the pipeline: decode whatever can decode,
+    /// else claim the next slice for stage 1 while the ring has room,
+    /// else wait for a peer to free some. Returns once nothing is left
+    /// to claim, or the run halts.
+    ///
+    /// A wait always has a running peer to end it: a full ring holds a
+    /// parked slice, and one that cannot decode is either past the
+    /// cursor, whose slice a peer is still running through stage 1, or
+    /// waiting for the bank a peer is decoding with.
+    fn work(&self, run: &Run<'_>, shared: &Shared) {
+        let _halt = HaltOnUnwind(shared);
+        let mut own = None;
+        let mut st = shared.lock();
+        loop {
+            if st.halted || run.cancel.is_cancelled() {
+                st.halted = true;
+                break;
+            }
+            if let Some(job) = own.take().or_else(|| st.take_ready()) {
+                drop(st);
+                let Job {
+                    slice,
+                    used,
+                    window,
+                    mut bank,
+                } = job;
+                let z = slice.z;
+                let decoded = self.decode_slice(run, slice, used, window, bank.as_mut());
+                st = shared.lock();
+                st.done[z] = Some(decoded);
+                if let Some(bank) = bank {
+                    st.bank = Some(bank);
+                    st.bank_next += 1;
+                }
+                shared.wake.notify_all();
+                continue;
+            }
+            if st.next == run.depth {
+                break;
+            }
+            if st.ring.len() + st.in_flight >= run.ring_cap {
+                st = shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            let z = st.next;
+            st.next += 1;
+            st.in_flight += 1;
+            drop(st);
+            let finished = self.stage_one(run, z);
+            st = shared.lock();
+            st.in_flight -= 1;
+            let Some((s1, source)) = finished else {
+                st.halted = true;
+                break;
+            };
+            st.failed += usize::from(s1.outcome.is_failed());
+            st.ring.push(Parked { z, s1, source });
+            st.advance();
+            own = st.take(z);
+            shared.wake.notify_all();
+        }
+        drop(st);
+        shared.wake.notify_all();
+    }
+
+    /// Stage 1 of slice `z`: replay it from the journal, or read, adapt
+    /// and ground it through the quarantine ladder and journal the
+    /// result. `None` when `cancel` fired mid-slice.
+    fn stage_one(&self, run: &Run<'_>, z: usize) -> Option<(StageOne, Source)> {
+        if let Some(rep) = run.replay.slices.get(&z) {
+            run.progress.tick();
+            let s1 = StageOne {
+                detections: rep.detections.clone(),
+                combined: rep.combined.clone(),
+                outcome: rep.outcome.clone(),
+            };
+            return Some((s1, Source::Replayed));
+        }
+        // The timing clock and mask count are only computed when
+        // recording, so `ZENESIS_OBS=off` adds a single atomic add per
+        // slice to the live `slice.done` progress feed.
+        let t0 = zenesis_obs::enabled().then(std::time::Instant::now);
+        let (one, source) = match self.read_slice_guarded(run.src, z) {
+            Ok(raw) => {
+                let (r, outcome, emb) = self.run_slice_guarded(&raw, z, run.prompt, run.cancel)?;
+                let source = match emb {
+                    Some(emb) => Source::Encoded(emb),
+                    None if self.config.use_memory || !outcome.is_failed() => {
+                        Source::Encoded(self.sam().encode(&r.adapted))
+                    }
+                    None => Source::NoPixels,
+                };
+                let one = StageOne {
+                    detections: r.detections,
+                    combined: r.combined,
+                    outcome,
+                };
+                (one, source)
+            }
+            Err(reason) => {
+                let (w, h) = run.dims;
+                (self.failed_read_slice(z, w, h, reason), Source::NoPixels)
+            }
+        };
+        if let Some(j) = run.journal {
+            j.record_slice(z, &one.outcome, &one.detections, &one.combined);
+        }
+        // Post-journal death sites: the slice is already durable, so a
+        // kill/hang here costs at most this worker's life — the
+        // restarted worker replays it and trips nothing, guaranteeing
+        // forward progress per worker generation.
+        zenesis_fault::with_unit(z as u64, || {
+            let _ = zenesis_fault::trip("worker.kill");
+            let _ = zenesis_fault::trip("worker.hang");
+        });
+        run.progress.tick();
+        if let Some(t0) = t0 {
+            zenesis_obs::events::emit(zenesis_obs::events::Event::SliceDone {
+                index: z,
+                done: run.progress.done_clamped(),
+                total: run.depth,
+                lat_ms: t0.elapsed().as_secs_f64() * 1e3,
+                mask_pixels: one.combined.count() as u64,
+                rate: run.progress.rate(),
+                eta_s: run.progress.eta_secs(),
+            });
+        }
+        Some((one, source))
+    }
+
+    /// Decode a judged slice with its refined primary box plus the
+    /// secondary boxes that pass the same size screen, every box with the
+    /// prompt's polarity, and return its final outcome and mask. A decode
+    /// that panics or trips a fault keeps the slice's stage-1 mask
+    /// instead (Otsu fallback for degraded slices, empty for failed
+    /// ones).
+    fn decode_slice(
+        &self,
+        run: &Run<'_>,
+        slice: Parked,
+        used: Option<BoxRegion>,
+        window: Option<(f64, f64)>,
+        bank: Option<&mut MemoryBank>,
+    ) -> (SliceOutcome, BitMask) {
+        let _span = zenesis_obs::span("temporal.decode");
+        let Parked { z, s1, source } = slice;
+        let embedding = || match source {
+            Source::Encoded(emb) => Ok(emb),
+            Source::Replayed => self.reencode(run.src, z, &s1.outcome),
+            Source::NoPixels => Err("the slice has no pixels".to_string()),
+        };
+        let decode = |emb: &ImageEmbedding| {
+            self.decode_with_box(emb, run.polarity, used, &s1.detections, window)
+        };
+        let (mask, degraded) = match bank {
+            // The bank is stateful, so every slice propagates through it
+            // — failed ones included, seeding it with their stage-1 mask
+            // so temporal continuity survives the gap — and replayed
+            // masks are not shortcut or journaled: the bank's warm state
+            // must match an unbroken run.
+            Some(bank) => match embedding() {
+                // No pixels to propagate: keep the stage-1 mask and leave
+                // the bank untouched. A slice whose stage-1 read failed is
+                // already `Failed`, not newly degraded.
+                Err(reason) => {
+                    let degraded = !s1.outcome.is_failed();
+                    if degraded {
+                        self.report_decode_degraded(z, &reason);
+                    }
+                    (s1.combined.clone(), degraded)
+                }
+                Ok(emb) => {
+                    let propagated = zenesis_fault::with_unit(z as u64, || {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            bank.propagate(self.sam(), &emb, || {
+                                if s1.outcome.keeps_stage1_mask(used) {
+                                    s1.combined.clone()
+                                } else {
+                                    decode(&emb)
+                                }
+                            })
+                        }))
+                    });
+                    match propagated {
+                        Ok(mask) => (mask, false),
+                        Err(p) => {
+                            self.report_decode_degraded(z, &panic_message(p.as_ref()));
+                            (s1.combined.clone(), true)
+                        }
+                    }
+                }
+            },
+            None => {
+                if let Some(rep) = run.replay.masks.get(&z) {
+                    (rep.mask.clone(), rep.degraded_by_decode)
+                } else {
+                    let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used) {
+                        (s1.combined.clone(), false)
+                    } else {
+                        match embedding() {
+                            Ok(emb) => self.decode_slice_guarded(z, &s1, || decode(&emb)),
+                            Err(reason) => {
+                                self.report_decode_degraded(z, &reason);
+                                (s1.combined.clone(), true)
+                            }
+                        }
+                    };
+                    if let Some(j) = run.journal {
+                        j.record_mask(z, &mask, degraded);
+                    }
+                    (mask, degraded)
+                }
+            }
+        };
+        let outcome = if degraded && s1.outcome.is_ok() {
+            SliceOutcome::Degraded {
+                reason: "mask decode failed; stage-1 mask used".into(),
+            }
+        } else {
+            s1.outcome
+        };
+        (outcome, mask)
+    }
+
     /// Read slice `z` with one retry, under the slice's fault unit so
-    /// an `io.tiff` injection decision is reproducible across passes.
+    /// an `io.tiff` injection decision is reproducible across runs.
     fn read_slice_guarded(&self, src: &dyn SliceSource, z: usize) -> Result<Image<f32>, String> {
         zenesis_fault::with_unit(z as u64, || {
             let mut reason = String::new();
@@ -388,11 +617,12 @@ impl Zenesis {
         }
     }
 
-    /// Re-read, re-adapt and encode slice `z` for stage-3 decoding:
-    /// healthy slices re-run the full (deterministic) adaptation,
-    /// quarantined slices the sanitized minimal one — the adaptation
-    /// stage 1 used, so stage 3 decodes from the pixels stage 1 saw.
-    /// The adapted pixels are dropped once encoded.
+    /// Re-read, re-adapt and encode a slice whose stage 1 was replayed
+    /// from the journal, so no pixels of it are in hand: healthy slices
+    /// re-run the full (deterministic) adaptation, quarantined slices
+    /// the sanitized minimal one — the adaptation the original stage 1
+    /// used, so the decode sees the pixels it saw. The adapted pixels
+    /// are dropped once encoded.
     fn reencode(
         &self,
         src: &dyn SliceSource,

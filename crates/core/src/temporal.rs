@@ -97,9 +97,10 @@ impl SliceOutcome {
 }
 
 /// What stage 1 keeps per slice: detections, the stage-1 mask, and the
-/// health outcome. The adapted pixels are deliberately dropped —
-/// holding them for every slice would break the volume executor's
-/// O(workers × slice) residency bound.
+/// health outcome. The adapted pixels are dropped once encoded; the
+/// slice's SAM embedding travels beside this record only until the
+/// slice decodes, so the volume executor holds at most threads + ring
+/// capacity embeddings, never one per slice.
 pub(crate) struct StageOne {
     pub(crate) detections: Vec<Detection>,
     pub(crate) combined: BitMask,
@@ -247,13 +248,56 @@ pub type RefinedBoxes = (
 /// screens that slice's secondary boxes). Accepted (non-outlier) boxes
 /// enter the history window that judges later slices; replaced boxes do
 /// not, so one bad slice cannot poison the statistics.
+///
+/// The heuristic is causal — slice `i` is judged only against slices
+/// before it — so `refine_boxes(&raw[..k])` is the first `k` entries of
+/// `refine_boxes(&raw)`, which lets the volume executor run it as a
+/// cursor over the prefix of slices stage 1 has finished.
 pub fn refine_boxes(raw: &[Option<BoxRegion>], cfg: &TemporalConfig) -> RefinedBoxes {
-    let mut history: Vec<BoxRegion> = Vec::new();
-    let mut used = Vec::with_capacity(raw.len());
-    let mut events = Vec::with_capacity(raw.len());
-    let mut dims = Vec::with_capacity(raw.len());
-    for (i, rb) in raw.iter().enumerate() {
-        let window: Vec<BoxRegion> = history
+    let mut refiner = Refiner::new(*cfg, raw.len());
+    for rb in raw {
+        refiner.push(*rb);
+    }
+    refiner.finish()
+}
+
+/// [`refine_boxes`] one slice at a time, in z order.
+pub(crate) struct Refiner {
+    cfg: TemporalConfig,
+    /// Accepted boxes, oldest first.
+    history: Vec<BoxRegion>,
+    out: RefinedBoxes,
+}
+
+impl Refiner {
+    /// A refiner for a volume of `depth` slices.
+    pub(crate) fn new(cfg: TemporalConfig, depth: usize) -> Self {
+        Refiner {
+            cfg,
+            history: Vec::new(),
+            out: (
+                Vec::with_capacity(depth),
+                Vec::with_capacity(depth),
+                Vec::with_capacity(depth),
+            ),
+        }
+    }
+
+    /// Slices judged so far; the next [`Refiner::push`] judges this one.
+    pub(crate) fn cursor(&self) -> usize {
+        self.out.0.len()
+    }
+
+    /// The used box and window dimensions of judged slice `z`.
+    pub(crate) fn judged(&self, z: usize) -> (Option<BoxRegion>, Option<(f64, f64)>) {
+        (self.out.0[z], self.out.2[z])
+    }
+
+    /// Judge the next slice, whose primary box is `rb`.
+    pub(crate) fn push(&mut self, rb: Option<BoxRegion>) -> &SliceBoxEvent {
+        let cfg = &self.cfg;
+        let window: Vec<BoxRegion> = self
+            .history
             .iter()
             .rev()
             .take(cfg.window)
@@ -267,29 +311,34 @@ pub fn refine_boxes(raw: &[Option<BoxRegion>], cfg: &TemporalConfig) -> RefinedB
         });
         let (used_box, corrected) = match (rb, window_dims) {
             (Some(b), Some((mean_w, mean_h))) => {
-                if is_outlier(b, mean_w, mean_h, cfg.size_factor) {
+                if is_outlier(&b, mean_w, mean_h, cfg.size_factor) {
                     (Some(mean_box(&window)), true)
                 } else {
-                    (Some(*b), false)
+                    (Some(b), false)
                 }
             }
-            (Some(b), None) => (Some(*b), false),
+            (Some(b), None) => (Some(b), false),
             (None, Some(_)) if cfg.fill_missing => (Some(mean_box(&window)), true),
             (None, _) => (None, false),
         };
-        if let (Some(u), false) = (&used_box, corrected) {
-            history.push(*u);
+        if let (Some(u), false) = (used_box, corrected) {
+            self.history.push(u);
         }
-        used.push(used_box);
-        dims.push(window_dims);
+        let (used, events, dims) = &mut self.out;
         events.push(SliceBoxEvent {
-            slice: i,
-            raw_box: *rb,
+            slice: used.len(),
+            raw_box: rb,
             used_box,
             corrected,
         });
+        used.push(used_box);
+        dims.push(window_dims);
+        events.last().expect("just pushed")
     }
-    (used, events, dims)
+
+    pub(crate) fn finish(self) -> RefinedBoxes {
+        self.out
+    }
 }
 
 /// Stringify a caught panic payload the way `std` does for uncaught
@@ -322,13 +371,16 @@ impl Zenesis {
     /// structured errors both caught), retry once, then fall back to the
     /// Otsu baseline on a sanitized minimally-adapted slice. Returns
     /// `None` only when `cancel` fired (the slice counts as unreached).
+    /// A slice the primary pipeline produced comes back with the SAM
+    /// embedding its masks were decoded from; a fallback's `adapted`
+    /// is the sanitized minimal adaptation, and nothing encoded it.
     pub(crate) fn run_slice_guarded<T: Pixel>(
         &self,
         raw: &Image<T>,
         z: usize,
         prompt: &str,
         cancel: &CancelToken,
-    ) -> Option<(SliceResult, SliceOutcome)> {
+    ) -> Option<(SliceResult, SliceOutcome, Option<ImageEmbedding>)> {
         zenesis_fault::with_unit(z as u64, || {
             let _ = zenesis_fault::trip("slice.slow"); // latency-only site
             // Pre-compute death site: fires before the slice is journaled,
@@ -338,7 +390,7 @@ impl Zenesis {
             let mut reason = String::new();
             for attempt in 0..2 {
                 match catch_unwind(AssertUnwindSafe(|| self.try_segment_slice(raw, prompt))) {
-                    Ok(Ok(r)) => return Some((r, SliceOutcome::Ok)),
+                    Ok(Ok((r, emb))) => return Some((r, SliceOutcome::Ok, Some(emb))),
                     Ok(Err(e)) => reason = e.to_string(),
                     Err(p) => reason = format!("panic: {}", panic_message(p.as_ref())),
                 }
@@ -396,7 +448,7 @@ impl Zenesis {
                 }
                 SliceOutcome::Ok => unreachable!("fallback never reports Ok"),
             }
-            Some((result, outcome))
+            Some((result, outcome, None))
         })
     }
 

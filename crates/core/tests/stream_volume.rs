@@ -6,15 +6,18 @@
 //! torn checkpoint journal — the full chaos drill of
 //! `docs/ROBUSTNESS.md`, now with the codec in the blast radius.
 //!
-//! Tests serialize on one mutex: the fault plan is process-global.
+//! Every test runs at 1, 2 and 4 threads: 4 oversubscribes a 2-vCPU host
+//! and so forces slices to finish stage 1 out of order. Tests serialize
+//! on one mutex: the fault plan and the thread count are process-global.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use zenesis_core::temporal::refine_boxes;
-use zenesis_core::{CheckpointSpec, Zenesis, ZenesisConfig};
+use zenesis_core::{panic_message, CheckpointSpec, SliceSource, Zenesis, ZenesisConfig};
 use zenesis_data::{generate_volume, SampleKind};
 use zenesis_fault::{FaultKind, FaultPlan};
-use zenesis_par::CancelToken;
+use zenesis_par::{CancelToken, ThreadsGuard};
 use zenesis_tiff::VolumeReader;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -24,6 +27,9 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const PROMPT: &str = "needle-like crystalline catalyst";
+
+/// The thread counts every test runs at.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 fn pipeline() -> Zenesis {
     Zenesis::new(ZenesisConfig::default())
@@ -48,14 +54,20 @@ fn streamed_tiff_matches_in_memory_bit_identically() {
     let reference = z.segment_volume(&v.volume, PROMPT);
     let reader = tiff_reader(&v, "ident");
     assert_eq!(reader.depth(), 6);
-    let streamed = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-        .expect("healthy streamed volume completes");
-    assert_eq!(streamed.masks, reference.masks, "masks must be bit-identical");
-    assert_eq!(streamed.outcomes, reference.outcomes);
-    assert_eq!(streamed.events.len(), reference.events.len());
-    for (a, b) in streamed.events.iter().zip(&reference.events) {
-        assert_eq!(a.corrected, b.corrected, "slice {}", a.slice);
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let streamed = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
+            .expect("healthy streamed volume completes");
+        assert_eq!(
+            streamed.masks, reference.masks,
+            "masks must be bit-identical ({threads} threads)"
+        );
+        assert_eq!(streamed.outcomes, reference.outcomes);
+        assert_eq!(streamed.events.len(), reference.events.len());
+        for (a, b) in streamed.events.iter().zip(&reference.events) {
+            assert_eq!(a.corrected, b.corrected, "slice {} ({threads} threads)", a.slice);
+        }
     }
 }
 
@@ -68,11 +80,14 @@ fn streamed_volume_respects_memory_bank_config() {
     let z = Zenesis::new(config);
     let reference = z.segment_volume(&v.volume, PROMPT);
     let reader = tiff_reader(&v, "bank");
-    let streamed = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-        .expect("streamed volume completes");
-    assert_eq!(streamed.masks, reference.masks);
-    assert_eq!(streamed.outcomes, reference.outcomes);
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let streamed = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
+            .expect("streamed volume completes");
+        assert_eq!(streamed.masks, reference.masks, "{threads} threads");
+        assert_eq!(streamed.outcomes, reference.outcomes, "{threads} threads");
+    }
 }
 
 #[test]
@@ -84,27 +99,30 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
     let _armed = FaultPlan::new()
         .site("io.tiff", FaultKind::Error, 0.3, 41)
         .arm();
-    let r = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-        .expect("io.tiff faults must not kill the volume");
-    assert_eq!(r.masks.len(), 8, "every slice produces a mask");
-    let failed = r.failed_slices();
-    assert!(
-        !failed.is_empty(),
-        "seeded 30% read-fault rate must hit at least one of 8 slices"
-    );
-    assert!(failed.len() * 2 <= 8, "seed must keep failures under the abort floor");
-    for zi in &failed {
-        assert_eq!(r.masks[*zi].count(), 0, "no pixels -> empty mask");
-        match &r.outcomes[*zi] {
-            zenesis_core::SliceOutcome::Failed { reason } => {
-                assert!(reason.contains("injected fault"), "{reason}");
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let r = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
+            .expect("io.tiff faults must not kill the volume");
+        assert_eq!(r.masks.len(), 8, "every slice produces a mask");
+        let failed = r.failed_slices();
+        assert!(
+            !failed.is_empty(),
+            "seeded 30% read-fault rate must hit at least one of 8 slices"
+        );
+        assert!(failed.len() * 2 <= 8, "seed must keep failures under the abort floor");
+        for zi in &failed {
+            assert_eq!(r.masks[*zi].count(), 0, "no pixels -> empty mask");
+            match &r.outcomes[*zi] {
+                zenesis_core::SliceOutcome::Failed { reason } => {
+                    assert!(reason.contains("injected fault"), "{reason}");
+                }
+                other => panic!("slice {zi} ({threads} threads): expected Failed, got {other:?}"),
             }
-            other => panic!("slice {zi}: expected Failed, got {other:?}"),
         }
+        // Slices the fault spared are segmented normally.
+        assert!(r.masks.iter().any(|m| m.count() > 0));
     }
-    // Slices the fault spared are segmented normally.
-    assert!(r.masks.iter().any(|m| m.count() > 0));
 }
 
 /// Stage 3 decodes with the prompt's polarity. With the relevance gate
@@ -142,22 +160,28 @@ fn stage_three_decodes_a_dark_prompt_dark() {
         .filter(|&i| !events[i].corrected && passes_screen(i))
         .collect();
     assert!(checked.contains(&0), "slice 0 is never screened");
-    let volume = Zenesis::new(config.clone()).segment_volume(&v.volume, DARK);
-    for &i in &checked {
-        assert!(single[i].combined.count() > 0, "slice {i} finds dark structure");
-        assert_eq!(volume.masks[i], single[i].combined, "slice {i}");
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let volume = Zenesis::new(config.clone()).segment_volume(&v.volume, DARK);
+        for &i in &checked {
+            assert!(single[i].combined.count() > 0, "slice {i} finds dark structure");
+            assert_eq!(volume.masks[i], single[i].combined, "slice {i} ({threads} threads)");
+        }
+        let memory = Zenesis::new(ZenesisConfig {
+            use_memory: true,
+            ..config.clone()
+        })
+        .segment_volume(&v.volume, DARK);
+        assert_eq!(
+            memory.masks[0], single[0].combined,
+            "memory bank cold start ({threads} threads)"
+        );
     }
-    let memory = Zenesis::new(ZenesisConfig {
-        use_memory: true,
-        ..config
-    })
-    .segment_volume(&v.volume, DARK);
-    assert_eq!(memory.masks[0], single[0].combined, "memory bank cold start");
 }
 
-/// The memory bank re-reads every slice in stage 3, failed ones
-/// included; the repeat read failure of a slice that is already
-/// `Failed` must not also count it as degraded.
+/// The memory bank propagates every slice, failed ones included; a
+/// slice whose read failed, and so has no pixels to propagate, is
+/// already `Failed` and must not also count as degraded.
 #[test]
 fn memory_bank_does_not_degrade_failed_reads() {
     let _g = lock();
@@ -172,16 +196,20 @@ fn memory_bank_does_not_degrade_failed_reads() {
         .site("io.tiff", FaultKind::Error, 0.3, 41)
         .arm();
     let degraded = zenesis_obs::counter("slice.degraded");
-    let before = degraded.get();
-    let r = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-        .expect("io.tiff faults must not kill the volume");
-    assert!(!r.failed_slices().is_empty(), "seed must fail some reads");
-    assert_eq!(
-        (degraded.get() - before) as usize,
-        r.degraded_slices().len(),
-        "slice.degraded counts each degraded slice once, and no failed one"
-    );
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let before = degraded.get();
+        let r = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
+            .expect("io.tiff faults must not kill the volume");
+        assert!(!r.failed_slices().is_empty(), "seed must fail some reads");
+        assert_eq!(
+            (degraded.get() - before) as usize,
+            r.degraded_slices().len(),
+            "slice.degraded counts each degraded slice once, and no failed one \
+             ({threads} threads)"
+        );
+    }
 }
 
 #[test]
@@ -204,34 +232,41 @@ fn fault_injected_tiff_volume_resumes_bit_identically() {
         .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
         .expect("reference run completes");
 
-    // Checkpointed run under the same (deterministic) fault plan.
-    let spec = CheckpointSpec::new(&dir);
-    let first = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
-        .expect("checkpointed run completes");
-    assert_eq!(first.masks, reference.masks, "journaling must not change output");
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Checkpointed run under the same (deterministic) fault plan.
+        let spec = CheckpointSpec::new(&dir);
+        let first = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
+            .expect("checkpointed run completes");
+        assert_eq!(first.masks, reference.masks, "journaling must not change output");
 
-    // Simulate a kill -9 partway: keep the header plus three records,
-    // tear the last kept line in half.
-    let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
-    let text = std::fs::read_to_string(&journal).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 5, "expected a record per slice, got {}", lines.len());
-    let mut kept: Vec<String> = lines[..4].iter().map(|s| s.to_string()).collect();
-    let torn = kept.pop().unwrap();
-    let mut partial = kept.join("\n") + "\n";
-    partial.push_str(&torn[..torn.len() / 2]);
-    std::fs::write(&journal, partial).unwrap();
+        // Simulate a kill -9 partway: keep the header plus three records,
+        // tear the last kept line in half.
+        let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.len() > 5, "expected a record per slice, got {}", lines.len());
+        let mut kept: Vec<String> = lines[..4].iter().map(|s| s.to_string()).collect();
+        let torn = kept.pop().unwrap();
+        let mut partial = kept.join("\n") + "\n";
+        partial.push_str(&torn[..torn.len() / 2]);
+        std::fs::write(&journal, partial).unwrap();
 
-    // Resume replays the valid prefix and recomputes the rest — with
-    // the fault plan still armed, injection decisions being pure
-    // functions of (seed, site, slice) is what makes this land on the
-    // reference masks exactly.
-    let resumed = z
-        .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
-        .expect("resumed run completes");
-    assert_eq!(resumed.masks, reference.masks, "resume must be bit-identical");
-    assert_eq!(resumed.outcomes, reference.outcomes);
+        // Resume replays the valid prefix and recomputes the rest — with
+        // the fault plan still armed, injection decisions being pure
+        // functions of (seed, site, slice) is what makes this land on the
+        // reference masks exactly.
+        let resumed = z
+            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
+            .expect("resumed run completes");
+        assert_eq!(
+            resumed.masks, reference.masks,
+            "resume must be bit-identical ({threads} threads)"
+        );
+        assert_eq!(resumed.outcomes, reference.outcomes);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -243,11 +278,58 @@ fn streamed_cancellation_reports_partial_progress() {
     let reader = tiff_reader(&v, "cancel");
     let cancel = CancelToken::new();
     cancel.cancel();
-    match z.segment_volume_streamed(&reader, PROMPT, &cancel, None) {
-        Err(zenesis_core::VolumeError::Cancelled(partial)) => {
-            assert_eq!(partial.total, 4);
-            assert!(partial.completed < partial.total);
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        match z.segment_volume_streamed(&reader, PROMPT, &cancel, None) {
+            Err(zenesis_core::VolumeError::Cancelled(partial)) => {
+                assert_eq!(partial.total, 4);
+                assert!(partial.completed < partial.total);
+            }
+            other => panic!("expected Cancelled at {threads} threads, got {other:?}"),
         }
-        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
+/// A source whose read of one slice panics, past the read retry and
+/// the quarantine ladder.
+struct PanicsAt<'a> {
+    inner: &'a dyn SliceSource,
+    slice: usize,
+}
+
+impl SliceSource for PanicsAt<'_> {
+    fn depth(&self) -> usize {
+        self.inner.depth()
+    }
+
+    fn dims(&self) -> (usize, usize) {
+        self.inner.dims()
+    }
+
+    fn read_slice(&self, z: usize) -> Result<zenesis_image::Image<f32>, String> {
+        assert_ne!(z, self.slice, "unreadable slice {z}");
+        self.inner.read_slice(z)
+    }
+}
+
+/// A worker that unwinds halts the run: its peers stop claiming and stop
+/// waiting for the slice it held, and the panic reaches the caller.
+#[test]
+fn a_panicking_read_unwinds_instead_of_hanging() {
+    let _g = lock();
+    let v = generate_volume(SampleKind::Crystalline, 64, 12, 7, &[]);
+    let z = pipeline();
+    let src = PanicsAt {
+        inner: &v.volume,
+        slice: 2,
+    };
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            z.segment_volume_streamed(&src, PROMPT, &CancelToken::new(), None)
+        }));
+        let payload = run.expect_err("the reader's panic propagates");
+        let message = panic_message(payload.as_ref());
+        assert!(message.contains("unreadable slice 2"), "{threads} threads: {message}");
     }
 }

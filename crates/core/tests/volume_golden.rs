@@ -6,7 +6,9 @@
 //! a change to either executor that moves any slice shows up here.
 //!
 //! Outcome kinds are spelled one letter per slice: `o` ok, `d` degraded,
-//! `f` failed. Tests serialize on one mutex: the fault plan is
+//! `f` failed. Every test runs at 1, 2 and 4 threads: 4 oversubscribes a
+//! 2-vCPU host and so forces slices to finish stage 1 out of order.
+//! Tests serialize on one mutex: the fault plan and the thread count are
 //! process-global.
 
 use std::sync::Mutex;
@@ -15,6 +17,7 @@ use zenesis_core::job::{run_job, InputSpec, JobResult, JobSpec, PhantomKind};
 use zenesis_core::{SliceOutcome, VolumeResult, Zenesis, ZenesisConfig};
 use zenesis_data::{generate_volume, SampleKind};
 use zenesis_fault::{FaultKind, FaultPlan};
+use zenesis_par::ThreadsGuard;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -35,14 +38,18 @@ fn kinds(outcomes: &[SliceOutcome]) -> String {
         .collect()
 }
 
-fn check(r: &VolumeResult, pixels: &[usize], outcomes: &str, corrections: usize) {
+/// The thread counts every test runs at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+fn check(r: &VolumeResult, threads: usize, pixels: &[usize], outcomes: &str, corrections: usize) {
     let got: Vec<usize> = r.masks.iter().map(|m| m.count()).collect();
-    assert_eq!(got, pixels, "per-slice mask pixels");
-    assert_eq!(kinds(&r.outcomes), outcomes, "outcome kinds");
-    assert_eq!(r.corrections(), corrections, "temporal corrections");
+    assert_eq!(got, pixels, "per-slice mask pixels at {threads} threads");
+    assert_eq!(kinds(&r.outcomes), outcomes, "outcome kinds at {threads} threads");
+    assert_eq!(r.corrections(), corrections, "temporal corrections at {threads} threads");
 }
 
-fn run(config: ZenesisConfig, depth: usize, outliers: &[usize]) -> VolumeResult {
+fn run(threads: usize, config: ZenesisConfig, depth: usize, outliers: &[usize]) -> VolumeResult {
+    let _t = ThreadsGuard::new(threads);
     let v = generate_volume(SampleKind::Crystalline, 64, depth, 7, outliers);
     Zenesis::new(config).segment_volume(&v.volume, PROMPT)
 }
@@ -50,8 +57,10 @@ fn run(config: ZenesisConfig, depth: usize, outliers: &[usize]) -> VolumeResult 
 #[test]
 fn golden_no_faults() {
     let _g = lock();
-    let r = run(ZenesisConfig::default(), 6, &[3]);
-    check(&r, &[1100, 1118, 1126, 1313, 1145, 1093], "oooooo", 0);
+    for threads in THREADS {
+        let r = run(threads, ZenesisConfig::default(), 6, &[3]);
+        check(&r, threads, &[1100, 1118, 1126, 1313, 1145, 1093], "oooooo", 0);
+    }
 }
 
 #[test]
@@ -60,8 +69,10 @@ fn golden_decode_panics() {
     let _armed = FaultPlan::new()
         .site("sam.decode", FaultKind::Panic, 0.5, 99)
         .arm();
-    let r = run(ZenesisConfig::default(), 8, &[]);
-    check(&r, &[1100, 1123, 1534, 1111, 1565, 1156, 1642, 1637], "oodododd", 4);
+    for threads in THREADS {
+        let r = run(threads, ZenesisConfig::default(), 8, &[]);
+        check(&r, threads, &[1100, 1123, 1534, 1111, 1565, 1156, 1642, 1637], "oodododd", 4);
+    }
 }
 
 #[test]
@@ -70,8 +81,10 @@ fn golden_nan_poisoned_adaptation() {
     let _armed = FaultPlan::new()
         .site("adapt.denoise", FaultKind::Nan, 0.5, 12)
         .arm();
-    let r = run(ZenesisConfig::default(), 6, &[]);
-    check(&r, &[1641, 1118, 1126, 1070, 1145, 1093], "doodoo", 1);
+    for threads in THREADS {
+        let r = run(threads, ZenesisConfig::default(), 6, &[]);
+        check(&r, threads, &[1641, 1118, 1126, 1070, 1145, 1093], "doodoo", 1);
+    }
 }
 
 #[test]
@@ -81,18 +94,19 @@ fn golden_memory_bank() {
         use_memory: true,
         ..ZenesisConfig::default()
     };
-    let r = run(config, 6, &[3]);
-    check(&r, &[1100, 826, 848, 1719, 820, 819], "oooooo", 0);
+    for threads in THREADS {
+        let r = run(threads, config.clone(), 6, &[3]);
+        check(&r, threads, &[1100, 826, 848, 1719, 820, 819], "oooooo", 0);
+    }
 }
 
 /// Through the job contract, so the same spec exercises whichever
 /// executor `run_job` routes phantom volumes to: a checkpointed run, a
-/// journal torn after three records, then a resume.
+/// journal torn after three records, then a resume, at each thread count.
 #[test]
 fn golden_resume_from_torn_journal() {
     let _g = lock();
     let dir = std::env::temp_dir().join(format!("zenesis-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let spec = JobSpec::Batch {
         input: InputSpec::PhantomVolume {
             kind: PhantomKind::Crystalline,
@@ -107,29 +121,37 @@ fn golden_resume_from_torn_journal() {
         resume: true,
         masks_out: None,
     };
-    let first = run_job(&spec);
-    let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
-    let text = std::fs::read_to_string(&journal).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    let mut torn = lines[..3].join("\n") + "\n";
-    torn.push_str(&lines[3][..lines[3].len() / 2]);
-    std::fs::write(&journal, torn).unwrap();
-    let resumed = run_job(&spec);
-    let _ = std::fs::remove_dir_all(&dir);
-    for r in [first, resumed] {
-        match r {
-            JobResult::Volume {
-                depth,
-                corrections,
-                per_slice_pixels,
-                degraded,
-                failed,
-            } => {
-                assert_eq!(depth, 6);
-                assert_eq!(per_slice_pixels, [1100, 1118, 1126, 1313, 1145, 1093]);
-                assert_eq!((corrections, degraded, failed), (0, vec![], vec![]));
+    for threads in THREADS {
+        let _t = ThreadsGuard::new(threads);
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = run_job(&spec);
+        let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut torn = lines[..3].join("\n") + "\n";
+        torn.push_str(&lines[3][..lines[3].len() / 2]);
+        std::fs::write(&journal, torn).unwrap();
+        let resumed = run_job(&spec);
+        for r in [first, resumed] {
+            match r {
+                JobResult::Volume {
+                    depth,
+                    corrections,
+                    per_slice_pixels,
+                    degraded,
+                    failed,
+                } => {
+                    assert_eq!(depth, 6, "at {threads} threads");
+                    assert_eq!(
+                        per_slice_pixels,
+                        [1100, 1118, 1126, 1313, 1145, 1093],
+                        "at {threads} threads"
+                    );
+                    assert_eq!((corrections, degraded, failed), (0, vec![], vec![]));
+                }
+                other => panic!("expected a volume, got {other:?}"),
             }
-            other => panic!("expected a volume, got {other:?}"),
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,6 +23,8 @@
 //! dataset lacks — that is precisely what lets this reproduction score the
 //! paper's metrics.
 
+#![forbid(unsafe_code)]
+
 mod dataset;
 pub mod modalities;
 mod noise;

@@ -62,6 +62,7 @@
 //! `io.write`, `io.tiff`, `slice.slow`, `worker.kill`, `worker.kill.pre`,
 //! `worker.hang`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;

@@ -31,6 +31,8 @@
 //!    closing → connected components → pixel boxes → text-score filter →
 //!    greedy NMS.
 
+#![forbid(unsafe_code)]
+
 pub mod boxes;
 pub mod dino;
 pub mod finetune;

@@ -10,6 +10,8 @@
 //! `--report-only`), `1` when a latency/quality regression trips the
 //! gate, `2` on usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use zenesis_ledger::{diff, parse_pct, DiffThresholds, Ledger};

@@ -21,6 +21,7 @@
 //! assert!(d.ok(), "perf or quality regressed");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};

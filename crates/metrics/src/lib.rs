@@ -15,6 +15,8 @@
 //!   in physical units (the catalyst-layer numbers the paper's dataset
 //!   section motivates).
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod confusion;
 pub mod dashboard;

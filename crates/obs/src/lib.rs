@@ -48,6 +48,7 @@
 //! assert_eq!(inner.parent, Some(outer.id));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -21,6 +21,8 @@
 //! * a **SAM2-style memory bank** ([`memory`]) propagating masks across
 //!   volume slices with temporal conditioning.
 
+#![forbid(unsafe_code)]
+
 pub mod auto;
 pub mod decoder;
 pub mod embedding;

@@ -34,6 +34,8 @@
 //! Reads pass through the `io.tiff` fault-injection site (see
 //! `zenesis-fault`) and emit `io.tiff.*` spans and counters.
 
+#![forbid(unsafe_code)]
+
 mod decode;
 mod encode;
 mod error;

@@ -64,6 +64,8 @@
 //! per-slice masks as a multi-page 8-bit TIFF. `--masks-out` also
 //! overlays onto a batch job spec given as JSON.
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::time::{Duration, Instant};
 

@@ -41,6 +41,8 @@
 //! assert!(result.combined.iou(&slice.truth) > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use zenesis_adapt as adapt;
 pub use zenesis_baseline as baseline;
 pub use zenesis_core as core;
