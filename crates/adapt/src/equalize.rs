@@ -6,7 +6,7 @@
 
 use zenesis_image::histogram::Histogram;
 use zenesis_image::Image;
-use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
+use zenesis_par::{par_rows, par_rows_min, SMALL_WORK_ELEMS};
 
 /// Global histogram equalization via the CDF remap.
 pub fn equalize(img: &Image<f32>) -> Image<f32> {
@@ -26,85 +26,117 @@ pub fn equalize(img: &Image<f32>) -> Image<f32> {
     })
 }
 
+/// Histogram bins of a CLAHE tile.
+const BINS: usize = 256;
+
+/// The bin of a sample: clamp to `[0, 1]`, scale, truncate.
+#[inline(always)]
+fn bin_of(v: f32) -> usize {
+    ((v.clamp(0.0, 1.0) * BINS as f32) as usize).min(BINS - 1)
+}
+
+/// Clipped, redistributed, normalized CDF of the tile whose pixels are
+/// `x0..x1` of rows `y0..y1`; all zeros for an empty tile.
+fn tile_cdf(
+    img: &Image<f32>,
+    (x0, x1): (usize, usize),
+    (y0, y1): (usize, usize),
+    clip_limit: f64,
+    cdf: &mut [f64],
+) {
+    if x0 >= x1 || y0 >= y1 {
+        cdf.fill(0.0);
+        return;
+    }
+    let mut counts = [0u32; BINS];
+    for y in y0..y1 {
+        for &v in &img.row(y)[x0..x1] {
+            counts[bin_of(v)] += 1;
+        }
+    }
+    let total = ((x1 - x0) * (y1 - y0)) as f64;
+    // Clip and redistribute.
+    let clip = clip_limit * total / BINS as f64;
+    let mut excess = 0.0;
+    for (c, &n) in cdf.iter_mut().zip(&counts) {
+        *c = n as f64;
+        if *c > clip {
+            excess += *c - clip;
+            *c = clip;
+        }
+    }
+    let bonus = excess / BINS as f64;
+    // CDF normalized to [0, 1].
+    let mut acc = 0.0;
+    for c in cdf.iter_mut() {
+        acc += *c + bonus;
+        *c = acc / total;
+    }
+}
+
+/// Where a pixel sits between tile centers along one axis: the lower and
+/// upper tile and the weight of the upper one.
+#[inline(always)]
+fn tile_span(i: usize, tile: usize, tiles: usize) -> (usize, usize, f64) {
+    let f = (i as f64 + 0.5) / tile as f64 - 0.5;
+    let t0 = f.floor().clamp(0.0, (tiles - 1) as f64) as usize;
+    let t1 = (t0 + 1).min(tiles - 1);
+    (t0, t1, (f - t0 as f64).clamp(0.0, 1.0))
+}
+
 /// Contrast-limited adaptive histogram equalization.
 ///
 /// The image is split into a `tiles x tiles` grid; each tile's histogram is
 /// clipped at `clip_limit` times the uniform level (excess redistributed),
 /// then pixels are remapped by bilinear interpolation between the four
 /// surrounding tile CDFs — the standard CLAHE construction.
+///
+/// The tile CDFs live in one flat table. The remap takes its column
+/// terms from a per-column table and its row terms once per output row,
+/// so a pixel costs four lookups and the bilinear blend. The blend's f64
+/// expressions and their order are fixed: `tests/clahe_oracle.rs` holds
+/// the output to the per-pixel construction bit for bit.
 pub fn clahe(img: &Image<f32>, tiles: usize, clip_limit: f64) -> Image<f32> {
     assert!(tiles >= 1, "need at least one tile");
     assert!(clip_limit >= 1.0, "clip limit is a multiple of uniform level");
     let (w, h) = img.dims();
-    let bins = 256usize;
     let tile_w = w.div_ceil(tiles);
     let tile_h = h.div_ceil(tiles);
-    // Per-tile clipped CDFs. A tile costs its area, so the grain rule
-    // counts pixels, not tiles.
-    let n_tiles = tiles * tiles;
+    // Per-tile clipped CDFs, one `BINS`-long row per tile. A tile costs
+    // its area, so the grain rule counts pixels, not tiles.
+    let mut cdfs = vec![0f64; tiles * tiles * BINS];
     let min_tiles = SMALL_WORK_ELEMS.div_ceil(tile_w * tile_h);
-    let cdfs: Vec<Vec<f64>> = par_map_range_min(n_tiles, min_tiles, |t| {
-        let (tx, ty) = (t % tiles, t / tiles);
-        let x0 = tx * tile_w;
-        let y0 = ty * tile_h;
-        let x1 = (x0 + tile_w).min(w);
-        let y1 = (y0 + tile_h).min(h);
-        let mut counts = vec![0f64; bins];
-        let mut total = 0f64;
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let v = img.get(x, y).clamp(0.0, 1.0);
-                let b = ((v * bins as f32) as usize).min(bins - 1);
-                counts[b] += 1.0;
-                total += 1.0;
-            }
+    par_rows_min(&mut cdfs, BINS, min_tiles * BINS, |t0, band| {
+        for (t, cdf) in (t0..).zip(band.chunks_exact_mut(BINS)) {
+            let (x0, y0) = ((t % tiles) * tile_w, (t / tiles) * tile_h);
+            let xs = (x0, (x0 + tile_w).min(w));
+            let ys = (y0, (y0 + tile_h).min(h));
+            tile_cdf(img, xs, ys, clip_limit, cdf);
         }
-        if total == 0.0 {
-            return vec![0.0; bins];
-        }
-        // Clip and redistribute.
-        let clip = clip_limit * total / bins as f64;
-        let mut excess = 0.0;
-        for c in counts.iter_mut() {
-            if *c > clip {
-                excess += *c - clip;
-                *c = clip;
-            }
-        }
-        let bonus = excess / bins as f64;
-        for c in counts.iter_mut() {
-            *c += bonus;
-        }
-        // CDF normalized to [0, 1].
-        let mut acc = 0.0;
-        counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc / total
-            })
-            .collect()
     });
     // Remap with bilinear interpolation between tile centers.
-    img.map_indexed(|x, y, v| {
-        let b = ((v.clamp(0.0, 1.0) * bins as f32) as usize).min(bins - 1);
-        // Continuous tile coordinates of this pixel relative to centers.
-        let fx = (x as f64 + 0.5) / tile_w as f64 - 0.5;
-        let fy = (y as f64 + 0.5) / tile_h as f64 - 0.5;
-        let tx0 = fx.floor().clamp(0.0, (tiles - 1) as f64) as usize;
-        let ty0 = fy.floor().clamp(0.0, (tiles - 1) as f64) as usize;
-        let tx1 = (tx0 + 1).min(tiles - 1);
-        let ty1 = (ty0 + 1).min(tiles - 1);
-        let ax = (fx - tx0 as f64).clamp(0.0, 1.0);
-        let ay = (fy - ty0 as f64).clamp(0.0, 1.0);
-        let c00 = cdfs[ty0 * tiles + tx0][b];
-        let c10 = cdfs[ty0 * tiles + tx1][b];
-        let c01 = cdfs[ty1 * tiles + tx0][b];
-        let c11 = cdfs[ty1 * tiles + tx1][b];
-        let top = c00 * (1.0 - ax) + c10 * ax;
-        let bot = c01 * (1.0 - ax) + c11 * ax;
-        ((top * (1.0 - ay) + bot * ay) as f32).clamp(0.0, 1.0)
-    })
+    let cols: Vec<(usize, usize, f64)> = (0..w)
+        .map(|x| {
+            let (tx0, tx1, ax) = tile_span(x, tile_w, tiles);
+            (tx0 * BINS, tx1 * BINS, ax)
+        })
+        .collect();
+    let stride = tiles * BINS;
+    let mut out = vec![0f32; w * h];
+    par_rows(&mut out, w, |y0, band| {
+        for (y, orow) in (y0..).zip(band.chunks_mut(w)) {
+            let (ty0, ty1, ay) = tile_span(y, tile_h, tiles);
+            let top = &cdfs[ty0 * stride..][..stride];
+            let bot = &cdfs[ty1 * stride..][..stride];
+            for ((o, &v), &(c0, c1, ax)) in orow.iter_mut().zip(img.row(y)).zip(&cols) {
+                let b = bin_of(v);
+                let upper = top[c0 + b] * (1.0 - ax) + top[c1 + b] * ax;
+                let lower = bot[c0 + b] * (1.0 - ax) + bot[c1 + b] * ax;
+                *o = ((upper * (1.0 - ay) + lower * ay) as f32).clamp(0.0, 1.0);
+            }
+        }
+    });
+    Image::from_vec(w, h, out).expect("shape preserved")
 }
 
 #[cfg(test)]

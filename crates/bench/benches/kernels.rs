@@ -4,10 +4,11 @@
 //! loops the ICPP audience cares about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use zenesis_adapt::equalize::clahe;
 use zenesis_adapt::{AdaptPipeline, AdaptStage};
 use zenesis_data::{generate_slice, PhantomConfig, SampleKind};
 use zenesis_ground::{DinoConfig, FeatureGrid, GroundingDino};
-use zenesis_image::filter::median_filter;
+use zenesis_image::filter::{local_std, median_filter, orientation_coherence};
 use zenesis_image::morphology::{dilate, erode, Structuring};
 use zenesis_image::{BitMask, Image};
 use zenesis_nn::{attention, attention_weights, SwinStage, VitEncoder};
@@ -130,8 +131,8 @@ fn bench_ground_and_sam(c: &mut Criterion) {
 }
 
 /// The non-model glue of `segment_slice` at the served slice size (256²):
-/// the relevance gate's upsample and dilation, the adaptation median, and
-/// one box decode.
+/// the relevance gate's upsample and dilation, the adaptation median and
+/// CLAHE, the feature pyramid's windowed statistics, and one box decode.
 fn bench_slice_path(c: &mut Criterion) {
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 9).with_size(256, 256));
     let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
@@ -147,6 +148,11 @@ fn bench_slice_path(c: &mut Criterion) {
     group.bench_function("erode_256_sq4", |b| b.iter(|| erode(&support, se)));
     group.bench_function("median_256_r1", |b| b.iter(|| median_filter(&adapted, 1)));
     group.bench_function("median_256_r2", |b| b.iter(|| median_filter(&adapted, 2)));
+    group.bench_function("clahe_256", |b| b.iter(|| clahe(&adapted, 4, 2.2)));
+    group.bench_function("coherence_256", |b| {
+        b.iter(|| orientation_coherence(&adapted, 2.0))
+    });
+    group.bench_function("local_std_256", |b| b.iter(|| local_std(&adapted, 2)));
     group.bench_function("decode_box_256", |b| {
         b.iter(|| zenesis_sam::decoder::decode_box(&emb, bbox, 2, 6, true, true))
     });

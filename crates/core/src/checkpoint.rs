@@ -99,18 +99,34 @@ fn fnv64(bytes: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// The reflected CRC-32 register after shifting each byte value through
+/// eight rounds of the polynomial: one lookup replaces a byte's rounds.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        table[n] = c;
+        n += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected): the per-record checksum.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
+    let crc = data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+        CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    });
     !crc
 }
+
+/// Lower-case hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// A [`BitMask`] encoded for the journal: packed words as hex.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,14 +139,14 @@ pub struct MaskEnc {
 impl MaskEnc {
     /// Encode a mask word-for-word.
     pub fn encode(m: &BitMask) -> MaskEnc {
-        let mut hex = String::with_capacity(m.words().len() * 16);
-        for w in m.words() {
-            hex.push_str(&format!("{w:016x}"));
+        let mut hex = Vec::with_capacity(m.words().len() * 16);
+        for &w in m.words() {
+            hex.extend((0..16).rev().map(|i| HEX_DIGITS[(w >> (4 * i)) as usize & 0xF]));
         }
         MaskEnc {
             width: m.width(),
             height: m.height(),
-            hex,
+            hex: String::from_utf8(hex).expect("hex digits are ASCII"),
         }
     }
 
@@ -691,6 +707,51 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC the table replaced.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        for len in [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 16_600] {
+            for _ in 0..4 {
+                let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255)).collect();
+                assert_eq!(crc32(&data), crc32_bitwise(&data), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn mask_enc_matches_format_hex() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        for (w, h) in [(1, 1), (33, 17), (64, 1), (65, 3), (256, 256)] {
+            let bits: Vec<bool> = (0..w * h).map(|_| rng.gen_bool(0.3)).collect();
+            let m = BitMask::from_fn(w, h, |x, y| bits[y * w + x]);
+            let want: String = m.words().iter().map(|w| format!("{w:016x}")).collect();
+            let enc = MaskEnc::encode(&m);
+            assert_eq!(enc.hex, want, "{w}x{h}");
+            assert_eq!(enc.decode().unwrap(), m);
+        }
+        // Every nibble value in every position.
+        let words = vec![0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, u64::MAX, 0];
+        let m = BitMask::from_words(256, 1, words.clone());
+        let want: String = words.iter().map(|w| format!("{w:016x}")).collect();
+        assert_eq!(MaskEnc::encode(&m).hex, want);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Spatial filtering: separable convolution, Gaussian and box smoothing,
-//! median filtering, and Sobel gradients with structure-tensor statistics.
+//! Spatial filtering: separable convolution, Gaussian smoothing, median
+//! filtering, Sobel gradient magnitude, and the windowed statistics of the
+//! feature pyramid (local deviation, structure-tensor coherence).
 //!
 //! Filters operate on canonical `f32` images with replicate borders and are
 //! parallelised over row bands via `zenesis-par` (the hot loops of the
@@ -14,9 +15,16 @@
 //! order), so results are bit-identical across dispatch levels, thread
 //! counts, and to the pre-rewrite per-pixel gather loops — the committed
 //! pipeline checksums (e.g. the `tiff-smoke` golden mask) rely on this.
+//!
+//! A statistic built from several smoothed planes (the box moments of
+//! [`local_std`], the tensor products of [`orientation_coherence`]) writes
+//! its row-pass planes side by side in one buffer of `planes * w` floats
+//! per row, so one row band covers every plane; the column pass reduces
+//! each output row from row scratch. Per-pixel intermediates (Sobel
+//! responses, squares, products) never exist as full rasters.
 
 use crate::image::Image;
-use zenesis_par::{par_map_range_min, par_rows, par_rows2_min, SMALL_WORK_ELEMS};
+use zenesis_par::{par_rows, par_rows_min, SMALL_WORK_ELEMS};
 use zenesis_tensor::{simd_level, SimdLevel};
 
 /// Compile a row-band kernel body twice — portable baseline and an AVX2
@@ -86,18 +94,35 @@ fn axpy_shifted_clamped(src: &[f32], kv: f32, d: isize, out: &mut [f32]) {
     }
 }
 
-/// Row-convolve a band of output rows (`y0..y0 + band_rows`): taps in
-/// ascending order, each an [`axpy_shifted_clamped`] over the source
-/// row — per-pixel accumulation order matches the naive gather exactly.
+/// Row-convolve one source row into `out`: taps in ascending order, each
+/// an [`axpy_shifted_clamped`] — per-pixel accumulation order matches the
+/// naive gather exactly.
+#[inline(always)]
+fn conv_row(src: &[f32], kernel: &[f32], out: &mut [f32]) {
+    let r = kernel.len() as isize / 2;
+    for (j, &kv) in kernel.iter().enumerate() {
+        axpy_shifted_clamped(src, kv, j as isize - r, out);
+    }
+}
+
+/// Column-convolve row `y` of a flat buffer of `row_len`-element rows
+/// into `out`: each tap is a plain axpy of the (row-clamped) source row.
+#[inline(always)]
+fn conv_col_row(src: &[f32], row_len: usize, kernel: &[f32], y: usize, out: &mut [f32]) {
+    let h = (src.len() / row_len) as isize;
+    let r = kernel.len() as isize / 2;
+    for (j, &kv) in kernel.iter().enumerate() {
+        let sy = (y as isize + j as isize - r).clamp(0, h - 1) as usize;
+        for (o, &v) in out.iter_mut().zip(&src[sy * row_len..(sy + 1) * row_len]) {
+            *o += kv * v;
+        }
+    }
+}
+
 #[inline(always)]
 fn conv_rows_band_impl(img: &Image<f32>, kernel: &[f32], y0: usize, band: &mut [f32]) {
-    let w = img.dims().0;
-    let r = kernel.len() as isize / 2;
-    for (dy, orow) in band.chunks_mut(w).enumerate() {
-        let src = img.row(y0 + dy);
-        for (j, &kv) in kernel.iter().enumerate() {
-            axpy_shifted_clamped(src, kv, j as isize - r, orow);
-        }
+    for (dy, orow) in band.chunks_mut(img.width()).enumerate() {
+        conv_row(img.row(y0 + dy), kernel, orow);
     }
 }
 
@@ -108,20 +133,11 @@ simd_dispatch!(conv_rows_band => conv_rows_band_impl(
     band: &mut [f32],
 ));
 
-/// Column-convolve a band of output rows: each tap is a plain axpy of
-/// the (row-clamped) source row onto the output row.
 #[inline(always)]
 fn conv_cols_band_impl(img: &Image<f32>, kernel: &[f32], y0: usize, band: &mut [f32]) {
-    let (w, h) = img.dims();
-    let r = kernel.len() as isize / 2;
+    let w = img.width();
     for (dy, orow) in band.chunks_mut(w).enumerate() {
-        let y = (y0 + dy) as isize;
-        for (j, &kv) in kernel.iter().enumerate() {
-            let sy = (y + j as isize - r).clamp(0, h as isize - 1) as usize;
-            for (o, &v) in orow.iter_mut().zip(img.row(sy)) {
-                *o += kv * v;
-            }
-        }
+        conv_col_row(img.as_slice(), w, kernel, y0 + dy, orow);
     }
 }
 
@@ -158,13 +174,6 @@ pub fn convolve_separable(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
 /// Gaussian blur with standard deviation `sigma`.
 pub fn gaussian_blur(img: &Image<f32>, sigma: f32) -> Image<f32> {
     convolve_separable(img, &gaussian_kernel(sigma))
-}
-
-/// Box blur with window `(2*radius + 1)^2`.
-pub fn box_blur(img: &Image<f32>, radius: usize) -> Image<f32> {
-    let len = 2 * radius + 1;
-    let kernel = vec![1.0 / len as f32; len];
-    convolve_separable(img, &kernel)
 }
 
 /// `(min, max)` of two non-NaN values: a compare-exchange, the unit of
@@ -327,36 +336,6 @@ fn rows3(img: &Image<f32>, y: usize, h: usize) -> (&[f32], &[f32], &[f32]) {
 }
 
 #[inline(always)]
-fn sobel_band_impl(img: &Image<f32>, y0: usize, gx: &mut [f32], gy: &mut [f32]) {
-    let (w, h) = img.dims();
-    for (dy, (gxr, gyr)) in gx.chunks_mut(w).zip(gy.chunks_mut(w)).enumerate() {
-        let (ym, yc, yp) = rows3(img, y0 + dy, h);
-        sobel_row(ym, yc, yp, gxr, gyr);
-    }
-}
-
-simd_dispatch!(sobel_band => sobel_band_impl(
-    img: &Image<f32>,
-    y0: usize,
-    gx: &mut [f32],
-    gy: &mut [f32],
-));
-
-/// Gradient images `(gx, gy)` from 3x3 Sobel operators.
-pub fn sobel(img: &Image<f32>) -> (Image<f32>, Image<f32>) {
-    let (w, h) = img.dims();
-    let mut gx = vec![0.0f32; w * h];
-    let mut gy = vec![0.0f32; w * h];
-    par_rows2_min(&mut gx, &mut gy, w, SMALL_WORK_ELEMS, |y0, bx, by| {
-        sobel_band(img, y0, bx, by);
-    });
-    (
-        Image::from_vec(w, h, gx).expect("shape preserved"),
-        Image::from_vec(w, h, gy).expect("shape preserved"),
-    )
-}
-
-#[inline(always)]
 fn grad_mag_band_impl(img: &Image<f32>, y0: usize, band: &mut [f32]) {
     let (w, h) = img.dims();
     let mut gx = vec![0.0f32; w];
@@ -386,50 +365,153 @@ pub fn gradient_magnitude(img: &Image<f32>) -> Image<f32> {
     Image::from_vec(w, h, out).expect("shape preserved")
 }
 
+/// Pass 1 of [`local_std`]: per source row, the row-convolved mean and
+/// mean-square planes side by side (`2w` floats per row).
+#[inline(always)]
+fn moments_rows_band_impl(img: &Image<f32>, kernel: &[f32], y0: usize, band: &mut [f32]) {
+    let w = img.width();
+    let mut sq = vec![0.0f32; w];
+    for (dy, orow) in band.chunks_mut(2 * w).enumerate() {
+        let src = img.row(y0 + dy);
+        for (s, &v) in sq.iter_mut().zip(src) {
+            *s = v * v;
+        }
+        let (mean, mean_sq) = orow.split_at_mut(w);
+        conv_row(src, kernel, mean);
+        conv_row(&sq, kernel, mean_sq);
+    }
+}
+
+simd_dispatch!(moments_rows_band => moments_rows_band_impl(
+    img: &Image<f32>,
+    kernel: &[f32],
+    y0: usize,
+    band: &mut [f32],
+));
+
+/// Pass 2 of [`local_std`]: column-convolve both planes of an output row
+/// into row scratch, then `sqrt(max(E[v^2] - E[v]^2, 0))`.
+#[inline(always)]
+fn std_cols_band_impl(rows: &[f32], w: usize, kernel: &[f32], y0: usize, band: &mut [f32]) {
+    let mut acc = vec![0.0f32; 2 * w];
+    for (dy, orow) in band.chunks_mut(w).enumerate() {
+        acc.fill(0.0);
+        conv_col_row(rows, 2 * w, kernel, y0 + dy, &mut acc);
+        let (mean, mean_sq) = acc.split_at(w);
+        for (o, (&m, &m2)) in orow.iter_mut().zip(mean.iter().zip(mean_sq)) {
+            let var = m2 - m * m;
+            *o = var.max(0.0).sqrt();
+        }
+    }
+}
+
+simd_dispatch!(std_cols_band => std_cols_band_impl(
+    rows: &[f32],
+    w: usize,
+    kernel: &[f32],
+    y0: usize,
+    band: &mut [f32],
+));
+
 /// Local standard deviation over a `(2*radius+1)^2` window — the texture
 /// energy channel of the grounding feature pyramid.
+///
+/// The box means of `v` and `v^2` are separable convolutions with taps
+/// `1 / (2*radius + 1)`; their row passes land interleaved in one `2w`-wide
+/// buffer, and the column pass reduces each output row straight to the
+/// deviation, so a call holds two full rasters.
 pub fn local_std(img: &Image<f32>, radius: usize) -> Image<f32> {
-    let mean = box_blur(img, radius);
-    let sq = img.map(|v| v * v);
-    let mean_sq = box_blur(&sq, radius);
+    let len = 2 * radius + 1;
+    let kernel = vec![1.0 / len as f32; len];
     let (w, h) = img.dims();
-    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
-        let var = mean_sq.as_slice()[i] - mean.as_slice()[i] * mean.as_slice()[i];
-        var.max(0.0).sqrt()
+    let mut rows = vec![0.0f32; 2 * w * h];
+    par_rows_min(&mut rows, 2 * w, 2 * SMALL_WORK_ELEMS, |y0, band| {
+        moments_rows_band(img, &kernel, y0, band)
     });
-    Image::from_vec(w, h, data).expect("shape preserved")
+    let mut out = vec![0.0f32; w * h];
+    par_rows(&mut out, w, |y0, band| std_cols_band(&rows, w, &kernel, y0, band));
+    Image::from_vec(w, h, out).expect("shape preserved")
 }
+
+/// Pass 1 of [`orientation_coherence`]: per source row, the Sobel
+/// responses, the three tensor products `gx^2`, `gy^2`, `gx*gy`, and
+/// their row convolutions side by side (`3w` floats per row).
+#[inline(always)]
+fn tensor_rows_band_impl(img: &Image<f32>, kernel: &[f32], y0: usize, band: &mut [f32]) {
+    let (w, h) = img.dims();
+    let mut grad = vec![0.0f32; 2 * w];
+    let mut prod = vec![0.0f32; 3 * w];
+    for (dy, orow) in band.chunks_mut(3 * w).enumerate() {
+        let (ym, yc, yp) = rows3(img, y0 + dy, h);
+        let (gx, gy) = grad.split_at_mut(w);
+        sobel_row(ym, yc, yp, gx, gy);
+        let (jxx, rest) = prod.split_at_mut(w);
+        let (jyy, jxy) = rest.split_at_mut(w);
+        let products = jxx.iter_mut().zip(jyy.iter_mut()).zip(jxy.iter_mut());
+        for (((a, b), c), (&x, &y)) in products.zip(gx.iter().zip(gy.iter())) {
+            (*a, *b, *c) = (x * x, y * y, x * y);
+        }
+        for (src, out) in prod.chunks_exact(w).zip(orow.chunks_exact_mut(w)) {
+            conv_row(src, kernel, out);
+        }
+    }
+}
+
+simd_dispatch!(tensor_rows_band => tensor_rows_band_impl(
+    img: &Image<f32>,
+    kernel: &[f32],
+    y0: usize,
+    band: &mut [f32],
+));
+
+/// Pass 2 of [`orientation_coherence`]: column-convolve the three tensor
+/// planes of an output row into row scratch, then the eigenvalue contrast.
+#[inline(always)]
+fn coherence_cols_band_impl(rows: &[f32], w: usize, kernel: &[f32], y0: usize, band: &mut [f32]) {
+    let mut acc = vec![0.0f32; 3 * w];
+    for (dy, orow) in band.chunks_mut(w).enumerate() {
+        acc.fill(0.0);
+        conv_col_row(rows, 3 * w, kernel, y0 + dy, &mut acc);
+        let (jxx, rest) = acc.split_at(w);
+        let (jyy, jxy) = rest.split_at(w);
+        for (o, ((&a, &b), &c)) in orow.iter_mut().zip(jxx.iter().zip(jyy).zip(jxy)) {
+            let tr = a + b;
+            *o = if tr <= 1e-12 {
+                0.0
+            } else {
+                let d = ((a - b) * (a - b) + 4.0 * c * c).sqrt();
+                (d / tr).clamp(0.0, 1.0)
+            };
+        }
+    }
+}
+
+simd_dispatch!(coherence_cols_band => coherence_cols_band_impl(
+    rows: &[f32],
+    w: usize,
+    kernel: &[f32],
+    y0: usize,
+    band: &mut [f32],
+));
 
 /// Structure-tensor orientation coherence in `[0, 1]` per pixel.
 ///
 /// 1 means a strongly oriented neighbourhood (e.g. the needle-like
 /// crystalline IrO2 morphology the dataset section describes), 0 an
-/// isotropic one. Computed from the smoothed tensor's eigenvalue contrast
-/// `((l1 - l2) / (l1 + l2))^2`.
+/// isotropic one. Computed from the Gaussian-smoothed tensor's eigenvalue
+/// contrast `((l1 - l2) / (l1 + l2))^2`. The Sobel responses and their
+/// products live only in row scratch; the three row-smoothed planes land
+/// interleaved in one `3w`-wide buffer, so a call holds two full rasters.
 pub fn orientation_coherence(img: &Image<f32>, sigma: f32) -> Image<f32> {
-    let (gx, gy) = sobel(img);
+    let kernel = gaussian_kernel(sigma);
     let (w, h) = img.dims();
-    let mk = |f: &dyn Fn(usize) -> f32| {
-        Image::from_vec(w, h, (0..w * h).map(f).collect()).expect("shape preserved")
-    };
-    let jxx = mk(&|i| gx.as_slice()[i] * gx.as_slice()[i]);
-    let jyy = mk(&|i| gy.as_slice()[i] * gy.as_slice()[i]);
-    let jxy = mk(&|i| gx.as_slice()[i] * gy.as_slice()[i]);
-    let jxx = gaussian_blur(&jxx, sigma);
-    let jyy = gaussian_blur(&jyy, sigma);
-    let jxy = gaussian_blur(&jxy, sigma);
-    let data = par_map_range_min(w * h, SMALL_WORK_ELEMS, |i| {
-        let a = jxx.as_slice()[i];
-        let b = jyy.as_slice()[i];
-        let c = jxy.as_slice()[i];
-        let tr = a + b;
-        if tr <= 1e-12 {
-            return 0.0;
-        }
-        let d = ((a - b) * (a - b) + 4.0 * c * c).sqrt();
-        (d / tr).clamp(0.0, 1.0)
+    let mut rows = vec![0.0f32; 3 * w * h];
+    par_rows_min(&mut rows, 3 * w, 3 * SMALL_WORK_ELEMS, |y0, band| {
+        tensor_rows_band(img, &kernel, y0, band)
     });
-    Image::from_vec(w, h, data).expect("shape preserved")
+    let mut out = vec![0.0f32; w * h];
+    par_rows(&mut out, w, |y0, band| coherence_cols_band(&rows, w, &kernel, y0, band));
+    Image::from_vec(w, h, out).expect("shape preserved")
 }
 
 #[cfg(test)]
@@ -453,10 +535,8 @@ mod tests {
     #[test]
     fn blur_preserves_constant_images() {
         let img = Image::<f32>::filled(16, 16, 0.37);
-        for out in [gaussian_blur(&img, 2.0), box_blur(&img, 3)] {
-            for &v in out.as_slice() {
-                assert!((v - 0.37).abs() < 1e-5);
-            }
+        for &v in gaussian_blur(&img, 2.0).as_slice() {
+            assert!((v - 0.37).abs() < 1e-5);
         }
     }
 
@@ -492,14 +572,12 @@ mod tests {
     }
 
     #[test]
-    fn sobel_detects_vertical_edge() {
+    fn gradient_magnitude_detects_vertical_edge() {
         let img = Image::<f32>::from_fn(20, 20, |x, _| if x < 10 { 0.0 } else { 1.0 });
-        let (gx, gy) = sobel(&img);
-        // Strong horizontal gradient at the edge, none away from it.
-        assert!(gx.get(9, 10).abs() > 1.0 || gx.get(10, 10).abs() > 1.0);
-        assert!(gx.get(2, 10).abs() < 1e-6);
-        assert!(gy.get(10, 10).abs() < 1e-6);
         let mag = gradient_magnitude(&img);
+        // Strong response at the edge, none away from it.
+        assert!(mag.get(9, 10) > 1.0 || mag.get(10, 10) > 1.0);
+        assert!(mag.get(2, 10) < 1e-6);
         assert!(mag.get(10, 10) > mag.get(2, 10));
     }
 

@@ -7,17 +7,27 @@
 //! columns, radii beyond a word and beyond the raster.
 //!
 //! CI runs this file twice, portable and `-Ctarget-cpu=native`: the
-//! compare-exchange network must not depend on the SIMD level.
+//! compare-exchange network and the row-level convolution passes must
+//! not depend on the SIMD level. The windowed statistics are also checked
+//! at 1 and 2 threads, dispatched and forced scalar, in one process.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zenesis_image::components::{label_components, Connectivity, Labels};
-use zenesis_image::filter::median_filter;
+use zenesis_image::filter::{
+    convolve_separable, gaussian_blur, gaussian_kernel, local_std, median_filter,
+    orientation_coherence,
+};
 use zenesis_image::morphology::{close, dilate, erode, open, Structuring};
 use zenesis_image::{BitMask, BoxRegion, Image, Point};
 
 const WIDTHS: [usize; 8] = [1, 2, 63, 64, 65, 101, 128, 256];
 const HEIGHTS: [usize; 3] = [1, 3, 37];
+
+/// Shapes for the windowed statistics: widths around a SIMD word and a
+/// row band, heights from one row to past a band boundary.
+const STAT_WIDTHS: [usize; 8] = [1, 2, 7, 63, 64, 65, 101, 256];
+const STAT_HEIGHTS: [usize; 4] = [1, 3, 37, 140];
 
 // ------------------------------------------------------------------ oracles
 
@@ -143,6 +153,89 @@ fn resize_nearest_ref(img: &Image<f32>, new_w: usize, new_h: usize) -> Image<f32
     Image::from_vec(new_w, new_h, data).unwrap()
 }
 
+/// Separable convolution as it was first written: one clamped gather per
+/// output pixel, taps in ascending order, rows then columns.
+fn convolve_separable_ref(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
+    let (w, h) = img.dims();
+    let r = kernel.len() as isize / 2;
+    let gather = |src: &Image<f32>, along_x: bool| {
+        let data = (0..w * h)
+            .map(|i| {
+                let (x, y) = ((i % w) as isize, (i / w) as isize);
+                let mut acc = 0.0f32;
+                for (j, &kv) in kernel.iter().enumerate() {
+                    let d = j as isize - r;
+                    let v = if along_x {
+                        src.get_clamped(x + d, y)
+                    } else {
+                        src.get_clamped(x, y + d)
+                    };
+                    acc += kv * v;
+                }
+                acc
+            })
+            .collect();
+        Image::from_vec(w, h, data).unwrap()
+    };
+    gather(&gather(img, true), false)
+}
+
+/// The deleted `filter::box_blur`.
+fn box_blur_ref(img: &Image<f32>, radius: usize) -> Image<f32> {
+    let len = 2 * radius + 1;
+    convolve_separable_ref(img, &vec![1.0 / len as f32; len])
+}
+
+/// The deleted `filter::sobel`: both 3x3 responses per pixel with
+/// replicate borders, in the operators' expression order.
+fn sobel_ref(img: &Image<f32>) -> (Image<f32>, Image<f32>) {
+    let p = |x: usize, y: usize, dx: isize, dy: isize| {
+        img.get_clamped(x as isize + dx, y as isize + dy)
+    };
+    let gx = img.map_indexed(|x, y, _| {
+        (p(x, y, 1, -1) + 2.0 * p(x, y, 1, 0) + p(x, y, 1, 1))
+            - (p(x, y, -1, -1) + 2.0 * p(x, y, -1, 0) + p(x, y, -1, 1))
+    });
+    let gy = img.map_indexed(|x, y, _| {
+        (p(x, y, -1, 1) + 2.0 * p(x, y, 0, 1) + p(x, y, 1, 1))
+            - (p(x, y, -1, -1) + 2.0 * p(x, y, 0, -1) + p(x, y, 1, -1))
+    });
+    (gx, gy)
+}
+
+/// `local_std` as it was: two box blurs and a per-pixel combine.
+fn local_std_ref(img: &Image<f32>, radius: usize) -> Image<f32> {
+    let mean = box_blur_ref(img, radius);
+    let mean_sq = box_blur_ref(&img.map(|v| v * v), radius);
+    mean.map_indexed(|x, y, m| {
+        let var = mean_sq.get(x, y) - m * m;
+        var.max(0.0).sqrt()
+    })
+}
+
+/// `orientation_coherence` as it was: full-raster Sobel pair, three
+/// product rasters, three Gaussian blurs, a per-pixel contrast.
+fn orientation_coherence_ref(img: &Image<f32>, sigma: f32) -> Image<f32> {
+    let (gx, gy) = sobel_ref(img);
+    let k = gaussian_kernel(sigma);
+    let prod = |f: &(dyn Fn(f32, f32) -> f32 + Sync)| {
+        convolve_separable_ref(&gx.map_indexed(|x, y, a| f(a, gy.get(x, y))), &k)
+    };
+    let jxx = prod(&|a, _| a * a);
+    let jyy = prod(&|_, b| b * b);
+    let jxy = prod(&|a, b| a * b);
+    jxx.map_indexed(|x, y, a| {
+        let b = jyy.get(x, y);
+        let c = jxy.get(x, y);
+        let tr = a + b;
+        if tr <= 1e-12 {
+            return 0.0;
+        }
+        let d = ((a - b) * (a - b) + 4.0 * c * c).sqrt();
+        (d / tr).clamp(0.0, 1.0)
+    })
+}
+
 // --------------------------------------------------------------- generators
 
 fn random_mask(rng: &mut StdRng, w: usize, h: usize, density: f64) -> BitMask {
@@ -155,6 +248,22 @@ fn random_mask(rng: &mut StdRng, w: usize, h: usize, density: f64) -> BitMask {
 fn random_image(rng: &mut StdRng, w: usize, h: usize, levels: u32) -> Image<f32> {
     let data = (0..w * h)
         .map(|_| rng.gen_range(0..levels) as f32 / levels as f32 - 0.25)
+        .collect();
+    Image::from_vec(w, h, data).unwrap()
+}
+
+/// Random image spanning `[-0.5, 1.5]` with exact `±0.0`, `0.5` and
+/// `1.0` sprinkled in: out-of-range samples and signed zeros are where a
+/// reordered expression would show.
+fn wild_image(rng: &mut StdRng, w: usize, h: usize) -> Image<f32> {
+    let data = (0..w * h)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => 0.5,
+            _ => rng.gen_range(-0.5f32..1.5),
+        })
         .collect();
     Image::from_vec(w, h, data).unwrap()
 }
@@ -416,6 +525,64 @@ fn resize_nearest_matches_per_pixel_oracle() {
                 &resize_nearest_ref(&img, nw, nh),
                 &what,
             );
+        }
+    }
+}
+
+// ------------------------------------------------------- windowed statistics
+
+/// `got()` at 1 and 2 threads, with SIMD dispatch and forced scalar, must
+/// equal `want` bit for bit.
+fn assert_same_bits_everywhere(got: impl Fn() -> Image<f32>, want: &Image<f32>, what: &str) {
+    for threads in [1, 2] {
+        let _threads = zenesis_par::ThreadsGuard::new(threads);
+        assert_same_bits(&got(), want, &format!("{what} threads {threads}"));
+        let _scalar = zenesis_tensor::ScalarGuard::new();
+        assert_same_bits(&got(), want, &format!("{what} threads {threads} scalar"));
+    }
+}
+
+#[test]
+fn separable_convolution_matches_per_pixel_gather() {
+    let mut rng = StdRng::seed_from_u64(11);
+    for (w, h) in [(1, 1), (7, 3), (65, 37), (256, 37)] {
+        let img = wild_image(&mut rng, w, h);
+        for sigma in [0.05, 0.5, 1.0, 2.0] {
+            let k = gaussian_kernel(sigma);
+            let want = convolve_separable_ref(&img, &k);
+            let what = format!("{w}x{h} sigma {sigma}");
+            assert_same_bits_everywhere(|| gaussian_blur(&img, sigma), &want, &what);
+            assert_same_bits(&convolve_separable(&img, &k), &want, &what);
+        }
+    }
+}
+
+#[test]
+fn local_std_matches_box_blur_oracle() {
+    let mut rng = StdRng::seed_from_u64(12);
+    for w in STAT_WIDTHS {
+        for h in STAT_HEIGHTS {
+            let img = wild_image(&mut rng, w, h);
+            for radius in [1, 2, 3] {
+                let what = format!("local_std {w}x{h} radius {radius}");
+                let want = local_std_ref(&img, radius);
+                assert_same_bits_everywhere(|| local_std(&img, radius), &want, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn coherence_matches_full_raster_oracle() {
+    let mut rng = StdRng::seed_from_u64(13);
+    for w in STAT_WIDTHS {
+        for h in STAT_HEIGHTS {
+            let img = wild_image(&mut rng, w, h);
+            for sigma in [0.05, 0.5, 1.0, 2.0] {
+                let what = format!("coherence {w}x{h} sigma {sigma}");
+                let want = orientation_coherence_ref(&img, sigma);
+                assert_same_bits_everywhere(|| orientation_coherence(&img, sigma), &want, &what);
+            }
         }
     }
 }

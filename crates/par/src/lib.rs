@@ -51,7 +51,7 @@ pub use join::join;
 pub use progress::{progress_pulse, Progress};
 pub use scope::{
     chunk_len, in_worker, par_for_each, par_for_each_indexed, par_map, par_map_range,
-    par_map_range_min, par_reduce_range, par_rows, par_rows2_min, par_rows_min, SMALL_WORK_ELEMS,
+    par_map_range_min, par_reduce_range, par_rows, par_rows_min, SMALL_WORK_ELEMS,
 };
 pub use team::team_dispatches;
 

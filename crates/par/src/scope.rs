@@ -258,26 +258,6 @@ where
     });
 }
 
-/// [`par_rows_min`] over *two* equally-shaped flat row-major buffers:
-/// each worker call receives the same disjoint row band from both, so a
-/// kernel can fill two outputs in one pass (e.g. the Sobel gx/gy pair)
-/// without interleaving them or scheduling two sweeps.
-pub fn par_rows2_min<T, F>(a: &mut [T], b: &mut [T], row_len: usize, min_elems: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T], &mut [T]) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "paired buffers differ in length");
-    let Some(rows_per_band) = plan_rows(a.len(), row_len, min_elems) else {
-        return f(0, a, b);
-    };
-    let band_len = rows_per_band * row_len;
-    run_chunks(
-        a.chunks_mut(band_len).zip(b.chunks_mut(band_len)),
-        |i, (ba, bb)| f(i * rows_per_band, ba, bb),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,26 +350,6 @@ mod tests {
         let main_id = std::thread::current().id();
         let ids = par_map_range(8, |_| std::thread::current().id());
         assert!(ids.iter().all(|id| *id == main_id));
-    }
-
-    #[test]
-    fn rows2_bands_are_paired_and_complete() {
-        let _g = ThreadsGuard::new(4);
-        let row_len = 9;
-        let rows = 41;
-        let mut a = vec![0u32; row_len * rows];
-        let mut b = vec![0u32; row_len * rows];
-        par_rows2_min(&mut a, &mut b, row_len, 0, |row_start, ba, bb| {
-            assert_eq!(ba.len(), bb.len());
-            for (r, (ra, rb)) in ba.chunks_mut(row_len).zip(bb.chunks_mut(row_len)).enumerate() {
-                ra.fill((row_start + r) as u32);
-                rb.fill((row_start + r) as u32 * 2);
-            }
-        });
-        for (r, (ra, rb)) in a.chunks(row_len).zip(b.chunks(row_len)).enumerate() {
-            assert!(ra.iter().all(|&v| v == r as u32));
-            assert!(rb.iter().all(|&v| v == r as u32 * 2));
-        }
     }
 
     #[test]
