@@ -27,7 +27,7 @@ pub fn equalize(img: &Image<f32>) -> Image<f32> {
 }
 
 /// Histogram bins of a CLAHE tile.
-const BINS: usize = 256;
+pub(crate) const BINS: usize = 256;
 
 /// The bin of a sample: clamp to `[0, 1]`, scale, truncate.
 #[inline(always)]

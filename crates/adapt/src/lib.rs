@@ -32,40 +32,3 @@ pub mod pipeline;
 pub mod resample;
 
 pub use pipeline::{AdaptError, AdaptPipeline, AdaptStage, AdaptTrace};
-
-use zenesis_image::{Image, Pixel, RgbImage};
-
-/// The packed output of the adaptation layer.
-pub struct ModelInput {
-    /// Adapted grayscale in `[0, 1]`.
-    pub gray: Image<f32>,
-    /// Channel-replicated 8-bit RGB view (what a pretrained encoder eats).
-    pub rgb: RgbImage,
-}
-
-/// Run `pipeline` on a raw image of any supported bit depth and pack the
-/// result for model consumption (3 identical RGB channels, the standard
-/// grayscale-to-RGB adaptation).
-pub fn prepare<T: Pixel>(raw: &Image<T>, pipeline: &AdaptPipeline) -> ModelInput {
-    let adapted = pipeline.run(&raw.to_f32());
-    let rgb = RgbImage::from_gray(&adapted);
-    ModelInput { gray: adapted, rgb }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prepare_full_stack_16bit() {
-        let raw = Image::<u16>::from_fn(32, 32, |x, y| ((x * y * 83) % 9000 + 200) as u16);
-        let input = prepare(&raw, &AdaptPipeline::recommended());
-        assert_eq!(input.gray.dims(), (32, 32));
-        assert_eq!(input.rgb.width(), 32);
-        let (lo, hi) = input.gray.min_max();
-        assert!(lo >= 0.0 && hi <= 1.0);
-        // Adapted image should use a substantial part of the range even
-        // though the raw data occupied a sliver of the 16-bit range.
-        assert!(hi - lo > 0.5);
-    }
-}

@@ -1,9 +1,9 @@
 //! The declarative adaptation pipeline.
 //!
 //! A pipeline is a serializable list of [`AdaptStage`]s — exactly what the
-//! paper's no-code UI submits. Running it returns the adapted image; a
-//! traced run additionally records per-stage statistics (the provenance a
-//! scientist needs to trust that adaptation preserved their data).
+//! paper's no-code UI submits. Running it returns the adapted image and
+//! per-stage statistics (the provenance a scientist needs to trust that
+//! adaptation preserved their data).
 
 use serde::{Deserialize, Serialize};
 use zenesis_image::Image;
@@ -12,9 +12,9 @@ use crate::{denoise, destripe, equalize, normalize, resample};
 
 /// A structured adaptation failure (checked runs only).
 ///
-/// The plain [`AdaptPipeline::run`] / [`AdaptPipeline::run_traced`] never
-/// fail; the `_checked` variants used by the fault-tolerant volume path
-/// guard each stage boundary so poisoned pixels are caught *here*, with
+/// The plain [`AdaptPipeline::run`] never fails; the
+/// [`AdaptPipeline::run_checked`] used by the fault-tolerant volume path
+/// guards each stage boundary so poisoned pixels are caught *here*, with
 /// the stage named, instead of surfacing as silent garbage (or asserts)
 /// deep inside DINO/SAM.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,10 +140,71 @@ impl AdaptStage {
             AdaptStage::ResizeLongest { .. } => "resize_longest",
         }
     }
+
+    /// Check this stage's parameters before anything runs: every
+    /// size-like parameter (output side, window or kernel radius, CLAHE
+    /// tile table) is bounded by `max_side`, and every float is finite and
+    /// inside the domain the operator asserts. A stage that passes cannot
+    /// trip an operator assert or allocate beyond raster scale.
+    fn check(&self, max_side: usize) -> Result<(), String> {
+        let ensure = |ok: bool, msg: String| if ok { Ok(()) } else { Err(msg) };
+        let size = |what: &str, v: usize, lo: usize, hi: usize| {
+            ensure((lo..=hi).contains(&v), format!("{what} {v} outside {lo}..={hi}"))
+        };
+        let positive = |what: &str, v: f32| {
+            ensure(v.is_finite() && v > 0.0, format!("{what} {v} must be finite and positive"))
+        };
+        // The kernel radius the operator derives from a sigma.
+        let sigma = |what: &str, s: f32, radii: f32| {
+            positive(what, s)?;
+            size(&format!("{what} kernel radius"), (radii * s).ceil() as usize, 0, max_side)
+        };
+        match *self {
+            AdaptStage::MinMax
+            | AdaptStage::ZScore
+            | AdaptStage::Invert
+            | AdaptStage::Equalize
+            | AdaptStage::FlattenPlane => Ok(()),
+            AdaptStage::PercentileStretch { p_lo, p_hi } => ensure(
+                (0.0..=1.0).contains(&p_lo) && p_lo < p_hi && p_hi <= 1.0,
+                format!("percentiles ({p_lo}, {p_hi}) must satisfy 0 <= p_lo < p_hi <= 1"),
+            ),
+            AdaptStage::Gamma { gamma } => positive("gamma", gamma),
+            AdaptStage::Clahe { tiles, clip_limit } => {
+                // `tiles²` CDFs of `BINS` entries each: no more entries
+                // than the largest raster has pixels.
+                size("tiles", tiles, 1, max_side / equalize::BINS.isqrt())?;
+                ensure(
+                    clip_limit.is_finite() && clip_limit >= 1.0,
+                    format!("clip_limit {clip_limit} must be finite and at least 1"),
+                )
+            }
+            AdaptStage::Median { radius } => size("radius", radius, 0, max_side),
+            AdaptStage::Gaussian { sigma: s } | AdaptStage::Highpass { sigma: s } => {
+                sigma("sigma", s, 3.0)
+            }
+            AdaptStage::Bilateral { sigma_s, sigma_r } => {
+                sigma("sigma_s", sigma_s, 2.0)?;
+                positive("sigma_r", sigma_r)
+            }
+            AdaptStage::NlmLite { search, strength } => {
+                size("search", search, 0, max_side)?;
+                positive("strength", strength)
+            }
+            AdaptStage::Destripe { smooth_radius } => {
+                size("smooth_radius", smooth_radius, 0, max_side)
+            }
+            AdaptStage::Resize { width, height } => {
+                size("width", width, 1, max_side)?;
+                size("height", height, 1, max_side)
+            }
+            AdaptStage::ResizeLongest { target } => size("target", target, 1, max_side),
+        }
+    }
 }
 
 /// Per-stage provenance record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptTrace {
     pub stage: String,
     pub out_min: f32,
@@ -242,15 +303,22 @@ impl AdaptPipeline {
         self
     }
 
-    /// Run the pipeline.
-    pub fn run(&self, img: &Image<f32>) -> Image<f32> {
-        let mut cur = img.clone();
-        for stage in &self.stages {
-            let _s = zenesis_obs::enabled()
-                .then(|| zenesis_obs::span(format!("adapt.{}", stage.name())));
-            cur = stage.apply(&cur);
+    /// Check every stage's parameters against `max_side`, the largest
+    /// raster side the caller accepts, without running anything (see
+    /// [`AdaptStage`]'s operators for the domains). Configs arriving from
+    /// outside the process go through this before they run.
+    pub fn validate(&self, max_side: usize) -> Result<(), String> {
+        for (i, stage) in self.stages.iter().enumerate() {
+            stage
+                .check(max_side)
+                .map_err(|e| format!("adapt stage {i} ({}): {e}", stage.name()))?;
         }
-        cur
+        Ok(())
+    }
+
+    /// Run the pipeline, recording per-stage provenance.
+    pub fn run(&self, img: &Image<f32>) -> (Image<f32>, Vec<AdaptTrace>) {
+        self.run_stages(img, false).expect("the unguarded pipeline is infallible")
     }
 
     /// Run the pipeline with NaN/Inf boundary guards after every stage.
@@ -261,34 +329,35 @@ impl AdaptPipeline {
     /// the stage, so the volume pipeline can quarantine the slice instead
     /// of feeding poison into DINO/SAM. Denoise stages additionally check
     /// the `adapt.denoise` fault-injection site.
-    pub fn run_checked(&self, img: &Image<f32>) -> Result<Image<f32>, AdaptError> {
-        let mut cur = img.clone();
-        for stage in &self.stages {
-            let _s = zenesis_obs::enabled()
-                .then(|| zenesis_obs::span(format!("adapt.{}", stage.name())));
-            cur = stage.apply(&cur);
-            Self::guard_stage(stage, &mut cur)?;
-        }
-        Ok(cur)
-    }
-
-    /// [`run_traced`](Self::run_traced) with the same boundary guards as
-    /// [`run_checked`](Self::run_checked).
-    pub fn run_traced_checked(
+    pub fn run_checked(
         &self,
         img: &Image<f32>,
     ) -> Result<(Image<f32>, Vec<AdaptTrace>), AdaptError> {
-        let mut cur = img.clone();
+        self.run_stages(img, true)
+    }
+
+    /// The one stage loop. The first stage reads `img` itself; each later
+    /// stage reads its predecessor's output. The `adapt.<stage>` span
+    /// covers `apply` alone, not the guard or the trace.
+    fn run_stages(
+        &self,
+        img: &Image<f32>,
+        guard: bool,
+    ) -> Result<(Image<f32>, Vec<AdaptTrace>), AdaptError> {
+        let mut cur: Option<Image<f32>> = None;
         let mut traces = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
             let span = zenesis_obs::enabled()
                 .then(|| zenesis_obs::span(format!("adapt.{}", stage.name())));
-            cur = stage.apply(&cur);
+            let mut out = stage.apply(cur.as_ref().unwrap_or(img));
             drop(span);
-            Self::guard_stage(stage, &mut cur)?;
-            traces.push(AdaptTrace::of(stage, &cur));
+            if guard {
+                Self::guard_stage(stage, &mut out)?;
+            }
+            traces.push(AdaptTrace::of(stage, &out));
+            cur = Some(out);
         }
-        Ok((cur, traces))
+        Ok((cur.unwrap_or_else(|| img.clone()), traces))
     }
 
     fn guard_stage(stage: &AdaptStage, out: &mut Image<f32>) -> Result<(), AdaptError> {
@@ -327,20 +396,6 @@ impl AdaptPipeline {
         }
         Ok(())
     }
-
-    /// Run the pipeline, recording per-stage provenance.
-    pub fn run_traced(&self, img: &Image<f32>) -> (Image<f32>, Vec<AdaptTrace>) {
-        let mut cur = img.clone();
-        let mut traces = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let span = zenesis_obs::enabled()
-                .then(|| zenesis_obs::span(format!("adapt.{}", stage.name())));
-            cur = stage.apply(&cur);
-            drop(span);
-            traces.push(AdaptTrace::of(stage, &cur));
-        }
-        (cur, traces)
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +409,9 @@ mod tests {
     #[test]
     fn identity_pipeline_is_identity() {
         let img = Image::<f32>::from_fn(8, 8, |x, y| (x + y) as f32 / 14.0);
-        assert_eq!(AdaptPipeline::identity().run(&img), img);
+        let (out, traces) = AdaptPipeline::identity().run(&img);
+        assert_eq!(out, img);
+        assert!(traces.is_empty());
     }
 
     #[test]
@@ -364,13 +421,13 @@ mod tests {
         let p = AdaptPipeline::identity()
             .then(AdaptStage::Invert)
             .then(AdaptStage::Gamma { gamma: 2.0 });
-        let out = p.run(&img);
+        let out = p.run(&img).0;
         assert!((out.get(0, 0) - 0.5625).abs() < 1e-6);
         // Reverse order differs: 1 - 0.25^2 = 0.9375.
         let q = AdaptPipeline::identity()
             .then(AdaptStage::Gamma { gamma: 2.0 })
             .then(AdaptStage::Invert);
-        assert!((q.run(&img).get(0, 0) - 0.9375).abs() < 1e-6);
+        assert!((q.run(&img).0.get(0, 0) - 0.9375).abs() < 1e-6);
     }
 
     #[test]
@@ -380,7 +437,7 @@ mod tests {
             Image::<f32>::filled(16, 16, 1.0),
             Image::<f32>::filled(16, 16, 0.5),
         ] {
-            let out = AdaptPipeline::recommended().run(&img);
+            let out = AdaptPipeline::recommended().run(&img).0;
             assert!(out.as_slice().iter().all(|v| v.is_finite()));
         }
     }
@@ -392,21 +449,28 @@ mod tests {
             width: 5,
             height: 4,
         });
-        assert_eq!(p.run(&img).dims(), (5, 4));
+        assert_eq!(p.run(&img).0.dims(), (5, 4));
     }
 
     #[test]
-    fn traced_run_matches_untraced() {
-        let img = Image::<f32>::from_fn(16, 16, |x, y| ((x * 3 + y * 5) % 11) as f32 / 10.0);
-        let p = AdaptPipeline::recommended();
-        let plain = p.run(&img);
-        let (traced, traces) = p.run_traced(&img);
-        assert_eq!(plain, traced);
-        assert_eq!(traces.len(), p.stages.len());
-        assert_eq!(traces[0].stage, "destripe");
-        for t in &traces {
-            assert!(t.out_min.is_finite() && t.out_max.is_finite());
+    fn presets_pass_validation_and_bounds_are_inclusive() {
+        for p in [
+            AdaptPipeline::identity(),
+            AdaptPipeline::recommended(),
+            AdaptPipeline::stm(),
+            AdaptPipeline::xrd(),
+            AdaptPipeline::minimal(),
+        ] {
+            assert_eq!(p.validate(4096), Ok(()));
         }
+        // sigma 4 -> kernel radius ceil(3 * 4) = 12.
+        let blur = AdaptPipeline::identity().then(AdaptStage::Gaussian { sigma: 4.0 });
+        assert_eq!(blur.validate(12), Ok(()));
+        let err = blur.validate(11).unwrap_err();
+        assert!(err.starts_with("adapt stage 0 (gaussian): "), "{err}");
+        let nan = AdaptPipeline::minimal().then(AdaptStage::Gamma { gamma: f32::NAN });
+        let err = nan.validate(4096).unwrap_err();
+        assert!(err.starts_with("adapt stage 1 (gamma): "), "{err}");
     }
 
     #[test]
@@ -424,14 +488,18 @@ mod tests {
         let _g = FAULT_LOCK.lock().unwrap();
         let img = Image::<f32>::from_fn(24, 24, |x, y| ((x * 7 + y * 3) % 13) as f32 / 12.0);
         for p in [
+            AdaptPipeline::identity(),
             AdaptPipeline::recommended(),
             AdaptPipeline::minimal(),
             AdaptPipeline::stm(),
         ] {
-            assert_eq!(p.run_checked(&img).unwrap(), p.run(&img));
-            let (traced, traces) = p.run_traced_checked(&img).unwrap();
-            assert_eq!(traced, p.run(&img));
-            assert_eq!(traces.len(), p.stages.len());
+            let (checked, checked_traces) = p.run_checked(&img).unwrap();
+            let (plain, plain_traces) = p.run(&img);
+            assert_eq!(checked, plain);
+            assert_eq!(checked_traces, plain_traces);
+            let names = plain_traces.iter().map(|t| t.stage.as_str());
+            assert!(names.eq(p.stages.iter().map(AdaptStage::name)));
+            assert!(plain_traces.iter().all(|t| t.out_min.is_finite() && t.out_max.is_finite()));
         }
     }
 
@@ -466,7 +534,7 @@ mod tests {
         // minimal() has no denoise stage -> the site never fires.
         assert!(AdaptPipeline::minimal().run_checked(&img).is_ok());
         // The plain path never consults fault sites.
-        let out = AdaptPipeline::recommended().run(&img);
+        let out = AdaptPipeline::recommended().run(&img).0;
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
     }
 
@@ -476,7 +544,7 @@ mod tests {
         let p: AdaptPipeline = serde_json::from_str(json).unwrap();
         assert_eq!(p.stages.len(), 2);
         let img = Image::<f32>::from_fn(4, 4, |x, _| x as f32 / 6.0);
-        let out = p.run(&img);
+        let out = p.run(&img).0;
         assert!((out.get(3, 0) - 1.0).abs() < 1e-6); // minmax then gamma keeps max at 1
     }
 }

@@ -86,7 +86,7 @@ proptest! {
     fn pipeline_composition_associative(img in arb_image(12)) {
         // Running a pipeline equals running its stages one by one.
         let p = AdaptPipeline::recommended();
-        let composed = p.run(&img);
+        let composed = p.run(&img).0;
         let mut manual = img.clone();
         for stage in &p.stages {
             manual = stage.apply(&manual);

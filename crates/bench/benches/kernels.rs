@@ -113,7 +113,7 @@ fn bench_kernel_sweep(c: &mut Criterion) {
 
 fn bench_ground_and_sam(c: &mut Criterion) {
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 9));
-    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     let mut group = c.benchmark_group("model_primitives");
     group.sample_size(20);
     group.bench_function("feature_grid_128", |b| {
@@ -135,7 +135,7 @@ fn bench_ground_and_sam(c: &mut Criterion) {
 /// CLAHE, the feature pyramid's windowed statistics, and one box decode.
 fn bench_slice_path(c: &mut Criterion) {
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 9).with_size(256, 256));
-    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     let grounding = GroundingDino::new(DinoConfig::default())
         .ground(&adapted, "needle-like crystalline catalyst");
     let support = BitMask::from_threshold(&grounding.relevance_full(256, 256), 0.60);

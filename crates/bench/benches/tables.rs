@@ -15,7 +15,7 @@ fn bench_tables(c: &mut Criterion) {
     for kind in [SampleKind::Crystalline, SampleKind::Amorphous] {
         let g = generate_slice(&PhantomConfig::new(kind, 2025));
         let (adapted, _) = z.adapt(&g.raw);
-        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
+        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32()).0;
         let prompt = kind.default_prompt();
         for m in Method::all() {
             group.bench_with_input(BenchmarkId::new(m.name(), kind.label()), &m, |b, m| {

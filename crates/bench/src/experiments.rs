@@ -95,7 +95,7 @@ pub fn fig3(outdir: &Path) -> zenesis_image::Result<Vec<(String, f64, f64)>> {
         let (adapted, _) = z.adapt(&g.raw);
         // Same tool-level views as Tables 1-3: baselines see the minimal
         // stretch, Zenesis sees its own adaptation.
-        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
+        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32()).0;
         let prompt = kind.default_prompt();
         let name = kind.label().to_lowercase();
         // Save raw (quantized), adapted, truth.
@@ -449,13 +449,13 @@ pub fn finetune_transfer(max_exemplars: usize) -> Vec<(usize, f64)> {
     let train: Vec<(Image<f32>, BitMask)> = (0..max_exemplars as u64)
         .map(|s| {
             let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 100 + s));
-            (adapt.run(&g.raw.to_f32()), g.truth)
+            (adapt.run(&g.raw.to_f32()).0, g.truth)
         })
         .collect();
     let held_out: Vec<(Image<f32>, BitMask)> = (0..3u64)
         .map(|s| {
             let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 200 + s));
-            (adapt.run(&g.raw.to_f32()), g.truth)
+            (adapt.run(&g.raw.to_f32()).0, g.truth)
         })
         .collect();
     (1..=max_exemplars)

@@ -241,9 +241,11 @@ pub enum JobSpec {
 impl JobSpec {
     /// Validate the spec without running it. [`run_job`] calls this
     /// first, so malformed specs (zero/oversized dimensions, empty
-    /// prompts) become structured [`JobResult::Error`]s instead of
-    /// panics deep in the pipeline; serving layers can also call it to
-    /// reject bad requests before they occupy a worker.
+    /// prompts, adaptation parameters out of their operators' domains or
+    /// beyond [`MAX_SIDE`]) become structured [`JobResult::Error`]s
+    /// instead of panics or aborts deep in the pipeline; serving layers
+    /// can also call it to reject bad requests before they occupy a
+    /// worker.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             JobSpec::Interactive { input, prompt, .. }
@@ -252,10 +254,13 @@ impl JobSpec {
                 if prompt.trim().is_empty() {
                     return Err("prompt must be non-empty".into());
                 }
-                Ok(())
             }
-            JobSpec::Evaluate { input, .. } => input.validate(),
+            JobSpec::Evaluate { input, .. } => input.validate()?,
         }
+        let (JobSpec::Interactive { config, .. }
+        | JobSpec::Batch { config, .. }
+        | JobSpec::Evaluate { config, .. }) = self;
+        config.as_ref().map_or(Ok(()), |c| c.adapt.validate(MAX_SIDE))
     }
 }
 
@@ -640,6 +645,7 @@ pub fn run_job_json_with_cancel(json: &str, cancel: &CancelToken) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zenesis_adapt::AdaptPipeline;
 
     #[test]
     fn interactive_job_roundtrip() {
@@ -918,6 +924,78 @@ mod tests {
             outlier_slices: vec![7],
         };
         assert!(bad_outlier.validate().is_err());
+    }
+
+    /// Run each `stage` (its no-code JSON) in an explicit config under
+    /// every mode and assert each comes back as an `invalid job spec`
+    /// error naming stage `name`. The input file does not exist, so a job
+    /// that got past validation would fail loading it instead: nothing ran.
+    fn assert_rejected(name: &str, stages: &[&str]) {
+        for (stage, mode) in stages.iter().flat_map(|s| {
+            ["interactive", "batch", "evaluate"].map(|m| (s, m))
+        }) {
+            let json = format!(
+                r#"{{"mode":"{mode}","prompt":"particles",
+                    "input":{{"source":"tiff_file","path":"/nonexistent/slice.tif"}}}}"#
+            );
+            let mut spec: JobSpec = serde_json::from_str(&json).unwrap();
+            let (JobSpec::Interactive { config, .. }
+            | JobSpec::Batch { config, .. }
+            | JobSpec::Evaluate { config, .. }) = &mut spec;
+            *config = Some(ZenesisConfig {
+                adapt: AdaptPipeline::identity().then(serde_json::from_str(stage).unwrap()),
+                ..ZenesisConfig::default()
+            });
+            let prefix = format!("invalid job spec: adapt stage 0 ({name}): ");
+            match run_job(&spec) {
+                JobResult::Error { message } => assert!(message.starts_with(&prefix), "{message}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    /// One test per stage that validation can reject.
+    macro_rules! rejects {
+        ($($test:ident: $name:literal => [$($stage:literal),+ $(,)?];)+) => {$(
+            #[test]
+            fn $test() {
+                assert_rejected($name, &[$($stage),+]);
+            }
+        )+};
+    }
+
+    rejects! {
+        hostile_resize_is_rejected: "resize" => [
+            r#"{"op":"resize","width":60000,"height":60000}"#,
+            r#"{"op":"resize","width":0,"height":64}"#,
+        ];
+        hostile_resize_longest_is_rejected: "resize_longest" => [
+            r#"{"op":"resize_longest","target":60000}"#,
+        ];
+        hostile_median_is_rejected: "median" => [r#"{"op":"median","radius":60000}"#];
+        hostile_nlm_lite_is_rejected: "nlm_lite" => [
+            r#"{"op":"nlm_lite","search":60000,"strength":0.1}"#,
+            r#"{"op":"nlm_lite","search":2,"strength":0.0}"#,
+        ];
+        hostile_destripe_is_rejected: "destripe" => [r#"{"op":"destripe","smooth_radius":60000}"#];
+        hostile_gaussian_is_rejected: "gaussian" => [
+            r#"{"op":"gaussian","sigma":1e9}"#,
+            r#"{"op":"gaussian","sigma":-1.0}"#,
+        ];
+        hostile_highpass_is_rejected: "highpass" => [r#"{"op":"highpass","sigma":1e9}"#];
+        hostile_bilateral_is_rejected: "bilateral" => [
+            r#"{"op":"bilateral","sigma_s":1e9,"sigma_r":0.1}"#,
+            r#"{"op":"bilateral","sigma_s":2.0,"sigma_r":0.0}"#,
+        ];
+        hostile_percentile_stretch_is_rejected: "percentile_stretch" => [
+            r#"{"op":"percentile_stretch","p_lo":0.9,"p_hi":0.1}"#,
+        ];
+        hostile_gamma_is_rejected: "gamma" => [r#"{"op":"gamma","gamma":0.0}"#];
+        hostile_clahe_is_rejected: "clahe" => [
+            r#"{"op":"clahe","tiles":0,"clip_limit":2.0}"#,
+            r#"{"op":"clahe","tiles":60000,"clip_limit":2.0}"#,
+            r#"{"op":"clahe","tiles":4,"clip_limit":0.5}"#,
+        ];
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub fn evaluate_sample(z: &Zenesis, sample: &Sample, methods: &[Method]) -> Vec<
     let minimal = methods
         .iter()
         .any(|m| *m != Method::Zenesis)
-        .then(|| zenesis_adapt::AdaptPipeline::minimal().run(&sample.raw.to_f32()));
+        .then(|| zenesis_adapt::AdaptPipeline::minimal().run(&sample.raw.to_f32()).0);
     let baseline_view = minimal.as_ref().unwrap_or(&adapted);
     let prompt = sample.kind.default_prompt();
     methods

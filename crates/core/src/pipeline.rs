@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use zenesis_adapt::AdaptTrace;
+use zenesis_adapt::{AdaptError, AdaptTrace};
 use zenesis_ground::{Detection, Grounding, GroundingDino, ImageSide};
 use zenesis_image::{BitMask, Image, Pixel};
 use zenesis_sam::{ImageEmbedding, Polarity, PromptSet, Sam};
@@ -221,19 +221,31 @@ impl Zenesis {
 
     /// Adapt a raw image of any bit depth into the model-ready domain.
     pub fn adapt<T: Pixel>(&self, raw: &Image<T>) -> (Image<f32>, Vec<AdaptTrace>) {
-        self.config.adapt.run_traced(&raw.to_f32())
+        self.config.adapt.run(&raw.to_f32())
+    }
+
+    /// The adapt step of every slice run, timed as `pipeline.adapt`;
+    /// `guards` runs the stage guards of `AdaptPipeline::run_checked`.
+    fn adapt_timed<T: Pixel>(
+        &self,
+        raw: &Image<T>,
+        guards: bool,
+    ) -> Result<(Image<f32>, Vec<AdaptTrace>, f64), AdaptError> {
+        let (adapted, adapt_ms) = zenesis_obs::timed("pipeline.adapt", || {
+            if guards {
+                self.config.adapt.run_checked(&raw.to_f32())
+            } else {
+                Ok(self.adapt(raw))
+            }
+        });
+        let (adapted, stages) = adapted?;
+        zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
+        Ok((adapted, stages, adapt_ms))
     }
 
     /// Full pipeline on a raw slice with a natural-language prompt.
     pub fn segment_slice<T: Pixel>(&self, raw: &Image<T>, prompt: &str) -> SliceResult {
-        let _root = zenesis_obs::span("pipeline.segment_slice");
-        let ((adapted, adapt_stages), adapt_ms) =
-            zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
-        zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
-        match self.run_adapted(adapted, adapt_stages, adapt_ms, prompt, false) {
-            Ok((r, _)) => r,
-            Err(_) => unreachable!("the unguarded pipeline is infallible"),
-        }
+        self.slice(raw, prompt, false).expect("the unguarded pipeline is infallible").0
     }
 
     /// Guarded pipeline for the fault-tolerant volume path: every stage
@@ -248,21 +260,14 @@ impl Zenesis {
         raw: &Image<T>,
         prompt: &str,
     ) -> Result<(SliceResult, ImageEmbedding), SliceError> {
-        let _root = zenesis_obs::span("pipeline.segment_slice");
-        let (adapt_res, adapt_ms) = zenesis_obs::timed("pipeline.adapt", || {
-            self.config.adapt.run_traced_checked(&raw.to_f32())
-        });
-        let (adapted, adapt_stages) = adapt_res.map_err(SliceError::Adapt)?;
-        zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
-        self.run_adapted(adapted, adapt_stages, adapt_ms, prompt, true)
+        self.slice(raw, prompt, true)
     }
 
     /// The prompt-independent half of [`Zenesis::segment_slice`]: adapt,
     /// then grounding's image side and the SAM encode (span
     /// `pipeline.prepare`).
     pub fn prepare<T: Pixel>(&self, raw: &Image<T>) -> Prepared {
-        let ((adapted, _), adapt_ms) = zenesis_obs::timed("pipeline.adapt", || self.adapt(raw));
-        zenesis_obs::record_ms("pipeline.adapt.lat", adapt_ms);
+        let (adapted, ..) = self.adapt_timed(raw, false).expect("the unguarded adapt is infallible");
         self.prepare_adapted(&adapted)
     }
 
@@ -293,21 +298,23 @@ impl Zenesis {
         self.decode(grounding, &prepared.emb, Vec::new(), 0.0, ground_ms)
     }
 
-    /// Full run on an adapted image: [`Zenesis::prepare_adapted`], then
-    /// the prompt tail. With `guards` off (the interactive paths) this is
-    /// infallible and checks nothing. With `guards` on (the volume path)
-    /// fault sites `ground.dino` / `sam.decode` may trip and stage
-    /// outputs are screened for non-finite values. `ground_ms` covers
-    /// both the image side and the prompt side of grounding. The SAM
-    /// embedding comes back beside the result.
-    fn run_adapted(
+    /// One slice run from raw pixels: adapt, [`Zenesis::prepare_adapted`],
+    /// then the prompt tail, under span `pipeline.segment_slice`. With
+    /// `guards` off (the interactive paths) this is infallible and checks
+    /// nothing. With `guards` on (the volume path) adaptation runs its
+    /// stage guards, fault sites `ground.dino` / `sam.decode` may trip
+    /// and the relevance map is screened for non-finite values.
+    /// `ground_ms` covers both the image side and the prompt side of
+    /// grounding. The SAM embedding comes back beside the result.
+    fn slice<T: Pixel>(
         &self,
-        adapted: Image<f32>,
-        adapt_stages: Vec<AdaptTrace>,
-        adapt_ms: f64,
+        raw: &Image<T>,
         prompt: &str,
         guards: bool,
     ) -> Result<(SliceResult, ImageEmbedding), SliceError> {
+        let _root = zenesis_obs::span("pipeline.segment_slice");
+        let (adapted, adapt_stages, adapt_ms) =
+            self.adapt_timed(raw, guards).map_err(SliceError::Adapt)?;
         if guards && zenesis_fault::trip("ground.dino").is_some() {
             return Err(SliceError::Injected {
                 site: "ground.dino",

@@ -631,7 +631,7 @@ impl Zenesis {
     ) -> Result<ImageEmbedding, String> {
         let raw = self.read_slice_guarded(src, z)?;
         let adapted = match outcome {
-            SliceOutcome::Ok => self.config.adapt.run(&raw),
+            SliceOutcome::Ok => self.adapt(&raw).0,
             _ => self.sanitized_minimal_adapt(&raw),
         };
         Ok(self.sam().encode(&adapted))

@@ -487,7 +487,7 @@ impl Zenesis {
                 *v = 0.0;
             }
         }
-        AdaptPipeline::minimal().run(&img)
+        AdaptPipeline::minimal().run(&img).0
     }
 
     /// Wrap an adapted image + mask as a [`SliceResult`] with no

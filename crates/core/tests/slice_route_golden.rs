@@ -92,7 +92,7 @@ fn method_masks_are_pinned() {
     for (kind, seed) in [(SampleKind::Amorphous, 41), (SampleKind::Crystalline, 42)] {
         let g = generate_slice(&PhantomConfig::new(kind, seed).with_size(96, 96));
         let adapted = z.adapt(&g.raw).0;
-        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
+        let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32()).0;
         for m in Method::all() {
             let mask = m.segment_views(&z, &baseline_view, &adapted, kind.default_prompt());
             assert!(mask.count() > 0, "{kind:?} {}", m.name());
@@ -235,7 +235,7 @@ fn no_product_path_fills_the_embedding_lru() {
     z.segment_volume(&v.volume, prompt);
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 48).with_size(64, 64));
     let adapted = z.adapt(&g.raw).0;
-    let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32());
+    let baseline_view = AdaptPipeline::minimal().run(&g.raw.to_f32()).0;
     for m in Method::all() {
         m.segment_views(&z, &baseline_view, &adapted, prompt);
     }

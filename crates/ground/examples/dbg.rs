@@ -4,7 +4,7 @@ use zenesis_ground::{learn_concept, DinoConfig, Exemplar, FinetuneConfig, Ground
 
 fn main() {
     let g1 = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 1));
-    let train = AdaptPipeline::recommended().run(&g1.raw.to_f32());
+    let train = AdaptPipeline::recommended().run(&g1.raw.to_f32()).0;
     let c = learn_concept("my_catalyst", &[Exemplar { image: &train, mask: &g1.truth }], &FinetuneConfig::default()).unwrap();
     println!("separation {:.3} n_pos {} n_neg {}", c.separation, c.n_pos, c.n_neg);
     for (n, v) in CHANNEL_NAMES.iter().zip(c.vector.iter()) {
@@ -13,7 +13,7 @@ fn main() {
     let mut dino = GroundingDino::new(DinoConfig::default());
     dino.teach(&c);
     let g2 = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 2));
-    let img2 = AdaptPipeline::recommended().run(&g2.raw.to_f32());
+    let img2 = AdaptPipeline::recommended().run(&g2.raw.to_f32()).0;
     let gr = dino.ground(&img2, "my_catalyst");
     for d in gr.detections.iter().take(5) { println!("det {:?} s {:.2}", d.bbox, d.score); }
     for y in 0..16 {

@@ -8,7 +8,7 @@ use zenesis_image::BitMask;
 
 fn adapted_slice(kind: SampleKind, seed: u64) -> (zenesis_image::Image<f32>, BitMask) {
     let g = generate_slice(&PhantomConfig::new(kind, seed));
-    (AdaptPipeline::recommended().run(&g.raw.to_f32()), g.truth)
+    (AdaptPipeline::recommended().run(&g.raw.to_f32()).0, g.truth)
 }
 
 #[test]

@@ -11,7 +11,7 @@ use zenesis_image::BitMask;
 
 fn grounded_box_mask(kind: SampleKind, seed: u64, prompt: &str) -> (BitMask, BitMask) {
     let g = generate_slice(&PhantomConfig::new(kind, seed));
-    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     let dino = GroundingDino::new(DinoConfig::default());
     let grounding = dino.ground(&adapted, prompt);
     let (w, h) = adapted.dims();
@@ -56,7 +56,7 @@ fn amorphous_boxes_cover_particles() {
 #[test]
 fn background_prompt_avoids_structures() {
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 5));
-    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     let dino = GroundingDino::new(DinoConfig::default());
     let needle = dino.ground(&adapted, "needle-like crystalline catalyst");
     let bg = dino.ground(&adapted, "dark background");

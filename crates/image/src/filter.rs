@@ -10,7 +10,7 @@
 //! (axpy) inner loops over contiguous row slices — no per-pixel
 //! coordinate arithmetic or clamped gather — and are compiled twice
 //! (portable baseline + AVX2 `#[target_feature]` re-compilation of the
-//! same body) with runtime dispatch via `zenesis_tensor::simd_level`.
+//! same body) with runtime dispatch by `zenesis_tensor::simd_dispatch!`.
 //! Per-pixel accumulation order is fixed (kernel taps in ascending
 //! order), so results are bit-identical across dispatch levels, thread
 //! counts, and to the pre-rewrite per-pixel gather loops — the committed
@@ -25,33 +25,7 @@
 
 use crate::image::Image;
 use zenesis_par::{par_rows, par_rows_min, SMALL_WORK_ELEMS};
-use zenesis_tensor::{simd_level, SimdLevel};
-
-/// Compile a row-band kernel body twice — portable baseline and an AVX2
-/// re-compilation of the identical code — and pick at runtime. The
-/// bodies are plain safe Rust with fixed per-element operation order, so
-/// the two compilations produce bit-identical results (see
-/// `zenesis-tensor`'s `src/simd.rs` for the contract).
-macro_rules! simd_dispatch {
-    ($name:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
-        fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            unsafe fn avx2($($arg: $ty),*) {
-                $body($($arg),*)
-            }
-            match simd_level() {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `simd_level()` only reports Avx2 when the CPU
-                // supports it.
-                SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
-                #[cfg(not(target_arch = "x86_64"))]
-                SimdLevel::Avx2 => $body($($arg),*),
-                SimdLevel::Scalar => $body($($arg),*),
-            }
-        }
-    };
-}
+use zenesis_tensor::simd_dispatch;
 
 /// Build a normalized 1-D Gaussian kernel with radius `ceil(3*sigma)`.
 pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {

@@ -19,15 +19,15 @@
 //! accumulates `j` ascending and is scaled by `1/sum` once. The row walk
 //! is compiled twice — portable baseline and an AVX2 `#[target_feature]`
 //! re-compilation of the same body — and dispatched at runtime
-//! (`zenesis_tensor::simd_level`); both builds run identical per-element
+//! (`zenesis_tensor::simd_dispatch!`); both builds run identical per-element
 //! IEEE operations, so results are bit-identical. Nothing here fans out
 //! to other threads: the pipeline runs this attention only inside the
 //! Swin contextualizer, whose windows are already spread over the
 //! `zenesis-par` team (`encoder.rs`).
 
 use zenesis_tensor::{
-    fast_exp, gelu_inplace, layernorm_rows_into, micro_rx1, micro_rx2, simd_level, softmax_rows,
-    MatView, MatViewMut, Matrix, SimdLevel, Workspace, NR,
+    fast_exp, gelu_inplace, layernorm_rows_into, micro_rx1, micro_rx2, softmax_rows, MatView,
+    MatViewMut, Matrix, Workspace, NR,
 };
 
 /// `softmax(Q K^T / sqrt(d)) V` — Eq. (1) of the paper.
@@ -239,8 +239,11 @@ fn fused_group<const R: usize>(
 /// The fused score → softmax → contraction walk over every query row, in
 /// groups of four, then two, then one.
 ///
-/// `#[inline(always)]` so the dispatch wrappers below re-compile this
-/// body — and the kernels it inlines — under their own target features.
+/// `#[inline(always)]` so the dispatch wrapper below re-compiles this
+/// body — and the kernels it inlines — under its own target features.
+/// At AVX2 the 8-lane score panels and 16-wide value chunks widen to
+/// 256-bit ops. No FMA is emitted (separate mul and add in the source),
+/// so per-lane rounding matches the portable build exactly.
 #[inline(always)]
 fn fused_rows_impl(
     q: &MatView,
@@ -265,54 +268,16 @@ fn fused_rows_impl(
     }
 }
 
-/// Portable-baseline compilation of the fused walk.
-fn fused_rows_scalar(
+// Runtime-dispatched fused walk (see `zenesis-tensor`'s `src/simd.rs`
+// for the bit-stability contract).
+zenesis_tensor::simd_dispatch!(fused_rows => fused_rows_impl(
     q: &MatView,
     packed: &[f32],
     v: &MatView,
     scale: f32,
     out: &mut MatViewMut,
     scores: &mut [f32],
-) {
-    fused_rows_impl(q, packed, v, scale, out, scores);
-}
-
-/// AVX2 re-compilation of the identical body: the 8-lane score panels
-/// and 16-wide value chunks widen to 256-bit ops. No FMA is emitted
-/// (separate mul and add in the source), so per-lane rounding matches
-/// the portable build exactly.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fused_rows_avx2(
-    q: &MatView,
-    packed: &[f32],
-    v: &MatView,
-    scale: f32,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    fused_rows_impl(q, packed, v, scale, out, scores);
-}
-
-/// Runtime-dispatched fused walk (see `zenesis-tensor`'s `src/simd.rs`
-/// for the bit-stability contract).
-fn fused_rows(
-    q: &MatView,
-    packed: &[f32],
-    v: &MatView,
-    scale: f32,
-    out: &mut MatViewMut,
-    scores: &mut [f32],
-) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { fused_rows_avx2(q, packed, v, scale, out, scores) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => fused_rows_scalar(q, packed, v, scale, out, scores),
-        SimdLevel::Scalar => fused_rows_scalar(q, packed, v, scale, out, scores),
-    }
-}
+));
 
 /// Fused `softmax(Q Kᵀ / sqrt(d)) V` over strided views: for each group
 /// of query rows, scores are computed into a reused scratch block,

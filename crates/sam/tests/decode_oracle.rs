@@ -116,7 +116,7 @@ fn decode_points_ref(
 
 fn embedding(kind: SampleKind, side: usize, seed: u64) -> ImageEmbedding {
     let g = generate_slice(&PhantomConfig::new(kind, seed).with_size(side, side));
-    let img = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let img = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     ImageEmbedding::encode(&img, 1.5)
 }
 

@@ -12,7 +12,7 @@ use zenesis_sam::{PromptSet, Sam, SamConfig};
 
 fn adapted(kind: SampleKind, seed: u64) -> (Image<f32>, BitMask) {
     let g = generate_slice(&PhantomConfig::new(kind, seed));
-    let img = AdaptPipeline::recommended().run(&g.raw.to_f32());
+    let img = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
     (img, g.truth)
 }
 
@@ -20,7 +20,7 @@ fn adapted(kind: SampleKind, seed: u64) -> (Image<f32>, BitMask) {
 /// paper's comparison (a generic tool does not get Zenesis's adaptation).
 fn baseline_view(kind: SampleKind, seed: u64) -> (Image<f32>, BitMask) {
     let g = generate_slice(&PhantomConfig::new(kind, seed));
-    let img = AdaptPipeline::minimal().run(&g.raw.to_f32());
+    let img = AdaptPipeline::minimal().run(&g.raw.to_f32()).0;
     (img, g.truth)
 }
 
@@ -52,7 +52,7 @@ fn sam_only_partial_on_amorphous() {
     let mut boxed_sum = 0.0;
     let mut n = 0.0;
     for s in ds.samples.iter().filter(|s| s.kind == SampleKind::Amorphous) {
-        let view = AdaptPipeline::minimal().run(&s.raw.to_f32());
+        let view = AdaptPipeline::minimal().run(&s.raw.to_f32()).0;
         let emb = sam.encode(&view);
         auto_sum += sam.segment_auto(&emb).iou(&s.truth);
         let bbox = s.truth.bounding_box().expect("non-empty truth");

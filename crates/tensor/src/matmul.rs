@@ -18,7 +18,7 @@
 //!
 //! The product kernel is compiled twice — portable baseline and an AVX2
 //! `#[target_feature]` re-compilation of the *same body* — and
-//! dispatched at runtime (`simd::simd_level`). Per-lane operation order
+//! dispatched at runtime (`simd_dispatch!`). Per-lane operation order
 //! is identical at either width, so SIMD-on and forced-scalar results
 //! are bit-identical (see `src/simd.rs`).
 //!
@@ -27,7 +27,6 @@
 //! projection, ≈ 16 µs), and waking a helper costs more than that; the
 //! parallelism is coarser — slices, windows, server workers.
 
-use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
 
 /// Panel width: accumulator lanes per output-column group.
@@ -133,9 +132,12 @@ pub fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR
 }
 
 /// Compute every output row of `out` (`m x n`) against the fully packed
-/// RHS. `#[inline(always)]` so the dispatch wrappers below re-compile
-/// this body (and the micro-kernels it inlines) under their own target
-/// features.
+/// RHS. `#[inline(always)]` so the dispatch wrapper below re-compiles
+/// this body (and the micro-kernels it inlines) under its own target
+/// features. At AVX2 the independent `NR = 8` accumulator lanes widen to
+/// single 256-bit mul+add chains. No FMA is emitted (the source has
+/// separate mul and add), so per-lane rounding matches the portable
+/// build exactly.
 #[inline(always)]
 fn packed_kernel_impl(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
     let n_panels = n.div_ceil(NR);
@@ -218,32 +220,14 @@ fn packed_kernel_impl(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut
     }
 }
 
-/// Portable-baseline compilation of the product kernel.
-fn packed_kernel_scalar(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
-    packed_kernel_impl(lhs, k, n, packed, out);
-}
-
-/// AVX2 re-compilation of the identical body: the independent `NR = 8`
-/// accumulator lanes widen to single 256-bit mul+add chains. No FMA is
-/// emitted (the source has separate mul and add), so per-lane rounding
-/// matches the scalar build exactly.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn packed_kernel_avx2(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
-    packed_kernel_impl(lhs, k, n, packed, out);
-}
-
-/// Runtime-dispatched product kernel (see `src/simd.rs` for the contract).
-fn packed_kernel(lhs: &[f32], k: usize, n: usize, packed: &[f32], out: &mut [f32]) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { packed_kernel_avx2(lhs, k, n, packed, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => packed_kernel_scalar(lhs, k, n, packed, out),
-        SimdLevel::Scalar => packed_kernel_scalar(lhs, k, n, packed, out),
-    }
-}
+// Runtime-dispatched product kernel (see `src/simd.rs` for the contract).
+crate::simd_dispatch!(packed_kernel => packed_kernel_impl(
+    lhs: &[f32],
+    k: usize,
+    n: usize,
+    packed: &[f32],
+    out: &mut [f32],
+));
 
 /// Shared driver: pack the RHS (plain or transposed layout), then fill
 /// `out` (`m x n`) on the calling thread.

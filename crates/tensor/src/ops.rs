@@ -1,14 +1,14 @@
 //! Row-wise and pointwise neural kernels: softmax, layer norm, GELU.
 //!
-//! The hot pointwise loops (softmax, GELU) are compiled twice — portable
-//! baseline and an AVX2 `#[target_feature]` re-compilation of the same
-//! body — and dispatched at runtime via `simd::simd_level()`. Both
+//! The hot row and pointwise loops (softmax, layer norm, GELU) are
+//! compiled twice — portable baseline and an AVX2 `#[target_feature]`
+//! re-compilation of the same body — and dispatched at runtime by
+//! `simd_dispatch!`. Both
 //! builds execute the identical per-element IEEE operations in the same
 //! order, so results are bit-identical across dispatch levels (the
 //! contract `src/simd.rs` documents).
 
 use crate::matrix::Matrix;
-use crate::simd::{simd_level, SimdLevel};
 use zenesis_par::par_rows;
 
 /// Fast `e^x` for `f32`: range-reduce to `x = n·ln2 + r`, evaluate a
@@ -75,27 +75,8 @@ fn softmax_band_impl(cols: usize, band: &mut [f32]) {
     }
 }
 
-fn softmax_band_scalar(cols: usize, band: &mut [f32]) {
-    softmax_band_impl(cols, band);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_band_avx2(cols: usize, band: &mut [f32]) {
-    softmax_band_impl(cols, band);
-}
-
-/// Runtime-dispatched softmax over a band of rows (see `src/simd.rs`).
-pub(crate) fn softmax_band(cols: usize, band: &mut [f32]) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { softmax_band_avx2(cols, band) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => softmax_band_scalar(cols, band),
-        SimdLevel::Scalar => softmax_band_scalar(cols, band),
-    }
-}
+// Runtime-dispatched softmax over a band of rows (see `src/simd.rs`).
+crate::simd_dispatch!(pub(crate) softmax_band => softmax_band_impl(cols: usize, band: &mut [f32]));
 
 /// In-place stable softmax over one score row (shared by [`softmax_rows`]
 /// and the fused attention kernel).
@@ -174,26 +155,9 @@ fn layernorm_band_impl(cols: usize, eps: f32, band: &mut [f32]) {
     }
 }
 
-fn layernorm_band_scalar(cols: usize, eps: f32, band: &mut [f32]) {
-    layernorm_band_impl(cols, eps, band);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn layernorm_band_avx2(cols: usize, eps: f32, band: &mut [f32]) {
-    layernorm_band_impl(cols, eps, band);
-}
-
-fn layernorm_band(cols: usize, eps: f32, band: &mut [f32]) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { layernorm_band_avx2(cols, eps, band) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => layernorm_band_scalar(cols, eps, band),
-        SimdLevel::Scalar => layernorm_band_scalar(cols, eps, band),
-    }
-}
+crate::simd_dispatch!(layernorm_band => layernorm_band_impl(
+    cols: usize, eps: f32, band: &mut [f32],
+));
 
 /// GELU activation (tanh approximation, as in the ViT reference impl),
 /// with the inner `tanh` evaluated by [`fast_tanh`] so the encoder MLP
@@ -214,26 +178,7 @@ fn gelu_slice_impl(data: &mut [f32]) {
     }
 }
 
-fn gelu_slice_scalar(data: &mut [f32]) {
-    gelu_slice_impl(data);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_slice_avx2(data: &mut [f32]) {
-    gelu_slice_impl(data);
-}
-
-fn gelu_slice(data: &mut [f32]) {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_level()` only reports Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { gelu_slice_avx2(data) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => gelu_slice_scalar(data),
-        SimdLevel::Scalar => gelu_slice_scalar(data),
-    }
-}
+crate::simd_dispatch!(gelu_slice => gelu_slice_impl(data: &mut [f32]));
 
 /// Apply GELU to every element in place — row-parallel and
 /// SIMD-dispatched; elementwise, so banding never changes results.

@@ -1,13 +1,16 @@
 //! Runtime SIMD dispatch for the kernel hot loops.
 //!
 //! The micro-kernels in this crate (and the fused attention in
-//! `zenesis-nn`) are written as plain safe Rust with fixed-width
-//! independent accumulator lanes — the exact shape LLVM's autovectorizer
-//! maps onto whatever vector width the target allows. The portable build
-//! targets baseline x86-64 (SSE2, 4 lanes); this module lets the same
-//! source compile a *second* time inside an `#[target_feature(enable =
-//! "avx2")]` wrapper, where the identical lane structure widens to
-//! 256-bit ops, and picks the widest supported body at runtime.
+//! `zenesis-nn`, the convolution bands in `zenesis-image`) are written as
+//! plain safe Rust with fixed-width independent accumulator lanes — the
+//! exact shape LLVM's autovectorizer maps onto whatever vector width the
+//! target allows. The portable build targets baseline x86-64 (SSE2, 4
+//! lanes); the one [`simd_dispatch!`](crate::simd_dispatch) macro
+//! compiles the same source a *second* time inside an
+//! `#[target_feature(enable = "avx2")]` wrapper, where the identical lane
+//! structure widens to 256-bit ops, and picks the widest supported body
+//! at runtime. Every kernel `unsafe` block in the workspace is that
+//! macro's one call of its AVX2 body.
 //!
 //! **Bit-stability contract.** The dispatched bodies are the *same Rust
 //! code* as the scalar fallback — no fused multiply-add, no reassociated
@@ -36,6 +39,36 @@ pub enum SimdLevel {
     Scalar,
     /// 256-bit AVX2 re-compilation of the same kernel body.
     Avx2,
+}
+
+/// Define `$name`, a runtime-dispatched wrapper of the kernel body
+/// `$body`: the body compiles twice — portable baseline and an AVX2
+/// re-compilation of the identical code — and each call picks the level
+/// [`simd_level`] reports. The body must be `#[inline(always)]` plain
+/// safe Rust with a fixed per-element operation order, so both
+/// compilations produce bit-identical results (see the module docs).
+#[macro_export]
+macro_rules! simd_dispatch {
+    ($vis:vis $name:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
+        $vis fn $name($($arg: $ty),*) {
+            /// # Safety
+            /// The CPU must support AVX2.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            match $crate::simd_level() {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `simd_level()` only reports Avx2 when the CPU
+                // supports it.
+                $crate::SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(not(target_arch = "x86_64"))]
+                $crate::SimdLevel::Avx2 => $body($($arg),*),
+                $crate::SimdLevel::Scalar => $body($($arg),*),
+            }
+        }
+    };
 }
 
 /// Depth of active [`ScalarGuard`]s (0 = dispatch enabled).
