@@ -23,7 +23,7 @@
 //! dimensions, prompt, and config fingerprint — a journal written for a
 //! different run is ignored, not misapplied.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -529,34 +529,14 @@ pub fn journal_len(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Read the [`Header`] of an existing journal in `dir` without opening
-/// it for append: `None` when there is no journal, the file is
-/// unreadable, or its first record is not an intact header.
-pub fn discover(dir: &Path) -> Option<Header> {
-    let data = std::fs::read(dir.join(JOURNAL_FILE)).ok()?;
-    let (records, _, _) = scan(&data);
-    match records.first() {
-        Some(Record::Header {
-            depth,
-            width,
-            height,
-            fingerprint,
-        }) => Some(Header {
-            depth: *depth,
-            width: *width,
-            height: *height,
-            fingerprint: *fingerprint,
-        }),
-        _ => None,
-    }
-}
-
 /// Why a [`Lease`] could not be acquired.
 #[derive(Debug)]
 pub enum LeaseError {
-    /// Another live process holds the lease.
+    /// Another job in this process, or another live process, holds
+    /// the lease.
     Held {
-        /// The holder's pid, as recorded in the lease file.
+        /// The holder's pid: this process's own for a holder inside it,
+        /// else as recorded in the lease file.
         pid: u32,
     },
     /// The lease file could not be read or written.
@@ -597,68 +577,55 @@ fn pid_alive(pid: u32) -> bool {
 
 /// A fingerprint-bound exclusive lease on a checkpoint directory.
 ///
-/// The supervisor takes the lease before any worker touches the
-/// journal, holds it across worker crashes and restarts (the lease
-/// belongs to the *supervisor*, which survives them), and releases it
-/// when the batch completes. A second resume attempt against the same
-/// directory — a concurrent job, or another service instance — sees
-/// [`LeaseError::Held`] instead of double-appending to the journal.
+/// The serving worker takes the lease before any job touches the
+/// journal, holds it for the whole job — across process-worker crashes
+/// and restarts — and releases it when the batch completes. A second
+/// resume attempt against the same directory — a concurrent job in this
+/// process, or another service instance — sees [`LeaseError::Held`]
+/// instead of double-appending to the journal.
 ///
-/// A lease whose recorded pid is dead is an **orphan** (its supervisor
-/// was itself killed) and is reclaimed in place: stolen with a warning
-/// and a `checkpoint.lease.steal` counter tick, never a refusal —
-/// crash recovery must not be blocked by the crash's own debris.
+/// A lease whose recorded pid is dead is an **orphan** (its holder was
+/// itself killed) and is reclaimed in place: stolen with a warning and a
+/// `checkpoint.lease.steal` counter tick, never a refusal — crash
+/// recovery must not be blocked by the crash's own debris.
 #[derive(Debug)]
 pub struct Lease {
     path: PathBuf,
     released: bool,
 }
 
+/// Lease files this process holds, by canonical path: the pid in a lease
+/// file cannot tell two holders inside one process apart.
+static HELD: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
+
+/// The held set. Every update is one insert or remove, so the set stays
+/// valid even if a holder panicked while holding the lock.
+fn held() -> std::sync::MutexGuard<'static, BTreeSet<PathBuf>> {
+    HELD.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 impl Lease {
     /// Acquire the lease on `dir` for the run identified by
-    /// `fingerprint`. Re-acquiring a lease this process already holds
-    /// succeeds (idempotent); a dead holder is reclaimed; a live holder
-    /// is an error.
+    /// `fingerprint`. A live holder — another lease in this process or
+    /// another live process — is an error; a dead holder is reclaimed.
     pub fn acquire(dir: &Path, fingerprint: u64) -> Result<Lease, LeaseError> {
         std::fs::create_dir_all(dir).map_err(LeaseError::Io)?;
-        let path = dir.join(LEASE_FILE);
+        let path = dir.canonicalize().map_err(LeaseError::Io)?.join(LEASE_FILE);
         let me = std::process::id();
-        if let Ok(data) = std::fs::read_to_string(&path) {
-            if let Ok(prev) = serde_json::from_str::<LeaseRecord>(&data) {
-                if prev.pid != me && pid_alive(prev.pid) {
-                    return Err(LeaseError::Held { pid: prev.pid });
-                }
-                if prev.pid != me {
-                    zenesis_obs::counter("checkpoint.lease.steal").inc();
-                    zenesis_obs::events::warn(format!(
-                        "reclaiming orphaned checkpoint lease in {} \
-                         (holder {} is dead, fingerprint {})",
-                        dir.display(),
-                        prev.pid,
-                        if prev.fingerprint == fingerprint {
-                            "matches".to_string()
-                        } else {
-                            format!("differs: {:#x}", prev.fingerprint)
-                        }
-                    ));
-                }
-            }
-            // An unparsable lease file is torn debris; overwrite it.
+        if !held().insert(path.clone()) {
+            return Err(LeaseError::Held { pid: me });
         }
-        let rec = serde_json::to_string(&LeaseRecord {
-            fingerprint,
-            pid: me,
-        })
-        .expect("lease records serialize");
-        // Atomic replace: a crash mid-write can never leave a lease file
-        // that parses to someone else's claim.
-        let tmp = dir.join(format!("{LEASE_FILE}.tmp.{me}"));
-        std::fs::write(&tmp, rec).map_err(LeaseError::Io)?;
-        std::fs::rename(&tmp, &path).map_err(LeaseError::Io)?;
-        Ok(Lease {
-            path,
-            released: false,
-        })
+        match claim(dir, &path, fingerprint, me) {
+            Ok(()) => Ok(Lease {
+                path,
+                released: false,
+            }),
+            Err(e) => {
+                held().remove(&path);
+                Err(e)
+            }
+        }
     }
 
     /// Release the lease now, reporting any unlink failure (Drop
@@ -672,11 +639,51 @@ impl Lease {
     }
 }
 
+/// Write this process's claim to the lease file at `path`, unless a
+/// live foreign process holds it.
+fn claim(dir: &Path, path: &Path, fingerprint: u64, me: u32) -> Result<(), LeaseError> {
+    if let Ok(data) = std::fs::read_to_string(path) {
+        if let Ok(prev) = serde_json::from_str::<LeaseRecord>(&data) {
+            if prev.pid != me && pid_alive(prev.pid) {
+                return Err(LeaseError::Held { pid: prev.pid });
+            }
+            if prev.pid != me {
+                zenesis_obs::counter("checkpoint.lease.steal").inc();
+                zenesis_obs::events::warn(format!(
+                    "reclaiming orphaned checkpoint lease in {} \
+                     (holder {} is dead, fingerprint {})",
+                    dir.display(),
+                    prev.pid,
+                    if prev.fingerprint == fingerprint {
+                        "matches".to_string()
+                    } else {
+                        format!("differs: {:#x}", prev.fingerprint)
+                    }
+                ));
+            }
+        }
+        // An unparsable lease file is torn debris; overwrite it.
+    }
+    let rec = serde_json::to_string(&LeaseRecord {
+        fingerprint,
+        pid: me,
+    })
+    .expect("lease records serialize");
+    // Atomic replace: a crash mid-write can never leave a lease file
+    // that parses to someone else's claim.
+    let tmp = dir.join(format!("{LEASE_FILE}.tmp.{me}"));
+    std::fs::write(&tmp, rec).map_err(LeaseError::Io)?;
+    std::fs::rename(&tmp, path).map_err(LeaseError::Io)
+}
+
 impl Drop for Lease {
     fn drop(&mut self) {
         if !self.released {
             let _ = std::fs::remove_file(&self.path);
         }
+        // Only after the file is gone: a job in this process that
+        // acquires next must not have its fresh file unlinked by us.
+        held().remove(&self.path);
     }
 }
 
@@ -777,6 +784,7 @@ mod tests {
     #[test]
     fn journal_roundtrip_replays_everything() {
         let dir = tmp_dir("roundtrip");
+        assert_eq!(journal_len(&dir), 0, "no journal yet");
         let header = Header::new(4, 33, 17, "needles", "{\"cfg\":1}");
         let opened = Journal::open(&dir, &header, true).unwrap();
         assert!(opened.replay.slices.is_empty());
@@ -796,8 +804,12 @@ mod tests {
         );
         opened.journal.record_mask(0, &mask(10), false);
         drop(opened);
+        let written = journal_len(&dir);
+        assert!(written > 0);
 
         let back = Journal::open(&dir, &header, true).unwrap();
+        // Replay appends nothing.
+        assert_eq!(journal_len(&dir), written);
         assert_eq!(back.replay.slices.len(), 2);
         assert_eq!(back.replay.masks.len(), 1);
         let s0 = &back.replay.slices[&0];
@@ -877,31 +889,19 @@ mod tests {
     }
 
     #[test]
-    fn discover_reads_the_header_without_appending() {
-        let dir = tmp_dir("discover");
-        assert!(discover(&dir).is_none(), "no journal yet");
-        assert_eq!(journal_len(&dir), 0);
-        let header = Header::new(4, 33, 17, "needles", "cfg");
-        let opened = Journal::open(&dir, &header, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
-        drop(opened);
-        let found = discover(&dir).expect("journal has a header");
-        assert_eq!(found, header);
-        assert!(journal_len(&dir) > 0);
-        // Discovery replays nothing and appends nothing: a second open
-        // still sees exactly one slice.
-        let back = Journal::open(&dir, &header, true).unwrap();
-        assert_eq!(back.replay.slices.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn lease_excludes_live_holders_and_reclaims_dead_ones() {
         let dir = tmp_dir("lease");
         std::fs::create_dir_all(&dir).unwrap();
-        // Fresh acquire, idempotent re-acquire by the same process.
         let a = Lease::acquire(&dir, 7).expect("fresh acquire");
-        let b = Lease::acquire(&dir, 7).expect("same-process re-acquire");
+        // A second holder in this process is refused like a foreign one,
+        // also when it names the directory by another path.
+        let me = std::process::id();
+        match Lease::acquire(&dir.join("."), 7) {
+            Err(LeaseError::Held { pid }) if pid == me => {}
+            other => panic!("expected Held by this process, got {other:?}"),
+        }
+        drop(a);
+        let b = Lease::acquire(&dir, 7).expect("re-acquire once the holder is gone");
         drop(b);
         // Write a lease held by a live foreign process (pid 1 is always
         // alive on Linux): acquire must refuse.
@@ -921,7 +921,6 @@ mod tests {
         let c = Lease::acquire(&dir, 7).expect("torn lease overwritten");
         drop(c);
         assert!(!path.exists(), "drop releases too");
-        drop(a);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

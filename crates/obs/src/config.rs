@@ -69,6 +69,7 @@ mod tests {
 
     #[test]
     fn set_level_round_trips() {
+        let _g = crate::TEST_LOCK.lock();
         let before = level();
         set_level(ObsLevel::Full);
         assert!(enabled() && full());

@@ -19,9 +19,9 @@
 //! single relaxed load plus an early return when the level is `off`, so
 //! hot paths may call it unconditionally. High-volume events
 //! (`cache.{hit,miss}`) are emitted by their call sites only at level
-//! `full`. The buffer is bounded ([`EVENT_CAP`] records): when it fills,
-//! the oldest events are discarded and counted in [`dropped_events`], so
-//! an unbounded run can never exhaust memory.
+//! `full`. The buffer is bounded ([`crate::RECORD_CAP`] records): when it
+//! fills, the oldest events are discarded and counted in
+//! [`dropped_events`], so an unbounded run can never exhaust memory.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -31,8 +31,7 @@ use std::sync::OnceLock;
 use parking_lot::Mutex;
 use serde_json::{Map, Number, Value};
 
-/// Maximum number of buffered events; older records are dropped first.
-pub const EVENT_CAP: usize = 32_768;
+use crate::bounded::{push_bounded, Drops};
 
 /// One typed pipeline event.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,7 +317,7 @@ pub struct EventRecord {
 }
 
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+static DROPPED: Drops = Drops::new("obs.events.dropped");
 
 fn buffer() -> &'static Mutex<VecDeque<EventRecord>> {
     static BUF: OnceLock<Mutex<VecDeque<EventRecord>>> = OnceLock::new();
@@ -340,26 +339,7 @@ pub fn emit(event: Event) {
         trace: crate::trace::current_trace(),
         event,
     };
-    if crate::flight::armed() {
-        crate::flight::record_event(
-            rec.ts_us,
-            &rec.thread,
-            rec.trace,
-            event_json(&rec).to_string(),
-        );
-    }
-    let mut buf = buffer().lock();
-    if buf.len() >= EVENT_CAP {
-        buf.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        // Mirror the drop into the registry so it shows up in ledgers,
-        // /metrics, and the serve self-report; the atomic stays the
-        // authoritative count behind `dropped_events()`. Overflow is
-        // rare, so the registry lookup is off the common path (and the
-        // registry never takes this buffer's lock — no inversion).
-        crate::metrics::counter("obs.events.dropped").inc();
-    }
-    buf.push_back(rec);
+    push_bounded(&mut buffer().lock(), crate::RECORD_CAP, rec, &DROPPED);
 }
 
 /// Record an informational narration line.
@@ -387,13 +367,13 @@ pub fn events_snapshot() -> Vec<EventRecord> {
 
 /// Number of events discarded because the buffer was full.
 pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    DROPPED.get()
 }
 
 /// Discard all buffered events and reset the dropped counter.
 pub fn reset_events() {
     buffer().lock().clear();
-    DROPPED.store(0, Ordering::Relaxed);
+    DROPPED.reset();
 }
 
 fn field(m: &mut Map, key: &str, v: Value) {
@@ -600,9 +580,7 @@ pub fn events_jsonl() -> String {
 mod tests {
     use super::*;
     use crate::ObsLevel;
-
-    // Serialize level-flipping tests within this module.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as LOCK;
 
     #[test]
     fn off_level_records_nothing() {
@@ -668,13 +646,13 @@ mod tests {
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
-        for i in 0..(EVENT_CAP + 100) {
+        for i in 0..(crate::RECORD_CAP + 100) {
             emit(Event::Info {
                 message: format!("e{i}"),
             });
         }
         let snap = events_snapshot();
-        assert_eq!(snap.len(), EVENT_CAP);
+        assert_eq!(snap.len(), crate::RECORD_CAP);
         assert_eq!(dropped_events(), 100);
         // The oldest records were the ones dropped.
         assert_eq!(

@@ -51,9 +51,9 @@ fn roots(spans: &[SpanRecord], by_id: &HashMap<SpanId, usize>) -> Vec<usize> {
         .filter(|(_, s)| {
             match s.parent {
                 None => true,
-                // A parent that never completed (still-open guard, or
-                // cleared registry) promotes the child to a root so it
-                // still shows up in the tree.
+                // A parent that never completed (still-open guard,
+                // cleared or full store) promotes the child to a root so
+                // it still shows up in the tree.
                 Some(p) => !by_id.contains_key(&p),
             }
         })

@@ -1,146 +1,70 @@
-//! In-memory crash flight recorder: a bounded ring of recent events and
-//! span closures, dumped to JSON on job panic, volume abandonment, or
-//! fault-site firing.
+//! Crash flight recorder: the newest spans and events, dumped to JSON on
+//! job panic, volume abandonment, or fault-site firing.
 //!
 //! Post-mortems want the *last* moments before a failure, but keeping
-//! `ZENESIS_OBS=full` on in production is too expensive. The flight
-//! recorder is the middle ground: when [`arm`]ed (by
-//! `zenesis-serve --flight-dir`), every emitted event and every closed
-//! span also appends a compact entry to a sharded ring. Each shard is a
-//! small mutex-protected `VecDeque` capped at the armed capacity, with
-//! threads assigned round-robin to shards via a thread-local cached
-//! index — so recording is one uncontended-in-practice mutex plus a
-//! push/pop, and memory stays bounded no matter how long the process
-//! lives.
+//! `ZENESIS_OBS=full` on in production is too expensive. The recorder
+//! keeps no records of its own: the span store and the event buffer are
+//! already bounded (each keeps its newest [`crate::RECORD_CAP`] records),
+//! so recording costs nothing beyond the `spans` level itself.
 //!
-//! When disarmed (the default) the hook is a single relaxed atomic
-//! load, preserving the `ZENESIS_OBS=off` cost budget.
-//!
-//! [`dump_json`] snapshots every shard, sorts by timestamp, and renders
-//! a self-describing JSON document (`version` 1); `zenesis-serve`
-//! writes it atomically (temp + rename) to
-//! `<dir>/flight-<ts>-<trace_id>.json`. Format details in
-//! `docs/OBSERVABILITY.md`.
+//! [`dump_json`] reads both stores, merges their newest
+//! [`FLIGHT_ENTRIES`] records by timestamp, and renders a
+//! self-describing JSON document (`version` 1); `zenesis-serve` writes
+//! it atomically (temp + rename) to `<dir>/flight-<ts>-<trace_id>.json`.
+//! Format details in `docs/OBSERVABILITY.md`.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
 use serde_json::{Map, Number, Value};
 
+use crate::events::{event_json, events_snapshot, EventRecord};
+use crate::span::{snapshot, SpanRecord};
 use crate::trace::TraceId;
 
-const SHARDS: usize = 16;
+/// Most entries one dump holds: the newest spans and events together.
+pub const FLIGHT_ENTRIES: usize = 4_096;
 
-/// Default per-shard entry capacity used by [`arm`] callers that have
-/// no reason to pick their own.
-pub const DEFAULT_CAPACITY: usize = 256;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-
-/// One recorded moment: a closed span or an emitted event.
-#[derive(Debug, Clone)]
-enum Moment {
-    /// An event, stored as its already-rendered flat JSON line.
-    Event {
-        ts_us: u64,
-        thread: String,
-        trace: Option<TraceId>,
-        json: String,
-    },
-    /// A span closure.
-    Span {
-        ts_us: u64,
-        thread: String,
-        trace: Option<TraceId>,
-        name: String,
-        dur_us: u64,
-    },
+/// One record a dump reads: a closed span or an emitted event.
+enum Entry<'a> {
+    Span(&'a SpanRecord),
+    Event(&'a EventRecord),
 }
 
-impl Moment {
+impl Entry<'_> {
+    /// When the record happened, in µs since the observability epoch: a
+    /// span's end, an event's emission.
     fn ts_us(&self) -> u64 {
         match self {
-            Moment::Event { ts_us, .. } | Moment::Span { ts_us, .. } => *ts_us,
+            Entry::Span(s) => (s.start_ns + s.dur_ns) / 1_000,
+            Entry::Event(e) => e.ts_us,
         }
+    }
+
+    fn to_json(&self) -> Value {
+        let (kind, thread, trace) = match self {
+            Entry::Span(s) => ("span", &s.thread, s.trace),
+            Entry::Event(e) => ("event", &e.thread, e.trace),
+        };
+        let mut m = Map::new();
+        m.insert("kind", Value::String(kind.into()));
+        m.insert("ts_us", Value::Number(Number::U(self.ts_us())));
+        m.insert("thread", Value::String(thread.clone()));
+        if let Some(t) = trace {
+            m.insert("trace", Value::String(t.to_hex()));
+        }
+        match self {
+            Entry::Span(s) => {
+                m.insert("name", Value::String(s.name.to_string()));
+                m.insert("dur_us", Value::Number(Number::U(s.dur_ns / 1_000)));
+            }
+            Entry::Event(e) => {
+                m.insert("event", event_json(e));
+            }
+        }
+        Value::Object(m)
     }
 }
 
-fn shards() -> &'static [Mutex<VecDeque<Moment>>; SHARDS] {
-    static S: OnceLock<[Mutex<VecDeque<Moment>>; SHARDS]> = OnceLock::new();
-    S.get_or_init(|| std::array::from_fn(|_| Mutex::new(VecDeque::new())))
-}
-
-thread_local! {
-    static MY_SHARD: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS
-    };
-}
-
-/// Arm the recorder with `capacity` retained entries per shard
-/// (clamped to at least 16). Spans and events start feeding the ring;
-/// idempotent.
-pub fn arm(capacity: usize) {
-    CAPACITY.store(capacity.max(16), Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Disarm the recorder and clear the ring (test isolation).
-pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-    for s in shards() {
-        s.lock().clear();
-    }
-}
-
-/// Whether the recorder is armed — the one-atomic-load fast-path gate.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-fn push(m: Moment) {
-    let cap = CAPACITY.load(Ordering::Relaxed);
-    MY_SHARD.with(|&i| {
-        let mut ring = shards()[i].lock();
-        if ring.len() >= cap {
-            ring.pop_front();
-        }
-        ring.push_back(m);
-    });
-}
-
-/// Record an emitted event (called by `events::emit` when armed).
-pub(crate) fn record_event(ts_us: u64, thread: &str, trace: Option<TraceId>, json: String) {
-    push(Moment::Event {
-        ts_us,
-        thread: thread.to_string(),
-        trace,
-        json,
-    });
-}
-
-/// Record a span closure (called by the span guard's drop when armed).
-pub(crate) fn record_span(
-    ts_us: u64,
-    thread: &str,
-    trace: Option<TraceId>,
-    name: &str,
-    dur_us: u64,
-) {
-    push(Moment::Span {
-        ts_us,
-        thread: thread.to_string(),
-        trace,
-        name: name.to_string(),
-        dur_us,
-    });
-}
-
-/// Snapshot the ring into a self-describing JSON document.
+/// Render the newest [`FLIGHT_ENTRIES`] spans and events, oldest first,
+/// as a self-describing JSON document.
 ///
 /// `reason` names the trigger (`"job.panic"`, `"too_many_failures"`,
 /// `"fault.injected"`); `trace` is the failing job's id when known.
@@ -148,11 +72,15 @@ pub(crate) fn record_span(
 /// often the interesting part); each entry carries its own `trace`
 /// field for filtering.
 pub fn dump_json(reason: &str, trace: Option<TraceId>) -> String {
-    let mut moments: Vec<Moment> = Vec::new();
-    for s in shards() {
-        moments.extend(s.lock().iter().cloned());
-    }
-    moments.sort_by_key(|m| m.ts_us());
+    let spans = snapshot();
+    let events = events_snapshot();
+    let mut entries: Vec<Entry> = spans
+        .iter()
+        .map(Entry::Span)
+        .chain(events.iter().map(Entry::Event))
+        .collect();
+    entries.sort_by_key(Entry::ts_us);
+    let newest = &entries[entries.len().saturating_sub(FLIGHT_ENTRIES)..];
 
     let mut doc = Map::new();
     doc.insert("version", Value::Number(Number::U(1)));
@@ -168,50 +96,10 @@ pub fn dump_json(reason: &str, trace: Option<TraceId>) -> String {
         "captured_at_us",
         Value::Number(Number::U(crate::span::epoch_elapsed_us())),
     );
-    let entries: Vec<Value> = moments
-        .into_iter()
-        .map(|m| {
-            let mut e = Map::new();
-            match m {
-                Moment::Event {
-                    ts_us,
-                    thread,
-                    trace,
-                    json,
-                } => {
-                    e.insert("kind", Value::String("event".into()));
-                    e.insert("ts_us", Value::Number(Number::U(ts_us)));
-                    e.insert("thread", Value::String(thread));
-                    if let Some(t) = trace {
-                        e.insert("trace", Value::String(t.to_hex()));
-                    }
-                    // The event is an already-rendered JSONL line; embed
-                    // it structurally, never as a double-encoded string.
-                    let ev = serde_json::from_str(&json)
-                        .unwrap_or_else(|_| Value::String(json.clone()));
-                    e.insert("event", ev);
-                }
-                Moment::Span {
-                    ts_us,
-                    thread,
-                    trace,
-                    name,
-                    dur_us,
-                } => {
-                    e.insert("kind", Value::String("span".into()));
-                    e.insert("ts_us", Value::Number(Number::U(ts_us)));
-                    e.insert("thread", Value::String(thread));
-                    if let Some(t) = trace {
-                        e.insert("trace", Value::String(t.to_hex()));
-                    }
-                    e.insert("name", Value::String(name));
-                    e.insert("dur_us", Value::Number(Number::U(dur_us)));
-                }
-            }
-            Value::Object(e)
-        })
-        .collect();
-    doc.insert("entries", Value::Array(entries));
+    doc.insert(
+        "entries",
+        Value::Array(newest.iter().map(Entry::to_json).collect()),
+    );
     serde_json::to_string_pretty(&Value::Object(doc))
         .expect("rendering a Value tree to JSON cannot fail")
 }
@@ -221,72 +109,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_caps_dump_parses_and_disarm_clears() {
-        disarm();
-        arm(16);
-        assert!(armed());
+    fn dump_holds_the_newest_spans_and_events_sorted() {
+        let _g = crate::TEST_LOCK.lock();
+        let before = crate::level();
+        crate::set_level(crate::ObsLevel::Spans);
         let t = TraceId::from_u64(0xabc).unwrap();
-        for i in 0..100u64 {
-            record_span(i, "test-thread", Some(t), "flight.test.span", 5);
-        }
-        record_event(
-            1000,
-            "test-thread",
-            Some(t),
-            r#"{"event":"warn","message":"boom"}"#.to_string(),
-        );
+        crate::trace::with_trace(Some(t), || {
+            // More records than one dump holds, so it must pick the newest.
+            for _ in 0..FLIGHT_ENTRIES {
+                let _s = crate::span("flight.test.filler");
+            }
+            drop(crate::span("flight.test.span"));
+            crate::events::warn("flight.test.event");
+        });
         let doc = dump_json("job.panic", Some(t));
+        crate::set_level(before);
+
         let v: Value = serde_json::from_str(&doc).expect("dump must be valid JSON");
-        let obj = match &v {
-            Value::Object(m) => m,
-            other => panic!("expected object, got {other:?}"),
-        };
-        assert_eq!(obj.get("version").and_then(Value::as_u64), Some(1));
-        assert_eq!(
-            obj.get("reason").and_then(Value::as_str),
-            Some("job.panic")
-        );
-        assert_eq!(
-            obj.get("trace_id").and_then(Value::as_str),
-            Some("0000000000000abc")
-        );
-        let entries = match obj.get("entries") {
-            Some(Value::Array(a)) => a,
-            other => panic!("expected entries array, got {other:?}"),
-        };
-        // Other tests in this binary may feed the armed ring from their
-        // own threads; judge only the entries this test recorded.
-        let mine: Vec<&Map> = entries
+        assert_eq!(v["version"], 1);
+        assert_eq!(v["reason"], "job.panic");
+        assert_eq!(v["trace_id"], "0000000000000abc");
+        let entries = v["entries"].as_array().expect("entries array");
+        assert!(!entries.is_empty() && entries.len() <= FLIGHT_ENTRIES);
+        let ts: Vec<u64> = entries
             .iter()
-            .filter_map(Value::as_object)
-            .filter(|m| m.get("thread").and_then(Value::as_str) == Some("test-thread"))
-            .collect();
-        // All on one thread → one shard → capped at 16 entries total
-        // (the event evicted the oldest retained span).
-        assert_eq!(mine.len(), 16, "ring must cap per-shard history");
-        // Timestamps are sorted; the event (largest ts) comes last and
-        // is embedded structurally, not double-encoded.
-        let last = mine.last().unwrap();
-        assert_eq!(last.get("kind").and_then(Value::as_str), Some("event"));
-        assert!(matches!(last.get("event"), Some(Value::Object(_))));
-        assert_eq!(
-            last.get("trace").and_then(Value::as_str),
-            Some("0000000000000abc")
-        );
-        let ts: Vec<u64> = mine
-            .iter()
-            .filter_map(|m| m.get("ts_us").and_then(Value::as_u64))
+            .map(|e| e["ts_us"].as_u64().unwrap())
             .collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "entries sorted by ts");
-        disarm();
-        assert!(!armed());
-        let empty = dump_json("test", None);
-        let v: Value = serde_json::from_str(&empty).unwrap();
-        if let Value::Object(m) = v {
-            assert!(matches!(m.get("entries"), Some(Value::Array(a)) if a.is_empty()));
-            assert!(matches!(m.get("trace_id"), Some(Value::Null)));
-        } else {
-            panic!("expected object");
+        // Events are embedded structurally, never as double-encoded strings.
+        for e in entries.iter().filter(|e| e["kind"] == "event") {
+            assert!(matches!(e["event"], Value::Object(_)), "{e:?}");
         }
+        let span = entries
+            .iter()
+            .find(|e| e["kind"] == "span" && e["name"] == "flight.test.span")
+            .expect("the just-closed span is in the dump");
+        assert_eq!(span["trace"], "0000000000000abc");
+        assert!(span["dur_us"].as_u64().is_some());
+        let event = entries
+            .iter()
+            .find(|e| e["kind"] == "event" && e["event"]["message"] == "flight.test.event")
+            .expect("the just-emitted event is in the dump");
+        assert_eq!(event["trace"], "0000000000000abc");
+        assert_eq!(event["event"]["event"], "warn");
     }
 }

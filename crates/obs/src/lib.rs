@@ -15,7 +15,8 @@
 //!   parallel runtime propagates the caller's span across thread
 //!   boundaries with [`with_parent`], so work executed on pool or scoped
 //!   worker threads still attributes to the pipeline stage that spawned
-//!   it.
+//!   it. Completed spans are kept in a bounded store (the newest
+//!   [`RECORD_CAP`]), so a long-lived server never grows.
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) are named,
 //!   process-global instruments. Histograms are log-scale (8 sub-buckets
 //!   per power of two, ≤ ~6% representative error) and report
@@ -51,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bounded;
 mod config;
 pub mod events;
 pub mod export;
@@ -61,6 +63,7 @@ pub mod prom;
 mod span;
 pub mod trace;
 
+pub use bounded::RECORD_CAP;
 pub use config::{enabled, full, level, set_level, ObsLevel};
 pub use metrics::{
     counter, gauge, histogram, latency_rows, metrics_snapshot, record_ms, reset_metrics, Counter,
@@ -68,10 +71,14 @@ pub use metrics::{
 };
 pub use prom::prometheus_text;
 pub use span::{
-    current, reset_spans, snapshot, span, span_under, timed, with_parent, SpanGuard, SpanId,
-    SpanRecord,
+    current, reset_spans, snapshot, span, timed, with_parent, SpanGuard, SpanId, SpanRecord,
 };
 pub use trace::{current_trace, trace_guard, with_trace, TraceId, TraceScope};
+
+/// Serializes this crate's unit tests that flip the process-global level
+/// or clear the process-global stores.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Clear all recorded spans, all registered metrics, and all buffered
 /// events (test isolation, or between independent benchmark runs).

@@ -15,9 +15,10 @@
 //!   family (`<name>_hist`) with cumulative `le=` buckets (only
 //!   non-empty buckets plus the mandatory `+Inf`), so both
 //!   quantile-reading and bucket-aggregating consumers work.
-//! * The event-buffer drop count ([`crate::events::dropped_events`]) is
-//!   always exposed as `zenesis_obs_events_dropped_total`, even before
-//!   the first drop registers the counter.
+//! * The bounded stores' drop counts are always exposed, as
+//!   `zenesis_obs_events_dropped_total` and
+//!   `zenesis_obs_spans_dropped_total`, even before the first drop
+//!   registers the counter.
 //!
 //! The full schema is documented in `docs/OBSERVABILITY.md`.
 
@@ -77,19 +78,29 @@ pub fn prometheus_text() -> String {
     let snap = crate::metrics_snapshot();
     let mut out = String::with_capacity(4096);
 
-    // The event-drop satellite: always present, sourced from the
-    // authoritative atomic. Skip any registry counter of the same name
-    // below so the family is never duplicated.
-    let dropped = crate::events::dropped_events();
-    let _ = writeln!(
-        out,
-        "# HELP zenesis_obs_events_dropped_total Events dropped from the bounded in-memory event buffer."
-    );
-    let _ = writeln!(out, "# TYPE zenesis_obs_events_dropped_total counter");
-    let _ = writeln!(out, "zenesis_obs_events_dropped_total {dropped}");
+    // The bounded stores' drop counts: always present, sourced from
+    // their authoritative atomics. Skip the registry counters of the
+    // same names below so no family is duplicated.
+    let drops = [
+        ("obs.events.dropped", "Events", "event buffer"),
+        ("obs.spans.dropped", "Spans", "span store"),
+    ];
+    let counts = [
+        crate::events::dropped_events(),
+        crate::span::dropped_spans(),
+    ];
+    for ((name, what, store), dropped) in drops.into_iter().zip(counts) {
+        let pname = format!("{}_total", sanitize(name));
+        let _ = writeln!(
+            out,
+            "# HELP {pname} {what} dropped from the bounded in-memory {store}."
+        );
+        let _ = writeln!(out, "# TYPE {pname} counter");
+        let _ = writeln!(out, "{pname} {dropped}");
+    }
 
     for (name, v) in &snap.counters {
-        if name == "obs.events.dropped" {
+        if drops.iter().any(|d| d.0 == name) {
             continue;
         }
         let mut pname = sanitize(name);
@@ -285,13 +296,13 @@ mod tests {
         assert_eq!(buckets.last().unwrap().0, f64::INFINITY);
         assert_eq!(buckets.last().unwrap().1, 7.0);
 
-        // The drop counter family is always present.
-        assert_eq!(
-            types
-                .get("zenesis_obs_events_dropped_total")
-                .map(String::as_str),
-            Some("counter")
-        );
+        // The drop counter families are always present.
+        for family in [
+            "zenesis_obs_events_dropped_total",
+            "zenesis_obs_spans_dropped_total",
+        ] {
+            assert_eq!(types.get(family).map(String::as_str), Some("counter"));
+        }
     }
 
     #[test]

@@ -8,17 +8,25 @@
 //! [`with_parent`] — `zenesis-par` does this for every task it runs, so
 //! user code never has to.
 //!
-//! Completed spans land in a sharded registry (16 mutex-guarded vectors,
+//! Completed spans land in a sharded store (16 mutex-guarded queues,
 //! sharded by span id) to keep contention negligible even when many
-//! workers finish spans simultaneously.
+//! workers finish spans simultaneously. The store is bounded like the
+//! event buffer: each shard keeps its newest `RECORD_CAP / 16` spans and
+//! counts every older one it drops in `obs.spans.dropped`. Span ids are
+//! dealt to shards round-robin, so the store as a whole holds at most
+//! [`crate::RECORD_CAP`] spans, the newest ones, and a server that
+//! records for its whole life stays the same size.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+
+use crate::bounded::{push_bounded, Drops};
 
 /// Identifier of a span, unique within the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,9 +72,11 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 const SHARDS: usize = 16;
 
-fn registry() -> &'static [Mutex<Vec<SpanRecord>>; SHARDS] {
-    static REG: OnceLock<[Mutex<Vec<SpanRecord>>; SHARDS]> = OnceLock::new();
-    REG.get_or_init(|| std::array::from_fn(|_| Mutex::new(Vec::new())))
+static DROPPED: Drops = Drops::new("obs.spans.dropped");
+
+fn registry() -> &'static [Mutex<VecDeque<SpanRecord>>; SHARDS] {
+    static REG: OnceLock<[Mutex<VecDeque<SpanRecord>>; SHARDS]> = OnceLock::new();
+    REG.get_or_init(|| std::array::from_fn(|_| Mutex::new(VecDeque::new())))
 }
 
 thread_local! {
@@ -142,30 +152,12 @@ impl Drop for SpanGuard {
             dur_ns,
             trace: st.trace,
         };
-        if crate::flight::armed() {
-            crate::flight::record_span(
-                (rec.start_ns + rec.dur_ns) / 1_000,
-                &rec.thread,
-                rec.trace,
-                &rec.name,
-                rec.dur_ns / 1_000,
-            );
-        }
-        registry()[st.id.0 as usize % SHARDS].lock().push(rec);
-    }
-}
-
-fn open(name: Cow<'static, str>, parent: Option<SpanId>) -> SpanGuard {
-    let id = SpanId(NEXT_ID.fetch_add(1, Ordering::Relaxed));
-    STACK.with(|s| s.borrow_mut().push(id));
-    SpanGuard {
-        state: Some(GuardState {
-            id,
-            parent,
-            name,
-            start: Instant::now(),
-            trace: crate::trace::current_trace(),
-        }),
+        push_bounded(
+            &mut registry()[st.id.0 as usize % SHARDS].lock(),
+            crate::RECORD_CAP / SHARDS,
+            rec,
+            &DROPPED,
+        );
     }
 }
 
@@ -175,17 +167,22 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { state: None };
     }
-    let parent = STACK.with(|s| s.borrow().last().copied());
-    open(name.into(), parent)
-}
-
-/// Open a span under an explicit parent (manual cross-thread
-/// attribution; prefer [`with_parent`] when wrapping whole closures).
-pub fn span_under(name: impl Into<Cow<'static, str>>, parent: Option<SpanId>) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard { state: None };
+    let id = SpanId(NEXT_ID.fetch_add(1, Ordering::Relaxed));
+    let parent = STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let parent = s.last().copied();
+        s.push(id);
+        parent
+    });
+    SpanGuard {
+        state: Some(GuardState {
+            id,
+            parent,
+            name: name.into(),
+            start: Instant::now(),
+            trace: crate::trace::current_trace(),
+        }),
     }
-    open(name.into(), parent)
 }
 
 /// Run `f` with `parent` installed at the top of this thread's span
@@ -226,7 +223,8 @@ pub fn timed<R>(name: impl Into<Cow<'static, str>>, f: impl FnOnce() -> R) -> (R
     (r, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Copy of every completed span, ordered by start time.
+/// Copy of every retained span (the newest [`crate::RECORD_CAP`]),
+/// ordered by start time.
 pub fn snapshot() -> Vec<SpanRecord> {
     let mut out = Vec::new();
     for shard in registry() {
@@ -236,9 +234,15 @@ pub fn snapshot() -> Vec<SpanRecord> {
     out
 }
 
-/// Discard all recorded spans.
+/// Number of spans dropped because the store was full.
+pub(crate) fn dropped_spans() -> u64 {
+    DROPPED.get()
+}
+
+/// Discard all recorded spans and reset the dropped counter.
 pub fn reset_spans() {
     for shard in registry() {
         shard.lock().clear();
     }
+    DROPPED.reset();
 }

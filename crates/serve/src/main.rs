@@ -24,7 +24,8 @@
 //! The telemetry plane (`docs/OBSERVABILITY.md`): `--metrics-addr`
 //! starts the HTTP sidecar (`/metrics`, `/healthz`, `/readyz`),
 //! `--stats-interval` prints a one-line self-report to stderr every N
-//! seconds, and `--flight-dir` arms the crash flight recorder. Each of
+//! seconds, and `--flight-dir` names where the crash flight recorder
+//! dumps the newest spans and events when a job fails. Each of
 //! these implies `ZENESIS_OBS=spans` when the variable is unset.
 
 use std::io::{BufRead, Write};
@@ -129,7 +130,7 @@ fn main() {
              \x20 --label NAME       ledger label (default \"serve\")\n\
              \x20 --metrics-addr A   HTTP sidecar serving /metrics /healthz /readyz\n\
              \x20 --stats-interval S one-line self-report to stderr every S seconds\n\
-             \x20 --flight-dir DIR   arm the crash flight recorder; dumps go to DIR"
+             \x20 --flight-dir DIR   dump the crash flight recorder to DIR on job failure"
         );
         return;
     }

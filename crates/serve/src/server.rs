@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use zenesis_core::checkpoint::{Lease, LeaseError};
 use zenesis_core::job::{message_is_transient_input, JobEngine, JobResult, JobSpec};
 use zenesis_core::panic_message;
 use zenesis_obs::events::{self, Event};
@@ -82,10 +83,12 @@ pub struct ServeConfig {
     /// First retry backoff; doubles per attempt up to
     /// [`MAX_RETRY_BACKOFF_MS`].
     pub retry_base_ms: u64,
-    /// Directory for crash flight recordings. `Some` arms the in-memory
-    /// flight ring ([`zenesis_obs::flight`]) and dumps it as
+    /// Directory for crash flight recordings. `Some` dumps the newest
+    /// recorded spans and events ([`zenesis_obs::flight`]) as
     /// `flight-<unix-secs>-<trace>.json` whenever a job panics, abandons
-    /// a volume (`TooManyFailures`), or ran with injected faults.
+    /// a volume (`TooManyFailures`), or ran with injected faults. The
+    /// dump reads the obs stores, so it holds records only when
+    /// recording is on (`zenesis-serve --flight-dir` turns on `spans`).
     pub flight_dir: Option<String>,
     /// Run batch volume jobs in supervised child worker processes
     /// ([`crate::warden`]) instead of on the worker thread itself, so a
@@ -205,9 +208,6 @@ impl Server {
     /// Start workers with an injected runner (test hook: panics, fake
     /// transient failures, instrumented latencies).
     pub fn start_with_runner(config: ServeConfig, runner: JobRunner) -> Server {
-        if config.flight_dir.is_some() {
-            zenesis_obs::flight::arm(zenesis_obs::flight::DEFAULT_CAPACITY);
-        }
         let queue = BoundedQueue::new(config.queue_cap);
         let admission = Arc::new(Admission::new(config.tenant_cap));
         let warden = config.process_workers.then(|| {
@@ -542,17 +542,22 @@ fn worker_loop(
         let mut panicked = false;
         let run_started = Instant::now();
         let mut attempts = 0u32;
+        // A batch job that checkpoints holds its directory's lease for
+        // the whole job — every retry and every process-worker restart —
+        // so no other job, here or in another process, resumes the same
+        // journal meanwhile.
+        let lease = lease_checkpoint(&job.spec);
         // Batch volume jobs go to the warden's child processes when
         // process isolation is on (crash recovery and retry are its
         // job); everything else runs in-process under catch_unwind.
-        let supervised = warden
-            .filter(|_| warden::eligible(&job.spec))
-            .map(|w| w.supervise(job.id, &job.spec, &cancel));
-        let result = if let Some(sup) = supervised {
-            attempts = sup.attempts;
-            sup.result
-        } else {
-            loop {
+        let result = match (&lease, warden.filter(|_| warden::eligible(&job.spec))) {
+            (Err(refused), _) => refused.clone(),
+            (Ok(_), Some(w)) => {
+                let sup = w.supervise(job.id, &job.spec, &cancel);
+                attempts = sup.attempts;
+                sup.result
+            }
+            (Ok(_), None) => loop {
                 attempts += 1;
                 match catch_unwind(AssertUnwindSafe(|| runner(&job.spec, &cancel))) {
                     Err(payload) => {
@@ -593,8 +598,11 @@ fn worker_loop(
                         break result;
                     }
                 }
-            }
+            },
         };
+        // Released before the response goes out, so a client that
+        // resubmits on seeing it finds the directory free.
+        drop(lease);
         let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
         if obs {
             zenesis_obs::record_ms("serve.job.lat", run_ms);
@@ -659,14 +667,31 @@ fn worker_loop(
     }
 }
 
-/// Write the armed flight ring to `<dir>/flight-<unix-secs>-<trace>.json`
-/// (atomically: temp file + rename). Failures are reported to stderr but
+/// Lease the checkpoint directory of a batch job that names one: `Ok(None)`
+/// for jobs that do not checkpoint, `Err` holding the job's refusal when
+/// another job in this process, or another live process, holds it.
+fn lease_checkpoint(spec: &JobSpec) -> Result<Option<Lease>, JobResult> {
+    let Some(dir) = warden::checkpoint_dir(spec) else {
+        return Ok(None);
+    };
+    Lease::acquire(&dir, warden::spec_fingerprint(spec))
+        .map(Some)
+        .map_err(|e| JobResult::Error {
+            message: match e {
+                LeaseError::Held { pid } => format!(
+                    "checkpoint dir is leased by live process {pid}; refusing to double-resume"
+                ),
+                LeaseError::Io(e) => format!("cannot lease checkpoint dir: {e}"),
+            },
+        })
+}
+
+/// Write the newest spans and events ([`zenesis_obs::flight`]) to
+/// `<dir>/flight-<unix-secs>-<trace>.json` (atomically: temp file +
+/// rename). Failures are reported to stderr but
 /// never disturb the job's response — the flight recorder is best-effort
 /// forensics, not part of the serving contract.
 fn dump_flight(dir: &str, reason: &str, trace: TraceId) {
-    if !zenesis_obs::flight::armed() {
-        return;
-    }
     let json = zenesis_obs::flight::dump_json(reason, Some(trace));
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -25,9 +25,10 @@
 //! * **Resume from the checkpoint journal** — respawned workers run the
 //!   spec with `resume: true` forced on, so the existing CRC journal
 //!   replays and the recovered volume is bit-identical to an
-//!   uninterrupted run. The supervisor holds a fingerprint-bound
-//!   [`Lease`] on the checkpoint directory across restarts, so two
-//!   supervisors can never double-resume one journal.
+//!   uninterrupted run. The serving worker that runs the supervisor
+//!   holds a fingerprint-bound
+//!   [`Lease`](zenesis_core::checkpoint::Lease) on the checkpoint directory
+//!   across restarts, so two jobs can never double-resume one journal.
 //! * **Poison circuit breaker** — a spec whose workers crash
 //!   [`POISON_THRESHOLD`] consecutive times *without journal growth* is
 //!   quarantined by fingerprint: the job returns a structured `error`,
@@ -50,7 +51,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use zenesis_core::checkpoint::{journal_len, Lease, LeaseError};
+use zenesis_core::checkpoint::journal_len;
 use zenesis_core::job::{JobResult, JobSpec};
 use zenesis_obs::events::{self, Event};
 use zenesis_par::CancelToken;
@@ -119,7 +120,7 @@ pub fn spec_fingerprint(spec: &JobSpec) -> u64 {
     hash
 }
 
-fn checkpoint_dir(spec: &JobSpec) -> Option<PathBuf> {
+pub(crate) fn checkpoint_dir(spec: &JobSpec) -> Option<PathBuf> {
     match spec {
         JobSpec::Batch { checkpoint_dir, .. } => checkpoint_dir.as_deref().map(PathBuf::from),
         _ => None,
@@ -181,12 +182,6 @@ impl Warden {
         self.recovering.load(Ordering::Relaxed)
     }
 
-    /// Whether `spec`'s fingerprint has been quarantined by the poison
-    /// breaker.
-    pub fn is_poisoned(&self, spec: &JobSpec) -> bool {
-        self.poisoned.lock().contains(&spec_fingerprint(spec))
-    }
-
     #[cfg(test)]
     pub(crate) fn test_set_recovering(&self, n: usize) {
         self.recovering.store(n, Ordering::Relaxed);
@@ -209,33 +204,10 @@ impl Warden {
                 attempts: 0,
             };
         }
+        // The caller holds the checkpoint lease for the whole job —
+        // across every restart below — so no other job can resume this
+        // journal while its worker is being recovered.
         let ckpt = checkpoint_dir(spec);
-        // The lease lives in the supervisor for the whole job — across
-        // every restart — so no other process can resume this journal
-        // while its worker is being recovered.
-        let _lease = match ckpt.as_deref().map(|dir| Lease::acquire(dir, fingerprint)) {
-            Some(Err(LeaseError::Held { pid })) => {
-                return Supervised {
-                    result: JobResult::Error {
-                        message: format!(
-                            "checkpoint dir is leased by live process {pid}; \
-                             refusing to double-resume"
-                        ),
-                    },
-                    attempts: 0,
-                };
-            }
-            Some(Err(LeaseError::Io(e))) => {
-                return Supervised {
-                    result: JobResult::Error {
-                        message: format!("cannot lease checkpoint dir: {e}"),
-                    },
-                    attempts: 0,
-                };
-            }
-            Some(Ok(lease)) => Some(lease),
-            None => None,
-        };
         let journal_bytes = || ckpt.as_deref().map(journal_len).unwrap_or(0);
         let mut recovery = Recovery {
             crashed_at: None,

@@ -553,3 +553,74 @@ fn queue_and_shed_emit_job_events() {
         .iter()
         .any(|r| matches!(r.event, Event::JobRejected { id: 9003, capacity: 1 })));
 }
+
+#[test]
+fn concurrent_batch_jobs_on_one_checkpoint_dir_refuse_double_resume() {
+    let dir = std::env::temp_dir().join(format!("zenesis-serve-lease-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gate = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicU32::new(0));
+    let runner: JobRunner = {
+        let gate = Arc::clone(&gate);
+        let started = Arc::clone(&started);
+        Arc::new(move |_spec, _cancel| {
+            if started.fetch_add(1, Ordering::SeqCst) == 0 {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            ok_result()
+        })
+    };
+    // In-process workers: the lease must hold without process isolation.
+    let server = Server::start_with_runner(config(2, 8), runner);
+    // Opens the gate on every exit, so a failing assertion below cannot
+    // leave the server's drop waiting on the blocked first job.
+    struct OpenOnDrop(Arc<AtomicBool>);
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let (tx, rx) = unbounded::<Response>();
+    let batch = |id: u64| {
+        format!(
+            r#"{{"id": {id}, "spec": {{"mode": "batch",
+                "input": {{"source": "phantom_volume", "kind": "crystalline",
+                           "seed": 2, "depth": 4, "side": 16}},
+                "prompt": "needles", "checkpoint_dir": "{}"}}}}"#,
+            dir.display()
+        )
+        .replace('\n', " ")
+    };
+    // The first job holds the directory's lease while it is blocked…
+    server.submit_line(&batch(1), 1, &tx);
+    let t0 = Instant::now();
+    while started.load(Ordering::SeqCst) == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // …so the second, on the other worker, is refused without running.
+    server.submit_line(&batch(2), 2, &tx);
+    let refused = recv_within(&rx, Duration::from_secs(10));
+    assert_eq!(refused.id, 2);
+    assert_eq!(refused.status(), "error");
+    assert_eq!(refused.attempts, 0, "a refused job never runs");
+    match &refused.result {
+        JobResult::Error { message } => {
+            assert!(message.contains("refusing to double-resume"), "{message}")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(started.load(Ordering::SeqCst), 1);
+    gate.store(true, Ordering::SeqCst);
+    let first = recv_within(&rx, Duration::from_secs(10));
+    assert_eq!((first.id, first.status()), (1, "ok"));
+    // Both have finished, so the lease is free for a third job.
+    server.submit_line(&batch(3), 3, &tx);
+    let third = recv_within(&rx, Duration::from_secs(10));
+    assert_eq!((third.id, third.status()), (3, "ok"));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,7 @@
 //! response echo) and the crash flight recorder.
 //!
 //! These live in their own integration binary so the process-global
-//! event buffer and flight ring are not shared with the failure-model
+//! event buffer and span store are not shared with the failure-model
 //! suite in `serve.rs`.
 
 use std::sync::Arc;
