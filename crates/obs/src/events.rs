@@ -694,57 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn kinds_are_stable() {
-        assert_eq!(Event::JobStart { mode: "batch".into() }.kind(), "job.start");
-        assert_eq!(
-            Event::CacheMiss { cache: "sam.embed".into() }.kind(),
-            "cache.miss"
-        );
-        assert_eq!(Event::JobQueued { id: 1, depth: 2 }.kind(), "job.queued");
-        assert_eq!(
-            Event::JobRejected { id: 1, capacity: 8 }.kind(),
-            "job.rejected"
-        );
-        assert_eq!(
-            Event::JobTimeout { id: 1, dur_ms: 5.0 }.kind(),
-            "job.timeout"
-        );
-        assert_eq!(
-            Event::TenantRejected { id: 1, tenant: "lab".into(), limit: 4 }.kind(),
-            "tenant.rejected"
-        );
-        assert_eq!(Event::JobClosed { id: 1 }.kind(), "job.closed");
-        assert_eq!(
-            Event::JobPanic { id: 1, message: "boom".into() }.kind(),
-            "job.panic"
-        );
-        assert_eq!(
-            Event::JobRetry { id: 1, attempt: 1, delay_ms: 50 }.kind(),
-            "job.retry"
-        );
-        assert_eq!(
-            Event::WardenSpawn { id: 1, pid: 2, attempt: 1 }.kind(),
-            "warden.spawn"
-        );
-        assert_eq!(
-            Event::WardenCrash { id: 1, pid: 2, reason: "exit".into() }.kind(),
-            "warden.crash"
-        );
-        assert_eq!(
-            Event::WardenRestart { id: 1, attempt: 2, delay_ms: 50 }.kind(),
-            "warden.restart"
-        );
-        assert_eq!(
-            Event::WardenResume { id: 1, journal_bytes: 512 }.kind(),
-            "warden.resume"
-        );
-        assert_eq!(
-            Event::WardenPoison { id: 1, fingerprint: "abc".into(), crashes: 3 }.kind(),
-            "warden.poison"
-        );
-    }
-
-    #[test]
     fn warden_and_checkpoint_events_serialize_payload_fields() {
         let _g = LOCK.lock();
         let before = crate::level();

@@ -19,14 +19,21 @@
 //!   starts at *submission*. The pipeline polls the token at per-slice /
 //!   per-sample checkpoints, so an expired job returns a `timeout` result
 //!   with partial progress instead of hanging a worker.
-//! * **Panic isolation** — the runner is wrapped in `catch_unwind`; a
-//!   panicking job becomes a structured `error` response (`job.panic`
-//!   event, `serve.job.panic` counter) and the worker keeps serving.
+//! * **One attempt loop** — in-process, an attempt is the runner under
+//!   `catch_unwind`; with `--process-workers`, a batch job's attempt is
+//!   one worker child ([`crate::warden`]). The policies below are
+//!   written once, for both.
+//! * **Panic isolation** — a panic becomes a structured `error` response
+//!   (`job.panic` event, `serve.job.panic` counter, a `panic` flight
+//!   recording), is never retried, and the worker keeps serving.
 //! * **Retry** — results classified as transient input failures (via
 //!   [`zenesis_core::job::message_is_transient_input`], the classifier
 //!   that lives beside the error construction site) are retried with
 //!   exponential backoff, capped at [`MAX_RETRY_BACKOFF_MS`], never past
 //!   the deadline and at most `max_retries` times.
+//! * **Crash restart** — a child that dies without a result is respawned
+//!   with `resume: true` after a capped backoff, until the warden's
+//!   poison breaker quarantines the spec.
 //! * **Graceful shutdown** — [`Server::shutdown`] closes the queue:
 //!   accepted jobs still run to completion and get responses; only new
 //!   submissions are refused.
@@ -53,12 +60,7 @@ use zenesis_par::CancelToken;
 use crate::admission::Admission;
 use crate::proto::{parse_request, Response};
 use crate::queue::{BoundedQueue, Lane, PushError, QueueDepths};
-use crate::warden::{self, Warden};
-
-/// Largest exponent applied to `retry_base_ms`; caps the shift so a
-/// large `--max-retries` cannot overflow the `u64` backoff arithmetic
-/// (shift ≥ 64 panics in debug builds and wraps in release).
-const MAX_BACKOFF_EXP: u32 = 16;
+use crate::warden::{self, Outcome, Warden};
 
 /// Hard ceiling on one retry backoff sleep. Beyond ~10 s the input is
 /// not "racing with an upload" anymore and the deadline budget is
@@ -78,7 +80,8 @@ pub struct ServeConfig {
     /// Deadline applied to jobs whose envelope sets none (`None` =
     /// unlimited).
     pub default_deadline_ms: Option<u64>,
-    /// Maximum retries for transient input failures.
+    /// Maximum retries for transient input failures, in both isolation
+    /// models (a process-worker retry is a fresh child).
     pub max_retries: u32,
     /// First retry backoff; doubles per attempt up to
     /// [`MAX_RETRY_BACKOFF_MS`].
@@ -93,7 +96,8 @@ pub struct ServeConfig {
     /// Run batch volume jobs in supervised child worker processes
     /// ([`crate::warden`]) instead of on the worker thread itself, so a
     /// hard worker death (SIGKILL, OOM, abort) costs one worker
-    /// generation instead of the service. Interactive and evaluate jobs
+    /// generation instead of the service. Retries, panics and the
+    /// deadline behave as in-process. Interactive and evaluate jobs
     /// always run in-process.
     pub process_workers: bool,
     /// Supervision heartbeat window in milliseconds: a process worker
@@ -469,26 +473,16 @@ fn set_depth_gauges(depths: QueueDepths) {
     zenesis_obs::gauge("serve.lane.batch.depth").set(depths.batch as i64);
 }
 
-/// Transient-input classification, delegated to the structured
-/// classifier in `zenesis-core` (kept beside the error construction
-/// sites and pinned there by tests, so a rewording cannot silently
-/// disable retries).
-fn is_transient(result: &JobResult) -> bool {
-    matches!(
-        result,
-        JobResult::Error { message } if message_is_transient_input(message)
-    )
-}
-
-/// Backoff before retry `attempts` (1-based): `base << (attempts-1)`,
-/// with the exponent capped at [`MAX_BACKOFF_EXP`] and the result
-/// clamped to [`MAX_RETRY_BACKOFF_MS`] — immune to shift overflow for
-/// any `--max-retries`.
-fn retry_backoff_ms(base_ms: u64, attempts: u32) -> u64 {
-    let exp = attempts.saturating_sub(1).min(MAX_BACKOFF_EXP);
+/// Capped exponential backoff: `base_ms · 2^step`, clamped to `cap_ms`.
+/// Saturating, so no `step` can overflow the shift (a shift of 64 or
+/// more panics in debug builds and wraps in release). Retry `n` waits
+/// `backoff_ms(retry_base_ms, n - 1, MAX_RETRY_BACKOFF_MS)`; a restart
+/// after `k` consecutive no-progress crashes waits
+/// `backoff_ms(50, k, 2_000)`.
+fn backoff_ms(base_ms: u64, step: u32, cap_ms: u64) -> u64 {
     base_ms
-        .saturating_mul(1u64 << exp)
-        .min(MAX_RETRY_BACKOFF_MS)
+        .saturating_mul(1u64.checked_shl(step).unwrap_or(u64::MAX))
+        .min(cap_ms)
 }
 
 /// `retry_after_ms` hint for `busy` and `timeout` responses: scale the
@@ -539,66 +533,15 @@ fn worker_loop(
             .flight_dir
             .is_some()
             .then(|| zenesis_obs::counter("fault.injected").get());
-        let mut panicked = false;
         let run_started = Instant::now();
-        let mut attempts = 0u32;
         // A batch job that checkpoints holds its directory's lease for
         // the whole job — every retry and every process-worker restart —
         // so no other job, here or in another process, resumes the same
         // journal meanwhile.
         let lease = lease_checkpoint(&job.spec);
-        // Batch volume jobs go to the warden's child processes when
-        // process isolation is on (crash recovery and retry are its
-        // job); everything else runs in-process under catch_unwind.
-        let result = match (&lease, warden.filter(|_| warden::eligible(&job.spec))) {
-            (Err(refused), _) => refused.clone(),
-            (Ok(_), Some(w)) => {
-                let sup = w.supervise(job.id, &job.spec, &cancel);
-                attempts = sup.attempts;
-                sup.result
-            }
-            (Ok(_), None) => loop {
-                attempts += 1;
-                match catch_unwind(AssertUnwindSafe(|| runner(&job.spec, &cancel))) {
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        panicked = true;
-                        if obs {
-                            events::emit(Event::JobPanic {
-                                id: job.id,
-                                message: message.clone(),
-                            });
-                            zenesis_obs::counter("serve.job.panic").inc();
-                        }
-                        break JobResult::Error {
-                            message: format!("job panicked: {message}"),
-                        };
-                    }
-                    Ok(result) => {
-                        if attempts <= cfg.max_retries
-                            && is_transient(&result)
-                            && !cancel.is_cancelled()
-                        {
-                            let delay_ms = retry_backoff_ms(cfg.retry_base_ms, attempts);
-                            if obs {
-                                events::emit(Event::JobRetry {
-                                    id: job.id,
-                                    attempt: attempts,
-                                    delay_ms,
-                                });
-                                zenesis_obs::counter("serve.job.retry").inc();
-                            }
-                            let mut delay = Duration::from_millis(delay_ms);
-                            if let Some(left) = cancel.remaining() {
-                                delay = delay.min(left);
-                            }
-                            std::thread::sleep(delay);
-                            continue;
-                        }
-                        break result;
-                    }
-                }
-            },
+        let (result, attempts, panicked) = match &lease {
+            Err(refused) => (refused.clone(), 0, false),
+            Ok(_) => run_attempts(job.id, &job.spec, runner, cfg, &cancel, warden),
         };
         // Released before the response goes out, so a client that
         // resubmits on seeing it finds the directory free.
@@ -626,9 +569,9 @@ fn worker_loop(
             let faults_fired = zenesis_obs::counter("fault.injected")
                 .get()
                 .saturating_sub(faults_before.unwrap_or(0));
-            // `panicked` is final, not transient: a panic breaks the
-            // attempt loop above immediately (panics are never retried),
-            // so it can only be true when `result` is the panic error.
+            // `panicked` is final, not transient: a panic ends the
+            // attempt loop immediately (panics are never retried), so it
+            // can only be true when `result` is the panic error.
             let reason = if panicked {
                 Some("panic")
             } else if matches!(
@@ -664,6 +607,95 @@ fn worker_loop(
             retry_after_ms,
             result,
         });
+    }
+}
+
+/// The one attempt loop, for both isolation models. Returns the job's
+/// result, the attempts made (the first run, plus every retry and
+/// every crash restart; 0 when the poison breaker refused the spec),
+/// and whether the job panicked (the flight recorder's `panic`
+/// trigger).
+fn run_attempts(
+    id: u64,
+    spec: &JobSpec,
+    runner: &JobRunner,
+    cfg: &ServeConfig,
+    cancel: &CancelToken,
+    warden: Option<&Warden>,
+) -> (JobResult, u32, bool) {
+    let obs = zenesis_obs::enabled();
+    // Batch volume jobs run in the warden's worker children when
+    // process isolation is on; everything else runs on this thread.
+    let mut watch = match warden.filter(|_| warden::eligible(spec)).map(|w| w.watch(spec)) {
+        Some(Err(quarantined)) => return (quarantined, 0, false),
+        Some(Ok(watch)) => Some(watch),
+        None => None,
+    };
+    // Set by the first crash: the successor must replay the journal.
+    // The only clone of the spec a job can cost.
+    let mut resumed: Option<JobSpec> = None;
+    let mut attempts = 0u32;
+    let mut retries = 0u32;
+    loop {
+        attempts += 1;
+        let attempt_spec = resumed.as_ref().unwrap_or(spec);
+        let outcome = match watch.as_mut() {
+            Some(watch) => watch.run(id, attempt_spec, cancel, attempts),
+            None => match catch_unwind(AssertUnwindSafe(|| runner(attempt_spec, cancel))) {
+                Ok(result) => Outcome::Finished(result),
+                Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
+            },
+        };
+        let (delay_ms, waiting_for) = match outcome {
+            Outcome::Finished(result) => {
+                let transient = matches!(&result,
+                    JobResult::Error { message } if message_is_transient_input(message));
+                if !transient || retries >= cfg.max_retries || cancel.is_cancelled() {
+                    return (result, attempts, false);
+                }
+                let delay_ms = backoff_ms(cfg.retry_base_ms, retries, MAX_RETRY_BACKOFF_MS);
+                retries += 1;
+                if obs {
+                    events::emit(Event::JobRetry { id, attempt: retries, delay_ms });
+                    zenesis_obs::counter("serve.job.retry").inc();
+                }
+                (delay_ms, "retry backoff")
+            }
+            Outcome::Panicked(payload) => {
+                let message = format!("job panicked: {payload}");
+                if obs {
+                    events::emit(Event::JobPanic { id, message: payload });
+                    zenesis_obs::counter("serve.job.panic").inc();
+                }
+                return (JobResult::Error { message }, attempts, true);
+            }
+            Outcome::Crashed { pid, reason } => {
+                let watch = watch.as_mut().expect("only worker children crash");
+                let no_progress_crashes = match watch.crashed(id, pid, reason) {
+                    Ok(n) => n,
+                    Err(quarantined) => return (quarantined, attempts, false),
+                };
+                // 50 ms, doubled per consecutive crash that grew no
+                // journal, at most 2 s.
+                let delay_ms = backoff_ms(50, no_progress_crashes, 2_000);
+                if obs {
+                    zenesis_obs::counter("warden.restart").inc();
+                    events::emit(Event::WardenRestart { id, attempt: attempts + 1, delay_ms });
+                }
+                resumed.get_or_insert_with(|| {
+                    let mut spec = spec.clone();
+                    warden::force_resume(&mut spec);
+                    spec
+                });
+                (delay_ms, "worker crash recovery")
+            }
+        };
+        let left = cancel.remaining().unwrap_or(Duration::MAX);
+        std::thread::sleep(Duration::from_millis(delay_ms).min(left));
+        if cancel.is_cancelled() {
+            let message = format!("job deadline exceeded during {waiting_for}");
+            return (JobResult::Timeout { message, completed: 0, total: 0 }, attempts, false);
+        }
     }
 }
 
@@ -711,24 +743,30 @@ fn dump_flight(dir: &str, reason: &str, trace: TraceId) {
 mod tests {
     use super::*;
 
-    /// Regression for the shift-overflow bug: `base << (attempts-1)`
-    /// panicked in debug builds (wrapped in release) once attempts
-    /// exceeded 64. The capped form is monotone up to the clamp and
-    /// never overflows for any attempt count.
+    /// Retries and restarts share one backoff. No step overflows it: a
+    /// plain `base << step` panics in debug builds (wraps in release)
+    /// once the step reaches 64.
     #[test]
-    fn retry_backoff_caps_exponent_and_clamps_delay() {
-        assert_eq!(retry_backoff_ms(25, 1), 25);
-        assert_eq!(retry_backoff_ms(25, 2), 50);
-        assert_eq!(retry_backoff_ms(25, 3), 100);
-        // Clamped at the ceiling long before the exponent cap.
-        assert_eq!(retry_backoff_ms(25, 10), MAX_RETRY_BACKOFF_MS);
-        // Attempt counts that used to shift ≥ 64 are fine now.
-        for attempts in [64, 65, 100, u32::MAX] {
-            assert_eq!(retry_backoff_ms(25, attempts), MAX_RETRY_BACKOFF_MS);
-            assert_eq!(retry_backoff_ms(0, attempts), 0);
+    fn backoff_doubles_per_step_caps_and_never_overflows() {
+        const RETRY_CAP: u64 = MAX_RETRY_BACKOFF_MS;
+        // Retry n waits base·2^(n−1), clamped at 10 s.
+        assert_eq!(backoff_ms(25, 0, RETRY_CAP), 25);
+        assert_eq!(backoff_ms(25, 1, RETRY_CAP), 50);
+        assert_eq!(backoff_ms(25, 2, RETRY_CAP), 100);
+        assert_eq!(backoff_ms(25, 9, RETRY_CAP), RETRY_CAP);
+        // A restart after k no-progress crashes waits 50·2^k, at most 2 s.
+        assert_eq!(backoff_ms(50, 0, 2_000), 50);
+        assert_eq!(backoff_ms(50, 1, 2_000), 100);
+        assert_eq!(backoff_ms(50, 2, 2_000), 200);
+        assert_eq!(backoff_ms(50, 5, 2_000), 1_600);
+        assert_eq!(backoff_ms(50, 6, 2_000), 2_000);
+        for step in [10, 63, 64, 65, 100, u32::MAX] {
+            assert_eq!(backoff_ms(50, step, 2_000), 2_000);
+            assert_eq!(backoff_ms(25, step, RETRY_CAP), RETRY_CAP);
+            assert_eq!(backoff_ms(0, step, RETRY_CAP), 0);
         }
         // A huge base saturates instead of wrapping.
-        assert_eq!(retry_backoff_ms(u64::MAX, 33), MAX_RETRY_BACKOFF_MS);
+        assert_eq!(backoff_ms(u64::MAX, 32, RETRY_CAP), RETRY_CAP);
     }
 
     #[test]

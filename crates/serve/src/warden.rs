@@ -6,8 +6,10 @@
 //! and lose every in-flight batch. With `--process-workers`, batch
 //! volume jobs run in child worker processes instead (the serve binary
 //! re-executed with the hidden `--worker` argument, the job handed over
-//! on a pipe — see [`crate::worker`] for the line protocol), and this
-//! module supervises them:
+//! on a pipe — see [`crate::worker`] for the line protocol). This
+//! module runs one child generation per attempt and reports how it
+//! ended; the attempt loop in [`crate::server`] owns retry, panic
+//! reporting, restart backoff and the deadline for both models.
 //!
 //! * **Heartbeats** — the child beats every quarter window with its
 //!   progress pulse. No message for one whole window ⇒ dead
@@ -16,31 +18,32 @@
 //!   is killed, because a stuck slice never finishes on its own. EOF
 //!   on the pipe ⇒ the process died and is reaped for its exit status
 //!   (`reason: "exit ..."`).
-//! * **Restart with capped backoff** — a crashed worker is respawned
-//!   after `RESTART_BACKOFF_BASE_MS` shifted by the consecutive
-//!   no-progress crash count, capped at `MAX_RESTART_BACKOFF_MS`.
-//!   Progress (journal growth) resets the backoff: a worker dying its
-//!   way through a poisonous *slice* still advances, while a worker
-//!   dying before it can journal anything backs off harder.
-//! * **Resume from the checkpoint journal** — respawned workers run the
-//!   spec with `resume: true` forced on, so the existing CRC journal
+//! * **Outcomes** — a generation ends with the child's `{"result": …}`,
+//!   its `{"panic": …}`, or death without either (`Outcome`). A failed
+//!   spawn and the deadline-backstop kill finish with an `error` and a
+//!   `timeout`.
+//! * **Resume from the checkpoint journal** — a crashed generation is
+//!   respawned with `resume: true` forced on, so the CRC journal
 //!   replays and the recovered volume is bit-identical to an
-//!   uninterrupted run. The serving worker that runs the supervisor
-//!   holds a fingerprint-bound
-//!   [`Lease`](zenesis_core::checkpoint::Lease) on the checkpoint directory
-//!   across restarts, so two jobs can never double-resume one journal.
+//!   uninterrupted run. The serving worker holds a fingerprint-bound
+//!   [`Lease`](zenesis_core::checkpoint::Lease) on the checkpoint
+//!   directory across restarts, so two jobs can never double-resume one
+//!   journal. Journal growth is the progress signal: a worker dying its
+//!   way through a crashy stretch still advances, so the restart backoff
+//!   doubles only per consecutive crash that grew nothing.
 //! * **Poison circuit breaker** — a spec whose workers crash
 //!   [`POISON_THRESHOLD`] consecutive times *without journal growth* is
 //!   quarantined by fingerprint: the job returns a structured `error`,
 //!   and later submissions of the same spec are refused immediately
 //!   instead of crash-looping fresh workers.
 //!
-//! Everything is observable: `warden.{spawn,crash,restart,resume,
-//! poison}` counters and events, the `warden.recovery.lat` histogram
-//! (crash detected → successor's first sign of life), and the
-//! `serve.warden.recovering` gauge that `/readyz` folds into its
-//! readiness reasons. `busy`/`ok` wire semantics are untouched — a
-//! supervised job answers exactly like an in-process one, only later.
+//! Everything is observable: `warden.{spawn,crash,resume,poison}`
+//! counters and events (`warden.restart` is the attempt loop's), the
+//! `warden.recovery.lat` histogram (crash detected → successor's first
+//! sign of life), and the `serve.warden.recovering` gauge that `/readyz`
+//! folds into its readiness reasons. `busy`/`ok` wire semantics are
+//! untouched — a supervised job answers exactly like an in-process one,
+//! only later.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -63,12 +66,6 @@ use crate::worker::{job_line, parse_worker_line, WorkerMsg};
 /// breaker: a job inching through a crashy stretch still completes.
 pub const POISON_THRESHOLD: u32 = 3;
 
-/// First restart delay; shifts left per consecutive no-progress crash.
-const RESTART_BACKOFF_BASE_MS: u64 = 50;
-
-/// Ceiling on one restart delay.
-const MAX_RESTART_BACKOFF_MS: u64 = 2_000;
-
 /// Heartbeat windows the progress pulse may stay frozen before a
 /// beating worker is declared hung. Startup (model build, volume
 /// decode) runs before the first pulse tick, so the grace must cover it
@@ -76,26 +73,15 @@ const MAX_RESTART_BACKOFF_MS: u64 = 2_000;
 /// gap between slices.
 const STALL_WINDOWS: u32 = 4;
 
-/// How one worker generation ended.
-enum ChildOutcome {
-    /// The worker delivered a result (any status) and exited.
-    Completed(JobResult),
-    /// The worker process could not be started at all.
-    SpawnFailed(std::io::Error),
-    /// The job deadline passed and the worker did not report its own
-    /// timeout within a grace window; it was killed.
-    DeadlineExceeded,
-    /// The worker died (or was killed as dead/hung) without a result.
+/// How one attempt at a job ended, in either isolation model.
+pub(crate) enum Outcome {
+    /// The job returned a result (any status).
+    Finished(JobResult),
+    /// The job panicked; this is the panic payload, stringified.
+    Panicked(String),
+    /// A worker child died (or was killed as dead or hung) without a
+    /// result.
     Crashed { pid: u32, reason: String },
-}
-
-/// What [`Warden::supervise`] hands back to the serve worker loop.
-pub struct Supervised {
-    /// The job's result, exactly as an in-process run would shape it.
-    pub result: JobResult,
-    /// Worker generations spawned (0 when quarantine or a lease refusal
-    /// answered before any spawn).
-    pub attempts: u32,
 }
 
 /// Only batch volume jobs get a process of their own: they are the
@@ -130,24 +116,10 @@ pub(crate) fn checkpoint_dir(spec: &JobSpec) -> Option<PathBuf> {
 /// Force `resume: true` for a respawn: whatever the original request
 /// said, the successor must replay the journal its predecessor left,
 /// not truncate it.
-fn force_resume(spec: &mut JobSpec) {
+pub(crate) fn force_resume(spec: &mut JobSpec) {
     if let JobSpec::Batch { resume, .. } = spec {
         *resume = true;
     }
-}
-
-fn restart_backoff_ms(consecutive_no_progress: u32) -> u64 {
-    RESTART_BACKOFF_BASE_MS
-        .saturating_mul(1u64 << consecutive_no_progress.min(10))
-        .min(MAX_RESTART_BACKOFF_MS)
-}
-
-/// Tracks one supervised job's crash-recovery state: when the last
-/// crash was detected (for `warden.recovery.lat`) and whether the job
-/// currently counts in the `recovering` gauge.
-struct Recovery {
-    crashed_at: Option<Instant>,
-    active: bool,
 }
 
 /// The process-worker supervisor. One per [`crate::Server`], shared by
@@ -187,157 +159,74 @@ impl Warden {
         self.recovering.store(n, Ordering::Relaxed);
     }
 
-    /// Run `spec` under supervision: spawn a worker child, restart it
-    /// across crashes (resuming from the checkpoint journal), and
-    /// return the final result. Blocks the calling worker thread, just
-    /// as running the job in-process would.
-    pub fn supervise(&self, id: u64, spec: &JobSpec, cancel: &CancelToken) -> Supervised {
+    /// Start supervising one job. `Err` holds its refusal when the
+    /// poison breaker has quarantined the spec, before any spawn.
+    pub(crate) fn watch(&self, spec: &JobSpec) -> Result<Watch<'_>, JobResult> {
         let fingerprint = spec_fingerprint(spec);
         if self.poisoned.lock().contains(&fingerprint) {
-            return Supervised {
-                result: JobResult::Error {
-                    message: format!(
-                        "job quarantined: spec {fingerprint:016x} previously crashed \
-                         {POISON_THRESHOLD} consecutive workers without progress"
-                    ),
-                },
-                attempts: 0,
-            };
+            return Err(JobResult::Error {
+                message: format!(
+                    "job quarantined: spec {fingerprint:016x} previously crashed \
+                     {POISON_THRESHOLD} consecutive workers without progress"
+                ),
+            });
         }
-        // The caller holds the checkpoint lease for the whole job —
-        // across every restart below — so no other job can resume this
-        // journal while its worker is being recovered.
-        let ckpt = checkpoint_dir(spec);
-        let journal_bytes = || ckpt.as_deref().map(journal_len).unwrap_or(0);
-        let mut recovery = Recovery {
+        Ok(Watch {
+            warden: self,
+            fingerprint,
+            ckpt: checkpoint_dir(spec),
+            journal_before: 0,
+            no_progress_crashes: 0,
             crashed_at: None,
-            active: false,
-        };
-        let mut spec = spec.clone();
-        let mut attempts = 0u32;
-        let mut no_progress_crashes = 0u32;
-        loop {
-            attempts += 1;
-            let bytes_before = journal_bytes();
-            let outcome = self.run_one(id, &spec, cancel, attempts, &mut recovery, &journal_bytes);
-            match outcome {
-                ChildOutcome::Completed(result) => {
-                    self.leave_recovery(&mut recovery);
-                    return Supervised { result, attempts };
-                }
-                ChildOutcome::SpawnFailed(e) => {
-                    self.leave_recovery(&mut recovery);
-                    return Supervised {
-                        result: JobResult::Error {
-                            message: format!(
-                                "cannot spawn worker process {}: {e}",
-                                self.exe.display()
-                            ),
-                        },
-                        attempts,
-                    };
-                }
-                ChildOutcome::DeadlineExceeded => {
-                    self.leave_recovery(&mut recovery);
-                    return Supervised {
-                        result: JobResult::Timeout {
-                            message: "job deadline exceeded; worker process killed".into(),
-                            completed: 0,
-                            total: 0,
-                        },
-                        attempts,
-                    };
-                }
-                ChildOutcome::Crashed { pid, reason } => {
-                    if zenesis_obs::enabled() {
-                        zenesis_obs::counter("warden.crash").inc();
-                        events::emit(Event::WardenCrash {
-                            id,
-                            pid,
-                            reason: reason.clone(),
-                        });
-                    }
-                    self.enter_recovery(&mut recovery);
-                    // Journal growth is the progress signal: the dead
-                    // worker checkpointed something, so its successor
-                    // starts further along than it did.
-                    if journal_bytes() > bytes_before {
-                        no_progress_crashes = 0;
-                    } else {
-                        no_progress_crashes += 1;
-                    }
-                    if no_progress_crashes >= POISON_THRESHOLD {
-                        self.poisoned.lock().insert(fingerprint);
-                        if zenesis_obs::enabled() {
-                            zenesis_obs::counter("warden.poison").inc();
-                            events::emit(Event::WardenPoison {
-                                id,
-                                fingerprint: format!("{fingerprint:016x}"),
-                                crashes: no_progress_crashes,
-                            });
-                        }
-                        self.leave_recovery(&mut recovery);
-                        return Supervised {
-                            result: JobResult::Error {
-                                message: format!(
-                                    "job quarantined: {no_progress_crashes} consecutive worker \
-                                     crashes without progress (last: {reason}); \
-                                     spec {fingerprint:016x} will be refused until restart"
-                                ),
-                            },
-                            attempts,
-                        };
-                    }
-                    let delay_ms = restart_backoff_ms(no_progress_crashes);
-                    if zenesis_obs::enabled() {
-                        zenesis_obs::counter("warden.restart").inc();
-                        events::emit(Event::WardenRestart {
-                            id,
-                            attempt: attempts + 1,
-                            delay_ms,
-                        });
-                    }
-                    let mut delay = Duration::from_millis(delay_ms);
-                    if let Some(left) = cancel.remaining() {
-                        delay = delay.min(left);
-                    }
-                    std::thread::sleep(delay);
-                    if cancel.is_cancelled() {
-                        self.leave_recovery(&mut recovery);
-                        return Supervised {
-                            result: JobResult::Timeout {
-                                message: "job deadline exceeded during worker crash recovery"
-                                    .into(),
-                                completed: 0,
-                                total: 0,
-                            },
-                            attempts,
-                        };
-                    }
-                    force_resume(&mut spec);
-                }
-            }
-        }
+            in_gauge: false,
+        })
+    }
+}
+
+/// One supervised job's crash state across its worker generations:
+/// the journal size a generation started from, the consecutive
+/// no-progress crash count, and whether the job is in crash recovery.
+/// Dropping it takes the job out of the `recovering` gauge, whichever
+/// way the job ended.
+pub(crate) struct Watch<'w> {
+    warden: &'w Warden,
+    fingerprint: u64,
+    ckpt: Option<PathBuf>,
+    journal_before: u64,
+    no_progress_crashes: u32,
+    /// When the last crash was detected (for `warden.recovery.lat`);
+    /// cleared by the successor's first sign of life.
+    crashed_at: Option<Instant>,
+    in_gauge: bool,
+}
+
+impl Watch<'_> {
+    fn journal_bytes(&self) -> u64 {
+        self.ckpt.as_deref().map(journal_len).unwrap_or(0)
     }
 
     /// Spawn and supervise one worker generation to its outcome.
-    fn run_one(
-        &self,
+    pub(crate) fn run(
+        &mut self,
         id: u64,
         spec: &JobSpec,
         cancel: &CancelToken,
         attempt: u32,
-        recovery: &mut Recovery,
-        journal_bytes: &impl Fn() -> u64,
-    ) -> ChildOutcome {
-        let mut child = match Command::new(&self.exe)
+    ) -> Outcome {
+        self.journal_before = self.journal_bytes();
+        let warden = self.warden;
+        let mut child = match Command::new(&warden.exe)
             .arg("--worker")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
         {
             Ok(child) => child,
-            Err(e) => return ChildOutcome::SpawnFailed(e),
+            Err(e) => {
+                return Outcome::Finished(JobResult::Error {
+                    message: format!("cannot spawn worker process {}: {e}", warden.exe.display()),
+                })
+            }
         };
         let pid = child.id();
         if zenesis_obs::enabled() {
@@ -354,7 +243,7 @@ impl Warden {
             spec,
             cancel.remaining().map(|d| d.as_millis() as u64),
             trace,
-            self.heartbeat_ms,
+            warden.heartbeat_ms,
         );
         if let Some(mut stdin) = child.stdin.take() {
             let _ = stdin.write_all(line.as_bytes());
@@ -374,7 +263,7 @@ impl Warden {
                 // supervision loop can see.
             })
             .expect("spawn warden reader thread");
-        let window = Duration::from_millis(self.heartbeat_ms);
+        let window = Duration::from_millis(warden.heartbeat_ms);
         let mut last_pulse: Option<u64> = None;
         let mut pulse_changed = Instant::now();
         let mut cancelled_at: Option<Instant> = None;
@@ -386,17 +275,26 @@ impl Warden {
                 let at = *cancelled_at.get_or_insert_with(Instant::now);
                 if at.elapsed() >= window {
                     kill_and_reap(&mut child);
-                    break ChildOutcome::DeadlineExceeded;
+                    break Outcome::Finished(JobResult::Timeout {
+                        message: "job deadline exceeded; worker process killed".into(),
+                        completed: 0,
+                        total: 0,
+                    });
                 }
             }
             match rx.recv_timeout(window) {
                 Ok(WorkerMsg::Result(result)) => {
                     let _ = child.wait();
-                    self.note_alive(id, recovery, journal_bytes);
-                    break ChildOutcome::Completed(result);
+                    self.note_alive(id);
+                    break Outcome::Finished(result);
+                }
+                Ok(WorkerMsg::Panic(message)) => {
+                    let _ = child.wait();
+                    self.note_alive(id);
+                    break Outcome::Panicked(message);
                 }
                 Ok(WorkerMsg::Beat(pulse)) => {
-                    self.note_alive(id, recovery, journal_bytes);
+                    self.note_alive(id);
                     if last_pulse != Some(pulse) {
                         last_pulse = Some(pulse);
                         pulse_changed = Instant::now();
@@ -404,7 +302,7 @@ impl Warden {
                         // Beating but frozen: the heartbeat thread is
                         // alive while the compute threads are stuck.
                         kill_and_reap(&mut child);
-                        break ChildOutcome::Crashed {
+                        break Outcome::Crashed {
                             pid,
                             reason: "stall".into(),
                         };
@@ -415,7 +313,7 @@ impl Warden {
                     // Not even a beat: the process is dead or dying
                     // (and might linger as a zombie without the kill).
                     kill_and_reap(&mut child);
-                    break ChildOutcome::Crashed {
+                    break Outcome::Crashed {
                         pid,
                         reason: "heartbeat".into(),
                     };
@@ -427,7 +325,7 @@ impl Warden {
                         Ok(status) => format!("exit {status}"),
                         Err(_) => "exit unknown".into(),
                     };
-                    break ChildOutcome::Crashed { pid, reason };
+                    break Outcome::Crashed { pid, reason };
                 }
             }
         };
@@ -435,11 +333,58 @@ impl Warden {
         outcome
     }
 
+    /// Book a generation's crash: count and report it, put the job in
+    /// crash recovery, and update the no-progress streak (journal growth
+    /// since the generation started resets it). `Ok` holds the streak —
+    /// the restart backoff's exponent; `Err` holds the job's quarantine
+    /// error once the streak reaches [`POISON_THRESHOLD`].
+    pub(crate) fn crashed(&mut self, id: u64, pid: u32, reason: String) -> Result<u32, JobResult> {
+        if zenesis_obs::enabled() {
+            zenesis_obs::counter("warden.crash").inc();
+            events::emit(Event::WardenCrash {
+                id,
+                pid,
+                reason: reason.clone(),
+            });
+        }
+        self.crashed_at = Some(Instant::now());
+        if !self.in_gauge {
+            self.in_gauge = true;
+            let n = self.warden.recovering.fetch_add(1, Ordering::Relaxed) + 1;
+            zenesis_obs::gauge("serve.warden.recovering").set(n as i64);
+        }
+        if self.journal_bytes() > self.journal_before {
+            self.no_progress_crashes = 0;
+        } else {
+            self.no_progress_crashes += 1;
+        }
+        let crashes = self.no_progress_crashes;
+        if crashes < POISON_THRESHOLD {
+            return Ok(crashes);
+        }
+        let fingerprint = self.fingerprint;
+        self.warden.poisoned.lock().insert(fingerprint);
+        if zenesis_obs::enabled() {
+            zenesis_obs::counter("warden.poison").inc();
+            events::emit(Event::WardenPoison {
+                id,
+                fingerprint: format!("{fingerprint:016x}"),
+                crashes,
+            });
+        }
+        Err(JobResult::Error {
+            message: format!(
+                "job quarantined: {crashes} consecutive worker crashes without progress \
+                 (last: {reason}); spec {fingerprint:016x} will be refused until restart"
+            ),
+        })
+    }
+
     /// First sign of life from a worker generation: if the job was in
     /// crash recovery, the recovery is over — record its latency and
     /// the resumed journal size, and take the job out of the gauge.
-    fn note_alive(&self, id: u64, recovery: &mut Recovery, journal_bytes: &impl Fn() -> u64) {
-        if let Some(crashed_at) = recovery.crashed_at.take() {
+    fn note_alive(&mut self, id: u64) {
+        if let Some(crashed_at) = self.crashed_at.take() {
             if zenesis_obs::enabled() {
                 zenesis_obs::counter("warden.resume").inc();
                 zenesis_obs::record_ms(
@@ -448,34 +393,25 @@ impl Warden {
                 );
                 events::emit(Event::WardenResume {
                     id,
-                    journal_bytes: journal_bytes(),
+                    journal_bytes: self.journal_bytes(),
                 });
             }
-            self.leave_recovery_gauge(recovery);
+            self.leave_gauge();
         }
     }
 
-    fn enter_recovery(&self, recovery: &mut Recovery) {
-        recovery.crashed_at = Some(Instant::now());
-        if !recovery.active {
-            recovery.active = true;
-            let n = self.recovering.fetch_add(1, Ordering::Relaxed) + 1;
+    fn leave_gauge(&mut self) {
+        if self.in_gauge {
+            self.in_gauge = false;
+            let n = self.warden.recovering.fetch_sub(1, Ordering::Relaxed) - 1;
             zenesis_obs::gauge("serve.warden.recovering").set(n as i64);
         }
     }
+}
 
-    /// Terminal path: drop any recovery state, successful or not.
-    fn leave_recovery(&self, recovery: &mut Recovery) {
-        recovery.crashed_at = None;
-        self.leave_recovery_gauge(recovery);
-    }
-
-    fn leave_recovery_gauge(&self, recovery: &mut Recovery) {
-        if recovery.active {
-            recovery.active = false;
-            let n = self.recovering.fetch_sub(1, Ordering::Relaxed) - 1;
-            zenesis_obs::gauge("serve.warden.recovering").set(n as i64);
-        }
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        self.leave_gauge();
     }
 }
 
@@ -529,30 +465,5 @@ mod tests {
             JobSpec::Batch { resume, .. } => assert!(resume),
             other => panic!("unexpected spec {other:?}"),
         }
-    }
-
-    #[test]
-    fn restart_backoff_doubles_per_no_progress_crash_and_caps() {
-        assert_eq!(restart_backoff_ms(0), RESTART_BACKOFF_BASE_MS);
-        assert_eq!(restart_backoff_ms(1), RESTART_BACKOFF_BASE_MS * 2);
-        assert_eq!(restart_backoff_ms(2), RESTART_BACKOFF_BASE_MS * 4);
-        for crashes in [6, 10, 100, u32::MAX] {
-            assert_eq!(restart_backoff_ms(crashes), MAX_RESTART_BACKOFF_MS);
-        }
-    }
-
-    #[test]
-    fn spawn_failure_is_a_structured_error_not_a_crash_loop() {
-        let warden = Warden::new(100, Some("/nonexistent/zenesis-worker-binary")).unwrap();
-        let cancel = CancelToken::new();
-        let sup = warden.supervise(1, &batch_spec(SPEC), &cancel);
-        assert_eq!(sup.attempts, 1);
-        match sup.result {
-            JobResult::Error { message } => {
-                assert!(message.contains("cannot spawn worker process"), "{message}");
-            }
-            other => panic!("unexpected result {other:?}"),
-        }
-        assert_eq!(warden.recovering(), 0);
     }
 }

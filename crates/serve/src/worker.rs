@@ -1,7 +1,7 @@
 //! The `--worker` child entry point: one supervised job per process.
 //!
 //! `zenesis-serve --worker` never parses normal flags. It reads exactly
-//! one job line from stdin, runs it, and reports on stdout with two
+//! one job line from stdin, runs it, and reports on stdout with three
 //! line-oriented message kinds the supervisor ([`crate::warden`])
 //! understands:
 //!
@@ -11,16 +11,19 @@
 //!   means the process is dead or dying; a beating process whose pulse
 //!   is frozen is hung.
 //! * `{"result": <JobResult>}` — the final structured result, exactly
-//!   what an in-process worker would have produced.
+//!   what an in-process run would have returned.
+//! * `{"panic": "<message>"}` — the job panicked; the bare payload.
+//!   The parent's attempt loop reports it as it does an in-process
+//!   panic.
 //!
 //! The job line is an object with `spec` (a [`JobSpec`]), optional
 //! `deadline_ms` (the *remaining* budget at hand-over — queue wait was
 //! already spent in the parent), `trace` (the raw trace id, so child
 //! spans join the parent's trace), and `heartbeat_ms`.
 //!
-//! Panics are caught here and become structured `error` results, same
-//! as in-process serving; only hard deaths — `abort`, the OOM killer,
-//! an operator's SIGKILL — reach the supervisor as a crash. stderr is
+//! Panics are caught here, so a panicking job still ends in one
+//! message line and a clean exit; only hard deaths — `abort`, the OOM
+//! killer, an operator's SIGKILL — reach the supervisor as a crash. stderr is
 //! inherited from the parent, so panic backtraces and fault-injection
 //! notices land in the service log.
 
@@ -46,6 +49,8 @@ pub enum WorkerMsg {
     Beat(u64),
     /// The job finished; this is its result.
     Result(JobResult),
+    /// The job panicked; this is the panic payload, stringified.
+    Panic(String),
     /// Anything else (stray prints, partial lines): ignored, but kept
     /// distinct so the reader can keep scanning instead of bailing.
     Noise,
@@ -60,6 +65,9 @@ pub fn parse_worker_line(line: &str) -> WorkerMsg {
     };
     if let Some(pulse) = v.get("beat").and_then(|x| x.as_u64()) {
         return WorkerMsg::Beat(pulse);
+    }
+    if let Some(message) = v.get("panic").and_then(|x| x.as_str()) {
+        return WorkerMsg::Panic(message.to_string());
     }
     if let Some(result) = v.get("result") {
         if let Ok(result) = serde_json::from_value::<JobResult>(result) {
@@ -103,8 +111,8 @@ fn emit_line(line: &str) -> io::Result<()> {
 }
 
 /// Run as a supervised worker child. Returns the process exit code:
-/// `0` after delivering a result (even an `error` result — that is a
-/// *successful* hand-over), `2` for a malformed hand-over, `1` when the
+/// `0` after delivering a result or a panic report (even an `error`
+/// result — that is a *successful* hand-over), `2` for a malformed hand-over, `1` when the
 /// result could not be written (supervisor gone).
 pub fn worker_main() -> i32 {
     let mut line = String::new();
@@ -167,17 +175,20 @@ pub fn worker_main() -> i32 {
         })
         .expect("spawn worker beat thread");
 
-    let result = match catch_unwind(AssertUnwindSafe(|| run_job_with_cancel(&spec, &cancel))) {
-        Ok(result) => result,
-        Err(payload) => JobResult::Error {
-            message: format!("job panicked: {}", panic_message(payload.as_ref())),
-        },
+    let report = match catch_unwind(AssertUnwindSafe(|| run_job_with_cancel(&spec, &cancel))) {
+        Ok(result) => {
+            let result_json = serde_json::to_string(&result).expect("job results serialize");
+            format!("{{\"result\":{result_json}}}")
+        }
+        Err(payload) => {
+            let message = Value::String(panic_message(payload.as_ref()));
+            format!("{{\"panic\":{message}}}")
+        }
     };
     done.store(true, Ordering::Relaxed);
     beater.thread().unpark();
     let _ = beater.join();
-    let result_json = serde_json::to_string(&result).expect("job results serialize");
-    if emit_line(&format!("{{\"result\":{result_json}}}")).is_err() {
+    if emit_line(&report).is_err() {
         return 1;
     }
     0
@@ -222,7 +233,19 @@ mod tests {
             WorkerMsg::Result(JobResult::Error { message }) => assert_eq!(message, "nope"),
             other => panic!("unexpected parse {other:?}"),
         }
-        for noise in ["", "plain diagnostic", "{\"beat\": \"x\"}", "{\"result\": 3}", "{"] {
+        let panic_line = format!("{{\"panic\":{}}}", Value::String("index \"7\" out of range".into()));
+        match parse_worker_line(&panic_line) {
+            WorkerMsg::Panic(message) => assert_eq!(message, "index \"7\" out of range"),
+            other => panic!("unexpected parse {other:?}"),
+        }
+        for noise in [
+            "",
+            "plain diagnostic",
+            "{\"beat\": \"x\"}",
+            "{\"result\": 3}",
+            "{\"panic\": 3}",
+            "{",
+        ] {
             assert!(
                 matches!(parse_worker_line(noise), WorkerMsg::Noise),
                 "{noise:?} should be noise"

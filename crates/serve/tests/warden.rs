@@ -231,3 +231,143 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
     (head.lines().next().unwrap().to_string(), body.to_string())
 }
+
+#[test]
+fn unspawnable_worker_answers_one_structured_error() {
+    let _guard = lock();
+    // Not transient, so `max_retries` must not turn a missing worker
+    // binary into a spawn loop.
+    let mut cfg = config(500);
+    cfg.max_retries = 2;
+    cfg.worker_exe = Some("/nonexistent/zenesis-worker-binary".into());
+    let server = Server::start(cfg);
+    let (tx, rx) = unbounded::<Response>();
+    server.submit_line(&batch_line(1, &checkpoint_dir("nospawn"), 2), 1, &tx);
+    let resp = recv_within(&rx, Duration::from_secs(30));
+    assert_eq!(resp.attempts, 1);
+    match &resp.result {
+        JobResult::Error { message } => {
+            assert!(message.contains("cannot spawn worker process"), "{message}");
+        }
+        other => panic!("unexpected result {other:?}"),
+    }
+    assert_eq!(server.warden_recovering(), Some(0));
+}
+
+#[test]
+fn process_workers_retry_transient_input_like_in_process_ones() {
+    let _guard = lock();
+    zenesis_obs::set_level(zenesis_obs::ObsLevel::Spans);
+    std::env::remove_var("ZENESIS_FAULT");
+    let mut cfg = config(500);
+    cfg.max_retries = 2;
+    cfg.retry_base_ms = 1;
+    let server = Server::start(cfg);
+    let retries_before = counter("serve.job.retry");
+    // A stack still being uploaded: every child fails to read it.
+    let line = r#"{"id": 1, "spec": {"mode": "batch",
+        "input": {"source": "tiff_volume_file", "path": "/nonexistent/zenesis-uploading.tif"},
+        "prompt": "bright particles"}}"#
+        .replace('\n', " ");
+    let (tx, rx) = unbounded::<Response>();
+    server.submit_line(&line, 1, &tx);
+    let resp = recv_within(&rx, Duration::from_secs(60));
+    match &resp.result {
+        JobResult::Error { message } => {
+            assert!(message.starts_with("cannot read tiff volume"), "{message}");
+        }
+        other => panic!("unexpected result {other:?}"),
+    }
+    assert_eq!(resp.attempts, 3, "the first run plus max_retries retries");
+    assert_eq!(counter("serve.job.retry"), retries_before + 2);
+    zenesis_obs::set_level(zenesis_obs::ObsLevel::Off);
+}
+
+/// What a panicking batch job left behind on the service side.
+struct PanicReport {
+    resp: Response,
+    panic_events: Vec<zenesis_obs::events::EventRecord>,
+    panic_ticks: u64,
+    flight_reasons: Vec<String>,
+}
+
+/// Run one batch job whose every slice panics right after it is
+/// journaled (`worker.kill` armed with kind `panic`, by the caller) on
+/// a fresh server with a flight directory.
+fn run_panicking_batch(process_workers: bool, tag: &str) -> PanicReport {
+    let flight_dir = checkpoint_dir(&format!("{tag}-flight"));
+    let mut cfg = config(500);
+    cfg.process_workers = process_workers;
+    cfg.max_retries = 2;
+    cfg.flight_dir = Some(flight_dir.display().to_string());
+    let server = Server::start(cfg);
+    let events_before = zenesis_obs::events::events_snapshot()
+        .last()
+        .map_or(0, |r| r.seq);
+    let panics_before = counter("serve.job.panic");
+    let (tx, rx) = unbounded::<Response>();
+    server.submit_line(&batch_line(1, &checkpoint_dir(tag), 4), 1, &tx);
+    let resp = recv_within(&rx, Duration::from_secs(120));
+    server.shutdown();
+    let panic_events = zenesis_obs::events::events_snapshot()
+        .into_iter()
+        .filter(|r| r.seq > events_before)
+        .filter(|r| matches!(r.event, zenesis_obs::events::Event::JobPanic { .. }))
+        .collect();
+    let flight_reasons = std::fs::read_dir(&flight_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            name.starts_with("flight-") && name.ends_with(".json")
+        })
+        .map(|path| {
+            let v: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+            v.get("reason").and_then(|x| x.as_str()).unwrap_or("").to_string()
+        })
+        .collect();
+    PanicReport {
+        resp,
+        panic_events,
+        panic_ticks: counter("serve.job.panic") - panics_before,
+        flight_reasons,
+    }
+}
+
+#[test]
+fn panics_report_the_same_in_both_isolation_models() {
+    let _guard = lock();
+    zenesis_obs::set_level(zenesis_obs::ObsLevel::Spans);
+    std::env::remove_var("ZENESIS_FAULT");
+    let in_process = {
+        let _armed = zenesis_fault::FaultPlan::new()
+            .site("worker.kill", zenesis_fault::FaultKind::Panic, 1.0, 7)
+            .arm();
+        run_panicking_batch(false, "panic-inproc")
+    };
+    // The child inherits the plan through its environment.
+    std::env::set_var("ZENESIS_FAULT", "worker.kill:panic:1.0:7");
+    let in_child = run_panicking_batch(true, "panic-child");
+    std::env::remove_var("ZENESIS_FAULT");
+    zenesis_obs::set_level(zenesis_obs::ObsLevel::Off);
+
+    for (model, report) in [("in-process", &in_process), ("process worker", &in_child)] {
+        let resp = &report.resp;
+        match &resp.result {
+            JobResult::Error { message } => {
+                assert!(message.starts_with("job panicked:"), "{model}: {message}");
+            }
+            other => panic!("{model}: unexpected result {other:?}"),
+        }
+        assert_eq!(resp.attempts, 1, "{model}: panics are never retried");
+        assert_eq!(report.panic_events.len(), 1, "{model}: one job.panic event");
+        assert_eq!(
+            report.panic_events[0].trace,
+            Some(resp.trace),
+            "{model}: job.panic carries the job's trace"
+        );
+        assert_eq!(report.panic_ticks, 1, "{model}: serve.job.panic + 1");
+        assert_eq!(report.flight_reasons, ["panic"], "{model}: one panic flight recording");
+    }
+}
