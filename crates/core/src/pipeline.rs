@@ -24,6 +24,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use zenesis_adapt::{AdaptError, AdaptTrace};
 use zenesis_ground::{Detection, Grounding, GroundingDino, ImageSide};
+use zenesis_image::filter::{gaussian_blur, gradient_magnitude};
 use zenesis_image::{BitMask, Image, Pixel};
 use zenesis_sam::{ImageEmbedding, Polarity, PromptSet, Sam};
 
@@ -274,13 +275,44 @@ impl Zenesis {
     /// [`Zenesis::prepare`] on an already-adapted image (Mode A sessions,
     /// multi-object passes, Further Segment crops and the evaluation
     /// methods adapt once themselves).
+    ///
+    /// Grounding's feature pyramid and the SAM encode both start with a
+    /// Gaussian blur of the image and that blur's gradient magnitude
+    /// (span `pipeline.blur`). When the two sigmas are the same (the
+    /// defaults: 1.0 and ViT-H's 1.0) that pair is computed once, else
+    /// once per sigma; the two tails then run against it, and the
+    /// embedding keeps SAM's. The result is bit-identical to
+    /// `GroundingDino::prepare` joined with `Sam::encode`.
     pub fn prepare_adapted(&self, adapted: &Image<f32>) -> Prepared {
         let ((image, emb), prepare_ms) = zenesis_obs::timed("pipeline.prepare", || {
-            overlap(
+            let blur = |sigma| {
+                let smooth = gaussian_blur(adapted, sigma);
+                let grad = gradient_magnitude(&smooth);
+                (smooth, grad)
+            };
+            let (sigma, feature_sigma) =
+                (self.sam.config.encode_sigma, self.dino.feature_blur_sigma());
+            let ((smooth, grad), grounding_own) = {
+                let _s = zenesis_obs::span("pipeline.blur");
+                (
+                    blur(sigma),
+                    (feature_sigma.to_bits() != sigma.to_bits()).then(|| blur(feature_sigma)),
+                )
+            };
+            let (fblur, fgrad) = grounding_own
+                .as_ref()
+                .map_or((&smooth, &grad), |(b, g)| (b, g));
+            let (image, texture) = overlap(
                 adapted.len(),
-                || self.dino.prepare(adapted),
-                || self.sam.encode(adapted),
-            )
+                || self.dino.prepare_blurred(adapted, fblur, fgrad),
+                || self.sam.encode_texture(adapted),
+            );
+            let emb = ImageEmbedding {
+                smooth,
+                grad,
+                texture,
+            };
+            (image, emb)
         });
         zenesis_obs::record_ms("pipeline.prepare.lat", prepare_ms);
         Prepared { image, emb }
@@ -461,6 +493,47 @@ mod tests {
         let re = z.segment_prepared(&prepared, "bright catalyst particles");
         assert_eq!(re.combined, full.combined);
         assert_eq!(re.trace.adapt_ms, 0.0);
+    }
+
+    /// The shared blur changes no bit: `prepare_adapted` matches the two
+    /// standalone image sides with equal sigmas (one blur) and with
+    /// different ones (one blur per sigma).
+    #[test]
+    fn prepare_adapted_matches_standalone_image_sides() {
+        let bits =
+            |img: &Image<f32>| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 4));
+        let prompt = "bright catalyst particles";
+        for variant in [
+            zenesis_sam::SamVariant::VitH,
+            zenesis_sam::SamVariant::MobileSam,
+        ] {
+            let mut cfg = ZenesisConfig::default();
+            cfg.sam = zenesis_sam::SamConfig::for_variant(variant);
+            let z = Zenesis::new(cfg);
+            let shared =
+                z.dino.feature_blur_sigma().to_bits() == z.sam.config.encode_sigma.to_bits();
+            assert_eq!(shared, variant == zenesis_sam::SamVariant::VitH);
+            let adapted = z.adapt(&g.raw).0;
+            let prepared = z.prepare_adapted(&adapted);
+            let emb = z.sam.encode(&adapted);
+            assert_eq!(bits(&prepared.emb.smooth), bits(&emb.smooth), "{variant:?}");
+            assert_eq!(bits(&prepared.emb.grad), bits(&emb.grad), "{variant:?}");
+            assert_eq!(
+                bits(&prepared.emb.texture),
+                bits(&emb.texture),
+                "{variant:?}"
+            );
+            let ours = z.dino.ground_prepared(&prepared.image, prompt);
+            let theirs = z.dino.ground(&adapted, prompt);
+            assert!(!theirs.detections.is_empty(), "{variant:?}");
+            assert_eq!(ours.detections, theirs.detections, "{variant:?}");
+            assert_eq!(
+                bits(&ours.relevance),
+                bits(&theirs.relevance),
+                "{variant:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,24 +12,29 @@
 //! 2. **Refinement.** The temporal heuristic is causal — slice z is
 //!    judged only against slices before it — so a cursor judges each
 //!    slice as soon as every slice up to it has finished stage 1.
-//! 3. **Decode.** A judged slice decodes its refined boxes from the
-//!    embedding it kept, then drops it. The worker that completes the
-//!    prefix decodes its own slice at once, then any parked successors;
-//!    decodes of different slices run concurrently, except through the
-//!    `use_memory` bank, which propagates in z order.
+//! 3. **Decode.** A judged slice assembles its mask from its refined
+//!    boxes, then drops the embedding it kept. A box stage 1 already
+//!    decoded against that embedding — every detection the heuristic
+//!    kept — reuses stage 1's mask; only the boxes stage 1 did not
+//!    decode (temporal mean boxes) go through SAM. The worker that
+//!    completes the prefix decodes its own slice at once, then any
+//!    parked successors; decodes of different slices run concurrently,
+//!    except through the `use_memory` bank, which propagates in z order.
 //!
 //! Slices that finish stage 1 ahead of the prefix park in a ring of
 //! `threads + 1` slots; a worker that would overflow it decodes or waits
-//! instead of claiming. So at most threads + ring capacity embeddings
-//! are resident, and only per-slice *bit* masks and detections — 32x
-//! smaller than the pixels — accumulate across the run.
+//! instead of claiming. So at most threads + ring capacity embeddings,
+//! with their stage-1 bit masks, are resident, and only per-slice *bit*
+//! masks and detections — 32x smaller than the pixels — accumulate
+//! across the run.
 //!
 //! A slice replayed from the checkpoint journal without a mask record
 //! has no pixels in hand and is re-read and re-encoded before it
-//! decodes (`reencode`). That is safe under fault injection because an
-//! injection decision is a pure function of `(seed, site, slice index)`
-//! and adaptation is deterministic, so the replay decodes from the
-//! pixels the original run saw.
+//! decodes (`reencode`); the journal keeps no per-box masks, so such a
+//! slice decodes every box it uses. That is safe under fault injection
+//! because an injection decision is a pure function of `(seed, site,
+//! slice index)` and adaptation is deterministic, so the replay decodes
+//! from the pixels the original run saw.
 //!
 //! The executor carries the whole fault-tolerance contract of
 //! docs/ROBUSTNESS.md: the quarantine/retry/Otsu ladder, temporal box
@@ -100,8 +105,9 @@ impl SliceSource for zenesis_tiff::VolumeReader {
 
 /// Where a slice's decode gets its embedding.
 enum Source {
-    /// The embedding stage 1 built in this run.
-    Encoded(ImageEmbedding),
+    /// The embedding stage 1 built in this run, and the per-box masks
+    /// stage 1 decoded from it, aligned with the slice's detections.
+    Encoded(ImageEmbedding, Vec<BitMask>),
     /// Stage 1 was replayed from the journal: re-read and encode the
     /// slice if it decodes.
     Replayed,
@@ -265,8 +271,9 @@ impl Zenesis {
     /// Stage 1 reads, adapts and grounds every slice in parallel, with
     /// per-slice quarantine and Otsu fallback; the (sequential, windowed)
     /// box heuristic judges each slice once every slice before it has
-    /// finished stage 1; the slice then decodes its masks with the
-    /// refined boxes from the embedding stage 1 built. When
+    /// finished stage 1; the slice then assembles its mask from the
+    /// refined boxes, reusing stage 1's per-box masks and decoding only
+    /// the boxes stage 1 did not, from the embedding stage 1 built. When
     /// `config.use_memory` is set, decoding instead runs through a SAM2
     /// memory bank in z order, with the refined box of each slice seeding
     /// the cold start.
@@ -449,9 +456,10 @@ impl Zenesis {
             Ok(raw) => {
                 let (r, outcome, emb) = self.run_slice_guarded(&raw, z, run.prompt, run.cancel)?;
                 let source = match emb {
-                    Some(emb) => Source::Encoded(emb),
+                    Some(emb) => Source::Encoded(emb, r.masks),
+                    // A fallback has no detections, so no masks either.
                     None if self.config.use_memory || !outcome.is_failed() => {
-                        Source::Encoded(self.sam().encode(&r.adapted))
+                        Source::Encoded(self.sam().encode(&r.adapted), Vec::new())
                     }
                     None => Source::NoPixels,
                 };
@@ -495,10 +503,11 @@ impl Zenesis {
 
     /// Decode a judged slice with its refined primary box plus the
     /// secondary boxes that pass the same size screen, every box with the
-    /// prompt's polarity, and return its final outcome and mask. A decode
-    /// that panics or trips a fault keeps the slice's stage-1 mask
-    /// instead (Otsu fallback for degraded slices, empty for failed
-    /// ones).
+    /// prompt's polarity, and return its final outcome and mask. Only the
+    /// boxes stage 1 did not decode go through SAM: the rest reuse the
+    /// masks stage 1 kept. A decode that panics or trips a fault keeps
+    /// the slice's stage-1 mask instead (Otsu fallback for degraded
+    /// slices, empty for failed ones).
     fn decode_slice(
         &self,
         run: &Run<'_>,
@@ -510,12 +519,14 @@ impl Zenesis {
         let _span = zenesis_obs::span("temporal.decode");
         let Parked { z, s1, source } = slice;
         let embedding = || match source {
-            Source::Encoded(emb) => Ok(emb),
-            Source::Replayed => self.reencode(run.src, z, &s1.outcome),
+            Source::Encoded(emb, masks) => Ok((emb, masks)),
+            Source::Replayed => self
+                .reencode(run.src, z, &s1.outcome)
+                .map(|emb| (emb, Vec::new())),
             Source::NoPixels => Err("the slice has no pixels".to_string()),
         };
-        let decode = |emb: &ImageEmbedding| {
-            self.decode_with_box(emb, run.polarity, used, &s1.detections, window)
+        let decode = |emb: &ImageEmbedding, masks: &[BitMask]| {
+            self.decode_with_box(emb, run.polarity, used, &s1.detections, masks, window)
         };
         let (mask, degraded) = match bank {
             // The bank is stateful, so every slice propagates through it
@@ -534,14 +545,14 @@ impl Zenesis {
                     }
                     (s1.combined.clone(), degraded)
                 }
-                Ok(emb) => {
+                Ok((emb, masks)) => {
                     let propagated = zenesis_fault::with_unit(z as u64, || {
                         catch_unwind(AssertUnwindSafe(|| {
                             bank.propagate(self.sam(), &emb, || {
                                 if s1.outcome.keeps_stage1_mask(used) {
                                     s1.combined.clone()
                                 } else {
-                                    decode(&emb)
+                                    decode(&emb, &masks)
                                 }
                             })
                         }))
@@ -563,7 +574,9 @@ impl Zenesis {
                         (s1.combined.clone(), false)
                     } else {
                         match embedding() {
-                            Ok(emb) => self.decode_slice_guarded(z, &s1, || decode(&emb)),
+                            Ok((emb, masks)) => {
+                                self.decode_slice_guarded(z, &s1, || decode(&emb, &masks))
+                            }
                             Err(reason) => {
                                 self.report_decode_degraded(z, &reason);
                                 (s1.combined.clone(), true)

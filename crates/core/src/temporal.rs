@@ -98,9 +98,9 @@ impl SliceOutcome {
 
 /// What stage 1 keeps per slice: detections, the stage-1 mask, and the
 /// health outcome. The adapted pixels are dropped once encoded; the
-/// slice's SAM embedding travels beside this record only until the
-/// slice decodes, so the volume executor holds at most threads + ring
-/// capacity embeddings, never one per slice.
+/// slice's SAM embedding and per-box masks travel beside this record
+/// only until the slice decodes, so the volume executor holds at most
+/// threads + ring capacity embeddings, never one per slice.
 pub(crate) struct StageOne {
     pub(crate) detections: Vec<Detection>,
     pub(crate) combined: BitMask,
@@ -545,22 +545,34 @@ impl Zenesis {
     /// together with the secondary detections that pass the same
     /// temporal size screen (a glitched slice's garbage boxes must not
     /// leak in as secondaries), every box with the prompt's `polarity`.
+    ///
+    /// `masks` are the per-box masks stage 1 decoded from `emb` with the
+    /// same polarity, aligned with `detections` (empty when stage 1 kept
+    /// none). A box equal to a detection's box takes that mask instead of
+    /// a second decode of the same prompt on the same embedding, so the
+    /// result is bit-identical either way; only the other boxes —
+    /// temporal mean boxes — are decoded.
     pub(crate) fn decode_with_box(
         &self,
         emb: &ImageEmbedding,
         polarity: Polarity,
         primary: Option<BoxRegion>,
         detections: &[Detection],
+        masks: &[BitMask],
         window_dims: Option<(f64, f64)>,
     ) -> BitMask {
         let (w, h) = emb.dims();
-        let decode = |b| {
-            self.sam()
-                .segment(emb, &PromptSet::from_box(b).with_polarity(polarity))
-        };
         let mut combined = BitMask::new(w, h);
+        let mut add = |b: BoxRegion| match detections.iter().zip(masks).find(|(d, _)| d.bbox == b) {
+            Some((_, m)) => combined.or_with(m),
+            None => combined.or_with(
+                &self
+                    .sam()
+                    .segment(emb, &PromptSet::from_box(b).with_polarity(polarity)),
+            ),
+        };
         if let Some(b) = primary {
-            combined.or_with(&decode(b));
+            add(b);
         }
         for d in detections.iter().skip(1) {
             if let Some((mean_w, mean_h)) = window_dims {
@@ -568,7 +580,7 @@ impl Zenesis {
                     continue;
                 }
             }
-            combined.or_with(&decode(d.bbox));
+            add(d.bbox);
         }
         combined
     }
@@ -684,6 +696,62 @@ mod tests {
     fn empty_sequence() {
         let (used, events, dims) = refine_boxes(&[], &TemporalConfig::default());
         assert!(used.is_empty() && events.is_empty() && dims.is_empty());
+    }
+
+    /// Stage 3 reusing stage 1's per-box masks assembles the same mask,
+    /// bit for bit, as decoding every box again: with the primary a
+    /// detection box, a temporal mean box or absent, with either
+    /// polarity, and with a window that screens a secondary box out.
+    #[test]
+    fn stage_one_masks_decode_bit_identically() {
+        use crate::config::ZenesisConfig;
+        use zenesis_data::{generate_slice, PhantomConfig, SampleKind};
+
+        let z = Zenesis::new(ZenesisConfig::default());
+        let g = generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 4));
+        let prompt = "bright catalyst particles";
+        let (r, emb) = z.try_segment_slice(&g.raw, prompt).expect("healthy slice");
+        let dets = &r.detections;
+        assert_eq!(dets.len(), 3, "a primary and two secondaries");
+        let boxes: Vec<BoxRegion> = dets.iter().map(|d| d.bbox).collect();
+        let mean = mean_box(&boxes);
+        assert!(!boxes.contains(&mean), "the mean box is not a detection");
+        // A window the size of the first secondary keeps it and screens
+        // out the second.
+        let d1 = &dets[1].bbox;
+        let window = (d1.width() as f64, d1.height() as f64);
+        let factor = z.config.temporal.size_factor;
+        assert!(!is_outlier(d1, window.0, window.1, factor));
+        assert!(is_outlier(&dets[2].bbox, window.0, window.1, factor));
+
+        for polarity in [Polarity::Bright, Polarity::Dark] {
+            let masks: Vec<BitMask> = boxes
+                .iter()
+                .map(|&b| {
+                    z.sam()
+                        .segment(&emb, &PromptSet::from_box(b).with_polarity(polarity))
+                })
+                .collect();
+            if polarity == z.prompt_polarity(prompt) {
+                assert_eq!(masks, r.masks, "stage 1's masks are these decodes");
+            }
+            for primary in [Some(boxes[0]), Some(mean), None] {
+                for window_dims in [None, Some(window)] {
+                    let reused =
+                        z.decode_with_box(&emb, polarity, primary, dets, &masks, window_dims);
+                    let decoded =
+                        z.decode_with_box(&emb, polarity, primary, dets, &[], window_dims);
+                    let case = format!("{polarity:?} {primary:?} {window_dims:?}");
+                    assert!(decoded.count() > 0, "{case}: non-vacuous");
+                    assert_eq!(reused.dims(), decoded.dims(), "{case}");
+                    for y in 0..decoded.height() {
+                        for x in 0..decoded.width() {
+                            assert_eq!(reused.get(x, y), decoded.get(x, y), "{case} at ({x}, {y})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

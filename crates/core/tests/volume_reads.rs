@@ -1,11 +1,17 @@
-//! Counted, not timed: how often the volume executor reads and encodes a
-//! slice. A fresh run reads each slice once and encodes each slice with
-//! pixels once — stage 3 decodes from the embedding stage 1 built — with
-//! and without the memory bank. A resume re-reads only the slices its
-//! journal replays without a final mask.
+//! Counted, not timed: how often the volume executor reads, encodes and
+//! decodes a slice. A fresh run reads each slice once and encodes each
+//! slice with pixels once — stage 3 decodes from the embedding stage 1
+//! built — with and without the memory bank. It decodes each box once:
+//! stage 3 reuses the per-box masks stage 1 decoded from that embedding
+//! and sends only the boxes stage 1 never saw (temporal mean boxes)
+//! through SAM. A resume re-reads only the slices its journal replays
+//! without a final mask, and those decode every box they use, because
+//! the journal keeps no per-box masks. The counts are the same at one
+//! and two threads.
 //!
 //! Tests serialize on one mutex: they flip the process-global
-//! observability level to count `sam.encode` spans.
+//! observability level to count `sam.encode` and `sam.decode` spans, and
+//! the global thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -24,6 +30,20 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 const PROMPT: &str = "needle-like crystalline catalyst";
 const DEPTH: usize = 48;
+
+/// SAM decodes of the crystalline seed-7 volume's stage 1 alone: one per
+/// detection box.
+const STAGE_ONE_DECODES: usize = 47;
+/// SAM decodes of a fresh run: stage 1's, plus the mean box of the one
+/// slice the temporal heuristic corrects.
+const FRESH_DECODES: usize = 48;
+/// SAM decodes of a fresh `use_memory` run: stage 1's only. The bank's
+/// cold start on slice 0 reuses that slice's stage-1 mask, and later
+/// slices propagate the bank's consensus, which decodes no box.
+const FRESH_MEMORY_DECODES: usize = 47;
+/// SAM decodes of the resume below: every box the replayed slices
+/// without a mask record use, since the journal keeps no per-box masks.
+const RESUME_DECODES: usize = 24;
 
 /// A slice source that counts `read_slice` calls per slice.
 struct Counting<'a> {
@@ -60,25 +80,52 @@ impl SliceSource for Counting<'_> {
     }
 }
 
+/// SAM work one volume run did, counted from its spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sam {
+    encodes: usize,
+    decodes: usize,
+}
+
 /// Run `src` through the executor with spans on; return the result and
-/// the number of SAM encodes it made.
-fn run_counting_encodes(
+/// the SAM encodes and decodes it made.
+fn run_counting_sam(
     z: &Zenesis,
     src: &dyn SliceSource,
     checkpoint: Option<&CheckpointSpec>,
-) -> (VolumeResult, usize) {
+) -> (VolumeResult, Sam) {
     zenesis_obs::set_level(ObsLevel::Spans);
     zenesis_obs::reset();
     let r = z
         .segment_volume_streamed(src, PROMPT, &CancelToken::new(), checkpoint)
         .expect("healthy volume completes");
-    let encodes = zenesis_obs::snapshot()
+    let spans = zenesis_obs::snapshot();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    let sam = Sam {
+        encodes: count("sam.encode"),
+        decodes: count("sam.decode"),
+    };
+    zenesis_obs::set_level(ObsLevel::Off);
+    zenesis_obs::reset();
+    (r, sam)
+}
+
+/// SAM decodes stage 1 makes on the volume: one per detection box of
+/// every slice, counted on `segment_slice`, which runs the same route.
+fn stage_one_decodes(z: &Zenesis, v: &zenesis_image::Volume<u16>) -> usize {
+    zenesis_obs::set_level(ObsLevel::Spans);
+    zenesis_obs::reset();
+    let boxes: usize = (0..v.depth())
+        .map(|i| z.segment_slice(v.slice(i), PROMPT).detections.len())
+        .sum();
+    let decodes = zenesis_obs::snapshot()
         .iter()
-        .filter(|s| s.name == "sam.encode")
+        .filter(|s| s.name == "sam.decode")
         .count();
     zenesis_obs::set_level(ObsLevel::Off);
     zenesis_obs::reset();
-    (r, encodes)
+    assert_eq!(decodes, boxes, "segment_slice decodes each detection once");
+    decodes
 }
 
 #[test]
@@ -91,13 +138,38 @@ fn a_fresh_run_reads_and_encodes_each_slice_once() {
             ..ZenesisConfig::default()
         });
         let src = Counting::new(&v.volume);
-        let (r, encodes) = run_counting_encodes(&z, &src, None);
+        let (r, sam) = run_counting_sam(&z, &src, None);
         assert!(
             r.outcomes.iter().all(|o| o.is_ok()),
             "use_memory {use_memory}"
         );
         assert_eq!(src.reads(), vec![1; DEPTH], "use_memory {use_memory}");
-        assert_eq!(encodes, DEPTH, "use_memory {use_memory}");
+        assert_eq!(sam.encodes, DEPTH, "use_memory {use_memory}");
+    }
+}
+
+#[test]
+fn a_fresh_run_decodes_each_box_once() {
+    let _g = lock();
+    let v = generate_volume(SampleKind::Crystalline, 64, DEPTH, 7, &[5, 30]);
+    let stage_one = stage_one_decodes(&Zenesis::new(ZenesisConfig::default()), &v.volume);
+    assert_eq!(stage_one, STAGE_ONE_DECODES);
+    for (use_memory, expect) in [(false, FRESH_DECODES), (true, FRESH_MEMORY_DECODES)] {
+        let z = Zenesis::new(ZenesisConfig {
+            use_memory,
+            ..ZenesisConfig::default()
+        });
+        for threads in [1, 2] {
+            let _threads = zenesis_par::ThreadsGuard::new(threads);
+            let (r, sam) = run_counting_sam(&z, &v.volume, None);
+            let case = format!("use_memory {use_memory}, {threads} threads");
+            assert!(r.outcomes.iter().all(|o| o.is_ok()), "{case}");
+            assert_eq!(sam.decodes, expect, "{case}");
+            if !use_memory {
+                // Stage 3 decodes only each corrected slice's mean box.
+                assert_eq!(sam.decodes, stage_one + r.corrections(), "{case}");
+            }
+        }
     }
 }
 
@@ -109,7 +181,7 @@ fn a_resume_rereads_only_slices_without_a_mask_record() {
     let v = generate_volume(SampleKind::Crystalline, 64, DEPTH, 7, &[5, 30]);
     let z = Zenesis::new(ZenesisConfig::default());
     let spec = CheckpointSpec::new(&dir);
-    let (first, _) = run_counting_encodes(&z, &v.volume, Some(&spec));
+    let (first, _) = run_counting_sam(&z, &v.volume, Some(&spec));
     assert!(first.outcomes.iter().all(|o| o.is_ok()));
 
     // Keep every stage-1 row, and the final-mask rows of the first half
@@ -135,7 +207,7 @@ fn a_resume_rereads_only_slices_without_a_mask_record() {
     std::fs::write(&journal, kept.join("\n") + "\n").unwrap();
 
     let src = Counting::new(&v.volume);
-    let (resumed, encodes) = run_counting_encodes(&z, &src, Some(&spec));
+    let (resumed, sam) = run_counting_sam(&z, &src, Some(&spec));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(resumed.masks, first.masks, "resume is bit-identical");
     let expect: Vec<usize> = (0..DEPTH).map(|i| usize::from(i >= DEPTH / 2)).collect();
@@ -144,5 +216,13 @@ fn a_resume_rereads_only_slices_without_a_mask_record() {
         expect,
         "only slices without a mask record are re-read"
     );
-    assert_eq!(encodes, DEPTH / 2);
+    assert_eq!(sam.encodes, DEPTH / 2);
+    // A replayed slice has no stage-1 masks in hand, so each re-read
+    // slice decodes every box it uses: at least its primary.
+    let primaries = resumed.events[DEPTH / 2..]
+        .iter()
+        .filter(|e| e.used_box.is_some())
+        .count();
+    assert!(sam.decodes >= primaries, "{} < {primaries}", sam.decodes);
+    assert_eq!(sam.decodes, RESUME_DECODES);
 }

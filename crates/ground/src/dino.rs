@@ -152,6 +152,30 @@ impl GroundingDino {
     pub fn prepare(&self, img: &Image<f32>) -> ImageSide {
         let _s = zenesis_obs::span("ground.encode");
         let grid = FeatureGrid::compute_at_scale(img, self.config.patch, self.config.feature_sigma);
+        self.image_side(img, grid)
+    }
+
+    /// The Gaussian sigma grounding's feature pyramid blurs `img` with.
+    pub fn feature_blur_sigma(&self) -> f32 {
+        crate::features::blur_sigma(self.config.feature_sigma)
+    }
+
+    /// [`GroundingDino::prepare`] with the feature-scale blur computed by
+    /// the caller: `blur` is `gaussian_blur(img, feature_blur_sigma())`
+    /// and `edge` its gradient magnitude. Bit-identical to `prepare(img)`.
+    pub fn prepare_blurred(
+        &self,
+        img: &Image<f32>,
+        blur: &Image<f32>,
+        edge: &Image<f32>,
+    ) -> ImageSide {
+        let _s = zenesis_obs::span("ground.encode");
+        self.image_side(img, FeatureGrid::from_blur(blur, edge, self.config.patch))
+    }
+
+    /// Project a feature grid of `img` into patch keys and attach the
+    /// input-health factor.
+    fn image_side(&self, img: &Image<f32>, grid: FeatureGrid) -> ImageSide {
         let (gw, gh) = (grid.gw, grid.gh);
         // Patch features -> shared projection -> optional Swin
         // contextualization (residual, so semantics survive).

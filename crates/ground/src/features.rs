@@ -17,8 +17,14 @@
 //! The gating on elongation matters: a smooth illumination gradient has
 //! perfectly coherent orientation but no edges — without the gate, the
 //! charging artifacts in crystalline FIB-SEM would masquerade as needles.
+//!
+//! Every channel is computed from a Gaussian blur of the image at the
+//! feature scale, and the edge channel from that blur's gradient
+//! magnitude. The SAM encode starts from the same two rasters when its
+//! sigma matches, so [`FeatureGrid::from_blur`] takes them precomputed
+//! and a slice run blurs once for both models.
 
-use zenesis_image::filter::{gradient_magnitude, local_std, orientation_coherence};
+use zenesis_image::filter::{gaussian_blur, gradient_magnitude, local_std, orientation_coherence};
 use zenesis_image::Image;
 use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 use zenesis_tensor::Matrix;
@@ -37,6 +43,13 @@ pub const CHANNEL_NAMES: [&str; N_CHANNELS] = [
     "contrast",
     "bias",
 ];
+
+/// The Gaussian sigma [`FeatureGrid::compute_at_scale`] blurs with for a
+/// requested feature-scale `sigma`: clamped below, so a zero scale still
+/// suppresses single-pixel noise.
+pub(crate) fn blur_sigma(sigma: f32) -> f32 {
+    sigma.max(0.05)
+}
 
 /// Per-patch feature vectors over a `gw x gh` grid.
 #[derive(Debug, Clone)]
@@ -61,16 +74,28 @@ impl FeatureGrid {
     /// noise that contrast adaptation necessarily amplifies, at the cost
     /// of erasing structure thinner than ~2*sigma.
     pub fn compute_at_scale(img: &Image<f32>, patch: usize, sigma: f32) -> FeatureGrid {
+        let blur = gaussian_blur(img, blur_sigma(sigma));
+        let edge = gradient_magnitude(&blur);
+        Self::from_blur(&blur, &edge, patch)
+    }
+
+    /// The feature grid of an image whose feature-scale blur and the
+    /// blur's gradient magnitude were computed elsewhere: `blur` is
+    /// `gaussian_blur(img, blur_sigma(sigma))` and `edge` is
+    /// `gradient_magnitude(blur)`, so the grid is bit-identical to
+    /// [`FeatureGrid::compute_at_scale`]`(img, patch, sigma)`. This is how
+    /// a caller that needs the same blur for the SAM encode computes it
+    /// once.
+    pub fn from_blur(blur: &Image<f32>, edge: &Image<f32>, patch: usize) -> FeatureGrid {
         assert!(patch > 0);
-        let (w, h) = img.dims();
+        assert_eq!(blur.dims(), edge.dims());
+        let (w, h) = blur.dims();
         let gw = w.div_ceil(patch);
         let gh = h.div_ceil(patch);
-        let img = &zenesis_image::filter::gaussian_blur(img, sigma.max(0.05));
         // Pixel-level channel maps.
-        let texture = local_std(img, 2);
-        let edge = gradient_magnitude(img);
-        let coher = orientation_coherence(img, 2.0);
-        let global_mean = img.mean_norm() as f32;
+        let texture = local_std(blur, 2);
+        let coher = orientation_coherence(blur, 2.0);
+        let global_mean = blur.mean_norm() as f32;
         // Patch pooling (parallel over patches). The inner loops walk
         // contiguous row slices of each channel map — no per-sample
         // bounds-checked (x, y) indexing — with the same y-outer /
@@ -91,7 +116,7 @@ impl FeatureGrid {
             let mut edg = 0.0f32;
             let mut elo = 0.0f32;
             for y in y0..y1 {
-                let iv = &img.row(y)[x0..x1];
+                let iv = &blur.row(y)[x0..x1];
                 let tv = &texture.row(y)[x0..x1];
                 let ev = &edge.row(y)[x0..x1];
                 let cv = &coher.row(y)[x0..x1];

@@ -5,9 +5,22 @@
 //! [`ImageEmbedding`] is computed once per image and shared by every
 //! prompt decode, the automatic mode, and the memory bank. Its content is
 //! a denoised intensity field plus gradient and local-variance statistics.
+//!
+//! The denoised field and its gradient are the same two rasters
+//! grounding's feature pyramid starts from when the two sigmas match, so
+//! a slice run may build them once and assemble the embedding from its
+//! parts: `smooth` = `gaussian_blur(img, encode_sigma)`, `grad` its
+//! gradient magnitude, and `texture` from [`texture`]. The result is
+//! bit-identical to [`ImageEmbedding::encode`].
 
 use zenesis_image::filter::{gaussian_blur, gradient_magnitude, local_std};
 use zenesis_image::Image;
+
+/// The texture raster of an embedding of `img`: its local standard
+/// deviation at radius 2, taken before any blur.
+pub fn texture(img: &Image<f32>) -> Image<f32> {
+    local_std(img, 2)
+}
 
 /// Cached per-image features for mask decoding.
 #[derive(Debug, Clone)]
@@ -25,11 +38,10 @@ impl ImageEmbedding {
     pub fn encode(img: &Image<f32>, sigma: f32) -> Self {
         let smooth = gaussian_blur(img, sigma);
         let grad = gradient_magnitude(&smooth);
-        let texture = local_std(img, 2);
         ImageEmbedding {
             smooth,
             grad,
-            texture,
+            texture: texture(img),
         }
     }
 

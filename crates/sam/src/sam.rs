@@ -173,6 +173,15 @@ impl Sam {
         ImageEmbedding::encode(img, self.config.encode_sigma)
     }
 
+    /// The part of [`Sam::encode`] left when the caller already holds the
+    /// blur of `img` at `encode_sigma` and its gradient magnitude: the
+    /// texture raster, under the same span. An embedding assembled from
+    /// those two rasters and this one is `encode(img)`, bit for bit.
+    pub fn encode_texture(&self, img: &Image<f32>) -> Image<f32> {
+        let _s = zenesis_obs::span("sam.encode");
+        crate::embedding::texture(img)
+    }
+
     /// Encode with memoization in a small LRU keyed by image content:
     /// identical image content (and encode sigma) returns the cached
     /// embedding, which is exactly what [`Sam::encode`] computes. No
