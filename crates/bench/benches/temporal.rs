@@ -1,6 +1,6 @@
 //! Bench: the Fig. 7 temporal machinery — the heuristic box refinement's
 //! cost (it must be negligible next to model inference) and the volume
-//! pipeline with refinement on vs off vs the SAM2 memory-bank variant.
+//! pipeline with refinement on vs off.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -41,12 +41,6 @@ fn bench_volume_variants(c: &mut Criterion) {
             size_factor: f64::INFINITY,
             fill_missing: false,
         };
-        let z = Zenesis::new(cfg);
-        b.iter(|| z.segment_volume(&vol.volume, "needle-like crystalline catalyst"));
-    });
-    group.bench_function("memory_bank", |b| {
-        let mut cfg = ZenesisConfig::default();
-        cfg.use_memory = true;
         let z = Zenesis::new(cfg);
         b.iter(|| z.segment_volume(&vol.volume, "needle-like crystalline catalyst"));
     });

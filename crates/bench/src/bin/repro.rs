@@ -236,7 +236,7 @@ fn main() {
                 }
             }
             "ablation" => {
-                n.say("ablation grid (6 variants x 20 slices)...");
+                n.say("ablation grid (5 variants x 20 slices)...");
                 println!("== Ablation: Zenesis variants (mean IoU) ==");
                 println!("{:<20} {:>12} {:>12}", "Variant", "Crystalline", "Amorphous");
                 for (name, c, a) in ablation(SIDE, SEED) {

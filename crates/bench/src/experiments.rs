@@ -213,12 +213,12 @@ pub struct TemporalVariant {
 }
 
 /// Fig. 7: heuristic temporal refinement on a volume with injected
-/// outlier slices. Compares refinement off, on, and on+SAM2-memory,
-/// reporting both overall mean IoU and the IoU on the glitched slices.
+/// outlier slices. Compares refinement off and on, reporting both
+/// overall mean IoU and the IoU on the glitched slices.
 pub fn fig7(depth: usize) -> Vec<TemporalVariant> {
     let outliers: Vec<usize> = vec![depth / 3, 2 * depth / 3];
     let vol = generate_volume(SampleKind::Crystalline, SIDE, depth, SEED, &outliers);
-    let run = |name: &'static str, temporal_on: bool, memory: bool| {
+    let run = |name: &'static str, temporal_on: bool| {
         let mut cfg = ZenesisConfig::default();
         if !temporal_on {
             cfg.temporal = TemporalConfig {
@@ -227,7 +227,6 @@ pub fn fig7(depth: usize) -> Vec<TemporalVariant> {
                 fill_missing: false,
             };
         }
-        cfg.use_memory = memory;
         let z = Zenesis::new(cfg);
         let r = z.segment_volume(&vol.volume, "needle-like crystalline catalyst");
         let ious: Vec<f64> = r
@@ -246,11 +245,7 @@ pub fn fig7(depth: usize) -> Vec<TemporalVariant> {
             outlier_iou,
         }
     };
-    vec![
-        run("refinement off", false, false),
-        run("refinement on", true, false),
-        run("refine + memory", true, true),
-    ]
+    vec![run("refinement off", false), run("refinement on", true)]
 }
 
 /// Fig. 8: the evaluation dashboard (both granularities) as text.
@@ -284,11 +279,6 @@ pub fn ablation(side: usize, seed: u64) -> Vec<(String, f64, f64)> {
         ("swin-backbone", {
             let mut c = ZenesisConfig::default();
             c.dino.backbone_depth = 2;
-            c
-        }),
-        ("memory-bank", {
-            let mut c = ZenesisConfig::default();
-            c.use_memory = true;
             c
         }),
     ];

@@ -8,8 +8,10 @@ use zenesis_sam::{SamConfig, SamVariant};
 
 use crate::temporal::TemporalConfig;
 
-/// Full Zenesis configuration.
+/// Full Zenesis configuration. Unknown keys are rejected, so a
+/// misspelled or retired setting fails the job instead of being dropped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZenesisConfig {
     /// Data-readiness adaptation applied to raw inputs.
     pub adapt: AdaptPipeline,
@@ -19,9 +21,6 @@ pub struct ZenesisConfig {
     pub sam: SamConfig,
     /// Temporal refinement for volumes.
     pub temporal: TemporalConfig,
-    /// Use the SAM2 memory bank when processing volumes (propagate masks
-    /// slice-to-slice) in addition to box refinement.
-    pub use_memory: bool,
     /// Relevance gate: decoded mask components whose mean grounding
     /// relevance falls below this floor are discarded (None disables).
     /// This is the Grounded-SAM practice of keeping only masks supported
@@ -37,7 +36,6 @@ impl Default for ZenesisConfig {
             dino: DinoConfig::default(),
             sam: SamConfig::for_variant(SamVariant::VitH),
             temporal: TemporalConfig::default(),
-            use_memory: false,
             relevance_floor: Some(0.60),
         }
     }

@@ -696,6 +696,26 @@ mod tests {
         assert!(out.contains("invalid job spec"));
     }
 
+    /// A config key that names no setting — a retired one, or a
+    /// misspelling — fails the job instead of being silently dropped.
+    #[test]
+    fn unknown_config_keys_are_rejected() {
+        let config = serde_json::to_string(&ZenesisConfig::default()).unwrap();
+        for key in ["use_memory", "relevance_flor"] {
+            let config = format!("{},\"{key}\":true}}", &config[..config.len() - 1]);
+            let json = format!(
+                r#"{{"mode":"interactive","prompt":"particles",
+                    "input":{{"source":"phantom_slice","kind":"amorphous","seed":1}},
+                    "config":{config}}}"#
+            );
+            let v: serde_json::Value = serde_json::from_str(&run_job_json(&json)).unwrap();
+            assert_eq!(v["kind"], "error", "{key}");
+            let message = v["message"].as_str().unwrap();
+            let prefix = format!("invalid job spec: unknown field `{key}`");
+            assert!(message.starts_with(&prefix), "{message}");
+        }
+    }
+
     #[test]
     fn mode_input_mismatch_is_an_error() {
         let spec = JobSpec::Interactive {

@@ -18,8 +18,7 @@
 //!    kept — reuses stage 1's mask; only the boxes stage 1 did not
 //!    decode (temporal mean boxes) go through SAM. The worker that
 //!    completes the prefix decodes its own slice at once, then any
-//!    parked successors; decodes of different slices run concurrently,
-//!    except through the `use_memory` bank, which propagates in z order.
+//!    parked successors; decodes of different slices run concurrently.
 //!
 //! Slices that finish stage 1 ahead of the prefix park in a ring of
 //! `threads + 1` slots; a worker that would overflow it decodes or waits
@@ -41,17 +40,16 @@
 //! refinement, CRC-journaled checkpoint/resume, cancellation, and the
 //! too-many-failures floor.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use zenesis_image::{BitMask, BoxRegion, Image, Pixel, Volume};
 use zenesis_par::{CancelToken, Progress};
-use zenesis_sam::{ImageEmbedding, MemoryBank, Polarity};
+use zenesis_sam::{ImageEmbedding, Polarity};
 
 use crate::checkpoint::{self, CheckpointSpec, Journal, Replay};
 use crate::pipeline::Zenesis;
 use crate::temporal::{
-    panic_message, Refiner, SliceOutcome, StageOne, VolumeCancelled, VolumeError, VolumeResult,
+    Refiner, SliceOutcome, StageOne, VolumeCancelled, VolumeError, VolumeResult,
 };
 
 /// A volume whose slices are produced on demand, normalized to f32.
@@ -111,8 +109,8 @@ enum Source {
     /// Stage 1 was replayed from the journal: re-read and encode the
     /// slice if it decodes.
     Replayed,
-    /// No pixels: the read failed, or (without the memory bank) the
-    /// slice failed and keeps its stage-1 mask, so it never decodes.
+    /// No pixels: the read failed, or the slice failed and keeps its
+    /// stage-1 mask, so it never decodes.
     NoPixels,
 }
 
@@ -123,13 +121,11 @@ struct Parked {
     source: Source,
 }
 
-/// A judged slice handed to one worker to decode, with the memory bank
-/// when the run uses one.
+/// A judged slice handed to one worker to decode.
 struct Job {
     slice: Parked,
     used: Option<BoxRegion>,
     window: Option<(f64, f64)>,
-    bank: Option<MemoryBank>,
 }
 
 /// Everything the workers of one run share read-only.
@@ -153,7 +149,7 @@ struct State {
     /// Claimed slices whose stage 1 has not finished.
     in_flight: usize,
     /// Finished slices not yet handed to a decode: every one past the
-    /// refiner's cursor, and judged ones waiting for the bank. Claims
+    /// refiner's cursor, and judged ones no worker has taken yet. Claims
     /// keep `ring.len() + in_flight` within the ring capacity.
     ring: Vec<Parked>,
     /// The temporal heuristic over the finished prefix.
@@ -162,12 +158,6 @@ struct State {
     failed: usize,
     /// Final outcome and mask of each decoded slice.
     done: Vec<Option<(SliceOutcome, BitMask)>>,
-    /// Memory-bank mode: the bank while no decode holds it, and the
-    /// slice it propagates next.
-    bank: Option<MemoryBank>,
-    bank_next: usize,
-    /// Memory-bank mode: decodes go through `bank` in z order.
-    memory: bool,
     /// A worker saw cancellation or unwound: nobody claims or decodes.
     halted: bool,
 }
@@ -188,11 +178,9 @@ impl State {
     }
 
     /// Take parked slice `z` off the ring for decoding, if it can decode
-    /// now: judged, and in memory-bank mode next in line for the bank.
+    /// now: the refiner has judged it.
     fn take(&mut self, z: usize) -> Option<Job> {
-        let ready = z < self.refiner.cursor()
-            && (!self.memory || (self.bank.is_some() && self.bank_next == z));
-        if !ready {
+        if z >= self.refiner.cursor() {
             return None;
         }
         let slice = self.ring.swap_remove(self.ring.iter().position(|p| p.z == z)?);
@@ -201,18 +189,13 @@ impl State {
             slice,
             used,
             window,
-            bank: self.bank.take(),
         })
     }
 
     /// Take any parked slice that can decode now.
     fn take_ready(&mut self) -> Option<Job> {
-        let z = if self.memory {
-            self.bank_next
-        } else {
-            let cursor = self.refiner.cursor();
-            self.ring.iter().map(|p| p.z).find(|&z| z < cursor)?
-        };
+        let cursor = self.refiner.cursor();
+        let z = self.ring.iter().map(|p| p.z).find(|&z| z < cursor)?;
         self.take(z)
     }
 }
@@ -273,10 +256,7 @@ impl Zenesis {
     /// box heuristic judges each slice once every slice before it has
     /// finished stage 1; the slice then assembles its mask from the
     /// refined boxes, reusing stage 1's per-box masks and decoding only
-    /// the boxes stage 1 did not, from the embedding stage 1 built. When
-    /// `config.use_memory` is set, decoding instead runs through a SAM2
-    /// memory bank in z order, with the refined box of each slice seeding
-    /// the cold start.
+    /// the boxes stage 1 did not, from the embedding stage 1 built.
     ///
     /// `cancel` is polled before each slice's stage 1 and decode, so a
     /// deadline or an explicit stop yields [`VolumeError::Cancelled`]
@@ -316,7 +296,6 @@ impl Zenesis {
             None => (None, Replay::default()),
         };
         let threads = zenesis_par::current_threads();
-        let memory = self.config.use_memory;
         let run = Run {
             src,
             prompt,
@@ -337,9 +316,6 @@ impl Zenesis {
                 refiner: Refiner::new(self.config.temporal, depth),
                 failed: 0,
                 done: (0..depth).map(|_| None).collect(),
-                bank: memory.then(|| MemoryBank::new(self.config.temporal.window.max(1))),
-                bank_next: 0,
-                memory,
                 halted: false,
             }),
             wake: Condvar::new(),
@@ -376,9 +352,8 @@ impl Zenesis {
     /// to claim, or the run halts.
     ///
     /// A wait always has a running peer to end it: a full ring holds a
-    /// parked slice, and one that cannot decode is either past the
-    /// cursor, whose slice a peer is still running through stage 1, or
-    /// waiting for the bank a peer is decoding with.
+    /// parked slice, and one that cannot decode is past the cursor,
+    /// whose slice a peer is still running through stage 1.
     fn work(&self, run: &Run<'_>, shared: &Shared) {
         let _halt = HaltOnUnwind(shared);
         let mut own = None;
@@ -390,20 +365,10 @@ impl Zenesis {
             }
             if let Some(job) = own.take().or_else(|| st.take_ready()) {
                 drop(st);
-                let Job {
-                    slice,
-                    used,
-                    window,
-                    mut bank,
-                } = job;
-                let z = slice.z;
-                let decoded = self.decode_slice(run, slice, used, window, bank.as_mut());
+                let z = job.slice.z;
+                let decoded = self.decode_slice(run, job);
                 st = shared.lock();
                 st.done[z] = Some(decoded);
-                if let Some(bank) = bank {
-                    st.bank = Some(bank);
-                    st.bank_next += 1;
-                }
                 shared.wake.notify_all();
                 continue;
             }
@@ -458,7 +423,7 @@ impl Zenesis {
                 let source = match emb {
                     Some(emb) => Source::Encoded(emb, r.masks),
                     // A fallback has no detections, so no masks either.
-                    None if self.config.use_memory || !outcome.is_failed() => {
+                    None if !outcome.is_failed() => {
                         Source::Encoded(self.sam().encode(&r.adapted), Vec::new())
                     }
                     None => Source::NoPixels,
@@ -508,87 +473,49 @@ impl Zenesis {
     /// masks stage 1 kept. A decode that panics or trips a fault keeps
     /// the slice's stage-1 mask instead (Otsu fallback for degraded
     /// slices, empty for failed ones).
-    fn decode_slice(
-        &self,
-        run: &Run<'_>,
-        slice: Parked,
-        used: Option<BoxRegion>,
-        window: Option<(f64, f64)>,
-        bank: Option<&mut MemoryBank>,
-    ) -> (SliceOutcome, BitMask) {
+    fn decode_slice(&self, run: &Run<'_>, job: Job) -> (SliceOutcome, BitMask) {
         let _span = zenesis_obs::span("temporal.decode");
-        let Parked { z, s1, source } = slice;
-        let embedding = || match source {
-            Source::Encoded(emb, masks) => Ok((emb, masks)),
-            Source::Replayed => self
-                .reencode(run.src, z, &s1.outcome)
-                .map(|emb| (emb, Vec::new())),
-            Source::NoPixels => Err("the slice has no pixels".to_string()),
-        };
-        let decode = |emb: &ImageEmbedding, masks: &[BitMask]| {
-            self.decode_with_box(emb, run.polarity, used, &s1.detections, masks, window)
-        };
-        let (mask, degraded) = match bank {
-            // The bank is stateful, so every slice propagates through it
-            // — failed ones included, seeding it with their stage-1 mask
-            // so temporal continuity survives the gap — and replayed
-            // masks are not shortcut or journaled: the bank's warm state
-            // must match an unbroken run.
-            Some(bank) => match embedding() {
-                // No pixels to propagate: keep the stage-1 mask and leave
-                // the bank untouched. A slice whose stage-1 read failed is
-                // already `Failed`, not newly degraded.
-                Err(reason) => {
-                    let degraded = !s1.outcome.is_failed();
-                    if degraded {
+        let Job {
+            slice: Parked { z, s1, source },
+            used,
+            window,
+        } = job;
+        // A final mask the journal already holds is neither recomputed
+        // nor journaled again.
+        let (mask, degraded) = if let Some(rep) = run.replay.masks.get(&z) {
+            (rep.mask.clone(), rep.degraded_by_decode)
+        } else {
+            let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used) {
+                (s1.combined.clone(), false)
+            } else {
+                let embedding = match source {
+                    Source::Encoded(emb, masks) => Ok((emb, masks)),
+                    Source::Replayed => self
+                        .reencode(run.src, z, &s1.outcome)
+                        .map(|emb| (emb, Vec::new())),
+                    Source::NoPixels => Err("the slice has no pixels".to_string()),
+                };
+                match embedding {
+                    Ok((emb, masks)) => self.decode_slice_guarded(z, &s1, || {
+                        self.decode_with_box(
+                            &emb,
+                            run.polarity,
+                            used,
+                            &s1.detections,
+                            &masks,
+                            window,
+                        )
+                    }),
+                    Err(reason) => {
                         self.report_decode_degraded(z, &reason);
-                    }
-                    (s1.combined.clone(), degraded)
-                }
-                Ok((emb, masks)) => {
-                    let propagated = zenesis_fault::with_unit(z as u64, || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            bank.propagate(self.sam(), &emb, || {
-                                if s1.outcome.keeps_stage1_mask(used) {
-                                    s1.combined.clone()
-                                } else {
-                                    decode(&emb, &masks)
-                                }
-                            })
-                        }))
-                    });
-                    match propagated {
-                        Ok(mask) => (mask, false),
-                        Err(p) => {
-                            self.report_decode_degraded(z, &panic_message(p.as_ref()));
-                            (s1.combined.clone(), true)
-                        }
+                        (s1.combined.clone(), true)
                     }
                 }
-            },
-            None => {
-                if let Some(rep) = run.replay.masks.get(&z) {
-                    (rep.mask.clone(), rep.degraded_by_decode)
-                } else {
-                    let (mask, degraded) = if s1.outcome.keeps_stage1_mask(used) {
-                        (s1.combined.clone(), false)
-                    } else {
-                        match embedding() {
-                            Ok((emb, masks)) => {
-                                self.decode_slice_guarded(z, &s1, || decode(&emb, &masks))
-                            }
-                            Err(reason) => {
-                                self.report_decode_degraded(z, &reason);
-                                (s1.combined.clone(), true)
-                            }
-                        }
-                    };
-                    if let Some(j) = run.journal {
-                        j.record_mask(z, &mask, degraded);
-                    }
-                    (mask, degraded)
-                }
+            };
+            if let Some(j) = run.journal {
+                j.record_mask(z, &mask, degraded);
             }
+            (mask, degraded)
         };
         let outcome = if degraded && s1.outcome.is_ok() {
             SliceOutcome::Degraded {

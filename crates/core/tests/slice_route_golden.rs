@@ -1,6 +1,6 @@
 //! Golden bits of every product path that reuses a SAM embedding: the
-//! three evaluation methods, Further Segment, Rectify, a Mode A session
-//! and a memory-bank volume. Each output is pinned as an FNV-1a digest
+//! three evaluation methods, Further Segment, Rectify and a Mode A
+//! session. Each output is pinned as an FNV-1a digest
 //! of its mask words (and boxes, where the path returns any), so a change
 //! to how those paths obtain their embedding must leave every digest
 //! here untouched.
@@ -203,35 +203,15 @@ fn session_history_is_pinned() {
     );
 }
 
-#[test]
-fn memory_bank_volume_is_pinned() {
-    let _l = lock();
-    let v = generate_volume(SampleKind::Amorphous, 64, 6, 46, &[2]);
-    let z = Zenesis::new(ZenesisConfig {
-        use_memory: true,
-        ..ZenesisConfig::default()
-    });
-    let r = z.segment_volume(&v.volume, "catalyst particles");
-    let got = digest(|h| {
-        for m in &r.masks {
-            h.mask(m);
-        }
-        h.word(r.corrections() as u64);
-    });
-    check(&[("use_memory volume".into(), got)], &[0x010c633336406327]);
-}
-
-/// No product path fills `Sam`'s embedding LRU: batch volumes (with and
-/// without the memory bank), the three evaluation methods and Further
-/// Segment all encode once and pass the embedding on.
+/// No product path fills `Sam`'s embedding LRU: batch volumes, the three
+/// evaluation methods and Further Segment all encode once and pass the
+/// embedding on.
 #[test]
 fn no_product_path_fills_the_embedding_lru() {
     let _l = lock();
-    let mut z = pipeline();
+    let z = pipeline();
     let prompt = SampleKind::Crystalline.default_prompt();
     let v = generate_volume(SampleKind::Crystalline, 64, 4, 47, &[]);
-    z.segment_volume(&v.volume, prompt);
-    z.config.use_memory = true;
     z.segment_volume(&v.volume, prompt);
     let g = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 48).with_size(64, 64));
     let adapted = z.adapt(&g.raw).0;

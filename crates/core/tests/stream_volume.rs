@@ -72,25 +72,6 @@ fn streamed_tiff_matches_in_memory_bit_identically() {
 }
 
 #[test]
-fn streamed_volume_respects_memory_bank_config() {
-    let _g = lock();
-    let v = generate_volume(SampleKind::Crystalline, 64, 4, 11, &[]);
-    let mut config = ZenesisConfig::default();
-    config.use_memory = !config.use_memory;
-    let z = Zenesis::new(config);
-    let reference = z.segment_volume(&v.volume, PROMPT);
-    let reader = tiff_reader(&v, "bank");
-    for threads in THREADS {
-        let _t = ThreadsGuard::new(threads);
-        let streamed = z
-            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-            .expect("streamed volume completes");
-        assert_eq!(streamed.masks, reference.masks, "{threads} threads");
-        assert_eq!(streamed.outcomes, reference.outcomes, "{threads} threads");
-    }
-}
-
-#[test]
 fn io_tiff_faults_quarantine_slices_not_the_volume() {
     let _g = lock();
     let v = generate_volume(SampleKind::Crystalline, 64, 8, 7, &[]);
@@ -128,8 +109,7 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
 /// Stage 3 decodes with the prompt's polarity. With the relevance gate
 /// off, a slice the temporal heuristic leaves alone and whose secondary
 /// detections all pass its size screen must get exactly the mask
-/// `segment_slice` gives it, dark prompt included; the memory bank's
-/// cold start (slice 0) decodes the same way.
+/// `segment_slice` gives it, dark prompt included.
 #[test]
 fn stage_three_decodes_a_dark_prompt_dark() {
     let _g = lock();
@@ -167,48 +147,6 @@ fn stage_three_decodes_a_dark_prompt_dark() {
             assert!(single[i].combined.count() > 0, "slice {i} finds dark structure");
             assert_eq!(volume.masks[i], single[i].combined, "slice {i} ({threads} threads)");
         }
-        let memory = Zenesis::new(ZenesisConfig {
-            use_memory: true,
-            ..config.clone()
-        })
-        .segment_volume(&v.volume, DARK);
-        assert_eq!(
-            memory.masks[0], single[0].combined,
-            "memory bank cold start ({threads} threads)"
-        );
-    }
-}
-
-/// The memory bank propagates every slice, failed ones included; a
-/// slice whose read failed, and so has no pixels to propagate, is
-/// already `Failed` and must not also count as degraded.
-#[test]
-fn memory_bank_does_not_degrade_failed_reads() {
-    let _g = lock();
-    let v = generate_volume(SampleKind::Crystalline, 64, 8, 7, &[]);
-    let config = ZenesisConfig {
-        use_memory: true,
-        ..ZenesisConfig::default()
-    };
-    let z = Zenesis::new(config);
-    let reader = tiff_reader(&v, "bank-chaos");
-    let _armed = FaultPlan::new()
-        .site("io.tiff", FaultKind::Error, 0.3, 41)
-        .arm();
-    let degraded = zenesis_obs::counter("slice.degraded");
-    for threads in THREADS {
-        let _t = ThreadsGuard::new(threads);
-        let before = degraded.get();
-        let r = z
-            .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), None)
-            .expect("io.tiff faults must not kill the volume");
-        assert!(!r.failed_slices().is_empty(), "seed must fail some reads");
-        assert_eq!(
-            (degraded.get() - before) as usize,
-            r.degraded_slices().len(),
-            "slice.degraded counts each degraded slice once, and no failed one \
-             ({threads} threads)"
-        );
     }
 }
 

@@ -87,19 +87,6 @@ fn golden_nan_poisoned_adaptation() {
     }
 }
 
-#[test]
-fn golden_memory_bank() {
-    let _g = lock();
-    let config = ZenesisConfig {
-        use_memory: true,
-        ..ZenesisConfig::default()
-    };
-    for threads in THREADS {
-        let r = run(threads, config.clone(), 6, &[3]);
-        check(&r, threads, &[1100, 826, 848, 1719, 820, 819], "oooooo", 0);
-    }
-}
-
 /// Through the job contract, so the same spec exercises whichever
 /// executor `run_job` routes phantom volumes to: a checkpointed run, a
 /// journal torn after three records, then a resume, at each thread count.

@@ -142,15 +142,6 @@ impl<T: Pixel> Image<T> {
         &self.data[y * self.width..(y + 1) * self.width]
     }
 
-    /// Iterate `(x, y, value)` over all pixels in row-major order.
-    pub fn iter_pixels(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        let w = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i % w, i / w, v))
-    }
-
     /// Elementwise map to a new pixel type (parallel).
     pub fn map<U: Pixel>(&self, f: impl Fn(T) -> U + Sync) -> Image<U> {
         Image {

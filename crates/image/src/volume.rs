@@ -93,16 +93,8 @@ impl<T: Pixel> Volume<T> {
         &self.slices[z]
     }
 
-    pub fn slice_mut(&mut self, z: usize) -> &mut Image<T> {
-        &mut self.slices[z]
-    }
-
     pub fn slices(&self) -> &[Image<T>] {
         &self.slices
-    }
-
-    pub fn into_slices(self) -> Vec<Image<T>> {
-        self.slices
     }
 
     #[inline]

@@ -3,8 +3,8 @@
 //! SAM encodes the image once (the expensive ViT-H pass) and decodes many
 //! prompts against the cached embedding. We keep that contract: an
 //! [`ImageEmbedding`] is computed once per image and shared by every
-//! prompt decode, the automatic mode, and the memory bank. Its content is
-//! a denoised intensity field plus gradient and local-variance statistics.
+//! prompt decode and the automatic mode. Its content is a denoised
+//! intensity field plus gradient and local-variance statistics.
 //!
 //! The denoised field and its gradient are the same two rasters
 //! grounding's feature pyramid starts from when the two sigmas match, so

@@ -17,16 +17,13 @@
 //!   proposals, dedup, max-confidence selection — which is exactly the
 //!   paper's "SAM-only" baseline and reproduces its documented failure:
 //!   on low-contrast crystalline data the most confident segment is the
-//!   black background;
-//! * a **SAM2-style memory bank** ([`memory`]) propagating masks across
-//!   volume slices with temporal conditioning.
+//!   black background.
 
 #![forbid(unsafe_code)]
 
 pub mod auto;
 pub mod decoder;
 pub mod embedding;
-pub mod memory;
 pub mod prompt;
 pub mod score;
 
@@ -34,6 +31,5 @@ mod sam;
 
 pub use auto::{AutoConfig, AutoMask};
 pub use embedding::ImageEmbedding;
-pub use memory::MemoryBank;
 pub use prompt::{PointLabel, Polarity, Prompt, PromptSet};
 pub use sam::{MaskPrediction, Sam, SamConfig, SamVariant};

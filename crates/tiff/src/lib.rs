@@ -136,11 +136,6 @@ pub fn write_tiff_u16(img: &Image<u16>) -> Result<Vec<u8>> {
     encode_with(EncodeOptions::default(), |w| w.append_u16(img))
 }
 
-/// Encode a 32-bit float image as a single-strip classic TIFF.
-pub fn write_tiff_f32(img: &Image<f32>) -> Result<Vec<u8>> {
-    encode_with(EncodeOptions::default(), |w| w.append_f32(img))
-}
-
 /// Encode a 16-bit volume as a multi-page classic TIFF, one page per
 /// slice, each a single strip.
 pub fn write_tiff_volume_u16(vol: &Volume<u16>) -> Result<Vec<u8>> {
@@ -162,12 +157,6 @@ pub fn save_tiff_volume_u16(vol: &Volume<u16>, path: impl AsRef<Path>) -> Result
 }
 
 // ----------------------------------------------------------------- masks --
-
-/// Encode a segmentation mask as an 8-bit single-strip grayscale TIFF
-/// (255 = inside the mask, 0 = outside).
-pub fn write_mask_tiff(mask: &BitMask) -> Result<Vec<u8>> {
-    encode_with(EncodeOptions::default(), |w| w.append_u8(&mask.to_image()))
-}
 
 /// Encode a stack of masks as a multi-page 8-bit TIFF, one page per
 /// slice (255 = inside, 0 = outside).

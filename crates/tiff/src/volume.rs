@@ -19,7 +19,7 @@ use zenesis_image::Image;
 use crate::decode::{decode_page, TiffPage};
 use crate::error::{Result, TiffError};
 use crate::format::{scan_chain, Endian, PageMeta};
-use crate::source::{FileSource, Source, TiffRead};
+use crate::source::{FileSource, Source};
 
 /// A multi-page TIFF stack open for slice-by-slice reading.
 ///
@@ -143,10 +143,5 @@ impl VolumeReader {
     /// Read page `z` normalized into the `Image<f32>` substrate.
     pub fn read_slice(&self, z: usize) -> Result<Image<f32>> {
         Ok(self.read_page(z)?.to_f32())
-    }
-
-    /// Raw length of the backing source in bytes.
-    pub fn source_len(&self) -> u64 {
-        self.src.len()
     }
 }

@@ -47,7 +47,6 @@ fn interactive_job_with_custom_config() {
                 "min_area": 12, "fill_holes": true, "grid_step": 16
             },
             "temporal": {"window": 3, "size_factor": 1.6, "fill_missing": true},
-            "use_memory": false,
             "relevance_floor": 0.6
         }
     }"#);
