@@ -1,19 +1,17 @@
-//! Golden bits: the exact outputs of every attention-bearing path the
-//! product can reach, pinned as FNV-1a digests of their `to_bits()`.
+//! Golden bits: the exact outputs of the attention path the product runs,
+//! pinned as FNV-1a digests of their `to_bits()`.
 //!
 //! Each digest is recomputed at 1 and 2 threads and with the scalar
-//! fallback forced, and all three must equal the stored value. A kernel
-//! rewrite that regroups rows, panels or output chunks must leave every
-//! digest here untouched; a digest may only change together with a
-//! deliberate change of arithmetic, stated as such.
+//! fallback forced, and all three must equal the stored value. So the
+//! dispatched `Q·Kᵀ` product and the row-parallel softmax are checked
+//! against forced scalar here. A kernel rewrite must leave every digest
+//! untouched; a digest may only change together with a deliberate change
+//! of arithmetic, stated as such.
 //!
-//! Covered: `attention()` over a grid of query counts (all ≥ 4), key
-//! counts and head widths; a Swin stage at the grounding backbone's
-//! shape on two grids where every window holds at least 4 tokens; a
-//! small ViT encoder; and GroundingDINO with the Swin backbone enabled,
-//! grounding a 128² phantom (relevance map and boxes). Query counts
-//! under 4 and very large self-attention shapes are covered at
-//! tolerance by `attention_parity.rs`.
+//! Covered: `attention_weights` (Eq. 1) at the grounding shapes — 3
+//! prompt tokens of width 32 against the 256, 1024 and 4096 patch keys
+//! of a 128², 256² and 512² slice — plus two odd shapes; and the default
+//! `GroundingDino` grounding a 128² phantom (relevance map and boxes).
 //!
 //! Thread count and the scalar override are process-global, so the tests
 //! serialize on one mutex.
@@ -22,8 +20,7 @@ use std::sync::Mutex;
 
 use zenesis_data::{generate_slice, PhantomConfig, SampleKind};
 use zenesis_ground::{DinoConfig, GroundingDino};
-use zenesis_image::Image;
-use zenesis_nn::{attention, SwinStage, VitEncoder};
+use zenesis_nn::attention_weights;
 use zenesis_par::ThreadsGuard;
 use zenesis_tensor::{Matrix, ScalarGuard};
 
@@ -101,74 +98,47 @@ fn check(got: &[(String, u64)], want: &[u64]) {
 }
 
 #[test]
-fn attention_grid_bits_are_pinned() {
+fn attention_weights_bits_are_pinned() {
     let _l = lock();
-    let dims = [(8usize, 8usize), (16, 16), (32, 24), (33, 19), (64, 48)];
-    let got: Vec<(String, u64)> = dims
+    // (queries, keys, width): the grounding shapes, then two odd ones —
+    // a width that is no multiple of the 8-lane panel and key counts
+    // that leave a leftover full panel and a zero-padded tail.
+    let shapes = [
+        (3usize, 256usize, 32usize),
+        (3, 1024, 32),
+        (3, 4096, 32),
+        (1, 37, 13),
+        (5, 300, 19),
+    ];
+    let got: Vec<(String, u64)> = shapes
         .iter()
-        .map(|&(d, d_v)| {
-            let label = format!("attention d={d} d_v={d_v}");
-            let digest = stable_digest(&label, |h| {
-                for n_q in [4usize, 5, 6, 7, 16, 23, 24] {
-                    for n_kv in [1usize, 7, 8, 9, 16, 257, 512] {
-                        let seed = (n_q * 1_000_003 + n_kv * 1009 + d * 31 + d_v) as u64;
-                        let q = Matrix::seeded_uniform(n_q, d, 2.0, seed);
-                        let k = Matrix::seeded_uniform(n_kv, d, 2.0, seed ^ 0xa5a5);
-                        let v = Matrix::seeded_uniform(n_kv, d_v, 2.0, seed ^ 0x5a5a);
-                        h.floats(attention(&q, &k, &v).as_slice());
-                    }
-                }
-            });
+        .map(|&(n_q, n_kv, d)| {
+            let label = format!("attention_weights {n_q}x{n_kv}x{d}");
+            let seed = (n_q * 1_000_003 + n_kv * 1009 + d) as u64;
+            // The grounding queries carry the logit scale (6.0), so the
+            // scores span the range the softmax sees in the product.
+            let q = Matrix::seeded_uniform(n_q, d, 6.0, seed);
+            let k = Matrix::seeded_uniform(n_kv, d, 1.0, seed ^ 0xa5a5);
+            let digest = stable_digest(&label, |h| h.floats(attention_weights(&q, &k).as_slice()));
             (label, digest)
         })
         .collect();
     check(
         &got,
         &[
-            0xc104_9528_a116_b171,
-            0x98d4_3385_2e05_59ca,
-            0x56ac_431f_3970_917a,
-            0x938b_98b2_d2a2_4eb9,
-            0xf4a4_d70a_c794_989f,
+            0x98b6_5462_7159_35ec,
+            0x47b1_c449_3c90_5685,
+            0xfbfa_8526_f9b5_d296,
+            0x1b78_aa7a_6e55_39a7,
+            0x15df_00f3_c92a_8d95,
         ],
     );
 }
 
 #[test]
-fn encoder_bits_are_pinned() {
+fn default_grounding_bits_are_pinned() {
     let _l = lock();
-    // The grounding backbone's shape: window 4, dim 32, 4 heads.
-    let swin = SwinStage::new(4, 32, 4, 2, 0x5EED ^ 0x31);
-    let mut got = Vec::new();
-    for (gw, gh) in [(16usize, 16usize), (14, 12)] {
-        let tokens = Matrix::seeded_uniform(gw * gh, 32, 1.0, (gw * 100 + gh) as u64);
-        let label = format!("swin {gw}x{gh}");
-        let digest = stable_digest(&label, |h| {
-            h.floats(swin.forward(&tokens, gw, gh).as_slice())
-        });
-        got.push((label, digest));
-    }
-    let img = Image::<f32>::from_fn(64, 64, |x, y| ((x * 7 + y * 13) % 97) as f32 / 96.0);
-    let vit = VitEncoder::new(8, 64, 4, 2, 5);
-    let digest = stable_digest("vit 64x64", |h| h.floats(vit.forward(&img).0.as_slice()));
-    got.push(("vit 64x64".into(), digest));
-    check(
-        &got,
-        &[
-            0x88a9_fb1e_efc0_b133,
-            0xc0c3_9999_7586_0e85,
-            0xe6b0_d816_43bd_32a5,
-        ],
-    );
-}
-
-#[test]
-fn grounding_with_swin_backbone_bits_are_pinned() {
-    let _l = lock();
-    let dino = GroundingDino::new(DinoConfig {
-        backbone_depth: 2,
-        ..DinoConfig::default()
-    });
+    let dino = GroundingDino::new(DinoConfig::default());
     let img =
         generate_slice(&PhantomConfig::new(SampleKind::Amorphous, 3).with_size(128, 128)).clean;
     let digest = stable_digest("grounding", |h| {
@@ -183,5 +153,5 @@ fn grounding_with_swin_backbone_bits_are_pinned() {
             h.word(det.score.to_bits());
         }
     });
-    check(&[("grounding".into(), digest)], &[0xd1cc_3a6a_5238_3b39]);
+    check(&[("grounding".into(), digest)], &[0x0c67_7303_e095_995c]);
 }

@@ -160,11 +160,16 @@ fn sweep_pairs() -> Vec<(usize, usize)> {
 /// S1 remainder sweep: both product kernels, every dim residue mod `NR`
 /// from 1×1 up to 512×512, checked against the naive reference on the
 /// runtime-dispatched path AND bit-compared against the forced-scalar
-/// fallback. `k = 9` (one lane plus a tail) keeps the reference fast.
+/// fallback. `k = 9` (one lane plus a tail) keeps the reference fast; one
+/// more input, 96×80×88, runs a deep contraction through full 4-row
+/// blocks and panel pairs.
 #[test]
 fn simd_remainder_sweep_dispatch_and_forced_scalar() {
-    let k = 9;
-    for (m, n) in sweep_pairs() {
+    let shapes = sweep_pairs()
+        .into_iter()
+        .map(|(m, n)| (m, 9, n))
+        .chain([(96, 80, 88)]);
+    for (m, k, n) in shapes {
         let a = Matrix::seeded_uniform(m, k, 2.0, (m * 7907 + n) as u64);
         let b = Matrix::seeded_uniform(k, n, 2.0, (n * 7919 + m) as u64);
         let bt = Matrix::seeded_uniform(n, k, 2.0, (m * 7927 + n) as u64);
