@@ -229,8 +229,9 @@ impl AdaptTrace {
     }
 }
 
-/// An ordered list of adaptation stages.
+/// An ordered list of adaptation stages. Unknown keys are rejected.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[serde(deny_unknown_fields)]
 pub struct AdaptPipeline {
     pub stages: Vec<AdaptStage>,
 }

@@ -27,11 +27,6 @@ fn bench_ablation(c: &mut Criterion) {
             cfg
         }),
         ("fast_preview", ZenesisConfig::fast_preview()),
-        ("swin_backbone", {
-            let mut cfg = ZenesisConfig::default();
-            cfg.dino.backbone_depth = 2;
-            cfg
-        }),
         ("no_relevance_gate", {
             let mut cfg = ZenesisConfig::default();
             cfg.relevance_floor = None;

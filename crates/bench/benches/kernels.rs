@@ -1,7 +1,7 @@
 //! Bench: the compute kernels under the pipeline — adaptation stages,
-//! visual feature pyramid, transformer arithmetic (the Eq. 1 attention and
-//! the ViT/Swin encoders), and SAM decode primitives. These are the hot
-//! loops the ICPP audience cares about.
+//! visual feature pyramid, the Eq. 1 attention and its matmul, and SAM
+//! decode primitives. These are the hot loops the ICPP audience cares
+//! about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zenesis_adapt::equalize::clahe;
@@ -11,7 +11,7 @@ use zenesis_ground::{DinoConfig, FeatureGrid, GroundingDino};
 use zenesis_image::filter::{local_std, median_filter, orientation_coherence};
 use zenesis_image::morphology::{dilate, erode, Structuring};
 use zenesis_image::{BitMask, Image};
-use zenesis_nn::{attention, attention_weights, SwinStage, VitEncoder};
+use zenesis_nn::attention_weights;
 use zenesis_sam::{ImageEmbedding, PromptSet, Sam, SamConfig};
 use zenesis_tensor::Matrix;
 
@@ -47,29 +47,16 @@ fn bench_transformer(c: &mut Criterion) {
     // Eq. (1) at the pipeline's working sizes: 3 text tokens vs 256 patches.
     let q = Matrix::seeded_uniform(3, 32, 1.0, 1);
     let k = Matrix::seeded_uniform(256, 32, 1.0, 2);
-    let v = Matrix::seeded_uniform(256, 32, 1.0, 3);
-    group.bench_function("attention_3x256", |b| b.iter(|| attention(&q, &k, &v)));
-    // Larger self-attention (SAM-scale token counts).
+    group.bench_function("attention_weights_3x256", |b| {
+        b.iter(|| attention_weights(&q, &k))
+    });
+    // A 256-token `A·Aᵀ` product through the packed kernel.
     let x = Matrix::seeded_uniform(256, 64, 1.0, 4);
     group.bench_function("matmul_256x64", |b| b.iter(|| x.matmul_transposed(&x)));
-    let img = Image::<f32>::from_fn(128, 128, |x, y| ((x * 7 + y * 13) % 97) as f32 / 96.0);
-    let vit = VitEncoder::new(8, 64, 4, 2, 5);
-    group.bench_function("vit_encode_128", |b| b.iter(|| vit.forward(&img)));
-    let swin = SwinStage::new(4, 64, 4, 2, 6);
-    let tokens = Matrix::seeded_uniform(256, 64, 1.0, 7);
-    group.bench_function("swin_stage_16x16", |b| b.iter(|| swin.forward(&tokens, 16, 16)));
-    // The product shape: the grounding backbone (window 4, dim 32, 4
-    // heads) over a 128² slice's 16×16 patch grid.
-    let swin32 = SwinStage::new(4, 32, 4, 2, 6);
-    let tokens32 = Matrix::seeded_uniform(256, 32, 1.0, 8);
-    group.bench_function("swin_stage_16x16_d32", |b| {
-        b.iter(|| swin32.forward(&tokens32, 16, 16))
-    });
     group.finish();
 }
 
-/// Size sweep over the blocked matmul and the fused attention kernel
-/// against a materialized-scores reference — the scaling evidence behind
+/// Size sweep over the blocked matmul — the scaling evidence behind
 /// `docs/PERFORMANCE.md` and the `kernel-bench-smoke` CI gate.
 fn bench_kernel_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_sweep");
@@ -82,30 +69,6 @@ fn bench_kernel_sweep(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("matmul_transposed", n), &n, |b, _| {
             b.iter(|| a.matmul_transposed(&bt))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("attention_fusion");
-    group.sample_size(20);
-    for (n_q, n_kv, d) in [
-        (3usize, 256usize, 32usize), // grounding query vs patch tokens
-        (64, 256, 32),
-        (256, 256, 16), // one ViT head at 128px
-        (128, 256, 32),
-        (256, 256, 64),
-    ] {
-        let q = Matrix::seeded_uniform(n_q, d, 1.0, 31);
-        let k = Matrix::seeded_uniform(n_kv, d, 1.0, 32);
-        let v = Matrix::seeded_uniform(n_kv, d, 1.0, 33);
-        let label = format!("{n_q}x{n_kv}x{d}");
-        group.bench_with_input(BenchmarkId::new("fused", &label), &d, |b, _| {
-            b.iter(|| attention(&q, &k, &v))
-        });
-        // Unfused reference: materialize the full softmax(QKᵀ/√d) score
-        // matrix, then a second pass multiplies by V.
-        group.bench_with_input(BenchmarkId::new("unfused", &label), &d, |b, _| {
-            b.iter(|| attention_weights(&q, &k).matmul(&v))
         });
     }
     group.finish();

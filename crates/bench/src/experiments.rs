@@ -276,11 +276,6 @@ pub fn ablation(side: usize, seed: u64) -> Vec<(String, f64, f64)> {
             c
         }),
         ("fast-preview", ZenesisConfig::fast_preview()),
-        ("swin-backbone", {
-            let mut c = ZenesisConfig::default();
-            c.dino.backbone_depth = 2;
-            c
-        }),
     ];
     variants
         .into_iter()

@@ -697,12 +697,27 @@ mod tests {
     }
 
     /// A config key that names no setting — a retired one, or a
-    /// misspelling — fails the job instead of being silently dropped.
+    /// misspelling, at the top level or inside a section — fails the job
+    /// instead of being silently dropped.
     #[test]
     fn unknown_config_keys_are_rejected() {
         let config = serde_json::to_string(&ZenesisConfig::default()).unwrap();
-        for key in ["use_memory", "relevance_flor"] {
-            let config = format!("{},\"{key}\":true}}", &config[..config.len() - 1]);
+        for (section, key) in [
+            ("", "use_memory"),
+            ("", "relevance_flor"),
+            ("dino", "backbone_depth"),
+            ("dino", "box_treshold"),
+            ("sam", "min_aera"),
+            ("temporal", "windw"),
+            ("adapt", "stage"),
+        ] {
+            let config = if section.is_empty() {
+                format!("{},\"{key}\":true}}", &config[..config.len() - 1])
+            } else {
+                let open = format!("\"{section}\":{{");
+                assert!(config.contains(&open), "{section}");
+                config.replacen(&open, &format!("{open}\"{key}\":true,"), 1)
+            };
             let json = format!(
                 r#"{{"mode":"interactive","prompt":"particles",
                     "input":{{"source":"phantom_slice","kind":"amorphous","seed":1}},

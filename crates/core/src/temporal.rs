@@ -18,8 +18,9 @@ use zenesis_sam::{ImageEmbedding, Polarity, PromptSet};
 
 use crate::pipeline::{PipelineTrace, SliceResult, Zenesis};
 
-/// Temporal refinement parameters.
+/// Temporal refinement parameters. Unknown keys are rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TemporalConfig {
     /// Number of previous slices in the fallback window.
     pub window: usize,

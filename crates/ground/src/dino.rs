@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use zenesis_image::Image;
-use zenesis_nn::{attention_weights, SwinStage};
+use zenesis_nn::attention_weights;
 use zenesis_tensor::Matrix;
 
 use crate::boxes::{decode_boxes, nms, Detection};
@@ -10,8 +10,11 @@ use crate::features::{FeatureGrid, N_CHANNELS};
 use crate::lexicon::Lexicon;
 use crate::tokenizer::tokenize;
 
-/// Grounding hyperparameters (the knobs the paper's UI exposes).
+/// Grounding hyperparameters (the knobs the paper's UI exposes). Unknown
+/// keys are rejected, so a misspelled threshold fails the job instead of
+/// running at its default.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DinoConfig {
     /// Patch side in pixels.
     pub patch: usize,
@@ -26,12 +29,6 @@ pub struct DinoConfig {
     /// Attention temperature (CLIP-style logit scale): sharpens the
     /// softmax over patches so relevance contrasts survive thresholding.
     pub logit_scale: f32,
-    /// Depth of the optional Swin contextualizer over patch embeddings
-    /// (0 disables). The contextualizer mixes neighbouring patch tokens
-    /// before attention, at real transformer cost.
-    pub backbone_depth: usize,
-    /// Swin window (patches) when the backbone is enabled.
-    pub backbone_window: usize,
     /// Gaussian sigma applied before visual feature extraction.
     pub feature_sigma: f32,
     /// Weight seed.
@@ -47,8 +44,6 @@ impl Default for DinoConfig {
             nms_iou: 0.6,
             embed_dim: 32,
             logit_scale: 6.0,
-            backbone_depth: 0,
-            backbone_window: 4,
             feature_sigma: 1.0,
             seed: 0x5EED,
         }
@@ -109,7 +104,6 @@ pub struct GroundingDino {
     lexicon: Lexicon,
     /// Shared text/image projection into the embedding space.
     projection: Matrix,
-    backbone: Option<SwinStage>,
 }
 
 impl GroundingDino {
@@ -120,20 +114,10 @@ impl GroundingDino {
             (1.0 / N_CHANNELS as f32).sqrt(),
             config.seed ^ 0x17,
         );
-        let backbone = (config.backbone_depth > 0).then(|| {
-            SwinStage::new(
-                config.backbone_window,
-                config.embed_dim,
-                4,
-                config.backbone_depth,
-                config.seed ^ 0x31,
-            )
-        });
         GroundingDino {
             config,
             lexicon: Lexicon::scientific(),
             projection,
-            backbone,
         }
     }
 
@@ -145,8 +129,8 @@ impl GroundingDino {
     }
 
     /// The prompt-independent image side of grounding (the span
-    /// `ground.encode`): patch features, projected into the shared space
-    /// and optionally contextualized, plus the input-health factor.
+    /// `ground.encode`): patch features, projected into the shared space,
+    /// plus the input-health factor.
     /// Compute it once per image and ground any number of prompts against
     /// it with [`GroundingDino::ground_prepared`].
     pub fn prepare(&self, img: &Image<f32>) -> ImageSide {
@@ -177,15 +161,8 @@ impl GroundingDino {
     /// input-health factor.
     fn image_side(&self, img: &Image<f32>, grid: FeatureGrid) -> ImageSide {
         let (gw, gh) = (grid.gw, grid.gh);
-        // Patch features -> shared projection -> optional Swin
-        // contextualization (residual, so semantics survive).
-        let mut k = grid.feats.matmul(&self.projection);
-        if let Some(bb) = &self.backbone {
-            let ctx = bb.forward(&k, gw, gh);
-            // Residual blend keeps the lexicon-aligned geometry dominant.
-            k.scale(0.85);
-            k.add_scaled(&ctx, 0.15);
-        }
+        // Patch features -> shared projection: the patch keys.
+        let k = grid.feats.matmul(&self.projection);
         // Input-health factor: a pretrained encoder's confidence collapses
         // on inputs far outside its operating exposure (raw 16-bit counts
         // squeezed into a sliver of the range). The surrogate's arithmetic
@@ -427,21 +404,16 @@ mod tests {
 
     #[test]
     fn one_prepared_side_answers_every_prompt_like_ground() {
-        for depth in [0, 2] {
-            let dino = GroundingDino::new(DinoConfig {
-                backbone_depth: depth,
-                ..DinoConfig::default()
-            });
-            let img = bright_square_img();
-            let side = dino.prepare(&img);
-            for p in ["bright", "dark background", "bright particles", ""] {
-                let (a, b) = (dino.ground(&img, p), dino.ground_prepared(&side, p));
-                assert_eq!(a.detections, b.detections, "{p:?} depth {depth}");
-                let bits = |g: &Grounding| -> Vec<u32> {
-                    g.relevance.as_slice().iter().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(&a), bits(&b), "{p:?} depth {depth}");
-            }
+        let dino = GroundingDino::new(DinoConfig::default());
+        let img = bright_square_img();
+        let side = dino.prepare(&img);
+        for p in ["bright", "dark background", "bright particles", ""] {
+            let (a, b) = (dino.ground(&img, p), dino.ground_prepared(&side, p));
+            assert_eq!(a.detections, b.detections, "{p:?}");
+            let bits = |g: &Grounding| -> Vec<u32> {
+                g.relevance.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{p:?}");
         }
     }
 
@@ -455,20 +427,6 @@ mod tests {
         for d in &g.detections {
             assert!(d.score <= 1.0);
         }
-    }
-
-    #[test]
-    fn backbone_path_runs_and_still_grounds() {
-        let cfg = DinoConfig {
-            backbone_depth: 2,
-            ..DinoConfig::default()
-        };
-        let dino = GroundingDino::new(cfg);
-        let img = bright_square_img();
-        let g = dino.ground(&img, "bright");
-        assert!(!g.detections.is_empty());
-        let truth = BoxRegion::new(40, 48, 88, 96);
-        assert!(g.detections[0].bbox.iou(&truth) > 0.3);
     }
 
     #[test]

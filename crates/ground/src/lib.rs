@@ -22,8 +22,8 @@
 //!    zero-mean embedding, keeping the system genuinely open-vocabulary.
 //! 3. [`features`] — image → per-patch attribute vectors via the classical
 //!    feature pyramid (local statistics, Sobel energy, structure-tensor
-//!    coherence), optionally contextualized by a Swin stage from
-//!    `zenesis-nn`.
+//!    coherence). These hand-built channels stand in for the pretrained
+//!    Swin-T backbone; there is no transformer backbone (DESIGN.md §2).
 //! 4. Both sides project through one shared seeded linear map into the
 //!    embedding space where [`zenesis_nn::attention_weights`] — Eq. (1) —
 //!    produces per-token relevance over patches.

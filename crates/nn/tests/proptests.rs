@@ -1,8 +1,8 @@
-//! Property tests for the transformer blocks: shape preservation,
-//! determinism, and attention's convex-combination guarantee.
+//! Property tests for Eq. 1's attention weights: every row is a
+//! probability distribution over the keys.
 
 use proptest::prelude::*;
-use zenesis_nn::{attention, attention_weights, MultiHeadAttention, TransformerBlock};
+use zenesis_nn::attention_weights;
 use zenesis_tensor::Matrix;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -14,25 +14,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn attention_output_in_value_hull(
-        q in arb_matrix(4, 8), k in arb_matrix(6, 8), v in arb_matrix(6, 5)
-    ) {
-        let out = attention(&q, &k, &v);
-        prop_assert_eq!((out.rows(), out.cols()), (4, 5));
-        for c in 0..5 {
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for r in 0..6 {
-                lo = lo.min(v.get(r, c));
-                hi = hi.max(v.get(r, c));
-            }
-            for r in 0..4 {
-                let o = out.get(r, c);
-                prop_assert!(o >= lo - 1e-4 && o <= hi + 1e-4, "{o} outside [{lo}, {hi}]");
-            }
-        }
-    }
-
-    #[test]
     fn attention_weights_are_distributions(q in arb_matrix(3, 8), k in arb_matrix(7, 8)) {
         let w = attention_weights(&q, &k);
         for r in 0..3 {
@@ -40,52 +21,5 @@ proptest! {
             prop_assert!((sum - 1.0).abs() < 1e-4);
             prop_assert!(w.row(r).iter().all(|&x| x >= 0.0));
         }
-    }
-
-    #[test]
-    fn attention_permutation_equivariance(q in arb_matrix(2, 6), kv in arb_matrix(5, 6)) {
-        // Permuting key/value rows permutes nothing in the output
-        // (attention is a set operation over keys).
-        let v = kv.clone();
-        let base = attention(&q, &kv, &v);
-        // Reverse the kv rows.
-        let rev = Matrix::from_fn(5, 6, |r, c| kv.get(4 - r, c));
-        let out = attention(&q, &rev, &rev.clone());
-        let base_vv = attention(&q, &kv, &kv.clone());
-        for (a, b) in out.as_slice().iter().zip(base_vv.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
-        let _ = base;
-    }
-
-    #[test]
-    fn mha_deterministic_shape_preserving(x in arb_matrix(7, 16), seed in 0u64..1000) {
-        let mha = MultiHeadAttention::new(16, 4, seed);
-        let a = mha.forward(&x, &x);
-        let b = mha.forward(&x, &x);
-        prop_assert_eq!(a.as_slice(), b.as_slice());
-        prop_assert_eq!((a.rows(), a.cols()), (7, 16));
-        prop_assert!(a.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn transformer_block_finite_on_any_input(x in arb_matrix(5, 16), seed in 0u64..1000) {
-        let blk = TransformerBlock::new(16, 2, seed);
-        let y = blk.forward(&x);
-        prop_assert_eq!((y.rows(), y.cols()), (5, 16));
-        prop_assert!(y.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn different_seeds_different_weights(x in arb_matrix(4, 8)) {
-        let a = MultiHeadAttention::new(8, 2, 1).forward(&x, &x);
-        let b = MultiHeadAttention::new(8, 2, 2).forward(&x, &x);
-        let diff: f32 = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .sum();
-        prop_assert!(diff > 1e-6, "seeds must differentiate weights");
     }
 }

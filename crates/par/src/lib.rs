@@ -1,7 +1,7 @@
 //! # zenesis-par
 //!
 //! A small, from-scratch parallel runtime used by every compute stage of the
-//! Zenesis pipeline (image kernels, transformer arithmetic, batch slice
+//! Zenesis pipeline (image kernels, the attention softmax, batch slice
 //! processing).
 //!
 //! One engine: data-parallel chunked self-scheduling, and a two-way

@@ -23,8 +23,9 @@ pub enum SamVariant {
     MobileSam,
 }
 
-/// Segmenter configuration.
+/// Segmenter configuration. Unknown keys are rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SamConfig {
     pub variant: SamVariant,
     /// Embedding denoise sigma.

@@ -25,7 +25,11 @@
 //! A product always runs on the calling thread. The pipeline's products
 //! are small (the largest a 256² slice issues is the 1024×8×32 patch
 //! projection, ≈ 16 µs), and waking a helper costs more than that; the
-//! parallelism is coarser — slices, windows, server workers.
+//! parallelism is coarser — slices and server workers.
+//!
+//! The packing buffer is checked out of the calling thread's
+//! `Workspace` pool and returned after the product, so a steady stream
+//! of same-shaped products reuses one allocation.
 
 use crate::workspace::Workspace;
 
@@ -85,12 +89,8 @@ fn pack_rhs_t(rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
 /// chains — one panel with many broadcasts trips its SLP pass into
 /// cross-row shuffle soup. Per-element contraction order is `kk`
 /// ascending either way, so panel grouping never changes results.
-///
-/// Public (hidden) so the fused attention score pass runs this exact
-/// kernel against keys packed in the same layout.
-#[doc(hidden)]
 #[inline(always)]
-pub fn micro_rx2<const R: usize>(
+fn micro_rx2<const R: usize>(
     a: [&[f32]; R],
     pa: &[f32],
     pb: &[f32],
@@ -116,9 +116,8 @@ pub fn micro_rx2<const R: usize>(
 
 /// `R` output rows against one (possibly tail-narrow) panel — the
 /// remainder companion of [`micro_rx2`], same per-row contraction order.
-#[doc(hidden)]
 #[inline(always)]
-pub fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR]; R]) {
+fn micro_rx1<const R: usize>(a: [&[f32]; R], pa: &[f32], acc: &mut [[f32; NR]; R]) {
     let kx = pa.len() / NR;
     let a = a.map(|s| &s[..kx]);
     for (kk, ca) in pa.chunks_exact(NR).enumerate() {

@@ -51,7 +51,7 @@ impl Matrix {
     }
 
     /// Deterministic pseudo-random matrix in `[-scale, scale]` from a
-    /// seed — the "weights" of the surrogate transformer. A split-mix
+    /// seed — the grounding projection's "weights". A split-mix
     /// generator keeps this dependency-free and reproducible.
     pub fn seeded_uniform(rows: usize, cols: usize, scale: f32, seed: u64) -> Self {
         let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -96,23 +96,12 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume the matrix, returning its backing buffer (so a
-    /// [`Workspace`] can recycle the allocation).
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Blocked transpose: walks `TRANSPOSE_TILE`-square tiles so both the
@@ -138,80 +127,36 @@ impl Matrix {
 
     /// Matrix multiplication `self * rhs` through the panel-packed
     /// blocked kernel (see `src/matmul.rs`), using the calling
-    /// thread's scratch arena for the packing buffer and output.
+    /// thread's scratch pool for the packing buffer and output.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        Workspace::with(|ws| self.matmul_ws(rhs, ws))
-    }
-
-    /// [`Matrix::matmul`] with a caller-supplied scratch arena.
-    pub fn matmul_ws(&self, rhs: &Matrix, ws: &mut Workspace) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = ws.matrix(m, n);
-        matmul_packed(&self.data, m, k, &rhs.data, n, false, out.as_mut_slice(), ws);
-        out
+        self.product(&rhs.data, rhs.cols, false)
     }
 
     /// `self * rhs^T` without materializing the transpose (useful for
     /// `Q K^T` where both operands are row-major token matrices).
     pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
-        Workspace::with(|ws| self.matmul_transposed_ws(rhs, ws))
-    }
-
-    /// [`Matrix::matmul_transposed`] with a caller-supplied scratch arena.
-    pub fn matmul_transposed_ws(&self, rhs: &Matrix, ws: &mut Workspace) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        let mut out = ws.matrix(m, n);
-        matmul_packed(&self.data, m, k, &rhs.data, n, true, out.as_mut_slice(), ws);
-        out
+        self.product(&rhs.data, rhs.rows, true)
     }
 
-    /// Elementwise addition.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Elementwise in-place addition `self += rhs` — the residual adds of
-    /// the transformer blocks, without allocating a fresh matrix.
-    pub fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-
-    /// In-place axpy `self += s * rhs` (residual blends).
-    pub fn add_scaled(&mut self, rhs: &Matrix, s: f32) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += s * b;
-        }
-    }
-
-    /// Add a row vector (bias) to every row, in place.
-    pub fn add_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for r in 0..self.rows {
-            for (v, b) in self.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
+    /// `self` (`m x k`) times `rhs`, which holds `k x n` row-major — or
+    /// `n x k` when `transposed`, for `self * rhsᵀ`.
+    fn product(&self, rhs: &[f32], n: usize, transposed: bool) -> Matrix {
+        let (m, k) = (self.rows, self.cols);
+        Workspace::with(|ws| {
+            let mut out = ws.matrix(m, n);
+            matmul_packed(&self.data, m, k, rhs, n, transposed, out.as_mut_slice(), ws);
+            out
+        })
     }
 
     /// Scale every element, in place.
@@ -221,10 +166,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -310,39 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_matches_add() {
-        let a = Matrix::seeded_uniform(7, 11, 1.0, 40);
-        let b = Matrix::seeded_uniform(7, 11, 1.0, 41);
-        let sum = a.add(&b);
-        let mut ip = a.clone();
-        ip.add_assign(&b);
-        assert_eq!(ip, sum);
-    }
-
-    #[test]
-    fn add_scaled_is_axpy() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![10.0, 10.0, 10.0, 10.0]);
-        let mut x = a.clone();
-        x.add_scaled(&b, 0.5);
-        assert_eq!(x.as_slice(), &[6.0, 7.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn add_assign_shape_mismatch_panics() {
-        let mut a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 2);
-        a.add_assign(&b);
-    }
-
-    #[test]
-    fn add_bias_and_scale() {
-        let mut a = Matrix::zeros(3, 4);
-        a.add_bias(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.get(2, 3), 4.0);
+    fn scale_multiplies_every_element() {
+        let mut a = Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, 4.0]);
         a.scale(0.5);
-        assert_eq!(a.get(2, 3), 2.0);
+        assert_eq!(a.as_slice(), &[0.5, -1.0, 1.5, 2.0]);
     }
 
     #[test]
@@ -356,11 +268,6 @@ mod tests {
         // Non-degenerate: mean near zero, spread non-trivial.
         let mean: f32 = a.as_slice().iter().sum::<f32>() / 100.0;
         assert!(mean.abs() < 0.1);
-    }
-
-    #[test]
-    fn frobenius_of_identity() {
-        assert!((Matrix::identity(9).frobenius() - 3.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Runtime SIMD dispatch for the kernel hot loops.
 //!
-//! The micro-kernels in this crate (and the fused attention in
-//! `zenesis-nn`, the convolution bands in `zenesis-image`) are written as
-//! plain safe Rust with fixed-width independent accumulator lanes — the
-//! exact shape LLVM's autovectorizer maps onto whatever vector width the
-//! target allows. The portable build targets baseline x86-64 (SSE2, 4
-//! lanes); the one [`simd_dispatch!`](crate::simd_dispatch) macro
+//! The micro-kernels in this crate (and the convolution bands in
+//! `zenesis-image`) are written as plain safe Rust with fixed-width
+//! independent accumulator lanes — the exact shape LLVM's autovectorizer
+//! maps onto whatever vector width the target allows. The portable build
+//! targets baseline x86-64 (SSE2, 4 lanes); the one [`simd_dispatch!`](crate::simd_dispatch) macro
 //! compiles the same source a *second* time inside an
 //! `#[target_feature(enable = "avx2")]` wrapper, where the identical lane
 //! structure widens to 256-bit ops, and picks the widest supported body
@@ -17,14 +16,15 @@
 //! reductions, no approximate instructions — so every per-element IEEE
 //! operation happens in the same order at either width. SIMD-on and
 //! forced-scalar results are bit-identical by construction, and the
-//! determinism suites (`crates/nn/tests/determinism.rs`) pin it.
+//! parity and golden suites (`crates/tensor/tests/parity.rs`,
+//! `crates/nn/tests/attention_golden.rs`) pin it.
 //!
 //! Forcing the fallback for debugging or A/B timing:
 //!
 //! * `ZENESIS_SIMD=scalar` (or `off`) in the environment disables
 //!   dispatch process-wide, read once at first use.
 //! * [`ScalarGuard`] forces the fallback for a scope at runtime (used by
-//!   the parity/determinism tests to cover both paths in one process;
+//!   the parity and golden tests to cover both paths in one process;
 //!   nesting is counted, and concurrent guards compose safely because
 //!   both paths produce identical bits).
 

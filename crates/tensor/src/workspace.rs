@@ -1,22 +1,17 @@
-//! Reusable scratch-buffer arena for the transformer hot loops.
+//! Reusable scratch-buffer pool for the matmul kernels.
 //!
-//! Every forward pass through the surrogate transformer used to allocate
-//! a fresh `Vec<f32>` per intermediate (normed tokens, attention scores,
-//! MLP hidden, packed matmul panels, ...). Mode B batch runs execute
-//! those loops once per slice per prompt, so the allocator sat directly
-//! on the hot path. A [`Workspace`] is a small pool of `f32` buffers
-//! that the kernels check out and return, so steady-state forward passes
-//! run allocation-free.
+//! Every product packs its right-hand side into a scratch buffer and
+//! writes a fresh output; the pipeline issues the same few shapes for
+//! every slice. A [`Workspace`] is a small pool of `f32` buffers that the
+//! kernels check out and return, so a steady stream of products reuses
+//! its packing buffers instead of round-tripping them through the
+//! allocator. The largest, the packed patch keys of `Q Kᵀ` at a 256²
+//! slice, is 128 KiB: glibc's default mmap threshold, so without the
+//! pool whether each product maps and faults in a fresh buffer would
+//! depend on glibc's dynamic threshold.
 //!
-//! Two usage styles:
-//!
-//! * **Caller-passed** — APIs suffixed `_ws` take `&mut Workspace`, and
-//!   the caller keeps one arena alive across layers/slices. This is what
-//!   the encoders and `TransformerBlock::forward` do internally.
-//! * **Thread-local** — [`Workspace::with`] hands out the calling
-//!   thread's arena; the un-suffixed convenience APIs (`Matrix::matmul`,
-//!   `attention`, `TransformerBlock::forward`) route through it, so even
-//!   naive call sites reuse buffers across calls on the same thread.
+//! [`Workspace::with`] hands out the calling thread's pool; the public
+//! `Matrix::matmul` and `Matrix::matmul_transposed` route through it.
 //!
 //! The `tensor.alloc.reuse` / `tensor.alloc.fresh` counters record every
 //! checkout, so `ZENESIS_OBS=full` runs can prove the reuse rate.
@@ -31,7 +26,7 @@ const POOL_CAP: usize = 32;
 
 /// A pool of reusable `f32` buffers.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     pool: Vec<Vec<f32>>,
 }
 
@@ -53,12 +48,11 @@ impl Workspace {
     }
 
     /// Check out a buffer of exactly `len` elements with **unspecified
-    /// contents** (callers must fully overwrite, or use
-    /// [`Workspace::take_zeroed`]). Reuses a pooled buffer when one with
-    /// sufficient capacity exists.
+    /// contents** (callers must fully overwrite it). Reuses a pooled
+    /// buffer when one with sufficient capacity exists.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         // Best-fit scan: smallest pooled buffer whose capacity suffices,
-        // so a tiny score-row checkout doesn't consume the big MLP buffer.
+        // so a small checkout doesn't consume the big packed-keys buffer.
         let mut best: Option<(usize, usize)> = None;
         for (i, b) in self.pool.iter().enumerate() {
             let cap = b.capacity();
@@ -84,21 +78,9 @@ impl Workspace {
         }
     }
 
-    /// Check out a buffer of `len` zeros.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let mut v = self.take(len);
-        v.fill(0.0);
-        v
-    }
-
     /// Check out a `rows x cols` matrix with unspecified contents.
     pub fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, self.take(rows * cols))
-    }
-
-    /// Check out a `rows x cols` zero matrix.
-    pub fn matrix_zeroed(&mut self, rows: usize, cols: usize) -> Matrix {
-        Matrix::from_vec(rows, cols, self.take_zeroed(rows * cols))
     }
 
     /// Return a buffer to the pool for reuse.
@@ -125,21 +107,9 @@ impl Workspace {
         self.pool.push(v);
     }
 
-    /// Return a matrix's backing buffer to the pool.
-    pub fn recycle(&mut self, m: Matrix) {
-        self.recycle_vec(m.into_vec());
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Run `f` with the calling thread's arena. Nested calls on the same
     /// thread (a `with` inside a `with`) degrade to a fresh temporary
-    /// arena rather than panicking, so convenience wrappers stay safe to
-    /// compose; code that cares about reuse should thread one
-    /// `&mut Workspace` explicitly via the `_ws` APIs.
+    /// arena rather than panicking.
     pub fn with<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
         thread_local! {
             static WS: RefCell<Workspace> = RefCell::new(Workspace::new());
@@ -167,16 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn take_zeroed_is_zero_after_dirty_recycle() {
-        let mut ws = Workspace::new();
-        let mut b = ws.take(16);
-        b.fill(7.0);
-        ws.recycle_vec(b);
-        let z = ws.take_zeroed(16);
-        assert!(z.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn best_fit_prefers_smallest_sufficient() {
         let mut ws = Workspace::new();
         let big = ws.take(1024);
@@ -192,22 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn matrix_roundtrip() {
-        let mut ws = Workspace::new();
-        let m = ws.matrix_zeroed(4, 5);
-        assert_eq!((m.rows(), m.cols()), (4, 5));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
-        ws.recycle(m);
-        assert_eq!(ws.pooled(), 1);
-    }
-
-    #[test]
     fn pool_is_bounded() {
         let mut ws = Workspace::new();
         for i in 0..2 * POOL_CAP {
             ws.recycle_vec(vec![0.0; i + 1]);
         }
-        assert!(ws.pooled() <= POOL_CAP);
+        assert!(ws.pool.len() <= POOL_CAP);
     }
 
     #[test]

@@ -3,11 +3,15 @@
 
 use proptest::prelude::*;
 use zenesis_par::ThreadsGuard;
-use zenesis_tensor::{gelu, layernorm_rows, softmax_rows, Matrix};
+use zenesis_tensor::{softmax_rows, Matrix};
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-3.0f32..3.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+}
+
+fn sum(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), a.cols(), |r, c| a.get(r, c) + b.get(r, c))
 }
 
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
@@ -25,8 +29,8 @@ proptest! {
         a in arb_matrix(5, 7), b in arb_matrix(7, 4), c in arb_matrix(7, 4)
     ) {
         // A(B + C) = AB + AC
-        let lhs = a.matmul(&b.add(&c));
-        let rhs = a.matmul(&b).add(&a.matmul(&c));
+        let lhs = a.matmul(&sum(&b, &c));
+        let rhs = sum(&a.matmul(&b), &a.matmul(&c));
         prop_assert!(approx_eq(&lhs, &rhs, 1e-3));
     }
 
@@ -80,28 +84,6 @@ proptest! {
             let am_in = (0..7).max_by(|&i, &j| m.get(r, i).partial_cmp(&m.get(r, j)).unwrap()).unwrap();
             let am_out = (0..7).max_by(|&i, &j| s.get(r, i).partial_cmp(&s.get(r, j)).unwrap()).unwrap();
             prop_assert!((s.get(r, am_in) - s.get(r, am_out)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn layernorm_statistics(m in arb_matrix(3, 32)) {
-        let n = layernorm_rows(&m, 1e-5);
-        for r in 0..3 {
-            let mean: f32 = n.row(r).iter().sum::<f32>() / 32.0;
-            prop_assert!(mean.abs() < 1e-3);
-            let var: f32 = n.row(r).iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 32.0;
-            prop_assert!(var < 1.2, "var {var}");
-        }
-    }
-
-    #[test]
-    fn gelu_bounds_and_sign(x in -20.0f32..20.0) {
-        let y = gelu(x);
-        // GELU is bounded below by a small negative constant and above by x.
-        prop_assert!(y >= -0.2);
-        prop_assert!(y <= x.max(0.0) + 1e-5);
-        if x > 3.0 {
-            prop_assert!((y - x).abs() < 0.01);
         }
     }
 }

@@ -15,8 +15,8 @@
 //! | [`image`] | `zenesis-image` | scientific image substrate |
 //! | [`tiff`] | `zenesis-tiff` | TIFF/BigTIFF streaming volume I/O |
 //! | [`adapt`] | `zenesis-adapt` | data-readiness adaptation |
-//! | [`tensor`] | `zenesis-tensor` | dense kernels |
-//! | [`nn`] | `zenesis-nn` | transformer blocks |
+//! | [`tensor`] | `zenesis-tensor` | matmul, softmax, SIMD dispatch |
+//! | [`nn`] | `zenesis-nn` | Eq. 1 attention weights |
 //! | [`ground`] | `zenesis-ground` | GroundingDINO surrogate |
 //! | [`sam`] | `zenesis-sam` | SAM surrogate |
 //! | [`baseline`] | `zenesis-baseline` | Otsu baselines |

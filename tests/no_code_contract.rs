@@ -38,7 +38,6 @@ fn interactive_job_with_custom_config() {
             "dino": {
                 "patch": 8, "box_threshold": 0.995, "text_threshold": 0.995,
                 "nms_iou": 0.6, "embed_dim": 32, "logit_scale": 6.0,
-                "backbone_depth": 0, "backbone_window": 4,
                 "feature_sigma": 1.0, "seed": 24301
             },
             "sam": {
