@@ -50,7 +50,7 @@ impl std::error::Error for AdaptError {}
 
 /// One adaptation operator with its parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
+#[serde(tag = "op", rename_all = "snake_case", deny_unknown_fields)]
 pub enum AdaptStage {
     /// Linear min-max stretch.
     MinMax,

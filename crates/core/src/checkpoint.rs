@@ -3,19 +3,30 @@
 //! Long batch volumes are exactly the jobs that die to node preemption,
 //! OOM kills, and power loss. The journal makes completed per-slice work
 //! durable: each finished stage-1 slice (detections + stage-1 mask +
-//! outcome) and each finished stage-3 mask is appended as one fsynced
-//! JSONL record, and a restarted run replays the journal, recomputes
-//! nothing that was journaled, and — because the temporal heuristic is a
+//! outcome) and each finished stage-3 mask is appended as one JSONL
+//! record, and a restarted run replays the journal, recomputes nothing
+//! that was journaled, and — because the temporal heuristic is a
 //! deterministic function of the journaled detections — produces masks
 //! **bit-identical** to an uninterrupted run.
+//!
+//! ## Group commit
+//!
+//! A worker's append encodes its record and `write`s it before the worker
+//! moves on, so a `kill -9`, an OOM kill or a panic loses no record, and
+//! [`journal_len`] grows at once. Making records survive a power loss is
+//! left to [`Journal::commit`]: one `fsync` covers every record written
+//! since the last, and runs on a thread no worker waits for — the volume
+//! run's caller, which commits every [`COMMIT_PERIOD`] while its workers
+//! run and once more before it returns. A power loss therefore loses at
+//! most the records since the last commit, which a resumed run recomputes.
 //!
 //! ## Record format
 //!
 //! One JSON object per line: `{"crc": <u32>, "body": "<record JSON>"}`.
 //! The CRC-32 (IEEE) is computed over the exact bytes of the `body`
 //! string, so replay never depends on re-serialization producing the
-//! same bytes. A `kill -9` can tear at most the final line (records are
-//! written with a single `write` + `fsync`); replay stops at the first
+//! same bytes. A crash can tear at most the final line (each record is
+//! written with a single `write`); replay stops at the first
 //! unparsable or checksum-failing record, truncates the file back to the
 //! valid prefix, and resumes from there (`checkpoint.corrupt_tail`).
 //!
@@ -26,17 +37,23 @@
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use zenesis_ground::Detection;
 use zenesis_image::BitMask;
-use zenesis_obs::output::AppendWriter;
+use zenesis_obs::output::{AppendWriter, Syncer};
 
 use crate::temporal::SliceOutcome;
 
 /// Journal file name inside the checkpoint directory.
 pub const JOURNAL_FILE: &str = "volume.journal.jsonl";
+
+/// How often a volume run's caller commits the journal while its workers
+/// run: the most a power loss can cost is the records of this long.
+pub const COMMIT_PERIOD: Duration = Duration::from_millis(10);
 
 /// Lease file name inside the checkpoint directory (see [`Lease`]).
 pub const LEASE_FILE: &str = "volume.lease.json";
@@ -284,10 +301,17 @@ pub struct Opened {
 }
 
 /// Append handle for the volume journal. Shared by the parallel slice
-/// workers; appends are serialized internally.
+/// workers; appends are serialized internally, and [`Journal::commit`]
+/// makes them durable without holding up an append. Dropping the journal
+/// commits it.
 #[derive(Debug)]
 pub struct Journal {
     writer: Mutex<AppendWriter>,
+    syncer: Syncer,
+    /// Records written so far.
+    written: AtomicU64,
+    /// Records made durable so far; held across a commit's `fsync`.
+    committed: Mutex<u64>,
 }
 
 impl Journal {
@@ -406,7 +430,10 @@ impl Journal {
         }
         let writer = AppendWriter::open(&path)?;
         let journal = Journal {
+            syncer: writer.syncer()?,
             writer: Mutex::new(writer),
+            written: AtomicU64::new(0),
+            committed: Mutex::new(0),
         };
         if fresh {
             journal.append(
@@ -419,11 +446,13 @@ impl Journal {
                 0,
                 "header",
             );
+            journal.commit();
         }
         Ok(Opened { journal, replay })
     }
 
-    /// Durably journal one completed stage-1 slice.
+    /// Journal one completed stage-1 slice: written when this returns,
+    /// durable after the next [`Journal::commit`].
     pub fn record_slice(
         &self,
         slice: usize,
@@ -445,7 +474,8 @@ impl Journal {
         );
     }
 
-    /// Durably journal one completed stage-3 (final) mask.
+    /// Journal one completed stage-3 (final) mask: written when this
+    /// returns, durable after the next [`Journal::commit`].
     pub fn record_mask(&self, slice: usize, mask: &BitMask, degraded_by_decode: bool) {
         self.append(
             &Record::Mask {
@@ -458,10 +488,9 @@ impl Journal {
         );
     }
 
-    /// Best-effort durable append: an I/O failure (or an armed `io.write`
-    /// fault) loses this record's durability but never fails the run —
-    /// the slice result lives on in memory and the record is simply
-    /// recomputed on resume.
+    /// Best-effort append: an I/O failure (or an armed `io.write` fault)
+    /// loses this record but never fails the run — the slice result lives
+    /// on in memory and the record is simply recomputed on resume.
     fn append(&self, rec: &Record, slice: usize, kind: &'static str) {
         if zenesis_fault::trip("io.write").is_some() {
             zenesis_obs::counter("checkpoint.write.dropped").inc();
@@ -472,8 +501,10 @@ impl Journal {
         }
         let line = encode_line(rec);
         let mut w = self.writer.lock().expect("journal writer lock");
-        match w.append_line(&line) {
+        match w.write_line(&line) {
             Ok(()) => {
+                self.written.fetch_add(1, Ordering::Release);
+                drop(w);
                 zenesis_obs::counter("checkpoint.write").inc();
                 zenesis_obs::events::emit(zenesis_obs::events::Event::CheckpointWrite {
                     slice,
@@ -487,6 +518,33 @@ impl Journal {
                 ));
             }
         }
+    }
+
+    /// Make every record written so far durable with one `fsync`
+    /// (`checkpoint.sync`), unless none was written since the last
+    /// commit. Best-effort like the appends: a failed sync
+    /// (`checkpoint.sync.error`) leaves those records to be recomputed
+    /// after a power loss, and the next commit tries again.
+    pub fn commit(&self) {
+        let mut committed = self.committed.lock().unwrap_or_else(|e| e.into_inner());
+        let written = self.written.load(Ordering::Acquire);
+        if written == *committed {
+            return;
+        }
+        zenesis_obs::counter("checkpoint.sync").inc();
+        match self.syncer.sync() {
+            Ok(()) => *committed = written,
+            Err(e) => {
+                zenesis_obs::counter("checkpoint.sync.error").inc();
+                zenesis_obs::events::warn(format!("checkpoint journal failed to sync: {e}"));
+            }
+        }
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        self.commit();
     }
 }
 
@@ -823,6 +881,41 @@ mod tests {
             }
         );
         assert_eq!(back.replay.masks[&0].mask, mask(10));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An append is written, though not yet committed, when it returns:
+    /// the file has grown by exactly the record's line, which is what the
+    /// warden's poison breaker and a killed worker's restart read.
+    #[test]
+    fn a_record_is_in_the_file_when_its_append_returns() {
+        let dir = tmp_dir("written");
+        let header = Header::new(2, 33, 17, "p", "c");
+        let opened = Journal::open(&dir, &header, true).unwrap();
+        let before = journal_len(&dir);
+        opened.journal.record_slice(0, &SliceOutcome::Ok, &[det(1)], &mask(0));
+        let line = encode_line(&Record::Slice {
+            slice: 0,
+            status: "ok".into(),
+            reason: String::new(),
+            detections: vec![det(1)],
+            combined: MaskEnc::encode(&mask(0)),
+        });
+        assert_eq!(journal_len(&dir), before + line.len() as u64 + 1);
+        let before = journal_len(&dir);
+        opened.journal.record_mask(0, &mask(3), true);
+        let line = encode_line(&Record::Mask {
+            slice: 0,
+            mask: MaskEnc::encode(&mask(3)),
+            degraded_by_decode: true,
+        });
+        assert_eq!(journal_len(&dir), before + line.len() as u64 + 1);
+        // Nothing was committed after the header, yet a reopen (what a
+        // restarted process does) replays both records.
+        let back = Journal::open(&dir, &header, true).unwrap();
+        assert_eq!(back.replay.slices.len(), 1);
+        assert!(back.replay.masks[&0].degraded_by_decode);
+        drop(opened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

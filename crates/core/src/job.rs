@@ -702,21 +702,23 @@ mod tests {
     #[test]
     fn unknown_config_keys_are_rejected() {
         let config = serde_json::to_string(&ZenesisConfig::default()).unwrap();
-        for (section, key) in [
+        // Each key goes in right after its anchor: a section's opening
+        // brace, or the tag of the default pipeline's median stage.
+        for (anchor, key) in [
             ("", "use_memory"),
             ("", "relevance_flor"),
-            ("dino", "backbone_depth"),
-            ("dino", "box_treshold"),
-            ("sam", "min_aera"),
-            ("temporal", "windw"),
-            ("adapt", "stage"),
+            ("\"dino\":{", "backbone_depth"),
+            ("\"dino\":{", "box_treshold"),
+            ("\"sam\":{", "min_aera"),
+            ("\"temporal\":{", "windw"),
+            ("\"adapt\":{", "stage"),
+            ("\"op\":\"median\",", "radiuss"),
         ] {
-            let config = if section.is_empty() {
+            let config = if anchor.is_empty() {
                 format!("{},\"{key}\":true}}", &config[..config.len() - 1])
             } else {
-                let open = format!("\"{section}\":{{");
-                assert!(config.contains(&open), "{section}");
-                config.replacen(&open, &format!("{open}\"{key}\":true,"), 1)
+                assert!(config.contains(anchor), "{anchor}");
+                config.replacen(anchor, &format!("{anchor}\"{key}\":true,"), 1)
             };
             let json = format!(
                 r#"{{"mode":"interactive","prompt":"particles",

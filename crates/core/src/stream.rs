@@ -35,6 +35,12 @@
 //! slice index)` and adaptation is deterministic, so the replay decodes
 //! from the pixels the original run saw.
 //!
+//! The slice workers run on the parallel team's background lane
+//! ([`zenesis_par::par_background`]), at lowered CPU priority, so an
+//! interactive request that arrives mid-sweep is not queued behind them
+//! for a core. The calling thread runs no slice: it is the checkpoint
+//! journal's group committer.
+//!
 //! The executor carries the whole fault-tolerance contract of
 //! docs/ROBUSTNESS.md: the quarantine/retry/Otsu ladder, temporal box
 //! refinement, CRC-journaled checkpoint/resume, cancellation, and the
@@ -320,9 +326,22 @@ impl Zenesis {
             }),
             wake: Condvar::new(),
         };
-        // One worker per thread; with one thread the only worker runs
-        // inline and, claiming in z order, never parks or waits.
-        zenesis_par::par_map_range(threads.min(depth), |_| self.work(&run, &shared));
+        // One worker per thread; with one thread the only worker, claiming
+        // in z order, never parks or waits. This thread commits the
+        // journal while they run, and once more before any result, error
+        // or cancellation is returned.
+        let commit = || {
+            if let Some(j) = &journal {
+                j.commit();
+            }
+        };
+        zenesis_par::par_background(
+            threads.min(depth),
+            checkpoint::COMMIT_PERIOD,
+            commit,
+            |_| self.work(&run, &shared),
+        );
+        commit();
         let state = shared.state.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Graceful degradation has a floor: a volume where most slices
         // produced nothing is not a result, it is a lie with a mask
@@ -443,9 +462,9 @@ impl Zenesis {
         if let Some(j) = run.journal {
             j.record_slice(z, &one.outcome, &one.detections, &one.combined);
         }
-        // Post-journal death sites: the slice is already durable, so a
-        // kill/hang here costs at most this worker's life — the
-        // restarted worker replays it and trips nothing, guaranteeing
+        // Post-journal death sites: the slice's record is already
+        // written, so a kill/hang here costs at most this worker's life —
+        // the restarted worker replays it and trips nothing, guaranteeing
         // forward progress per worker generation.
         zenesis_fault::with_unit(z as u64, || {
             let _ = zenesis_fault::trip("worker.kill");

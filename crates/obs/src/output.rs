@@ -45,15 +45,26 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::R
     result
 }
 
-/// An append-only JSONL writer with per-line durability, for journals
-/// that must survive `kill -9`.
+/// An append-only JSONL writer for journals that must survive `kill -9`,
+/// with writing and making durable split apart.
 ///
-/// Each [`append_line`](Self::append_line) performs a single `write_all`
-/// of `line + "\n"`, flushes, and fsyncs before returning, so a crash
-/// can tear at most the final line — which line-oriented readers with a
-/// per-record checksum (the checkpoint journal) detect and discard.
+/// Each [`write_line`](Self::write_line) is a single `write_all` of
+/// `line + "\n"`: once it returns, the line is in the kernel's page
+/// cache, so a killed process loses nothing and a restarted one reads it
+/// back. A crash can tear at most the final line — which line-oriented
+/// readers with a per-record checksum (the checkpoint journal) detect and
+/// discard. Surviving a power loss takes a [`Syncer::sync`], which one
+/// caller can run for many lines without holding the writer.
 #[derive(Debug)]
 pub struct AppendWriter {
+    file: File,
+}
+
+/// Makes every line an [`AppendWriter`] has written durable; a second
+/// handle to the same file, so a sync never waits for, or holds up, a
+/// write.
+#[derive(Debug)]
+pub struct Syncer {
     file: File,
 }
 
@@ -71,17 +82,30 @@ impl AppendWriter {
         Ok(AppendWriter { file })
     }
 
-    /// Durably append one line (`line` must not contain `\n`). Returns
-    /// only after the record is flushed and fsynced.
-    pub fn append_line(&mut self, line: &str) -> io::Result<()> {
+    /// Append one line (`line` must not contain `\n`) with one write.
+    /// The line is durable only after a later [`Syncer::sync`].
+    pub fn write_line(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "journal records are single lines");
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
         // One write_all keeps the record contiguous: a concurrent reader
         // (or a crash) sees at most one torn line, at the tail.
-        self.file.write_all(&buf)?;
-        self.file.flush()?;
+        self.file.write_all(&buf)
+    }
+
+    /// A handle that makes this writer's lines durable.
+    pub fn syncer(&self) -> io::Result<Syncer> {
+        Ok(Syncer {
+            file: self.file.try_clone()?,
+        })
+    }
+}
+
+impl Syncer {
+    /// Make every line written before this call durable (`fsync` of the
+    /// file's data).
+    pub fn sync(&self) -> io::Result<()> {
         self.file.sync_data()
     }
 }
@@ -131,12 +155,16 @@ mod tests {
         let d = tmp_dir("append");
         let p = d.join("sub").join("journal.jsonl");
         let mut w = AppendWriter::open(&p).unwrap();
-        w.append_line("{\"a\":1}").unwrap();
-        w.append_line("{\"a\":2}").unwrap();
+        let syncer = w.syncer().unwrap();
+        w.write_line("{\"a\":1}").unwrap();
+        // A written line is in the file at once, synced or not.
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"a\":1}\n");
+        w.write_line("{\"a\":2}").unwrap();
+        syncer.sync().unwrap();
         drop(w);
         // Reopening appends, never truncates.
         let mut w = AppendWriter::open(&p).unwrap();
-        w.append_line("{\"a\":3}").unwrap();
+        w.write_line("{\"a\":3}").unwrap();
         let text = std::fs::read_to_string(&p).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines, ["{\"a\":1}", "{\"a\":2}", "{\"a\":3}"]);

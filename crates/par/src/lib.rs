@@ -6,13 +6,17 @@
 //!
 //! One engine: data-parallel chunked self-scheduling, and a two-way
 //! [`join`], on a resident fork-join team (`team.rs`). The team is
-//! process-wide, has `current_threads() - 1` helper threads, starts with
-//! the first fan-out, grows when [`set_threads`] asks for more and never
-//! shrinks. The calling thread always takes part, so a call whose helpers
-//! are busy elsewhere runs on the caller alone instead of waiting, and no
-//! call creates a thread. Chunk boundaries depend only on the item count
-//! and the thread count, and outputs are disjoint, so parallel results are
-//! guaranteed to equal their sequential counterparts.
+//! process-wide and has two lanes. The foreground lane has
+//! `current_threads() - 1` helper threads, and its calling thread always
+//! takes part, so a call whose helpers are busy elsewhere runs on the
+//! caller alone instead of waiting. The background lane, reached only
+//! through [`par_background`], has `current_threads()` helpers at lowered
+//! CPU priority, and its caller takes no item. Each lane starts with its
+//! first fan-out, grows when [`set_threads`] asks for more and never
+//! shrinks, so no call creates a thread once the lanes are grown. Chunk
+//! boundaries depend only on the item count and the thread count, and
+//! outputs are disjoint, so parallel results are guaranteed to equal
+//! their sequential counterparts.
 //!
 //! The entry points most code uses are the free functions:
 //!
@@ -25,6 +29,9 @@
 //!   index order.
 //! * [`par_rows`] — process disjoint row-chunks of a flat 2-D buffer.
 //! * [`join`] — run two coarse stages side by side.
+//! * [`par_background`] — run a few long workers at background priority
+//!   while the caller tends to something else (a volume sweep's slice
+//!   workers, with the caller committing their journal).
 //!
 //! Grain rule: a fan-out wakes a helper and waits for it, a few
 //! microseconds, so per-element work below [`SMALL_WORK_ELEMS`] runs
@@ -50,8 +57,8 @@ pub use config::{available_parallelism, current_threads, set_threads, ThreadsGua
 pub use join::join;
 pub use progress::{progress_pulse, Progress};
 pub use scope::{
-    chunk_len, in_worker, par_for_each, par_for_each_indexed, par_map, par_map_range,
-    par_map_range_min, par_reduce_range, par_rows, par_rows_min, SMALL_WORK_ELEMS,
+    chunk_len, in_worker, par_background, par_for_each, par_for_each_indexed, par_map,
+    par_map_range, par_map_range_min, par_reduce_range, par_rows, par_rows_min, SMALL_WORK_ELEMS,
 };
 pub use team::team_dispatches;
 

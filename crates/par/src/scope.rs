@@ -10,6 +10,7 @@
 
 use std::cell::Cell;
 use std::mem::MaybeUninit;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -102,6 +103,32 @@ where
         let piece = slots[c].lock().take().expect("chunk claimed twice");
         as_worker(|| f(c, piece));
     });
+}
+
+/// Run `f(i)` once for every `i` in `0..n` on the team's background lane:
+/// long, low-priority work such as a volume sweep's slice workers, which
+/// must not hold the cores an interactive request needs.
+///
+/// Each `f(i)` runs on a background helper at nice 10, which gets about a
+/// tenth of the CPU share of a foreground (nice 0) thread it competes
+/// with and the whole core when it competes with none; nested `par_*`
+/// calls inside it run inline. The calling thread takes no item. It calls `tend` every
+/// `period` until the last item has finished — a volume run commits its
+/// checkpoint journal there — and returns once they all have. Inside a
+/// chunk of another call, every item runs inline on the caller and
+/// `tend` is not called. A panic in `f` is re-raised here, once.
+pub fn par_background<F, T>(n: usize, period: Duration, mut tend: T, f: F)
+where
+    F: Fn(usize) + Sync,
+    T: FnMut(),
+{
+    if n == 0 {
+        return;
+    }
+    if in_worker() {
+        return (0..n).for_each(f);
+    }
+    team::fan_out_background(n, &|i| as_worker(|| f(i)), period, &mut tend);
 }
 
 /// Run `f` over every element of `data` in parallel, mutating in place.

@@ -66,7 +66,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use zenesis::core::job::{
@@ -212,6 +212,27 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     }
 }
 
+/// Write `text` to stdout through one lock. A reader that closed the
+/// pipe early (`zenesis-cli job.json | head -5`) ends the output quietly
+/// and the run goes on to its sinks; any other write error exits 1.
+fn out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("cannot write the result to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Print a job result as pretty JSON on its own line.
+fn print_result(result: &zenesis::core::job::JobResult) {
+    let text = serde_json::to_string_pretty(result).expect("results serialize");
+    out(&format!("{text}\n"));
+}
+
 /// `obs-dump`: print a Prometheus-format telemetry snapshot to stdout.
 ///
 /// With `--metrics-addr HOST:PORT` it scrapes the `/metrics` endpoint of
@@ -221,7 +242,7 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
 /// check the exposition without standing up a server.
 fn obs_dump(metrics_addr: Option<String>) -> ! {
     let Some(addr) = metrics_addr else {
-        print!("{}", zenesis::obs::prometheus_text());
+        out(&zenesis::obs::prometheus_text());
         std::process::exit(0);
     };
     let body = (|| -> std::io::Result<String> {
@@ -246,7 +267,7 @@ fn obs_dump(metrics_addr: Option<String>) -> ! {
     })();
     match body {
         Ok(text) => {
-            print!("{text}");
+            out(&text);
             std::process::exit(0);
         }
         Err(e) => {
@@ -317,8 +338,10 @@ fn main() {
     if args.iter().any(|a| a == "--examples") {
         for (label, spec) in examples() {
             eprintln!("# {label}");
-            println!("{}", serde_json::to_string_pretty(&spec).expect("specs serialize"));
-            println!();
+            out(&format!(
+                "{}\n\n",
+                serde_json::to_string_pretty(&spec).expect("specs serialize")
+            ));
         }
         return;
     }
@@ -339,11 +362,7 @@ fn main() {
             prompt,
             config: None,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&run_job_with_cancel(&spec, &cancel))
-                .expect("results serialize")
-        );
+        print_result(&run_job_with_cancel(&spec, &cancel));
         sinks.write(&serde_json::to_string(&spec).expect("specs serialize"));
         return;
     }
@@ -368,11 +387,7 @@ fn main() {
             resume: !no_resume,
             masks_out,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&run_job_with_cancel(&spec, &cancel))
-                .expect("results serialize")
-        );
+        print_result(&run_job_with_cancel(&spec, &cancel));
         sinks.write(&serde_json::to_string(&spec).expect("specs serialize"));
         return;
     }
@@ -422,22 +437,14 @@ fn main() {
                     );
                     std::process::exit(2);
                 }
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&run_job_with_cancel(&spec, &cancel))
-                        .expect("results serialize")
-                );
+                print_result(&run_job_with_cancel(&spec, &cancel));
             }
-            Err(e) => println!(
-                "{}",
-                serde_json::to_string_pretty(&zenesis::core::job::JobResult::Error {
-                    message: format!("invalid job spec: {e}"),
-                })
-                .expect("results serialize")
-            ),
+            Err(e) => print_result(&zenesis::core::job::JobResult::Error {
+                message: format!("invalid job spec: {e}"),
+            }),
         }
     } else {
-        println!("{}", run_job_json_with_cancel(&json, &cancel));
+        out(&format!("{}\n", run_job_json_with_cancel(&json, &cancel)));
     }
     sinks.write(&json);
 }
