@@ -139,7 +139,11 @@ mod tests {
 
     #[test]
     fn nlm_reduces_noise_preserves_mean() {
-        let clean = Image::<f32>::from_fn(24, 24, |x, y| if (x / 8 + y / 8) % 2 == 0 { 0.3 } else { 0.7 });
+        let clean = Image::<f32>::from_fn(
+            24,
+            24,
+            |x, y| if (x / 8 + y / 8) % 2 == 0 { 0.3 } else { 0.7 },
+        );
         let noisy = add_noise(&clean, 11, 0.08);
         let out = nlm_lite(&noisy, 3, 0.02);
         assert!(mse(&out, &clean) < mse(&noisy, &clean));
@@ -150,10 +154,7 @@ mod tests {
     fn denoisers_output_finite_in_range() {
         let clean = Image::<f32>::from_fn(32, 32, |x, _| if x < 16 { 0.2 } else { 0.8 });
         let noisy = add_noise(&clean, 3, 0.2);
-        for out in [
-            bilateral(&noisy, 1.0, 0.2),
-            nlm_lite(&noisy, 2, 0.05),
-        ] {
+        for out in [bilateral(&noisy, 1.0, 0.2), nlm_lite(&noisy, 2, 0.05)] {
             assert!(out
                 .as_slice()
                 .iter()

@@ -14,11 +14,7 @@ pub fn equalize(img: &Image<f32>) -> Image<f32> {
     let hist = Histogram::of_image(img, bins);
     let cdf = hist.cdf();
     // Normalize so the lowest occupied bin maps to 0.
-    let cdf_min = cdf
-        .iter()
-        .copied()
-        .find(|&c| c > 0.0)
-        .unwrap_or(0.0);
+    let cdf_min = cdf.iter().copied().find(|&c| c > 0.0).unwrap_or(0.0);
     let denom = (1.0 - cdf_min).max(1e-12);
     img.map(move |v| {
         let b = ((v.clamp(0.0, 1.0) * bins as f32) as usize).min(bins - 1);
@@ -98,7 +94,10 @@ fn tile_span(i: usize, tile: usize, tiles: usize) -> (usize, usize, f64) {
 /// the output to the per-pixel construction bit for bit.
 pub fn clahe(img: &Image<f32>, tiles: usize, clip_limit: f64) -> Image<f32> {
     assert!(tiles >= 1, "need at least one tile");
-    assert!(clip_limit >= 1.0, "clip limit is a multiple of uniform level");
+    assert!(
+        clip_limit >= 1.0,
+        "clip limit is a multiple of uniform level"
+    );
     let (w, h) = img.dims();
     let tile_w = w.div_ceil(tiles);
     let tile_h = h.div_ceil(tiles);
@@ -223,7 +222,8 @@ mod tests {
 
     #[test]
     fn clahe_output_in_range_on_random() {
-        let img = Image::<f32>::from_fn(40, 40, |x, y| ((x * 9901 + y * 7879) % 1000) as f32 / 999.0);
+        let img =
+            Image::<f32>::from_fn(40, 40, |x, y| ((x * 9901 + y * 7879) % 1000) as f32 / 999.0);
         let out = clahe(&img, 3, 2.0);
         assert!(out.as_slice().iter().all(|v| (0.0..=1.0).contains(v)));
     }

@@ -102,7 +102,8 @@ mod tests {
     #[test]
     fn highpass_removes_slow_field_keeps_spot() {
         let img = Image::from_fn(96, 96, |x, y| {
-            let glow = 0.4 * (-((x as f32 - 48.0).powi(2) + (y as f32 - 48.0).powi(2)) / 2500.0).exp();
+            let glow =
+                0.4 * (-((x as f32 - 48.0).powi(2) + (y as f32 - 48.0).powi(2)) / 2500.0).exp();
             let dx = x as f32 - 70.0;
             let dy = y as f32 - 30.0;
             let spot = 0.4 * (-(dx * dx + dy * dy) / 6.0).exp();

@@ -24,9 +24,9 @@
 #![forbid(unsafe_code)]
 
 pub mod denoise;
-pub mod flatten;
 pub mod destripe;
 pub mod equalize;
+pub mod flatten;
 pub mod normalize;
 pub mod pipeline;
 pub mod resample;

@@ -101,20 +101,14 @@ impl AdaptStage {
             AdaptStage::Clahe { tiles, clip_limit } => equalize::clahe(img, tiles, clip_limit),
             AdaptStage::Median { radius } => denoise::median_filter(img, radius),
             AdaptStage::Gaussian { sigma } => denoise::gaussian_blur(img, sigma),
-            AdaptStage::Bilateral { sigma_s, sigma_r } => {
-                denoise::bilateral(img, sigma_s, sigma_r)
-            }
-            AdaptStage::NlmLite { search, strength } => {
-                denoise::nlm_lite(img, search, strength)
-            }
+            AdaptStage::Bilateral { sigma_s, sigma_r } => denoise::bilateral(img, sigma_s, sigma_r),
+            AdaptStage::NlmLite { search, strength } => denoise::nlm_lite(img, search, strength),
             AdaptStage::Destripe { smooth_radius } => {
                 destripe::destripe_columns(img, smooth_radius)
             }
             AdaptStage::FlattenPlane => crate::flatten::flatten_plane(img),
             AdaptStage::Highpass { sigma } => crate::flatten::highpass(img, sigma),
-            AdaptStage::Resize { width, height } => {
-                resample::resize_bilinear(img, width, height)
-            }
+            AdaptStage::Resize { width, height } => resample::resize_bilinear(img, width, height),
             AdaptStage::ResizeLongest { target } => resample::resize_longest_side(img, target).0,
         }
     }
@@ -149,15 +143,26 @@ impl AdaptStage {
     fn check(&self, max_side: usize) -> Result<(), String> {
         let ensure = |ok: bool, msg: String| if ok { Ok(()) } else { Err(msg) };
         let size = |what: &str, v: usize, lo: usize, hi: usize| {
-            ensure((lo..=hi).contains(&v), format!("{what} {v} outside {lo}..={hi}"))
+            ensure(
+                (lo..=hi).contains(&v),
+                format!("{what} {v} outside {lo}..={hi}"),
+            )
         };
         let positive = |what: &str, v: f32| {
-            ensure(v.is_finite() && v > 0.0, format!("{what} {v} must be finite and positive"))
+            ensure(
+                v.is_finite() && v > 0.0,
+                format!("{what} {v} must be finite and positive"),
+            )
         };
         // The kernel radius the operator derives from a sigma.
         let sigma = |what: &str, s: f32, radii: f32| {
             positive(what, s)?;
-            size(&format!("{what} kernel radius"), (radii * s).ceil() as usize, 0, max_side)
+            size(
+                &format!("{what} kernel radius"),
+                (radii * s).ceil() as usize,
+                0,
+                max_side,
+            )
         };
         match *self {
             AdaptStage::MinMax
@@ -319,7 +324,8 @@ impl AdaptPipeline {
 
     /// Run the pipeline, recording per-stage provenance.
     pub fn run(&self, img: &Image<f32>) -> (Image<f32>, Vec<AdaptTrace>) {
-        self.run_stages(img, false).expect("the unguarded pipeline is infallible")
+        self.run_stages(img, false)
+            .expect("the unguarded pipeline is infallible")
     }
 
     /// Run the pipeline with NaN/Inf boundary guards after every stage.
@@ -500,7 +506,9 @@ mod tests {
             assert_eq!(checked_traces, plain_traces);
             let names = plain_traces.iter().map(|t| t.stage.as_str());
             assert!(names.eq(p.stages.iter().map(AdaptStage::name)));
-            assert!(plain_traces.iter().all(|t| t.out_min.is_finite() && t.out_max.is_finite()));
+            assert!(plain_traces
+                .iter()
+                .all(|t| t.out_min.is_finite() && t.out_max.is_finite()));
         }
     }
 

@@ -10,6 +10,6 @@
 mod otsu;
 
 pub use otsu::{
-    adaptive_otsu, multi_otsu2, otsu_threshold, segment_otsu, try_otsu_threshold,
-    try_segment_otsu, OtsuDegenerate,
+    adaptive_otsu, multi_otsu2, otsu_threshold, segment_otsu, try_otsu_threshold, try_segment_otsu,
+    OtsuDegenerate,
 };

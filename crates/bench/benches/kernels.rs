@@ -25,10 +25,28 @@ fn bench_adapt(c: &mut Criterion) {
     let mut group = c.benchmark_group("adapt_stages");
     group.sample_size(20);
     let stages: Vec<(&str, AdaptStage)> = vec![
-        ("percentile_stretch", AdaptStage::PercentileStretch { p_lo: 0.005, p_hi: 0.995 }),
-        ("clahe", AdaptStage::Clahe { tiles: 4, clip_limit: 2.2 }),
+        (
+            "percentile_stretch",
+            AdaptStage::PercentileStretch {
+                p_lo: 0.005,
+                p_hi: 0.995,
+            },
+        ),
+        (
+            "clahe",
+            AdaptStage::Clahe {
+                tiles: 4,
+                clip_limit: 2.2,
+            },
+        ),
         ("median", AdaptStage::Median { radius: 1 }),
-        ("bilateral", AdaptStage::Bilateral { sigma_s: 1.5, sigma_r: 0.15 }),
+        (
+            "bilateral",
+            AdaptStage::Bilateral {
+                sigma_s: 1.5,
+                sigma_r: 0.15,
+            },
+        ),
         ("destripe", AdaptStage::Destripe { smooth_radius: 8 }),
     ];
     for (name, stage) in stages {
@@ -86,9 +104,11 @@ fn bench_ground_and_sam(c: &mut Criterion) {
     group.bench_function("sam_encode_128", |b| b.iter(|| sam.encode(&adapted)));
     let emb = ImageEmbedding::encode(&adapted, 1.0);
     let bbox = g.truth.bounding_box().unwrap();
-    group.bench_with_input(BenchmarkId::new("sam_decode_box", "truth_bbox"), &bbox, |b, &bb| {
-        b.iter(|| sam.segment(&emb, &PromptSet::from_box(bb)))
-    });
+    group.bench_with_input(
+        BenchmarkId::new("sam_decode_box", "truth_bbox"),
+        &bbox,
+        |b, &bb| b.iter(|| sam.segment(&emb, &PromptSet::from_box(bb))),
+    );
     group.bench_function("sam_auto_mode", |b| b.iter(|| sam.segment_auto(&emb)));
     group.finish();
 }

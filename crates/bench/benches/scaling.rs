@@ -14,14 +14,10 @@ fn bench_volume_scaling(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(vol.volume.depth() as u64));
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &n| {
-                let _g = ThreadsGuard::new(n);
-                b.iter(|| z.segment_volume(&vol.volume, "catalyst particles"));
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &n| {
+            let _g = ThreadsGuard::new(n);
+            b.iter(|| z.segment_volume(&vol.volume, "catalyst particles"));
+        });
     }
     group.finish();
 }

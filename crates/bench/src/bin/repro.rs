@@ -141,7 +141,8 @@ fn main() {
     let wall_start = Instant::now();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace_out = take_flag_value(&mut args, "--trace-out").map(PathBuf::from);
-    let trace_format = take_flag_value(&mut args, "--trace-format").unwrap_or_else(|| "json".into());
+    let trace_format =
+        take_flag_value(&mut args, "--trace-format").unwrap_or_else(|| "json".into());
     if !matches!(trace_format.as_str(), "json" | "chrome") {
         eprintln!("[repro] unknown --trace-format {trace_format:?} (expected json|chrome)");
         std::process::exit(2);
@@ -170,8 +171,20 @@ fn main() {
 
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "tables", "fig3", "fig5", "fig6", "fig7", "fig8", "ablation", "scaling", "job",
-            "volume", "analysis", "modalities", "finetune", "interaction",
+            "tables",
+            "fig3",
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "ablation",
+            "scaling",
+            "job",
+            "volume",
+            "analysis",
+            "modalities",
+            "finetune",
+            "interaction",
         ]
     } else {
         args.iter().map(|s| s.as_str()).collect()
@@ -179,9 +192,9 @@ fn main() {
     let outdir = PathBuf::from("out");
 
     // Tables 1-3 share one evaluation run; fig8 renders the same data.
-    let needs_tables = wanted.iter().any(|w| {
-        ["tables", "table1", "table2", "table3", "fig8"].contains(w)
-    });
+    let needs_tables = wanted
+        .iter()
+        .any(|w| ["tables", "table1", "table2", "table3", "fig8"].contains(w));
     let eval = needs_tables.then(|| {
         n.say("running Tables 1-3 evaluation (20 slices x 3 methods)...");
         run_tables(SIDE, SEED)
@@ -238,7 +251,10 @@ fn main() {
             "ablation" => {
                 n.say("ablation grid (5 variants x 20 slices)...");
                 println!("== Ablation: Zenesis variants (mean IoU) ==");
-                println!("{:<20} {:>12} {:>12}", "Variant", "Crystalline", "Amorphous");
+                println!(
+                    "{:<20} {:>12} {:>12}",
+                    "Variant", "Crystalline", "Amorphous"
+                );
                 for (name, c, a) in ablation(SIDE, SEED) {
                     println!("{name:<20} {c:>12.3} {a:>12.3}");
                 }
@@ -260,7 +276,13 @@ fn main() {
                 println!("== Extension: phase morphometry (from Zenesis masks, 5 nm/px) ==");
                 println!(
                     "{:<12} {:>10} {:>10} {:>12} {:>14} {:>8} {:>11}",
-                    "Phase", "Particles", "Area frac", "Mean eq-d", "Spec. perim", "Aspect", "Orient-coh"
+                    "Phase",
+                    "Particles",
+                    "Area frac",
+                    "Mean eq-d",
+                    "Spec. perim",
+                    "Aspect",
+                    "Orient-coh"
                 );
                 for (label, st) in morphometry() {
                     println!(
@@ -274,8 +296,10 @@ fn main() {
                         st.orientation_coherence
                     );
                 }
-                println!("(needle phase: higher specific perimeter + orientation coherence,
- as in the paper's catalyst characterization)\n");
+                println!(
+                    "(needle phase: higher specific perimeter + orientation coherence,
+ as in the paper's catalyst characterization)\n"
+                );
             }
             "modalities" => {
                 n.say("cross-modality zero-shot (future work 1)...");
@@ -345,7 +369,9 @@ fn main() {
                     std::fs::create_dir_all(parent).ok();
                 }
                 match zenesis_tiff::save_tiff_volume_u16(&v.volume, &path) {
-                    Ok(()) => println!("== gen-volume: 12x{SIDE}x{SIDE} u16 stack -> {volume_out} ==\n"),
+                    Ok(()) => {
+                        println!("== gen-volume: 12x{SIDE}x{SIDE} u16 stack -> {volume_out} ==\n")
+                    }
                     Err(e) => {
                         n.warn(format!("failed to write {volume_out}: {e}"));
                         std::process::exit(1);
@@ -381,7 +407,9 @@ fn main() {
             SEED,
             SIDE,
             wall_start.elapsed().as_secs_f64(),
-            eval.as_ref().map(zenesis_ledger::quality_from_eval).unwrap_or_default(),
+            eval.as_ref()
+                .map(zenesis_ledger::quality_from_eval)
+                .unwrap_or_default(),
         );
         match zenesis_obs::output::write_atomic(path, ledger.to_json()) {
             Ok(()) => n.say(format!("run ledger written to {}", path.display())),
@@ -395,14 +423,19 @@ fn main() {
             zenesis_obs::export::trace_json_string(true)
         };
         match zenesis_obs::output::write_atomic(path, json) {
-            Ok(()) => n.say(format!("{trace_format} trace written to {}", path.display())),
+            Ok(()) => n.say(format!(
+                "{trace_format} trace written to {}",
+                path.display()
+            )),
             Err(e) => n.warn(format!("failed to write trace {}: {e}", path.display())),
         }
     }
     if let Some(path) = &events_out {
         let dropped = zenesis_obs::events::dropped_events();
         if dropped > 0 {
-            n.warn(format!("event buffer overflowed; {dropped} oldest events dropped"));
+            n.warn(format!(
+                "event buffer overflowed; {dropped} oldest events dropped"
+            ));
         }
         // Written last so the drop warning itself makes it into the file.
         match zenesis_obs::output::write_atomic(path, zenesis_obs::events::events_jsonl()) {

@@ -99,9 +99,18 @@ pub fn fig3(outdir: &Path) -> zenesis_image::Result<Vec<(String, f64, f64)>> {
         let prompt = kind.default_prompt();
         let name = kind.label().to_lowercase();
         // Save raw (quantized), adapted, truth.
-        save_pgm_u8(&g.raw.to_f32().map(|v| v * 4.0).quantize(), outdir.join(format!("{name}_raw.pgm")))?;
-        save_pgm_u8(&adapted.quantize(), outdir.join(format!("{name}_adapted.pgm")))?;
-        save_pgm_u8(&g.truth.to_image(), outdir.join(format!("{name}_truth.pgm")))?;
+        save_pgm_u8(
+            &g.raw.to_f32().map(|v| v * 4.0).quantize(),
+            outdir.join(format!("{name}_raw.pgm")),
+        )?;
+        save_pgm_u8(
+            &adapted.quantize(),
+            outdir.join(format!("{name}_adapted.pgm")),
+        )?;
+        save_pgm_u8(
+            &g.truth.to_image(),
+            outdir.join(format!("{name}_truth.pgm")),
+        )?;
         let mut panels: Vec<Image<u8>> = vec![adapted.quantize(), g.truth.to_image()];
         for (mi, m) in Method::all().iter().enumerate() {
             let pred = m.segment_views(&z, &baseline_view, &adapted, prompt);
@@ -113,11 +122,18 @@ pub fn fig3(outdir: &Path) -> zenesis_image::Result<Vec<(String, f64, f64)>> {
             }
             save_pgm_u8(
                 &pred.to_image(),
-                outdir.join(format!("{name}_{}.pgm", m.name().to_lowercase().replace('-', "_"))),
+                outdir.join(format!(
+                    "{name}_{}.pgm",
+                    m.name().to_lowercase().replace('-', "_")
+                )),
             )?;
             // Colour overlay with boxes for the Zenesis panel, on the
             // view the method actually saw.
-            let view = if *m == Method::Zenesis { &adapted } else { &baseline_view };
+            let view = if *m == Method::Zenesis {
+                &adapted
+            } else {
+                &baseline_view
+            };
             let mut rgb = RgbImage::from_gray(view);
             overlay_mask(&mut rgb, &pred, [220, 60, 40], 0.45);
             if *m == Method::Zenesis {
@@ -236,8 +252,7 @@ pub fn fig7(depth: usize) -> Vec<TemporalVariant> {
             .map(|(m, t)| m.iou(t))
             .collect();
         let mean_iou = ious.iter().sum::<f64>() / depth as f64;
-        let outlier_iou =
-            outliers.iter().map(|&z| ious[z]).sum::<f64>() / outliers.len() as f64;
+        let outlier_iou = outliers.iter().map(|&z| ious[z]).sum::<f64>() / outliers.len() as f64;
         TemporalVariant {
             name,
             corrections: r.corrections(),
@@ -353,7 +368,10 @@ pub fn morphometry() -> Vec<(String, zenesis_metrics::PhaseStats)> {
         .map(|kind| {
             let g = generate_slice(&PhantomConfig::new(kind, SEED).with_size(SIDE, SIDE));
             let pred = z.segment_slice(&g.raw, kind.default_prompt()).combined;
-            (kind.label().to_string(), zenesis_metrics::analyze_phase(&pred, px))
+            (
+                kind.label().to_string(),
+                zenesis_metrics::analyze_phase(&pred, px),
+            )
         })
         .collect()
 }
@@ -449,8 +467,7 @@ pub fn finetune_transfer(max_exemplars: usize) -> Vec<(usize, f64)> {
                 .iter()
                 .map(|(img, mask)| Exemplar { image: img, mask })
                 .collect();
-            let recall = match learn_concept("my_needles", &exemplars, &FinetuneConfig::default())
-            {
+            let recall = match learn_concept("my_needles", &exemplars, &FinetuneConfig::default()) {
                 Some(concept) => {
                     let mut dino = GroundingDino::new(DinoConfig::default());
                     dino.teach(&concept);

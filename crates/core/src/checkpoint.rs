@@ -158,7 +158,11 @@ impl MaskEnc {
     pub fn encode(m: &BitMask) -> MaskEnc {
         let mut hex = Vec::with_capacity(m.words().len() * 16);
         for &w in m.words() {
-            hex.extend((0..16).rev().map(|i| HEX_DIGITS[(w >> (4 * i)) as usize & 0xF]));
+            hex.extend(
+                (0..16)
+                    .rev()
+                    .map(|i| HEX_DIGITS[(w >> (4 * i)) as usize & 0xF]),
+            );
         }
         MaskEnc {
             width: m.width(),
@@ -344,13 +348,11 @@ impl Journal {
                 ));
                 if let Some(reason) = corrupt {
                     zenesis_obs::counter("checkpoint.corrupt_tail").inc();
-                    zenesis_obs::events::emit(
-                        zenesis_obs::events::Event::CheckpointCorruptTail {
-                            kept: records.len(),
-                            offset: valid_bytes as u64,
-                            reason,
-                        },
-                    );
+                    zenesis_obs::events::emit(zenesis_obs::events::Event::CheckpointCorruptTail {
+                        kept: records.len(),
+                        offset: valid_bytes as u64,
+                        reason,
+                    });
                 }
                 let f = std::fs::OpenOptions::new().write(true).open(&path)?;
                 f.set_len(valid_bytes as u64)?;
@@ -757,7 +759,9 @@ mod tests {
     }
 
     fn mask(seed: u64) -> BitMask {
-        BitMask::from_fn(33, 17, |x, y| (x as u64 * 7 + y as u64 * 13 + seed).is_multiple_of(3))
+        BitMask::from_fn(33, 17, |x, y| {
+            (x as u64 * 7 + y as u64 * 13 + seed).is_multiple_of(3)
+        })
     }
 
     fn det(i: usize) -> Detection {
@@ -846,12 +850,9 @@ mod tests {
         let header = Header::new(4, 33, 17, "needles", "{\"cfg\":1}");
         let opened = Journal::open(&dir, &header, true).unwrap();
         assert!(opened.replay.slices.is_empty());
-        opened.journal.record_slice(
-            0,
-            &SliceOutcome::Ok,
-            &[det(1), det(2)],
-            &mask(0),
-        );
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[det(1), det(2)], &mask(0));
         opened.journal.record_slice(
             2,
             &SliceOutcome::Degraded {
@@ -893,7 +894,9 @@ mod tests {
         let header = Header::new(2, 33, 17, "p", "c");
         let opened = Journal::open(&dir, &header, true).unwrap();
         let before = journal_len(&dir);
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[det(1)], &mask(0));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[det(1)], &mask(0));
         let line = encode_line(&Record::Slice {
             slice: 0,
             status: "ok".into(),
@@ -924,8 +927,12 @@ mod tests {
         let dir = tmp_dir("torn");
         let header = Header::new(3, 33, 17, "p", "c");
         let opened = Journal::open(&dir, &header, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[det(1)], &mask(0));
-        opened.journal.record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[det(1)], &mask(0));
+        opened
+            .journal
+            .record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
         drop(opened);
         // Simulate a kill -9 mid-append: chop the last record in half.
         let path = dir.join(JOURNAL_FILE);
@@ -933,11 +940,16 @@ mod tests {
         std::fs::write(&path, &data[..data.len() - 40]).unwrap();
 
         let back = Journal::open(&dir, &header, true).unwrap();
-        assert_eq!(back.replay.slices.len(), 1, "only the intact record survives");
+        assert_eq!(
+            back.replay.slices.len(),
+            1,
+            "only the intact record survives"
+        );
         assert!(back.replay.slices.contains_key(&0));
         // The file itself was truncated back to the valid prefix, so the
         // next append produces a well-formed journal.
-        back.journal.record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
+        back.journal
+            .record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
         drop(back);
         let again = Journal::open(&dir, &header, true).unwrap();
         assert_eq!(again.replay.slices.len(), 2);
@@ -949,15 +961,22 @@ mod tests {
         let dir = tmp_dir("crc");
         let header = Header::new(3, 33, 17, "p", "c");
         let opened = Journal::open(&dir, &header, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
-        opened.journal.record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
+        opened
+            .journal
+            .record_slice(1, &SliceOutcome::Ok, &[], &mask(1));
         drop(opened);
         // Flip one hex digit inside the LAST record's body.
         let path = dir.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         let corrupted = lines[lines.len() - 1].replacen("0", "1", 1);
-        let mut out: Vec<String> = lines[..lines.len() - 1].iter().map(|s| s.to_string()).collect();
+        let mut out: Vec<String> = lines[..lines.len() - 1]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         out.push(corrupted);
         std::fs::write(&path, out.join("\n") + "\n").unwrap();
 
@@ -971,7 +990,9 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let h1 = Header::new(4, 33, 17, "needles", "cfg-a");
         let opened = Journal::open(&dir, &h1, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
         drop(opened);
         // Different prompt -> different fingerprint -> journal discarded.
         let h2 = Header::new(4, 33, 17, "particles", "cfg-a");
@@ -1022,7 +1043,9 @@ mod tests {
         let dir = tmp_dir("truncoffset");
         let header = Header::new(3, 33, 17, "p", "c");
         let opened = Journal::open(&dir, &header, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
         drop(opened);
         let path = dir.join(JOURNAL_FILE);
         let data = std::fs::read(&path).unwrap();
@@ -1041,7 +1064,10 @@ mod tests {
             e.event.kind() == "warn"
                 && format!("{:?}", e.event).contains(&format!("truncated at byte {valid}"))
         });
-        assert!(warned, "no truncation warn with the byte offset: {events:?}");
+        assert!(
+            warned,
+            "no truncation warn with the byte offset: {events:?}"
+        );
         // Other tests in this binary tear journals concurrently while the
         // level is `Full`, so look for this journal's event, not the first.
         let corrupt = events.iter().any(|e| {
@@ -1062,7 +1088,9 @@ mod tests {
         let dir = tmp_dir("noresume");
         let header = Header::new(2, 33, 17, "p", "c");
         let opened = Journal::open(&dir, &header, true).unwrap();
-        opened.journal.record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
+        opened
+            .journal
+            .record_slice(0, &SliceOutcome::Ok, &[], &mask(0));
         drop(opened);
         let back = Journal::open(&dir, &header, false).unwrap();
         assert!(back.replay.slices.is_empty());

@@ -248,8 +248,7 @@ impl JobSpec {
     /// worker.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            JobSpec::Interactive { input, prompt, .. }
-            | JobSpec::Batch { input, prompt, .. } => {
+            JobSpec::Interactive { input, prompt, .. } | JobSpec::Batch { input, prompt, .. } => {
                 input.validate()?;
                 if prompt.trim().is_empty() {
                     return Err("prompt must be non-empty".into());
@@ -260,7 +259,9 @@ impl JobSpec {
         let (JobSpec::Interactive { config, .. }
         | JobSpec::Batch { config, .. }
         | JobSpec::Evaluate { config, .. }) = self;
-        config.as_ref().map_or(Ok(()), |c| c.adapt.validate(MAX_SIDE))
+        config
+            .as_ref()
+            .map_or(Ok(()), |c| c.adapt.validate(MAX_SIDE))
     }
 }
 
@@ -506,10 +507,12 @@ fn run_job_inner(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToke
                 .to_f32(),
                 file @ (InputSpec::TiffFile { .. }
                 | InputSpec::PgmFile { .. }
-                | InputSpec::PpmFile { .. }) => match file.load_file().expect("file-backed input") {
-                    Ok(img) => img,
-                    Err(message) => return JobResult::Error { message },
-                },
+                | InputSpec::PpmFile { .. }) => {
+                    match file.load_file().expect("file-backed input") {
+                        Ok(img) => img,
+                        Err(message) => return JobResult::Error { message },
+                    }
+                }
                 _ => {
                     return JobResult::Error {
                         message: "interactive mode takes a single slice".into(),
@@ -537,10 +540,12 @@ fn run_job_inner(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToke
             masks_out,
         } => {
             let z = Zenesis::new(config.clone().unwrap_or_default());
-            let ckpt = checkpoint_dir.as_ref().map(|d| crate::checkpoint::CheckpointSpec {
-                dir: d.into(),
-                resume: *resume,
-            });
+            let ckpt = checkpoint_dir
+                .as_ref()
+                .map(|d| crate::checkpoint::CheckpointSpec {
+                    dir: d.into(),
+                    resume: *resume,
+                });
             let src: Box<dyn SliceSource> = match input {
                 InputSpec::PhantomVolume {
                     kind,
@@ -968,9 +973,10 @@ mod tests {
     /// error naming stage `name`. The input file does not exist, so a job
     /// that got past validation would fail loading it instead: nothing ran.
     fn assert_rejected(name: &str, stages: &[&str]) {
-        for (stage, mode) in stages.iter().flat_map(|s| {
-            ["interactive", "batch", "evaluate"].map(|m| (s, m))
-        }) {
+        for (stage, mode) in stages
+            .iter()
+            .flat_map(|s| ["interactive", "batch", "evaluate"].map(|m| (s, m)))
+        {
             let json = format!(
                 r#"{{"mode":"{mode}","prompt":"particles",
                     "input":{{"source":"tiff_file","path":"/nonexistent/slice.tif"}}}}"#

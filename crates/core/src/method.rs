@@ -52,7 +52,10 @@ impl Method {
         match self {
             Method::Otsu => zenesis_baseline::segment_otsu(baseline_view),
             Method::SamOnly => z.sam().segment_auto(&z.sam().encode(baseline_view)),
-            Method::Zenesis => z.segment_prepared(&z.prepare_adapted(adapted), prompt).combined,
+            Method::Zenesis => {
+                z.segment_prepared(&z.prepare_adapted(adapted), prompt)
+                    .combined
+            }
         }
     }
 

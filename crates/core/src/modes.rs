@@ -80,10 +80,11 @@ pub fn evaluate_cancellable(
 pub fn evaluate_sample(z: &Zenesis, sample: &Sample, methods: &[Method]) -> Vec<SampleEval> {
     let (adapted, _) = z.adapt(&sample.raw);
     // The baseline rendition is only needed when a baseline method runs.
-    let minimal = methods
-        .iter()
-        .any(|m| *m != Method::Zenesis)
-        .then(|| zenesis_adapt::AdaptPipeline::minimal().run(&sample.raw.to_f32()).0);
+    let minimal = methods.iter().any(|m| *m != Method::Zenesis).then(|| {
+        zenesis_adapt::AdaptPipeline::minimal()
+            .run(&sample.raw.to_f32())
+            .0
+    });
     let baseline_view = minimal.as_ref().unwrap_or(&adapted);
     let prompt = sample.kind.default_prompt();
     methods

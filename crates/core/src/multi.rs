@@ -69,11 +69,10 @@ impl Zenesis {
         // runs, and its result carries the relevance field needed for
         // conflict resolution.
         let prepared = self.prepare_adapted(adapted);
-        let per_object: Vec<(BitMask, Image<f32>)> =
-            zenesis_par::par_map(objects, |spec| {
-                let result = self.segment_prepared(&prepared, &spec.prompt);
-                (result.combined, result.relevance)
-            });
+        let per_object: Vec<(BitMask, Image<f32>)> = zenesis_par::par_map(objects, |spec| {
+            let result = self.segment_prepared(&prepared, &spec.prompt);
+            (result.combined, result.relevance)
+        });
         // Conflict resolution.
         let mut class_map = vec![0u8; w * h];
         let mut contested = 0usize;

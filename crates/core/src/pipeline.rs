@@ -246,7 +246,9 @@ impl Zenesis {
 
     /// Full pipeline on a raw slice with a natural-language prompt.
     pub fn segment_slice<T: Pixel>(&self, raw: &Image<T>, prompt: &str) -> SliceResult {
-        self.slice(raw, prompt, false).expect("the unguarded pipeline is infallible").0
+        self.slice(raw, prompt, false)
+            .expect("the unguarded pipeline is infallible")
+            .0
     }
 
     /// Guarded pipeline for the fault-tolerant volume path: every stage
@@ -268,7 +270,9 @@ impl Zenesis {
     /// then grounding's image side and the SAM encode (span
     /// `pipeline.prepare`).
     pub fn prepare<T: Pixel>(&self, raw: &Image<T>) -> Prepared {
-        let (adapted, ..) = self.adapt_timed(raw, false).expect("the unguarded adapt is infallible");
+        let (adapted, ..) = self
+            .adapt_timed(raw, false)
+            .expect("the unguarded adapt is infallible");
         self.prepare_adapted(&adapted)
     }
 
@@ -363,7 +367,12 @@ impl Zenesis {
         }
         let s = self.decode(grounding, &prepared.emb, adapt_stages, adapt_ms, ground_ms);
         if guards {
-            let bad = s.relevance.as_slice().iter().filter(|v| !v.is_finite()).count();
+            let bad = s
+                .relevance
+                .as_slice()
+                .iter()
+                .filter(|v| !v.is_finite())
+                .count();
             if bad > 0 {
                 return Err(SliceError::NonFinite {
                     stage: "ground.relevance".into(),
@@ -393,36 +402,37 @@ impl Zenesis {
         ground_ms: f64,
     ) -> Segmentation {
         let (w, h) = emb.dims();
-        let ((masks, combined, relevance), segment_ms) = zenesis_obs::timed("pipeline.segment", || {
-            let polarity = polarity(grounding.dark_polarity);
-            let masks: Vec<BitMask> = grounding
-                .detections
-                .iter()
-                .map(|d| {
-                    self.sam
-                        .segment(emb, &PromptSet::from_box(d.bbox).with_polarity(polarity))
-                })
-                .collect();
-            let mut combined = BitMask::new(w, h);
-            for m in &masks {
-                combined.or_with(m);
-            }
-            // Relevance gate (the Grounded-SAM practice of keeping only
-            // mask pixels the grounding supports): intersect with the
-            // dilated high-relevance region. Dilation by half a patch
-            // forgives the coarse patch grid at structure boundaries.
-            // The upsampled map is also the one the result carries.
-            let relevance = grounding.relevance_full(w, h);
-            if let Some(floor) = self.config.relevance_floor {
-                let support = BitMask::from_threshold(&relevance, floor);
-                let support = zenesis_image::morphology::dilate(
-                    &support,
-                    zenesis_image::morphology::Structuring::Square(grounding.patch / 2),
-                );
-                combined.and_with(&support);
-            }
-            (masks, combined, relevance)
-        });
+        let ((masks, combined, relevance), segment_ms) =
+            zenesis_obs::timed("pipeline.segment", || {
+                let polarity = polarity(grounding.dark_polarity);
+                let masks: Vec<BitMask> = grounding
+                    .detections
+                    .iter()
+                    .map(|d| {
+                        self.sam
+                            .segment(emb, &PromptSet::from_box(d.bbox).with_polarity(polarity))
+                    })
+                    .collect();
+                let mut combined = BitMask::new(w, h);
+                for m in &masks {
+                    combined.or_with(m);
+                }
+                // Relevance gate (the Grounded-SAM practice of keeping only
+                // mask pixels the grounding supports): intersect with the
+                // dilated high-relevance region. Dilation by half a patch
+                // forgives the coarse patch grid at structure boundaries.
+                // The upsampled map is also the one the result carries.
+                let relevance = grounding.relevance_full(w, h);
+                if let Some(floor) = self.config.relevance_floor {
+                    let support = BitMask::from_threshold(&relevance, floor);
+                    let support = zenesis_image::morphology::dilate(
+                        &support,
+                        zenesis_image::morphology::Structuring::Square(grounding.patch / 2),
+                    );
+                    combined.and_with(&support);
+                }
+                (masks, combined, relevance)
+            });
         zenesis_obs::record_ms("pipeline.segment.lat", segment_ms);
         zenesis_obs::record_ms("pipeline.total.lat", adapt_ms + ground_ms + segment_ms);
         Segmentation {

@@ -189,7 +189,9 @@ impl State {
         if z >= self.refiner.cursor() {
             return None;
         }
-        let slice = self.ring.swap_remove(self.ring.iter().position(|p| p.z == z)?);
+        let slice = self
+            .ring
+            .swap_remove(self.ring.iter().position(|p| p.z == z)?);
         let (used, window) = self.refiner.judged(z);
         Some(Job {
             slice,
@@ -342,7 +344,10 @@ impl Zenesis {
             |_| self.work(&run, &shared),
         );
         commit();
-        let state = shared.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let state = shared
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         // Graceful degradation has a floor: a volume where most slices
         // produced nothing is not a result, it is a lie with a mask
         // format. Abort rather than hand back mostly-empty garbage.
@@ -355,7 +360,10 @@ impl Zenesis {
             });
         }
         if state.done.iter().any(Option::is_none) {
-            return Err(cancelled(depth, state.done.iter().flatten().map(|(_, m)| m)));
+            return Err(cancelled(
+                depth,
+                state.done.iter().flatten().map(|(_, m)| m),
+            ));
         }
         let (outcomes, masks) = state.done.into_iter().flatten().unzip();
         Ok(VolumeResult {

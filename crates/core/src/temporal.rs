@@ -384,9 +384,9 @@ impl Zenesis {
     ) -> Option<(SliceResult, SliceOutcome, Option<ImageEmbedding>)> {
         zenesis_fault::with_unit(z as u64, || {
             let _ = zenesis_fault::trip("slice.slow"); // latency-only site
-            // Pre-compute death site: fires before the slice is journaled,
-            // so a restarted worker hits the same slice and dies again —
-            // the deterministic crash loop the poison breaker exists for.
+                                                       // Pre-compute death site: fires before the slice is journaled,
+                                                       // so a restarted worker hits the same slice and dies again —
+                                                       // the deterministic crash loop the poison breaker exists for.
             let _ = zenesis_fault::trip("worker.kill.pre");
             let mut reason = String::new();
             for attempt in 0..2 {
@@ -411,9 +411,8 @@ impl Zenesis {
             if cancel.is_cancelled() {
                 return None;
             }
-            let (result, outcome) = match catch_unwind(AssertUnwindSafe(|| {
-                self.otsu_fallback(raw)
-            })) {
+            let (result, outcome) = match catch_unwind(AssertUnwindSafe(|| self.otsu_fallback(raw)))
+            {
                 Ok((r, None)) => {
                     let why = format!("primary pipeline failed ({reason}); otsu fallback");
                     (r, SliceOutcome::Degraded { reason: why })
@@ -429,7 +428,10 @@ impl Zenesis {
                         "primary pipeline failed ({reason}); otsu fallback panicked: {}",
                         panic_message(p.as_ref())
                     );
-                    (self.empty_slice_result(raw), SliceOutcome::Failed { reason: why })
+                    (
+                        self.empty_slice_result(raw),
+                        SliceOutcome::Failed { reason: why },
+                    )
                 }
             };
             match &outcome {
@@ -615,15 +617,16 @@ mod tests {
             .to_string(),
             "job panicked: boom".to_string(),
         ] {
-            assert!(!VolumeError::message_is_too_many_failures(&other), "{other}");
+            assert!(
+                !VolumeError::message_is_too_many_failures(&other),
+                "{other}"
+            );
         }
     }
 
     #[test]
     fn consistent_sequence_untouched() {
-        let raw: Vec<Option<BoxRegion>> = (0..6)
-            .map(|i| Some(b(10 + i, 10, 30 + i, 40)))
-            .collect();
+        let raw: Vec<Option<BoxRegion>> = (0..6).map(|i| Some(b(10 + i, 10, 30 + i, 40))).collect();
         let (used, events, _) = refine_boxes(&raw, &TemporalConfig::default());
         assert!(events.iter().all(|e| !e.corrected));
         assert_eq!(used, raw);
@@ -631,8 +634,7 @@ mod tests {
 
     #[test]
     fn oversized_outlier_replaced_by_window_mean() {
-        let mut raw: Vec<Option<BoxRegion>> =
-            (0..5).map(|_| Some(b(10, 10, 30, 40))).collect();
+        let mut raw: Vec<Option<BoxRegion>> = (0..5).map(|_| Some(b(10, 10, 30, 40))).collect();
         raw.push(Some(b(0, 0, 120, 120))); // sudden failure box
         raw.push(Some(b(10, 10, 30, 40)));
         let (used, events, _) = refine_boxes(&raw, &TemporalConfig::default());
@@ -646,8 +648,7 @@ mod tests {
 
     #[test]
     fn undersized_outlier_replaced() {
-        let mut raw: Vec<Option<BoxRegion>> =
-            (0..4).map(|_| Some(b(10, 10, 50, 50))).collect();
+        let mut raw: Vec<Option<BoxRegion>> = (0..4).map(|_| Some(b(10, 10, 50, 50))).collect();
         raw.push(Some(b(20, 20, 24, 24))); // collapsed box
         let (_, events, _) = refine_boxes(&raw, &TemporalConfig::default());
         assert!(events[4].corrected);
@@ -655,8 +656,7 @@ mod tests {
 
     #[test]
     fn missing_detection_filled_from_window() {
-        let mut raw: Vec<Option<BoxRegion>> =
-            (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
+        let mut raw: Vec<Option<BoxRegion>> = (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
         raw.push(None);
         let (used, events, _) = refine_boxes(&raw, &TemporalConfig::default());
         assert!(events[3].corrected);
@@ -682,8 +682,7 @@ mod tests {
     fn corrected_boxes_do_not_poison_history() {
         // Three good, then a run of bad boxes: all bad ones corrected
         // against the surviving good history.
-        let mut raw: Vec<Option<BoxRegion>> =
-            (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
+        let mut raw: Vec<Option<BoxRegion>> = (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
         for _ in 0..4 {
             raw.push(Some(b(0, 0, 128, 128)));
         }
@@ -757,8 +756,7 @@ mod tests {
 
     #[test]
     fn factor_controls_sensitivity() {
-        let mut raw: Vec<Option<BoxRegion>> =
-            (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
+        let mut raw: Vec<Option<BoxRegion>> = (0..3).map(|_| Some(b(10, 10, 30, 40))).collect();
         raw.push(Some(b(10, 10, 40, 55))); // 1.5x in both dims
         let strict = TemporalConfig {
             size_factor: 1.2,

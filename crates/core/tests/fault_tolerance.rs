@@ -116,7 +116,10 @@ fn grounding_errors_fall_back_to_otsu() {
     // the phantom, and the volume reports exactly what happened.
     assert_eq!(r.degraded_slices().len(), 4);
     assert!(r.failed_slices().is_empty());
-    assert!(r.masks.iter().all(|m| m.count() > 0), "otsu masks non-empty");
+    assert!(
+        r.masks.iter().all(|m| m.count() > 0),
+        "otsu masks non-empty"
+    );
 }
 
 #[test]
@@ -162,10 +165,7 @@ fn deadline_expiry_during_quarantine_reports_cancelled() {
 #[test]
 fn resume_from_a_truncated_journal_is_bit_identical() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!(
-        "zenesis-resume-bitident-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("zenesis-resume-bitident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let v = volume(6);
     let z = pipeline();
@@ -178,14 +178,21 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
     let first = z
         .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("checkpointed run completes");
-    assert_eq!(first.masks, reference.masks, "journaling must not change output");
+    assert_eq!(
+        first.masks, reference.masks,
+        "journaling must not change output"
+    );
 
     // Simulate a kill -9 partway: keep the header + the first three
     // records, tear the last kept line in half.
     let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
     let text = std::fs::read_to_string(&journal).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 5, "expected a record per slice, got {}", lines.len());
+    assert!(
+        lines.len() > 5,
+        "expected a record per slice, got {}",
+        lines.len()
+    );
     let mut kept: Vec<String> = lines[..4].iter().map(|s| s.to_string()).collect();
     let torn = kept.pop().unwrap();
     let mut partial = kept.join("\n") + "\n";
@@ -197,11 +204,18 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
     let resumed = z
         .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("resumed run completes");
-    assert_eq!(resumed.masks, reference.masks, "resume must be bit-identical");
+    assert_eq!(
+        resumed.masks, reference.masks,
+        "resume must be bit-identical"
+    );
     assert_eq!(resumed.outcomes, reference.outcomes);
     assert_eq!(
         resumed.masks.iter().map(|m| m.count()).collect::<Vec<_>>(),
-        reference.masks.iter().map(|m| m.count()).collect::<Vec<_>>(),
+        reference
+            .masks
+            .iter()
+            .map(|m| m.count())
+            .collect::<Vec<_>>(),
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -209,10 +223,7 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
 #[test]
 fn no_resume_discards_the_journal_and_still_matches() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!(
-        "zenesis-resume-discard-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("zenesis-resume-discard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let v = volume(3);
     let z = pipeline();
@@ -234,10 +245,7 @@ fn no_resume_discards_the_journal_and_still_matches() {
 #[test]
 fn journal_for_a_different_prompt_is_ignored() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!(
-        "zenesis-resume-foreign-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("zenesis-resume-foreign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let v = volume(3);
     let z = pipeline();
@@ -289,7 +297,12 @@ fn sigkill_mid_append_resumes_bit_identically() {
     // very test binary re-executed at its ignored companion test.
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
-        .args(["sigkill_child_writer", "--exact", "--ignored", "--nocapture"])
+        .args([
+            "sigkill_child_writer",
+            "--exact",
+            "--ignored",
+            "--nocapture",
+        ])
         .env("ZENESIS_CKPT_CHILD_DIR", &dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -318,7 +331,10 @@ fn sigkill_mid_append_resumes_bit_identically() {
     // in a torn in-progress append so recovery must truncate.
     {
         use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap();
         f.write_all(br#"{"z": 99, "crc": "#).unwrap();
     }
 
@@ -327,7 +343,10 @@ fn sigkill_mid_append_resumes_bit_identically() {
     let resumed = z
         .segment_volume_streamed(&v.volume, PROMPT, &CancelToken::new(), Some(&spec))
         .expect("resume after SIGKILL completes");
-    assert_eq!(resumed.masks, reference.masks, "resume must be bit-identical");
+    assert_eq!(
+        resumed.masks, reference.masks,
+        "resume must be bit-identical"
+    );
     assert_eq!(resumed.outcomes, reference.outcomes);
     assert!(
         zenesis_obs::counter("checkpoint.truncated").get() > truncated_before,
@@ -339,10 +358,7 @@ fn sigkill_mid_append_resumes_bit_identically() {
 #[test]
 fn dropped_checkpoint_writes_never_fail_the_run() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!(
-        "zenesis-resume-iowrite-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("zenesis-resume-iowrite-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let v = volume(4);
     let z = pipeline();

@@ -38,10 +38,8 @@ fn pipeline() -> Zenesis {
 /// Write the phantom volume as a multi-page 16-bit TIFF and open a
 /// streaming reader over it.
 fn tiff_reader(v: &zenesis_data::VolumeSample, tag: &str) -> VolumeReader {
-    let path = std::env::temp_dir().join(format!(
-        "zenesis-stream-{tag}-{}.tif",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("zenesis-stream-{tag}-{}.tif", std::process::id()));
     zenesis_tiff::save_tiff_volume_u16(&v.volume, &path).unwrap();
     VolumeReader::open(&path).unwrap()
 }
@@ -66,7 +64,11 @@ fn streamed_tiff_matches_in_memory_bit_identically() {
         assert_eq!(streamed.outcomes, reference.outcomes);
         assert_eq!(streamed.events.len(), reference.events.len());
         for (a, b) in streamed.events.iter().zip(&reference.events) {
-            assert_eq!(a.corrected, b.corrected, "slice {} ({threads} threads)", a.slice);
+            assert_eq!(
+                a.corrected, b.corrected,
+                "slice {} ({threads} threads)",
+                a.slice
+            );
         }
     }
 }
@@ -91,7 +93,10 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
             !failed.is_empty(),
             "seeded 30% read-fault rate must hit at least one of 8 slices"
         );
-        assert!(failed.len() * 2 <= 8, "seed must keep failures under the abort floor");
+        assert!(
+            failed.len() * 2 <= 8,
+            "seed must keep failures under the abort floor"
+        );
         for zi in &failed {
             assert_eq!(r.masks[*zi].count(), 0, "no pixels -> empty mask");
             match &r.outcomes[*zi] {
@@ -144,8 +149,14 @@ fn stage_three_decodes_a_dark_prompt_dark() {
         let _t = ThreadsGuard::new(threads);
         let volume = Zenesis::new(config.clone()).segment_volume(&v.volume, DARK);
         for &i in &checked {
-            assert!(single[i].combined.count() > 0, "slice {i} finds dark structure");
-            assert_eq!(volume.masks[i], single[i].combined, "slice {i} ({threads} threads)");
+            assert!(
+                single[i].combined.count() > 0,
+                "slice {i} finds dark structure"
+            );
+            assert_eq!(
+                volume.masks[i], single[i].combined,
+                "slice {i} ({threads} threads)"
+            );
         }
     }
 }
@@ -153,10 +164,7 @@ fn stage_three_decodes_a_dark_prompt_dark() {
 #[test]
 fn fault_injected_tiff_volume_resumes_bit_identically() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!(
-        "zenesis-stream-resume-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("zenesis-stream-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let v = generate_volume(SampleKind::Crystalline, 64, 6, 7, &[]);
     let z = pipeline();
@@ -178,14 +186,21 @@ fn fault_injected_tiff_volume_resumes_bit_identically() {
         let first = z
             .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
             .expect("checkpointed run completes");
-        assert_eq!(first.masks, reference.masks, "journaling must not change output");
+        assert_eq!(
+            first.masks, reference.masks,
+            "journaling must not change output"
+        );
 
         // Simulate a kill -9 partway: keep the header plus three records,
         // tear the last kept line in half.
         let journal = dir.join(zenesis_core::checkpoint::JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() > 5, "expected a record per slice, got {}", lines.len());
+        assert!(
+            lines.len() > 5,
+            "expected a record per slice, got {}",
+            lines.len()
+        );
         let mut kept: Vec<String> = lines[..4].iter().map(|s| s.to_string()).collect();
         let torn = kept.pop().unwrap();
         let mut partial = kept.join("\n") + "\n";
@@ -268,6 +283,9 @@ fn a_panicking_read_unwinds_instead_of_hanging() {
         }));
         let payload = run.expect_err("the reader's panic propagates");
         let message = panic_message(payload.as_ref());
-        assert!(message.contains("unreadable slice 2"), "{threads} threads: {message}");
+        assert!(
+            message.contains("unreadable slice 2"),
+            "{threads} threads: {message}"
+        );
     }
 }

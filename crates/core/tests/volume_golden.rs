@@ -44,8 +44,16 @@ const THREADS: [usize; 3] = [1, 2, 4];
 fn check(r: &VolumeResult, threads: usize, pixels: &[usize], outcomes: &str, corrections: usize) {
     let got: Vec<usize> = r.masks.iter().map(|m| m.count()).collect();
     assert_eq!(got, pixels, "per-slice mask pixels at {threads} threads");
-    assert_eq!(kinds(&r.outcomes), outcomes, "outcome kinds at {threads} threads");
-    assert_eq!(r.corrections(), corrections, "temporal corrections at {threads} threads");
+    assert_eq!(
+        kinds(&r.outcomes),
+        outcomes,
+        "outcome kinds at {threads} threads"
+    );
+    assert_eq!(
+        r.corrections(),
+        corrections,
+        "temporal corrections at {threads} threads"
+    );
 }
 
 fn run(threads: usize, config: ZenesisConfig, depth: usize, outliers: &[usize]) -> VolumeResult {
@@ -59,7 +67,13 @@ fn golden_no_faults() {
     let _g = lock();
     for threads in THREADS {
         let r = run(threads, ZenesisConfig::default(), 6, &[3]);
-        check(&r, threads, &[1100, 1118, 1126, 1313, 1145, 1093], "oooooo", 0);
+        check(
+            &r,
+            threads,
+            &[1100, 1118, 1126, 1313, 1145, 1093],
+            "oooooo",
+            0,
+        );
     }
 }
 
@@ -71,7 +85,13 @@ fn golden_decode_panics() {
         .arm();
     for threads in THREADS {
         let r = run(threads, ZenesisConfig::default(), 8, &[]);
-        check(&r, threads, &[1100, 1123, 1534, 1111, 1565, 1156, 1642, 1637], "oodododd", 4);
+        check(
+            &r,
+            threads,
+            &[1100, 1123, 1534, 1111, 1565, 1156, 1642, 1637],
+            "oodododd",
+            4,
+        );
     }
 }
 
@@ -83,7 +103,13 @@ fn golden_nan_poisoned_adaptation() {
         .arm();
     for threads in THREADS {
         let r = run(threads, ZenesisConfig::default(), 6, &[]);
-        check(&r, threads, &[1641, 1118, 1126, 1070, 1145, 1093], "doodoo", 1);
+        check(
+            &r,
+            threads,
+            &[1641, 1118, 1126, 1070, 1145, 1093],
+            "doodoo",
+            1,
+        );
     }
 }
 

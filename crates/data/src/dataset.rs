@@ -215,7 +215,10 @@ mod tests {
             .map(|(&a, &b)| (a as f64 - b as f64).abs())
             .sum::<f64>()
             / (64.0 * 64.0);
-        assert!(diff > 100.0, "glitch should alter counts, mean |d| = {diff}");
+        assert!(
+            diff > 100.0,
+            "glitch should alter counts, mean |d| = {diff}"
+        );
         assert_eq!(glitched.outlier_slices, vec![2]);
     }
 }

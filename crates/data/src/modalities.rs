@@ -105,10 +105,12 @@ fn stm(side: usize, seed: u64) -> ModalityFrame {
     let clean = Image::from_fn(side, side, |x, y| {
         let (xf, yf) = (x as f32, y as f32);
         // Atomic corrugation: two interfering plane waves.
-        let lattice = 0.05
-            * ((lattice_k * xf).sin() + (lattice_k * 0.5 * xf + lattice_k * 0.87 * yf).sin());
+        let lattice =
+            0.05 * ((lattice_k * xf).sin() + (lattice_k * 0.5 * xf + lattice_k * 0.87 * yf).sin());
         // Piezo creep: smooth plane tilt + slow drift.
-        let plane = 0.25 + tilt_x * xf / side as f32 + tilt_y * yf / side as f32
+        let plane = 0.25
+            + tilt_x * xf / side as f32
+            + tilt_y * yf / side as f32
             + 0.05 * (fbm(&vn, xf, yf, 0.01, 2) - 0.5);
         // Adsorbates: tall smooth protrusions (the target).
         let mut prot: f32 = 0.0;

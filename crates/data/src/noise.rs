@@ -68,7 +68,8 @@ pub fn degrade(clean: &Image<f32>, cfg: &NoiseConfig, seed: u64) -> Image<u16> {
         clean.clone()
     };
     // 2. Contrast/brightness drift.
-    let adjusted = blurred.map(|v| ((v - 0.5) * cfg.contrast + 0.5 + cfg.brightness).clamp(0.0, 1.0));
+    let adjusted =
+        blurred.map(|v| ((v - 0.5) * cfg.contrast + 0.5 + cfg.brightness).clamp(0.0, 1.0));
     // 3. Curtaining stripes: smooth multiplicative column profile.
     let mut stripe = vec![1.0f32; w];
     if cfg.stripe_amplitude > 0.0 {

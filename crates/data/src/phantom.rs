@@ -288,7 +288,10 @@ mod tests {
             n += 1;
         }
         let needle_mean = needle_sum / n as f32;
-        assert!(needle_mean > 0.1 && needle_mean < 0.5, "needle mean {needle_mean}");
+        assert!(
+            needle_mean > 0.1 && needle_mean < 0.5,
+            "needle mean {needle_mean}"
+        );
         // The trench wall (outside the window) is near-black; the film
         // inside the window is low but above it.
         assert!(s.clean.get(2, 2) < 0.05);
@@ -302,13 +305,8 @@ mod tests {
         // Dark pixels (below 0.1 clean: the black trench walls) cover a
         // large share of the frame: the "entirely black background" the
         // paper blames for Otsu/SAM-only failures.
-        let dark = s
-            .clean
-            .as_slice()
-            .iter()
-            .filter(|&&v| v < 0.1)
-            .count() as f64
-            / s.clean.len() as f64;
+        let dark =
+            s.clean.as_slice().iter().filter(|&&v| v < 0.1).count() as f64 / s.clean.len() as f64;
         assert!(dark > 0.4, "dark fraction {dark}");
         // And the needles are a small minority of the window.
         assert!(s.truth.coverage() < 0.2);

@@ -172,9 +172,7 @@ impl FaultPlan {
         for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
             let parts: Vec<&str> = entry.trim().split(':').collect();
             if parts.len() != 4 {
-                return Err(format!(
-                    "fault entry {entry:?} must be site:kind:prob:seed"
-                ));
+                return Err(format!("fault entry {entry:?} must be site:kind:prob:seed"));
             }
             let kind = match parts[1] {
                 "error" => FaultKind::Error,
@@ -355,8 +353,7 @@ pub fn trip(site_name: &str) -> Option<Injection> {
         let plan = slot.as_ref()?;
         plan.sites.get(site_name)?.clone()
     };
-    let index = current_unit()
-        .unwrap_or_else(|| site.counter.fetch_add(1, Ordering::Relaxed));
+    let index = current_unit().unwrap_or_else(|| site.counter.fetch_add(1, Ordering::Relaxed));
     if !decide(&site, site_name, index) {
         return None;
     }
@@ -406,8 +403,7 @@ mod tests {
 
     #[test]
     fn parse_env_syntax() {
-        let p =
-            FaultPlan::parse("sam.decode:panic:0.1:7,adapt.denoise:nan:0.05:11").unwrap();
+        let p = FaultPlan::parse("sam.decode:panic:0.1:7,adapt.denoise:nan:0.05:11").unwrap();
         assert_eq!(p.len(), 2);
         let p = FaultPlan::parse("slice.slow:slow250:1.0:1").unwrap();
         assert_eq!(p.sites["slice.slow"].kind, FaultKind::Slow(250));
@@ -447,9 +443,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_unit() {
         let _g = LOCK.lock();
-        let _armed = FaultPlan::new()
-            .site("d", FaultKind::Error, 0.3, 42)
-            .arm();
+        let _armed = FaultPlan::new().site("d", FaultKind::Error, 0.3, 42).arm();
         let run = || -> Vec<bool> {
             (0..64)
                 .map(|i| with_unit(i, || trip("d").is_some()))

@@ -274,9 +274,25 @@ mod tests {
         let none = BitMask::new(32, 32);
         let cfg = FinetuneConfig::default();
         // All-positive: no negatives to contrast against.
-        assert!(learn_concept("x", &[Exemplar { image: &img, mask: &all }], &cfg).is_none());
+        assert!(learn_concept(
+            "x",
+            &[Exemplar {
+                image: &img,
+                mask: &all
+            }],
+            &cfg
+        )
+        .is_none());
         // All-negative: no positives.
-        assert!(learn_concept("x", &[Exemplar { image: &img, mask: &none }], &cfg).is_none());
+        assert!(learn_concept(
+            "x",
+            &[Exemplar {
+                image: &img,
+                mask: &none
+            }],
+            &cfg
+        )
+        .is_none());
     }
 
     #[test]
@@ -292,15 +308,24 @@ mod tests {
         let mask2 = BitMask::from_box(96, 96, BoxRegion::new(8, 48, 40, 88));
         let one = learn_concept(
             "c",
-            &[Exemplar { image: &img1, mask: &mask1 }],
+            &[Exemplar {
+                image: &img1,
+                mask: &mask1,
+            }],
             &FinetuneConfig::default(),
         )
         .unwrap();
         let two = learn_concept(
             "c",
             &[
-                Exemplar { image: &img1, mask: &mask1 },
-                Exemplar { image: &img2, mask: &mask2 },
+                Exemplar {
+                    image: &img1,
+                    mask: &mask1,
+                },
+                Exemplar {
+                    image: &img2,
+                    mask: &mask2,
+                },
             ],
             &FinetuneConfig::default(),
         )
@@ -314,7 +339,10 @@ mod tests {
         let (img, mask) = square_scene();
         let c = learn_concept(
             "phase_x",
-            &[Exemplar { image: &img, mask: &mask }],
+            &[Exemplar {
+                image: &img,
+                mask: &mask,
+            }],
             &FinetuneConfig::default(),
         )
         .unwrap();

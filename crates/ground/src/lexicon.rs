@@ -57,7 +57,18 @@ impl Lexicon {
         );
         // structure primitives
         add(
-            &["needle", "needles", "rod", "rods", "fiber", "fibers", "wire", "wires", "dendrite", "dendrites"],
+            &[
+                "needle",
+                "needles",
+                "rod",
+                "rods",
+                "fiber",
+                "fibers",
+                "wire",
+                "wires",
+                "dendrite",
+                "dendrites",
+            ],
             ch(&[
                 (CH_ELONGATION, 1.3),
                 (CH_EDGE, 1.0),
@@ -70,7 +81,17 @@ impl Lexicon {
             ch(&[(CH_ELONGATION, 1.0), (CH_EDGE, 0.8), (CH_CONTRAST, 0.4)]),
         );
         add(
-            &["particle", "particles", "grain", "grains", "blob", "blobs", "agglomerate", "agglomerates", "catalyst_particles"],
+            &[
+                "particle",
+                "particles",
+                "grain",
+                "grains",
+                "blob",
+                "blobs",
+                "agglomerate",
+                "agglomerates",
+                "catalyst_particles",
+            ],
             ch(&[
                 (CH_BRIGHT, 1.0),
                 (CH_SMOOTH, 0.8),
@@ -86,7 +107,12 @@ impl Lexicon {
         // domain objects
         add(
             &["catalyst", "iridium", "irox", "iro2", "catalyst_layer"],
-            ch(&[(CH_CONTRAST, 0.8), (CH_EDGE, 0.5), (CH_BRIGHT, 0.5), (CH_DARK, -0.5)]),
+            ch(&[
+                (CH_CONTRAST, 0.8),
+                (CH_EDGE, 0.5),
+                (CH_BRIGHT, 0.5),
+                (CH_DARK, -0.5),
+            ]),
         );
         add(
             &["ionomer", "nafion", "membrane", "film"],
@@ -107,7 +133,19 @@ impl Lexicon {
         // Point-like features: a sub-patch bright spot raises patch mean,
         // local contrast, and edge energy all at once.
         add(
-            &["spot", "spots", "dot", "dots", "point", "points", "puncta", "precipitate", "precipitates", "adsorbate", "adsorbates"],
+            &[
+                "spot",
+                "spots",
+                "dot",
+                "dots",
+                "point",
+                "points",
+                "puncta",
+                "precipitate",
+                "precipitates",
+                "adsorbate",
+                "adsorbates",
+            ],
             ch(&[
                 (CH_BRIGHT, 0.8),
                 (CH_CONTRAST, 0.9),
@@ -146,8 +184,7 @@ impl Lexicon {
 
     /// True if the term is in the dictionary (built-in or taught).
     pub fn knows(&self, term: &str) -> bool {
-        self.custom.iter().any(|(t, _)| t == term)
-            || self.entries.iter().any(|(t, _)| *t == term)
+        self.custom.iter().any(|(t, _)| t == term) || self.entries.iter().any(|(t, _)| *t == term)
     }
 
     /// Encode one token. Known terms return their attribute vector;

@@ -35,14 +35,14 @@
 
 pub mod boxes;
 pub mod dino;
-pub mod finetune;
 pub mod features;
+pub mod finetune;
 pub mod lexicon;
 pub mod tokenizer;
 
 pub use boxes::{nms, Detection};
-pub use dino::{DinoConfig, GroundingDino, Grounding, ImageSide};
-pub use finetune::{learn_concept, Exemplar, FinetuneConfig, LearnedConcept};
+pub use dino::{DinoConfig, Grounding, GroundingDino, ImageSide};
 pub use features::{FeatureGrid, CHANNEL_NAMES, N_CHANNELS};
+pub use finetune::{learn_concept, Exemplar, FinetuneConfig, LearnedConcept};
 pub use lexicon::Lexicon;
 pub use tokenizer::tokenize;

@@ -55,7 +55,10 @@ mod tests {
     #[test]
     fn basic_split_and_lowercase() {
         assert_eq!(tokenize("Bright Needles"), vec!["bright", "needles"]);
-        assert_eq!(tokenize("catalyst,membrane;pore"), vec!["catalyst", "membrane", "pore"]);
+        assert_eq!(
+            tokenize("catalyst,membrane;pore"),
+            vec!["catalyst", "membrane", "pore"]
+        );
     }
 
     #[test]

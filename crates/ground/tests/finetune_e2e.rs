@@ -26,13 +26,23 @@ fn learned_concept_grounds_unseen_slices() {
     let concept = learn_concept(
         "my_needles",
         &[
-            Exemplar { image: &img_a, mask: &mask_a },
-            Exemplar { image: &img_b, mask: &mask_b },
+            Exemplar {
+                image: &img_a,
+                mask: &mask_a,
+            },
+            Exemplar {
+                image: &img_b,
+                mask: &mask_b,
+            },
         ],
         &FinetuneConfig::default(),
     )
     .expect("learnable concept");
-    assert!(concept.separation > 0.2, "separation {}", concept.separation);
+    assert!(
+        concept.separation > 0.2,
+        "separation {}",
+        concept.separation
+    );
 
     let mut dino = GroundingDino::new(DinoConfig::default());
     dino.teach(&concept);
@@ -46,7 +56,10 @@ fn learned_concept_grounds_unseen_slices() {
             boxes.or_with(&BitMask::from_box(w, h, d.bbox));
         }
         let recall = boxes.intersection_count(&truth) as f64 / truth.count() as f64;
-        assert!(recall > 0.5, "seed {seed}: learned-term box recall {recall}");
+        assert!(
+            recall > 0.5,
+            "seed {seed}: learned-term box recall {recall}"
+        );
         assert!(boxes.coverage() < 0.85, "seed {seed}: boxes too broad");
     }
 }
@@ -60,7 +73,10 @@ fn learned_concept_limit_on_amorphous() {
     let (img_a, mask_a) = adapted_slice(SampleKind::Amorphous, 1);
     let concept = learn_concept(
         "my_catalyst",
-        &[Exemplar { image: &img_a, mask: &mask_a }],
+        &[Exemplar {
+            image: &img_a,
+            mask: &mask_a,
+        }],
         &FinetuneConfig::default(),
     )
     .expect("learnable");

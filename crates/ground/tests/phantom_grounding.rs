@@ -26,8 +26,11 @@ fn grounded_box_mask(kind: SampleKind, seed: u64, prompt: &str) -> (BitMask, Bit
 fn crystalline_boxes_cover_needles() {
     let mut total_recall = 0.0;
     for seed in [1u64, 2, 3] {
-        let (boxes, truth) =
-            grounded_box_mask(SampleKind::Crystalline, seed, "needle-like crystalline catalyst");
+        let (boxes, truth) = grounded_box_mask(
+            SampleKind::Crystalline,
+            seed,
+            "needle-like crystalline catalyst",
+        );
         assert!(boxes.count() > 0, "seed {seed}: no boxes");
         // Recall: fraction of needle pixels inside some box.
         let recall = boxes.intersection_count(&truth) as f64 / truth.count() as f64;
@@ -37,7 +40,11 @@ fn crystalline_boxes_cover_needles() {
         let cov = boxes.coverage();
         assert!(cov < 0.75, "seed {seed}: boxes cover {cov} of image");
     }
-    assert!(total_recall / 3.0 > 0.7, "mean recall {}", total_recall / 3.0);
+    assert!(
+        total_recall / 3.0 > 0.7,
+        "mean recall {}",
+        total_recall / 3.0
+    );
 }
 
 #[test]

@@ -52,8 +52,7 @@ pub fn hstack_gray<T: Pixel>(images: &[&Image<T>], gap: usize, gap_value: T) -> 
     assert!(!images.is_empty());
     let h = images[0].height();
     assert!(images.iter().all(|i| i.height() == h), "heights differ");
-    let total_w: usize =
-        images.iter().map(|i| i.width()).sum::<usize>() + gap * (images.len() - 1);
+    let total_w: usize = images.iter().map(|i| i.width()).sum::<usize>() + gap * (images.len() - 1);
     let mut out = Image::filled(total_w, h, gap_value);
     let mut x0 = 0;
     for img in images {

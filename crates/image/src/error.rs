@@ -32,7 +32,10 @@ impl fmt::Display for ImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ImageError::ShapeMismatch { expected, actual } => {
-                write!(f, "buffer length {actual} does not match shape ({expected} expected)")
+                write!(
+                    f,
+                    "buffer length {actual} does not match shape ({expected} expected)"
+                )
             }
             ImageError::EmptyDimensions => write!(f, "image dimensions must be non-zero"),
             ImageError::OutOfBounds { what } => write!(f, "{what} out of bounds"),

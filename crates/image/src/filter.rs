@@ -127,7 +127,9 @@ pub fn convolve_rows(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let (w, h) = img.dims();
     let mut out = vec![0.0f32; w * h];
-    par_rows(&mut out, w, |y0, band| conv_rows_band(img, kernel, y0, band));
+    par_rows(&mut out, w, |y0, band| {
+        conv_rows_band(img, kernel, y0, band)
+    });
     Image::from_vec(w, h, out).expect("shape preserved")
 }
 
@@ -136,7 +138,9 @@ pub fn convolve_cols(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let (w, h) = img.dims();
     let mut out = vec![0.0f32; w * h];
-    par_rows(&mut out, w, |y0, band| conv_cols_band(img, kernel, y0, band));
+    par_rows(&mut out, w, |y0, band| {
+        conv_cols_band(img, kernel, y0, band)
+    });
     Image::from_vec(w, h, out).expect("shape preserved")
 }
 
@@ -306,7 +310,11 @@ fn sobel_row(ym: &[f32], yc: &[f32], yp: &[f32], gx: &mut [f32], gy: &mut [f32])
 /// The three (row-clamped) source rows around `y`.
 #[inline(always)]
 fn rows3(img: &Image<f32>, y: usize, h: usize) -> (&[f32], &[f32], &[f32]) {
-    (img.row(y.saturating_sub(1)), img.row(y), img.row((y + 1).min(h - 1)))
+    (
+        img.row(y.saturating_sub(1)),
+        img.row(y),
+        img.row((y + 1).min(h - 1)),
+    )
 }
 
 #[inline(always)]
@@ -403,7 +411,9 @@ pub fn local_std(img: &Image<f32>, radius: usize) -> Image<f32> {
         moments_rows_band(img, &kernel, y0, band)
     });
     let mut out = vec![0.0f32; w * h];
-    par_rows(&mut out, w, |y0, band| std_cols_band(&rows, w, &kernel, y0, band));
+    par_rows(&mut out, w, |y0, band| {
+        std_cols_band(&rows, w, &kernel, y0, band)
+    });
     Image::from_vec(w, h, out).expect("shape preserved")
 }
 
@@ -484,7 +494,9 @@ pub fn orientation_coherence(img: &Image<f32>, sigma: f32) -> Image<f32> {
         tensor_rows_band(img, &kernel, y0, band)
     });
     let mut out = vec![0.0f32; w * h];
-    par_rows(&mut out, w, |y0, band| coherence_cols_band(&rows, w, &kernel, y0, band));
+    par_rows(&mut out, w, |y0, band| {
+        coherence_cols_band(&rows, w, &kernel, y0, band)
+    });
     Image::from_vec(w, h, out).expect("shape preserved")
 }
 

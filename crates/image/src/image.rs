@@ -53,7 +53,9 @@ impl<T: Pixel> Image<T> {
     /// Build an image by evaluating `f(x, y)` at every pixel (parallel).
     pub fn from_fn(width: usize, height: usize, f: impl Fn(usize, usize) -> T + Sync) -> Self {
         assert!(width > 0 && height > 0, "image dimensions must be non-zero");
-        let data = par_map_range_min(width * height, SMALL_WORK_ELEMS, |i| f(i % width, i / width));
+        let data = par_map_range_min(width * height, SMALL_WORK_ELEMS, |i| {
+            f(i % width, i / width)
+        });
         Image {
             width,
             height,
@@ -178,7 +180,9 @@ impl<T: Pixel> Image<T> {
     pub fn crop(&self, region: BoxRegion) -> Result<Image<T>> {
         let r = region.clamp_to(self.width, self.height);
         if r.width() == 0 || r.height() == 0 {
-            return Err(ImageError::OutOfBounds { what: "crop region" });
+            return Err(ImageError::OutOfBounds {
+                what: "crop region",
+            });
         }
         let mut data = Vec::with_capacity(r.width() * r.height());
         for y in r.y0..r.y1 {
@@ -313,9 +317,16 @@ impl Image<f32> {
         // XOR-fold each 64-pixel block (vectorizes), stop at the first
         // block that differs.
         self.dims() == other.dims()
-            && self.data.chunks(64).zip(other.data.chunks(64)).all(|(a, b)| {
-                a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x.to_bits() ^ y.to_bits())) == 0
-            })
+            && self
+                .data
+                .chunks(64)
+                .zip(other.data.chunks(64))
+                .all(|(a, b)| {
+                    a.iter()
+                        .zip(b)
+                        .fold(0, |acc, (x, y)| acc | (x.to_bits() ^ y.to_bits()))
+                        == 0
+                })
     }
 }
 

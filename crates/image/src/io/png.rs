@@ -174,7 +174,10 @@ mod tests {
         let img = Image::<u8>::from_fn(5, 3, |x, y| (x * 50 + y * 10) as u8);
         let png = encode_png_gray(&img);
         // Signature.
-        assert_eq!(&png[0..8], &[0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A]);
+        assert_eq!(
+            &png[0..8],
+            &[0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A]
+        );
         // IHDR immediately after: length 13.
         assert_eq!(&png[8..12], &13u32.to_be_bytes());
         assert_eq!(&png[12..16], b"IHDR");
@@ -182,7 +185,7 @@ mod tests {
         assert_eq!(&png[20..24], &3u32.to_be_bytes()); // height
         assert_eq!(png[24], 8); // bit depth
         assert_eq!(png[25], 0); // gray
-        // Ends with IEND.
+                                // Ends with IEND.
         assert_eq!(&png[png.len() - 8..png.len() - 4], b"IEND");
     }
 
@@ -191,12 +194,12 @@ mod tests {
         let img = RgbImage::filled(4, 4, [10, 200, 30]);
         let png = encode_png_rgb(&img);
         assert_eq!(png[25], 2); // rgb color type
-        // IDAT payload: 4 rows x (1 + 12) bytes wrapped in zlib.
+                                // IDAT payload: 4 rows x (1 + 12) bytes wrapped in zlib.
         assert!(png.len() > 4 * 13);
     }
 
     #[test]
-    fn files_written(){
+    fn files_written() {
         let dir = std::env::temp_dir().join("zenesis_png_test");
         std::fs::create_dir_all(&dir).unwrap();
         let g = Image::<u8>::from_fn(16, 16, |x, y| ((x ^ y) * 16) as u8);

@@ -103,7 +103,7 @@ mod tests {
     fn f32_roundtrip() {
         let vals = [0.0f32, 1.5, -3.25, 1e-7];
         let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let img = read_raw_f32(&bytes, 2, 2, ).unwrap();
+        let img = read_raw_f32(&bytes, 2, 2).unwrap();
         assert_eq!(img.get(1, 1), 1e-7);
         assert_eq!(img.get(0, 1), -3.25);
     }

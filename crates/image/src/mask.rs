@@ -185,7 +185,13 @@ impl BitMask {
         let rw = self.row_words();
         let mut rows = vec![0u64; rw * self.height];
         for y in 0..self.height {
-            copy_bits(&mut rows, y * rw * 64, &self.words, y * self.width, self.width);
+            copy_bits(
+                &mut rows,
+                y * rw * 64,
+                &self.words,
+                y * self.width,
+                self.width,
+            );
         }
         rows
     }
@@ -499,10 +505,7 @@ mod tests {
         let a = BitMask::from_fn(20, 20, |x, y| (x + y) % 3 == 0);
         let b = BitMask::from_fn(20, 20, |x, y| x % 2 == 0 && y > 4);
         // |A| + |B| = |A∪B| + |A∩B|
-        assert_eq!(
-            a.count() + b.count(),
-            a.or(&b).count() + a.and(&b).count()
-        );
+        assert_eq!(a.count() + b.count(), a.or(&b).count() + a.and(&b).count());
         // XOR = union minus intersection
         assert_eq!(a.xor(&b).count(), a.or(&b).count() - a.and(&b).count());
         // subtract

@@ -215,8 +215,10 @@ mod tests {
         assert!(d.count() > m.count());
         assert!(e.count() < m.count());
         // Erosion then dilation of a convex box is a subset of the original.
-        assert_eq!(open(&m, Structuring::Square(1)).intersection_count(&m),
-                   open(&m, Structuring::Square(1)).count());
+        assert_eq!(
+            open(&m, Structuring::Square(1)).intersection_count(&m),
+            open(&m, Structuring::Square(1)).count()
+        );
     }
 
     #[test]

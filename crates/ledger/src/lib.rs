@@ -493,14 +493,16 @@ pub fn diff(base: &Ledger, head: &Ledger, th: &DiffThresholds) -> LedgerDiff {
 /// a fraction. Used by the `zenesis-obs-diff` CLI.
 pub fn parse_pct(s: &str) -> Result<f64, String> {
     let t = s.trim().trim_end_matches('%');
-    let v: f64 = t
-        .parse()
-        .map_err(|_| format!("not a percentage: {s:?}"))?;
+    let v: f64 = t.parse().map_err(|_| format!("not a percentage: {s:?}"))?;
     if v < 0.0 {
         return Err(format!("negative threshold: {s:?}"));
     }
     // "0.2" (fraction) and "20"/"20%" (percent) both mean 20 %.
-    Ok(if s.contains('%') || v >= 1.0 { v / 100.0 } else { v })
+    Ok(if s.contains('%') || v >= 1.0 {
+        v / 100.0
+    } else {
+        v
+    })
 }
 
 #[cfg(test)]

@@ -81,7 +81,9 @@ fn thirty_percent_p99_trips_default_gate() {
     let d = diff(&base, &head, &DiffThresholds::default());
     assert!(!d.ok(), "+30% p99 must trip the 20% gate");
     assert!(
-        d.regressions.iter().any(|r| r.contains("pipeline.segment") && r.contains("p99")),
+        d.regressions
+            .iter()
+            .any(|r| r.contains("pipeline.segment") && r.contains("p99")),
         "regression names the stage and percentile: {:?}",
         d.regressions
     );
@@ -157,10 +159,19 @@ fn capture_reads_obs_registries() {
     zenesis_obs::record_ms("ledger.stage.lat", 5.0);
     zenesis_obs::record_ms("ledger.stage.lat", 6.0);
 
-    let l = Ledger::capture("t", &zenesis_ledger::fingerprint("cfg"), 1, 64, 0.5, Vec::new());
+    let l = Ledger::capture(
+        "t",
+        &zenesis_ledger::fingerprint("cfg"),
+        1,
+        64,
+        0.5,
+        Vec::new(),
+    );
     assert_eq!(l.version, zenesis_ledger::SCHEMA_VERSION);
     assert!(
-        l.counters.iter().any(|c| c.name == "ledger.test.counter" && c.value == 7),
+        l.counters
+            .iter()
+            .any(|c| c.name == "ledger.test.counter" && c.value == 7),
         "{:?}",
         l.counters
     );
@@ -201,11 +212,24 @@ fn one_sided_stages_and_counters_warn_but_never_gate() {
         .for_each(|s| assert!(head.stage(&s.stage).is_some()));
 
     let d = diff(&base, &head, &DiffThresholds::default());
-    assert!(d.ok(), "one-sided entries must not gate: {:?}", d.regressions);
+    assert!(
+        d.ok(),
+        "one-sided entries must not gate: {:?}",
+        d.regressions
+    );
     let notes = d.notes.join("\n");
-    assert!(notes.contains("stage io.tiff.read_slice new in head ledger"), "{notes}");
-    assert!(notes.contains("counter serve.flight.dump new in head ledger"), "{notes}");
-    assert!(notes.contains("counter sam.embed_cache.hit missing from head ledger"), "{notes}");
+    assert!(
+        notes.contains("stage io.tiff.read_slice new in head ledger"),
+        "{notes}"
+    );
+    assert!(
+        notes.contains("counter serve.flight.dump new in head ledger"),
+        "{notes}"
+    );
+    assert!(
+        notes.contains("counter sam.embed_cache.hit missing from head ledger"),
+        "{notes}"
+    );
     // And the reverse direction: a stage only in base is also a note.
     let d = diff(&head, &base, &DiffThresholds::default());
     assert!(d.ok());

@@ -246,7 +246,11 @@ mod tests {
             }
         }
         let sa = analyze_phase(&aligned, PixelSize::default());
-        assert!(sa.orientation_coherence > 0.9, "aligned {}", sa.orientation_coherence);
+        assert!(
+            sa.orientation_coherence > 0.9,
+            "aligned {}",
+            sa.orientation_coherence
+        );
         // One horizontal plus one vertical: axial mean cancels.
         let mut crossed = BitMask::new(60, 60);
         for p in BoxRegion::new(5, 10, 55, 13).pixels() {
@@ -256,7 +260,11 @@ mod tests {
             crossed.set(p.x, p.y, true);
         }
         let sc = analyze_phase(&crossed, PixelSize::default());
-        assert!(sc.orientation_coherence < 0.4, "crossed {}", sc.orientation_coherence);
+        assert!(
+            sc.orientation_coherence < 0.4,
+            "crossed {}",
+            sc.orientation_coherence
+        );
     }
 
     #[test]

@@ -56,7 +56,9 @@ mod tests {
         }
         let q = Matrix::from_fn(1, 8, |_, c| if c == 0 { 5.0 } else { 0.0 });
         let w = attention_weights(&q, &k);
-        let best = (0..4).max_by(|&a, &b| w.get(0, a).partial_cmp(&w.get(0, b)).unwrap()).unwrap();
+        let best = (0..4)
+            .max_by(|&a, &b| w.get(0, a).partial_cmp(&w.get(0, b)).unwrap())
+            .unwrap();
         assert_eq!(best, 2);
     }
 }

@@ -435,11 +435,7 @@ pub fn event_json(rec: &EventRecord) -> Value {
         } => {
             field(&mut m, "id", Value::Number(Number::U(*id)));
             field(&mut m, "attempt", Value::Number(Number::U(*attempt as u64)));
-            field(
-                &mut m,
-                "delay_ms",
-                Value::Number(Number::U(*delay_ms)),
-            );
+            field(&mut m, "delay_ms", Value::Number(Number::U(*delay_ms)));
         }
         Event::SliceDone {
             index,
@@ -454,7 +450,11 @@ pub fn event_json(rec: &EventRecord) -> Value {
             field(&mut m, "done", Value::Number(Number::U(*done as u64)));
             field(&mut m, "total", Value::Number(Number::U(*total as u64)));
             field(&mut m, "lat_ms", Value::Number(Number::F(*lat_ms)));
-            field(&mut m, "mask_pixels", Value::Number(Number::U(*mask_pixels)));
+            field(
+                &mut m,
+                "mask_pixels",
+                Value::Number(Number::U(*mask_pixels)),
+            );
             field(&mut m, "rate", Value::Number(Number::F(*rate)));
             field(
                 &mut m,
@@ -704,10 +704,25 @@ mod tests {
             offset: 1234,
             reason: "truncated final record".into(),
         });
-        emit(Event::WardenSpawn { id: 7, pid: 4242, attempt: 1 });
-        emit(Event::WardenCrash { id: 7, pid: 4242, reason: "exit: signal".into() });
-        emit(Event::WardenRestart { id: 7, attempt: 2, delay_ms: 100 });
-        emit(Event::WardenResume { id: 7, journal_bytes: 9000 });
+        emit(Event::WardenSpawn {
+            id: 7,
+            pid: 4242,
+            attempt: 1,
+        });
+        emit(Event::WardenCrash {
+            id: 7,
+            pid: 4242,
+            reason: "exit: signal".into(),
+        });
+        emit(Event::WardenRestart {
+            id: 7,
+            attempt: 2,
+            delay_ms: 100,
+        });
+        emit(Event::WardenResume {
+            id: 7,
+            journal_bytes: 9000,
+        });
         emit(Event::WardenPoison {
             id: 8,
             fingerprint: "deadbeef".into(),
@@ -745,10 +760,24 @@ mod tests {
         reset_events();
         emit(Event::JobQueued { id: 7, depth: 3 });
         emit(Event::JobRejected { id: 8, capacity: 4 });
-        emit(Event::JobTimeout { id: 7, dur_ms: 120.5 });
-        emit(Event::JobPanic { id: 9, message: "index out of bounds".into() });
-        emit(Event::JobRetry { id: 10, attempt: 2, delay_ms: 100 });
-        emit(Event::TenantRejected { id: 11, tenant: "lab-a".into(), limit: 4 });
+        emit(Event::JobTimeout {
+            id: 7,
+            dur_ms: 120.5,
+        });
+        emit(Event::JobPanic {
+            id: 9,
+            message: "index out of bounds".into(),
+        });
+        emit(Event::JobRetry {
+            id: 10,
+            attempt: 2,
+            delay_ms: 100,
+        });
+        emit(Event::TenantRejected {
+            id: 11,
+            tenant: "lab-a".into(),
+            limit: 4,
+        });
         emit(Event::JobClosed { id: 12 });
         let lines: Vec<serde_json::Value> = events_jsonl()
             .lines()

@@ -247,10 +247,7 @@ fn registry() -> &'static Registry {
     })
 }
 
-fn get_or_insert<T: Default>(
-    table: &Mutex<Vec<(String, Arc<T>)>>,
-    name: Cow<'_, str>,
-) -> Arc<T> {
+fn get_or_insert<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: Cow<'_, str>) -> Arc<T> {
     let mut t = table.lock();
     if let Some((_, v)) = t.iter().find(|(k, _)| *k == name) {
         return Arc::clone(v);

@@ -154,7 +154,11 @@ pub fn prometheus_text() -> String {
         let _ = writeln!(out, "# TYPE {hname} histogram");
         let mut last = 0u64;
         for (hi, cum) in hist.cumulative_buckets() {
-            let _ = writeln!(out, "{hname}_bucket{{le=\"{}\"}} {cum}", fmt_f64(hi * scale));
+            let _ = writeln!(
+                out,
+                "{hname}_bucket{{le=\"{}\"}} {cum}",
+                fmt_f64(hi * scale)
+            );
             last = cum;
         }
         // The mandatory +Inf bucket equals the total count; under
@@ -228,10 +232,9 @@ mod tests {
 
     fn valid_name(name: &str) -> bool {
         !name.is_empty()
-            && name
-                .chars()
-                .enumerate()
-                .all(|(i, c)| c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit()))
+            && name.chars().enumerate().all(|(i, c)| {
+                c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit())
+            })
     }
 
     #[test]
@@ -246,7 +249,9 @@ mod tests {
         let (types, samples) = parse(&text);
 
         assert_eq!(
-            types.get("zenesis_test_prom_jobs_total").map(String::as_str),
+            types
+                .get("zenesis_test_prom_jobs_total")
+                .map(String::as_str),
             Some("counter")
         );
         assert_eq!(samples["zenesis_test_prom_jobs_total"], 3.0);

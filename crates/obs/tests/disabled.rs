@@ -20,7 +20,10 @@ fn off_level_records_nothing_but_timed_still_measures() {
         11
     });
     assert_eq!(v, 11);
-    assert!(ms >= 1.0, "timed must return wall ms even when off, got {ms}");
+    assert!(
+        ms >= 1.0,
+        "timed must return wall ms even when off, got {ms}"
+    );
 
     zenesis_obs::with_parent(None, || {
         let _inner = zenesis_obs::span("off.inner");
@@ -28,7 +31,10 @@ fn off_level_records_nothing_but_timed_still_measures() {
 
     zenesis_obs::record_ms("off.stage.lat", 3.5);
 
-    assert!(zenesis_obs::snapshot().is_empty(), "no spans may be recorded");
+    assert!(
+        zenesis_obs::snapshot().is_empty(),
+        "no spans may be recorded"
+    );
     let m = zenesis_obs::metrics_snapshot();
     assert!(
         m.histograms.is_empty(),

@@ -214,9 +214,15 @@ fn taxonomy_table_names_every_kind_with_its_payload_and_nothing_else() {
         .collect();
     let doc = documented();
     let missing: Vec<&String> = code.keys().filter(|k| !doc.contains_key(*k)).collect();
-    assert!(missing.is_empty(), "kinds missing from the table: {missing:?}");
+    assert!(
+        missing.is_empty(),
+        "kinds missing from the table: {missing:?}"
+    );
     let unknown: Vec<&String> = doc.keys().filter(|k| !code.contains_key(*k)).collect();
-    assert!(unknown.is_empty(), "the table names unknown kinds: {unknown:?}");
+    assert!(
+        unknown.is_empty(),
+        "the table names unknown kinds: {unknown:?}"
+    );
     for (kind, fields) in &code {
         assert_eq!(&doc[kind], fields, "payload of {kind}");
     }

@@ -129,7 +129,10 @@ fn chrome_trace_has_perfetto_schema() {
         "worker spans must land on distinct tid lanes (got {tids:?})"
     );
     // Every tid used by a span has a thread_name metadata record.
-    assert_eq!(metadata_names.len(), metadata_names.iter().collect::<HashSet<_>>().len());
+    assert_eq!(
+        metadata_names.len(),
+        metadata_names.iter().collect::<HashSet<_>>().len()
+    );
     assert!(metadata_names.len() >= tids.len());
 
     zenesis_obs::reset();

@@ -58,10 +58,7 @@ mod tests {
     #[test]
     fn borrows_from_caller() {
         let data = [1, 2, 3, 4];
-        let (sum, max) = join(
-            || data.iter().sum::<i32>(),
-            || *data.iter().max().unwrap(),
-        );
+        let (sum, max) = join(|| data.iter().sum::<i32>(), || *data.iter().max().unwrap());
         assert_eq!(sum, 10);
         assert_eq!(max, 4);
     }

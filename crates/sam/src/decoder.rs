@@ -138,10 +138,7 @@ pub fn decode_box(
     if roi.is_empty() {
         return BitMask::new(w, h);
     }
-    let crop = emb
-        .smooth
-        .crop(roi)
-        .expect("clamped roi is valid");
+    let crop = emb.smooth.crop(roi).expect("clamped roi is valid");
     // Start from the in-box Otsu split, then walk the threshold toward the
     // object to maximize mask *stability* (SAM's stability criterion: the
     // extent should not care about the exact threshold). Otsu under heavy
@@ -228,9 +225,7 @@ pub fn decode_mask_prior(
     let step = (seeds.len() / 256).max(1);
     let sub: Vec<Point> = seeds.into_iter().step_by(step).collect();
     // Constrain growth near the prior: its bounding box plus margin.
-    let bounds = prior
-        .bounding_box()
-        .map(|b| b.expand(8));
+    let bounds = prior.bounding_box().map(|b| b.expand(8));
     let grown = region_grow(emb, &sub, step_tol, global_tol, bounds);
     if grown.count() == 0 {
         return prior.clone();

@@ -342,8 +342,8 @@ impl Sam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zenesis_image::{BoxRegion, Point};
     use crate::prompt::{PointLabel, Prompt};
+    use zenesis_image::{BoxRegion, Point};
 
     fn disk_image() -> Image<f32> {
         Image::from_fn(64, 64, |x, y| {
@@ -420,8 +420,8 @@ mod tests {
     fn bg_point_vetoes() {
         let sam = Sam::new(SamConfig::default());
         let emb = sam.encode(&disk_image());
-        let ps = PromptSet::point(32, 32)
-            .with(Prompt::Point(Point::new(2, 2), PointLabel::Background));
+        let ps =
+            PromptSet::point(32, 32).with(Prompt::Point(Point::new(2, 2), PointLabel::Background));
         let m = sam.segment(&emb, &ps);
         assert!(m.get(32, 32));
         assert!(!m.get(2, 2));

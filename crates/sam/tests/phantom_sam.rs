@@ -51,7 +51,11 @@ fn sam_only_partial_on_amorphous() {
     let mut auto_sum = 0.0;
     let mut boxed_sum = 0.0;
     let mut n = 0.0;
-    for s in ds.samples.iter().filter(|s| s.kind == SampleKind::Amorphous) {
+    for s in ds
+        .samples
+        .iter()
+        .filter(|s| s.kind == SampleKind::Amorphous)
+    {
         let view = AdaptPipeline::minimal().run(&s.raw.to_f32()).0;
         let emb = sam.encode(&view);
         auto_sum += sam.segment_auto(&emb).iou(&s.truth);

@@ -194,11 +194,16 @@ mod tests {
     fn extracts_complete_lines_and_buffers_partials() {
         let (mut client, server) = pair();
         let mut conn = Conn::new(server);
-        client.write_all(b"{\"a\":1}\r\n{\"b\":2}\n{\"part").unwrap();
+        client
+            .write_all(b"{\"a\":1}\r\n{\"b\":2}\n{\"part")
+            .unwrap();
         client.flush().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(50));
         let out = conn.read_ready(1024);
-        assert_eq!(out.lines, vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()]);
+        assert_eq!(
+            out.lines,
+            vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()]
+        );
         assert!(!out.overflow);
         assert!(!conn.read_eof);
         // The partial tail completes on the next pass.

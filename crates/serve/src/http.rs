@@ -265,9 +265,11 @@ mod tests {
 
     fn idle_server() -> Arc<Server> {
         let runner: JobRunner =
-            Arc::new(|_: &JobSpec, _: &zenesis_par::CancelToken| JobResult::Error {
-                message: "unused".into(),
-            });
+            Arc::new(
+                |_: &JobSpec, _: &zenesis_par::CancelToken| JobResult::Error {
+                    message: "unused".into(),
+                },
+            );
         Arc::new(Server::start_with_runner(
             ServeConfig {
                 workers: 1,
@@ -405,9 +407,11 @@ mod tests {
     #[test]
     fn readyz_reports_worker_crash_recovery() {
         let runner: JobRunner =
-            Arc::new(|_: &JobSpec, _: &zenesis_par::CancelToken| JobResult::Error {
-                message: "unused".into(),
-            });
+            Arc::new(
+                |_: &JobSpec, _: &zenesis_par::CancelToken| JobResult::Error {
+                    message: "unused".into(),
+                },
+            );
         let server = Arc::new(Server::start_with_runner(
             ServeConfig {
                 workers: 1,

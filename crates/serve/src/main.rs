@@ -182,11 +182,15 @@ fn main() {
     }
     config.flight_dir = flight_dir;
     config.process_workers = take_flag(&mut args, "--process-workers");
-    if let Some(n) = parse_num("--heartbeat-ms", take_flag_value(&mut args, "--heartbeat-ms")) {
+    if let Some(n) = parse_num(
+        "--heartbeat-ms",
+        take_flag_value(&mut args, "--heartbeat-ms"),
+    ) {
         config.heartbeat_ms = n;
     }
     let tcp = take_flag_value(&mut args, "--tcp");
-    let max_conns: Option<usize> = parse_num("--max-conns", take_flag_value(&mut args, "--max-conns"));
+    let max_conns: Option<usize> =
+        parse_num("--max-conns", take_flag_value(&mut args, "--max-conns"));
     if let Some(stray) = args.first() {
         eprintln!("unknown argument {stray:?} (see --help)");
         std::process::exit(2);
@@ -196,7 +200,9 @@ fn main() {
     if let Some(addr) = &metrics_addr {
         let probe_dir = server.config().flight_dir.clone();
         match zenesis_serve::start_metrics_http(addr, Arc::clone(&server), probe_dir) {
-            Ok(bound) => eprintln!("telemetry sidecar on http://{bound} (/metrics /healthz /readyz)"),
+            Ok(bound) => {
+                eprintln!("telemetry sidecar on http://{bound} (/metrics /healthz /readyz)")
+            }
             Err(e) => {
                 eprintln!("cannot bind metrics listener {addr}: {e}");
                 std::process::exit(1);
@@ -249,7 +255,10 @@ fn serve_pipe(server: &Server) {
         let stdout = std::io::stdout();
         while let Ok(resp) = rx.recv() {
             let mut out = stdout.lock();
-            if writeln!(out, "{}", resp.to_json_line()).and_then(|_| out.flush()).is_err() {
+            if writeln!(out, "{}", resp.to_json_line())
+                .and_then(|_| out.flush())
+                .is_err()
+            {
                 break; // downstream closed; keep draining silently
             }
         }

@@ -277,7 +277,8 @@ fn reactor_loop(
                         // Responses are small and written whole: with
                         // Nagle on, each would wait for the client's
                         // (delayed) ACK of the one before it.
-                        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err()
+                        if stream.set_nonblocking(true).is_err()
+                            || stream.set_nodelay(true).is_err()
                         {
                             continue;
                         }
@@ -346,8 +347,7 @@ fn reactor_loop(
         if conns.len() != before {
             stats.connections.store(conns.len(), Ordering::Relaxed);
             if zenesis_obs::enabled() {
-                zenesis_obs::counter("serve.mux.conn.closed")
-                    .add((before - conns.len()) as u64);
+                zenesis_obs::counter("serve.mux.conn.closed").add((before - conns.len()) as u64);
                 zenesis_obs::gauge("serve.mux.conn.open").set(conns.len() as i64);
             }
         }

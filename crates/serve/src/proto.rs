@@ -109,8 +109,8 @@ pub fn parse_request(line: &str, fallback_id: u64) -> Result<Request, String> {
             .and_then(|x| x.as_str())
             .and_then(Lane::from_name);
         let spec_value = v.get("spec").expect("envelope has spec");
-        let spec: JobSpec = serde_json::from_value(spec_value)
-            .map_err(|e| format!("invalid job spec: {e}"))?;
+        let spec: JobSpec =
+            serde_json::from_value(spec_value).map_err(|e| format!("invalid job spec: {e}"))?;
         Ok(Request {
             id,
             deadline_ms,
@@ -185,8 +185,7 @@ impl Response {
             m.insert("retry_after_ms", Value::Number(Number::U(ms)));
         }
         let result_json = serde_json::to_string(&self.result).expect("results serialize");
-        let result_value: Value =
-            serde_json::from_str(&result_json).expect("results round-trip");
+        let result_value: Value = serde_json::from_str(&result_json).expect("results round-trip");
         m.insert("result", result_value);
         Value::Object(m).to_string()
     }
@@ -232,9 +231,7 @@ mod tests {
 
     #[test]
     fn envelope_tenant_and_lane_parse_and_degrade() {
-        let line = format!(
-            r#"{{"id": 2, "tenant": "lab-7", "lane": "batch", "spec": {BARE}}}"#
-        );
+        let line = format!(r#"{{"id": 2, "tenant": "lab-7", "lane": "batch", "spec": {BARE}}}"#);
         let req = parse_request(&line, 0).unwrap();
         assert_eq!(req.tenant.as_deref(), Some("lab-7"));
         assert_eq!(req.lane, Some(Lane::Batch));

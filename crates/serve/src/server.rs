@@ -229,7 +229,9 @@ impl Server {
                 let warden = warden.clone();
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &runner, &cfg, &admission, warden.as_deref()))
+                    .spawn(move || {
+                        worker_loop(&queue, &runner, &cfg, &admission, warden.as_deref())
+                    })
                     .expect("spawn serve worker")
             })
             .collect();
@@ -411,10 +413,7 @@ impl Server {
                     run_ms: 0.0,
                     // The queue is full, so "jobs ahead" is its whole
                     // capacity.
-                    retry_after_ms: Some(retry_after_hint_ms(
-                        self.config.retry_base_ms,
-                        capacity,
-                    )),
+                    retry_after_ms: Some(retry_after_hint_ms(self.config.retry_base_ms, capacity)),
                     result: JobResult::Busy {
                         message: format!("queue full ({capacity} jobs); resubmit later"),
                         capacity,
@@ -626,7 +625,10 @@ fn run_attempts(
     let obs = zenesis_obs::enabled();
     // Batch volume jobs run in the warden's worker children when
     // process isolation is on; everything else runs on this thread.
-    let mut watch = match warden.filter(|_| warden::eligible(spec)).map(|w| w.watch(spec)) {
+    let mut watch = match warden
+        .filter(|_| warden::eligible(spec))
+        .map(|w| w.watch(spec))
+    {
         Some(Err(quarantined)) => return (quarantined, 0, false),
         Some(Ok(watch)) => Some(watch),
         None => None,
@@ -656,7 +658,11 @@ fn run_attempts(
                 let delay_ms = backoff_ms(cfg.retry_base_ms, retries, MAX_RETRY_BACKOFF_MS);
                 retries += 1;
                 if obs {
-                    events::emit(Event::JobRetry { id, attempt: retries, delay_ms });
+                    events::emit(Event::JobRetry {
+                        id,
+                        attempt: retries,
+                        delay_ms,
+                    });
                     zenesis_obs::counter("serve.job.retry").inc();
                 }
                 (delay_ms, "retry backoff")
@@ -664,7 +670,10 @@ fn run_attempts(
             Outcome::Panicked(payload) => {
                 let message = format!("job panicked: {payload}");
                 if obs {
-                    events::emit(Event::JobPanic { id, message: payload });
+                    events::emit(Event::JobPanic {
+                        id,
+                        message: payload,
+                    });
                     zenesis_obs::counter("serve.job.panic").inc();
                 }
                 return (JobResult::Error { message }, attempts, true);
@@ -680,7 +689,11 @@ fn run_attempts(
                 let delay_ms = backoff_ms(50, no_progress_crashes, 2_000);
                 if obs {
                     zenesis_obs::counter("warden.restart").inc();
-                    events::emit(Event::WardenRestart { id, attempt: attempts + 1, delay_ms });
+                    events::emit(Event::WardenRestart {
+                        id,
+                        attempt: attempts + 1,
+                        delay_ms,
+                    });
                 }
                 resumed.get_or_insert_with(|| {
                     let mut spec = spec.clone();
@@ -694,7 +707,15 @@ fn run_attempts(
         std::thread::sleep(Duration::from_millis(delay_ms).min(left));
         if cancel.is_cancelled() {
             let message = format!("job deadline exceeded during {waiting_for}");
-            return (JobResult::Timeout { message, completed: 0, total: 0 }, attempts, false);
+            return (
+                JobResult::Timeout {
+                    message,
+                    completed: 0,
+                    total: 0,
+                },
+                attempts,
+                false,
+            );
         }
     }
 }

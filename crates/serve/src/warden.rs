@@ -238,7 +238,9 @@ impl Watch<'_> {
         // the parent, so the child gets only the remaining budget. A
         // write failure means the child is already dead — supervision
         // below will see EOF and classify it.
-        let trace = zenesis_obs::current_trace().map(|t| t.as_u64()).unwrap_or(0);
+        let trace = zenesis_obs::current_trace()
+            .map(|t| t.as_u64())
+            .unwrap_or(0);
         let line = job_line(
             spec,
             cancel.remaining().map(|d| d.as_millis() as u64),

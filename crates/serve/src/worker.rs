@@ -79,12 +79,7 @@ pub fn parse_worker_line(line: &str) -> WorkerMsg {
 
 /// Serialize the hand-over line the supervisor writes to the child's
 /// stdin (newline included).
-pub fn job_line(
-    spec: &JobSpec,
-    deadline_ms: Option<u64>,
-    trace: u64,
-    heartbeat_ms: u64,
-) -> String {
+pub fn job_line(spec: &JobSpec, deadline_ms: Option<u64>, trace: u64, heartbeat_ms: u64) -> String {
     let spec_json = serde_json::to_string(spec).expect("job specs serialize");
     let spec_value: Value = serde_json::from_str(&spec_json).expect("job specs round-trip");
     let mut m = serde_json::Map::new();
@@ -225,15 +220,19 @@ mod tests {
 
     #[test]
     fn worker_lines_parse_into_beats_results_and_noise() {
-        assert!(matches!(parse_worker_line("{\"beat\":41}"), WorkerMsg::Beat(41)));
-        let result = parse_worker_line(
-            r#"{"result": {"kind": "error", "message": "nope"}}"#,
-        );
+        assert!(matches!(
+            parse_worker_line("{\"beat\":41}"),
+            WorkerMsg::Beat(41)
+        ));
+        let result = parse_worker_line(r#"{"result": {"kind": "error", "message": "nope"}}"#);
         match result {
             WorkerMsg::Result(JobResult::Error { message }) => assert_eq!(message, "nope"),
             other => panic!("unexpected parse {other:?}"),
         }
-        let panic_line = format!("{{\"panic\":{}}}", Value::String("index \"7\" out of range".into()));
+        let panic_line = format!(
+            "{{\"panic\":{}}}",
+            Value::String("index \"7\" out of range".into())
+        );
         match parse_worker_line(&panic_line) {
             WorkerMsg::Panic(message) => assert_eq!(message, "index \"7\" out of range"),
             other => panic!("unexpected parse {other:?}"),

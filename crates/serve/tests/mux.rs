@@ -82,7 +82,9 @@ fn wait_for(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
 
 #[cfg(target_os = "linux")]
 fn process_thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
+    std::fs::read_dir("/proc/self/task")
+        .map(|d| d.count())
+        .unwrap_or(0)
 }
 
 /// The tentpole claim: hundreds of concurrent connections are served by
@@ -93,8 +95,8 @@ fn process_thread_count() -> usize {
 fn serves_256_concurrent_connections_from_fixed_threads() {
     const CONNS: usize = 256;
     let server = Arc::new(Server::start_with_runner(config(4, 2048), prompt_runner()));
-    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
-        .expect("spawn mux");
+    let mux =
+        Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default()).expect("spawn mux");
     let addr = mux.local_addr();
 
     #[cfg(target_os = "linux")]
@@ -108,9 +110,11 @@ fn serves_256_concurrent_connections_from_fixed_threads() {
             (s, r)
         })
         .collect();
-    wait_for("all connections registered", Duration::from_secs(30), || {
-        mux.connections() == CONNS
-    });
+    wait_for(
+        "all connections registered",
+        Duration::from_secs(30),
+        || mux.connections() == CONNS,
+    );
 
     #[cfg(target_os = "linux")]
     assert_eq!(
@@ -127,7 +131,11 @@ fn serves_256_concurrent_connections_from_fixed_threads() {
             1 => Some("lab-b"),
             _ => None,
         };
-        let lane = if i % 2 == 0 { Some("interactive") } else { Some("batch") };
+        let lane = if i % 2 == 0 {
+            Some("interactive")
+        } else {
+            Some("batch")
+        };
         writeln!(w, "{}", request(i as u64 + 1, "fast", tenant, lane)).expect("write");
     }
     for (i, (_, r)) in clients.iter_mut().enumerate() {
@@ -152,8 +160,8 @@ fn serves_256_concurrent_connections_from_fixed_threads() {
 fn half_closed_connection_drains_every_response() {
     const REQUESTS: u64 = 16;
     let server = Arc::new(Server::start_with_runner(config(2, 64), prompt_runner()));
-    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
-        .expect("spawn mux");
+    let mux =
+        Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default()).expect("spawn mux");
     let s = TcpStream::connect(mux.local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut w = s.try_clone().expect("clone");
@@ -184,13 +192,15 @@ fn half_closed_connection_drains_every_response() {
 #[test]
 fn out_of_order_completion_routes_to_owning_connection() {
     let server = Arc::new(Server::start_with_runner(config(2, 64), prompt_runner()));
-    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
-        .expect("spawn mux");
+    let mux =
+        Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default()).expect("spawn mux");
     let addr = mux.local_addr();
     let mut slow = TcpStream::connect(addr).expect("connect slow");
-    slow.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let mut fast = TcpStream::connect(addr).expect("connect fast");
-    fast.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    fast.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let t0 = Instant::now();
     writeln!(slow, "{}", request(100, "slow-crosstalk", None, None)).unwrap();
     writeln!(fast, "{}", request(200, "fast", None, None)).unwrap();
@@ -220,8 +230,8 @@ fn tenant_quota_busy_reaches_the_submitting_connection() {
     let mut cfg = config(1, 64);
     cfg.tenant_cap = 1;
     let server = Arc::new(Server::start_with_runner(cfg, prompt_runner()));
-    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
-        .expect("spawn mux");
+    let mux =
+        Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default()).expect("spawn mux");
     let addr = mux.local_addr();
     let mut a = TcpStream::connect(addr).expect("connect");
     a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -233,7 +243,12 @@ fn tenant_quota_busy_reaches_the_submitting_connection() {
     wait_for("first job admitted", Duration::from_secs(10), || {
         server.admission().outstanding("lab-q") == 1
     });
-    writeln!(b, "{}", request(2, "fast", Some("lab-q"), Some("interactive"))).unwrap();
+    writeln!(
+        b,
+        "{}",
+        request(2, "fast", Some("lab-q"), Some("interactive"))
+    )
+    .unwrap();
     let mut line = String::new();
     BufReader::new(b.try_clone().unwrap())
         .read_line(&mut line)
@@ -242,7 +257,10 @@ fn tenant_quota_busy_reaches_the_submitting_connection() {
     assert_eq!(v["id"], 2);
     assert_eq!(v["status"], "busy");
     assert!(
-        v["result"]["message"].as_str().unwrap_or("").contains("tenant"),
+        v["result"]["message"]
+            .as_str()
+            .unwrap_or("")
+            .contains("tenant"),
         "{line}"
     );
     let mut line = String::new();
@@ -268,16 +286,25 @@ fn connection_cap_refuses_the_overflow() {
     };
     let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", mux_config).expect("spawn mux");
     let addr = mux.local_addr();
-    let kept: Vec<TcpStream> = (0..CAP).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    let kept: Vec<TcpStream> = (0..CAP)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
     wait_for("cap reached", Duration::from_secs(10), || {
         mux.connections() == CAP
     });
-    assert_eq!(server.mux_connections(), Some((CAP, CAP)), "readyz sees saturation");
+    assert_eq!(
+        server.mux_connections(),
+        Some((CAP, CAP)),
+        "readyz sees saturation"
+    );
     // The overflow connection is accepted and immediately closed: EOF.
     let over = TcpStream::connect(addr).expect("connect over cap");
-    over.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    over.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let mut line = String::new();
-    let n = BufReader::new(over).read_line(&mut line).expect("clean close");
+    let n = BufReader::new(over)
+        .read_line(&mut line)
+        .expect("clean close");
     assert_eq!(n, 0, "refused connection reads EOF, got {line:?}");
     // Freeing a slot lets the next client in.
     drop(kept);
@@ -285,7 +312,9 @@ fn connection_cap_refuses_the_overflow() {
         mux.connections() == 0
     });
     let mut again = TcpStream::connect(addr).expect("reconnect");
-    again.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    again
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     writeln!(again, "{}", request(9, "fast", None, None)).unwrap();
     let mut line = String::new();
     BufReader::new(again).read_line(&mut line).expect("served");
@@ -313,8 +342,8 @@ fn second_small_response_is_not_held_behind_an_unacknowledged_first() {
         ok_result()
     });
     let server = Arc::new(Server::start_with_runner(config(2, 64), runner));
-    let mux = Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default())
-        .expect("spawn mux");
+    let mux =
+        Mux::spawn(Arc::clone(&server), "127.0.0.1:0", MuxConfig::default()).expect("spawn mux");
     let mut s = TcpStream::connect(mux.local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut r = BufReader::new(s.try_clone().expect("clone"));

@@ -126,7 +126,10 @@ fn full_queue_sheds_busy_responses() {
     server.submit_line(&spec_line("blockhead"), 1, &tx);
     let t0 = Instant::now();
     while started.load(Ordering::SeqCst) == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "worker never started"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     // …the next two fill the bounded queue…
@@ -281,7 +284,11 @@ fn deterministic_errors_are_not_retried() {
     server.shutdown();
     assert_eq!(resp.status(), "error");
     assert_eq!(resp.attempts, 1);
-    assert_eq!(calls.load(Ordering::SeqCst), 1, "deterministic errors run once");
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        1,
+        "deterministic errors run once"
+    );
 }
 
 #[test]
@@ -351,7 +358,10 @@ fn tenant_quota_refuses_the_hog_and_admits_the_rest() {
     server.submit_line(&enveloped(1, "lab-a"), 1, &tx);
     let t0 = Instant::now();
     while started.load(Ordering::SeqCst) == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "worker never started"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     // …so its second is refused over quota, while another tenant and an
@@ -414,7 +424,10 @@ fn interactive_lane_overtakes_queued_batch_jobs() {
     server.submit_line(&lane_line(1, "batch"), 1, &tx);
     let t0 = Instant::now();
     while started.load(Ordering::SeqCst) == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "worker never started"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     // …two batch jobs queue first, then an interactive one.
@@ -522,7 +535,10 @@ fn queue_and_shed_emit_job_events() {
     server.submit_line(&enveloped(9001), 1, &tx);
     let t0 = Instant::now();
     while started.load(Ordering::SeqCst) == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "worker never started"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     server.submit_line(&enveloped(9002), 2, &tx); // fills the 1-slot queue
@@ -549,9 +565,13 @@ fn queue_and_shed_emit_job_events() {
     assert!(snap
         .iter()
         .any(|r| matches!(r.event, Event::JobQueued { id: 9001, .. })));
-    assert!(snap
-        .iter()
-        .any(|r| matches!(r.event, Event::JobRejected { id: 9003, capacity: 1 })));
+    assert!(snap.iter().any(|r| matches!(
+        r.event,
+        Event::JobRejected {
+            id: 9003,
+            capacity: 1
+        }
+    )));
 }
 
 #[test]
@@ -598,7 +618,10 @@ fn concurrent_batch_jobs_on_one_checkpoint_dir_refuse_double_resume() {
     server.submit_line(&batch(1), 1, &tx);
     let t0 = Instant::now();
     while started.load(Ordering::SeqCst) == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "worker never started");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "worker never started"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     // …so the second, on the other worker, is refused without running.

@@ -94,7 +94,8 @@ fn responses_echo_supplied_trace_and_mint_otherwise() {
         assert_eq!(hex.len(), 16, "trace ids echo as 16 hex digits: {hex}");
         // The wire line carries the same id.
         assert!(
-            resp.to_json_line().contains(&format!(r#""trace_id":"{hex}""#)),
+            resp.to_json_line()
+                .contains(&format!(r#""trace_id":"{hex}""#)),
             "{}",
             resp.to_json_line()
         );
@@ -265,7 +266,9 @@ fn panicking_job_dumps_a_parseable_flight_recording() {
     );
     let entries = v.get("entries").and_then(|x| x.as_array()).unwrap();
     assert!(
-        entries.iter().any(|e| e.to_string().contains("flight-pre-crash")),
+        entries
+            .iter()
+            .any(|e| e.to_string().contains("flight-pre-crash")),
         "the job's last events are in the ring: {text}"
     );
     let _ = std::fs::remove_dir_all(&dir);

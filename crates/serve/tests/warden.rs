@@ -155,7 +155,10 @@ fn hung_workers_are_detected_by_the_frozen_pulse_and_restarted() {
                 zenesis_obs::events::Event::WardenCrash { reason, .. } if reason == "stall"
             )
         });
-    assert!(stalled, "expected a warden.crash event with reason \"stall\"");
+    assert!(
+        stalled,
+        "expected a warden.crash event with reason \"stall\""
+    );
     zenesis_obs::set_level(zenesis_obs::ObsLevel::Off);
 }
 
@@ -169,8 +172,7 @@ fn poison_specs_trip_the_breaker_and_flip_readyz_while_recovering() {
     std::env::set_var("ZENESIS_FAULT", "worker.kill.pre:kill:1.0:7");
     let poisons_before = counter("warden.poison");
     let server = Arc::new(Server::start(config(500)));
-    let addr =
-        zenesis_serve::start_metrics_http("127.0.0.1:0", Arc::clone(&server), None).unwrap();
+    let addr = zenesis_serve::start_metrics_http("127.0.0.1:0", Arc::clone(&server), None).unwrap();
 
     // Poll /readyz concurrently: between a crash and its successor's
     // first heartbeat the service must report the recovery as a
@@ -324,7 +326,10 @@ fn run_panicking_batch(process_workers: bool, tag: &str) -> PanicReport {
         .map(|path| {
             let v: serde_json::Value =
                 serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-            v.get("reason").and_then(|x| x.as_str()).unwrap_or("").to_string()
+            v.get("reason")
+                .and_then(|x| x.as_str())
+                .unwrap_or("")
+                .to_string()
         })
         .collect();
     PanicReport {
@@ -368,6 +373,10 @@ fn panics_report_the_same_in_both_isolation_models() {
             "{model}: job.panic carries the job's trace"
         );
         assert_eq!(report.panic_ticks, 1, "{model}: serve.job.panic + 1");
-        assert_eq!(report.flight_reasons, ["panic"], "{model}: one panic flight recording");
+        assert_eq!(
+            report.flight_reasons,
+            ["panic"],
+            "{model}: one panic flight recording"
+        );
     }
 }

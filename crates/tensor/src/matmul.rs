@@ -277,7 +277,9 @@ mod tests {
         let mut state = seed;
         (0..len)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
@@ -286,7 +288,14 @@ mod tests {
     #[test]
     fn packed_matches_naive_exactly_on_awkward_shapes() {
         // k-order contraction means bit-identical results, not just close.
-        for &(m, k, n) in &[(1, 1, 1), (1, 7, 9), (9, 1, 7), (7, 9, 1), (13, 29, 17), (33, 8, 40)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (1, 7, 9),
+            (9, 1, 7),
+            (7, 9, 1),
+            (13, 29, 17),
+            (33, 8, 40),
+        ] {
             let a = fill(m * k, 3 * m as u64 + n as u64);
             let b = fill(k * n, 7 * k as u64 + 1);
             let bt = fill(n * k, 11 * k as u64 + 5);

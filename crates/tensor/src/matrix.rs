@@ -165,7 +165,6 @@ impl Matrix {
             *v *= s;
         }
     }
-
 }
 
 #[cfg(test)]
@@ -238,7 +237,15 @@ mod tests {
     fn blocked_transpose_non_square_shapes() {
         // Shapes straddling the tile size in one or both dimensions, plus
         // degenerate single-row/column cases.
-        for &(r, c) in &[(1, 100), (100, 1), (31, 33), (32, 32), (33, 65), (70, 40), (129, 3)] {
+        for &(r, c) in &[
+            (1, 100),
+            (100, 1),
+            (31, 33),
+            (32, 32),
+            (33, 65),
+            (70, 40),
+            (129, 3),
+        ] {
             let a = Matrix::seeded_uniform(r, c, 1.0, (r * 1000 + c) as u64);
             let t = a.transpose();
             assert_eq!((t.rows(), t.cols()), (c, r), "{r}x{c}");

@@ -126,8 +126,14 @@ mod tests {
             max_rel = max_rel.max(rel);
             i += 1;
         }
-        assert!(max_ulp <= 48, "max ULP error {max_ulp} exceeds pinned bound 48");
-        assert!(max_rel <= 4e-6, "max relative error {max_rel} exceeds pinned bound 4e-6");
+        assert!(
+            max_ulp <= 48,
+            "max ULP error {max_ulp} exceeds pinned bound 48"
+        );
+        assert!(
+            max_rel <= 4e-6,
+            "max relative error {max_rel} exceeds pinned bound 4e-6"
+        );
     }
 
     #[test]

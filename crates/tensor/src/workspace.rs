@@ -33,13 +33,15 @@ pub(crate) struct Workspace {
 fn count_reuse() {
     use std::sync::OnceLock;
     static C: OnceLock<std::sync::Arc<zenesis_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| zenesis_obs::counter("tensor.alloc.reuse")).add(1);
+    C.get_or_init(|| zenesis_obs::counter("tensor.alloc.reuse"))
+        .add(1);
 }
 
 fn count_fresh() {
     use std::sync::OnceLock;
     static C: OnceLock<std::sync::Arc<zenesis_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| zenesis_obs::counter("tensor.alloc.fresh")).add(1);
+    C.get_or_init(|| zenesis_obs::counter("tensor.alloc.fresh"))
+        .add(1);
 }
 
 impl Workspace {

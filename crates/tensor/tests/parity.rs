@@ -34,7 +34,11 @@ fn naive_matmul_transposed(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 fn assert_close(got: &Matrix, want: &Matrix, tol: f32, label: &str) {
-    assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{label}: shape");
+    assert_eq!(
+        (got.rows(), got.cols()),
+        (want.rows(), want.cols()),
+        "{label}: shape"
+    );
     for r in 0..want.rows() {
         for c in 0..want.cols() {
             let (g, w) = (got.get(r, c), want.get(r, c));
@@ -54,10 +58,10 @@ fn shape_grid() -> Vec<(usize, usize, usize)> {
     let mut grid = vec![
         (1, 1, 1),
         (1, 7, 1),
-        (1, 16, 9),   // 1×N row vector
-        (9, 16, 1),   // N×1 column output
+        (1, 16, 9), // 1×N row vector
+        (9, 16, 1), // N×1 column output
         (1, 1, 33),
-        (3, 5, 7),    // everything odd
+        (3, 5, 7), // everything odd
         (8, 8, 8),
         (13, 29, 11), // primes: no dimension divides any block size
         (31, 33, 29),
@@ -175,7 +179,12 @@ fn simd_remainder_sweep_dispatch_and_forced_scalar() {
         let bt = Matrix::seeded_uniform(n, k, 2.0, (m * 7927 + n) as u64);
 
         let got = a.matmul(&b);
-        assert_close(&got, &naive_matmul(&a, &b), 1e-4, &format!("sweep matmul {m}x{k}x{n}"));
+        assert_close(
+            &got,
+            &naive_matmul(&a, &b),
+            1e-4,
+            &format!("sweep matmul {m}x{k}x{n}"),
+        );
         let scalar = {
             let _g = ScalarGuard::new();
             a.matmul(&b)
@@ -193,7 +202,11 @@ fn simd_remainder_sweep_dispatch_and_forced_scalar() {
             let _g = ScalarGuard::new();
             a.matmul_transposed(&bt)
         };
-        assert_bits_equal(&got_t, &scalar_t, &format!("sweep matmul_transposed {m}x{k}x{n}"));
+        assert_bits_equal(
+            &got_t,
+            &scalar_t,
+            &format!("sweep matmul_transposed {m}x{k}x{n}"),
+        );
     }
 }
 
@@ -225,7 +238,11 @@ fn non_finite_inputs_propagate_identically() {
                 if w.is_nan() {
                     assert!(g.is_nan(), "{label}: ({r},{c}) want NaN got {g}");
                 } else {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{label}: ({r},{c}) got {g} want {w}");
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{label}: ({r},{c}) got {g} want {w}"
+                    );
                 }
             }
         }

@@ -118,7 +118,11 @@ impl<W: Write + Seek> TiffStackWriter<W> {
     /// Append a 16-bit page (little-endian samples).
     pub fn append_u16(&mut self, img: &Image<u16>) -> Result<()> {
         let (w, h) = img.dims();
-        let bytes: Vec<u8> = img.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+        let bytes: Vec<u8> = img
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         self.append_samples(w, h, 16, SampleFormat::Uint, 2, &bytes)
     }
 
@@ -225,8 +229,11 @@ impl<W: Write + Seek> TiffStackWriter<W> {
             return Err(TiffError::NoPages);
         }
         let big = self.opts.bigtiff;
-        let (count_size, entry_size, next_size, off_size) =
-            if big { (8u64, 20u64, 8u64, 8u64) } else { (2u64, 12u64, 4u64, 4u64) };
+        let (count_size, entry_size, next_size, off_size) = if big {
+            (8u64, 20u64, 8u64, 8u64)
+        } else {
+            (2u64, 12u64, 4u64, 4u64)
+        };
 
         // Plan: out-of-line offset/count arrays first, then the IFDs,
         // everything 2-aligned. Two passes keep the layout a pure
@@ -249,7 +256,9 @@ impl<W: Write + Seek> TiffStackWriter<W> {
             cursor += count_size + entry_count(page) as u64 * entry_size + next_size;
         }
         for (&ifd, page) in ifd_offsets.iter().zip(&self.pages) {
-            self.check_offset(ifd + count_size + entry_count(page) as u64 * entry_size + next_size)?;
+            self.check_offset(
+                ifd + count_size + entry_count(page) as u64 * entry_size + next_size,
+            )?;
         }
 
         // Execute the plan.
@@ -284,7 +293,8 @@ impl<W: Write + Seek> TiffStackWriter<W> {
             self.sink.write_all(&ifd_offsets[0].to_le_bytes())?;
         } else {
             self.sink.seek(SeekFrom::Start(4))?;
-            self.sink.write_all(&(ifd_offsets[0] as u32).to_le_bytes())?;
+            self.sink
+                .write_all(&(ifd_offsets[0] as u32).to_le_bytes())?;
         }
         self.sink.flush()?;
         Ok(self.sink)
@@ -327,7 +337,14 @@ fn write_off<W: Write>(sink: &mut W, big: bool, v: u64) -> Result<()> {
 
 /// One IFD entry. `value` is stored inline (left-justified in the
 /// value field) — array-valued entries pass the table offset instead.
-fn write_entry<W: Write>(sink: &mut W, big: bool, tag: u16, typ: u16, count: u64, value: u64) -> Result<()> {
+fn write_entry<W: Write>(
+    sink: &mut W,
+    big: bool,
+    tag: u16,
+    typ: u16,
+    count: u64,
+    value: u64,
+) -> Result<()> {
     sink.write_all(&tag.to_le_bytes())?;
     sink.write_all(&typ.to_le_bytes())?;
     if big {
@@ -377,8 +394,7 @@ fn write_ifd<W: Write>(
         SampleFormat::Uint => 1u64,
         SampleFormat::Float => 3u64,
     };
-    let mut entry =
-        |t: u16, typ: u16, c: u64, v: u64| write_entry(sink, big, t, typ, c, v);
+    let mut entry = |t: u16, typ: u16, c: u64, v: u64| write_entry(sink, big, t, typ, c, v);
     entry(TAG_WIDTH, TYPE_LONG, 1, page.width as u64)?;
     entry(TAG_HEIGHT, TYPE_LONG, 1, page.height as u64)?;
     entry(TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, page.bits as u64)?;

@@ -170,11 +170,12 @@ impl<'a> Parser<'a> {
 /// Parse the 8-byte (classic) or 16-byte (BigTIFF) file header.
 pub(crate) fn parse_header(src: &dyn TiffRead) -> Result<TiffHeader> {
     let mut order = [0u8; 2];
-    src.read_exact_at(0, &mut order).map_err(|_| TiffError::Truncated {
-        offset: 0,
-        needed: 8,
-        what: "file header",
-    })?;
+    src.read_exact_at(0, &mut order)
+        .map_err(|_| TiffError::Truncated {
+            offset: 0,
+            needed: 8,
+            what: "file header",
+        })?;
     let endian = match &order {
         b"II" => Endian::Little,
         b"MM" => Endian::Big,
@@ -355,19 +356,33 @@ fn validate_ifd(p: &Parser, ifd: u64, raw: RawIfd, next: u64) -> Result<PageMeta
     }
     let samples = raw.samples.unwrap_or(1);
     if samples != 1 {
-        return Err(unsupported(format!("{samples} samples/pixel (grayscale only)")));
+        return Err(unsupported(format!(
+            "{samples} samples/pixel (grayscale only)"
+        )));
     }
     let photometric = raw.photometric.unwrap_or(1);
     if photometric > 1 {
-        return Err(unsupported(format!("photometric interpretation {photometric}")));
+        return Err(unsupported(format!(
+            "photometric interpretation {photometric}"
+        )));
     }
-    let width = raw.width.ok_or_else(|| inconsistent("missing ImageWidth".into()))?;
-    let height = raw.height.ok_or_else(|| inconsistent("missing ImageLength".into()))?;
+    let width = raw
+        .width
+        .ok_or_else(|| inconsistent("missing ImageWidth".into()))?;
+    let height = raw
+        .height
+        .ok_or_else(|| inconsistent("missing ImageLength".into()))?;
     if width == 0 {
-        return Err(TiffError::ZeroDimension { tag: TAG_WIDTH, ifd });
+        return Err(TiffError::ZeroDimension {
+            tag: TAG_WIDTH,
+            ifd,
+        });
     }
     if height == 0 {
-        return Err(TiffError::ZeroDimension { tag: TAG_HEIGHT, ifd });
+        return Err(TiffError::ZeroDimension {
+            tag: TAG_HEIGHT,
+            ifd,
+        });
     }
     if width > u32::MAX as u64 || height > u32::MAX as u64 {
         return Err(TiffError::TooLarge {
@@ -409,13 +424,23 @@ fn validate_ifd(p: &Parser, ifd: u64, raw: RawIfd, next: u64) -> Result<PageMeta
         || raw.tile_w.is_some()
         || raw.tile_h.is_some();
     let layout = if tiled {
-        let tile_w = raw.tile_w.ok_or_else(|| inconsistent("missing TileWidth".into()))?;
-        let tile_h = raw.tile_h.ok_or_else(|| inconsistent("missing TileLength".into()))?;
+        let tile_w = raw
+            .tile_w
+            .ok_or_else(|| inconsistent("missing TileWidth".into()))?;
+        let tile_h = raw
+            .tile_h
+            .ok_or_else(|| inconsistent("missing TileLength".into()))?;
         if tile_w == 0 {
-            return Err(TiffError::ZeroDimension { tag: TAG_TILE_WIDTH, ifd });
+            return Err(TiffError::ZeroDimension {
+                tag: TAG_TILE_WIDTH,
+                ifd,
+            });
         }
         if tile_h == 0 {
-            return Err(TiffError::ZeroDimension { tag: TAG_TILE_LENGTH, ifd });
+            return Err(TiffError::ZeroDimension {
+                tag: TAG_TILE_LENGTH,
+                ifd,
+            });
         }
         let offsets = raw
             .tile_offsets

@@ -13,8 +13,7 @@ fn corpus_dir() -> std::path::PathBuf {
 }
 
 fn fixture(name: &str) -> Vec<u8> {
-    std::fs::read(corpus_dir().join(name))
-        .unwrap_or_else(|e| panic!("corpus fixture {name}: {e}"))
+    std::fs::read(corpus_dir().join(name)).unwrap_or_else(|e| panic!("corpus fixture {name}: {e}"))
 }
 
 /// Every corpus file decodes to an error through both entry points, and
@@ -88,7 +87,12 @@ fn cyclic_ifd_is_detected_not_looped() {
 #[test]
 fn strip_past_eof_reports_bounds() {
     match read_tiff(&fixture("strip_past_eof.tif")) {
-        Err(TiffError::OutOfBounds { offset, len, file_len, .. }) => {
+        Err(TiffError::OutOfBounds {
+            offset,
+            len,
+            file_len,
+            ..
+        }) => {
             assert!(offset + len > file_len);
         }
         // The byte-count consistency check may fire first; both refuse.

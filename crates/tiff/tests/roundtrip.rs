@@ -9,8 +9,8 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use zenesis_image::{Image, VoxelSize};
 use zenesis_tiff::{
-    read_tiff, read_tiff_volume_u16, write_tiff_volume_u16, EncodeLayout, EncodeOptions,
-    TiffPage, TiffStackWriter, VolumeReader,
+    read_tiff, read_tiff_volume_u16, write_tiff_volume_u16, EncodeLayout, EncodeOptions, TiffPage,
+    TiffStackWriter, VolumeReader,
 };
 
 /// Encode `pages` with the given options and return the file bytes.
@@ -53,10 +53,7 @@ fn layouts() -> Vec<EncodeLayout> {
 fn golden_matrix_roundtrips_bit_identically() {
     for bigtiff in [false, true] {
         for layout in layouts() {
-            let opts = EncodeOptions {
-                bigtiff,
-                layout,
-            };
+            let opts = EncodeOptions { bigtiff, layout };
             for page in sample_pages() {
                 let bytes = encode(opts, std::slice::from_ref(&page));
                 let back = read_tiff(&bytes).unwrap_or_else(|e| {
@@ -90,10 +87,7 @@ fn multi_page_mixed_depth_stack_roundtrips() {
 fn encoder_is_byte_deterministic() {
     for bigtiff in [false, true] {
         for layout in layouts() {
-            let opts = EncodeOptions {
-                bigtiff,
-                layout,
-            };
+            let opts = EncodeOptions { bigtiff, layout };
             let a = encode(opts, &sample_pages());
             let b = encode(opts, &sample_pages());
             assert_eq!(a, b, "bytes differ (bigtiff={bigtiff}, {layout:?})");
@@ -111,7 +105,11 @@ fn volume_reader_streams_what_read_tiff_decodes() {
         },
     };
     let pages: Vec<TiffPage> = (0..4)
-        .map(|z| TiffPage::U16(Image::from_fn(37, 29, move |x, y| (x + y * 3 + z * 1000) as u16)))
+        .map(|z| {
+            TiffPage::U16(Image::from_fn(37, 29, move |x, y| {
+                (x + y * 3 + z * 1000) as u16
+            }))
+        })
         .collect();
     let bytes = encode(opts, &pages);
     let eager = read_tiff(&bytes).unwrap();
@@ -150,7 +148,7 @@ fn big_endian_fixture() -> (Vec<u8>, Image<u16>) {
     f.extend_from_slice(b"MM");
     f.extend_from_slice(&42u16.to_be_bytes());
     f.extend_from_slice(&20u32.to_be_bytes()); // first IFD at 20
-    // Pixel payload at offset 8: 6 big-endian u16 samples.
+                                               // Pixel payload at offset 8: 6 big-endian u16 samples.
     for &v in img.as_slice() {
         f.extend_from_slice(&v.to_be_bytes());
     }

@@ -72,7 +72,13 @@ fn main() {
     let s_hitl = Confusion::from_masks(&m4, &slice.truth).scores();
     let s_auto = Confusion::from_masks(&auto, &slice.truth).scores();
     println!("\n== summary ==");
-    println!("human-in-the-loop : IoU {:.3}  Dice {:.3}", s_hitl.iou, s_hitl.dice);
-    println!("fully automated   : IoU {:.3}  Dice {:.3}", s_auto.iou, s_auto.dice);
+    println!(
+        "human-in-the-loop : IoU {:.3}  Dice {:.3}",
+        s_hitl.iou, s_hitl.dice
+    );
+    println!(
+        "fully automated   : IoU {:.3}  Dice {:.3}",
+        s_auto.iou, s_auto.dice
+    );
     println!("interaction log   : {:?}", session.log);
 }

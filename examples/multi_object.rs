@@ -44,7 +44,10 @@ fn main() -> zenesis::image::Result<()> {
     ];
     let result = z.segment_multi_raw(&slice.raw, &objects);
 
-    println!("\nclass map over {}x{} pixels:", result.width, result.height);
+    println!(
+        "\nclass map over {}x{} pixels:",
+        result.width, result.height
+    );
     for (label, mask) in &result.masks {
         println!(
             "  {:<12} {:>6} px ({:.1}% of frame)",
@@ -53,7 +56,10 @@ fn main() -> zenesis::image::Result<()> {
             100.0 * mask.coverage()
         );
     }
-    println!("  contested pixels resolved by relevance: {}", result.contested);
+    println!(
+        "  contested pixels resolved by relevance: {}",
+        result.contested
+    );
     let needles_iou = result
         .mask_for("needles")
         .map(|m| m.iou(&slice.truth))

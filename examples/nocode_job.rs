@@ -33,7 +33,11 @@ fn main() {
     // Malformed request: the platform answers with a structured error.
     let broken = r#"{"mode": "interactive", "prompt": 42}"#;
 
-    for (name, job) in [("mode A", interactive), ("mode B", batch), ("broken", broken)] {
+    for (name, job) in [
+        ("mode A", interactive),
+        ("mode B", batch),
+        ("broken", broken),
+    ] {
         println!("== {name} request ==");
         println!("{}", job.trim());
         println!("-- response --");

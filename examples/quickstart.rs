@@ -22,8 +22,11 @@ fn main() -> zenesis::image::Result<()> {
     // 1. A raw instrument frame: 16-bit counts in a narrow dynamic range.
     let slice = generate_slice(&PhantomConfig::new(SampleKind::Crystalline, 42));
     let (lo, hi) = slice.raw.min_max();
-    println!("raw slice: {}x{} u16, counts in [{lo}, {hi}] (non-AI-ready)",
-        slice.raw.width(), slice.raw.height());
+    println!(
+        "raw slice: {}x{} u16, counts in [{lo}, {hi}] (non-AI-ready)",
+        slice.raw.width(),
+        slice.raw.height()
+    );
 
     // 2. The platform, with the default configuration the paper's UI ships.
     let z = Zenesis::new(ZenesisConfig::default());

@@ -36,7 +36,10 @@ fn main() {
         zenesis::par::current_threads()
     );
     println!("\nper-slice results (c = heuristic corrected the box):");
-    println!("{:>6} {:>8} {:>10} {:>10}", "slice", "IoU", "pixels", "corrected");
+    println!(
+        "{:>6} {:>8} {:>10} {:>10}",
+        "slice", "IoU", "pixels", "corrected"
+    );
     for (zi, (mask, truth)) in result.masks.iter().zip(&vol.truths).enumerate() {
         let ev = &result.events[zi];
         println!(
@@ -47,8 +50,13 @@ fn main() {
             if ev.corrected { "yes" } else { "" }
         );
     }
-    let mean: f64 =
-        result.masks.iter().zip(&vol.truths).map(|(m, t)| m.iou(t)).sum::<f64>() / depth as f64;
+    let mean: f64 = result
+        .masks
+        .iter()
+        .zip(&vol.truths)
+        .map(|(m, t)| m.iou(t))
+        .sum::<f64>()
+        / depth as f64;
     println!(
         "\nmean slice IoU {mean:.3}; heuristic corrected {} slice(s) (glitches injected at {outliers:?})",
         result.corrections()

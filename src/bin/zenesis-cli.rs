@@ -217,7 +217,10 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
 /// and the run goes on to its sinks; any other write error exits 1.
 fn out(text: &str) {
     let mut stdout = std::io::stdout().lock();
-    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
         Err(e) => {
@@ -403,7 +406,9 @@ fn main() {
         None => {
             let mut buf = String::new();
             if std::io::stdin().read_to_string(&mut buf).is_err() || buf.trim().is_empty() {
-                eprintln!("usage: zenesis-cli [job.json | --tiff <path> --prompt <text> | --examples]");
+                eprintln!(
+                    "usage: zenesis-cli [job.json | --tiff <path> --prompt <text> | --examples]"
+                );
                 eprintln!("       (or pipe a JSON job spec on stdin)");
                 std::process::exit(2);
             }
@@ -432,9 +437,7 @@ fn main() {
                         *mo = masks_out;
                     }
                 } else {
-                    eprintln!(
-                        "--checkpoint-dir/--no-resume/--masks-out apply to batch jobs only"
-                    );
+                    eprintln!("--checkpoint-dir/--no-resume/--masks-out apply to batch jobs only");
                     std::process::exit(2);
                 }
                 print_result(&run_job_with_cancel(&spec, &cancel));

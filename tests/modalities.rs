@@ -72,7 +72,9 @@ fn modality_prompts_are_specific() {
     // mask: grounding is doing real work, not just thresholding.
     let f = generate_modality(Modality::Stm, 128, 5);
     let z = Zenesis::new(config_for(Modality::Stm));
-    let right = z.segment_slice(&f.raw, Modality::Stm.default_prompt()).combined;
+    let right = z
+        .segment_slice(&f.raw, Modality::Stm.default_prompt())
+        .combined;
     let wrong = z.segment_slice(&f.raw, "dark background").combined;
     let iou_right = right.iou(&f.truth);
     let iou_wrong = wrong.iou(&f.truth);

@@ -83,11 +83,8 @@ fn file_backed_jobs_roundtrip_through_disk() {
     let pgm_path = dir.join("s.pgm");
     zenesis::image::io::pgm::save_pgm_u16(&g.raw, &pgm_path).unwrap();
     let ppm_path = dir.join("s.ppm");
-    zenesis::image::io::pgm::save_ppm(
-        &zenesis::image::RgbImage::from_gray(&g.raw),
-        &ppm_path,
-    )
-    .unwrap();
+    zenesis::image::io::pgm::save_ppm(&zenesis::image::RgbImage::from_gray(&g.raw), &ppm_path)
+        .unwrap();
     for (source, path) in [
         ("tiff_file", &tiff_path),
         ("pgm_file", &pgm_path),

@@ -43,8 +43,7 @@ fn segment_slice_emits_documented_span_tree() {
     assert!(result.combined.count() > 0, "pipeline found something");
 
     let spans = zenesis::obs::snapshot();
-    let by_id: HashMap<SpanId, SpanRecord> =
-        spans.iter().map(|s| (s.id, s.clone())).collect();
+    let by_id: HashMap<SpanId, SpanRecord> = spans.iter().map(|s| (s.id, s.clone())).collect();
     let find = |name: &str| -> SpanRecord {
         spans
             .iter()
@@ -92,8 +91,16 @@ fn segment_slice_emits_documented_span_tree() {
 
     // Stage latencies feed the dashboard table.
     let rows = zenesis::obs::latency_rows();
-    for stage in ["pipeline.adapt", "pipeline.ground", "pipeline.segment", "pipeline.total"] {
-        assert!(rows.iter().any(|r| r.stage == stage && r.count >= 1), "{stage} row");
+    for stage in [
+        "pipeline.adapt",
+        "pipeline.ground",
+        "pipeline.segment",
+        "pipeline.total",
+    ] {
+        assert!(
+            rows.iter().any(|r| r.stage == stage && r.count >= 1),
+            "{stage} row"
+        );
     }
     let table = zenesis::metrics::dashboard::render_latency_table(&rows);
     assert!(table.contains("pipeline.ground"));
