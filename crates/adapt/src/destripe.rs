@@ -10,7 +10,7 @@ use zenesis_image::Image;
 /// Remove vertical stripes by normalizing column means against a smoothed
 /// column-mean profile. `smooth_radius` controls the baseline window: it
 /// must exceed the stripe width but stay below real structure scale.
-pub fn destripe_columns(img: &Image<f32>, smooth_radius: usize) -> Image<f32> {
+pub(crate) fn destripe_columns(img: &Image<f32>, smooth_radius: usize) -> Image<f32> {
     let (w, h) = img.dims();
     // Column means.
     let mut col_mean = vec![0.0f64; w];
@@ -51,37 +51,38 @@ pub fn destripe_columns(img: &Image<f32>, smooth_radius: usize) -> Image<f32> {
     img.map_indexed(|x, _, v| (v * gain[x]).clamp(0.0, 1.0))
 }
 
-/// Estimate stripe severity: standard deviation of column means after
-/// removing the smooth baseline. Near zero for stripe-free images.
-pub fn stripe_severity(img: &Image<f32>, smooth_radius: usize) -> f64 {
-    let (w, h) = img.dims();
-    let mut col_mean = vec![0.0f64; w];
-    for y in 0..h {
-        for (x, &v) in img.row(y).iter().enumerate() {
-            col_mean[x] += v as f64;
-        }
-    }
-    for m in col_mean.iter_mut() {
-        *m /= h as f64;
-    }
-    let r = smooth_radius as isize;
-    let mut var = 0.0;
-    for x in 0..w as isize {
-        let mut s = 0.0;
-        for dx in -r..=r {
-            let xi = (x + dx).clamp(0, w as isize - 1) as usize;
-            s += col_mean[xi];
-        }
-        let base = s / (2 * r + 1) as f64;
-        let d = col_mean[x as usize] - base;
-        var += d * d;
-    }
-    (var / w as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Stripe severity, the measure these tests judge destriping by: standard
+    /// deviation of column means after removing the smooth baseline. Near
+    /// zero for stripe-free images.
+    fn stripe_severity(img: &Image<f32>, smooth_radius: usize) -> f64 {
+        let (w, h) = img.dims();
+        let mut col_mean = vec![0.0f64; w];
+        for y in 0..h {
+            for (x, &v) in img.row(y).iter().enumerate() {
+                col_mean[x] += v as f64;
+            }
+        }
+        for m in col_mean.iter_mut() {
+            *m /= h as f64;
+        }
+        let r = smooth_radius as isize;
+        let mut var = 0.0;
+        for x in 0..w as isize {
+            let mut s = 0.0;
+            for dx in -r..=r {
+                let xi = (x + dx).clamp(0, w as isize - 1) as usize;
+                s += col_mean[xi];
+            }
+            let base = s / (2 * r + 1) as f64;
+            let d = col_mean[x as usize] - base;
+            var += d * d;
+        }
+        (var / w as f64).sqrt()
+    }
 
     fn striped(amp: f32) -> Image<f32> {
         // Smooth scene x stripe pattern.

@@ -1,6 +1,6 @@
 //! Background flattening operators for scan-probe and diffraction data.
 //!
-//! * [`flatten_plane`] — least-squares plane subtraction, the standard
+//! * `flatten_plane` — least-squares plane subtraction, the standard
 //!   first step for STM/AFM topographs (piezo creep and sample tilt put a
 //!   global plane under every frame).
 //! * [`highpass`] — subtract a large-scale Gaussian background (the
@@ -13,7 +13,7 @@ use zenesis_image::Image;
 
 /// Fit `z = a x + b y + c` by least squares and subtract it, re-centering
 /// the result at 0.5. Output clamped to `[0, 1]`.
-pub fn flatten_plane(img: &Image<f32>) -> Image<f32> {
+pub(crate) fn flatten_plane(img: &Image<f32>) -> Image<f32> {
     let (w, h) = img.dims();
     let n = (w * h) as f64;
     // Least squares against centered coordinates so the normal matrix is

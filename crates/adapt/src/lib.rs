@@ -18,10 +18,11 @@
 //! * [`denoise`] — bilateral and non-local-means-lite (plus re-exported
 //!   median/Gaussian from `zenesis-image`).
 //! * [`destripe`] — FIB curtaining (vertical stripe) suppression.
-//! * [`resample`] — bilinear resizing to model-native resolutions.
+//! * `resample` — bilinear resizing to model-native resolutions.
 //! * [`pipeline`] — the composable stage list with provenance tracing.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod denoise;
 pub mod destripe;
@@ -29,6 +30,6 @@ pub mod equalize;
 pub mod flatten;
 pub mod normalize;
 pub mod pipeline;
-pub mod resample;
+pub(crate) mod resample;
 
 pub use pipeline::{AdaptError, AdaptPipeline, AdaptStage, AdaptTrace};

@@ -215,8 +215,8 @@ pub struct AdaptTrace {
     pub out_min: f32,
     pub out_max: f32,
     pub out_mean: f64,
-    pub out_width: usize,
-    pub out_height: usize,
+    pub(crate) out_width: usize,
+    pub(crate) out_height: usize,
 }
 
 impl AdaptTrace {

@@ -7,7 +7,7 @@
 use zenesis_image::Image;
 
 /// Bilinear resize with pixel-center alignment.
-pub fn resize_bilinear(img: &Image<f32>, new_w: usize, new_h: usize) -> Image<f32> {
+pub(crate) fn resize_bilinear(img: &Image<f32>, new_w: usize, new_h: usize) -> Image<f32> {
     assert!(new_w > 0 && new_h > 0);
     let (w, h) = img.dims();
     let sx = w as f32 / new_w as f32;
@@ -30,7 +30,7 @@ pub fn resize_bilinear(img: &Image<f32>, new_w: usize, new_h: usize) -> Image<f3
 /// Resize so the longest side equals `target`, preserving aspect ratio
 /// (SAM's preprocessing convention). Returns the resized image and the
 /// scale factor applied.
-pub fn resize_longest_side(img: &Image<f32>, target: usize) -> (Image<f32>, f32) {
+pub(crate) fn resize_longest_side(img: &Image<f32>, target: usize) -> (Image<f32>, f32) {
     let (w, h) = img.dims();
     let longest = w.max(h);
     let scale = target as f32 / longest as f32;

@@ -29,7 +29,7 @@ impl std::fmt::Display for OtsuDegenerate {
 
 /// Otsu's optimal global threshold, or the structured reason the
 /// histogram is degenerate (empty image or single occupied bin).
-pub fn try_otsu_threshold(img: &Image<f32>) -> Result<f32, OtsuDegenerate> {
+pub(crate) fn try_otsu_threshold(img: &Image<f32>) -> Result<f32, OtsuDegenerate> {
     let bins = 1024;
     let hist = Histogram::of_image(img, bins);
     let total = hist.total() as f64;
@@ -71,7 +71,7 @@ pub fn try_otsu_threshold(img: &Image<f32>) -> Result<f32, OtsuDegenerate> {
 /// Returns the threshold value in `[0, 1]`; pixels strictly above it are
 /// foreground. Computed over a 1024-bin histogram by maximizing the
 /// between-class variance `w0 * w1 * (mu0 - mu1)^2`. Degenerate
-/// histograms (see [`try_otsu_threshold`]) fall back to `0.5`.
+/// histograms (see `try_otsu_threshold`) fall back to `0.5`.
 pub fn otsu_threshold(img: &Image<f32>) -> f32 {
     try_otsu_threshold(img).unwrap_or(0.5)
 }
@@ -93,91 +93,6 @@ pub fn try_segment_otsu(img: &Image<f32>) -> Result<BitMask, OtsuDegenerate> {
 pub fn segment_otsu(img: &Image<f32>) -> BitMask {
     let (w, h) = img.dims();
     try_segment_otsu(img).unwrap_or_else(|_| BitMask::new(w, h))
-}
-
-/// Two-threshold (three-class) Otsu: returns `(t_low, t_high)` maximizing
-/// three-class between-class variance on a coarse histogram. Used as an
-/// ablation baseline for multi-phase material images.
-pub fn multi_otsu2(img: &Image<f32>) -> (f32, f32) {
-    let bins = 128; // O(bins^2) search
-    let hist = Histogram::of_image(img, bins);
-    let total = hist.total() as f64;
-    if total == 0.0 {
-        return (1.0 / 3.0, 2.0 / 3.0);
-    }
-    // Prefix sums.
-    let mut mass = vec![0.0f64; bins + 1];
-    let mut mean = vec![0.0f64; bins + 1];
-    for b in 0..bins {
-        mass[b + 1] = mass[b] + hist.count(b) as f64 / total;
-        mean[b + 1] = mean[b] + hist.bin_center(b) as f64 * hist.count(b) as f64 / total;
-    }
-    let class_var = |lo: usize, hi: usize| -> f64 {
-        let w = mass[hi] - mass[lo];
-        if w <= 0.0 {
-            return 0.0;
-        }
-        let m = (mean[hi] - mean[lo]) / w;
-        w * m * m
-    };
-    let mut best = (bins / 3, 2 * bins / 3);
-    let mut best_v = -1.0;
-    for t1 in 1..bins - 1 {
-        for t2 in t1 + 1..bins {
-            let v = class_var(0, t1) + class_var(t1, t2) + class_var(t2, bins);
-            if v > best_v {
-                best_v = v;
-                best = (t1, t2);
-            }
-        }
-    }
-    (best.0 as f32 / bins as f32, best.1 as f32 / bins as f32)
-}
-
-/// Windowed adaptive Otsu: the image is tiled into `tiles x tiles`
-/// windows; each gets its own Otsu threshold, bilinearly interpolated per
-/// pixel. Windows with near-zero variance inherit the global threshold.
-pub fn adaptive_otsu(img: &Image<f32>, tiles: usize) -> BitMask {
-    assert!(tiles >= 1);
-    let (w, h) = img.dims();
-    let global = otsu_threshold(img);
-    let tile_w = w.div_ceil(tiles);
-    let tile_h = h.div_ceil(tiles);
-    let thresholds: Vec<f32> = zenesis_par::par_map_range(tiles * tiles, |t| {
-        let (tx, ty) = (t % tiles, t / tiles);
-        let x0 = tx * tile_w;
-        let y0 = ty * tile_h;
-        let x1 = (x0 + tile_w).min(w);
-        let y1 = (y0 + tile_h).min(h);
-        if x1 <= x0 || y1 <= y0 {
-            return global;
-        }
-        let crop = img
-            .crop(zenesis_image::BoxRegion::new(x0, y0, x1, y1))
-            .expect("tile in range");
-        if crop.variance_norm() < 1e-6 {
-            global
-        } else {
-            otsu_threshold(&crop)
-        }
-    });
-    BitMask::from_fn(w, h, |x, y| {
-        // Bilinear interpolation between tile-center thresholds.
-        let fx = (x as f64 + 0.5) / tile_w as f64 - 0.5;
-        let fy = (y as f64 + 0.5) / tile_h as f64 - 0.5;
-        let tx0 = fx.floor().clamp(0.0, (tiles - 1) as f64) as usize;
-        let ty0 = fy.floor().clamp(0.0, (tiles - 1) as f64) as usize;
-        let tx1 = (tx0 + 1).min(tiles - 1);
-        let ty1 = (ty0 + 1).min(tiles - 1);
-        let ax = (fx - tx0 as f64).clamp(0.0, 1.0) as f32;
-        let ay = (fy - ty0 as f64).clamp(0.0, 1.0) as f32;
-        let t00 = thresholds[ty0 * tiles + tx0];
-        let t10 = thresholds[ty0 * tiles + tx1];
-        let t01 = thresholds[ty1 * tiles + tx0];
-        let t11 = thresholds[ty1 * tiles + tx1];
-        let thr = (t00 * (1.0 - ax) + t10 * ax) * (1.0 - ay) + (t01 * (1.0 - ax) + t11 * ax) * ay;
-        img.get(x, y) > thr
-    })
 }
 
 #[cfg(test)]
@@ -273,62 +188,5 @@ mod tests {
         let true_area = 44.0;
         // Otsu picks up large noise regions: selected area far exceeds GT.
         assert!(m.count() as f32 > 3.0 * true_area);
-    }
-
-    #[test]
-    fn multi_otsu_orders_thresholds() {
-        let img = Image::from_fn(60, 60, |x, _| {
-            if x < 20 {
-                0.1
-            } else if x < 40 {
-                0.5
-            } else {
-                0.9
-            }
-        });
-        let (t1, t2) = multi_otsu2(&img);
-        assert!(t1 < t2);
-        assert!(t1 > 0.1 && t1 < 0.5, "t1 = {t1}");
-        assert!(t2 > 0.5 && t2 < 0.9, "t2 = {t2}");
-    }
-
-    #[test]
-    fn adaptive_otsu_handles_illumination_gradient() {
-        // Checkerboard modulated by a strong left-right illumination ramp:
-        // global Otsu misclassifies one side, adaptive recovers both.
-        let truth_fn = |x: usize, y: usize| (x / 8 + y / 8).is_multiple_of(2);
-        let img = Image::from_fn(64, 64, |x, y| {
-            let fg = truth_fn(x, y);
-            let ramp = 0.5 * x as f32 / 63.0;
-            let v: f32 = if fg { 0.3 } else { 0.1 };
-            (v + ramp).min(1.0)
-        });
-        let global = segment_otsu(&img);
-        let adaptive = adaptive_otsu(&img, 8);
-        let count_err = |m: &BitMask| {
-            let mut err = 0;
-            for y in 0..64 {
-                for x in 0..64 {
-                    if m.get(x, y) != truth_fn(x, y) {
-                        err += 1;
-                    }
-                }
-            }
-            err
-        };
-        assert!(
-            count_err(&adaptive) < count_err(&global),
-            "adaptive {} vs global {}",
-            count_err(&adaptive),
-            count_err(&global)
-        );
-    }
-
-    #[test]
-    fn adaptive_single_tile_close_to_global() {
-        let img = bimodal(0.2, 0.8, 0.3);
-        let a = adaptive_otsu(&img, 1);
-        let g = segment_otsu(&img);
-        assert_eq!(a, g);
     }
 }

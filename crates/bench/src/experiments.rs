@@ -25,7 +25,7 @@ pub const SEED: u64 = 2025;
 
 /// The paper's reported numbers (group, method, accuracy, iou, dice) for
 /// Tables 1-3, used to print paper-vs-measured comparisons.
-pub fn paper_reference() -> Vec<(&'static str, &'static str, f64, f64, f64)> {
+pub(crate) fn paper_reference() -> Vec<(&'static str, &'static str, f64, f64, f64)> {
     vec![
         ("Crystalline", "Otsu", 0.586, 0.161, 0.274),
         ("Amorphous", "Otsu", 0.581, 0.407, 0.578),

@@ -5,6 +5,7 @@
 //! public function corresponds to one experiment in DESIGN.md §4.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 

@@ -16,7 +16,7 @@
 //! [`journal_len`] grows at once. Making records survive a power loss is
 //! left to [`Journal::commit`]: one `fsync` covers every record written
 //! since the last, and runs on a thread no worker waits for — the volume
-//! run's caller, which commits every [`COMMIT_PERIOD`] while its workers
+//! run's caller, which commits every `COMMIT_PERIOD` while its workers
 //! run and once more before it returns. A power loss therefore loses at
 //! most the records since the last commit, which a resumed run recomputes.
 //!
@@ -53,10 +53,10 @@ pub const JOURNAL_FILE: &str = "volume.journal.jsonl";
 
 /// How often a volume run's caller commits the journal while its workers
 /// run: the most a power loss can cost is the records of this long.
-pub const COMMIT_PERIOD: Duration = Duration::from_millis(10);
+pub(crate) const COMMIT_PERIOD: Duration = Duration::from_millis(10);
 
 /// Lease file name inside the checkpoint directory (see [`Lease`]).
-pub const LEASE_FILE: &str = "volume.lease.json";
+pub(crate) const LEASE_FILE: &str = "volume.lease.json";
 
 /// Where (and whether) a volume run checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +147,7 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// A [`BitMask`] encoded for the journal: packed words as hex.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MaskEnc {
+pub(crate) struct MaskEnc {
     width: usize,
     height: usize,
     hex: String,
@@ -155,7 +155,7 @@ pub struct MaskEnc {
 
 impl MaskEnc {
     /// Encode a mask word-for-word.
-    pub fn encode(m: &BitMask) -> MaskEnc {
+    pub(crate) fn encode(m: &BitMask) -> MaskEnc {
         let mut hex = Vec::with_capacity(m.words().len() * 16);
         for &w in m.words() {
             hex.extend(
@@ -173,7 +173,7 @@ impl MaskEnc {
 
     /// Decode back into a mask; `None` when the payload is malformed
     /// (wrong word count, non-hex characters).
-    pub fn decode(&self) -> Option<BitMask> {
+    pub(crate) fn decode(&self) -> Option<BitMask> {
         if self.width == 0 || self.height == 0 || !self.hex.len().is_multiple_of(16) {
             return None;
         }
@@ -283,7 +283,7 @@ pub struct ReplayMask {
     /// The final mask for the slice.
     pub mask: BitMask,
     /// Whether stage-3 decode had failed and the stage-1 mask was kept.
-    pub degraded_by_decode: bool,
+    pub(crate) degraded_by_decode: bool,
 }
 
 /// Everything a resumed run can skip, keyed by slice index.

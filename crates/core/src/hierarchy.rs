@@ -63,7 +63,7 @@ impl Zenesis {
 
     /// Convenience: further-segment inside the bounding box of an
     /// existing segment mask (the "click a segment, refine it" flow).
-    pub fn further_segment_mask(
+    pub(crate) fn further_segment_mask(
         &self,
         adapted: &Image<f32>,
         segment: &BitMask,

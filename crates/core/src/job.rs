@@ -25,10 +25,10 @@ use crate::temporal::{VolumeError, VolumeResult};
 /// Largest accepted slice side for generated inputs. Oversized specs are
 /// rejected up front with a structured error instead of attempting a
 /// multi-gigabyte allocation deep in the pipeline.
-pub const MAX_SIDE: usize = 4096;
+pub(crate) const MAX_SIDE: usize = 4096;
 
 /// Largest accepted generated-volume depth.
-pub const MAX_DEPTH: usize = 2048;
+pub(crate) const MAX_DEPTH: usize = 2048;
 
 /// Input data specification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -242,7 +242,7 @@ impl JobSpec {
     /// Validate the spec without running it. [`run_job`] calls this
     /// first, so malformed specs (zero/oversized dimensions, empty
     /// prompts, adaptation parameters out of their operators' domains or
-    /// beyond [`MAX_SIDE`]) become structured [`JobResult::Error`]s
+    /// beyond `MAX_SIDE`) become structured [`JobResult::Error`]s
     /// instead of panics or aborts deep in the pipeline; serving layers
     /// can also call it to reject bad requests before they occupy a
     /// worker.

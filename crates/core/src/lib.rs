@@ -16,7 +16,7 @@
 //! * [`rectify`] — human-in-the-loop Rectify Segmentation (Fig. 6):
 //!   random candidate boxes (full-width / full-height per the paper) and
 //!   nearest-segment selection from a user click.
-//! * [`hierarchy`] — Further Segment (Fig. 5): hierarchical
+//! * `hierarchy` — Further Segment (Fig. 5): hierarchical
 //!   re-segmentation of a selected subregion.
 //! * [`modes`] — the platform's three modes: A (interactive single
 //!   slice), B (batch volume processing), C (evaluation dashboard).
@@ -39,10 +39,11 @@
 //!   and embeddings (see docs/DATA.md).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod checkpoint;
 pub mod config;
-pub mod hierarchy;
+pub(crate) mod hierarchy;
 pub mod job;
 pub mod method;
 pub mod modes;
@@ -58,7 +59,7 @@ pub use checkpoint::CheckpointSpec;
 pub use config::ZenesisConfig;
 pub use method::Method;
 pub use multi::{MultiResult, ObjectSpec};
-pub use pipeline::{Prepared, Segmentation, SliceError, SliceResult, Zenesis};
+pub use pipeline::{Prepared, Segmentation, SliceResult, Zenesis};
 pub use stream::SliceSource;
 pub use temporal::{
     panic_message, SliceOutcome, TemporalConfig, VolumeCancelled, VolumeError, VolumeResult,

@@ -17,16 +17,14 @@ use crate::method::Method;
 use crate::pipeline::Zenesis;
 
 /// An evaluation run was cancelled (deadline or explicit stop) before
-/// every sample finished. Completed samples are preserved so the caller
+/// every sample finished. It counts the completed samples so the caller
 /// can report partial progress.
 #[derive(Debug)]
-pub struct EvalCancelled {
+pub(crate) struct EvalCancelled {
     /// Samples fully evaluated before cancellation.
     pub completed: usize,
     /// Samples in the dataset.
     pub total: usize,
-    /// The evaluation records of the completed samples.
-    pub partial: DatasetEval,
 }
 
 /// Evaluate a set of methods over the benchmark dataset (Mode C).
@@ -43,7 +41,7 @@ pub fn evaluate(z: &Zenesis, dataset: &Dataset, methods: &[Method]) -> DatasetEv
 /// `cancel` before each sample, so a deadline or explicit stop returns
 /// [`EvalCancelled`] with whatever finished instead of running the whole
 /// sweep to completion.
-pub fn evaluate_cancellable(
+pub(crate) fn evaluate_cancellable(
     z: &Zenesis,
     dataset: &Dataset,
     methods: &[Method],
@@ -57,18 +55,14 @@ pub fn evaluate_cancellable(
     });
     let total = dataset.samples.len();
     let completed = records.iter().filter(|r| r.is_some()).count();
+    if completed < total {
+        return Err(EvalCancelled { completed, total });
+    }
     let mut eval = DatasetEval::new();
     for group in records.into_iter().flatten() {
         for r in group {
             eval.push(r);
         }
-    }
-    if completed < total {
-        return Err(EvalCancelled {
-            completed,
-            total,
-            partial: eval,
-        });
     }
     Ok(eval)
 }
@@ -77,7 +71,7 @@ pub fn evaluate_cancellable(
 ///
 /// Baselines see the minimally-stretched view (the rendition a generic
 /// tool gets); Zenesis sees its own adaptation. See [`Method`].
-pub fn evaluate_sample(z: &Zenesis, sample: &Sample, methods: &[Method]) -> Vec<SampleEval> {
+pub(crate) fn evaluate_sample(z: &Zenesis, sample: &Sample, methods: &[Method]) -> Vec<SampleEval> {
     let (adapted, _) = z.adapt(&sample.raw);
     // The baseline rendition is only needed when a baseline method runs.
     let minimal = methods.iter().any(|m| *m != Method::Zenesis).then(|| {

@@ -35,8 +35,6 @@ pub struct MultiResult {
     /// Per-object masks after conflict resolution (disjoint), aligned
     /// with the input spec order.
     pub masks: Vec<(String, BitMask)>,
-    /// Class map: 0 = unassigned, `i+1` = object `i`.
-    pub class_map: Vec<u8>,
     pub width: usize,
     pub height: usize,
     /// Pixels that were claimed by more than one object before
@@ -45,11 +43,6 @@ pub struct MultiResult {
 }
 
 impl MultiResult {
-    /// The class index (`0` = background) at a pixel.
-    pub fn class_at(&self, x: usize, y: usize) -> u8 {
-        self.class_map[y * self.width + x]
-    }
-
     /// Mask for a label, if present.
     pub fn mask_for(&self, label: &str) -> Option<&BitMask> {
         self.masks.iter().find(|(l, _)| l == label).map(|(_, m)| m)
@@ -62,7 +55,11 @@ impl Zenesis {
     /// Objects are processed independently and in parallel; overlapping
     /// claims are resolved per pixel by comparing each object's grounding
     /// relevance at that pixel.
-    pub fn segment_multi(&self, adapted: &Image<f32>, objects: &[ObjectSpec]) -> MultiResult {
+    pub(crate) fn segment_multi(
+        &self,
+        adapted: &Image<f32>,
+        objects: &[ObjectSpec],
+    ) -> MultiResult {
         assert!(objects.len() <= 255, "at most 255 object classes");
         let (w, h) = adapted.dims();
         // The image is prepared once; per object only the prompt tail
@@ -107,7 +104,6 @@ impl Zenesis {
             .collect();
         MultiResult {
             masks,
-            class_map,
             width: w,
             height: h,
             contested,
@@ -175,19 +171,6 @@ mod tests {
         assert!(pores.get(72, 28), "pore center must be pores");
         // Disjoint by construction.
         assert_eq!(particles.intersection_count(pores), 0);
-        // Class map agrees with the masks.
-        assert_eq!(r.class_at(40, 48), 1);
-        assert_eq!(r.class_at(72, 28), 2);
-        assert_eq!(r.class_at(5, 5), 0);
-    }
-
-    #[test]
-    fn class_map_partition_is_consistent() {
-        let z = Zenesis::new(ZenesisConfig::default());
-        let r = z.segment_multi(&scene(), &specs());
-        let total: usize = r.masks.iter().map(|(_, m)| m.count()).sum();
-        let mapped = r.class_map.iter().filter(|&&c| c != 0).count();
-        assert_eq!(total, mapped, "masks must partition the class map");
     }
 
     #[test]
@@ -195,7 +178,6 @@ mod tests {
         let z = Zenesis::new(ZenesisConfig::default());
         let r = z.segment_multi(&scene(), &[]);
         assert!(r.masks.is_empty());
-        assert!(r.class_map.iter().all(|&c| c == 0));
         assert_eq!(r.contested, 0);
     }
 

@@ -35,7 +35,7 @@ use crate::config::ZenesisConfig;
 /// [`Zenesis::try_segment_slice`], where quarantine needs a structured
 /// reason to journal and report.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SliceError {
+pub(crate) enum SliceError {
     /// The adaptation cascade produced (or received) non-finite pixels.
     Adapt(zenesis_adapt::AdaptError),
     /// A downstream stage produced non-finite values.
@@ -82,7 +82,7 @@ pub struct PipelineTrace {
     pub total_ms: f64,
     pub adapt_stages: Vec<AdaptTrace>,
     pub tokens: Vec<String>,
-    pub n_detections: usize,
+    pub(crate) n_detections: usize,
 }
 
 /// The result of segmenting one slice.
@@ -258,7 +258,7 @@ impl Zenesis {
     /// The SAM embedding the masks were decoded from comes back with the
     /// result, so a caller decoding more boxes on the slice (Mode B's
     /// refined boxes) encodes nothing again.
-    pub fn try_segment_slice<T: Pixel>(
+    pub(crate) fn try_segment_slice<T: Pixel>(
         &self,
         raw: &Image<T>,
         prompt: &str,

@@ -40,7 +40,7 @@ pub struct Candidate {
 }
 
 /// Generate `n` random candidate boxes over a `w x h` image.
-pub fn random_boxes(
+pub(crate) fn random_boxes(
     w: usize,
     h: usize,
     n: usize,
@@ -85,7 +85,11 @@ pub fn random_boxes(
 impl Zenesis {
     /// Decode candidate boxes into masks against an image's SAM
     /// embedding.
-    pub fn decode_candidates(&self, emb: &ImageEmbedding, boxes: &[BoxRegion]) -> Vec<Candidate> {
+    pub(crate) fn decode_candidates(
+        &self,
+        emb: &ImageEmbedding,
+        boxes: &[BoxRegion],
+    ) -> Vec<Candidate> {
         let _s = zenesis_obs::span("rectify.candidates");
         zenesis_par::par_map(boxes, |&bbox| Candidate {
             bbox,
@@ -125,7 +129,7 @@ impl Zenesis {
 /// Pick the candidate whose mask is nearest to the click. Containment
 /// (distance 0) wins outright; among containing candidates the smallest
 /// mask wins (tightest selection); otherwise minimal chamfer distance.
-pub fn select_nearest(candidates: Vec<Candidate>, click: Point) -> Option<Candidate> {
+pub(crate) fn select_nearest(candidates: Vec<Candidate>, click: Point) -> Option<Candidate> {
     let scored: Vec<(f32, usize, Candidate)> = candidates
         .into_iter()
         .filter(|c| c.mask.count() > 0)

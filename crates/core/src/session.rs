@@ -4,7 +4,7 @@
 use zenesis_image::{BitMask, Image, Pixel, Point};
 
 use crate::config::ZenesisConfig;
-use crate::pipeline::{Prepared, Segmentation, Zenesis};
+use crate::pipeline::{Prepared, Zenesis};
 use crate::rectify::CandidateCriteria;
 
 /// One recorded interaction.
@@ -27,8 +27,6 @@ pub struct Session {
     history: Vec<BitMask>,
     /// Interaction log (for reproducibility / audit).
     pub log: Vec<Interaction>,
-    /// Last prompt's segmentation, if any.
-    last_result: Option<Segmentation>,
 }
 
 impl Session {
@@ -44,7 +42,6 @@ impl Session {
             prepared,
             history: Vec::new(),
             log: Vec::new(),
-            last_result: None,
         }
     }
 
@@ -61,16 +58,10 @@ impl Session {
             .unwrap_or_else(|| BitMask::new(self.adapted.width(), self.adapted.height()))
     }
 
-    /// The detections of the last prompt, if any.
-    pub fn last_result(&self) -> Option<&Segmentation> {
-        self.last_result.as_ref()
-    }
-
     /// Prompt-driven segmentation; pushes the result onto the history.
     pub fn prompt(&mut self, text: &str) -> &BitMask {
         let result = self.zenesis.segment_prepared(&self.prepared, text);
-        self.history.push(result.combined.clone());
-        self.last_result = Some(result);
+        self.history.push(result.combined);
         self.log.push(Interaction::Prompted {
             prompt: text.to_string(),
         });

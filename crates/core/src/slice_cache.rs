@@ -11,7 +11,7 @@
 //!   others wait for that result. A panic while preparing leaves the cell
 //!   empty, so the next request on the slice computes it again.
 //! * **Capacity.** A number of entries, least recently used out first,
-//!   and at most [`MAX_RESIDENT_BYTES`] held in total: after each miss,
+//!   and at most `MAX_RESIDENT_BYTES` held in total: after each miss,
 //!   the least recently used entries leave until the rest fit. A slice
 //!   whose entry alone exceeds the ceiling is prepared, served and
 //!   dropped without pushing out the others. An entry that is evicted
@@ -31,7 +31,7 @@ use crate::pipeline::Prepared;
 /// holds 18 bytes per pixel (1 152 KiB at 256²), so this keeps 28
 /// slices of 256² — more than a server's `workers + 1` entries at any
 /// default worker count — and no single slice above about 1360².
-pub const MAX_RESIDENT_BYTES: usize = 32 << 20;
+pub(crate) const MAX_RESIDENT_BYTES: usize = 32 << 20;
 
 /// How [`SliceCache::get_or_prepare`] served a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub struct SliceCache {
 
 impl SliceCache {
     /// An empty cache of `capacity` entries (at least one) holding at
-    /// most [`MAX_RESIDENT_BYTES`].
+    /// most `MAX_RESIDENT_BYTES`.
     pub fn new(capacity: usize) -> SliceCache {
         SliceCache {
             capacity: capacity.max(1),

@@ -87,12 +87,12 @@ impl SliceOutcome {
     }
 
     /// A fallback stands in for this slice.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         matches!(self, SliceOutcome::Degraded { .. })
     }
 
     /// Nothing could be produced for this slice.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         matches!(self, SliceOutcome::Failed { .. })
     }
 }
@@ -235,7 +235,7 @@ fn mean_box(window: &[BoxRegion]) -> BoxRegion {
 /// Output of [`refine_boxes`]: per-slice used boxes, per-slice events,
 /// and the `(mean width, mean height)` of the fallback window that
 /// judged each slice (`None` before any history exists).
-pub type RefinedBoxes = (
+pub(crate) type RefinedBoxes = (
     Vec<Option<BoxRegion>>,
     Vec<SliceBoxEvent>,
     Vec<Option<(f64, f64)>>,

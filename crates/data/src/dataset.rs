@@ -23,10 +23,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    pub fn of_kind(&self, kind: SampleKind) -> impl Iterator<Item = &Sample> {
-        self.samples.iter().filter(move |s| s.kind == kind)
-    }
-
     pub fn len(&self) -> usize {
         self.samples.len()
     }
@@ -152,8 +148,9 @@ mod tests {
     fn dataset_composition() {
         let ds = benchmark_dataset(64, 42);
         assert_eq!(ds.len(), 20);
-        assert_eq!(ds.of_kind(SampleKind::Crystalline).count(), 10);
-        assert_eq!(ds.of_kind(SampleKind::Amorphous).count(), 10);
+        let of_kind = |k| ds.samples.iter().filter(|s| s.kind == k).count();
+        assert_eq!(of_kind(SampleKind::Crystalline), 10);
+        assert_eq!(of_kind(SampleKind::Amorphous), 10);
         // Unique ids.
         let mut ids: Vec<&str> = ds.samples.iter().map(|s| s.id.as_str()).collect();
         ids.sort();
@@ -176,7 +173,11 @@ mod tests {
     #[test]
     fn slices_vary_within_group() {
         let ds = benchmark_dataset(48, 9);
-        let crys: Vec<&Sample> = ds.of_kind(SampleKind::Crystalline).collect();
+        let crys: Vec<&Sample> = ds
+            .samples
+            .iter()
+            .filter(|s| s.kind == SampleKind::Crystalline)
+            .collect();
         assert_ne!(crys[0].raw, crys[1].raw);
         assert_ne!(crys[0].truth, crys[1].truth);
     }

@@ -24,6 +24,7 @@
 //! paper's metrics.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod dataset;
 pub mod modalities;
@@ -35,4 +36,3 @@ pub use dataset::{benchmark_dataset, generate_volume, Dataset, Sample, VolumeSam
 pub use modalities::{generate_modality, Modality, ModalityFrame};
 pub use noise::NoiseConfig;
 pub use phantom::{generate_slice, PhantomConfig, SampleKind};
-pub use value_noise::{fbm, ValueNoise};

@@ -10,21 +10,21 @@ use zenesis_image::Image;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Additive Gaussian (read) noise sigma, in normalized intensity.
-    pub gaussian_sigma: f32,
+    pub(crate) gaussian_sigma: f32,
     /// Poisson-like shot-noise strength: per-pixel sigma scales with
     /// `sqrt(intensity)`; this is the multiplier.
-    pub shot_strength: f32,
+    pub(crate) shot_strength: f32,
     /// Peak multiplicative amplitude of vertical curtaining stripes.
-    pub stripe_amplitude: f32,
+    pub(crate) stripe_amplitude: f32,
     /// Defocus blur sigma in pixels (0 disables).
-    pub defocus_sigma: f32,
+    pub(crate) defocus_sigma: f32,
     /// Multiplicative contrast factor (1.0 = nominal; drifts per slice).
     pub contrast: f32,
     /// Additive brightness offset.
     pub brightness: f32,
     /// Fraction of the 16-bit range the data actually occupies — raw
     /// detectors rarely use more than a sliver (non-AI-readiness!).
-    pub dynamic_range: f32,
+    pub(crate) dynamic_range: f32,
 }
 
 impl Default for NoiseConfig {
@@ -58,7 +58,7 @@ impl NoiseConfig {
 
 /// Apply the degradation stack to a clean normalized image, returning raw
 /// 16-bit "detector counts".
-pub fn degrade(clean: &Image<f32>, cfg: &NoiseConfig, seed: u64) -> Image<u16> {
+pub(crate) fn degrade(clean: &Image<f32>, cfg: &NoiseConfig, seed: u64) -> Image<u16> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (w, h) = clean.dims();
     // 1. Defocus blur.

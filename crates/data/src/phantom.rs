@@ -80,12 +80,12 @@ impl PhantomConfig {
         self
     }
 
-    pub fn with_noise(mut self, noise: NoiseConfig) -> Self {
+    pub(crate) fn with_noise(mut self, noise: NoiseConfig) -> Self {
         self.noise = noise;
         self
     }
 
-    pub fn with_z(mut self, z: f32) -> Self {
+    pub(crate) fn with_z(mut self, z: f32) -> Self {
         self.z = z;
         self
     }

@@ -4,12 +4,12 @@
 /// Deterministic lattice value noise: smooth pseudo-random field in
 /// `[0, 1]` with feature size ~`1/frequency` pixels.
 #[derive(Debug, Clone, Copy)]
-pub struct ValueNoise {
+pub(crate) struct ValueNoise {
     seed: u64,
 }
 
 impl ValueNoise {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         ValueNoise { seed }
     }
 
@@ -28,7 +28,7 @@ impl ValueNoise {
 
     /// Sample the field at continuous coordinates with smoothstep
     /// interpolation between lattice values.
-    pub fn sample(&self, x: f32, y: f32) -> f32 {
+    pub(crate) fn sample(&self, x: f32, y: f32) -> f32 {
         let ix = x.floor() as i64;
         let iy = y.floor() as i64;
         let fx = x - ix as f32;
@@ -47,7 +47,7 @@ impl ValueNoise {
 
 /// Fractal Brownian motion: `octaves` layers of value noise at doubling
 /// frequency and halving amplitude, normalized into `[0, 1]`.
-pub fn fbm(noise: &ValueNoise, x: f32, y: f32, base_freq: f32, octaves: usize) -> f32 {
+pub(crate) fn fbm(noise: &ValueNoise, x: f32, y: f32, base_freq: f32, octaves: usize) -> f32 {
     let mut sum = 0.0f32;
     let mut amp = 1.0f32;
     let mut freq = base_freq;

@@ -64,6 +64,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -305,7 +306,7 @@ pub fn with_unit<R>(index: u64, f: impl FnOnce() -> R) -> R {
 }
 
 /// The unit index [`trip`] will use on this thread, if one is in scope.
-pub fn current_unit() -> Option<u64> {
+pub(crate) fn current_unit() -> Option<u64> {
     UNIT.with(|u| u.get())
 }
 

@@ -24,7 +24,7 @@ pub struct Detection {
 /// * `text_threshold` — minimum mean region relevance to keep the box.
 /// * `patch` — patch side in pixels; `img_w/img_h` clamp the final boxes.
 #[allow(clippy::too_many_arguments)]
-pub fn decode_boxes(
+pub(crate) fn decode_boxes(
     rel: &[f32],
     gw: usize,
     gh: usize,

@@ -298,7 +298,7 @@ impl GroundingDino {
     }
 
     /// Does the prompt carry elongation semantics (needles, fibers, ...)?
-    pub fn prompt_is_elongated(&self, tokens: &[String]) -> bool {
+    pub(crate) fn prompt_is_elongated(&self, tokens: &[String]) -> bool {
         use crate::lexicon::CH_ELONGATION;
         let net: f32 = tokens
             .iter()

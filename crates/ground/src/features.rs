@@ -21,7 +21,7 @@
 //! Every channel is computed from a Gaussian blur of the image at the
 //! feature scale, and the edge channel from that blur's gradient
 //! magnitude. The SAM encode starts from the same two rasters when its
-//! sigma matches, so [`FeatureGrid::from_blur`] takes them precomputed
+//! sigma matches, so `FeatureGrid::from_blur` takes them precomputed
 //! and a slice run blurs once for both models.
 
 use zenesis_image::filter::{gaussian_blur, gradient_magnitude, local_std, orientation_coherence};
@@ -54,8 +54,8 @@ pub(crate) fn blur_sigma(sigma: f32) -> f32 {
 /// Per-patch feature vectors over a `gw x gh` grid.
 #[derive(Debug, Clone)]
 pub struct FeatureGrid {
-    pub gw: usize,
-    pub gh: usize,
+    pub(crate) gw: usize,
+    pub(crate) gh: usize,
     pub patch: usize,
     /// `(gw*gh) x N_CHANNELS` row-major (row = patch in row-major grid
     /// order).
@@ -86,7 +86,7 @@ impl FeatureGrid {
     /// [`FeatureGrid::compute_at_scale`]`(img, patch, sigma)`. This is how
     /// a caller that needs the same blur for the SAM encode computes it
     /// once.
-    pub fn from_blur(blur: &Image<f32>, edge: &Image<f32>, patch: usize) -> FeatureGrid {
+    pub(crate) fn from_blur(blur: &Image<f32>, edge: &Image<f32>, patch: usize) -> FeatureGrid {
         assert!(patch > 0);
         assert_eq!(blur.dims(), edge.dims());
         let (w, h) = blur.dims();

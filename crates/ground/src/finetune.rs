@@ -31,11 +31,11 @@ pub struct FinetuneConfig {
     pub patch: usize,
     /// Fraction of a patch that must be inside the mask to count as a
     /// positive example (in-between patches are dropped as ambiguous).
-    pub positive_fraction: f32,
+    pub(crate) positive_fraction: f32,
     /// Ridge regularization strength.
     pub lambda: f32,
     /// Scale of the fitted vector (matched to hand-authored entries).
-    pub target_norm: f32,
+    pub(crate) target_norm: f32,
 }
 
 impl Default for FinetuneConfig {

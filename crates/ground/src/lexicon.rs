@@ -10,14 +10,14 @@
 use crate::features::N_CHANNELS;
 
 /// Channel indices (keep in sync with `features::CHANNEL_NAMES`).
-pub const CH_BRIGHT: usize = 0;
-pub const CH_DARK: usize = 1;
-pub const CH_TEXTURE: usize = 2;
-pub const CH_EDGE: usize = 3;
-pub const CH_ELONGATION: usize = 4;
-pub const CH_SMOOTH: usize = 5;
-pub const CH_CONTRAST: usize = 6;
-pub const CH_BIAS: usize = 7;
+pub(crate) const CH_BRIGHT: usize = 0;
+pub(crate) const CH_DARK: usize = 1;
+pub(crate) const CH_TEXTURE: usize = 2;
+pub(crate) const CH_EDGE: usize = 3;
+pub(crate) const CH_ELONGATION: usize = 4;
+pub(crate) const CH_SMOOTH: usize = 5;
+pub(crate) const CH_CONTRAST: usize = 6;
+pub(crate) const CH_BIAS: usize = 7;
 
 /// The term → attribute-vector dictionary.
 pub struct Lexicon {
@@ -168,25 +168,6 @@ impl Lexicon {
         }
     }
 
-    /// Names of user-taught concepts.
-    pub fn custom_terms(&self) -> Vec<&str> {
-        self.custom.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Number of known terms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True if the term is in the dictionary (built-in or taught).
-    pub fn knows(&self, term: &str) -> bool {
-        self.custom.iter().any(|(t, _)| t == term) || self.entries.iter().any(|(t, _)| *t == term)
-    }
-
     /// Encode one token. Known terms return their attribute vector;
     /// unknown terms hash to a deterministic small zero-mean vector.
     pub fn encode(&self, term: &str) -> [f32; N_CHANNELS] {
@@ -221,7 +202,7 @@ impl Lexicon {
     }
 
     /// Encode a token list into a `tokens x channels` row-major matrix.
-    pub fn encode_tokens(&self, tokens: &[String]) -> Vec<[f32; N_CHANNELS]> {
+    pub(crate) fn encode_tokens(&self, tokens: &[String]) -> Vec<[f32; N_CHANNELS]> {
         tokens.iter().map(|t| self.encode(t)).collect()
     }
 }
@@ -261,7 +242,6 @@ mod tests {
     #[test]
     fn unknown_terms_deterministic_weak_zero_mean() {
         let lx = Lexicon::scientific();
-        assert!(!lx.knows("zeolite"));
         let a = lx.encode("zeolite");
         let b = lx.encode("zeolite");
         assert_eq!(a, b);

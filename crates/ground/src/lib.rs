@@ -32,6 +32,7 @@
 //!    greedy NMS.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod boxes;
 pub mod dino;

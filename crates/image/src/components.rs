@@ -208,16 +208,6 @@ pub fn label_components(mask: &BitMask, conn: Connectivity) -> Labels {
     }
 }
 
-/// The largest connected component of a mask as a mask (all-false input
-/// yields an all-false mask).
-pub fn largest_component(mask: &BitMask, conn: Connectivity) -> BitMask {
-    let labels = label_components(mask, conn);
-    match labels.largest() {
-        Some(s) => labels.component_mask(s.label),
-        None => BitMask::new(mask.width(), mask.height()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +259,6 @@ mod tests {
         let labels = label_components(&m, Connectivity::Eight);
         assert_eq!(labels.count(), 0);
         assert!(labels.largest().is_none());
-        assert_eq!(largest_component(&m, Connectivity::Four).count(), 0);
     }
 
     #[test]
@@ -281,20 +270,6 @@ mod tests {
         assert_eq!(s.bbox, BoxRegion::new(2, 3, 6, 5));
         assert!((s.centroid.0 - 3.5).abs() < 1e-9);
         assert!((s.centroid.1 - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn largest_component_selects_biggest() {
-        let mut m = BitMask::new(20, 20);
-        for p in BoxRegion::new(0, 0, 3, 3).pixels() {
-            m.set(p.x, p.y, true);
-        }
-        for p in BoxRegion::new(10, 10, 18, 18).pixels() {
-            m.set(p.x, p.y, true);
-        }
-        let big = largest_component(&m, Connectivity::Four);
-        assert_eq!(big.count(), 64);
-        assert!(big.get(11, 11) && !big.get(1, 1));
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub fn overlay_mask(img: &mut RgbImage, mask: &BitMask, rgb: [u8; 3], alpha: f32
     }
 }
 
-/// Highlight only the mask boundary (full opacity) — the paper's
-/// "highlighted segment boundaries" display option.
-pub fn overlay_boundary(img: &mut RgbImage, mask: &BitMask, rgb: [u8; 3]) {
-    overlay_mask(img, &mask.boundary(), rgb, 1.0);
-}
-
 /// Compose images horizontally with a `gap`-pixel separator, for figure
 /// panels. All images must share a height.
 pub fn hstack_gray<T: Pixel>(images: &[&Image<T>], gap: usize, gap_value: T) -> Image<T> {
@@ -99,15 +93,6 @@ mod tests {
         let m = BitMask::full(2, 2);
         overlay_mask(&mut img, &m, [100, 200, 50], 0.5);
         assert_eq!(img.get(0, 0), [50, 100, 25]);
-    }
-
-    #[test]
-    fn boundary_overlay_leaves_interior() {
-        let mut img = RgbImage::filled(10, 10, [0, 0, 0]);
-        let m = BitMask::from_box(10, 10, BoxRegion::new(2, 2, 8, 8));
-        overlay_boundary(&mut img, &m, [0, 0, 255]);
-        assert_eq!(img.get(2, 2), [0, 0, 255]);
-        assert_eq!(img.get(4, 4), [0, 0, 0]);
     }
 
     #[test]

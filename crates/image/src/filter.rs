@@ -123,7 +123,7 @@ simd_dispatch!(conv_cols_band => conv_cols_band_impl(
 ));
 
 /// Convolve rows with `kernel` (odd length), replicate border.
-pub fn convolve_rows(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
+pub(crate) fn convolve_rows(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let (w, h) = img.dims();
     let mut out = vec![0.0f32; w * h];
@@ -134,7 +134,7 @@ pub fn convolve_rows(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
 }
 
 /// Convolve columns with `kernel` (odd length), replicate border.
-pub fn convolve_cols(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
+pub(crate) fn convolve_cols(img: &Image<f32>, kernel: &[f32]) -> Image<f32> {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let (w, h) = img.dims();
     let mut out = vec![0.0f32; w * h];

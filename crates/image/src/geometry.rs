@@ -115,22 +115,6 @@ impl BoxRegion {
         }
     }
 
-    /// Smallest box containing both operands (empty operands are ignored).
-    pub fn union_bounds(&self, other: &BoxRegion) -> BoxRegion {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        BoxRegion::new(
-            self.x0.min(other.x0),
-            self.y0.min(other.y0),
-            self.x1.max(other.x1),
-            self.y1.max(other.y1),
-        )
-    }
-
     /// Intersection-over-union in `[0, 1]`; 0 when either box is empty.
     pub fn iou(&self, other: &BoxRegion) -> f64 {
         let inter = self.intersect(other).area();
@@ -219,16 +203,6 @@ mod tests {
         let iou = a.iou(&b);
         assert!((iou - 8.0 / 24.0).abs() < 1e-12);
         assert_eq!(a.iou(&BoxRegion::new(0, 0, 0, 0)), 0.0);
-    }
-
-    #[test]
-    fn union_bounds_covers_both() {
-        let a = BoxRegion::new(0, 0, 2, 2);
-        let b = BoxRegion::new(5, 5, 7, 9);
-        let u = a.union_bounds(&b);
-        assert!(u.contains_box(&a) && u.contains_box(&b));
-        assert_eq!(u, BoxRegion::new(0, 0, 7, 9));
-        assert_eq!(a.union_bounds(&BoxRegion::new(0, 0, 0, 0)), a);
     }
 
     #[test]

@@ -33,21 +33,6 @@ impl Histogram {
         Histogram { bins, total }
     }
 
-    /// Natural bin count for a pixel type: 256 for u8, 65536 for u16,
-    /// 1024 for floats.
-    pub fn natural_bins<T: Pixel>() -> usize {
-        match T::BIT_DEPTH {
-            8 => 256,
-            16 => 65536,
-            _ => 1024,
-        }
-    }
-
-    #[inline]
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     #[inline]
     pub fn count(&self, bin: usize) -> u64 {
         self.bins[bin]
@@ -160,13 +145,6 @@ mod tests {
         let img = Image::<u8>::from_fn(64, 64, |x, _| (x * 4) as u8);
         let h = Histogram::of_image(&img, 256);
         assert!((h.mean() - img.mean_norm()).abs() < 0.01);
-    }
-
-    #[test]
-    fn natural_bins_per_type() {
-        assert_eq!(Histogram::natural_bins::<u8>(), 256);
-        assert_eq!(Histogram::natural_bins::<u16>(), 65536);
-        assert_eq!(Histogram::natural_bins::<f32>(), 1024);
     }
 
     #[test]

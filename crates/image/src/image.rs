@@ -97,16 +97,6 @@ impl<T: Pixel> Image<T> {
         self.data[y * self.width + x]
     }
 
-    /// Bounds-checked accessor.
-    #[inline]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<T> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Clamped accessor: coordinates outside the raster are clamped to the
     /// nearest edge (replicate border, the convention for all filters here).
     #[inline]
@@ -131,11 +121,6 @@ impl<T: Pixel> Image<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// One row as a slice.
@@ -235,20 +220,6 @@ impl<T: Pixel> Image<T> {
     /// Transpose rows and columns.
     pub fn transpose(&self) -> Image<T> {
         Image::from_fn(self.height, self.width, |x, y| self.get(y, x))
-    }
-
-    /// Horizontal mirror.
-    pub fn flip_horizontal(&self) -> Image<T> {
-        Image::from_fn(self.width, self.height, |x, y| {
-            self.get(self.width - 1 - x, y)
-        })
-    }
-
-    /// Vertical mirror.
-    pub fn flip_vertical(&self) -> Image<T> {
-        Image::from_fn(self.width, self.height, |x, y| {
-            self.get(x, self.height - 1 - y)
-        })
     }
 
     /// Minimum and maximum sample value.
@@ -492,13 +463,6 @@ mod tests {
         let img = ramp();
         assert_eq!(img.transpose().transpose(), img);
         assert_eq!(img.transpose().get(1, 3), img.get(3, 1));
-    }
-
-    #[test]
-    fn flips_are_involutions() {
-        let img = ramp();
-        assert_eq!(img.flip_horizontal().flip_horizontal(), img);
-        assert_eq!(img.flip_vertical().flip_vertical(), img);
     }
 
     #[test]

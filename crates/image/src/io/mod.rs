@@ -7,8 +7,6 @@
 //!   the simplest interchange format, used for all figure outputs.
 //! * [`png`] — a from-scratch PNG *encoder* (stored-deflate zlib): the
 //!   universally viewable output format for figure panels.
-//! * [`raw`] — headerless dumps with explicit shape, the lowest common
-//!   denominator for instrument data.
 //!
 //! TIFF/BigTIFF (the instrument format) lives in the dedicated
 //! `zenesis-tiff` crate: classic and BigTIFF containers, strips and
@@ -17,4 +15,3 @@
 
 pub mod pgm;
 pub mod png;
-pub mod raw;

@@ -14,7 +14,7 @@ fn write_header(out: &mut impl Write, magic: &str, w: usize, h: usize, maxval: u
 }
 
 /// Write an 8-bit grayscale PGM.
-pub fn write_pgm_u8(img: &Image<u8>, out: &mut impl Write) -> Result<()> {
+pub(crate) fn write_pgm_u8(img: &Image<u8>, out: &mut impl Write) -> Result<()> {
     write_header(out, "P5", img.width(), img.height(), 255)?;
     out.write_all(img.as_slice())?;
     Ok(())
@@ -32,7 +32,7 @@ pub fn write_pgm_u16(img: &Image<u16>, out: &mut impl Write) -> Result<()> {
 }
 
 /// Write an RGB PPM.
-pub fn write_ppm(img: &RgbImage, out: &mut impl Write) -> Result<()> {
+pub(crate) fn write_ppm(img: &RgbImage, out: &mut impl Write) -> Result<()> {
     write_header(out, "P6", img.width(), img.height(), 255)?;
     out.write_all(img.as_slice())?;
     Ok(())

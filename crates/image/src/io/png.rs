@@ -88,7 +88,7 @@ fn encode_png(width: usize, height: usize, color_type: u8, scanlines: &[u8]) -> 
 }
 
 /// Encode an 8-bit grayscale image as PNG bytes.
-pub fn encode_png_gray(img: &Image<u8>) -> Vec<u8> {
+pub(crate) fn encode_png_gray(img: &Image<u8>) -> Vec<u8> {
     let (w, h) = img.dims();
     // Each scanline is prefixed by filter byte 0 (None).
     let mut scanlines = Vec::with_capacity(h * (w + 1));
@@ -100,7 +100,7 @@ pub fn encode_png_gray(img: &Image<u8>) -> Vec<u8> {
 }
 
 /// Encode an RGB image as PNG bytes.
-pub fn encode_png_rgb(img: &RgbImage) -> Vec<u8> {
+pub(crate) fn encode_png_rgb(img: &RgbImage) -> Vec<u8> {
     let (w, h) = (img.width(), img.height());
     let data = img.as_slice();
     let mut scanlines = Vec::with_capacity(h * (w * 3 + 1));

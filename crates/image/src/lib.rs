@@ -17,8 +17,10 @@
 //! * Filtering ([`filter`]), morphology ([`morphology`]), connected
 //!   components ([`components`]), histograms ([`histogram`]), distance
 //!   transforms ([`distance`]), drawing/overlays ([`draw`]).
-//! * I/O ([`io`]): PGM/PPM, a minimal uncompressed TIFF subset
-//!   (8/16-bit grayscale, multi-page for volumes), and raw dumps.
+//! * I/O ([`io`]): PGM/PPM and a PNG encoder (TIFF lives in
+//!   `zenesis-tiff`).
+
+#![warn(unreachable_pub)]
 
 pub mod components;
 pub mod distance;

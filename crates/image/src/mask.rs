@@ -370,22 +370,6 @@ impl BitMask {
         out
     }
 
-    /// Symmetric difference, by value.
-    pub fn xor(&self, other: &BitMask) -> BitMask {
-        self.check_dims(other).expect("mask shape mismatch");
-        let mut out = self.clone();
-        for (a, b) in out.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
-        out
-    }
-
-    /// Keep only pixels inside `region`.
-    pub fn clip_to_box(&self, region: BoxRegion) -> BitMask {
-        let boxmask = BitMask::from_box(self.width, self.height, region);
-        self.and(&boxmask)
-    }
-
     /// Tight bounding box of the true pixels, or `None` if the mask is
     /// all-false.
     pub fn bounding_box(&self) -> Option<BoxRegion> {
@@ -506,8 +490,6 @@ mod tests {
         let b = BitMask::from_fn(20, 20, |x, y| x % 2 == 0 && y > 4);
         // |A| + |B| = |A∪B| + |A∩B|
         assert_eq!(a.count() + b.count(), a.or(&b).count() + a.and(&b).count());
-        // XOR = union minus intersection
-        assert_eq!(a.xor(&b).count(), a.or(&b).count() - a.and(&b).count());
         // subtract
         let mut d = a.clone();
         d.subtract(&b);
@@ -551,14 +533,6 @@ mod tests {
         assert_eq!(b.count(), 20);
         // Boundary is a subset of the mask.
         assert_eq!(b.intersection_count(&m), b.count());
-    }
-
-    #[test]
-    fn clip_to_box() {
-        let m = BitMask::full(10, 10);
-        let c = m.clip_to_box(BoxRegion::new(2, 2, 5, 5));
-        assert_eq!(c.count(), 9);
-        assert!(c.get(2, 2) && !c.get(5, 5));
     }
 
     #[test]

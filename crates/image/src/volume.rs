@@ -20,7 +20,7 @@ pub struct VoxelSize {
 
 impl VoxelSize {
     /// Isotropic voxels.
-    pub fn isotropic(nm: f64) -> Self {
+    pub(crate) fn isotropic(nm: f64) -> Self {
         VoxelSize {
             x_nm: nm,
             y_nm: nm,
@@ -106,49 +106,6 @@ impl<T: Pixel> Volume<T> {
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: T) {
         self.slices[z].set(x, y, v);
     }
-
-    /// Apply `f` to every slice in parallel, producing a new volume.
-    pub fn map_slices<U: Pixel>(
-        &self,
-        f: impl Fn(usize, &Image<T>) -> Image<U> + Sync,
-    ) -> Volume<U> {
-        let slices = zenesis_par::par_map_range(self.depth(), |z| f(z, &self.slices[z]));
-        Volume {
-            slices,
-            voxel: self.voxel,
-        }
-    }
-
-    /// Orthogonal resample along z by nearest neighbour so voxels become
-    /// isotropic in-plane vs depth (a standard readiness fix for
-    /// anisotropic stacks). Returns `self` clone when already isotropic.
-    pub fn resample_isotropic_z(&self) -> Volume<T> {
-        let ratio = self.voxel.anisotropy();
-        if (ratio - 1.0).abs() < 1e-9 {
-            return self.clone();
-        }
-        let new_depth = ((self.depth() as f64) * ratio).round().max(1.0) as usize;
-        let slices: Vec<Image<T>> = (0..new_depth)
-            .map(|z| {
-                let src = ((z as f64 + 0.5) / ratio) as usize;
-                self.slices[src.min(self.depth() - 1)].clone()
-            })
-            .collect();
-        Volume {
-            slices,
-            voxel: VoxelSize {
-                x_nm: self.voxel.x_nm,
-                y_nm: self.voxel.y_nm,
-                z_nm: self.voxel.x_nm.max(self.voxel.y_nm),
-            },
-        }
-    }
-
-    /// Mean normalized intensity per slice — used to detect slice-to-slice
-    /// contrast drift (defocus/charging) before adaptation.
-    pub fn slice_means(&self) -> Vec<f64> {
-        zenesis_par::par_map_range(self.depth(), |z| self.slices[z].mean_norm())
-    }
 }
 
 impl<T: Pixel> Volume<T> {
@@ -184,14 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn map_slices_parallel_order() {
-        let v = vol();
-        let doubled = v.map_slices(|_, s| s.map(|p| p.saturating_mul(2)));
-        assert_eq!(doubled.get(1, 1, 1), v.get(1, 1, 1).saturating_mul(2));
-        assert_eq!(doubled.depth(), v.depth());
-    }
-
-    #[test]
     fn anisotropy_and_resample() {
         let slices = (0..3).map(|_| Image::<u8>::zeros(4, 4)).collect();
         let v = Volume::from_slices(
@@ -204,25 +153,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.voxel().anisotropy(), 2.0);
-        let iso = v.resample_isotropic_z();
-        assert_eq!(iso.depth(), 6);
-        assert!((iso.voxel().anisotropy() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resample_isotropic_noop() {
-        let v = vol();
-        let r = v.resample_isotropic_z();
-        assert_eq!(r, v);
-    }
-
-    #[test]
-    fn slice_means_monotone_for_ramp_stack() {
-        let v = vol();
-        let means = v.slice_means();
-        assert_eq!(means.len(), 4);
-        for i in 1..4 {
-            assert!(means[i] > means[i - 1]);
-        }
     }
 }

@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use serde::{Deserialize, Serialize};
 
@@ -234,9 +235,9 @@ pub struct StageDelta {
     /// Baseline / head p99, ms.
     pub p99_ms: (f64, f64),
     /// Relative p50 change (`0.1` = 10 % slower).
-    pub p50_rel: f64,
+    pub(crate) p50_rel: f64,
     /// Relative p99 change.
-    pub p99_rel: f64,
+    pub(crate) p99_rel: f64,
     /// True when this stage trips the latency gate.
     pub regressed: bool,
 }

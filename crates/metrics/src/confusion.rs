@@ -1,7 +1,6 @@
 //! Pixel confusion matrices and derived segmentation scores.
 
 use serde::{Deserialize, Serialize};
-use zenesis_image::distance::distance_to_mask;
 use zenesis_image::BitMask;
 
 /// Pixel-level confusion counts of a predicted mask against ground truth.
@@ -9,7 +8,7 @@ use zenesis_image::BitMask;
 pub struct Confusion {
     pub tp: usize,
     pub fp: usize,
-    pub tn: usize,
+    pub(crate) tn: usize,
     pub fn_: usize,
 }
 
@@ -126,70 +125,6 @@ pub struct Scores {
     pub mcc: f64,
 }
 
-/// Boundary F1 with pixel tolerance `tol`: precision/recall computed over
-/// boundary pixels, where a boundary pixel counts as matched if the other
-/// mask's boundary passes within `tol` pixels (chamfer distance). Returns
-/// 1.0 when both boundaries are empty, 0.0 when exactly one is.
-pub fn boundary_f1(pred: &BitMask, truth: &BitMask, tol: f32) -> f64 {
-    assert_eq!(pred.dims(), truth.dims(), "mask dims differ");
-    let bp = pred.boundary();
-    let bt = truth.boundary();
-    let (np, nt) = (bp.count(), bt.count());
-    if np == 0 && nt == 0 {
-        return 1.0;
-    }
-    if np == 0 || nt == 0 {
-        return 0.0;
-    }
-    let (w, _) = pred.dims();
-    let d_to_truth = distance_to_mask(&bt);
-    let d_to_pred = distance_to_mask(&bp);
-    let matched_pred = bp
-        .iter_true()
-        .filter(|p| d_to_truth[p.y * w + p.x] <= tol)
-        .count();
-    let matched_truth = bt
-        .iter_true()
-        .filter(|p| d_to_pred[p.y * w + p.x] <= tol)
-        .count();
-    let precision = matched_pred as f64 / np as f64;
-    let recall = matched_truth as f64 / nt as f64;
-    if precision + recall == 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    }
-}
-
-/// Symmetric Hausdorff distance between mask boundaries (in pixels,
-/// chamfer-approximated): the worst-case boundary disagreement, the
-/// standard complement to area metrics for shape-critical applications.
-/// Conventions follow [`boundary_f1`]: 0.0 when both boundaries are
-/// empty, infinity when exactly one is.
-pub fn hausdorff(pred: &BitMask, truth: &BitMask) -> f64 {
-    assert_eq!(pred.dims(), truth.dims(), "mask dims differ");
-    let bp = pred.boundary();
-    let bt = truth.boundary();
-    if bp.count() == 0 && bt.count() == 0 {
-        return 0.0;
-    }
-    if bp.count() == 0 || bt.count() == 0 {
-        return f64::INFINITY;
-    }
-    let (w, _) = pred.dims();
-    let d_to_truth = distance_to_mask(&bt);
-    let d_to_pred = distance_to_mask(&bp);
-    let h1 = bp
-        .iter_true()
-        .map(|p| d_to_truth[p.y * w + p.x] as f64)
-        .fold(0.0, f64::max);
-    let h2 = bt
-        .iter_true()
-        .map(|p| d_to_pred[p.y * w + p.x] as f64)
-        .fold(0.0, f64::max);
-    h1.max(h2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,66 +197,6 @@ mod tests {
         let (d, i) = (c.dice(), c.iou());
         assert!((d - 2.0 * i / (1.0 + i)).abs() < 1e-12);
         assert!(i <= d);
-    }
-
-    #[test]
-    fn boundary_f1_exact_match() {
-        let m = BitMask::from_box(20, 20, BoxRegion::new(4, 4, 16, 16));
-        assert_eq!(boundary_f1(&m, &m, 0.0), 1.0);
-    }
-
-    #[test]
-    fn boundary_f1_tolerates_small_shift() {
-        let a = BitMask::from_box(30, 30, BoxRegion::new(5, 5, 20, 20));
-        let b = BitMask::from_box(30, 30, BoxRegion::new(6, 6, 21, 21)); // 1px shift
-        let strict = boundary_f1(&a, &b, 0.0);
-        let tolerant = boundary_f1(&a, &b, 2.0);
-        assert!(strict < 0.5);
-        assert!(tolerant > 0.95);
-    }
-
-    #[test]
-    fn boundary_f1_empty_conventions() {
-        let e = BitMask::new(10, 10);
-        let m = BitMask::from_box(10, 10, BoxRegion::new(2, 2, 8, 8));
-        assert_eq!(boundary_f1(&e, &e, 1.0), 1.0);
-        assert_eq!(boundary_f1(&e, &m, 1.0), 0.0);
-        assert_eq!(boundary_f1(&m, &e, 1.0), 0.0);
-    }
-
-    #[test]
-    fn hausdorff_identical_is_zero() {
-        let m = BitMask::from_box(20, 20, BoxRegion::new(4, 4, 16, 16));
-        assert_eq!(hausdorff(&m, &m), 0.0);
-    }
-
-    #[test]
-    fn hausdorff_measures_worst_case_shift() {
-        let a = BitMask::from_box(40, 40, BoxRegion::new(5, 5, 15, 15));
-        let b = BitMask::from_box(40, 40, BoxRegion::new(10, 5, 20, 15)); // 5px shift
-        let h = hausdorff(&a, &b);
-        assert!((h - 5.0).abs() < 1.0, "hausdorff {h}");
-    }
-
-    #[test]
-    fn hausdorff_empty_conventions() {
-        let e = BitMask::new(10, 10);
-        let m = BitMask::from_box(10, 10, BoxRegion::new(2, 2, 8, 8));
-        assert_eq!(hausdorff(&e, &e), 0.0);
-        assert!(hausdorff(&e, &m).is_infinite());
-    }
-
-    #[test]
-    fn hausdorff_dominates_mean_boundary_error() {
-        // Mostly aligned masks with one outlier blob far away: Hausdorff
-        // must see the outlier.
-        let a = BitMask::from_box(60, 60, BoxRegion::new(10, 10, 30, 30));
-        let mut b = a.clone();
-        for p in BoxRegion::new(50, 50, 55, 55).pixels() {
-            b.set(p.x, p.y, true);
-        }
-        let h = hausdorff(&a, &b);
-        assert!(h > 20.0, "outlier must dominate: {h}");
     }
 
     #[test]

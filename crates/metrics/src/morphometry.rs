@@ -26,13 +26,13 @@ impl Default for PixelSize {
 
 /// Shape statistics of one segmented particle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParticleStats {
+pub(crate) struct ParticleStats {
     /// Area in nm².
-    pub area_nm2: f64,
+    pub(crate) area_nm2: f64,
     /// Perimeter (boundary pixel count scaled) in nm.
-    pub perimeter_nm: f64,
+    pub(crate) perimeter_nm: f64,
     /// Equivalent circular diameter in nm.
-    pub eq_diameter_nm: f64,
+    pub(crate) eq_diameter_nm: f64,
     /// Centroid in pixels.
     pub centroid: (f64, f64),
     /// Aspect ratio (major/minor axis from second moments, >= 1).
@@ -40,7 +40,7 @@ pub struct ParticleStats {
     /// Major-axis orientation in radians, in `[-pi/2, pi/2)`.
     pub orientation: f64,
     /// Circularity `4*pi*area / perimeter^2` in `(0, 1]` for sane shapes.
-    pub circularity: f64,
+    pub(crate) circularity: f64,
 }
 
 /// Phase-level summary over all particles in a mask.
@@ -50,7 +50,7 @@ pub struct PhaseStats {
     /// Area fraction of the frame covered by the phase.
     pub area_fraction: f64,
     /// Total phase area in nm².
-    pub total_area_nm2: f64,
+    pub(crate) total_area_nm2: f64,
     /// Mean equivalent diameter in nm.
     pub mean_eq_diameter_nm: f64,
     /// Specific perimeter: total boundary length / total area (1/nm) —
@@ -65,7 +65,7 @@ pub struct PhaseStats {
 }
 
 /// Per-particle statistics of every 8-connected component in `mask`.
-pub fn analyze_particles(mask: &BitMask, px: PixelSize) -> Vec<ParticleStats> {
+pub(crate) fn analyze_particles(mask: &BitMask, px: PixelSize) -> Vec<ParticleStats> {
     let labels = label_components(mask, Connectivity::Eight);
     let mut out = Vec::with_capacity(labels.count());
     for s in labels.stats() {
@@ -116,7 +116,7 @@ pub fn analyze_particles(mask: &BitMask, px: PixelSize) -> Vec<ParticleStats> {
     out
 }
 
-/// Phase-level roll-up of [`analyze_particles`].
+/// Phase-level roll-up of `analyze_particles`.
 pub fn analyze_phase(mask: &BitMask, px: PixelSize) -> PhaseStats {
     let particles = analyze_particles(mask, px);
     let n = particles.len();

@@ -13,7 +13,7 @@ pub struct VolumeEval {
     /// Voxel-pooled confusion (sums over all slices).
     pub pooled: Confusion,
     /// Per-slice IoU series.
-    pub slice_iou: Vec<f64>,
+    pub(crate) slice_iou: Vec<f64>,
     /// Mean inter-slice IoU of the *prediction* (how smoothly the
     /// segmentation evolves through z); 1.0 for a single-slice stack.
     pub prediction_smoothness: f64,

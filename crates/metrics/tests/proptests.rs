@@ -1,8 +1,8 @@
 //! Property tests for metric identities and aggregation.
 
 use proptest::prelude::*;
-use zenesis_image::{BitMask, BoxRegion};
-use zenesis_metrics::{boundary_f1, hausdorff, Confusion, MeanStd};
+use zenesis_image::BitMask;
+use zenesis_metrics::{Confusion, MeanStd};
 
 fn arb_mask(w: usize, h: usize) -> impl Strategy<Value = BitMask> {
     prop::collection::vec(any::<bool>(), w * h).prop_map(move |bits| {
@@ -60,33 +60,6 @@ proptest! {
         let c = Confusion::from_masks(&a, &a);
         prop_assert_eq!(c.accuracy(), 1.0);
         prop_assert_eq!(c.iou(), 1.0);
-        prop_assert_eq!(boundary_f1(&a, &a, 0.0), 1.0);
-        prop_assert_eq!(hausdorff(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn hausdorff_symmetric(a in arb_mask(10, 10), b in arb_mask(10, 10)) {
-        let h1 = hausdorff(&a, &b);
-        let h2 = hausdorff(&b, &a);
-        if h1.is_finite() {
-            prop_assert!((h1 - h2).abs() < 1e-9);
-        } else {
-            prop_assert!(h2.is_infinite() || (a.count() == 0 && b.count() == 0));
-        }
-    }
-
-    #[test]
-    fn boundary_f1_monotone_in_tolerance(
-        x0 in 0usize..10, y0 in 0usize..10, shift in 0usize..6
-    ) {
-        let a = BitMask::from_box(30, 30, BoxRegion::new(x0, y0, x0 + 10, y0 + 10));
-        let b = BitMask::from_box(30, 30, BoxRegion::new(x0 + shift, y0, x0 + 10 + shift, y0 + 10));
-        let mut prev = -1.0;
-        for tol in [0.0f32, 1.0, 2.0, 4.0, 8.0] {
-            let f = boundary_f1(&a, &b, tol);
-            prop_assert!(f >= prev - 1e-12, "f1 must grow with tolerance");
-            prev = f;
-        }
     }
 
     #[test]

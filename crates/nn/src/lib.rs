@@ -19,6 +19,7 @@
 //! map, and this function is the whole of the attention.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use zenesis_tensor::{softmax_rows, Matrix};
 

@@ -371,7 +371,7 @@ pub fn dropped_events() -> u64 {
 }
 
 /// Discard all buffered events and reset the dropped counter.
-pub fn reset_events() {
+pub(crate) fn reset_events() {
     buffer().lock().clear();
     DROPPED.reset();
 }

@@ -1,4 +1,4 @@
-//! Exports: human-readable span tree and machine-readable JSON trace.
+//! Exports: the machine-readable JSON trace and its Chrome form.
 //!
 //! The JSON schema (version 1) is documented in `docs/OBSERVABILITY.md`:
 //!
@@ -23,82 +23,10 @@ use std::collections::HashMap;
 use serde_json::{Map, Number, Value};
 
 use crate::metrics::metrics_snapshot;
-use crate::span::{snapshot, SpanId, SpanRecord};
-
-/// One id → index map, built once and shared by both [`children_of`] and
-/// [`roots`] so parent resolution is O(n) over the whole snapshot (the
-/// previous per-span linear scans were O(n²) and dominated export time on
-/// multi-thousand-span traces).
-fn index_by_id(spans: &[SpanRecord]) -> HashMap<SpanId, usize> {
-    spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect()
-}
-
-fn children_of(spans: &[SpanRecord], by_id: &HashMap<SpanId, usize>) -> Vec<Vec<usize>> {
-    // Spans are already start-sorted, so children stay start-ordered.
-    let mut kids: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    for (i, s) in spans.iter().enumerate() {
-        if let Some(&p) = s.parent.as_ref().and_then(|p| by_id.get(p)) {
-            kids[p].push(i);
-        }
-    }
-    kids
-}
-
-fn roots(spans: &[SpanRecord], by_id: &HashMap<SpanId, usize>) -> Vec<usize> {
-    spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            match s.parent {
-                None => true,
-                // A parent that never completed (still-open guard,
-                // cleared or full store) promotes the child to a root so
-                // it still shows up in the tree.
-                Some(p) => !by_id.contains_key(&p),
-            }
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-fn render_node(
-    spans: &[SpanRecord],
-    kids: &[Vec<usize>],
-    i: usize,
-    depth: usize,
-    out: &mut String,
-) {
-    let s = &spans[i];
-    let indent = "  ".repeat(depth);
-    let label = format!("{indent}{}", s.name);
-    out.push_str(&format!(
-        "{label:<48} {:>10.3} ms  [{}]\n",
-        s.dur_ns as f64 / 1e6,
-        s.thread
-    ));
-    for &c in &kids[i] {
-        render_node(spans, kids, c, depth + 1, out);
-    }
-}
-
-/// Render every recorded span as an indented tree with durations and
-/// thread attribution, roots ordered by start time.
-pub fn render_tree() -> String {
-    let spans = snapshot();
-    if spans.is_empty() {
-        return String::from("(no spans recorded — set ZENESIS_OBS=spans)\n");
-    }
-    let by_id = index_by_id(&spans);
-    let kids = children_of(&spans, &by_id);
-    let mut out = String::new();
-    for r in roots(&spans, &by_id) {
-        render_node(&spans, &kids, r, 0, &mut out);
-    }
-    out
-}
+use crate::span::snapshot;
 
 /// The full trace (spans + metrics) as a JSON value.
-pub fn trace_json() -> Value {
+pub(crate) fn trace_json() -> Value {
     let mut root = Map::new();
     root.insert("version", Value::Number(Number::U(1)));
 
@@ -177,7 +105,7 @@ pub fn trace_json_string(pretty: bool) -> String {
 /// real name), every span becomes a complete (`"ph": "X"`) event with
 /// microsecond `ts`/`dur`, and events are ordered by `ts` (metadata
 /// records lead with `ts` 0). Span ids and parents ride along in `args`.
-pub fn chrome_trace_json() -> Value {
+pub(crate) fn chrome_trace_json() -> Value {
     let spans = snapshot();
     let mut tids: HashMap<String, u64> = HashMap::new();
     let mut order: Vec<String> = Vec::new();

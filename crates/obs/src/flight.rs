@@ -8,7 +8,7 @@
 //! so recording costs nothing beyond the `spans` level itself.
 //!
 //! [`dump_json`] reads both stores, merges their newest
-//! [`FLIGHT_ENTRIES`] records by timestamp, and renders a
+//! `FLIGHT_ENTRIES` records by timestamp, and renders a
 //! self-describing JSON document (`version` 1); `zenesis-serve` writes
 //! it atomically (temp + rename) to `<dir>/flight-<ts>-<trace_id>.json`.
 //! Format details in `docs/OBSERVABILITY.md`.
@@ -20,7 +20,7 @@ use crate::span::{snapshot, SpanRecord};
 use crate::trace::TraceId;
 
 /// Most entries one dump holds: the newest spans and events together.
-pub const FLIGHT_ENTRIES: usize = 4_096;
+pub(crate) const FLIGHT_ENTRIES: usize = 4_096;
 
 /// One record a dump reads: a closed span or an emitted event.
 enum Entry<'a> {
@@ -63,7 +63,7 @@ impl Entry<'_> {
     }
 }
 
-/// Render the newest [`FLIGHT_ENTRIES`] spans and events, oldest first,
+/// Render the newest `FLIGHT_ENTRIES` spans and events, oldest first,
 /// as a self-describing JSON document.
 ///
 /// `reason` names the trigger (`"job.panic"`, `"too_many_failures"`,

@@ -51,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bounded;
 mod config;
@@ -59,20 +60,20 @@ pub mod export;
 pub mod flight;
 mod metrics;
 pub mod output;
-pub mod prom;
+pub(crate) mod prom;
 mod span;
 pub mod trace;
 
 pub use bounded::RECORD_CAP;
 pub use config::{enabled, full, level, set_level, ObsLevel};
+pub(crate) use metrics::reset_metrics;
 pub use metrics::{
-    counter, gauge, histogram, latency_rows, metrics_snapshot, record_ms, reset_metrics, Counter,
-    Gauge, Histogram, HistogramStats, LatencyRow, MetricsSnapshot,
+    counter, gauge, histogram, latency_rows, metrics_snapshot, record_ms, Counter, Gauge,
+    Histogram, HistogramStats, LatencyRow, MetricsSnapshot,
 };
 pub use prom::prometheus_text;
-pub use span::{
-    current, reset_spans, snapshot, span, timed, with_parent, SpanGuard, SpanId, SpanRecord,
-};
+pub(crate) use span::reset_spans;
+pub use span::{current, snapshot, span, timed, with_parent, SpanGuard, SpanId, SpanRecord};
 pub use trace::{current_trace, trace_guard, with_trace, TraceId, TraceScope};
 
 /// Serializes this crate's unit tests that flip the process-global level

@@ -186,7 +186,7 @@ impl Histogram {
     /// pairs are exactly Prometheus `le=` cumulative buckets (monotone
     /// non-decreasing counts by construction). Empty when no values
     /// were recorded.
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -380,7 +380,7 @@ pub(crate) fn histogram_handles() -> Vec<(String, Arc<Histogram>)> {
 
 /// Unregister every metric. `Arc` handles held by callers keep working
 /// but record into detached instruments no longer visible to snapshots.
-pub fn reset_metrics() {
+pub(crate) fn reset_metrics() {
     let reg = registry();
     reg.counters.lock().clear();
     reg.gauges.lock().clear();

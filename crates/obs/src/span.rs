@@ -44,7 +44,7 @@ pub struct SpanRecord {
     /// Name of the thread the span ran on.
     pub thread: String,
     /// Start offset from the process observability epoch, nanoseconds.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Wall-clock duration, nanoseconds.
     pub dur_ns: u64,
     /// The trace context installed on the opening thread, if any — the
@@ -240,7 +240,7 @@ pub(crate) fn dropped_spans() -> u64 {
 }
 
 /// Discard all recorded spans and reset the dropped counter.
-pub fn reset_spans() {
+pub(crate) fn reset_spans() {
     for shard in registry() {
         shard.lock().clear();
     }

@@ -44,11 +44,6 @@ fn span_store_keeps_the_newest_cap_and_counts_drops() {
     let exported = v["spans"].as_array().expect("spans array");
     assert_eq!(exported.len(), RECORD_CAP);
     assert_eq!(exported[0]["parent"], parent_raw);
-    assert_eq!(
-        zenesis_obs::export::render_tree().lines().count(),
-        RECORD_CAP,
-        "orphaned children are promoted to roots"
-    );
 
     zenesis_obs::reset();
     assert!(zenesis_obs::snapshot().is_empty());

@@ -1,7 +1,7 @@
 //! Global thread-count configuration.
 //!
 //! All parallel entry points in this crate consult [`current_threads`] at
-//! call time, so a benchmark can sweep thread counts with [`set_threads`]:
+//! call time, so a benchmark can sweep thread counts with `set_threads`:
 //! the resident team grows to the largest count asked for, and a call
 //! uses only as many helpers as the count current when it starts. The
 //! initial value comes from the
@@ -45,7 +45,7 @@ pub fn current_threads() -> usize {
 }
 
 /// Set the global worker-thread count. Clamped below by 1.
-pub fn set_threads(n: usize) {
+pub(crate) fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 

@@ -12,7 +12,7 @@
 //! caller alone instead of waiting. The background lane, reached only
 //! through [`par_background`], has `current_threads()` helpers at lowered
 //! CPU priority, and its caller takes no item. Each lane starts with its
-//! first fan-out, grows when [`set_threads`] asks for more and never
+//! first fan-out, grows when `set_threads` asks for more and never
 //! shrinks, so no call creates a thread once the lanes are grown. Chunk
 //! boundaries depend only on the item count and the thread count, and
 //! outputs are disjoint, so parallel results are guaranteed to equal
@@ -20,8 +20,6 @@
 //!
 //! The entry points most code uses are the free functions:
 //!
-//! * [`par_for_each`] / [`par_for_each_indexed`] — run a closure over
-//!   `&mut [T]` chunks in parallel.
 //! * [`par_map`] — map a slice to a new `Vec` in parallel, preserving order.
 //! * [`par_map_range`] — map an index range `0..n` to a `Vec` in parallel;
 //!   [`par_map_range_min`] is its per-pixel form with a grain threshold.
@@ -38,12 +36,14 @@
 //! inline (`par_rows`, `par_map_range_min`); `par_map` / `par_map_range`
 //! are for few heavy items and fan out from two.
 //!
-//! Thread count is controlled globally via [`set_threads`] (or the
+//! Thread count is controlled globally via `set_threads` (or the
 //! `ZENESIS_THREADS` environment variable) so benchmarks can sweep scaling.
 //!
 //! Long-running work (batch volumes, evaluation sweeps, served jobs) can
 //! be interrupted cooperatively through a [`CancelToken`], which also
 //! carries optional deadlines for the serving layer.
+
+#![warn(unreachable_pub)]
 
 mod cancel;
 mod config;
@@ -53,12 +53,12 @@ mod scope;
 mod team;
 
 pub use cancel::CancelToken;
-pub use config::{available_parallelism, current_threads, set_threads, ThreadsGuard};
+pub use config::{available_parallelism, current_threads, ThreadsGuard};
 pub use join::join;
 pub use progress::{progress_pulse, Progress};
 pub use scope::{
-    chunk_len, in_worker, par_background, par_for_each, par_for_each_indexed, par_map,
-    par_map_range, par_map_range_min, par_reduce_range, par_rows, par_rows_min, SMALL_WORK_ELEMS,
+    in_worker, par_background, par_map, par_map_range, par_map_range_min, par_reduce_range,
+    par_rows, par_rows_min, SMALL_WORK_ELEMS,
 };
 pub use team::team_dispatches;
 

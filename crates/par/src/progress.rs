@@ -89,7 +89,7 @@ impl Progress {
     }
 
     /// Seconds elapsed since the tracker was created (monotonic clock).
-    pub fn elapsed_secs(&self) -> f64 {
+    pub(crate) fn elapsed_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 
@@ -134,7 +134,7 @@ impl Progress {
     }
 
     /// True once `done >= total`.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.done() >= self.total
     }
 }

@@ -23,7 +23,7 @@ thread_local! {
 }
 
 /// True on a thread currently executing a chunk of a data-parallel call
-/// (`par_for_each*`, `par_map*`, `par_reduce_range`, `par_rows*`), be it a
+/// (`par_map*`, `par_reduce_range`, `par_rows*`), be it a
 /// helper or the participating caller. Every parallel entry point in this
 /// crate checks it and runs inline when set, so nested data parallelism (a
 /// parallel matmul called from a per-head attention chunk, say) degrades to
@@ -63,7 +63,7 @@ pub const SMALL_WORK_ELEMS: usize = 4096;
 
 /// Chunk length heuristic: enough chunks for dynamic load balancing
 /// (~4 per worker) but not so many that the atomic counter contends.
-pub fn chunk_len(n: usize, workers: usize) -> usize {
+pub(crate) fn chunk_len(n: usize, workers: usize) -> usize {
     if n == 0 {
         return 1;
     }
@@ -129,34 +129,6 @@ where
         return (0..n).for_each(f);
     }
     team::fan_out_background(n, &|i| as_worker(|| f(i)), period, &mut tend);
-}
-
-/// Run `f` over every element of `data` in parallel, mutating in place.
-pub fn par_for_each<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    par_for_each_indexed(data, |_, v| f(v));
-}
-
-/// Like [`par_for_each`] but the closure also receives the element index.
-pub fn par_for_each_indexed<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let Some(chunk) = plan(data.len()) else {
-        for (i, v) in data.iter_mut().enumerate() {
-            f(i, v);
-        }
-        return;
-    };
-    run_chunks(data.chunks_mut(chunk), |c, slice| {
-        for (off, v) in slice.iter_mut().enumerate() {
-            f(c * chunk + off, v);
-        }
-    });
 }
 
 /// Map `items` to a new `Vec`, preserving order, in parallel.
@@ -301,15 +273,6 @@ mod tests {
     fn map_empty_and_single() {
         assert!(par_map_range(0, |i| i).is_empty());
         assert_eq!(par_map_range(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn for_each_indexed_touches_every_element_once() {
-        let mut v = vec![0u32; 4099];
-        par_for_each_indexed(&mut v, |i, x| *x += i as u32 + 1);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as u32 + 1);
-        }
     }
 
     #[test]

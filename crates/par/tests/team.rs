@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use zenesis_par::{in_worker, join, par_for_each_indexed, par_map_range, ThreadsGuard};
+use zenesis_par::{in_worker, join, par_map_range, par_rows_min, ThreadsGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -206,7 +206,9 @@ fn concurrent_tiny_fan_outs_run_every_chunk_exactly_once() {
                 // 8 items at 4 threads: 8 one-item chunks.
                 let mut hits = [0u32; 8];
                 for round in 1..=ROUNDS {
-                    par_for_each_indexed(&mut hits, |_, h| *h += 1);
+                    par_rows_min(&mut hits, 1, 0, |_, band| {
+                        band.iter_mut().for_each(|h| *h += 1)
+                    });
                     assert!(hits.iter().all(|&h| h == round), "round {round}: {hits:?}");
                 }
             });

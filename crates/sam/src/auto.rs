@@ -1,7 +1,7 @@
 //! Automatic "everything" mode — the paper's **SAM-only baseline**.
 //!
 //! A regular grid of point prompts proposes masks; duplicates are removed
-//! by mask-IoU NMS; proposals are ranked by [`crate::score::quality_score`]
+//! by mask-IoU NMS; proposals are ranked by `crate::score::quality_score`
 //! and the single **maximum-confidence** mask is the SAM-only answer (the
 //! paper: "their reliance on maximum confidence scores to select regions
 //! ... fails in low-contrast or ambiguous scenarios").
@@ -24,7 +24,7 @@ pub struct AutoConfig {
     /// Minimum proposal area (pixels).
     pub min_area: usize,
     /// Mask-IoU above which two proposals are duplicates.
-    pub dedup_iou: f64,
+    pub(crate) dedup_iou: f64,
 }
 
 impl Default for AutoConfig {
@@ -41,15 +41,13 @@ impl Default for AutoConfig {
 
 /// One automatic proposal.
 #[derive(Debug, Clone)]
-pub struct AutoMask {
+pub(crate) struct AutoMask {
     pub mask: BitMask,
-    pub seed: Point,
-    pub stability: f64,
     pub quality: f64,
 }
 
 /// Generate ranked mask proposals from a point grid (best first).
-pub fn propose(emb: &ImageEmbedding, cfg: &AutoConfig) -> Vec<AutoMask> {
+pub(crate) fn propose(emb: &ImageEmbedding, cfg: &AutoConfig) -> Vec<AutoMask> {
     let (w, h) = emb.dims();
     let step = cfg.grid_step.max(1);
     let mut seeds = Vec::new();
@@ -71,12 +69,7 @@ pub fn propose(emb: &ImageEmbedding, cfg: &AutoConfig) -> Vec<AutoMask> {
         }
         let stability = stability_score(emb, &[seed], cfg.step_tol, cfg.global_tol);
         let quality = quality_score(emb, &mask, stability);
-        Some(AutoMask {
-            mask,
-            seed,
-            stability,
-            quality,
-        })
+        Some(AutoMask { mask, quality })
     });
     let mut proposals: Vec<AutoMask> = raw.into_iter().flatten().collect();
     proposals.sort_by(|a, b| b.quality.partial_cmp(&a.quality).expect("finite quality"));

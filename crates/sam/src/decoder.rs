@@ -203,7 +203,7 @@ pub fn decode_box(
 }
 
 /// Refine a rough mask prompt: reseed from its interior and regrow.
-pub fn decode_mask_prior(
+pub(crate) fn decode_mask_prior(
     emb: &ImageEmbedding,
     prior: &BitMask,
     step_tol: f32,

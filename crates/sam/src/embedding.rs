@@ -49,23 +49,8 @@ impl ImageEmbedding {
         self.smooth.dims()
     }
 
-    /// Mean gradient inside a mask (region "roughness"); 0 for empty.
-    pub fn mean_grad_in(&self, mask: &zenesis_image::BitMask) -> f64 {
-        let mut s = 0.0;
-        let mut n = 0usize;
-        for p in mask.iter_true() {
-            s += self.grad.get(p.x, p.y) as f64;
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            s / n as f64
-        }
-    }
-
     /// Mean texture inside a mask; 0 for empty.
-    pub fn mean_texture_in(&self, mask: &zenesis_image::BitMask) -> f64 {
+    pub(crate) fn mean_texture_in(&self, mask: &zenesis_image::BitMask) -> f64 {
         let mut s = 0.0;
         let mut n = 0usize;
         for p in mask.iter_true() {
@@ -83,7 +68,7 @@ impl ImageEmbedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zenesis_image::{BitMask, BoxRegion};
+    use zenesis_image::BitMask;
 
     #[test]
     fn encode_shapes() {
@@ -105,11 +90,7 @@ mod tests {
     fn region_statistics() {
         let img = Image::<f32>::from_fn(32, 32, |x, _| if x < 16 { 0.2 } else { 0.8 });
         let e = ImageEmbedding::encode(&img, 1.0);
-        let flat = BitMask::from_box(32, 32, BoxRegion::new(2, 2, 10, 30));
-        let edge = BitMask::from_box(32, 32, BoxRegion::new(14, 2, 18, 30));
-        assert!(e.mean_grad_in(&edge) > e.mean_grad_in(&flat) + 0.05);
         let empty = BitMask::new(32, 32);
-        assert_eq!(e.mean_grad_in(&empty), 0.0);
         assert_eq!(e.mean_texture_in(&empty), 0.0);
     }
 }

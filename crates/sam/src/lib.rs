@@ -20,6 +20,7 @@
 //!   black background.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod auto;
 pub mod decoder;
@@ -29,7 +30,7 @@ pub mod score;
 
 mod sam;
 
-pub use auto::{AutoConfig, AutoMask};
+pub use auto::AutoConfig;
 pub use embedding::ImageEmbedding;
 pub use prompt::{PointLabel, Polarity, Prompt, PromptSet};
 pub use sam::{MaskPrediction, Sam, SamConfig, SamVariant};

@@ -64,14 +64,6 @@ impl PromptSet {
         }
     }
 
-    /// A rough mask.
-    pub fn from_mask(m: BitMask) -> Self {
-        PromptSet {
-            prompts: vec![Prompt::Mask(m)],
-            polarity: Polarity::Bright,
-        }
-    }
-
     /// Set the intensity polarity (builder style).
     pub fn with_polarity(mut self, polarity: Polarity) -> Self {
         self.polarity = polarity;
@@ -84,7 +76,7 @@ impl PromptSet {
     }
 
     /// All foreground points.
-    pub fn fg_points(&self) -> Vec<Point> {
+    pub(crate) fn fg_points(&self) -> Vec<Point> {
         self.prompts
             .iter()
             .filter_map(|p| match p {
@@ -95,7 +87,7 @@ impl PromptSet {
     }
 
     /// All background points.
-    pub fn bg_points(&self) -> Vec<Point> {
+    pub(crate) fn bg_points(&self) -> Vec<Point> {
         self.prompts
             .iter()
             .filter_map(|p| match p {
@@ -106,7 +98,7 @@ impl PromptSet {
     }
 
     /// The tightest box constraint, if any boxes are present.
-    pub fn box_constraint(&self) -> Option<BoxRegion> {
+    pub(crate) fn box_constraint(&self) -> Option<BoxRegion> {
         let mut it = self.prompts.iter().filter_map(|p| match p {
             Prompt::Box(b) => Some(*b),
             _ => None,
@@ -116,7 +108,7 @@ impl PromptSet {
     }
 
     /// The union of mask prompts, if any.
-    pub fn mask_prior(&self) -> Option<BitMask> {
+    pub(crate) fn mask_prior(&self) -> Option<BitMask> {
         let mut out: Option<BitMask> = None;
         for p in &self.prompts {
             if let Prompt::Mask(m) = p {
@@ -161,7 +153,9 @@ mod tests {
     fn mask_prompts_union() {
         let a = BitMask::from_box(8, 8, BoxRegion::new(0, 0, 2, 2));
         let b = BitMask::from_box(8, 8, BoxRegion::new(4, 4, 6, 6));
-        let ps = PromptSet::from_mask(a.clone()).with(Prompt::Mask(b.clone()));
+        let ps = PromptSet::new()
+            .with(Prompt::Mask(a.clone()))
+            .with(Prompt::Mask(b.clone()));
         let u = ps.mask_prior().unwrap();
         assert_eq!(u, a.or(&b));
     }

@@ -411,7 +411,7 @@ mod tests {
         let sam = Sam::new(SamConfig::default());
         let emb = sam.encode(&disk_image());
         let prior = BitMask::from_box(64, 64, BoxRegion::new(26, 26, 38, 38));
-        let ps = PromptSet::from_mask(prior);
+        let ps = PromptSet::new().with(Prompt::Mask(prior));
         let m = sam.segment(&emb, &ps);
         assert!(m.iou(&disk_truth()) > 0.6);
     }

@@ -1,10 +1,10 @@
 //! Mask quality scores.
 //!
-//! * [`stability_score`] — the SAM paper's stability measure, adapted to
+//! * `stability_score` — the SAM paper's stability measure, adapted to
 //!   this decoder: IoU between masks decoded at perturbed tolerances. A
 //!   mask whose extent doesn't care about the exact threshold is a real
 //!   object boundary; one that balloons or collapses is noise.
-//! * [`quality_score`] — the "predicted IoU" analogue used to rank
+//! * `quality_score` — the "predicted IoU" analogue used to rank
 //!   proposals: stability, weighted by interior homogeneity (a real
 //!   segment is smoother inside than at its rim) and a gentle area prior
 //!   (among equally stable, homogeneous candidates prefer the larger —
@@ -18,7 +18,7 @@ use crate::embedding::ImageEmbedding;
 
 /// Stability of a point-grown region: IoU of masks grown at `0.75x` and
 /// `1.25x` the global tolerance. Empty-at-both counts as unstable (0).
-pub fn stability_score(
+pub(crate) fn stability_score(
     emb: &ImageEmbedding,
     seeds: &[Point],
     step_tol: f32,
@@ -41,7 +41,7 @@ pub fn stability_score(
 /// boundary (SAM's predicted-IoU head behaves the same way), and cubing
 /// keeps a large-but-sloppy region from outranking a genuinely stable
 /// segment on area alone.
-pub fn quality_score(emb: &ImageEmbedding, mask: &BitMask, stability: f64) -> f64 {
+pub(crate) fn quality_score(emb: &ImageEmbedding, mask: &BitMask, stability: f64) -> f64 {
     let area = mask.count();
     if area == 0 {
         return 0.0;

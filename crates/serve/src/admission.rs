@@ -14,7 +14,7 @@
 //! (single-user pipe mode and existing clients keep their behavior). A
 //! quota of zero disables enforcement entirely.
 //!
-//! Accounting invariant: [`Admission::admit`] increments the tenant's
+//! Accounting invariant: `Admission::admit` increments the tenant's
 //! outstanding count and hands back a ticket name; the serving layer
 //! releases it exactly once per admitted job — after the worker sends
 //! the response, or immediately when the queue push is refused.
@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 
 /// Refusal from [`Admission::admit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuotaExceeded {
+pub(crate) struct QuotaExceeded {
     /// The tenant that is over quota.
     pub tenant: String,
     /// The configured per-tenant outstanding-job limit.
@@ -58,7 +58,7 @@ impl Admission {
     /// always admitted. On success the tenant's outstanding count is
     /// already incremented — the caller owes exactly one
     /// [`release`](Admission::release).
-    pub fn admit(&self, tenant: Option<&str>) -> Result<(), QuotaExceeded> {
+    pub(crate) fn admit(&self, tenant: Option<&str>) -> Result<(), QuotaExceeded> {
         let Some(tenant) = tenant else { return Ok(()) };
         if self.limit == 0 {
             return Ok(());

@@ -31,15 +31,15 @@ pub struct Conn {
     /// Responses queued back to this connection.
     pub answered: u64,
     /// Client half-closed its write side (read returned EOF).
-    pub read_eof: bool,
+    pub(crate) read_eof: bool,
     /// Connection errored; close unconditionally.
     pub dead: bool,
     /// Fallback id for the next request line (line number, 1-based).
-    pub next_line_id: u64,
+    pub(crate) next_line_id: u64,
 }
 
 /// Outcome of one readiness-driven read pass.
-pub struct ReadOutcome {
+pub(crate) struct ReadOutcome {
     /// Complete request lines extracted (without the trailing newline).
     pub lines: Vec<String>,
     /// The line-length cap was exceeded; the connection was marked dead.
@@ -71,7 +71,7 @@ impl Conn {
     /// Read until `WouldBlock`/EOF and extract complete lines. A line
     /// longer than `max_line_bytes` kills the connection — the reactor
     /// cannot buffer unboundedly for a client that never sends `\n`.
-    pub fn read_ready(&mut self, max_line_bytes: usize) -> ReadOutcome {
+    pub(crate) fn read_ready(&mut self, max_line_bytes: usize) -> ReadOutcome {
         let mut out = ReadOutcome {
             lines: Vec::new(),
             overflow: false,
@@ -125,18 +125,18 @@ impl Conn {
     }
 
     /// Queue one response line for this connection.
-    pub fn queue_write(&mut self, line: &str) {
+    pub(crate) fn queue_write(&mut self, line: &str) {
         self.wbuf.extend_from_slice(line.as_bytes());
         self.answered += 1;
     }
 
     /// Bytes queued but not yet written.
-    pub fn pending_write_bytes(&self) -> usize {
+    pub(crate) fn pending_write_bytes(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
 
     /// Write as much queued output as the socket accepts right now.
-    pub fn write_ready(&mut self) {
+    pub(crate) fn write_ready(&mut self) {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
@@ -164,14 +164,14 @@ impl Conn {
     }
 
     /// Whether the poller should watch this socket for writability.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         self.wpos < self.wbuf.len()
     }
 
     /// Whether the reactor should tear this connection down now.
     /// In-flight jobs (`answered < submitted`) keep an EOF'd connection
     /// alive so their responses can still be delivered.
-    pub fn should_close(&self) -> bool {
+    pub(crate) fn should_close(&self) -> bool {
         self.dead || (self.read_eof && self.answered >= self.submitted && !self.wants_write())
     }
 }

@@ -37,13 +37,15 @@
 //! [`mux`] serves every connection from one reactor thread; see
 //! `docs/SERVING.md`.
 
+#![warn(unreachable_pub)]
+
 pub mod admission;
 #[cfg(unix)]
 pub mod conn;
 pub mod http;
 #[cfg(unix)]
 pub mod mux;
-pub mod proto;
+pub(crate) mod proto;
 pub mod queue;
 pub mod server;
 pub mod warden;

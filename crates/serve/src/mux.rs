@@ -109,7 +109,7 @@ impl Mux {
 
     /// Start the reactor on an already-bound listener (tests bind port 0
     /// and read the assigned address back).
-    pub fn spawn_on(
+    pub(crate) fn spawn_on(
         server: Arc<Server>,
         listener: TcpListener,
         config: MuxConfig,
@@ -365,7 +365,7 @@ fn reactor_loop(
 /// efficient.
 mod poller {
     #[repr(C)]
-    pub struct PollFd {
+    pub(super) struct PollFd {
         fd: i32,
         events: i16,
         revents: i16,
@@ -376,7 +376,7 @@ mod poller {
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
-    pub fn pollfd(fd: i32, read: bool, write: bool) -> PollFd {
+    pub(super) fn pollfd(fd: i32, read: bool, write: bool) -> PollFd {
         let mut events = 0;
         if read {
             events |= POLLIN;
@@ -394,16 +394,16 @@ mod poller {
     /// Treat errors/hangups as readable: the next nonblocking read
     /// observes the actual condition (EOF or error) and the connection
     /// state machine handles it.
-    pub fn readable(fd: &PollFd) -> bool {
+    pub(super) fn readable(fd: &PollFd) -> bool {
         fd.revents & (POLLIN | POLLERR | POLLHUP) != 0
     }
 
-    pub fn writable(fd: &PollFd) -> bool {
+    pub(super) fn writable(fd: &PollFd) -> bool {
         fd.revents & (POLLOUT | POLLERR | POLLHUP) != 0
     }
 
     #[cfg(target_os = "linux")]
-    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
+    pub(super) fn poll(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
         extern "C" {
             fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
         }

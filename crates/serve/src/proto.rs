@@ -77,7 +77,7 @@ impl Request {
     /// The lane this request rides: the explicit envelope override, or
     /// the spec-derived default (interactive specs on the interactive
     /// lane, everything else on batch).
-    pub fn effective_lane(&self) -> Lane {
+    pub(crate) fn effective_lane(&self) -> Lane {
         self.lane.unwrap_or(match self.spec {
             JobSpec::Interactive { .. } => Lane::Interactive,
             JobSpec::Batch { .. } | JobSpec::Evaluate { .. } => Lane::Batch,

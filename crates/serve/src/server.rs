@@ -29,7 +29,7 @@
 //! * **Retry** — results classified as transient input failures (via
 //!   [`zenesis_core::job::message_is_transient_input`], the classifier
 //!   that lives beside the error construction site) are retried with
-//!   exponential backoff, capped at [`MAX_RETRY_BACKOFF_MS`], never past
+//!   exponential backoff, capped at `MAX_RETRY_BACKOFF_MS`, never past
 //!   the deadline and at most `max_retries` times.
 //! * **Crash restart** — a child that dies without a result is respawned
 //!   with `resume: true` after a capped backoff, until the warden's
@@ -65,7 +65,7 @@ use crate::warden::{self, Outcome, Warden};
 /// Hard ceiling on one retry backoff sleep. Beyond ~10 s the input is
 /// not "racing with an upload" anymore and the deadline budget is
 /// better spent failing fast.
-pub const MAX_RETRY_BACKOFF_MS: u64 = 10_000;
+pub(crate) const MAX_RETRY_BACKOFF_MS: u64 = 10_000;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ pub struct ServeConfig {
     /// models (a process-worker retry is a fresh child).
     pub max_retries: u32,
     /// First retry backoff; doubles per attempt up to
-    /// [`MAX_RETRY_BACKOFF_MS`].
+    /// `MAX_RETRY_BACKOFF_MS`.
     pub retry_base_ms: u64,
     /// Directory for crash flight recordings. `Some` dumps the newest
     /// recorded spans and events ([`zenesis_obs::flight`]) as
@@ -151,7 +151,7 @@ impl ResponseSink {
     /// Deliver into a crossbeam channel (pipe mode, tests, benches).
     /// A hung-up receiver drops the response silently — the submitter
     /// went away and there is nobody left to tell.
-    pub fn from_channel(tx: &Sender<Response>) -> ResponseSink {
+    pub(crate) fn from_channel(tx: &Sender<Response>) -> ResponseSink {
         let tx = tx.clone();
         ResponseSink::new(move |resp| {
             let _ = tx.send(resp);
@@ -176,11 +176,11 @@ struct QueuedJob {
 
 /// Connection stats a mux front end registers so `/readyz` can report
 /// connection-cap saturation (see [`crate::mux`]).
-pub struct MuxStats {
+pub(crate) struct MuxStats {
     /// Open multiplexed connections.
     pub connections: AtomicUsize,
     /// Accept cap; further connections are refused at accept time.
-    pub max_connections: usize,
+    pub(crate) max_connections: usize,
 }
 
 /// The running service.
@@ -256,7 +256,7 @@ impl Server {
     }
 
     /// Admission capacity of the bounded queue.
-    pub fn queue_capacity(&self) -> usize {
+    pub(crate) fn queue_capacity(&self) -> usize {
         self.queue.capacity()
     }
 
@@ -267,7 +267,7 @@ impl Server {
 
     /// Register the mux front end's connection stats so readiness
     /// probes can report accept-cap saturation.
-    pub fn attach_mux_stats(&self, stats: Arc<MuxStats>) {
+    pub(crate) fn attach_mux_stats(&self, stats: Arc<MuxStats>) {
         *self.mux_stats.lock() = Some(stats);
     }
 
@@ -295,7 +295,7 @@ impl Server {
     /// Worker threads still running. Anything below the configured
     /// count means a worker died outside the panic isolation (a bug);
     /// the `/readyz` endpoint reports not-ready at zero.
-    pub fn workers_alive(&self) -> usize {
+    pub(crate) fn workers_alive(&self) -> usize {
         self.workers
             .lock()
             .iter()
@@ -304,7 +304,7 @@ impl Server {
     }
 
     /// Submit one raw request line, replying into a channel. Equivalent
-    /// to [`Server::submit`] with [`ResponseSink::from_channel`].
+    /// to [`Server::submit`] with `ResponseSink::from_channel`.
     pub fn submit_line(&self, line: &str, fallback_id: u64, reply: &Sender<Response>) {
         self.submit(line, fallback_id, &ResponseSink::from_channel(reply));
     }

@@ -32,7 +32,7 @@
 //!   way through a crashy stretch still advances, so the restart backoff
 //!   doubles only per consecutive crash that grew nothing.
 //! * **Poison circuit breaker** — a spec whose workers crash
-//!   [`POISON_THRESHOLD`] consecutive times *without journal growth* is
+//!   `POISON_THRESHOLD` consecutive times *without journal growth* is
 //!   quarantined by fingerprint: the job returns a structured `error`,
 //!   and later submissions of the same spec are refused immediately
 //!   instead of crash-looping fresh workers.
@@ -64,7 +64,7 @@ use crate::worker::{job_line, parse_worker_line, WorkerMsg};
 /// Consecutive worker crashes without journal growth before the spec's
 /// fingerprint is quarantined. Crashes *with* progress never trip the
 /// breaker: a job inching through a crashy stretch still completes.
-pub const POISON_THRESHOLD: u32 = 3;
+pub(crate) const POISON_THRESHOLD: u32 = 3;
 
 /// Heartbeat windows the progress pulse may stay frozen before a
 /// beating worker is declared hung. Startup (model build, volume
@@ -88,7 +88,7 @@ pub(crate) enum Outcome {
 /// long-running, checkpointable work worth a fork, and the checkpoint
 /// journal is what makes their crash recovery exact. Interactive and
 /// evaluate jobs stay in-process.
-pub fn eligible(spec: &JobSpec) -> bool {
+pub(crate) fn eligible(spec: &JobSpec) -> bool {
     matches!(spec, JobSpec::Batch { .. })
 }
 
@@ -96,7 +96,7 @@ pub fn eligible(spec: &JobSpec) -> bool {
 /// checkpoint leases and keys the poison registry. Serde emits struct
 /// fields in declaration order, so equal specs always fingerprint
 /// equally.
-pub fn spec_fingerprint(spec: &JobSpec) -> u64 {
+pub(crate) fn spec_fingerprint(spec: &JobSpec) -> u64 {
     let json = serde_json::to_string(spec).expect("job specs serialize");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in json.bytes() {
@@ -150,7 +150,7 @@ impl Warden {
 
     /// Supervised jobs currently between a worker crash and the
     /// successor's first sign of life.
-    pub fn recovering(&self) -> usize {
+    pub(crate) fn recovering(&self) -> usize {
         self.recovering.load(Ordering::Relaxed)
     }
 

@@ -44,7 +44,7 @@ const MIN_BEAT_INTERVAL_MS: u64 = 5;
 
 /// One parsed line of worker stdout, as the supervisor sees it.
 #[derive(Debug)]
-pub enum WorkerMsg {
+pub(crate) enum WorkerMsg {
     /// Heartbeat carrying the child's progress pulse.
     Beat(u64),
     /// The job finished; this is its result.
@@ -59,7 +59,7 @@ pub enum WorkerMsg {
 /// Parse one line of worker stdout. Never errors: unrecognized lines
 /// are [`WorkerMsg::Noise`] — a worker that interleaves diagnostics on
 /// stdout degrades to fewer beats, not a declared crash.
-pub fn parse_worker_line(line: &str) -> WorkerMsg {
+pub(crate) fn parse_worker_line(line: &str) -> WorkerMsg {
     let Ok(v) = serde_json::from_str::<Value>(line) else {
         return WorkerMsg::Noise;
     };
@@ -79,7 +79,12 @@ pub fn parse_worker_line(line: &str) -> WorkerMsg {
 
 /// Serialize the hand-over line the supervisor writes to the child's
 /// stdin (newline included).
-pub fn job_line(spec: &JobSpec, deadline_ms: Option<u64>, trace: u64, heartbeat_ms: u64) -> String {
+pub(crate) fn job_line(
+    spec: &JobSpec,
+    deadline_ms: Option<u64>,
+    trace: u64,
+    heartbeat_ms: u64,
+) -> String {
     let spec_json = serde_json::to_string(spec).expect("job specs serialize");
     let spec_value: Value = serde_json::from_str(&spec_json).expect("job specs round-trip");
     let mut m = serde_json::Map::new();

@@ -14,6 +14,8 @@
 //! allocation, inner loops over contiguous memory shaped for the
 //! autovectorizer. See `docs/PERFORMANCE.md` for the kernel design.
 
+#![warn(unreachable_pub)]
+
 mod matmul;
 mod matrix;
 mod ops;
@@ -22,5 +24,5 @@ mod workspace;
 
 pub use matmul::{MR, NR};
 pub use matrix::Matrix;
-pub use ops::{fast_exp, softmax_rows};
+pub use ops::softmax_rows;
 pub use simd::{simd_level, ScalarGuard, SimdLevel};

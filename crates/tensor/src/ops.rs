@@ -22,7 +22,7 @@ use zenesis_par::par_rows;
 /// subtraction, so the clamp only touches terms that are zero anyway).
 #[inline(always)]
 #[allow(clippy::excessive_precision)] // LN2_HI's digits are the exact f32 value: the hi/lo split relies on it
-pub fn fast_exp(x: f32) -> f32 {
+pub(crate) fn fast_exp(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_375;
     const LN2_LO: f32 = -2.121_944_4e-4;

@@ -45,14 +45,14 @@ fn count_fresh() {
 }
 
 impl Workspace {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Workspace::default()
     }
 
     /// Check out a buffer of exactly `len` elements with **unspecified
     /// contents** (callers must fully overwrite it). Reuses a pooled
     /// buffer when one with sufficient capacity exists.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
         // Best-fit scan: smallest pooled buffer whose capacity suffices,
         // so a small checkout doesn't consume the big packed-keys buffer.
         let mut best: Option<(usize, usize)> = None;
@@ -81,12 +81,12 @@ impl Workspace {
     }
 
     /// Check out a `rows x cols` matrix with unspecified contents.
-    pub fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, self.take(rows * cols))
     }
 
     /// Return a buffer to the pool for reuse.
-    pub fn recycle_vec(&mut self, v: Vec<f32>) {
+    pub(crate) fn recycle_vec(&mut self, v: Vec<f32>) {
         if v.capacity() == 0 {
             return;
         }
@@ -112,7 +112,7 @@ impl Workspace {
     /// Run `f` with the calling thread's arena. Nested calls on the same
     /// thread (a `with` inside a `with`) degrade to a fresh temporary
     /// arena rather than panicking.
-    pub fn with<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    pub(crate) fn with<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
         thread_local! {
             static WS: RefCell<Workspace> = RefCell::new(Workspace::new());
         }

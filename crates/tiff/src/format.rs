@@ -46,7 +46,7 @@ const MAX_CHUNKS: u64 = 1 << 22;
 
 /// Byte order of the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endian {
+pub(crate) enum Endian {
     /// `II`: little-endian (Intel).
     Little,
     /// `MM`: big-endian (Motorola).
@@ -55,7 +55,7 @@ pub enum Endian {
 
 /// How the samples of a page are to be interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleFormat {
+pub(crate) enum SampleFormat {
     /// Unsigned integer samples (SampleFormat 1, the default).
     Uint,
     /// IEEE binary32 float samples (SampleFormat 3; 32-bit only).
@@ -67,7 +67,7 @@ pub enum SampleFormat {
 pub(crate) struct TiffHeader {
     pub endian: Endian,
     pub big: bool,
-    pub first_ifd: u64,
+    pub(crate) first_ifd: u64,
 }
 
 /// Where a page's pixel payload lives.
@@ -103,7 +103,7 @@ pub(crate) struct PageMeta {
 
 impl PageMeta {
     /// Bytes per sample.
-    pub fn bps(&self) -> usize {
+    pub(crate) fn bps(&self) -> usize {
         self.bits as usize / 8
     }
 }
@@ -116,7 +116,7 @@ pub(crate) struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    pub fn read(&self, offset: u64, buf: &mut [u8], what: &'static str) -> Result<()> {
+    pub(crate) fn read(&self, offset: u64, buf: &mut [u8], what: &'static str) -> Result<()> {
         self.src.read_exact_at(offset, buf).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 TiffError::Truncated {
@@ -130,7 +130,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    pub fn u16_at(&self, offset: u64, what: &'static str) -> Result<u16> {
+    pub(crate) fn u16_at(&self, offset: u64, what: &'static str) -> Result<u16> {
         let mut b = [0u8; 2];
         self.read(offset, &mut b, what)?;
         Ok(match self.endian {
@@ -139,7 +139,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    pub fn u32_at(&self, offset: u64, what: &'static str) -> Result<u32> {
+    pub(crate) fn u32_at(&self, offset: u64, what: &'static str) -> Result<u32> {
         let mut b = [0u8; 4];
         self.read(offset, &mut b, what)?;
         Ok(match self.endian {
@@ -148,7 +148,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    pub fn u64_at(&self, offset: u64, what: &'static str) -> Result<u64> {
+    pub(crate) fn u64_at(&self, offset: u64, what: &'static str) -> Result<u64> {
         let mut b = [0u8; 8];
         self.read(offset, &mut b, what)?;
         Ok(match self.endian {
@@ -158,7 +158,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Read a file offset: u32 in classic files, u64 in BigTIFF.
-    pub fn off_at(&self, offset: u64, what: &'static str) -> Result<u64> {
+    pub(crate) fn off_at(&self, offset: u64, what: &'static str) -> Result<u64> {
         if self.big {
             self.u64_at(offset, what)
         } else {

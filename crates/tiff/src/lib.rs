@@ -35,6 +35,7 @@
 //! `zenesis-fault`) and emit `io.tiff.*` spans and counters.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod decode;
 mod encode;
@@ -46,12 +47,12 @@ mod volume;
 use std::io::Cursor;
 use std::path::Path;
 
-use zenesis_image::{BitMask, Image, Volume, VoxelSize};
+use zenesis_image::{BitMask, Image, Volume};
 
 pub use decode::TiffPage;
 pub use encode::{EncodeLayout, EncodeOptions, TiffStackWriter};
 pub use error::{Result, TiffError};
-pub use format::{Endian, SampleFormat};
+pub(crate) use format::Endian;
 pub use source::{FileSource, Source, TiffRead};
 pub use volume::VolumeReader;
 
@@ -90,29 +91,6 @@ pub fn load_tiff(path: impl AsRef<Path>) -> Result<TiffPage> {
     let data = std::fs::read(path)?;
     let mut pages = read_tiff(&data)?;
     Ok(pages.swap_remove(0))
-}
-
-/// Read a multi-page 16-bit TIFF as an in-memory volume (every page
-/// must be 16-bit grayscale with identical dimensions). For stacks that
-/// may not fit in RAM, use [`VolumeReader`] instead.
-pub fn read_tiff_volume_u16(data: &[u8], voxel: VoxelSize) -> Result<Volume<u16>> {
-    let pages = read_tiff(data)?;
-    let mut slices = Vec::with_capacity(pages.len());
-    for p in pages {
-        match p {
-            TiffPage::U16(img) => slices.push(img),
-            other => {
-                return Err(TiffError::Inconsistent {
-                    what: format!("expected 16-bit volume, found {}-bit page", other.bits()),
-                    offset: 0,
-                })
-            }
-        }
-    }
-    Volume::from_slices(slices, voxel).map_err(|e| TiffError::Inconsistent {
-        what: e.to_string(),
-        offset: 0,
-    })
 }
 
 // ---------------------------------------------------------------- encode --
@@ -160,7 +138,7 @@ pub fn save_tiff_volume_u16(vol: &Volume<u16>, path: impl AsRef<Path>) -> Result
 
 /// Encode a stack of masks as a multi-page 8-bit TIFF, one page per
 /// slice (255 = inside, 0 = outside).
-pub fn write_mask_volume_tiff(masks: &[BitMask]) -> Result<Vec<u8>> {
+pub(crate) fn write_mask_volume_tiff(masks: &[BitMask]) -> Result<Vec<u8>> {
     encode_with(EncodeOptions::default(), |w| {
         masks.iter().try_for_each(|m| w.append_u8(&m.to_image()))
     })

@@ -122,7 +122,7 @@ impl VolumeReader {
     /// # Panics
     /// Panics if `z >= self.depth()` — an internal indexing bug, not a
     /// data condition.
-    pub fn read_page(&self, z: usize) -> Result<TiffPage> {
+    pub(crate) fn read_page(&self, z: usize) -> Result<TiffPage> {
         assert!(z < self.depth(), "slice {z} out of {}", self.depth());
         if let Some(zenesis_fault::Injection::Error) = zenesis_fault::trip("io.tiff") {
             return Err(TiffError::Injected);

@@ -9,8 +9,8 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use zenesis_image::{Image, VoxelSize};
 use zenesis_tiff::{
-    read_tiff, read_tiff_volume_u16, write_tiff_volume_u16, EncodeLayout, EncodeOptions, TiffPage,
-    TiffStackWriter, VolumeReader,
+    read_tiff, write_tiff_volume_u16, EncodeLayout, EncodeOptions, TiffPage, TiffStackWriter,
+    VolumeReader,
 };
 
 /// Encode `pages` with the given options and return the file bytes.
@@ -133,10 +133,10 @@ fn u16_volume_roundtrips_through_helpers() {
     )
     .unwrap();
     let bytes = write_tiff_volume_u16(&vol).unwrap();
-    let back = read_tiff_volume_u16(&bytes, VoxelSize::default()).unwrap();
-    assert_eq!(back.depth(), 3);
-    for (a, b) in vol.slices().iter().zip(back.slices()) {
-        assert_eq!(a, b);
+    let back = read_tiff(&bytes).unwrap();
+    assert_eq!(back.len(), 3);
+    for (a, b) in vol.slices().iter().zip(&back) {
+        assert_eq!(&TiffPage::U16(a.clone()), b);
     }
 }
 
