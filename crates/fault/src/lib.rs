@@ -71,7 +71,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 /// What an armed site injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,7 +244,7 @@ fn plan_slot() -> &'static RwLock<Option<FaultPlan>> {
 
 /// Replace the global plan, returning the previous one.
 fn install(plan: Option<FaultPlan>) -> Option<FaultPlan> {
-    let mut slot = plan_slot().write();
+    let mut slot = plan_slot().write().unwrap_or_else(PoisonError::into_inner);
     let prev = slot.take();
     let armed = plan.is_some();
     *slot = plan;
@@ -266,7 +266,7 @@ fn init_from_env() -> u8 {
     };
     let armed = plan.is_some();
     // Benign race: concurrent initializers parse the same environment.
-    *plan_slot().write() = plan;
+    *plan_slot().write().unwrap_or_else(PoisonError::into_inner) = plan;
     let v = if armed { ON } else { OFF };
     ARMED.store(v, Ordering::Relaxed);
     v
@@ -350,7 +350,7 @@ pub fn trip(site_name: &str) -> Option<Injection> {
         return None;
     }
     let site = {
-        let slot = plan_slot().read();
+        let slot = plan_slot().read().unwrap_or_else(PoisonError::into_inner);
         let plan = slot.as_ref()?;
         plan.sites.get(site_name)?.clone()
     };
@@ -392,11 +392,11 @@ mod tests {
     use super::*;
 
     // Arming mutates process-global state; serialize the tests touching it.
-    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn disarmed_trips_nothing() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new().arm(); // empty plan = disarmed
         assert!(!armed());
         assert_eq!(trip("sam.decode"), None);
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn error_and_nan_injections_surface() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new()
             .site("a", FaultKind::Error, 1.0, 1)
             .site("b", FaultKind::Nan, 1.0, 2)
@@ -434,7 +434,7 @@ mod tests {
 
     #[test]
     fn panic_kind_panics_at_the_site() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new().site("p", FaultKind::Panic, 1.0, 1).arm();
         let err = std::panic::catch_unwind(|| trip("p")).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_unit() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new().site("d", FaultKind::Error, 0.3, 42).arm();
         let run = || -> Vec<bool> {
             (0..64)
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn different_seeds_fire_differently() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let pattern = |seed| {
             let _armed = FaultPlan::new()
                 .site("s", FaultKind::Error, 0.5, seed)
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn prob_bounds() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new()
             .site("never", FaultKind::Error, 0.0, 9)
             .site("always", FaultKind::Error, 1.0, 9)
@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn unit_restored_after_injected_panic() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _armed = FaultPlan::new().site("p", FaultKind::Panic, 1.0, 1).arm();
         let _ = std::panic::catch_unwind(|| with_unit(5, || trip("p")));
         assert_eq!(current_unit(), None, "panic must not leak the unit");
@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn arm_guard_restores_previous_plan() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _outer = FaultPlan::new()
             .site("outer", FaultKind::Error, 1.0, 1)
             .arm();

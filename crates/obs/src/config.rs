@@ -69,7 +69,9 @@ mod tests {
 
     #[test]
     fn set_level_round_trips() {
-        let _g = crate::TEST_LOCK.lock();
+        let _g = crate::TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = level();
         set_level(ObsLevel::Full);
         assert!(enabled() && full());

@@ -28,8 +28,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use parking_lot::Mutex;
 use serde_json::{Map, Number, Value};
+use std::sync::{Mutex, PoisonError};
 
 use crate::bounded::{push_bounded, Drops};
 
@@ -339,7 +339,12 @@ pub fn emit(event: Event) {
         trace: crate::trace::current_trace(),
         event,
     };
-    push_bounded(&mut buffer().lock(), crate::RECORD_CAP, rec, &DROPPED);
+    push_bounded(
+        &mut buffer().lock().unwrap_or_else(PoisonError::into_inner),
+        crate::RECORD_CAP,
+        rec,
+        &DROPPED,
+    );
 }
 
 /// Record an informational narration line.
@@ -362,7 +367,12 @@ pub fn warn(message: impl Into<String>) {
 
 /// Copy of every buffered event in emission order.
 pub fn events_snapshot() -> Vec<EventRecord> {
-    buffer().lock().iter().cloned().collect()
+    buffer()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .cloned()
+        .collect()
 }
 
 /// Number of events discarded because the buffer was full.
@@ -372,7 +382,10 @@ pub fn dropped_events() -> u64 {
 
 /// Discard all buffered events and reset the dropped counter.
 pub(crate) fn reset_events() {
-    buffer().lock().clear();
+    buffer()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
     DROPPED.reset();
 }
 
@@ -569,7 +582,11 @@ pub fn event_json(rec: &EventRecord) -> Value {
 /// emission order. Empty string when nothing was recorded.
 pub fn events_jsonl() -> String {
     let mut out = String::new();
-    for rec in buffer().lock().iter() {
+    for rec in buffer()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+    {
         out.push_str(&event_json(rec).to_string());
         out.push('\n');
     }
@@ -584,7 +601,7 @@ mod tests {
 
     #[test]
     fn off_level_records_nothing() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Off);
         reset_events();
@@ -599,7 +616,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_payload_fields() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -642,7 +659,7 @@ mod tests {
 
     #[test]
     fn buffer_is_bounded_and_counts_drops() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -668,7 +685,7 @@ mod tests {
 
     #[test]
     fn events_carry_the_installed_trace() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -695,7 +712,7 @@ mod tests {
 
     #[test]
     fn warden_and_checkpoint_events_serialize_payload_fields() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -754,7 +771,7 @@ mod tests {
 
     #[test]
     fn serve_events_serialize_payload_fields() {
-        let _g = LOCK.lock();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();

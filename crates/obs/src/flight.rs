@@ -110,7 +110,9 @@ mod tests {
 
     #[test]
     fn dump_holds_the_newest_spans_and_events_sorted() {
-        let _g = crate::TEST_LOCK.lock();
+        let _g = crate::TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = crate::level();
         crate::set_level(crate::ObsLevel::Spans);
         let t = TraceId::from_u64(0xabc).unwrap();

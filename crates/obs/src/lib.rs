@@ -79,7 +79,7 @@ pub use trace::{current_trace, trace_guard, with_trace, TraceId, TraceScope};
 /// Serializes this crate's unit tests that flip the process-global level
 /// or clear the process-global stores.
 #[cfg(test)]
-pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Clear all recorded spans, all registered metrics, and all buffered
 /// events (test isolation, or between independent benchmark runs).

@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -248,7 +248,7 @@ fn registry() -> &'static Registry {
 }
 
 fn get_or_insert<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: Cow<'_, str>) -> Arc<T> {
-    let mut t = table.lock();
+    let mut t = table.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some((_, v)) = t.iter().find(|(k, _)| *k == name) {
         return Arc::clone(v);
     }
@@ -300,18 +300,21 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
         counters: reg
             .counters
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect(),
         gauges: reg
             .gauges
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect(),
         histograms: reg
             .histograms
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.stats()))
             .collect(),
@@ -345,6 +348,7 @@ pub fn latency_rows() -> Vec<LatencyRow> {
     let mut rows: Vec<LatencyRow> = registry()
         .histograms
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .filter(|(k, _)| k.ends_with(".lat"))
         .map(|(k, v)| {
@@ -371,6 +375,7 @@ pub(crate) fn histogram_handles() -> Vec<(String, Arc<Histogram>)> {
     let mut hs: Vec<(String, Arc<Histogram>)> = registry()
         .histograms
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(k, v)| (k.clone(), Arc::clone(v)))
         .collect();
@@ -382,9 +387,18 @@ pub(crate) fn histogram_handles() -> Vec<(String, Arc<Histogram>)> {
 /// but record into detached instruments no longer visible to snapshots.
 pub(crate) fn reset_metrics() {
     let reg = registry();
-    reg.counters.lock().clear();
-    reg.gauges.lock().clear();
-    reg.histograms.lock().clear();
+    reg.counters
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
+    reg.gauges
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
+    reg.histograms
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::bounded::{push_bounded, Drops};
 
@@ -153,7 +153,9 @@ impl Drop for SpanGuard {
             trace: st.trace,
         };
         push_bounded(
-            &mut registry()[st.id.0 as usize % SHARDS].lock(),
+            &mut registry()[st.id.0 as usize % SHARDS]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
             crate::RECORD_CAP / SHARDS,
             rec,
             &DROPPED,
@@ -228,7 +230,13 @@ pub fn timed<R>(name: impl Into<Cow<'static, str>>, f: impl FnOnce() -> R) -> (R
 pub fn snapshot() -> Vec<SpanRecord> {
     let mut out = Vec::new();
     for shard in registry() {
-        out.extend(shard.lock().iter().cloned());
+        out.extend(
+            shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .cloned(),
+        );
     }
     out.sort_by_key(|r| (r.start_ns, r.id));
     out
@@ -242,7 +250,7 @@ pub(crate) fn dropped_spans() -> u64 {
 /// Discard all recorded spans and reset the dropped counter.
 pub(crate) fn reset_spans() {
     for shard in registry() {
-        shard.lock().clear();
+        shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
     DROPPED.reset();
 }

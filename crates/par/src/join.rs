@@ -5,7 +5,7 @@
 //! With the global thread count at 1, or inside a data-parallel chunk, it
 //! degrades to sequential calls.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::config::current_threads;
 use crate::scope::in_worker;
@@ -32,15 +32,25 @@ where
     let (ra, rb) = (Mutex::new(None), Mutex::new(None));
     team::fan_out(2, &|arm| {
         if arm == 0 {
-            let a = a.lock().take().expect("arm claimed twice");
-            *ra.lock() = Some(a());
+            let a = a
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("arm claimed twice");
+            *ra.lock().unwrap_or_else(PoisonError::into_inner) = Some(a());
         } else {
-            let b = b.lock().take().expect("arm claimed twice");
-            *rb.lock() = Some(b());
+            let b = b
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("arm claimed twice");
+            *rb.lock().unwrap_or_else(PoisonError::into_inner) = Some(b());
         }
     });
     let done = "fan_out returned, so both arms ran";
-    (ra.into_inner().expect(done), rb.into_inner().expect(done))
+    let ra = ra.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let rb = rb.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (ra.expect(done), rb.expect(done))
 }
 
 #[cfg(test)]

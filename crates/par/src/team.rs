@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use zenesis_obs::{SpanId, TraceId};
 
 type Body<'a> = dyn Fn(usize) + Sync + 'a;
@@ -78,7 +78,10 @@ impl Job {
     fn run(&self, c: usize) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(c))) {
             self.cancel_unclaimed();
-            self.panic.lock().get_or_insert(payload);
+            self.panic
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
         }
         self.finish(1);
     }
@@ -119,6 +122,7 @@ impl Drop for Retire<'_> {
         job.cancel_unclaimed();
         lane.state
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .queue
             .retain(|p| !Arc::ptr_eq(&p.job, job));
         while job.unfinished.load(Ordering::Acquire) != 0 {
@@ -168,7 +172,7 @@ impl Lane {
     /// chunk they can take, starting the helpers the lane is short of.
     /// Returns the number of tickets.
     fn post(&'static self, job: &Arc<Job>, size: usize) -> usize {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.helpers < size {
             let name = format!("{}-{}", self.name, st.helpers);
             let spawned = std::thread::Builder::new()
@@ -204,7 +208,7 @@ impl Lane {
         }
         loop {
             let job = {
-                let mut st = self.state.lock();
+                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                 loop {
                     if let Some(front) = st.queue.front_mut() {
                         front.tickets -= 1;
@@ -215,7 +219,7 @@ impl Lane {
                         break job;
                     }
                     st.idle += 1;
-                    self.wake.wait(&mut st);
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
                     st.idle -= 1;
                 }
             };
@@ -316,7 +320,11 @@ fn dispatch(
     let tickets = lane.post(&job, size);
     on_caller(&job, tickets);
     drop(retire);
-    let panicked = job.panic.lock().take();
+    let panicked = job
+        .panic
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
     if let Some(payload) = panicked {
         resume_unwind(payload);
     }

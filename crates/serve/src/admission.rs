@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Refusal from [`Admission::admit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +63,10 @@ impl Admission {
         if self.limit == 0 {
             return Ok(());
         }
-        let mut map = self.outstanding.lock();
+        let mut map = self
+            .outstanding
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let count = map.entry(tenant.to_string()).or_insert(0);
         if *count >= self.limit {
             return Err(QuotaExceeded {
@@ -83,7 +86,10 @@ impl Admission {
         if self.limit == 0 {
             return;
         }
-        let mut map = self.outstanding.lock();
+        let mut map = self
+            .outstanding
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(count) = map.get_mut(tenant) {
             *count = count.saturating_sub(1);
             if *count == 0 {
@@ -94,12 +100,20 @@ impl Admission {
 
     /// Outstanding jobs for `tenant` right now (diagnostics/tests).
     pub fn outstanding(&self, tenant: &str) -> usize {
-        self.outstanding.lock().get(tenant).copied().unwrap_or(0)
+        self.outstanding
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(tenant)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Number of tenants with outstanding work.
     pub fn active_tenants(&self) -> usize {
-        self.outstanding.lock().len()
+        self.outstanding
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

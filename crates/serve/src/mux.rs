@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::proto::Response;
 use crate::server::{MuxStats, ResponseSink, Server};
@@ -84,7 +84,10 @@ struct Shared {
 
 impl Shared {
     fn push_response(&self, conn_id: u64, resp: Response) {
-        self.pending.lock().push((conn_id, resp));
+        self.pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((conn_id, resp));
         // One byte is enough; WouldBlock means a wake is already queued.
         let _ = (&self.wake_tx).write(&[1]);
     }
@@ -237,7 +240,12 @@ fn reactor_loop(
         }
 
         // Route worker responses into their connections' write buffers.
-        let pending = std::mem::take(&mut *shared.pending.lock());
+        let pending = std::mem::take(
+            &mut *shared
+                .pending
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         if !pending.is_empty() {
             let obs = zenesis_obs::enabled();
             for (conn_id, resp) in pending {

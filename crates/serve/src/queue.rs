@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Which priority lane a job rides. Interactive jobs are always popped
 /// before batch jobs.
@@ -154,7 +154,11 @@ impl<T> BoundedQueue<T> {
 
     /// Jobs currently queued across both lanes.
     pub fn len(&self) -> usize {
-        self.inner.state.lock().len()
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when nothing is queued.
@@ -165,13 +169,21 @@ impl<T> BoundedQueue<T> {
     /// Per-lane depths right now (diagnostic snapshot; gauges should use
     /// the depths returned by push/pop transitions instead).
     pub fn depths(&self) -> QueueDepths {
-        self.inner.state.lock().depths()
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .depths()
     }
 
     /// Non-blocking push into `lane`. Returns the depths after
     /// insertion, or the job back if the queue is full or closed.
     pub fn try_push(&self, job: T, lane: Lane) -> Result<QueueDepths, PushError<T>> {
-        let mut s = self.inner.state.lock();
+        let mut s = self
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if s.closed {
             return Err(PushError::Closed(job));
         }
@@ -192,7 +204,11 @@ impl<T> BoundedQueue<T> {
     /// post-pop depths, or `None` once the queue is closed *and* drained
     /// — the worker-exit signal.
     pub fn pop(&self) -> Option<(T, QueueDepths)> {
-        let mut s = self.inner.state.lock();
+        let mut s = self
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(job) = s.interactive.pop_front().or_else(|| s.batch.pop_front()) {
                 let depths = s.depths();
@@ -201,14 +217,22 @@ impl<T> BoundedQueue<T> {
             if s.closed {
                 return None;
             }
-            self.inner.not_empty.wait(&mut s);
+            s = self
+                .inner
+                .not_empty
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Begin a graceful drain: refuse new pushes, let pops empty the
     /// queue, then release every blocked worker.
     pub fn close(&self) {
-        let mut s = self.inner.state.lock();
+        let mut s = self
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         s.closed = true;
         drop(s);
         self.inner.not_empty.notify_all();
