@@ -12,6 +12,11 @@ pub enum ImageError {
     },
     /// A width/height/depth of zero where a non-empty raster is required.
     EmptyDimensions,
+    /// `width * height (* channels)` does not fit in `usize`.
+    TooLarge {
+        width: usize,
+        height: usize,
+    },
     /// Coordinates or a region fall outside the raster.
     OutOfBounds {
         what: &'static str,
@@ -38,6 +43,12 @@ impl fmt::Display for ImageError {
                 )
             }
             ImageError::EmptyDimensions => write!(f, "image dimensions must be non-zero"),
+            ImageError::TooLarge { width, height } => {
+                write!(
+                    f,
+                    "image of {width}x{height} has too many samples to address"
+                )
+            }
             ImageError::OutOfBounds { what } => write!(f, "{what} out of bounds"),
             ImageError::DimensionMismatch { a, b } => {
                 write!(f, "dimension mismatch: {}x{} vs {}x{}", a.0, a.1, b.0, b.1)

@@ -5,6 +5,15 @@ use crate::geometry::BoxRegion;
 use crate::pixel::Pixel;
 use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
+/// `width * height * channels`, or [`ImageError::TooLarge`] when the
+/// product overflows `usize` (a decoder's header can claim any size).
+pub(crate) fn sample_count(width: usize, height: usize, channels: usize) -> Result<usize> {
+    width
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(channels))
+        .ok_or(ImageError::TooLarge { width, height })
+}
+
 /// A single-channel 2-D image with row-major storage.
 ///
 /// `(x, y)` indexing puts `x` along the width (column) and `y` along the
@@ -37,9 +46,10 @@ impl<T: Pixel> Image<T> {
         if width == 0 || height == 0 {
             return Err(ImageError::EmptyDimensions);
         }
-        if data.len() != width * height {
+        let expected = sample_count(width, height, 1)?;
+        if data.len() != expected {
             return Err(ImageError::ShapeMismatch {
-                expected: width * height,
+                expected,
                 actual: data.len(),
             });
         }
@@ -330,9 +340,10 @@ impl RgbImage {
         if width == 0 || height == 0 {
             return Err(ImageError::EmptyDimensions);
         }
-        if data.len() != width * height * 3 {
+        let expected = sample_count(width, height, 3)?;
+        if data.len() != expected {
             return Err(ImageError::ShapeMismatch {
-                expected: width * height * 3,
+                expected,
                 actual: data.len(),
             });
         }
@@ -409,6 +420,21 @@ mod tests {
         assert!(Image::<u8>::from_vec(2, 2, vec![0; 3]).is_err());
         assert!(Image::<u8>::from_vec(0, 2, vec![]).is_err());
         assert!(Image::<u8>::from_vec(2, 2, vec![0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_an_overflowing_shape() {
+        // 2^32 x 2^32 wraps to 0 samples in unchecked arithmetic, which
+        // an empty buffer would then match.
+        let side = 1usize << 32;
+        assert!(matches!(
+            Image::<u8>::from_vec(side, side, vec![]),
+            Err(ImageError::TooLarge { .. })
+        ));
+        assert!(matches!(
+            RgbImage::from_vec(side, 1 << 31, vec![]),
+            Err(ImageError::TooLarge { .. })
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::error::{ImageError, Result};
-use crate::image::{Image, RgbImage};
+use crate::image::{sample_count, Image, RgbImage};
 
 fn write_header(out: &mut impl Write, magic: &str, w: usize, h: usize, maxval: u32) -> Result<()> {
     write!(out, "{magic}\n{w} {h}\n{maxval}\n")?;
@@ -96,31 +96,50 @@ pub enum Pgm {
     U16(Image<u16>),
 }
 
-/// Read a binary PGM (P5), 8- or 16-bit.
-pub fn read_pgm(input: &mut impl Read) -> Result<Pgm> {
+/// Parse a P5/P6 header up to the single whitespace byte before the
+/// payload (consumed by `token`'s terminator): `(width, height, maxval)`.
+fn read_header(input: &mut impl Read, magic: &str) -> Result<(usize, usize, usize)> {
     let mut hr = HeaderReader { inner: input };
-    let magic = hr.token()?;
-    if magic != "P5" {
-        return Err(ImageError::Decode(format!("expected P5, got {magic}")));
+    let got = hr.token()?;
+    if got != magic {
+        return Err(ImageError::Decode(format!("expected {magic}, got {got}")));
     }
-    let parse = |s: String| -> Result<usize> {
+    let mut number = || -> Result<usize> {
+        let s = hr.token()?;
         s.parse()
             .map_err(|_| ImageError::Decode(format!("bad integer {s:?}")))
     };
-    let w = parse(hr.token()?)?;
-    let h = parse(hr.token()?)?;
-    let maxval = parse(hr.token()?)?;
+    let (w, h, maxval) = (number()?, number()?, number()?);
     if w == 0 || h == 0 {
         return Err(ImageError::EmptyDimensions);
     }
-    // The single whitespace after maxval was consumed by token's terminator.
+    Ok((w, h, maxval))
+}
+
+/// Read the `n`-byte payload. Memory follows the bytes actually present,
+/// not the header's claim: a file shorter than its header says fails
+/// after reading what it holds, without allocating the claimed size.
+fn read_payload(input: &mut impl Read, n: usize) -> Result<Vec<u8>> {
+    let mut data = Vec::new();
+    input.take(n as u64).read_to_end(&mut data)?;
+    if data.len() != n {
+        return Err(ImageError::Decode(format!(
+            "truncated payload: {} of {n} bytes",
+            data.len()
+        )));
+    }
+    Ok(data)
+}
+
+/// Read a binary PGM (P5), 8- or 16-bit.
+pub fn read_pgm(input: &mut impl Read) -> Result<Pgm> {
+    let (w, h, maxval) = read_header(input, "P5")?;
     if maxval <= 255 {
-        let mut data = vec![0u8; w * h];
-        input.read_exact(&mut data)?;
+        let data = read_payload(input, sample_count(w, h, 1)?)?;
         Ok(Pgm::U8(Image::from_vec(w, h, data)?))
     } else if maxval <= 65535 {
-        let mut raw = vec![0u8; w * h * 2];
-        input.read_exact(&mut raw)?;
+        // Two big-endian bytes per sample.
+        let raw = read_payload(input, sample_count(w, h, 2)?)?;
         let data = raw
             .chunks_exact(2)
             .map(|c| u16::from_be_bytes([c[0], c[1]]))
@@ -133,23 +152,11 @@ pub fn read_pgm(input: &mut impl Read) -> Result<Pgm> {
 
 /// Read a binary PPM (P6), 8-bit RGB.
 pub fn read_ppm(input: &mut impl Read) -> Result<RgbImage> {
-    let mut hr = HeaderReader { inner: input };
-    let magic = hr.token()?;
-    if magic != "P6" {
-        return Err(ImageError::Decode(format!("expected P6, got {magic}")));
-    }
-    let parse = |s: String| -> Result<usize> {
-        s.parse()
-            .map_err(|_| ImageError::Decode(format!("bad integer {s:?}")))
-    };
-    let w = parse(hr.token()?)?;
-    let h = parse(hr.token()?)?;
-    let maxval = parse(hr.token()?)?;
+    let (w, h, maxval) = read_header(input, "P6")?;
     if maxval != 255 {
         return Err(ImageError::Unsupported(format!("ppm maxval {maxval}")));
     }
-    let mut data = vec![0u8; w * h * 3];
-    input.read_exact(&mut data)?;
+    let data = read_payload(input, sample_count(w, h, 3)?)?;
     RgbImage::from_vec(w, h, data)
 }
 
@@ -215,6 +222,34 @@ mod tests {
     fn truncated_payload_errors() {
         let data = b"P5\n4 4\n255\nxx".to_vec();
         assert!(read_pgm(&mut data.as_slice()).is_err());
+    }
+
+    #[test]
+    fn overflowing_header_dimensions_are_rejected() {
+        // 2^32 x 2^32 samples wrap to 0 in unchecked arithmetic, which
+        // the empty payload would then satisfy.
+        let data = b"P5\n4294967296 4294967296\n255\n".to_vec();
+        assert!(matches!(
+            read_pgm(&mut data.as_slice()),
+            Err(ImageError::TooLarge { .. })
+        ));
+        let data = b"P5\n4294967296 4294967296\n65535\n".to_vec();
+        assert!(matches!(
+            read_pgm(&mut data.as_slice()),
+            Err(ImageError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn huge_header_with_short_payload_fails_without_allocating_the_claim() {
+        // 1048576 x 349525 x 3 bytes is about 2^40 (1 TiB). Reading must
+        // fail on the 12 bytes present, not try to allocate the claim.
+        let mut data = b"P6\n1048576 349525\n255\n".to_vec();
+        data.extend_from_slice(&[7; 12]);
+        match read_ppm(&mut data.as_slice()) {
+            Err(ImageError::Decode(msg)) => assert!(msg.contains("12 of"), "{msg}"),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
     }
 
     #[test]

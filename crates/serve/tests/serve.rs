@@ -647,3 +647,52 @@ fn concurrent_batch_jobs_on_one_checkpoint_dir_refuse_double_resume() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `pgm_file` job whose header claims 2^32 x 2^32 pixels must come back
+/// as an `error` response from pipe-mode `zenesis-serve`, and the valid
+/// job on the next line must still be answered: exactly two responses.
+/// (An unchecked `width * height` once decoded that header as an empty
+/// image and a later allocation of its true size aborted the server.)
+#[test]
+fn hostile_pgm_header_answers_error_and_the_next_job_still_runs() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("zenesis_hostile_pgm_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.pgm");
+    std::fs::write(&path, b"P5\n4294967296 4294967296\n255\n").unwrap();
+    let hostile = format!(
+        r#"{{"mode": "interactive", "input": {{"source": "pgm_file", "path": {:?}}}, "prompt": "bright particles"}}"#,
+        path.to_str().unwrap()
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zenesis-serve"))
+        .args(["--workers", "1", "--retry-base-ms", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn zenesis-serve");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    writeln!(stdin, "{hostile}").unwrap();
+    writeln!(stdin, "{}", spec_line("bright particles")).unwrap();
+    drop(stdin);
+    let out = child
+        .wait_with_output()
+        .expect("zenesis-serve runs to the end");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let mut responses: Vec<serde_json::Value> = stdout
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("each response is JSON"))
+        .collect();
+    assert_eq!(responses.len(), 2, "{stdout}");
+    responses.sort_by_key(|v| v["id"].as_u64());
+    assert_eq!(responses[0]["status"].as_str(), Some("error"), "{stdout}");
+    let message = responses[0]["result"]["message"].as_str().unwrap_or("");
+    assert!(message.contains("too many samples"), "{message}");
+    assert_eq!(responses[1]["status"].as_str(), Some("ok"), "{stdout}");
+}
