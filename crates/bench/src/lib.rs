@@ -7,6 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-pub mod experiments;
+pub(crate) mod experiments;
 
 pub use experiments::*;

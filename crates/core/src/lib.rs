@@ -20,7 +20,7 @@
 //!   re-segmentation of a selected subregion.
 //! * [`modes`] — the platform's three modes: A (interactive single
 //!   slice), B (batch volume processing), C (evaluation dashboard).
-//! * [`multi`] — multi-object segmentation (several named prompts per
+//! * `multi` — multi-object segmentation (several named prompts per
 //!   image with relevance-based conflict resolution; paper future work).
 //! * [`method`] — the unified method interface used by evaluation:
 //!   Otsu / SAM-only / Zenesis (Tables 1-3).
@@ -47,7 +47,7 @@ pub(crate) mod hierarchy;
 pub mod job;
 pub mod method;
 pub mod modes;
-pub mod multi;
+pub(crate) mod multi;
 pub mod pipeline;
 pub mod rectify;
 pub mod session;

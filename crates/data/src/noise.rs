@@ -21,7 +21,7 @@ pub struct NoiseConfig {
     /// Multiplicative contrast factor (1.0 = nominal; drifts per slice).
     pub contrast: f32,
     /// Additive brightness offset.
-    pub brightness: f32,
+    pub(crate) brightness: f32,
     /// Fraction of the 16-bit range the data actually occupies — raw
     /// detectors rarely use more than a sliver (non-AI-readiness!).
     pub(crate) dynamic_range: f32,

@@ -13,7 +13,7 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`tokenizer`] — prompt → tokens (with bigram merging so "needle
+//! 1. `tokenizer` — prompt → tokens (with bigram merging so "needle
 //!    like" or "catalyst particles" act as units).
 //! 2. [`lexicon`] — tokens → visual-attribute vectors in the shared
 //!    8-channel semantic space (brightness, darkness, texture, edge
@@ -39,7 +39,7 @@ pub mod dino;
 pub mod features;
 pub mod finetune;
 pub mod lexicon;
-pub mod tokenizer;
+pub(crate) mod tokenizer;
 
 pub use boxes::{nms, Detection};
 pub use dino::{DinoConfig, Grounding, GroundingDino, ImageSide};

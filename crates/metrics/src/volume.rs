@@ -11,7 +11,7 @@ use crate::confusion::Confusion;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VolumeEval {
     /// Voxel-pooled confusion (sums over all slices).
-    pub pooled: Confusion,
+    pub(crate) pooled: Confusion,
     /// Per-slice IoU series.
     pub(crate) slice_iou: Vec<f64>,
     /// Mean inter-slice IoU of the *prediction* (how smoothly the

@@ -27,7 +27,7 @@ pub struct Conn {
     /// Prefix of `wbuf` already written to the socket.
     wpos: usize,
     /// Request lines handed to the server (blank lines excluded).
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Responses queued back to this connection.
     pub answered: u64,
     /// Client half-closed its write side (read returned EOF).

@@ -55,7 +55,7 @@ pub use admission::Admission;
 pub use http::start_metrics_http;
 #[cfg(unix)]
 pub use mux::{Mux, MuxConfig};
-pub use proto::{parse_request, Request, Response};
+pub use proto::{parse_request, Response};
 pub use queue::{BoundedQueue, Lane, PushError, QueueDepths};
 pub use server::{JobRunner, ResponseSink, ServeConfig, Server};
 pub use warden::Warden;

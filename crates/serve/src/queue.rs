@@ -166,16 +166,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Per-lane depths right now (diagnostic snapshot; gauges should use
-    /// the depths returned by push/pop transitions instead).
-    pub fn depths(&self) -> QueueDepths {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .depths()
-    }
-
     /// Non-blocking push into `lane`. Returns the depths after
     /// insertion, or the job back if the queue is full or closed.
     pub fn try_push(&self, job: T, lane: Lane) -> Result<QueueDepths, PushError<T>> {

@@ -309,7 +309,7 @@ impl Server {
     }
 
     /// Submit one raw request line, replying into a channel. Equivalent
-    /// to [`Server::submit`] with `ResponseSink::from_channel`.
+    /// to `Server::submit` with `ResponseSink::from_channel`.
     pub fn submit_line(&self, line: &str, fallback_id: u64, reply: &Sender<Response>) {
         self.submit(line, fallback_id, &ResponseSink::from_channel(reply));
     }
@@ -318,7 +318,7 @@ impl Server {
     /// delivered through `reply` for it — immediately for parse errors,
     /// quota refusals, and load sheds; from a worker otherwise. Blank
     /// lines are the caller's to skip.
-    pub fn submit(&self, line: &str, fallback_id: u64, reply: &ResponseSink) {
+    pub(crate) fn submit(&self, line: &str, fallback_id: u64, reply: &ResponseSink) {
         let req = match parse_request(line, fallback_id) {
             Ok(req) => req,
             Err(message) => {

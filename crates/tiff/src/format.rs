@@ -65,7 +65,7 @@ pub(crate) enum SampleFormat {
 /// Parsed file header.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TiffHeader {
-    pub endian: Endian,
+    pub(crate) endian: Endian,
     pub big: bool,
     pub(crate) first_ifd: u64,
 }
@@ -111,7 +111,7 @@ impl PageMeta {
 /// Offset-addressed multi-byte reads with endian and width context.
 pub(crate) struct Parser<'a> {
     pub src: &'a dyn TiffRead,
-    pub endian: Endian,
+    pub(crate) endian: Endian,
     pub big: bool,
 }
 
