@@ -392,11 +392,14 @@ mod tests {
     use super::*;
 
     // Arming mutates process-global state; serialize the tests touching it.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disarmed_trips_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new().arm(); // empty plan = disarmed
         assert!(!armed());
         assert_eq!(trip("sam.decode"), None);
@@ -422,7 +425,7 @@ mod tests {
 
     #[test]
     fn error_and_nan_injections_surface() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new()
             .site("a", FaultKind::Error, 1.0, 1)
             .site("b", FaultKind::Nan, 1.0, 2)
@@ -434,7 +437,7 @@ mod tests {
 
     #[test]
     fn panic_kind_panics_at_the_site() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new().site("p", FaultKind::Panic, 1.0, 1).arm();
         let err = std::panic::catch_unwind(|| trip("p")).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -443,7 +446,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_unit() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new().site("d", FaultKind::Error, 0.3, 42).arm();
         let run = || -> Vec<bool> {
             (0..64)
@@ -459,7 +462,7 @@ mod tests {
 
     #[test]
     fn different_seeds_fire_differently() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let pattern = |seed| {
             let _armed = FaultPlan::new()
                 .site("s", FaultKind::Error, 0.5, seed)
@@ -473,7 +476,7 @@ mod tests {
 
     #[test]
     fn prob_bounds() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new()
             .site("never", FaultKind::Error, 0.0, 9)
             .site("always", FaultKind::Error, 1.0, 9)
@@ -499,7 +502,7 @@ mod tests {
 
     #[test]
     fn unit_restored_after_injected_panic() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _armed = FaultPlan::new().site("p", FaultKind::Panic, 1.0, 1).arm();
         let _ = std::panic::catch_unwind(|| with_unit(5, || trip("p")));
         assert_eq!(current_unit(), None, "panic must not leak the unit");
@@ -507,7 +510,7 @@ mod tests {
 
     #[test]
     fn arm_guard_restores_previous_plan() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = serial();
         let _outer = FaultPlan::new()
             .site("outer", FaultKind::Error, 1.0, 1)
             .arm();

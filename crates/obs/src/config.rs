@@ -69,9 +69,7 @@ mod tests {
 
     #[test]
     fn set_level_round_trips() {
-        let _g = crate::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::lock(&crate::TEST_LOCK);
         let before = level();
         set_level(ObsLevel::Full);
         assert!(enabled() && full());

@@ -29,7 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use serde_json::{Map, Number, Value};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 
 use crate::bounded::{push_bounded, Drops};
 
@@ -339,12 +341,7 @@ pub fn emit(event: Event) {
         trace: crate::trace::current_trace(),
         event,
     };
-    push_bounded(
-        &mut buffer().lock().unwrap_or_else(PoisonError::into_inner),
-        crate::RECORD_CAP,
-        rec,
-        &DROPPED,
-    );
+    push_bounded(&mut lock(buffer()), crate::RECORD_CAP, rec, &DROPPED);
 }
 
 /// Record an informational narration line.
@@ -367,12 +364,7 @@ pub fn warn(message: impl Into<String>) {
 
 /// Copy of every buffered event in emission order.
 pub fn events_snapshot() -> Vec<EventRecord> {
-    buffer()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .cloned()
-        .collect()
+    lock(buffer()).iter().cloned().collect()
 }
 
 /// Number of events discarded because the buffer was full.
@@ -382,10 +374,7 @@ pub fn dropped_events() -> u64 {
 
 /// Discard all buffered events and reset the dropped counter.
 pub(crate) fn reset_events() {
-    buffer()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
+    lock(buffer()).clear();
     DROPPED.reset();
 }
 
@@ -582,11 +571,7 @@ pub fn event_json(rec: &EventRecord) -> Value {
 /// emission order. Empty string when nothing was recorded.
 pub fn events_jsonl() -> String {
     let mut out = String::new();
-    for rec in buffer()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-    {
+    for rec in lock(buffer()).iter() {
         out.push_str(&event_json(rec).to_string());
         out.push('\n');
     }
@@ -601,7 +586,7 @@ mod tests {
 
     #[test]
     fn off_level_records_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Off);
         reset_events();
@@ -616,7 +601,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_payload_fields() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -659,7 +644,7 @@ mod tests {
 
     #[test]
     fn buffer_is_bounded_and_counts_drops() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -685,7 +670,7 @@ mod tests {
 
     #[test]
     fn events_carry_the_installed_trace() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -712,7 +697,7 @@ mod tests {
 
     #[test]
     fn warden_and_checkpoint_events_serialize_payload_fields() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();
@@ -771,7 +756,7 @@ mod tests {
 
     #[test]
     fn serve_events_serialize_payload_fields() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock(&LOCK);
         let before = crate::level();
         crate::set_level(ObsLevel::Spans);
         reset_events();

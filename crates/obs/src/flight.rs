@@ -110,9 +110,7 @@ mod tests {
 
     #[test]
     fn dump_holds_the_newest_spans_and_events_sorted() {
-        let _g = crate::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::lock(&crate::TEST_LOCK);
         let before = crate::level();
         crate::set_level(crate::ObsLevel::Spans);
         let t = TraceId::from_u64(0xabc).unwrap();

@@ -76,10 +76,19 @@ pub(crate) use span::reset_spans;
 pub use span::{current, snapshot, span, timed, with_parent, SpanGuard, SpanId, SpanRecord};
 pub use trace::{current_trace, trace_guard, with_trace, TraceId, TraceScope};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, keeping its guard even if a holder panicked. A panic under
+/// the lock is caught and reported by its caller; it must not turn every
+/// later lock of the same state into a second panic.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Serializes this crate's unit tests that flip the process-global level
 /// or clear the process-global stores.
 #[cfg(test)]
-pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Clear all recorded spans, all registered metrics, and all buffered
 /// events (test isolation, or between independent benchmark runs).

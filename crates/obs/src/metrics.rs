@@ -17,7 +17,9 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use std::sync::{Mutex, PoisonError};
+use crate::lock;
+
+use std::sync::Mutex;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -248,7 +250,7 @@ fn registry() -> &'static Registry {
 }
 
 fn get_or_insert<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: Cow<'_, str>) -> Arc<T> {
-    let mut t = table.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut t = lock(table);
     if let Some((_, v)) = t.iter().find(|(k, _)| *k == name) {
         return Arc::clone(v);
     }
@@ -297,24 +299,15 @@ pub struct MetricsSnapshot {
 pub fn metrics_snapshot() -> MetricsSnapshot {
     let reg = registry();
     let mut snap = MetricsSnapshot {
-        counters: reg
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        counters: lock(&reg.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect(),
-        gauges: reg
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        gauges: lock(&reg.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect(),
-        histograms: reg
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        histograms: lock(&reg.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.stats()))
             .collect(),
@@ -345,10 +338,7 @@ pub struct LatencyRow {
 /// Rows for every `*.lat` histogram (the ones fed by [`record_ms`]),
 /// converted from stored microseconds to milliseconds, sorted by name.
 pub fn latency_rows() -> Vec<LatencyRow> {
-    let mut rows: Vec<LatencyRow> = registry()
-        .histograms
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    let mut rows: Vec<LatencyRow> = lock(&registry().histograms)
         .iter()
         .filter(|(k, _)| k.ends_with(".lat"))
         .map(|(k, v)| {
@@ -372,10 +362,7 @@ pub fn latency_rows() -> Vec<LatencyRow> {
 /// renderers (the Prometheus exposition) that need bucket-level access
 /// beyond what [`HistogramStats`] summarizes.
 pub(crate) fn histogram_handles() -> Vec<(String, Arc<Histogram>)> {
-    let mut hs: Vec<(String, Arc<Histogram>)> = registry()
-        .histograms
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    let mut hs: Vec<(String, Arc<Histogram>)> = lock(&registry().histograms)
         .iter()
         .map(|(k, v)| (k.clone(), Arc::clone(v)))
         .collect();
@@ -387,18 +374,9 @@ pub(crate) fn histogram_handles() -> Vec<(String, Arc<Histogram>)> {
 /// but record into detached instruments no longer visible to snapshots.
 pub(crate) fn reset_metrics() {
     let reg = registry();
-    reg.counters
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    reg.gauges
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    reg.histograms
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
+    lock(&reg.counters).clear();
+    lock(&reg.gauges).clear();
+    lock(&reg.histograms).clear();
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 
 use crate::bounded::{push_bounded, Drops};
 
@@ -153,9 +155,7 @@ impl Drop for SpanGuard {
             trace: st.trace,
         };
         push_bounded(
-            &mut registry()[st.id.0 as usize % SHARDS]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
+            &mut lock(&registry()[st.id.0 as usize % SHARDS]),
             crate::RECORD_CAP / SHARDS,
             rec,
             &DROPPED,
@@ -230,13 +230,7 @@ pub fn timed<R>(name: impl Into<Cow<'static, str>>, f: impl FnOnce() -> R) -> (R
 pub fn snapshot() -> Vec<SpanRecord> {
     let mut out = Vec::new();
     for shard in registry() {
-        out.extend(
-            shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .cloned(),
-        );
+        out.extend(lock(shard).iter().cloned());
     }
     out.sort_by_key(|r| (r.start_ns, r.id));
     out
@@ -250,7 +244,7 @@ pub(crate) fn dropped_spans() -> u64 {
 /// Discard all recorded spans and reset the dropped counter.
 pub(crate) fn reset_spans() {
     for shard in registry() {
-        shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        lock(shard).clear();
     }
     DROPPED.reset();
 }

@@ -7,6 +7,8 @@
 
 use std::sync::{Mutex, PoisonError};
 
+use crate::lock;
+
 use crate::config::current_threads;
 use crate::scope::in_worker;
 use crate::team;
@@ -32,19 +34,11 @@ where
     let (ra, rb) = (Mutex::new(None), Mutex::new(None));
     team::fan_out(2, &|arm| {
         if arm == 0 {
-            let a = a
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("arm claimed twice");
-            *ra.lock().unwrap_or_else(PoisonError::into_inner) = Some(a());
+            let a = lock(&a).take().expect("arm claimed twice");
+            *lock(&ra) = Some(a());
         } else {
-            let b = b
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("arm claimed twice");
-            *rb.lock().unwrap_or_else(PoisonError::into_inner) = Some(b());
+            let b = lock(&b).take().expect("arm claimed twice");
+            *lock(&rb) = Some(b());
         }
     });
     let done = "fan_out returned, so both arms ran";

@@ -62,6 +62,15 @@ pub use scope::{
 };
 pub use team::team_dispatches;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, keeping its guard even if a holder panicked. A panic under
+/// the lock is caught and reported by its caller; it must not turn every
+/// later lock of the same state into a second panic.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,9 @@ use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::time::Duration;
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 
 use crate::config::current_threads;
 use crate::team;
@@ -100,11 +102,7 @@ where
 {
     let slots: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
     team::fan_out(slots.len(), &|c| {
-        let piece = slots[c]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("chunk claimed twice");
+        let piece = lock(&slots[c]).take().expect("chunk claimed twice");
         as_worker(|| f(c, piece));
     });
 }

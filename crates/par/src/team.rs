@@ -41,6 +41,8 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use std::sync::{Condvar, Mutex, PoisonError};
+
+use crate::lock;
 use zenesis_obs::{SpanId, TraceId};
 
 type Body<'a> = dyn Fn(usize) + Sync + 'a;
@@ -78,10 +80,7 @@ impl Job {
     fn run(&self, c: usize) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(c))) {
             self.cancel_unclaimed();
-            self.panic
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get_or_insert(payload);
+            lock(&self.panic).get_or_insert(payload);
         }
         self.finish(1);
     }
@@ -120,9 +119,7 @@ impl Drop for Retire<'_> {
     fn drop(&mut self) {
         let Retire(job, lane) = *self;
         job.cancel_unclaimed();
-        lane.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&lane.state)
             .queue
             .retain(|p| !Arc::ptr_eq(&p.job, job));
         while job.unfinished.load(Ordering::Acquire) != 0 {
@@ -172,7 +169,7 @@ impl Lane {
     /// chunk they can take, starting the helpers the lane is short of.
     /// Returns the number of tickets.
     fn post(&'static self, job: &Arc<Job>, size: usize) -> usize {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = lock(&self.state);
         while st.helpers < size {
             let name = format!("{}-{}", self.name, st.helpers);
             let spawned = std::thread::Builder::new()
@@ -208,7 +205,7 @@ impl Lane {
         }
         loop {
             let job = {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = lock(&self.state);
                 loop {
                     if let Some(front) = st.queue.front_mut() {
                         front.tickets -= 1;
@@ -320,11 +317,7 @@ fn dispatch(
     let tickets = lane.post(&job, size);
     on_caller(&job, tickets);
     drop(retire);
-    let panicked = job
-        .panic
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
+    let panicked = lock(&job.panic).take();
     if let Some(payload) = panicked {
         resume_unwind(payload);
     }

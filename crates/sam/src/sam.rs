@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 use zenesis_image::{BitMask, Image};
 
 use crate::auto::{segment_auto, AutoConfig};
@@ -196,7 +198,7 @@ impl Sam {
         let sigma = self.config.encode_sigma;
         let h = hash_image(img);
         {
-            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut cache = lock(&self.cache);
             if let Some(pos) = cache.iter().position(|e| e.matches(h, sigma, img)) {
                 let entry = cache.remove(pos);
                 let emb = Arc::clone(&entry.emb);
@@ -225,7 +227,7 @@ impl Sam {
             }
         }
         let emb = Arc::new(self.encode(img));
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cache = lock(&self.cache);
         // Re-check under the lock: a racing thread may have inserted the
         // same image while we encoded. Inserting a second entry would
         // waste a slot and evict a live embedding, so adopt the winner's
@@ -254,10 +256,7 @@ impl Sam {
     /// Number of embeddings currently cached (diagnostics; the capacity
     /// is fixed at 8 entries).
     pub fn embed_cache_len(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.cache).len()
     }
 
     /// Decode a prompt set into multimask predictions, best first.

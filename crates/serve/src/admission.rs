@@ -21,7 +21,9 @@
 
 use std::collections::HashMap;
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 
 /// Refusal from [`Admission::admit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +65,7 @@ impl Admission {
         if self.limit == 0 {
             return Ok(());
         }
-        let mut map = self
-            .outstanding
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut map = lock(&self.outstanding);
         let count = map.entry(tenant.to_string()).or_insert(0);
         if *count >= self.limit {
             return Err(QuotaExceeded {
@@ -86,10 +85,7 @@ impl Admission {
         if self.limit == 0 {
             return;
         }
-        let mut map = self
-            .outstanding
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut map = lock(&self.outstanding);
         if let Some(count) = map.get_mut(tenant) {
             *count = count.saturating_sub(1);
             if *count == 0 {
@@ -100,20 +96,12 @@ impl Admission {
 
     /// Outstanding jobs for `tenant` right now (diagnostics/tests).
     pub fn outstanding(&self, tenant: &str) -> usize {
-        self.outstanding
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(tenant)
-            .copied()
-            .unwrap_or(0)
+        lock(&self.outstanding).get(tenant).copied().unwrap_or(0)
     }
 
     /// Number of tenants with outstanding work.
     pub fn active_tenants(&self) -> usize {
-        self.outstanding
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.outstanding).len()
     }
 }
 

@@ -41,7 +41,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 
 use crate::proto::Response;
 use crate::server::{MuxStats, ResponseSink, Server};
@@ -84,10 +86,7 @@ struct Shared {
 
 impl Shared {
     fn push_response(&self, conn_id: u64, resp: Response) {
-        self.pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((conn_id, resp));
+        lock(&self.pending).push((conn_id, resp));
         // One byte is enough; WouldBlock means a wake is already queued.
         let _ = (&self.wake_tx).write(&[1]);
     }
@@ -240,12 +239,7 @@ fn reactor_loop(
         }
 
         // Route worker responses into their connections' write buffers.
-        let pending = std::mem::take(
-            &mut *shared
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        let pending = std::mem::take(&mut *lock(&shared.pending));
         if !pending.is_empty() {
             let obs = zenesis_obs::enabled();
             for (conn_id, resp) in pending {

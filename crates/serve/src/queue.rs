@@ -37,6 +37,8 @@ use std::sync::Arc;
 
 use std::sync::{Condvar, Mutex, PoisonError};
 
+use crate::lock;
+
 /// Which priority lane a job rides. Interactive jobs are always popped
 /// before batch jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,11 +156,7 @@ impl<T> BoundedQueue<T> {
 
     /// Jobs currently queued across both lanes.
     pub fn len(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.inner.state).len()
     }
 
     /// True when nothing is queued.
@@ -169,11 +167,7 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking push into `lane`. Returns the depths after
     /// insertion, or the job back if the queue is full or closed.
     pub fn try_push(&self, job: T, lane: Lane) -> Result<QueueDepths, PushError<T>> {
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.inner.state);
         if s.closed {
             return Err(PushError::Closed(job));
         }
@@ -194,11 +188,7 @@ impl<T> BoundedQueue<T> {
     /// post-pop depths, or `None` once the queue is closed *and* drained
     /// — the worker-exit signal.
     pub fn pop(&self) -> Option<(T, QueueDepths)> {
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.inner.state);
         loop {
             if let Some(job) = s.interactive.pop_front().or_else(|| s.batch.pop_front()) {
                 let depths = s.depths();
@@ -218,11 +208,7 @@ impl<T> BoundedQueue<T> {
     /// Begin a graceful drain: refuse new pushes, let pops empty the
     /// queue, then release every blocked worker.
     pub fn close(&self) {
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.inner.state);
         s.closed = true;
         drop(s);
         self.inner.not_empty.notify_all();

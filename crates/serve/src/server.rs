@@ -49,7 +49,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 use zenesis_core::checkpoint::{Lease, LeaseError};
 use zenesis_core::job::{message_is_transient_input, JobEngine, JobResult, JobSpec};
 use zenesis_core::panic_message;
@@ -268,17 +270,12 @@ impl Server {
     /// Register the mux front end's connection stats so readiness
     /// probes can report accept-cap saturation.
     pub(crate) fn attach_mux_stats(&self, stats: Arc<MuxStats>) {
-        *self
-            .mux_stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(stats);
+        *lock(&self.mux_stats) = Some(stats);
     }
 
     /// `(open, cap)` of the attached mux front end, if one is running.
     pub fn mux_connections(&self) -> Option<(usize, usize)> {
-        self.mux_stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.mux_stats)
             .as_ref()
             .map(|s| (s.connections.load(Ordering::Relaxed), s.max_connections))
     }
@@ -300,9 +297,7 @@ impl Server {
     /// count means a worker died outside the panic isolation (a bug);
     /// the `/readyz` endpoint reports not-ready at zero.
     pub(crate) fn workers_alive(&self) -> usize {
-        self.workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.workers)
             .iter()
             .filter(|h| !h.is_finished())
             .count()
@@ -457,8 +452,7 @@ impl Server {
     /// accepted job (each still gets its response), then join them.
     pub fn shutdown(&self) {
         self.queue.close();
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for h in handles {
             let _ = h.join();
         }

@@ -53,7 +53,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::lock;
 use zenesis_core::checkpoint::journal_len;
 use zenesis_core::job::{JobResult, JobSpec};
 use zenesis_obs::events::{self, Event};
@@ -163,12 +165,7 @@ impl Warden {
     /// poison breaker has quarantined the spec, before any spawn.
     pub(crate) fn watch(&self, spec: &JobSpec) -> Result<Watch<'_>, JobResult> {
         let fingerprint = spec_fingerprint(spec);
-        if self
-            .poisoned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&fingerprint)
-        {
+        if lock(&self.poisoned).contains(&fingerprint) {
             return Err(JobResult::Error {
                 message: format!(
                     "job quarantined: spec {fingerprint:016x} previously crashed \
@@ -370,11 +367,7 @@ impl Watch<'_> {
             return Ok(crashes);
         }
         let fingerprint = self.fingerprint;
-        self.warden
-            .poisoned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(fingerprint);
+        lock(&self.warden.poisoned).insert(fingerprint);
         if zenesis_obs::enabled() {
             zenesis_obs::counter("warden.poison").inc();
             events::emit(Event::WardenPoison {
