@@ -41,6 +41,7 @@ proptest! {
     fn intersect_commutative_idempotent(a in arb_box(), b in arb_box()) {
         prop_assert_eq!(a.intersect(&b), b.intersect(&a));
         prop_assert_eq!(a.intersect(&a).area(), a.area());
+        prop_assert!(a.intersect(&b).area() <= a.area().min(b.area()));
     }
 
     #[test]

@@ -66,13 +66,13 @@ pub mod trace;
 
 pub use bounded::RECORD_CAP;
 pub use config::{enabled, full, level, set_level, ObsLevel};
-pub(crate) use metrics::reset_metrics;
+use metrics::reset_metrics;
 pub use metrics::{
     counter, gauge, histogram, latency_rows, metrics_snapshot, record_ms, Counter, Gauge,
     Histogram, HistogramStats, LatencyRow, MetricsSnapshot,
 };
 pub use prom::prometheus_text;
-pub(crate) use span::reset_spans;
+use span::reset_spans;
 pub use span::{current, snapshot, span, timed, with_parent, SpanGuard, SpanId, SpanRecord};
 pub use trace::{current_trace, trace_guard, with_trace, TraceId, TraceScope};
 

@@ -52,7 +52,7 @@ use zenesis_image::{BitMask, Image, Volume};
 pub use decode::TiffPage;
 pub use encode::{EncodeLayout, EncodeOptions, TiffStackWriter};
 pub use error::{Result, TiffError};
-pub(crate) use format::Endian;
+use format::Endian;
 pub use source::{FileSource, Source, TiffRead};
 pub use volume::VolumeReader;
 
