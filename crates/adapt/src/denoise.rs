@@ -13,7 +13,7 @@ use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
 /// Bilateral filter: Gaussian in space (sigma `sigma_s`, radius `3*sigma_s`)
 /// and in intensity (sigma `sigma_r`).
-pub fn bilateral(img: &Image<f32>, sigma_s: f32, sigma_r: f32) -> Image<f32> {
+pub(crate) fn bilateral(img: &Image<f32>, sigma_s: f32, sigma_r: f32) -> Image<f32> {
     assert!(sigma_s > 0.0 && sigma_r > 0.0);
     let (w, h) = img.dims();
     let radius = (2.0 * sigma_s).ceil() as isize;
@@ -51,7 +51,7 @@ pub fn bilateral(img: &Image<f32>, sigma_s: f32, sigma_r: f32) -> Image<f32> {
 /// Non-local-means-lite: averages pixels whose 3x3 patches are similar,
 /// searched in a `(2*search+1)^2` window. `strength` plays the role of h²
 /// in classic NLM (larger = smoother).
-pub fn nlm_lite(img: &Image<f32>, search: usize, strength: f32) -> Image<f32> {
+pub(crate) fn nlm_lite(img: &Image<f32>, search: usize, strength: f32) -> Image<f32> {
     assert!(strength > 0.0);
     let (w, h) = img.dims();
     let s = search as isize;

@@ -9,7 +9,7 @@ use zenesis_image::Image;
 use zenesis_par::{par_rows, par_rows_min, SMALL_WORK_ELEMS};
 
 /// Global histogram equalization via the CDF remap.
-pub fn equalize(img: &Image<f32>) -> Image<f32> {
+pub(crate) fn equalize(img: &Image<f32>) -> Image<f32> {
     let bins = 1024;
     let hist = Histogram::of_image(img, bins);
     let cdf = hist.cdf();

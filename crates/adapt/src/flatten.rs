@@ -3,7 +3,7 @@
 //! * `flatten_plane` — least-squares plane subtraction, the standard
 //!   first step for STM/AFM topographs (piezo creep and sample tilt put a
 //!   global plane under every frame).
-//! * [`highpass`] — subtract a large-scale Gaussian background (the
+//! * `highpass` — subtract a large-scale Gaussian background (the
 //!   "rolling-ball" style background removal ImageJ users reach for),
 //!   which strips beam-center glow and slow illumination fields while
 //!   preserving compact structure.
@@ -48,7 +48,7 @@ pub(crate) fn flatten_plane(img: &Image<f32>) -> Image<f32> {
 
 /// Subtract a sigma-scale Gaussian background and re-center at 0.5
 /// (clamped). Structure smaller than ~sigma survives; slow fields vanish.
-pub fn highpass(img: &Image<f32>, sigma: f32) -> Image<f32> {
+pub(crate) fn highpass(img: &Image<f32>, sigma: f32) -> Image<f32> {
     assert!(sigma > 0.0);
     let bg = gaussian_blur(img, sigma);
     let (w, h) = img.dims();

@@ -14,7 +14,7 @@
 //! A worker's append encodes its record and `write`s it before the worker
 //! moves on, so a `kill -9`, an OOM kill or a panic loses no record, and
 //! [`journal_len`] grows at once. Making records survive a power loss is
-//! left to [`Journal::commit`]: one `fsync` covers every record written
+//! left to `Journal::commit`: one `fsync` covers every record written
 //! since the last, and runs on a thread no worker waits for — the volume
 //! run's caller, which commits every `COMMIT_PERIOD` while its workers
 //! run and once more before it returns. A power loss therefore loses at
@@ -82,13 +82,13 @@ impl CheckpointSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
     /// Volume depth (slices).
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// Slice width in pixels.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Slice height in pixels.
-    pub height: usize,
+    pub(crate) height: usize,
     /// FNV-1a fingerprint of the prompt and serialized config.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
 }
 
 impl Header {
@@ -135,7 +135,7 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// CRC-32 (IEEE 802.3, reflected): the per-record checksum.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let crc = data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
         CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
     });
@@ -267,19 +267,19 @@ fn outcome_from_fields(status: &str, reason: &str) -> Option<SliceOutcome> {
 
 /// A replayed stage-1 slice record.
 #[derive(Debug, Clone)]
-pub struct ReplaySlice {
+pub(crate) struct ReplaySlice {
     /// The slice's journaled stage-1 outcome.
-    pub outcome: SliceOutcome,
+    pub(crate) outcome: SliceOutcome,
     /// Detections exactly as journaled (order preserved — the temporal
     /// heuristic and secondary-box decode depend on it).
-    pub detections: Vec<Detection>,
+    pub(crate) detections: Vec<Detection>,
     /// The stage-1 combined mask.
-    pub combined: BitMask,
+    pub(crate) combined: BitMask,
 }
 
 /// A replayed final (stage-3) mask record.
 #[derive(Debug, Clone)]
-pub struct ReplayMask {
+pub(crate) struct ReplayMask {
     /// The final mask for the slice.
     pub mask: BitMask,
     /// Whether stage-3 decode had failed and the stage-1 mask was kept.
@@ -288,11 +288,11 @@ pub struct ReplayMask {
 
 /// Everything a resumed run can skip, keyed by slice index.
 #[derive(Debug, Default)]
-pub struct Replay {
+pub(crate) struct Replay {
     /// Completed stage-1 slices.
-    pub slices: HashMap<usize, ReplaySlice>,
+    pub(crate) slices: HashMap<usize, ReplaySlice>,
     /// Completed stage-3 masks.
-    pub masks: HashMap<usize, ReplayMask>,
+    pub(crate) masks: HashMap<usize, ReplayMask>,
 }
 
 /// An open journal plus whatever it replayed.
@@ -301,11 +301,11 @@ pub struct Opened {
     /// The append handle for the continuing run.
     pub journal: Journal,
     /// Work recovered from the existing journal (empty on fresh runs).
-    pub replay: Replay,
+    pub(crate) replay: Replay,
 }
 
 /// Append handle for the volume journal. Shared by the parallel slice
-/// workers; appends are serialized internally, and [`Journal::commit`]
+/// workers; appends are serialized internally, and `Journal::commit`
 /// makes them durable without holding up an append. Dropping the journal
 /// commits it.
 #[derive(Debug)]
@@ -454,7 +454,7 @@ impl Journal {
     }
 
     /// Journal one completed stage-1 slice: written when this returns,
-    /// durable after the next [`Journal::commit`].
+    /// durable after the next `Journal::commit`.
     pub fn record_slice(
         &self,
         slice: usize,
@@ -477,7 +477,7 @@ impl Journal {
     }
 
     /// Journal one completed stage-3 (final) mask: written when this
-    /// returns, durable after the next [`Journal::commit`].
+    /// returns, durable after the next `Journal::commit`.
     pub fn record_mask(&self, slice: usize, mask: &BitMask, degraded_by_decode: bool) {
         self.append(
             &Record::Mask {
@@ -527,7 +527,7 @@ impl Journal {
     /// commit. Best-effort like the appends: a failed sync
     /// (`checkpoint.sync.error`) leaves those records to be recomputed
     /// after a power loss, and the next commit tries again.
-    pub fn commit(&self) {
+    pub(crate) fn commit(&self) {
         let mut committed = self.committed.lock().unwrap_or_else(|e| e.into_inner());
         let written = self.written.load(Ordering::Acquire);
         if written == *committed {
@@ -651,7 +651,6 @@ fn pid_alive(pid: u32) -> bool {
 #[derive(Debug)]
 pub struct Lease {
     path: PathBuf,
-    released: bool,
 }
 
 /// Lease files this process holds, by canonical path: the pid in a lease
@@ -677,24 +676,11 @@ impl Lease {
             return Err(LeaseError::Held { pid: me });
         }
         match claim(dir, &path, fingerprint, me) {
-            Ok(()) => Ok(Lease {
-                path,
-                released: false,
-            }),
+            Ok(()) => Ok(Lease { path }),
             Err(e) => {
                 held().remove(&path);
                 Err(e)
             }
-        }
-    }
-
-    /// Release the lease now, reporting any unlink failure (Drop
-    /// releases best-effort and silently).
-    pub fn release(mut self) -> io::Result<()> {
-        self.released = true;
-        match std::fs::remove_file(&self.path) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
         }
     }
 }
@@ -738,9 +724,7 @@ fn claim(dir: &Path, path: &Path, fingerprint: u64, me: u32) -> Result<(), Lease
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        if !self.released {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        let _ = std::fs::remove_file(&self.path);
         // Only after the file is gone: a job in this process that
         // acquires next must not have its fresh file unlinked by us.
         held().remove(&self.path);
@@ -1028,8 +1012,8 @@ mod tests {
         // A dead holder (no such pid) is an orphan: stolen, not refused.
         std::fs::write(&path, r#"{"fingerprint":9,"pid":4294967294}"#).unwrap();
         let stolen = Lease::acquire(&dir, 7).expect("orphan lease reclaimed");
-        stolen.release().unwrap();
-        assert!(!path.exists(), "release removes the lease file");
+        drop(stolen);
+        assert!(!path.exists(), "dropping the lease removes its file");
         // Torn lease debris is overwritten, not fatal.
         std::fs::write(&path, "{not json").unwrap();
         let c = Lease::acquire(&dir, 7).expect("torn lease overwritten");

@@ -86,7 +86,7 @@ impl InputSpec {
     /// panicking in `Matrix::zeros` (or exhausting memory) downstream.
     /// File-backed inputs validate at load time, where the real I/O
     /// error is available.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             InputSpec::PhantomSlice { side, .. } => check_side(*side),
             InputSpec::PhantomVolume {
@@ -246,7 +246,7 @@ impl JobSpec {
     /// instead of panics or aborts deep in the pipeline; serving layers
     /// can also call it to reject bad requests before they occupy a
     /// worker.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             JobSpec::Interactive { input, prompt, .. } | JobSpec::Batch { input, prompt, .. } => {
                 input.validate()?;
@@ -316,7 +316,7 @@ pub enum JobResult {
 
 impl JobResult {
     /// True for results that represent successfully completed work.
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         matches!(
             self,
             JobResult::Slice { .. } | JobResult::Volume { .. } | JobResult::Evaluation { .. }

@@ -58,12 +58,6 @@ impl Method {
             }
         }
     }
-
-    /// Segment with a single shared view (used by quick demos; the
-    /// benchmark harness uses [`Method::segment_views`]).
-    pub fn segment(&self, z: &Zenesis, adapted: &Image<f32>, prompt: &str) -> BitMask {
-        self.segment_views(z, adapted, adapted, prompt)
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +84,7 @@ mod tests {
         });
         let z = Zenesis::new(ZenesisConfig::default());
         for m in Method::all() {
-            let mask = m.segment(&z, &img, "bright particles");
+            let mask = m.segment_views(&z, &img, &img, "bright particles");
             assert_eq!(mask.dims(), (64, 64), "{}", m.name());
         }
     }

@@ -22,9 +22,9 @@ use crate::pipeline::Zenesis;
 #[derive(Debug)]
 pub(crate) struct EvalCancelled {
     /// Samples fully evaluated before cancellation.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Samples in the dataset.
-    pub total: usize,
+    pub(crate) total: usize,
 }
 
 /// Evaluate a set of methods over the benchmark dataset (Mode C).

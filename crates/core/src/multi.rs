@@ -15,7 +15,7 @@ use crate::pipeline::Zenesis;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectSpec {
     /// Class label (also the key in the result).
-    pub label: String,
+    pub(crate) label: String,
     /// Natural-language prompt for this object.
     pub prompt: String,
 }

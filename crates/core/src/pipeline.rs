@@ -79,7 +79,7 @@ pub struct PipelineTrace {
     pub adapt_ms: f64,
     pub ground_ms: f64,
     pub segment_ms: f64,
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
     pub adapt_stages: Vec<AdaptTrace>,
     pub tokens: Vec<String>,
     pub(crate) n_detections: usize,
@@ -102,13 +102,6 @@ pub struct SliceResult {
     pub relevance: Image<f32>,
     /// Stage provenance.
     pub trace: PipelineTrace,
-}
-
-impl SliceResult {
-    /// Pixel coverage of the combined mask.
-    pub fn coverage(&self) -> f64 {
-        self.combined.coverage()
-    }
 }
 
 /// The prompt-independent half of one slice run, from

@@ -45,11 +45,6 @@ impl Session {
         }
     }
 
-    /// The adapted image being worked on.
-    pub fn adapted(&self) -> &Image<f32> {
-        &self.adapted
-    }
-
     /// Current segmentation (all-false before the first prompt).
     pub fn current_mask(&self) -> BitMask {
         self.history

@@ -235,14 +235,11 @@ impl Drop for HaltOnUnwind<'_> {
     }
 }
 
-/// The run was cancelled: report the pixel counts of the slices that
-/// finished, in slice order.
+/// The run was cancelled: report how many slices finished.
 fn cancelled<'a>(total: usize, done: impl Iterator<Item = &'a BitMask>) -> VolumeError {
-    let per_slice_pixels: Vec<usize> = done.map(BitMask::count).collect();
     VolumeError::Cancelled(VolumeCancelled {
-        completed: per_slice_pixels.len(),
+        completed: done.count(),
         total,
-        per_slice_pixels,
     })
 }
 

@@ -162,9 +162,6 @@ pub struct VolumeCancelled {
     pub completed: usize,
     /// Slices in the volume.
     pub total: usize,
-    /// Combined-mask pixel counts of the completed slices, in slice
-    /// order (masks of unreached slices are simply absent).
-    pub per_slice_pixels: Vec<usize>,
 }
 
 /// Result of batch volume processing.
@@ -612,7 +609,6 @@ mod tests {
             VolumeError::Cancelled(VolumeCancelled {
                 completed: 1,
                 total: 4,
-                per_slice_pixels: vec![1],
             })
             .to_string(),
             "job panicked: boom".to_string(),

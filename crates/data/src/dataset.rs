@@ -22,16 +22,6 @@ pub struct Dataset {
     pub samples: Vec<Sample>,
 }
 
-impl Dataset {
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
 /// Build the 20-slice benchmark dataset (10 crystalline + 10 amorphous) at
 /// `side x side` resolution. Each slice gets independent structure and a
 /// drifting noise configuration (defocus and contrast vary slice-to-slice,
@@ -77,12 +67,8 @@ fn kind_offset(kind: SampleKind) -> u64 {
 /// temporal-refinement experiments (Fig. 7).
 #[derive(Debug, Clone)]
 pub struct VolumeSample {
-    pub kind: SampleKind,
     pub volume: Volume<u16>,
     pub truths: Vec<BitMask>,
-    /// Slice indices where an abrupt appearance change was injected
-    /// (defocus burst), the outliers the heuristic must correct.
-    pub outlier_slices: Vec<usize>,
 }
 
 /// Generate an evolving volume of `depth` slices. `outliers` slices get a
@@ -132,12 +118,7 @@ pub fn generate_volume(
         },
     )
     .expect("non-empty volume");
-    VolumeSample {
-        kind,
-        volume,
-        truths,
-        outlier_slices: outliers.to_vec(),
-    }
+    VolumeSample { volume, truths }
 }
 
 #[cfg(test)]
@@ -147,7 +128,7 @@ mod tests {
     #[test]
     fn dataset_composition() {
         let ds = benchmark_dataset(64, 42);
-        assert_eq!(ds.len(), 20);
+        assert_eq!(ds.samples.len(), 20);
         let of_kind = |k| ds.samples.iter().filter(|s| s.kind == k).count();
         assert_eq!(of_kind(SampleKind::Crystalline), 10);
         assert_eq!(of_kind(SampleKind::Amorphous), 10);
@@ -220,6 +201,5 @@ mod tests {
             diff > 100.0,
             "glitch should alter counts, mean |d| = {diff}"
         );
-        assert_eq!(glitched.outlier_slices, vec![2]);
     }
 }

@@ -66,7 +66,6 @@ impl Modality {
 /// structure the default prompt asks for.
 #[derive(Debug, Clone)]
 pub struct ModalityFrame {
-    pub modality: Modality,
     pub raw: Image<u16>,
     pub truth: BitMask,
 }
@@ -128,7 +127,6 @@ fn stm(side: usize, seed: u64) -> ModalityFrame {
         })
     });
     ModalityFrame {
-        modality: Modality::Stm,
         raw: to_u16(&clean, 0.35),
         truth,
     }
@@ -183,11 +181,7 @@ fn edx(side: usize, seed: u64) -> ModalityFrame {
             }
         }
     }
-    ModalityFrame {
-        modality: Modality::Edx,
-        raw,
-        truth,
-    }
+    ModalityFrame { raw, truth }
 }
 
 // ----------------------------------------------------------------- XRD --
@@ -244,7 +238,6 @@ fn xrd(side: usize, seed: u64) -> ModalityFrame {
         })
     });
     ModalityFrame {
-        modality: Modality::Xrd,
         raw: to_u16(&clean, 0.5),
         truth,
     }

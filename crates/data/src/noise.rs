@@ -19,7 +19,7 @@ pub struct NoiseConfig {
     /// Defocus blur sigma in pixels (0 disables).
     pub(crate) defocus_sigma: f32,
     /// Multiplicative contrast factor (1.0 = nominal; drifts per slice).
-    pub contrast: f32,
+    pub(crate) contrast: f32,
     /// Additive brightness offset.
     pub(crate) brightness: f32,
     /// Fraction of the 16-bit range the data actually occupies — raw
@@ -37,21 +37,6 @@ impl Default for NoiseConfig {
             contrast: 1.0,
             brightness: 0.0,
             dynamic_range: 0.22,
-        }
-    }
-}
-
-impl NoiseConfig {
-    /// A clean configuration (no degradation) for ablations.
-    pub fn clean() -> Self {
-        NoiseConfig {
-            gaussian_sigma: 0.0,
-            shot_strength: 0.0,
-            stripe_amplitude: 0.0,
-            defocus_sigma: 0.0,
-            contrast: 1.0,
-            brightness: 0.0,
-            dynamic_range: 1.0,
         }
     }
 }
@@ -109,6 +94,19 @@ pub(crate) fn degrade(clean: &Image<f32>, cfg: &NoiseConfig, seed: u64) -> Image
 mod tests {
     use super::*;
 
+    /// No degradation at all.
+    fn clean_config() -> NoiseConfig {
+        NoiseConfig {
+            gaussian_sigma: 0.0,
+            shot_strength: 0.0,
+            stripe_amplitude: 0.0,
+            defocus_sigma: 0.0,
+            contrast: 1.0,
+            brightness: 0.0,
+            dynamic_range: 1.0,
+        }
+    }
+
     fn clean() -> Image<f32> {
         Image::from_fn(48, 48, |x, _| if x < 24 { 0.2 } else { 0.7 })
     }
@@ -126,7 +124,7 @@ mod tests {
     #[test]
     fn clean_config_is_lossless_up_to_quantization() {
         let img = clean();
-        let out = degrade(&img, &NoiseConfig::clean(), 3);
+        let out = degrade(&img, &clean_config(), 3);
         for (raw, orig) in out.as_slice().iter().zip(img.as_slice()) {
             let back = *raw as f32 / u16::MAX as f32;
             assert!((back - orig).abs() < 1e-3);
@@ -153,7 +151,7 @@ mod tests {
     #[test]
     fn noise_raises_variance() {
         let flat = Image::<f32>::filled(48, 48, 0.5);
-        let quiet = degrade(&flat, &NoiseConfig::clean(), 7);
+        let quiet = degrade(&flat, &clean_config(), 7);
         let noisy = degrade(&flat, &NoiseConfig::default(), 7);
         let var = |img: &Image<u16>| img.to_f32().variance_norm();
         assert!(var(&noisy) > var(&quiet) + 1e-9);

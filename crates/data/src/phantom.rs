@@ -52,14 +52,14 @@ impl SampleKind {
 /// Full phantom specification.
 #[derive(Debug, Clone)]
 pub struct PhantomConfig {
-    pub width: usize,
-    pub height: usize,
-    pub kind: SampleKind,
-    pub seed: u64,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
+    pub(crate) kind: SampleKind,
+    pub(crate) seed: u64,
     pub noise: NoiseConfig,
     /// z position in `[0, 1]` for volumes: structures drift smoothly
     /// with z so adjacent slices are correlated.
-    pub z: f32,
+    pub(crate) z: f32,
 }
 
 impl PhantomConfig {

@@ -95,7 +95,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable name used in `ZENESIS_FAULT` and in emitted events.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::Error => "error",
             FaultKind::Panic => "panic",
@@ -154,13 +154,8 @@ impl FaultPlan {
         self
     }
 
-    /// Number of configured sites.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
     /// True when no sites are configured.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
 
@@ -168,7 +163,7 @@ impl FaultPlan {
     /// `site:kind:prob:seed[,site:kind:prob:seed...]` where `kind` is
     /// `error` | `panic` | `nan` | `slow[MS]` (default 100 ms) |
     /// `kill` | `hang`.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+    pub(crate) fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
             let parts: Vec<&str> = entry.trim().split(':').collect();
@@ -408,7 +403,7 @@ mod tests {
     #[test]
     fn parse_env_syntax() {
         let p = FaultPlan::parse("sam.decode:panic:0.1:7,adapt.denoise:nan:0.05:11").unwrap();
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.sites.len(), 2);
         let p = FaultPlan::parse("slice.slow:slow250:1.0:1").unwrap();
         assert_eq!(p.sites["slice.slow"].kind, FaultKind::Slow(250));
         let p = FaultPlan::parse("io.write:slow:0.5:3").unwrap();

@@ -25,14 +25,14 @@ pub struct DinoConfig {
     /// NMS IoU threshold.
     pub nms_iou: f64,
     /// Shared embedding dimensionality.
-    pub embed_dim: usize,
+    pub(crate) embed_dim: usize,
     /// Attention temperature (CLIP-style logit scale): sharpens the
     /// softmax over patches so relevance contrasts survive thresholding.
-    pub logit_scale: f32,
+    pub(crate) logit_scale: f32,
     /// Gaussian sigma applied before visual feature extraction.
     pub feature_sigma: f32,
     /// Weight seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for DinoConfig {
@@ -77,7 +77,7 @@ impl Grounding {
 }
 
 /// The prompt-independent half of grounding one image, from
-/// [`GroundingDino::prepare`]. Holds only what the prompt side reads, so
+/// `GroundingDino::prepare`. Holds only what the prompt side reads, so
 /// it can outlive the image.
 #[derive(Debug, Clone)]
 pub struct ImageSide {
@@ -133,7 +133,7 @@ impl GroundingDino {
     /// plus the input-health factor.
     /// Compute it once per image and ground any number of prompts against
     /// it with [`GroundingDino::ground_prepared`].
-    pub fn prepare(&self, img: &Image<f32>) -> ImageSide {
+    pub(crate) fn prepare(&self, img: &Image<f32>) -> ImageSide {
         let _s = zenesis_obs::span("ground.encode");
         let grid = FeatureGrid::compute_at_scale(img, self.config.patch, self.config.feature_sigma);
         self.image_side(img, grid)
@@ -144,7 +144,7 @@ impl GroundingDino {
         crate::features::blur_sigma(self.config.feature_sigma)
     }
 
-    /// [`GroundingDino::prepare`] with the feature-scale blur computed by
+    /// `GroundingDino::prepare` with the feature-scale blur computed by
     /// the caller: `blur` is `gaussian_blur(img, feature_blur_sigma())`
     /// and `edge` its gradient magnitude. Bit-identical to `prepare(img)`.
     pub fn prepare_blurred(
@@ -196,7 +196,7 @@ impl GroundingDino {
     }
 
     /// [`GroundingDino::ground`] against an image side computed earlier
-    /// by [`GroundingDino::prepare`]: the same arithmetic in the same
+    /// by `GroundingDino::prepare`: the same arithmetic in the same
     /// order, so the result is bit-identical.
     pub fn ground_prepared(&self, side: &ImageSide, prompt: &str) -> Grounding {
         let _root = zenesis_obs::span("ground.dino");

@@ -56,7 +56,6 @@ pub(crate) fn blur_sigma(sigma: f32) -> f32 {
 pub struct FeatureGrid {
     pub(crate) gw: usize,
     pub(crate) gh: usize,
-    pub patch: usize,
     /// `(gw*gh) x N_CHANNELS` row-major (row = patch in row-major grid
     /// order).
     pub feats: Matrix,
@@ -151,25 +150,11 @@ impl FeatureGrid {
                 feats.set(r, c, v);
             }
         }
-        FeatureGrid {
-            gw,
-            gh,
-            patch,
-            feats,
-        }
-    }
-
-    /// Number of patches.
-    pub fn len(&self) -> usize {
-        self.gw * self.gh
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        FeatureGrid { gw, gh, feats }
     }
 
     /// Feature vector of patch `(gx, gy)`.
-    pub fn at(&self, gx: usize, gy: usize) -> &[f32] {
+    pub(crate) fn at(&self, gx: usize, gy: usize) -> &[f32] {
         self.feats.row(gy * self.gw + gx)
     }
 }

@@ -28,12 +28,12 @@ pub struct Exemplar<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct FinetuneConfig {
     /// Patch side used for feature pooling (match the DinoConfig patch).
-    pub patch: usize,
+    pub(crate) patch: usize,
     /// Fraction of a patch that must be inside the mask to count as a
     /// positive example (in-between patches are dropped as ambiguous).
     pub(crate) positive_fraction: f32,
     /// Ridge regularization strength.
-    pub lambda: f32,
+    pub(crate) lambda: f32,
     /// Scale of the fitted vector (matched to hand-authored entries).
     pub(crate) target_norm: f32,
 }

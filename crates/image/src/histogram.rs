@@ -49,10 +49,6 @@ impl Histogram {
         (bin as f32 + 0.5) / self.bins.len() as f32
     }
 
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// Cumulative distribution function per bin (last entry is 1.0 for a
     /// non-empty image).
     pub fn cdf(&self) -> Vec<f64> {
@@ -106,7 +102,7 @@ mod tests {
     fn counts_sum_to_total() {
         let img = Image::<u8>::from_fn(16, 16, |x, y| ((x * 16 + y) % 256) as u8);
         let h = Histogram::of_image(&img, 256);
-        assert_eq!(h.counts().iter().sum::<u64>(), 256);
+        assert_eq!(h.bins.iter().sum::<u64>(), 256);
         assert_eq!(h.total(), 256);
     }
 
@@ -151,8 +147,8 @@ mod tests {
     fn out_of_range_floats_clamped() {
         let img = Image::<f32>::from_vec(2, 2, vec![-1.0, 0.5, 2.0, 0.25]).unwrap();
         let h = Histogram::of_image(&img, 10);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[9], 1);
         assert_eq!(h.total(), 4);
     }
 }

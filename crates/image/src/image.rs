@@ -188,7 +188,7 @@ impl<T: Pixel> Image<T> {
 
     /// Paste `src` with its top-left corner at `(x0, y0)`; out-of-raster
     /// parts of `src` are discarded.
-    pub fn paste(&mut self, src: &Image<T>, x0: usize, y0: usize) {
+    pub(crate) fn paste(&mut self, src: &Image<T>, x0: usize, y0: usize) {
         for sy in 0..src.height {
             let dy = y0 + sy;
             if dy >= self.height {
@@ -321,8 +321,9 @@ pub struct RgbImage {
 }
 
 impl RgbImage {
-    /// Solid-colour image.
-    pub fn filled(width: usize, height: usize, rgb: [u8; 3]) -> Self {
+    /// Solid-colour image (test fixtures).
+    #[cfg(test)]
+    pub(crate) fn filled(width: usize, height: usize, rgb: [u8; 3]) -> Self {
         assert!(width > 0 && height > 0);
         let mut data = Vec::with_capacity(width * height * 3);
         for _ in 0..width * height {
@@ -336,7 +337,7 @@ impl RgbImage {
     }
 
     /// Wrap an interleaved buffer of length `width * height * 3`.
-    pub fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Result<Self> {
+    pub(crate) fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Result<Self> {
         if width == 0 || height == 0 {
             return Err(ImageError::EmptyDimensions);
         }
@@ -371,23 +372,23 @@ impl RgbImage {
     }
 
     #[inline]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     #[inline]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
     #[inline]
-    pub fn get(&self, x: usize, y: usize) -> [u8; 3] {
+    pub(crate) fn get(&self, x: usize, y: usize) -> [u8; 3] {
         let i = (y * self.width + x) * 3;
         [self.data[i], self.data[i + 1], self.data[i + 2]]
     }
 
     #[inline]
-    pub fn set(&mut self, x: usize, y: usize, rgb: [u8; 3]) {
+    pub(crate) fn set(&mut self, x: usize, y: usize, rgb: [u8; 3]) {
         let i = (y * self.width + x) * 3;
         self.data[i..i + 3].copy_from_slice(&rgb);
     }
@@ -402,7 +403,7 @@ impl RgbImage {
     }
 
     /// Interleaved bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.data
     }
 }

@@ -96,16 +96,6 @@ impl<T: Pixel> Volume<T> {
     pub fn slices(&self) -> &[Image<T>] {
         &self.slices
     }
-
-    #[inline]
-    pub fn get(&self, x: usize, y: usize, z: usize) -> T {
-        self.slices[z].get(x, y)
-    }
-
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, z: usize, v: T) {
-        self.slices[z].set(x, y, v);
-    }
 }
 
 impl<T: Pixel> Volume<T> {
@@ -137,7 +127,7 @@ mod tests {
     fn indexing() {
         let v = vol();
         assert_eq!(v.dims3(), (6, 5, 4));
-        assert_eq!(v.get(2, 1, 3), (3 * 40 + 6 + 2) as u8);
+        assert_eq!(v.slice(3).get(2, 1), (3 * 40 + 6 + 2) as u8);
     }
 
     #[test]

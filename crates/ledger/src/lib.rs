@@ -229,11 +229,11 @@ impl Default for DiffThresholds {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDelta {
     /// Stage name.
-    pub stage: String,
+    pub(crate) stage: String,
     /// Baseline / head median, ms.
-    pub p50_ms: (f64, f64),
+    pub(crate) p50_ms: (f64, f64),
     /// Baseline / head p99, ms.
-    pub p99_ms: (f64, f64),
+    pub(crate) p99_ms: (f64, f64),
     /// Relative p50 change (`0.1` = 10 % slower).
     pub(crate) p50_rel: f64,
     /// Relative p99 change.
@@ -246,15 +246,15 @@ pub struct StageDelta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityDelta {
     /// Sample group.
-    pub group: String,
+    pub(crate) group: String,
     /// Method name.
     pub method: String,
     /// Baseline / head mean IoU.
-    pub iou: (f64, f64),
+    pub(crate) iou: (f64, f64),
     /// Baseline / head mean Dice.
-    pub dice: (f64, f64),
+    pub(crate) dice: (f64, f64),
     /// Baseline / head mean accuracy.
-    pub accuracy: (f64, f64),
+    pub(crate) accuracy: (f64, f64),
     /// True when this cell trips the quality gate.
     pub regressed: bool,
 }
@@ -263,7 +263,7 @@ pub struct QualityDelta {
 #[derive(Debug, Clone)]
 pub struct LedgerDiff {
     /// Labels of the two runs (baseline, head).
-    pub labels: (String, String),
+    pub(crate) labels: (String, String),
     /// Per-stage latency deltas.
     pub stages: Vec<StageDelta>,
     /// Per-cell quality deltas.

@@ -13,7 +13,7 @@ use crate::confusion::Scores;
 pub struct MeanStd {
     pub mean: f64,
     pub std: f64,
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl MeanStd {
@@ -38,7 +38,7 @@ impl MeanStd {
     }
 
     /// Format as the paper's table cell, e.g. `0.947±0.005`.
-    pub fn cell(&self) -> String {
+    pub(crate) fn cell(&self) -> String {
         format!("{:.3}±{:.3}", self.mean, self.std)
     }
 }
@@ -65,10 +65,10 @@ pub struct GroupSummary {
     pub accuracy: MeanStd,
     pub iou: MeanStd,
     pub dice: MeanStd,
-    pub precision: MeanStd,
-    pub recall: MeanStd,
+    pub(crate) precision: MeanStd,
+    pub(crate) recall: MeanStd,
     pub n_samples: usize,
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
 }
 
 /// A full evaluation run: per-sample records plus grouped summaries.

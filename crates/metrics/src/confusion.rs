@@ -73,7 +73,7 @@ impl Confusion {
     }
 
     /// `TN / (TN + FP)`; 1.0 when there are no true negatives to protect.
-    pub fn specificity(&self) -> f64 {
+    pub(crate) fn specificity(&self) -> f64 {
         let denom = self.tn + self.fp;
         if denom == 0 {
             1.0
@@ -84,7 +84,7 @@ impl Confusion {
 
     /// Matthews correlation coefficient in `[-1, 1]`; 0 for degenerate
     /// denominators.
-    pub fn mcc(&self) -> f64 {
+    pub(crate) fn mcc(&self) -> f64 {
         let (tp, fp, tn, fn_) = (
             self.tp as f64,
             self.fp as f64,

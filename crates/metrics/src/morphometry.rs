@@ -34,11 +34,11 @@ pub(crate) struct ParticleStats {
     /// Equivalent circular diameter in nm.
     pub(crate) eq_diameter_nm: f64,
     /// Centroid in pixels.
-    pub centroid: (f64, f64),
+    pub(crate) centroid: (f64, f64),
     /// Aspect ratio (major/minor axis from second moments, >= 1).
-    pub aspect: f64,
+    pub(crate) aspect: f64,
     /// Major-axis orientation in radians, in `[-pi/2, pi/2)`.
-    pub orientation: f64,
+    pub(crate) orientation: f64,
     /// Circularity `4*pi*area / perimeter^2` in `(0, 1]` for sane shapes.
     pub(crate) circularity: f64,
 }

@@ -52,13 +52,8 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Add a (possibly negative) delta.
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -122,11 +117,6 @@ fn bucket_hi(idx: usize) -> f64 {
 }
 
 impl Histogram {
-    /// A fresh, empty histogram (registry-independent; tests use this).
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Record one value.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -136,12 +126,12 @@ impl Histogram {
     }
 
     /// Number of recorded values.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -151,13 +141,13 @@ impl Histogram {
     }
 
     /// Largest recorded value (exact, not bucketed; 0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// Approximate `p`-th percentile (`p` in `[0, 1]`) as the midpoint
     /// of the bucket holding that order statistic. 0 when empty.
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         let n = self.count();
         if n == 0 {
             return 0.0;
@@ -178,7 +168,7 @@ impl Histogram {
     }
 
     /// Sum of all recorded values (native unit).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
@@ -221,15 +211,15 @@ pub struct HistogramStats {
     /// Number of recorded values.
     pub count: u64,
     /// Mean value.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Median (bucket midpoint).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 90th percentile (bucket midpoint).
-    pub p90: f64,
+    pub(crate) p90: f64,
     /// 99th percentile (bucket midpoint).
     pub p99: f64,
     /// Exact maximum.
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
 // ---- the registry ----------------------------------------------------------
@@ -391,8 +381,7 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = Gauge::default();
         g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
+        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -427,7 +416,7 @@ mod tests {
     /// pseudo-random values spanning several orders of magnitude.
     #[test]
     fn percentiles_match_sorted_oracle() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         let mut values = Vec::new();
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..10_000 {
@@ -454,7 +443,7 @@ mod tests {
 
     #[test]
     fn percentile_extremes_and_empty() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.percentile(0.5), 0.0);
         h.record(42);
         // A single value: every percentile lands in its bucket.

@@ -1,7 +1,7 @@
 //! Lock-free progress reporting for long batch jobs (Mode B).
 //!
 //! Workers bump a relaxed atomic counter; an observer thread (or the UI
-//! layer in the paper's platform) reads a consistent fraction, completion
+//! layer in the paper's platform) reads a consistent completion count,
 //! rate, and ETA without any synchronization cost on the hot path.
 //!
 //! ## Counting contract
@@ -9,11 +9,10 @@
 //! [`Progress::add`]/[`Progress::tick`] are *not* clamped: if workers
 //! report more units than `total` (double counting, or a total that was
 //! only an estimate), [`Progress::done`] returns the raw overshooting
-//! count. Every derived accessor saturates instead — [`fraction`] clamps
-//! to `1.0`, [`remaining`] saturates to `0`, and [`eta_secs`] never goes
-//! negative — so ETA/rate consumers can use them directly.
+//! count. Every derived accessor saturates instead — [`remaining`]
+//! saturates to `0`, and [`eta_secs`] never goes negative — so ETA/rate
+//! consumers can use them directly.
 //!
-//! [`fraction`]: Progress::fraction
 //! [`remaining`]: Progress::remaining
 //! [`eta_secs`]: Progress::eta_secs
 
@@ -54,7 +53,7 @@ impl Progress {
 
     /// Record `n` completed units. Relaxed: only the count matters, no data
     /// is published through this counter.
-    pub fn add(&self, n: usize) {
+    pub(crate) fn add(&self, n: usize) {
         self.done.fetch_add(n, Ordering::Relaxed);
         PULSE.fetch_add(1, Ordering::Relaxed);
     }
@@ -67,7 +66,7 @@ impl Progress {
     /// Raw units completed so far. May exceed [`Progress::total`] when
     /// workers over-report (see the module-level counting contract); use
     /// [`Progress::done_clamped`] for display math.
-    pub fn done(&self) -> usize {
+    pub(crate) fn done(&self) -> usize {
         self.done.load(Ordering::Relaxed)
     }
 
@@ -79,13 +78,8 @@ impl Progress {
 
     /// Units still outstanding, saturating at zero even if `done`
     /// overshoots `total`.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.total.saturating_sub(self.done())
-    }
-
-    /// Total units expected.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Seconds elapsed since the tracker was created (monotonic clock).
@@ -112,7 +106,7 @@ impl Progress {
     /// Estimated seconds until completion, extrapolated from the average
     /// rate so far. `Some(0.0)` once complete; `None` while no unit has
     /// finished (no rate to extrapolate from). Never negative: the
-    /// estimate is built from [`Progress::remaining`], which saturates.
+    /// estimate is built from `Progress::remaining`, which saturates.
     pub fn eta_secs(&self) -> Option<f64> {
         if self.is_complete() {
             return Some(0.0);
@@ -122,15 +116,6 @@ impl Progress {
             return None;
         }
         Some(self.remaining() as f64 / rate)
-    }
-
-    /// Completion in `[0, 1]`; a zero-total job reads as complete.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.done_clamped() as f64 / self.total as f64
-        }
     }
 
     /// True once `done >= total`.
@@ -145,20 +130,8 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fraction_bounds() {
-        let p = Progress::new(10);
-        assert_eq!(p.fraction(), 0.0);
-        p.add(5);
-        assert!((p.fraction() - 0.5).abs() < 1e-12);
-        p.add(10); // overshoot clamps
-        assert_eq!(p.fraction(), 1.0);
-        assert!(p.is_complete());
-    }
-
-    #[test]
     fn zero_total_is_complete() {
         let p = Progress::new(0);
-        assert_eq!(p.fraction(), 1.0);
         assert!(p.is_complete());
         assert_eq!(p.remaining(), 0);
         assert_eq!(p.eta_secs(), Some(0.0));
@@ -174,7 +147,6 @@ mod tests {
         assert_eq!(p.done(), 8, "raw count is not clamped");
         assert_eq!(p.done_clamped(), 4);
         assert_eq!(p.remaining(), 0);
-        assert_eq!(p.fraction(), 1.0);
     }
 
     #[test]

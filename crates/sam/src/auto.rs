@@ -16,13 +16,13 @@ use crate::score::{quality_score, stability_score};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoConfig {
     /// Grid spacing in pixels (points every `grid_step` in x and y).
-    pub grid_step: usize,
+    pub(crate) grid_step: usize,
     /// Step tolerance for growing.
-    pub step_tol: f32,
+    pub(crate) step_tol: f32,
     /// Global tolerance for growing.
-    pub global_tol: f32,
+    pub(crate) global_tol: f32,
     /// Minimum proposal area (pixels).
-    pub min_area: usize,
+    pub(crate) min_area: usize,
     /// Mask-IoU above which two proposals are duplicates.
     pub(crate) dedup_iou: f64,
 }
@@ -43,7 +43,7 @@ impl Default for AutoConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct AutoMask {
     pub mask: BitMask,
-    pub quality: f64,
+    pub(crate) quality: f64,
 }
 
 /// Generate ranked mask proposals from a point grid (best first).
@@ -85,7 +85,7 @@ pub(crate) fn propose(emb: &ImageEmbedding, cfg: &AutoConfig) -> Vec<AutoMask> {
 
 /// The SAM-only segmentation: the single maximum-confidence proposal
 /// (all-false if nothing qualifies).
-pub fn segment_auto(emb: &ImageEmbedding, cfg: &AutoConfig) -> BitMask {
+pub(crate) fn segment_auto(emb: &ImageEmbedding, cfg: &AutoConfig) -> BitMask {
     propose(emb, cfg)
         .into_iter()
         .next()

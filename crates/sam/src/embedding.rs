@@ -10,7 +10,7 @@
 //! grounding's feature pyramid starts from when the two sigmas match, so
 //! a slice run may build them once and assemble the embedding from its
 //! parts: `smooth` = `gaussian_blur(img, encode_sigma)`, `grad` its
-//! gradient magnitude, and `texture` from [`texture`]. The result is
+//! gradient magnitude, and `texture` from `texture`. The result is
 //! bit-identical to [`ImageEmbedding::encode`].
 
 use zenesis_image::filter::{gaussian_blur, gradient_magnitude, local_std};
@@ -18,7 +18,7 @@ use zenesis_image::Image;
 
 /// The texture raster of an embedding of `img`: its local standard
 /// deviation at radius 2, taken before any blur.
-pub fn texture(img: &Image<f32>) -> Image<f32> {
+pub(crate) fn texture(img: &Image<f32>) -> Image<f32> {
     local_std(img, 2)
 }
 

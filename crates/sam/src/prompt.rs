@@ -38,13 +38,15 @@ pub enum Polarity {
 /// A set of prompts describing one object.
 #[derive(Debug, Clone, Default)]
 pub struct PromptSet {
-    pub prompts: Vec<Prompt>,
+    pub(crate) prompts: Vec<Prompt>,
     /// Intensity polarity of the sought object.
     pub polarity: Polarity,
 }
 
 impl PromptSet {
-    pub fn new() -> Self {
+    /// An empty set (test fixtures build sets with [`PromptSet::with`]).
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         PromptSet::default()
     }
 
@@ -70,7 +72,8 @@ impl PromptSet {
         self
     }
 
-    pub fn with(mut self, p: Prompt) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with(mut self, p: Prompt) -> Self {
         self.prompts.push(p);
         self
     }
@@ -121,7 +124,7 @@ impl PromptSet {
         out
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.prompts.is_empty()
     }
 }

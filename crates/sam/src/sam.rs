@@ -33,17 +33,17 @@ pub struct SamConfig {
     /// Embedding denoise sigma.
     pub encode_sigma: f32,
     /// Step tolerance for region growing.
-    pub step_tol: f32,
+    pub(crate) step_tol: f32,
     /// Global tolerances for multimask output (low / medium / high).
-    pub tolerances: [f32; 3],
+    pub(crate) tolerances: [f32; 3],
     /// Box-prompt margin in pixels.
-    pub box_margin: usize,
+    pub(crate) box_margin: usize,
     /// Minimum component area kept by the box decoder.
-    pub min_area: usize,
+    pub(crate) min_area: usize,
     /// Fill interior holes in box-decoded masks.
-    pub fill_holes: bool,
+    pub(crate) fill_holes: bool,
     /// Automatic-mode grid step.
-    pub grid_step: usize,
+    pub(crate) grid_step: usize,
 }
 
 impl Default for SamConfig {

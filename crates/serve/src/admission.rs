@@ -29,9 +29,9 @@ use crate::lock;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct QuotaExceeded {
     /// The tenant that is over quota.
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// The configured per-tenant outstanding-job limit.
-    pub limit: usize,
+    pub(crate) limit: usize,
 }
 
 /// Tracks outstanding (queued + running) jobs per tenant.
@@ -44,16 +44,11 @@ pub struct Admission {
 impl Admission {
     /// A controller enforcing `limit` outstanding jobs per tenant
     /// (0 = unlimited).
-    pub fn new(limit: usize) -> Admission {
+    pub(crate) fn new(limit: usize) -> Admission {
         Admission {
             limit,
             outstanding: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The configured per-tenant limit (0 = unlimited).
-    pub fn limit(&self) -> usize {
-        self.limit
     }
 
     /// Try to admit one job for `tenant`. `None` tenants are exempt and
@@ -80,7 +75,7 @@ impl Admission {
     /// Return one admitted job's slot. Entries at zero are removed so
     /// the map stays bounded by the set of *active* tenants, not every
     /// tenant ever seen.
-    pub fn release(&self, tenant: Option<&str>) {
+    pub(crate) fn release(&self, tenant: Option<&str>) {
         let Some(tenant) = tenant else { return };
         if self.limit == 0 {
             return;

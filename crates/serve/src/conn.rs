@@ -1,6 +1,6 @@
 //! Per-connection state for the readiness-driven mux.
 //!
-//! A [`Conn`] owns one nonblocking TCP stream plus the buffers the
+//! A `Conn` owns one nonblocking TCP stream plus the buffers the
 //! reactor needs to speak line-delimited JSON over it: a read buffer
 //! accumulating bytes until a `\n` completes a request line, and a
 //! write buffer of queued response lines drained whenever the socket is
@@ -18,7 +18,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// One multiplexed client connection.
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet consumed as complete lines.
     rbuf: Vec<u8>,
@@ -29,11 +29,11 @@ pub struct Conn {
     /// Request lines handed to the server (blank lines excluded).
     pub(crate) submitted: u64,
     /// Responses queued back to this connection.
-    pub answered: u64,
+    pub(crate) answered: u64,
     /// Client half-closed its write side (read returned EOF).
     pub(crate) read_eof: bool,
     /// Connection errored; close unconditionally.
-    pub dead: bool,
+    pub(crate) dead: bool,
     /// Fallback id for the next request line (line number, 1-based).
     pub(crate) next_line_id: u64,
 }
@@ -41,15 +41,15 @@ pub struct Conn {
 /// Outcome of one readiness-driven read pass.
 pub(crate) struct ReadOutcome {
     /// Complete request lines extracted (without the trailing newline).
-    pub lines: Vec<String>,
+    pub(crate) lines: Vec<String>,
     /// The line-length cap was exceeded; the connection was marked dead.
-    pub overflow: bool,
+    pub(crate) overflow: bool,
 }
 
 impl Conn {
     /// Wrap an accepted stream. The caller must already have switched it
     /// to nonblocking mode.
-    pub fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
@@ -64,7 +64,7 @@ impl Conn {
     }
 
     /// The underlying stream (for poll registration).
-    pub fn stream(&self) -> &TcpStream {
+    pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
     }
 

@@ -429,7 +429,7 @@ mod poller {
     }
 
     #[cfg(not(target_os = "linux"))]
-    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
+    pub(crate) fn poll(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
         std::thread::sleep(std::time::Duration::from_millis(
             (timeout_ms.max(1) as u64).min(5),
         ));

@@ -58,19 +58,19 @@ use crate::queue::Lane;
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Correlation id (from the envelope, or assigned by the server).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Per-job deadline override in milliseconds.
-    pub deadline_ms: Option<u64>,
+    pub(crate) deadline_ms: Option<u64>,
     /// Trace context supplied by the caller (`"trace_id"` hex field in
     /// the envelope); `None` means the server mints one at admission.
     pub trace: Option<TraceId>,
     /// Tenant name for per-tenant admission quotas; `None` is exempt.
-    pub tenant: Option<String>,
+    pub(crate) tenant: Option<String>,
     /// Explicit priority-lane override; `None` derives the lane from
     /// the spec's mode.
-    pub lane: Option<Lane>,
+    pub(crate) lane: Option<Lane>,
     /// The job to run.
-    pub spec: JobSpec,
+    pub(crate) spec: JobSpec,
 }
 
 impl Request {

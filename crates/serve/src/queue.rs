@@ -6,7 +6,7 @@
 //! the caller, which turns it into a typed `busy` response (load
 //! shedding, the behavior a saturated service owes its clients: a fast
 //! honest "no" instead of unbounded memory growth or head-of-line
-//! latency). Workers block in [`BoundedQueue::pop`]; [`BoundedQueue::close`]
+//! latency). Workers block in [`BoundedQueue::pop`]; `BoundedQueue::close`
 //! starts a graceful drain: no new pushes are admitted, pops keep
 //! returning queued jobs until the queue is empty, then return `None` so
 //! workers exit.
@@ -50,17 +50,9 @@ pub enum Lane {
 }
 
 impl Lane {
-    /// Stable lowercase name, used in metrics and the wire envelope.
-    pub fn name(self) -> &'static str {
-        match self {
-            Lane::Interactive => "interactive",
-            Lane::Batch => "batch",
-        }
-    }
-
     /// Parse an envelope `lane` value; unknown strings are `None` so a
     /// bad hint degrades to the spec-derived default, never an error.
-    pub fn from_name(name: &str) -> Option<Lane> {
+    pub(crate) fn from_name(name: &str) -> Option<Lane> {
         match name {
             "interactive" => Some(Lane::Interactive),
             "batch" => Some(Lane::Batch),
@@ -73,14 +65,14 @@ impl Lane {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueDepths {
     /// Jobs waiting in the interactive lane.
-    pub interactive: usize,
+    pub(crate) interactive: usize,
     /// Jobs waiting in the batch lane.
-    pub batch: usize,
+    pub(crate) batch: usize,
 }
 
 impl QueueDepths {
     /// Total queued jobs across both lanes.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.interactive + self.batch
     }
 }
@@ -150,18 +142,13 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Admission capacity (shared across lanes).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.capacity
     }
 
     /// Jobs currently queued across both lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         lock(&self.inner.state).len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Non-blocking push into `lane`. Returns the depths after
@@ -207,7 +194,7 @@ impl<T> BoundedQueue<T> {
 
     /// Begin a graceful drain: refuse new pushes, let pops empty the
     /// queue, then release every blocked worker.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut s = lock(&self.inner.state);
         s.closed = true;
         drop(s);
@@ -318,7 +305,5 @@ mod tests {
         assert_eq!(Lane::from_name("interactive"), Some(Lane::Interactive));
         assert_eq!(Lane::from_name("batch"), Some(Lane::Batch));
         assert_eq!(Lane::from_name("bulk"), None);
-        assert_eq!(Lane::Interactive.name(), "interactive");
-        assert_eq!(Lane::Batch.name(), "batch");
     }
 }

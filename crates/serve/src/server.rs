@@ -146,7 +146,7 @@ pub struct ResponseSink(Arc<dyn Fn(Response) + Send + Sync>);
 
 impl ResponseSink {
     /// Wrap an arbitrary delivery function.
-    pub fn new(deliver: impl Fn(Response) + Send + Sync + 'static) -> ResponseSink {
+    pub(crate) fn new(deliver: impl Fn(Response) + Send + Sync + 'static) -> ResponseSink {
         ResponseSink(Arc::new(deliver))
     }
 
@@ -161,7 +161,7 @@ impl ResponseSink {
     }
 
     /// Deliver one response.
-    pub fn send(&self, resp: Response) {
+    pub(crate) fn send(&self, resp: Response) {
         (self.0)(resp)
     }
 }
@@ -180,7 +180,7 @@ struct QueuedJob {
 /// connection-cap saturation (see [`crate::mux`]).
 pub(crate) struct MuxStats {
     /// Open multiplexed connections.
-    pub connections: AtomicUsize,
+    pub(crate) connections: AtomicUsize,
     /// Accept cap; further connections are refused at accept time.
     pub(crate) max_connections: usize,
 }

@@ -137,7 +137,7 @@ pub struct Warden {
 impl Warden {
     /// Build a supervisor spawning `worker_exe` (default: the current
     /// executable) with a `heartbeat_ms` supervision window.
-    pub fn new(heartbeat_ms: u64, worker_exe: Option<&str>) -> std::io::Result<Warden> {
+    pub(crate) fn new(heartbeat_ms: u64, worker_exe: Option<&str>) -> std::io::Result<Warden> {
         let exe = match worker_exe {
             Some(path) => PathBuf::from(path),
             None => std::env::current_exe()?,

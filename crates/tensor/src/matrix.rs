@@ -100,7 +100,7 @@ impl Matrix {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 

@@ -66,7 +66,7 @@ pub(crate) enum SampleFormat {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TiffHeader {
     pub(crate) endian: Endian,
-    pub big: bool,
+    pub(crate) big: bool,
     pub(crate) first_ifd: u64,
 }
 
@@ -92,13 +92,13 @@ pub(crate) enum ChunkLayout {
 #[derive(Debug, Clone)]
 pub(crate) struct PageMeta {
     /// Offset of the IFD this page was parsed from (error context).
-    pub offset: u64,
-    pub width: u32,
-    pub height: u32,
-    pub bits: u16,
-    pub format: SampleFormat,
-    pub layout: ChunkLayout,
-    pub next: u64,
+    pub(crate) offset: u64,
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) bits: u16,
+    pub(crate) format: SampleFormat,
+    pub(crate) layout: ChunkLayout,
+    pub(crate) next: u64,
 }
 
 impl PageMeta {
@@ -110,9 +110,9 @@ impl PageMeta {
 
 /// Offset-addressed multi-byte reads with endian and width context.
 pub(crate) struct Parser<'a> {
-    pub src: &'a dyn TiffRead,
+    pub(crate) src: &'a dyn TiffRead,
     pub(crate) endian: Endian,
-    pub big: bool,
+    pub(crate) big: bool,
 }
 
 impl<'a> Parser<'a> {

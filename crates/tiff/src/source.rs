@@ -80,7 +80,7 @@ pub struct FileSource {
 
 impl FileSource {
     /// Open `path` for random-access reading.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<FileSource> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> std::io::Result<FileSource> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         Ok(FileSource {
