@@ -6,7 +6,7 @@
 //! and a patch-based non-local-means-lite. Median and Gaussian filters are
 //! re-exported from `zenesis-image` for pipeline composition.
 
-pub use zenesis_image::filter::{gaussian_blur, median_filter};
+pub(crate) use zenesis_image::filter::{gaussian_blur, median_filter};
 
 use zenesis_image::Image;
 use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};

@@ -15,21 +15,21 @@
 //! Operators:
 //! * [`normalize`] — min-max, robust percentile, and z-score normalization.
 //! * [`equalize`] — global histogram equalization and CLAHE.
-//! * [`denoise`] — bilateral and non-local-means-lite (plus re-exported
+//! * `denoise` — bilateral and non-local-means-lite (plus re-exported
 //!   median/Gaussian from `zenesis-image`).
-//! * [`destripe`] — FIB curtaining (vertical stripe) suppression.
+//! * `destripe` — FIB curtaining (vertical stripe) suppression.
 //! * `resample` — bilinear resizing to model-native resolutions.
-//! * [`pipeline`] — the composable stage list with provenance tracing.
+//! * `pipeline` — the composable stage list with provenance tracing.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-pub mod denoise;
-pub mod destripe;
+pub(crate) mod denoise;
+pub(crate) mod destripe;
 pub mod equalize;
-pub mod flatten;
+pub(crate) mod flatten;
 pub mod normalize;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub(crate) mod resample;
 
 pub use pipeline::{AdaptError, AdaptPipeline, AdaptStage, AdaptTrace};

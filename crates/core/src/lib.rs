@@ -5,7 +5,7 @@
 //! GroundingDINO surrogate, the SAM surrogate, the human-in-the-loop
 //! corrections, and the evaluation framework.
 //!
-//! * [`pipeline`] — the core flow: raw image → adaptation →
+//! * `pipeline` — the core flow: raw image → adaptation →
 //!   text-conditioned grounding → box-prompted mask decoding → combined
 //!   segmentation, with a full provenance trace (Fig. 2).
 //! * [`temporal`] — the heuristic box refinement for volumes (Fig. 7):
@@ -22,7 +22,7 @@
 //!   slice), B (batch volume processing), C (evaluation dashboard).
 //! * `multi` — multi-object segmentation (several named prompts per
 //!   image with relevance-based conflict resolution; paper future work).
-//! * [`method`] — the unified method interface used by evaluation:
+//! * `method` — the unified method interface used by evaluation:
 //!   Otsu / SAM-only / Zenesis (Tables 1-3).
 //! * [`job`] — the serde JSON job contract a web UI submits ("no-code"),
 //!   and the [`job::JobEngine`] a server keeps resident to run it.
@@ -32,7 +32,7 @@
 //! * [`session`] — interactive session state with undo history.
 //! * [`checkpoint`] — the crash-safe per-slice journal behind Mode B's
 //!   checkpoint/resume (CRC-guarded JSONL, torn-tail tolerant).
-//! * [`stream`] — the one Mode B volume executor: the fault-tolerant
+//! * `stream` — the one Mode B volume executor: the fault-tolerant
 //!   volume pipeline over a [`stream::SliceSource`] (a streaming TIFF
 //!   stack or an in-memory `Volume<T>`), one pipelined pass that reads
 //!   and encodes each slice once and holds O(threads) slices of pixels
@@ -45,14 +45,14 @@ pub mod checkpoint;
 pub mod config;
 pub(crate) mod hierarchy;
 pub mod job;
-pub mod method;
+pub(crate) mod method;
 pub mod modes;
 pub(crate) mod multi;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod rectify;
 pub mod session;
 pub mod slice_cache;
-pub mod stream;
+pub(crate) mod stream;
 pub mod temporal;
 
 pub use checkpoint::CheckpointSpec;

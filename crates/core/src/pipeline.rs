@@ -201,7 +201,7 @@ impl Zenesis {
     }
 
     /// Teach the platform a user concept learned with
-    /// [`zenesis_ground::finetune`] (the optional fine-tuning module);
+    /// `zenesis_ground::finetune` (the optional fine-tuning module);
     /// the concept name becomes prompt vocabulary for every mode.
     pub fn teach_concept(&mut self, concept: &zenesis_ground::LearnedConcept) {
         self.dino.teach(concept);

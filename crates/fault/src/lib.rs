@@ -69,9 +69,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// What an armed site injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

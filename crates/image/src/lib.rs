@@ -25,16 +25,16 @@
 pub mod components;
 pub mod distance;
 pub mod draw;
-pub mod error;
+pub(crate) mod error;
 pub mod filter;
-pub mod geometry;
+pub(crate) mod geometry;
 pub mod histogram;
-pub mod image;
+pub(crate) mod image;
 pub mod io;
-pub mod mask;
+pub(crate) mod mask;
 pub mod morphology;
-pub mod pixel;
-pub mod volume;
+pub(crate) mod pixel;
+pub(crate) mod volume;
 
 pub use components::{label_components, ComponentStats, Labels};
 pub use error::{ImageError, Result};

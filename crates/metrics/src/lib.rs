@@ -10,7 +10,7 @@
 //!   with mean ± population std (the `x.xxx ± 0.xxx` cells of Tables 1-3).
 //! * [`dashboard`] — render a [`aggregate::DatasetEval`] as the text
 //!   dashboard (Fig. 8), CSV, or JSON.
-//! * [`morphometry`] — the downstream materials analysis run on final
+//! * `morphometry` — the downstream materials analysis run on final
 //!   masks: per-particle sizes/shapes/orientations and phase statistics
 //!   in physical units (the catalyst-layer numbers the paper's dataset
 //!   section motivates).
@@ -21,8 +21,8 @@
 pub(crate) mod aggregate;
 pub(crate) mod confusion;
 pub mod dashboard;
-pub mod morphometry;
-pub mod volume;
+pub(crate) mod morphometry;
+pub(crate) mod volume;
 
 pub use aggregate::{DatasetEval, MeanStd, SampleEval};
 pub use confusion::{Confusion, Scores};

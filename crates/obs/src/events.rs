@@ -312,7 +312,7 @@ pub struct EventRecord {
     /// Thread the event was emitted from.
     pub thread: String,
     /// The trace context installed on the emitting thread, if any —
-    /// the served job's `trace_id` (see [`crate::trace`]).
+    /// the served job's `trace_id` (see `crate::trace`).
     pub trace: Option<crate::trace::TraceId>,
     /// The event payload.
     pub event: Event,

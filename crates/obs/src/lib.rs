@@ -62,7 +62,7 @@ mod metrics;
 pub mod output;
 pub(crate) mod prom;
 mod span;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use bounded::RECORD_CAP;
 pub use config::{enabled, full, level, set_level, ObsLevel};

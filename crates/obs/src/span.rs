@@ -50,7 +50,7 @@ pub struct SpanRecord {
     /// Wall-clock duration, nanoseconds.
     pub dur_ns: u64,
     /// The trace context installed on the opening thread, if any — the
-    /// served job's `trace_id` (see [`crate::trace`]).
+    /// served job's `trace_id` (see `crate::trace`).
     pub trace: Option<crate::trace::TraceId>,
 }
 

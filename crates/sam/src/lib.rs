@@ -3,17 +3,17 @@
 //! The Segment-Anything surrogate: a promptable segmenter with SAM's
 //! architecture contract (paper §Foundation Model for Segmentation):
 //!
-//! * an **image encoder** ([`embedding`]) producing the representation the
+//! * an **image encoder** (`embedding`) producing the representation the
 //!   decoder reads (a denoised multi-scale intensity/gradient embedding
 //!   standing in for ViT-H features — DESIGN.md §2);
-//! * a **prompt encoder** ([`prompt`]) for point clicks, bounding boxes,
+//! * a **prompt encoder** (`prompt`) for point clicks, bounding boxes,
 //!   and rough masks;
 //! * a **mask decoder** ([`decoder`]) producing pixel masks with
 //!   *multimask* output at three granularities;
-//! * per-mask **quality scores** ([`score`]): the stability score from the
+//! * per-mask **quality scores** (`score`): the stability score from the
 //!   SAM paper (mask agreement under decoder-parameter perturbation) and a
 //!   homogeneity-weighted predicted quality;
-//! * an **automatic everything-mode** ([`auto`]) — point grid, mask
+//! * an **automatic everything-mode** (`auto`) — point grid, mask
 //!   proposals, dedup, max-confidence selection — which is exactly the
 //!   paper's "SAM-only" baseline and reproduces its documented failure:
 //!   on low-contrast crystalline data the most confident segment is the
@@ -22,11 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-pub mod auto;
+pub(crate) mod auto;
 pub mod decoder;
-pub mod embedding;
-pub mod prompt;
-pub mod score;
+pub(crate) mod embedding;
+pub(crate) mod prompt;
+pub(crate) mod score;
 
 mod sam;
 

@@ -7,10 +7,10 @@
 //!
 //! * a **bounded two-lane queue** (interactive ahead of batch) that
 //!   sheds load with typed `busy` responses instead of growing without
-//!   bound ([`queue`]);
+//!   bound (`queue`);
 //! * **per-tenant admission control** bounding each tenant's
 //!   outstanding work so one aggressive client cannot starve the rest
-//!   ([`admission`]);
+//!   (`admission`);
 //! * **per-job deadlines** enforced cooperatively through
 //!   [`zenesis_par::CancelToken`], counting queue wait against the
 //!   budget and returning partial progress on expiry;
@@ -20,7 +20,7 @@
 //!   failures;
 //! * **graceful shutdown** that drains accepted jobs before exiting;
 //! * **process-isolated batch workers** (`--process-workers`): the
-//!   [`warden`] supervisor runs each volume job in a child worker
+//!   `warden` supervisor runs each volume job in a child worker
 //!   process with a heartbeat channel, restarts crashed workers from
 //!   the checkpoint journal (bit-identical resume), and quarantines
 //!   poison jobs — a SIGKILL/OOM/abort costs one worker generation,
@@ -28,28 +28,28 @@
 //!
 //! The telemetry plane rides alongside: every request carries a trace
 //! id (caller-supplied or minted at admission) that tags all spans and
-//! events the job produces; the [`http`] sidecar exposes `/metrics`,
+//! events the job produces; the `http` sidecar exposes `/metrics`,
 //! `/healthz`, and `/readyz`; and a crash flight recorder dumps the
 //! last moments of a failing job to disk (see `docs/OBSERVABILITY.md`).
 //!
 //! The `zenesis-serve` binary speaks the protocol over stdin/stdout
 //! (pipe mode) and over TCP (`--tcp ADDR`), where a readiness-driven
-//! [`mux`] serves every connection from one reactor thread; see
+//! `mux` serves every connection from one reactor thread; see
 //! `docs/SERVING.md`.
 
 #![warn(unreachable_pub)]
 
-pub mod admission;
+pub(crate) mod admission;
 #[cfg(unix)]
-pub mod conn;
-pub mod http;
+pub(crate) mod conn;
+pub(crate) mod http;
 #[cfg(unix)]
-pub mod mux;
+pub(crate) mod mux;
 pub(crate) mod proto;
-pub mod queue;
-pub mod server;
-pub mod warden;
-pub mod worker;
+pub(crate) mod queue;
+pub(crate) mod server;
+pub(crate) mod warden;
+pub(crate) mod worker;
 
 pub use admission::Admission;
 pub use http::start_metrics_http;

@@ -96,7 +96,7 @@ pub struct ServeConfig {
     /// recording is on (`zenesis-serve --flight-dir` turns on `spans`).
     pub flight_dir: Option<String>,
     /// Run batch volume jobs in supervised child worker processes
-    /// ([`crate::warden`]) instead of on the worker thread itself, so a
+    /// (`crate::warden`) instead of on the worker thread itself, so a
     /// hard worker death (SIGKILL, OOM, abort) costs one worker
     /// generation instead of the service. Retries, panics and the
     /// deadline behave as in-process. Interactive and evaluate jobs
@@ -105,7 +105,7 @@ pub struct ServeConfig {
     /// Supervision heartbeat window in milliseconds: a process worker
     /// that sends no message for this long is declared dead, and one
     /// whose progress pulse freezes for several windows is declared
-    /// stalled (see [`crate::warden`]).
+    /// stalled (see `crate::warden`).
     pub heartbeat_ms: u64,
     /// Executable spawned as the worker child (with the hidden
     /// `--worker` argument). `None` uses the current executable — right
