@@ -80,3 +80,91 @@ fn chrome_trace_has_perfetto_schema() {
     zenesis_obs::reset();
     set_level(ObsLevel::Off);
 }
+
+/// `v` with every number replaced by its type (`u` unsigned, `i`
+/// signed, `f` float), so timestamps, durations and process-global ids
+/// drop out while key order, value types and every string stay.
+fn shape(v: &serde_json::Value) -> String {
+    use serde_json::{Number, Value};
+    match v {
+        Value::Null => "null".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(Number::U(_)) => "u".into(),
+        Value::Number(Number::I(_)) => "i".into(),
+        Value::Number(Number::F(_)) => "f".into(),
+        Value::String(s) => format!("{s:?}"),
+        Value::Array(items) => {
+            let items: Vec<String> = items.iter().map(shape).collect();
+            format!("[{}]", items.join(","))
+        }
+        Value::Object(m) => {
+            let fields: Vec<String> = m.iter().map(|(k, v)| format!("{k}:{}", shape(v))).collect();
+            format!("{{{}}}", fields.join(","))
+        }
+    }
+}
+
+/// The JSON trace, the Chrome trace and a flight dump keep their key
+/// order and value types: one traced span with a traced child, one
+/// untraced span on a second thread, a counter, a gauge, a histogram and a
+/// traced event. Steps are a few milliseconds apart so the ordering by
+/// timestamp is fixed. A change here is a format change, never a re-pin.
+#[test]
+fn trace_exports_keep_their_shape() {
+    let _g = LOCK.lock().unwrap();
+    set_level(ObsLevel::Spans);
+    zenesis_obs::reset();
+    let trace = zenesis_obs::TraceId::from_u64(0xabc);
+    // Named threads, so the recorded thread names do not depend on how
+    // the test harness names its own.
+    let on_thread = |name: &str, work: Box<dyn FnOnce() + Send>| {
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(work)
+            .unwrap()
+            .join()
+            .unwrap()
+    };
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(3));
+    on_thread(
+        "shape-main",
+        Box::new(move || {
+            zenesis_obs::with_trace(trace, || {
+                let _outer = zenesis_obs::span("shape.outer");
+                pause();
+                drop(zenesis_obs::span("shape.inner"));
+                pause();
+            });
+        }),
+    );
+    pause();
+    on_thread(
+        "shape-worker",
+        Box::new(|| drop(zenesis_obs::span("shape.worker"))),
+    );
+    pause();
+    zenesis_obs::counter("shape.count").add(3);
+    zenesis_obs::gauge("shape.depth").set(-2);
+    zenesis_obs::histogram("shape.lat").record(40);
+    on_thread(
+        "shape-main",
+        Box::new(move || {
+            zenesis_obs::with_trace(trace, || zenesis_obs::events::warn("shape \"event\""));
+        }),
+    );
+
+    let parse = |text: &str| shape(&serde_json::from_str(text).expect("export parses"));
+    let json = parse(&zenesis_obs::export::trace_json_string(false));
+    let chrome = parse(&zenesis_obs::export::chrome_trace_string(false));
+    let flight = parse(&zenesis_obs::flight::dump_json("job.panic", trace));
+    zenesis_obs::reset();
+    set_level(ObsLevel::Off);
+
+    assert_eq!(json, PINNED_TRACE_SHAPE);
+    assert_eq!(chrome, PINNED_CHROME_SHAPE);
+    assert_eq!(flight, PINNED_FLIGHT_SHAPE);
+}
+
+const PINNED_TRACE_SHAPE: &str = r#"{version:u,spans:[{id:u,parent:null,name:"shape.outer",thread:"shape-main",start_us:u,dur_us:u,trace:"0000000000000abc"},{id:u,parent:u,name:"shape.inner",thread:"shape-main",start_us:u,dur_us:u,trace:"0000000000000abc"},{id:u,parent:null,name:"shape.worker",thread:"shape-worker",start_us:u,dur_us:u,trace:null}],counters:{shape.count:u},gauges:{shape.depth:i},histograms:{shape.lat:{count:u,mean:f,p50:f,p90:f,p99:f,max:u}}}"#;
+const PINNED_CHROME_SHAPE: &str = r#"[{name:"thread_name",ph:"M",ts:u,pid:u,tid:u,args:{name:"shape-main"}},{name:"thread_name",ph:"M",ts:u,pid:u,tid:u,args:{name:"shape-worker"}},{name:"shape.outer",cat:"zenesis",ph:"X",ts:u,dur:u,pid:u,tid:u,args:{id:u,parent:null,trace:"0000000000000abc"}},{name:"shape.inner",cat:"zenesis",ph:"X",ts:u,dur:u,pid:u,tid:u,args:{id:u,parent:u,trace:"0000000000000abc"}},{name:"shape.worker",cat:"zenesis",ph:"X",ts:u,dur:u,pid:u,tid:u,args:{id:u,parent:null}}]"#;
+const PINNED_FLIGHT_SHAPE: &str = r#"{version:u,reason:"job.panic",trace_id:"0000000000000abc",captured_at_us:u,entries:[{kind:"span",ts_us:u,thread:"shape-main",trace:"0000000000000abc",name:"shape.inner",dur_us:u},{kind:"span",ts_us:u,thread:"shape-main",trace:"0000000000000abc",name:"shape.outer",dur_us:u},{kind:"span",ts_us:u,thread:"shape-worker",name:"shape.worker",dur_us:u},{kind:"event",ts_us:u,thread:"shape-main",trace:"0000000000000abc",event:{seq:u,ts_us:u,thread:"shape-main",trace:"0000000000000abc",event:"warn",message:"shape \"event\""}}]}"#;

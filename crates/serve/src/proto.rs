@@ -450,3 +450,83 @@ mod tests {
         );
     }
 }
+
+/// The exact bytes of a response line for every status, with and
+/// without a retry hint. Clients parse these lines; a change here is a
+/// wire-format change, never a re-pin.
+#[cfg(test)]
+mod wire_pins {
+    use super::Response;
+    use zenesis_core::job::JobResult;
+    use zenesis_image::BoxRegion;
+    use zenesis_obs::TraceId;
+
+    fn results() -> Vec<JobResult> {
+        vec![
+            JobResult::Slice {
+                detections: vec![BoxRegion::new(1, 2, 30, 40)],
+                mask_pixels: 912,
+                coverage: 0.0556640625,
+                total_ms: 12.0,
+            },
+            JobResult::Volume {
+                depth: 3,
+                corrections: 1,
+                per_slice_pixels: vec![2535, 2647, 0],
+                degraded: vec![2],
+                failed: vec![],
+            },
+            JobResult::Evaluation {
+                dashboard: "method  iou\nzenesis 0.81\n".into(),
+                csv: "sample,method,iou\n0,\"zenesis\",0.81\n".into(),
+            },
+            JobResult::Error {
+                message: "cannot open \"/data/x.pgm\": gone\tnow".into(),
+            },
+            JobResult::Busy {
+                message: "queue full (8 jobs)".into(),
+                capacity: 8,
+            },
+            JobResult::Timeout {
+                message: "deadline exceeded".into(),
+                completed: 2,
+                total: 5,
+            },
+        ]
+    }
+
+    #[test]
+    fn response_lines_serialize_to_pinned_bytes() {
+        let mut lines = String::new();
+        for retry_after_ms in [None, Some(250)] {
+            for (i, result) in results().into_iter().enumerate() {
+                let resp = Response {
+                    id: 40 + i as u64,
+                    trace: TraceId::from_u64(0x92d3_f0a1_c44b_e977).unwrap(),
+                    attempts: i as u32 % 3,
+                    queue_ms: 0.4,
+                    run_ms: 113.25,
+                    retry_after_ms,
+                    result,
+                };
+                lines.push_str(&resp.to_json_line());
+                lines.push('\n');
+            }
+        }
+        assert_eq!(lines, PINNED_RESPONSE_LINES);
+    }
+
+    const PINNED_RESPONSE_LINES: &str = r#"{"id":40,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":0,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"slice","detections":[{"x0":1,"y0":2,"x1":30,"y1":40}],"mask_pixels":912,"coverage":0.0556640625,"total_ms":12.0}}
+{"id":41,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":1,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"volume","depth":3,"corrections":1,"per_slice_pixels":[2535,2647,0],"degraded":[2],"failed":[]}}
+{"id":42,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":2,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"evaluation","dashboard":"method  iou\nzenesis 0.81\n","csv":"sample,method,iou\n0,\"zenesis\",0.81\n"}}
+{"id":43,"status":"error","trace_id":"92d3f0a1c44be977","attempts":0,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"error","message":"cannot open \"/data/x.pgm\": gone\tnow"}}
+{"id":44,"status":"busy","trace_id":"92d3f0a1c44be977","attempts":1,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"busy","message":"queue full (8 jobs)","capacity":8}}
+{"id":45,"status":"timeout","trace_id":"92d3f0a1c44be977","attempts":2,"queue_ms":0.4,"run_ms":113.25,"result":{"kind":"timeout","message":"deadline exceeded","completed":2,"total":5}}
+{"id":40,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":0,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"slice","detections":[{"x0":1,"y0":2,"x1":30,"y1":40}],"mask_pixels":912,"coverage":0.0556640625,"total_ms":12.0}}
+{"id":41,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":1,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"volume","depth":3,"corrections":1,"per_slice_pixels":[2535,2647,0],"degraded":[2],"failed":[]}}
+{"id":42,"status":"ok","trace_id":"92d3f0a1c44be977","attempts":2,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"evaluation","dashboard":"method  iou\nzenesis 0.81\n","csv":"sample,method,iou\n0,\"zenesis\",0.81\n"}}
+{"id":43,"status":"error","trace_id":"92d3f0a1c44be977","attempts":0,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"error","message":"cannot open \"/data/x.pgm\": gone\tnow"}}
+{"id":44,"status":"busy","trace_id":"92d3f0a1c44be977","attempts":1,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"busy","message":"queue full (8 jobs)","capacity":8}}
+{"id":45,"status":"timeout","trace_id":"92d3f0a1c44be977","attempts":2,"queue_ms":0.4,"run_ms":113.25,"retry_after_ms":250,"result":{"kind":"timeout","message":"deadline exceeded","completed":2,"total":5}}
+"#;
+}

@@ -257,3 +257,33 @@ mod tests {
         }
     }
 }
+
+/// The exact bytes of the hand-over line, with and without a deadline.
+/// Parent and child may come from different builds during an upgrade;
+/// a change here is a protocol change, never a re-pin.
+#[cfg(test)]
+mod wire_pins {
+    use super::job_line;
+    use zenesis_core::job::JobSpec;
+
+    #[test]
+    fn job_lines_serialize_to_pinned_bytes() {
+        let spec: JobSpec = serde_json::from_str(
+            r#"{"mode": "batch",
+                "input": {"source": "phantom_volume", "kind": "amorphous", "seed": 3, "depth": 4},
+                "prompt": "bright \"particles\"",
+                "checkpoint_dir": "/tmp/ckpt", "resume": false}"#,
+        )
+        .expect("spec parses");
+        let lines = [
+            job_line(&spec, Some(1500), 0xfeed, 250),
+            job_line(&spec, None, 1, 1_000),
+        ]
+        .concat();
+        assert_eq!(lines, PINNED_JOB_LINES);
+    }
+
+    const PINNED_JOB_LINES: &str = r#"{"spec":{"mode":"batch","input":{"source":"phantom_volume","kind":"amorphous","seed":3,"depth":4,"side":128,"outlier_slices":[]},"prompt":"bright \"particles\"","config":null,"checkpoint_dir":"/tmp/ckpt","resume":false,"masks_out":null},"deadline_ms":1500,"trace":65261,"heartbeat_ms":250}
+{"spec":{"mode":"batch","input":{"source":"phantom_volume","kind":"amorphous","seed":3,"depth":4,"side":128,"outlier_slices":[]},"prompt":"bright \"particles\"","config":null,"checkpoint_dir":"/tmp/ckpt","resume":false,"masks_out":null},"trace":1,"heartbeat_ms":1000}
+"#;
+}
