@@ -1045,8 +1045,8 @@ mod tests {
         drop(back);
         let events = zenesis_obs::events::events_snapshot();
         let warned = events.iter().any(|e| {
-            e.event.kind() == "warn"
-                && format!("{:?}", e.event).contains(&format!("truncated at byte {valid}"))
+            matches!(&e.event, zenesis_obs::events::Event::Warn { message }
+                if message.contains(&format!("truncated at byte {valid}")))
         });
         assert!(
             warned,

@@ -120,54 +120,83 @@ impl InputSpec {
     }
 
     /// Load a file-backed input as a normalized image; phantom inputs
-    /// return `None` (they are generated in the mode handlers).
+    /// return `None` (they are generated in the mode handlers). An image
+    /// with a side beyond `MAX_SIDE` is refused, as a generated one is.
     fn load_file(&self) -> Option<Result<zenesis_image::Image<f32>, String>> {
-        match self {
-            InputSpec::TiffFile { path } => Some(
-                zenesis_tiff::load_tiff(path)
-                    .map(|page| page.to_f32())
-                    .map_err(|e| format!("cannot read tiff {path:?}: {e}")),
-            ),
-            InputSpec::PpmFile { path } => Some(
-                std::fs::File::open(path)
-                    .map_err(|e| format!("cannot open {path:?}: {e}"))
-                    .and_then(|mut f| {
-                        zenesis_image::io::pgm::read_ppm(&mut f)
-                            .map_err(|e| format!("cannot read ppm {path:?}: {e}"))
-                    })
-                    .map(|rgb| rgb.to_gray::<f32>()),
-            ),
-            InputSpec::PgmFile { path } => Some(
-                std::fs::File::open(path)
-                    .map_err(|e| format!("cannot open {path:?}: {e}"))
-                    .and_then(|mut f| {
-                        zenesis_image::io::pgm::read_pgm(&mut f)
-                            .map_err(|e| format!("cannot read pgm {path:?}: {e}"))
-                    })
-                    .map(|pgm| match pgm {
-                        zenesis_image::io::pgm::Pgm::U8(img) => img.to_f32(),
-                        zenesis_image::io::pgm::Pgm::U16(img) => img.to_f32(),
-                    }),
-            ),
-            _ => None,
-        }
+        use zenesis_image::io::pgm::{read_pgm, read_ppm, Pgm};
+        let image_error = |format, path, e| load_error(format, path, image_short_read(&e), e);
+        let loaded = match self {
+            InputSpec::TiffFile { path } => zenesis_tiff::load_tiff(path)
+                .map(|page| page.to_f32())
+                .map_err(|e| load_error("tiff", path, tiff_short_read(&e), e)),
+            InputSpec::PpmFile { path } => open(path).and_then(|mut f| {
+                read_ppm(&mut f)
+                    .map(|rgb| rgb.to_gray::<f32>())
+                    .map_err(|e| image_error("ppm", path, e))
+            }),
+            InputSpec::PgmFile { path } => open(path).and_then(|mut f| match read_pgm(&mut f) {
+                Ok(Pgm::U8(img)) => Ok(img.to_f32()),
+                Ok(Pgm::U16(img)) => Ok(img.to_f32()),
+                Err(e) => Err(image_error("pgm", path, e)),
+            }),
+            _ => return None,
+        };
+        Some(loaded.and_then(|img| match (img.width(), img.height()) {
+            (w, h) if w > MAX_SIDE || h > MAX_SIDE => Err(format!(
+                "image {w}x{h} exceeds the maximum side of {MAX_SIDE}"
+            )),
+            _ => Ok(img),
+        }))
     }
 }
 
-/// True when `message` is a **transient input failure** — a file
-/// open/read error rendered by the loaders above (and the streaming
-/// volume path), which in the paper's web deployment can race with an
-/// in-flight upload or a slow filesystem and deserve a retry.
-/// Everything else a job can report (bad specs, mode mismatches,
-/// panics) is deterministic and must not be retried.
+fn open(path: &str) -> Result<std::fs::File, String> {
+    std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))
+}
+
+/// A loader failure as a job error. A file that could not be fully read
+/// (an I/O error or a short read, as while an upload is still landing)
+/// says `cannot read`, which [`message_is_transient_input`] retries; a
+/// malformed header, an unsupported format or an impossible size says
+/// `cannot decode` and is final.
+fn load_error(format: &str, path: &str, short_read: bool, e: impl std::fmt::Display) -> String {
+    let verb = if short_read { "read" } else { "decode" };
+    format!("cannot {verb} {format} {path:?}: {e}")
+}
+
+/// Whether a TIFF failure means the file ended early or could not be read.
+fn tiff_short_read(e: &zenesis_tiff::TiffError) -> bool {
+    use zenesis_tiff::TiffError;
+    matches!(
+        e,
+        TiffError::Io(_) | TiffError::Truncated { .. } | TiffError::OutOfBounds { .. }
+    )
+}
+
+/// Whether a PGM/PPM failure means the file ended early or could not be
+/// read: an I/O error (a header cut short included) or a payload shorter
+/// than the header claims.
+fn image_short_read(e: &zenesis_image::ImageError) -> bool {
+    use zenesis_image::ImageError;
+    matches!(e, ImageError::Io(_))
+        || matches!(e, ImageError::Decode(m) if m.starts_with("truncated payload"))
+}
+
+/// True when `message` is a **transient input failure** — a file that
+/// could not be opened or fully read, rendered by the loaders above (and
+/// the streaming volume path), which in the paper's web deployment can
+/// race with an in-flight upload or a slow filesystem and deserve a
+/// retry. Everything else a job can report (bad specs, undecodable or
+/// oversized files, mode mismatches, panics) is deterministic and must
+/// not be retried.
 ///
 /// This classifier lives here, beside the `format!` sites that render
-/// these messages (`load_file`, the TIFF volume open path), and is
-/// pinned to them by `transient_input_classifier_matches_loaders`
-/// below plus a cross-crate retry test in `zenesis-serve` — so
-/// rewording an error message cannot silently disable the serving
-/// layer's retry path, the way an ad-hoc substring match in the serve
-/// crate could (and once did, for the flight recorder).
+/// these messages (`load_error`, `open`), and is pinned to them by
+/// `transient_input_classifier_matches_loaders` below plus a cross-crate
+/// retry test in `zenesis-serve` — so rewording an error message cannot
+/// silently disable the serving layer's retry path, the way an ad-hoc
+/// substring match in the serve crate could (and once did, for the
+/// flight recorder).
 pub fn message_is_transient_input(message: &str) -> bool {
     message.starts_with("cannot open ") || message.starts_with("cannot read ")
 }
@@ -244,9 +273,14 @@ impl JobSpec {
     /// prompts, adaptation parameters out of their operators' domains or
     /// beyond `MAX_SIDE`) become structured [`JobResult::Error`]s
     /// instead of panics or aborts deep in the pipeline; serving layers
-    /// can also call it to reject bad requests before they occupy a
-    /// worker.
-    pub(crate) fn validate(&self) -> Result<(), String> {
+    /// call it to reject bad requests before they occupy a worker. The
+    /// error reads `invalid job spec: …`.
+    pub fn validate(&self) -> Result<(), String> {
+        self.check()
+            .map_err(|message| format!("invalid job spec: {message}"))
+    }
+
+    fn check(&self) -> Result<(), String> {
         match self {
             JobSpec::Interactive { input, prompt, .. } | JobSpec::Batch { input, prompt, .. } => {
                 input.validate()?;
@@ -482,9 +516,7 @@ fn cancel_message(cancel: &CancelToken) -> String {
 
 fn run_job_inner(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToken) -> JobResult {
     if let Err(message) = spec.validate() {
-        return JobResult::Error {
-            message: format!("invalid job spec: {message}"),
-        };
+        return JobResult::Error { message };
     }
     if cancel.is_cancelled() {
         return JobResult::Timeout {
@@ -564,7 +596,7 @@ fn run_job_inner(engine: Option<&JobEngine>, spec: &JobSpec, cancel: &CancelToke
                         Ok(r) => r,
                         Err(e) => {
                             return JobResult::Error {
-                                message: format!("cannot read tiff volume {path:?}: {e}"),
+                                message: load_error("tiff volume", path, tiff_short_read(&e), e),
                             }
                         }
                     };
@@ -890,6 +922,104 @@ mod tests {
             other => panic!("expected error, got {other:?}"),
         }
         assert!(!message_is_transient_input("job panicked: cannot open"));
+
+        // A file that is there but ends early (an upload still landing)
+        // is a short read: retried like a missing one.
+        let tiff = std::fs::read(tiff_fixture("whole.tif", 16)).unwrap();
+        for (name, bytes) in [
+            (
+                "short.pgm",
+                [b"P5\n8 8\n255\n".as_slice(), &[7; 10]].concat(),
+            ),
+            ("cut.pgm", b"P5\n8".to_vec()),
+            ("short.ppm", b"P6\n4 4\n255\n\x01\x02".to_vec()),
+            ("short.tif", tiff[..tiff.len() / 2].to_vec()),
+        ] {
+            let message = run(file_input(&scratch_file(name, &bytes)));
+            assert!(message.starts_with("cannot read "), "{name}: {message}");
+            assert!(message_is_transient_input(&message), "{name}: {message}");
+        }
+        // A file that can never decode is final: malformed headers,
+        // unsupported formats and impossible sizes are not retried.
+        for (name, bytes) in [
+            ("magic.pgm", b"P2\n2 2\n255\n\x01\x02\x03\x04".to_vec()),
+            ("maxval.pgm", b"P5\n1 1\n70000\n\x01\x02".to_vec()),
+            ("huge.pgm", b"P5\n4294967296 4294967296\n255\n".to_vec()),
+            ("maxval.ppm", b"P6\n1 1\n65535\n\x01\x02\x03".to_vec()),
+            ("magic.tif", [b"XX".as_slice(), &tiff[2..]].concat()),
+        ] {
+            let message = run(file_input(&scratch_file(name, &bytes)));
+            assert!(message.starts_with("cannot decode "), "{name}: {message}");
+            assert!(!message_is_transient_input(&message), "{name}: {message}");
+        }
+    }
+
+    /// Writes `bytes` to a file of this test process and returns its path.
+    fn scratch_file(name: &str, bytes: &[u8]) -> String {
+        let dir = std::env::temp_dir().join(format!("zenesis_job_inputs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// A `width`×1 16-bit TIFF ramp, written by the workspace's encoder.
+    fn tiff_fixture(name: &str, width: usize) -> String {
+        let path = scratch_file(name, &[]);
+        let img = zenesis_image::Image::<u16>::from_fn(width, 1, |x, _| (x * 13) as u16);
+        zenesis_tiff::save_tiff_u16(&img, &path).unwrap();
+        path
+    }
+
+    /// The file input for `path`, by its extension.
+    fn file_input(path: &str) -> InputSpec {
+        let path = path.to_string();
+        match path.rsplit('.').next() {
+            Some("pgm") => InputSpec::PgmFile { path },
+            Some("ppm") => InputSpec::PpmFile { path },
+            _ => InputSpec::TiffFile { path },
+        }
+    }
+
+    /// Interactive file inputs are held to `MAX_SIDE` like a generated
+    /// slice's `side`: an image one side of which is longer is refused
+    /// before it is segmented, and the refusal is final.
+    #[test]
+    fn oversized_file_inputs_are_refused() {
+        let long = MAX_SIDE + 104;
+        let wide_pgm = [
+            format!("P5\n{long} 2\n255\n").into_bytes(),
+            vec![90; long * 2],
+        ];
+        let tall_ppm = [
+            format!("P6\n2 {long}\n255\n").into_bytes(),
+            vec![90; long * 6],
+        ];
+        for (path, shape) in [
+            (
+                scratch_file("wide.pgm", &wide_pgm.concat()),
+                format!("{long}x2"),
+            ),
+            (
+                scratch_file("tall.ppm", &tall_ppm.concat()),
+                format!("2x{long}"),
+            ),
+            (tiff_fixture("wide.tif", long), format!("{long}x1")),
+        ] {
+            let spec = JobSpec::Interactive {
+                input: file_input(&path),
+                prompt: "bright particles".into(),
+                config: None,
+            };
+            match run_job(&spec) {
+                JobResult::Error { message } => {
+                    let want = format!("image {shape} exceeds the maximum side of {MAX_SIDE}");
+                    assert_eq!(message, want);
+                    assert!(!message_is_transient_input(&message));
+                }
+                other => panic!("{path}: expected a refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

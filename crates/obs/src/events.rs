@@ -28,22 +28,28 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use serde_json::{Map, Number, Value};
+use serde::Serialize;
+use serde_json::Value;
 use std::sync::Mutex;
 
 use crate::lock;
 
 use crate::bounded::{push_bounded, Drops};
 
-/// One typed pipeline event.
-#[derive(Debug, Clone, PartialEq)]
+/// One typed pipeline event. Its JSON form is the variant's fields
+/// after an `"event"` key holding the dotted kind tag that the variant's
+/// `rename` names (see `docs/OBSERVABILITY.md`).
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "event")]
 pub enum Event {
     /// A job (no-code contract run) started.
+    #[serde(rename = "job.start")]
     JobStart {
         /// Job mode (`interactive` | `batch` | `evaluate`).
         mode: Cow<'static, str>,
     },
     /// A job finished.
+    #[serde(rename = "job.end")]
     JobEnd {
         /// Job mode (`interactive` | `batch` | `evaluate`).
         mode: Cow<'static, str>,
@@ -53,6 +59,7 @@ pub enum Event {
         dur_ms: f64,
     },
     /// A served job was accepted into the service queue.
+    #[serde(rename = "job.queued")]
     JobQueued {
         /// Serving-layer job id (the request's line number or envelope id).
         id: u64,
@@ -60,6 +67,7 @@ pub enum Event {
         depth: usize,
     },
     /// A served job was load-shed because the bounded queue was full.
+    #[serde(rename = "job.rejected")]
     JobRejected {
         /// Serving-layer job id.
         id: u64,
@@ -68,6 +76,7 @@ pub enum Event {
     },
     /// A served job was refused because its tenant is over its
     /// outstanding-job quota.
+    #[serde(rename = "tenant.rejected")]
     TenantRejected {
         /// Serving-layer job id.
         id: u64,
@@ -78,11 +87,13 @@ pub enum Event {
     },
     /// A served job was refused because the service is shutting down
     /// (queue closed, drain in progress).
+    #[serde(rename = "job.closed")]
     JobClosed {
         /// Serving-layer job id.
         id: u64,
     },
     /// A served job hit its deadline and returned a partial/timeout result.
+    #[serde(rename = "job.timeout")]
     JobTimeout {
         /// Serving-layer job id.
         id: u64,
@@ -91,6 +102,7 @@ pub enum Event {
     },
     /// A served job panicked; the worker survived and converted the panic
     /// into a structured error result.
+    #[serde(rename = "job.panic")]
     JobPanic {
         /// Serving-layer job id.
         id: u64,
@@ -98,6 +110,7 @@ pub enum Event {
         message: String,
     },
     /// A served job is being retried after a transient input failure.
+    #[serde(rename = "job.retry")]
     JobRetry {
         /// Serving-layer job id.
         id: u64,
@@ -107,6 +120,7 @@ pub enum Event {
         delay_ms: u64,
     },
     /// One slice of a Mode B batch volume finished its per-slice pipeline.
+    #[serde(rename = "slice.done")]
     SliceDone {
         /// Slice index within the volume.
         index: usize,
@@ -124,6 +138,7 @@ pub enum Event {
         eta_s: Option<f64>,
     },
     /// The temporal heuristic replaced (or synthesized) a slice's box.
+    #[serde(rename = "temporal.replace")]
     TemporalReplace {
         /// Slice index whose box was replaced.
         slice: usize,
@@ -132,6 +147,7 @@ pub enum Event {
         had_detection: bool,
     },
     /// Rectification picked a candidate for a user click.
+    #[serde(rename = "rectify.pick")]
     RectifyPick {
         /// Click x coordinate.
         x: usize,
@@ -143,16 +159,19 @@ pub enum Event {
         picked_pixels: u64,
     },
     /// A cache hit (emitted at level `full` only).
+    #[serde(rename = "cache.hit")]
     CacheHit {
         /// Cache name (e.g. `sam.embed`).
         cache: Cow<'static, str>,
     },
     /// A cache miss (emitted at level `full` only).
+    #[serde(rename = "cache.miss")]
     CacheMiss {
         /// Cache name (e.g. `sam.embed`).
         cache: Cow<'static, str>,
     },
     /// A fault-injection site fired (`zenesis-fault`, armed runs only).
+    #[serde(rename = "fault.injected")]
     FaultInjected {
         /// Site name (e.g. `sam.decode`).
         site: String,
@@ -163,6 +182,7 @@ pub enum Event {
     },
     /// A slice failed its primary pipeline and entered quarantine
     /// (retry, then baseline fallback).
+    #[serde(rename = "slice.quarantined")]
     SliceQuarantined {
         /// Slice index within the volume.
         slice: usize,
@@ -170,6 +190,7 @@ pub enum Event {
         reason: String,
     },
     /// A quarantined slice completed via the degraded (fallback) path.
+    #[serde(rename = "slice.degraded")]
     SliceDegraded {
         /// Slice index within the volume.
         slice: usize,
@@ -177,6 +198,7 @@ pub enum Event {
         reason: String,
     },
     /// A quarantined slice failed even its fallback.
+    #[serde(rename = "slice.failed")]
     SliceFailed {
         /// Slice index within the volume.
         slice: usize,
@@ -184,6 +206,7 @@ pub enum Event {
         reason: String,
     },
     /// A checkpoint journal record was durably written.
+    #[serde(rename = "checkpoint.write")]
     CheckpointWrite {
         /// Slice index the record covers.
         slice: usize,
@@ -191,6 +214,7 @@ pub enum Event {
         record: Cow<'static, str>,
     },
     /// A resumed run replayed completed work from the journal.
+    #[serde(rename = "checkpoint.replay")]
     CheckpointReplay {
         /// Number of stage-1 slice records replayed.
         slices: usize,
@@ -198,6 +222,7 @@ pub enum Event {
         masks: usize,
     },
     /// The journal ended in a torn/corrupt record, which was discarded.
+    #[serde(rename = "checkpoint.corrupt_tail")]
     CheckpointCorruptTail {
         /// Valid records kept before the corrupt tail.
         kept: usize,
@@ -208,6 +233,7 @@ pub enum Event {
         reason: String,
     },
     /// The warden spawned a worker process for a supervised job.
+    #[serde(rename = "warden.spawn")]
     WardenSpawn {
         /// Serving-layer job id.
         id: u64,
@@ -217,6 +243,7 @@ pub enum Event {
         attempt: u32,
     },
     /// A supervised worker process died without delivering a result.
+    #[serde(rename = "warden.crash")]
     WardenCrash {
         /// Serving-layer job id.
         id: u64,
@@ -227,6 +254,7 @@ pub enum Event {
         reason: String,
     },
     /// The warden is restarting a crashed worker after backoff.
+    #[serde(rename = "warden.restart")]
     WardenRestart {
         /// Serving-layer job id.
         id: u64,
@@ -237,6 +265,7 @@ pub enum Event {
     },
     /// A restarted worker is resuming the batch from the checkpoint
     /// journal left by its dead predecessor.
+    #[serde(rename = "warden.resume")]
     WardenResume {
         /// Serving-layer job id.
         id: u64,
@@ -245,6 +274,7 @@ pub enum Event {
     },
     /// The poison breaker quarantined a job spec: N consecutive workers
     /// crashed on it without journal progress.
+    #[serde(rename = "warden.poison")]
     WardenPoison {
         /// Serving-layer job id.
         id: u64,
@@ -254,51 +284,17 @@ pub enum Event {
         crashes: u32,
     },
     /// A warning worth surfacing in the event stream.
+    #[serde(rename = "warn")]
     Warn {
         /// Human-readable message.
         message: String,
     },
     /// Informational narration (harness progress lines).
+    #[serde(rename = "info")]
     Info {
         /// Human-readable message.
         message: String,
     },
-}
-
-impl Event {
-    /// The stable dotted kind tag used in the JSONL output.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::JobStart { .. } => "job.start",
-            Event::JobEnd { .. } => "job.end",
-            Event::JobQueued { .. } => "job.queued",
-            Event::JobRejected { .. } => "job.rejected",
-            Event::TenantRejected { .. } => "tenant.rejected",
-            Event::JobClosed { .. } => "job.closed",
-            Event::JobTimeout { .. } => "job.timeout",
-            Event::JobPanic { .. } => "job.panic",
-            Event::JobRetry { .. } => "job.retry",
-            Event::SliceDone { .. } => "slice.done",
-            Event::TemporalReplace { .. } => "temporal.replace",
-            Event::RectifyPick { .. } => "rectify.pick",
-            Event::CacheHit { .. } => "cache.hit",
-            Event::CacheMiss { .. } => "cache.miss",
-            Event::FaultInjected { .. } => "fault.injected",
-            Event::SliceQuarantined { .. } => "slice.quarantined",
-            Event::SliceDegraded { .. } => "slice.degraded",
-            Event::SliceFailed { .. } => "slice.failed",
-            Event::CheckpointWrite { .. } => "checkpoint.write",
-            Event::CheckpointReplay { .. } => "checkpoint.replay",
-            Event::CheckpointCorruptTail { .. } => "checkpoint.corrupt_tail",
-            Event::WardenSpawn { .. } => "warden.spawn",
-            Event::WardenCrash { .. } => "warden.crash",
-            Event::WardenRestart { .. } => "warden.restart",
-            Event::WardenResume { .. } => "warden.resume",
-            Event::WardenPoison { .. } => "warden.poison",
-            Event::Warn { .. } => "warn",
-            Event::Info { .. } => "info",
-        }
-    }
 }
 
 /// One recorded event with stream metadata.
@@ -378,193 +374,31 @@ pub(crate) fn reset_events() {
     DROPPED.reset();
 }
 
-fn field(m: &mut Map, key: &str, v: Value) {
-    m.insert(key, v);
+/// The stream metadata [`event_json`] writes ahead of an event's payload.
+#[derive(Serialize)]
+struct EventHead<'a> {
+    seq: u64,
+    ts_us: u64,
+    thread: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    trace: Option<String>,
 }
 
-/// One event as a flat JSON object (`seq`, `ts_us`, `thread`, `event`,
-/// then the payload fields).
+/// One event as a flat JSON object: `seq`, `ts_us`, `thread`, `trace`
+/// (when a trace context was installed), then the event's own
+/// serialization — `event` and the variant's fields.
 pub fn event_json(rec: &EventRecord) -> Value {
-    let mut m = Map::new();
-    field(&mut m, "seq", Value::Number(Number::U(rec.seq)));
-    field(&mut m, "ts_us", Value::Number(Number::U(rec.ts_us)));
-    field(&mut m, "thread", Value::String(rec.thread.clone()));
-    if let Some(t) = rec.trace {
-        field(&mut m, "trace", Value::String(t.to_hex()));
-    }
-    field(&mut m, "event", Value::String(rec.event.kind().to_string()));
-    match &rec.event {
-        Event::JobStart { mode } => {
-            field(&mut m, "mode", Value::String(mode.to_string()));
-        }
-        Event::JobEnd { mode, ok, dur_ms } => {
-            field(&mut m, "mode", Value::String(mode.to_string()));
-            field(&mut m, "ok", Value::Bool(*ok));
-            field(&mut m, "dur_ms", Value::Number(Number::F(*dur_ms)));
-        }
-        Event::JobQueued { id, depth } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "depth", Value::Number(Number::U(*depth as u64)));
-        }
-        Event::JobRejected { id, capacity } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(
-                &mut m,
-                "capacity",
-                Value::Number(Number::U(*capacity as u64)),
-            );
-        }
-        Event::TenantRejected { id, tenant, limit } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "tenant", Value::String(tenant.clone()));
-            field(&mut m, "limit", Value::Number(Number::U(*limit as u64)));
-        }
-        Event::JobClosed { id } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-        }
-        Event::JobTimeout { id, dur_ms } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "dur_ms", Value::Number(Number::F(*dur_ms)));
-        }
-        Event::JobPanic { id, message } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "message", Value::String(message.clone()));
-        }
-        Event::JobRetry {
-            id,
-            attempt,
-            delay_ms,
-        } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "attempt", Value::Number(Number::U(*attempt as u64)));
-            field(&mut m, "delay_ms", Value::Number(Number::U(*delay_ms)));
-        }
-        Event::SliceDone {
-            index,
-            done,
-            total,
-            lat_ms,
-            mask_pixels,
-            rate,
-            eta_s,
-        } => {
-            field(&mut m, "index", Value::Number(Number::U(*index as u64)));
-            field(&mut m, "done", Value::Number(Number::U(*done as u64)));
-            field(&mut m, "total", Value::Number(Number::U(*total as u64)));
-            field(&mut m, "lat_ms", Value::Number(Number::F(*lat_ms)));
-            field(
-                &mut m,
-                "mask_pixels",
-                Value::Number(Number::U(*mask_pixels)),
-            );
-            field(&mut m, "rate", Value::Number(Number::F(*rate)));
-            field(
-                &mut m,
-                "eta_s",
-                match eta_s {
-                    Some(s) => Value::Number(Number::F(*s)),
-                    None => Value::Null,
-                },
-            );
-        }
-        Event::TemporalReplace {
-            slice,
-            had_detection,
-        } => {
-            field(&mut m, "slice", Value::Number(Number::U(*slice as u64)));
-            field(&mut m, "had_detection", Value::Bool(*had_detection));
-        }
-        Event::RectifyPick {
-            x,
-            y,
-            candidates,
-            picked_pixels,
-        } => {
-            field(&mut m, "x", Value::Number(Number::U(*x as u64)));
-            field(&mut m, "y", Value::Number(Number::U(*y as u64)));
-            field(
-                &mut m,
-                "candidates",
-                Value::Number(Number::U(*candidates as u64)),
-            );
-            field(
-                &mut m,
-                "picked_pixels",
-                Value::Number(Number::U(*picked_pixels)),
-            );
-        }
-        Event::CacheHit { cache } | Event::CacheMiss { cache } => {
-            field(&mut m, "cache", Value::String(cache.to_string()));
-        }
-        Event::FaultInjected { site, kind, unit } => {
-            field(&mut m, "site", Value::String(site.clone()));
-            field(&mut m, "kind", Value::String(kind.to_string()));
-            field(&mut m, "unit", Value::Number(Number::U(*unit)));
-        }
-        Event::SliceQuarantined { slice, reason }
-        | Event::SliceDegraded { slice, reason }
-        | Event::SliceFailed { slice, reason } => {
-            field(&mut m, "slice", Value::Number(Number::U(*slice as u64)));
-            field(&mut m, "reason", Value::String(reason.clone()));
-        }
-        Event::CheckpointWrite { slice, record } => {
-            field(&mut m, "slice", Value::Number(Number::U(*slice as u64)));
-            field(&mut m, "record", Value::String(record.to_string()));
-        }
-        Event::CheckpointReplay { slices, masks } => {
-            field(&mut m, "slices", Value::Number(Number::U(*slices as u64)));
-            field(&mut m, "masks", Value::Number(Number::U(*masks as u64)));
-        }
-        Event::CheckpointCorruptTail {
-            kept,
-            offset,
-            reason,
-        } => {
-            field(&mut m, "kept", Value::Number(Number::U(*kept as u64)));
-            field(&mut m, "offset", Value::Number(Number::U(*offset)));
-            field(&mut m, "reason", Value::String(reason.clone()));
-        }
-        Event::WardenSpawn { id, pid, attempt } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "pid", Value::Number(Number::U(*pid as u64)));
-            field(&mut m, "attempt", Value::Number(Number::U(*attempt as u64)));
-        }
-        Event::WardenCrash { id, pid, reason } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "pid", Value::Number(Number::U(*pid as u64)));
-            field(&mut m, "reason", Value::String(reason.clone()));
-        }
-        Event::WardenRestart {
-            id,
-            attempt,
-            delay_ms,
-        } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "attempt", Value::Number(Number::U(*attempt as u64)));
-            field(&mut m, "delay_ms", Value::Number(Number::U(*delay_ms)));
-        }
-        Event::WardenResume { id, journal_bytes } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(
-                &mut m,
-                "journal_bytes",
-                Value::Number(Number::U(*journal_bytes)),
-            );
-        }
-        Event::WardenPoison {
-            id,
-            fingerprint,
-            crashes,
-        } => {
-            field(&mut m, "id", Value::Number(Number::U(*id)));
-            field(&mut m, "fingerprint", Value::String(fingerprint.clone()));
-            field(&mut m, "crashes", Value::Number(Number::U(*crashes as u64)));
-        }
-        Event::Warn { message } | Event::Info { message } => {
-            field(&mut m, "message", Value::String(message.clone()));
-        }
-    }
-    Value::Object(m)
+    let head = serde_json::to_value(EventHead {
+        seq: rec.seq,
+        ts_us: rec.ts_us,
+        thread: &rec.thread,
+        trace: rec.trace.map(|t| t.to_hex()),
+    });
+    let payload = serde_json::to_value(&rec.event);
+    let (Ok(Value::Object(head)), Ok(Value::Object(payload))) = (head, payload) else {
+        unreachable!("a struct and an internally tagged enum serialize to objects")
+    };
+    Value::Object(head.into_iter().chain(payload).collect())
 }
 
 /// The whole buffer as JSONL: one compact JSON object per line, in

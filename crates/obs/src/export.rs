@@ -20,151 +20,156 @@
 
 use std::collections::HashMap;
 
-use serde_json::{Map, Number, Value};
+use serde::Serialize;
+use serde_json::Value;
 
 use crate::metrics::metrics_snapshot;
 use crate::span::snapshot;
 
-/// The full trace (spans + metrics) as a JSON value.
-pub(crate) fn trace_json() -> Value {
-    let mut root = Map::new();
-    root.insert("version", Value::Number(Number::U(1)));
-
-    let spans: Vec<Value> = snapshot()
-        .iter()
-        .map(|s| {
-            let mut m = Map::new();
-            m.insert("id", Value::Number(Number::U(s.id.0)));
-            m.insert(
-                "parent",
-                match s.parent {
-                    Some(p) => Value::Number(Number::U(p.0)),
-                    None => Value::Null,
-                },
-            );
-            m.insert("name", Value::String(s.name.to_string()));
-            m.insert("thread", Value::String(s.thread.clone()));
-            m.insert("start_us", Value::Number(Number::U(s.start_ns / 1_000)));
-            m.insert("dur_us", Value::Number(Number::U(s.dur_ns / 1_000)));
-            m.insert(
-                "trace",
-                match s.trace {
-                    Some(t) => Value::String(t.to_hex()),
-                    None => Value::Null,
-                },
-            );
-            Value::Object(m)
-        })
-        .collect();
-    root.insert("spans", Value::Array(spans));
-
-    let snap = metrics_snapshot();
-    let mut counters = Map::new();
-    for (k, v) in &snap.counters {
-        counters.insert(k.clone(), Value::Number(Number::U(*v)));
-    }
-    root.insert("counters", Value::Object(counters));
-
-    let mut gauges = Map::new();
-    for (k, v) in &snap.gauges {
-        gauges.insert(k.clone(), Value::Number(Number::I(*v)));
-    }
-    root.insert("gauges", Value::Object(gauges));
-
-    let mut hists = Map::new();
-    for (k, st) in &snap.histograms {
-        let mut h = Map::new();
-        h.insert("count", Value::Number(Number::U(st.count)));
-        h.insert("mean", Value::Number(Number::F(st.mean)));
-        h.insert("p50", Value::Number(Number::F(st.p50)));
-        h.insert("p90", Value::Number(Number::F(st.p90)));
-        h.insert("p99", Value::Number(Number::F(st.p99)));
-        h.insert("max", Value::Number(Number::U(st.max)));
-        hists.insert(k.clone(), Value::Object(h));
-    }
-    root.insert("histograms", Value::Object(hists));
-
-    Value::Object(root)
+/// The JSON trace document (schema version 1).
+#[derive(Serialize)]
+struct TraceDoc<'a> {
+    version: u32,
+    spans: Vec<SpanRow<'a>>,
+    /// Name → value objects, names sorted.
+    counters: Value,
+    gauges: Value,
+    histograms: Value,
 }
 
-/// The full trace serialized to a JSON string.
-pub fn trace_json_string(pretty: bool) -> String {
-    let v = trace_json();
+/// One closed span of the JSON trace.
+#[derive(Serialize)]
+struct SpanRow<'a> {
+    id: u64,
+    parent: Option<u64>,
+    name: &'a str,
+    thread: &'a str,
+    start_us: u64,
+    dur_us: u64,
+    trace: Option<String>,
+}
+
+/// `pairs` as one JSON object, in their order.
+fn object<T: Serialize>(pairs: &[(String, T)]) -> Value {
+    let entry = |(k, v): &(String, T)| (k.clone(), serde_json::to_value(v).expect("serializes"));
+    Value::Object(pairs.iter().map(entry).collect())
+}
+
+fn render<T: Serialize>(doc: &T, pretty: bool) -> String {
     if pretty {
-        serde_json::to_string_pretty(&v).expect("trace serializes")
+        serde_json::to_string_pretty(doc).expect("trace serializes")
     } else {
-        serde_json::to_string(&v).expect("trace serializes")
+        serde_json::to_string(doc).expect("trace serializes")
     }
+}
+
+/// The full trace (spans + metrics) serialized to a JSON string.
+pub fn trace_json_string(pretty: bool) -> String {
+    let spans = snapshot();
+    let snap = metrics_snapshot();
+    let doc = TraceDoc {
+        version: 1,
+        spans: spans
+            .iter()
+            .map(|s| SpanRow {
+                id: s.id.0,
+                parent: s.parent.map(|p| p.0),
+                name: &s.name,
+                thread: &s.thread,
+                start_us: s.start_ns / 1_000,
+                dur_us: s.dur_ns / 1_000,
+                trace: s.trace.map(|t| t.to_hex()),
+            })
+            .collect(),
+        counters: object(&snap.counters),
+        gauges: object(&snap.gauges),
+        histograms: object(&snap.histograms),
+    };
+    render(&doc, pretty)
+}
+
+/// One Chrome `trace_event` record. A `thread_name` metadata record
+/// (`"ph": "M"`) has no `cat` or `dur` and carries the thread's real name
+/// in `args`; a complete span (`"ph": "X"`) carries both, with its id,
+/// parent and trace in `args`.
+#[derive(Serialize)]
+struct ChromeEvent<'a> {
+    name: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    cat: Option<&'static str>,
+    ph: &'static str,
+    ts: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    dur: Option<u64>,
+    pid: u64,
+    tid: u64,
+    args: ChromeArgs<'a>,
+}
+
+#[derive(Serialize)]
+struct ChromeArgs<'a> {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    name: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    id: Option<u64>,
+    /// Outer `None`: no `parent` key (metadata); inner `None`: a root.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    parent: Option<Option<u64>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    trace: Option<String>,
 }
 
 /// The recorded spans in Chrome `trace_event` format — a JSON array that
-/// loads directly in Perfetto or `chrome://tracing`.
+/// loads directly in Perfetto or `chrome://tracing` — serialized to a
+/// JSON string.
 ///
 /// Each thread gets its own integer `tid` lane (assigned in order of
 /// first appearance, with a `thread_name` metadata record carrying the
 /// real name), every span becomes a complete (`"ph": "X"`) event with
 /// microsecond `ts`/`dur`, and events are ordered by `ts` (metadata
 /// records lead with `ts` 0). Span ids and parents ride along in `args`.
-pub(crate) fn chrome_trace_json() -> Value {
+pub fn chrome_trace_string(pretty: bool) -> String {
     let spans = snapshot();
-    let mut tids: HashMap<String, u64> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut tids: HashMap<&str, u64> = HashMap::new();
+    let mut events: Vec<ChromeEvent> = Vec::new();
     for s in &spans {
         let next = tids.len() as u64;
-        tids.entry(s.thread.clone()).or_insert_with(|| {
-            order.push(s.thread.clone());
+        tids.entry(&s.thread).or_insert_with(|| {
+            events.push(ChromeEvent {
+                name: "thread_name",
+                cat: None,
+                ph: "M",
+                ts: 0,
+                dur: None,
+                pid: 1,
+                tid: next,
+                args: ChromeArgs {
+                    name: Some(&s.thread),
+                    id: None,
+                    parent: None,
+                    trace: None,
+                },
+            });
             next
         });
     }
-    let mut events: Vec<Value> = Vec::with_capacity(spans.len() + order.len());
-    for name in &order {
-        let mut m = Map::new();
-        m.insert("name", Value::String("thread_name".into()));
-        m.insert("ph", Value::String("M".into()));
-        m.insert("ts", Value::Number(Number::U(0)));
-        m.insert("pid", Value::Number(Number::U(1)));
-        m.insert("tid", Value::Number(Number::U(tids[name])));
-        let mut args = Map::new();
-        args.insert("name", Value::String(name.clone()));
-        m.insert("args", Value::Object(args));
-        events.push(Value::Object(m));
-    }
     // `snapshot()` is start-sorted, so complete events come out ts-sorted.
-    for s in &spans {
-        let mut m = Map::new();
-        m.insert("name", Value::String(s.name.to_string()));
-        m.insert("cat", Value::String("zenesis".into()));
-        m.insert("ph", Value::String("X".into()));
-        m.insert("ts", Value::Number(Number::U(s.start_ns / 1_000)));
-        m.insert("dur", Value::Number(Number::U(s.dur_ns / 1_000)));
-        m.insert("pid", Value::Number(Number::U(1)));
-        m.insert("tid", Value::Number(Number::U(tids[&s.thread])));
-        let mut args = Map::new();
-        args.insert("id", Value::Number(Number::U(s.id.0)));
-        args.insert(
-            "parent",
-            match s.parent {
-                Some(p) => Value::Number(Number::U(p.0)),
-                None => Value::Null,
-            },
-        );
-        if let Some(t) = s.trace {
-            args.insert("trace", Value::String(t.to_hex()));
-        }
-        m.insert("args", Value::Object(args));
-        events.push(Value::Object(m));
-    }
-    Value::Array(events)
-}
-
-/// The Chrome trace serialized to a JSON string.
-pub fn chrome_trace_string(pretty: bool) -> String {
-    let v = chrome_trace_json();
-    if pretty {
-        serde_json::to_string_pretty(&v).expect("trace serializes")
-    } else {
-        serde_json::to_string(&v).expect("trace serializes")
-    }
+    events.extend(spans.iter().map(|s| ChromeEvent {
+        name: &s.name,
+        cat: Some("zenesis"),
+        ph: "X",
+        ts: s.start_ns / 1_000,
+        dur: Some(s.dur_ns / 1_000),
+        pid: 1,
+        tid: tids[s.thread.as_str()],
+        args: ChromeArgs {
+            name: None,
+            id: Some(s.id.0),
+            parent: Some(s.parent.map(|p| p.0)),
+            trace: s.trace.map(|t| t.to_hex()),
+        },
+    }));
+    render(&events, pretty)
 }
 
 #[cfg(test)]
@@ -173,12 +178,11 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid_json() {
-        let v = trace_json();
-        assert_eq!(v["version"], 1u64);
-        assert!(v["spans"].is_array());
-        assert!(v["counters"].is_object());
-        let text = trace_json_string(true);
-        let back: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["version"], 1u64);
+        for pretty in [false, true] {
+            let v: Value = serde_json::from_str(&trace_json_string(pretty)).unwrap();
+            assert_eq!(v["version"], 1u64);
+            assert!(v["spans"].is_array());
+            assert!(v["counters"].is_object());
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! it atomically (temp + rename) to `<dir>/flight-<ts>-<trace_id>.json`.
 //! Format details in `docs/OBSERVABILITY.md`.
 
-use serde_json::{Map, Number, Value};
+use serde::Serialize;
+use serde_json::Value;
 
 use crate::events::{event_json, events_snapshot, EventRecord};
 use crate::span::{snapshot, SpanRecord};
@@ -28,7 +29,39 @@ enum Entry<'a> {
     Event(&'a EventRecord),
 }
 
-impl Entry<'_> {
+/// The dump document (`version` 1).
+#[derive(Serialize)]
+struct Dump<'a> {
+    version: u32,
+    reason: &'a str,
+    trace_id: Option<String>,
+    captured_at_us: u64,
+    entries: Vec<DumpEntry<'a>>,
+}
+
+/// One entry of a dump, tagged by `kind`.
+#[derive(Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum DumpEntry<'a> {
+    Span {
+        ts_us: u64,
+        thread: &'a str,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        trace: Option<String>,
+        name: &'a str,
+        dur_us: u64,
+    },
+    Event {
+        ts_us: u64,
+        thread: &'a str,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        trace: Option<String>,
+        /// The event exactly as the JSONL stream writes it.
+        event: Value,
+    },
+}
+
+impl<'a> Entry<'a> {
     /// When the record happened, in µs since the observability epoch: a
     /// span's end, an event's emission.
     fn ts_us(&self) -> u64 {
@@ -38,28 +71,22 @@ impl Entry<'_> {
         }
     }
 
-    fn to_json(&self) -> Value {
-        let (kind, thread, trace) = match self {
-            Entry::Span(s) => ("span", &s.thread, s.trace),
-            Entry::Event(e) => ("event", &e.thread, e.trace),
-        };
-        let mut m = Map::new();
-        m.insert("kind", Value::String(kind.into()));
-        m.insert("ts_us", Value::Number(Number::U(self.ts_us())));
-        m.insert("thread", Value::String(thread.clone()));
-        if let Some(t) = trace {
-            m.insert("trace", Value::String(t.to_hex()));
+    fn view(&self) -> DumpEntry<'a> {
+        match *self {
+            Entry::Span(s) => DumpEntry::Span {
+                ts_us: self.ts_us(),
+                thread: &s.thread,
+                trace: s.trace.map(|t| t.to_hex()),
+                name: &s.name,
+                dur_us: s.dur_ns / 1_000,
+            },
+            Entry::Event(e) => DumpEntry::Event {
+                ts_us: e.ts_us,
+                thread: &e.thread,
+                trace: e.trace.map(|t| t.to_hex()),
+                event: event_json(e),
+            },
         }
-        match self {
-            Entry::Span(s) => {
-                m.insert("name", Value::String(s.name.to_string()));
-                m.insert("dur_us", Value::Number(Number::U(s.dur_ns / 1_000)));
-            }
-            Entry::Event(e) => {
-                m.insert("event", event_json(e));
-            }
-        }
-        Value::Object(m)
     }
 }
 
@@ -81,27 +108,14 @@ pub fn dump_json(reason: &str, trace: Option<TraceId>) -> String {
         .collect();
     entries.sort_by_key(Entry::ts_us);
     let newest = &entries[entries.len().saturating_sub(FLIGHT_ENTRIES)..];
-
-    let mut doc = Map::new();
-    doc.insert("version", Value::Number(Number::U(1)));
-    doc.insert("reason", Value::String(reason.to_string()));
-    doc.insert(
-        "trace_id",
-        match trace {
-            Some(t) => Value::String(t.to_hex()),
-            None => Value::Null,
-        },
-    );
-    doc.insert(
-        "captured_at_us",
-        Value::Number(Number::U(crate::span::epoch_elapsed_us())),
-    );
-    doc.insert(
-        "entries",
-        Value::Array(newest.iter().map(Entry::to_json).collect()),
-    );
-    serde_json::to_string_pretty(&Value::Object(doc))
-        .expect("rendering a Value tree to JSON cannot fail")
+    let dump = Dump {
+        version: 1,
+        reason,
+        trace_id: trace.map(|t| t.to_hex()),
+        captured_at_us: crate::span::epoch_elapsed_us(),
+        entries: newest.iter().map(Entry::view).collect(),
+    };
+    serde_json::to_string_pretty(&dump).expect("a dump serializes")
 }
 
 #[cfg(test)]

@@ -205,8 +205,9 @@ impl Histogram {
     }
 }
 
-/// Summary of one histogram, in the histogram's native unit.
-#[derive(Debug, Clone, PartialEq)]
+/// Summary of one histogram, in the histogram's native unit. Its JSON
+/// form is the histogram's entry in the trace export.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct HistogramStats {
     /// Number of recorded values.
     pub count: u64,

@@ -48,7 +48,8 @@
 //! shed — resubmit later), `timeout` (deadline hit; `result` carries the
 //! partial progress counts).
 
-use serde_json::{Map, Number, Value};
+use serde::Serialize;
+use serde_json::Value;
 use zenesis_core::job::{JobResult, JobSpec};
 use zenesis_obs::TraceId;
 
@@ -90,47 +91,24 @@ impl Request {
 /// `trace_id` is treated as absent (the server mints a fresh one) — a
 /// bad trace hint must not reject an otherwise valid job.
 pub fn parse_request(line: &str, fallback_id: u64) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("invalid job spec: {e}"))?;
-    let is_envelope = v.as_object().is_some_and(|o| o.contains_key("spec"));
-    if is_envelope {
-        let id = v.get("id").and_then(|x| x.as_u64()).unwrap_or(fallback_id);
-        let deadline_ms = v.get("deadline_ms").and_then(|x| x.as_u64());
-        let trace = v
-            .get("trace_id")
-            .and_then(|x| x.as_str())
-            .and_then(TraceId::from_hex);
-        let tenant = v
-            .get("tenant")
-            .and_then(|x| x.as_str())
-            .filter(|t| !t.is_empty())
-            .map(str::to_string);
-        let lane = v
-            .get("lane")
-            .and_then(|x| x.as_str())
-            .and_then(Lane::from_name);
-        let spec_value = v.get("spec").expect("envelope has spec");
-        let spec: JobSpec =
-            serde_json::from_value(spec_value).map_err(|e| format!("invalid job spec: {e}"))?;
-        Ok(Request {
-            id,
-            deadline_ms,
-            trace,
-            tenant,
-            lane,
-            spec,
-        })
-    } else {
-        let spec: JobSpec =
-            serde_json::from_value(&v).map_err(|e| format!("invalid job spec: {e}"))?;
-        Ok(Request {
-            id: fallback_id,
-            deadline_ms: None,
-            trace: None,
-            tenant: None,
-            lane: None,
-            spec,
-        })
-    }
+    let invalid = |e: serde_json::Error| format!("invalid job spec: {e}");
+    let v: Value = serde_json::from_str(line).map_err(invalid)?;
+    // A bare spec has no `spec` key, so it reads as an envelope whose
+    // every serving field is absent.
+    let (envelope, spec) = match v.get("spec") {
+        Some(spec) => (Some(&v), spec),
+        None => (None, &v),
+    };
+    let field = |key: &str| envelope.and_then(|e| e.get(key));
+    let text = |key: &str| field(key).and_then(Value::as_str);
+    Ok(Request {
+        id: field("id").and_then(Value::as_u64).unwrap_or(fallback_id),
+        deadline_ms: field("deadline_ms").and_then(Value::as_u64),
+        trace: text("trace_id").and_then(TraceId::from_hex),
+        tenant: text("tenant").filter(|t| !t.is_empty()).map(str::to_string),
+        lane: text("lane").and_then(Lane::from_name),
+        spec: serde_json::from_value(spec).map_err(invalid)?,
+    })
 }
 
 /// One response line.
@@ -174,21 +152,33 @@ impl Response {
 
     /// Serialize as one compact JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut m = Map::new();
-        m.insert("id", Value::Number(Number::U(self.id)));
-        m.insert("status", Value::String(self.status().to_string()));
-        m.insert("trace_id", Value::String(self.trace.to_hex()));
-        m.insert("attempts", Value::Number(Number::U(self.attempts as u64)));
-        m.insert("queue_ms", Value::Number(Number::F(self.queue_ms)));
-        m.insert("run_ms", Value::Number(Number::F(self.run_ms)));
-        if let Some(ms) = self.retry_after_ms {
-            m.insert("retry_after_ms", Value::Number(Number::U(ms)));
-        }
-        let result_json = serde_json::to_string(&self.result).expect("results serialize");
-        let result_value: Value = serde_json::from_str(&result_json).expect("results round-trip");
-        m.insert("result", result_value);
-        Value::Object(m).to_string()
+        serde_json::to_string(&ResponseLine {
+            id: self.id,
+            status: self.status(),
+            trace_id: self.trace.to_hex(),
+            attempts: self.attempts,
+            queue_ms: self.queue_ms,
+            run_ms: self.run_ms,
+            retry_after_ms: self.retry_after_ms,
+            result: &self.result,
+        })
+        .expect("responses serialize")
     }
+}
+
+/// The wire form of a [`Response`]: `status` derived from the result,
+/// the trace as 16 hex digits, and no `retry_after_ms` key without a hint.
+#[derive(Serialize)]
+struct ResponseLine<'a> {
+    id: u64,
+    status: &'static str,
+    trace_id: String,
+    attempts: u32,
+    queue_ms: f64,
+    run_ms: f64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    retry_after_ms: Option<u64>,
+    result: &'a JobResult,
 }
 
 #[cfg(test)]

@@ -311,29 +311,34 @@ impl Server {
 
     /// Submit one raw request line. Exactly one [`Response`] will be
     /// delivered through `reply` for it — immediately for parse errors,
-    /// quota refusals, and load sheds; from a worker otherwise. Blank
-    /// lines are the caller's to skip.
+    /// invalid specs, quota refusals, and load sheds; from a worker
+    /// otherwise. Blank lines are the caller's to skip.
     pub(crate) fn submit(&self, line: &str, fallback_id: u64, reply: &ResponseSink) {
+        // A line that does not parse, or a spec that could never run,
+        // is answered here: it takes no tenant slot, queue slot or worker.
+        let refuse = |id, trace, message| {
+            reply.send(Response {
+                id,
+                trace,
+                attempts: 0,
+                queue_ms: 0.0,
+                run_ms: 0.0,
+                retry_after_ms: None,
+                result: JobResult::Error { message },
+            })
+        };
         let req = match parse_request(line, fallback_id) {
             Ok(req) => req,
-            Err(message) => {
-                reply.send(Response {
-                    id: fallback_id,
-                    trace: TraceId::mint(),
-                    attempts: 0,
-                    queue_ms: 0.0,
-                    run_ms: 0.0,
-                    retry_after_ms: None,
-                    result: JobResult::Error { message },
-                });
-                return;
-            }
+            Err(message) => return refuse(fallback_id, TraceId::mint(), message),
         };
         // Ingress is where the trace context is fixed for the job's
         // whole life: adopt the caller's id or mint one, then tag even
         // the admission-path events with it.
         let trace = req.trace.unwrap_or_else(TraceId::mint);
         let _trace_scope = zenesis_obs::trace_guard(Some(trace));
+        if let Err(message) = req.spec.validate() {
+            return refuse(req.id, trace, message);
+        }
         let lane = req.effective_lane();
         // Tenant quota check precedes the queue: a hog's requests are
         // refused before they can occupy shared queue slots.

@@ -16,10 +16,8 @@
 //!   The parent's attempt loop reports it as it does an in-process
 //!   panic.
 //!
-//! The job line is an object with `spec` (a [`JobSpec`]), optional
-//! `deadline_ms` (the *remaining* budget at hand-over — queue wait was
-//! already spent in the parent), `trace` (the raw trace id, so child
-//! spans join the parent's trace), and `heartbeat_ms`.
+//! The job line is one [`JobLine`]: the parent serializes it, the child
+//! deserializes it.
 //!
 //! Panics are caught here, so a panicking job still ends in one
 //! message line and a clean exit; only hard deaths — `abort`, the OOM
@@ -33,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use zenesis_core::job::{run_job_with_cancel, JobResult, JobSpec};
 use zenesis_core::panic_message;
 use zenesis_par::CancelToken;
@@ -60,21 +58,45 @@ pub(crate) enum WorkerMsg {
 /// are [`WorkerMsg::Noise`] — a worker that interleaves diagnostics on
 /// stdout degrades to fewer beats, not a declared crash.
 pub(crate) fn parse_worker_line(line: &str) -> WorkerMsg {
-    let Ok(v) = serde_json::from_str::<Value>(line) else {
+    let Ok(WorkerLine {
+        beat,
+        result,
+        panic,
+    }) = serde_json::from_str(line)
+    else {
         return WorkerMsg::Noise;
     };
-    if let Some(pulse) = v.get("beat").and_then(|x| x.as_u64()) {
-        return WorkerMsg::Beat(pulse);
+    match (beat, panic, result) {
+        (Some(pulse), _, _) => WorkerMsg::Beat(pulse),
+        (_, Some(message), _) => WorkerMsg::Panic(message),
+        (_, _, Some(result)) => WorkerMsg::Result(result),
+        _ => WorkerMsg::Noise,
     }
-    if let Some(message) = v.get("panic").and_then(|x| x.as_str()) {
-        return WorkerMsg::Panic(message.to_string());
-    }
-    if let Some(result) = v.get("result") {
-        if let Ok(result) = serde_json::from_value::<JobResult>(result) {
-            return WorkerMsg::Result(result);
-        }
-    }
-    WorkerMsg::Noise
+}
+
+/// One line of worker stdout with exactly one field set: the child
+/// serializes it, the supervisor parses it.
+#[derive(Default, Serialize, Deserialize)]
+struct WorkerLine {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    beat: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    result: Option<JobResult>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    panic: Option<String>,
+}
+
+/// The hand-over the supervisor writes to the child's stdin, one line.
+#[derive(Serialize, Deserialize)]
+struct JobLine {
+    spec: JobSpec,
+    /// The *remaining* budget at hand-over: queue wait was already spent
+    /// in the parent. Absent for a job without a deadline.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    deadline_ms: Option<u64>,
+    /// The raw trace id, so child spans join the parent's trace.
+    trace: u64,
+    heartbeat_ms: u64,
 }
 
 /// Serialize the hand-over line the supervisor writes to the child's
@@ -85,28 +107,23 @@ pub(crate) fn job_line(
     trace: u64,
     heartbeat_ms: u64,
 ) -> String {
-    let spec_json = serde_json::to_string(spec).expect("job specs serialize");
-    let spec_value: Value = serde_json::from_str(&spec_json).expect("job specs round-trip");
-    let mut m = serde_json::Map::new();
-    m.insert("spec", spec_value);
-    if let Some(ms) = deadline_ms {
-        m.insert("deadline_ms", Value::Number(serde_json::Number::U(ms)));
-    }
-    m.insert("trace", Value::Number(serde_json::Number::U(trace)));
-    m.insert(
-        "heartbeat_ms",
-        Value::Number(serde_json::Number::U(heartbeat_ms)),
-    );
-    let mut line = Value::Object(m).to_string();
+    let job = JobLine {
+        spec: spec.clone(),
+        deadline_ms,
+        trace,
+        heartbeat_ms,
+    };
+    let mut line = serde_json::to_string(&job).expect("job lines serialize");
     line.push('\n');
     line
 }
 
 /// Write one message line to stdout, flushed, under the stdout lock so
 /// the beat thread and the result write never interleave bytes.
-fn emit_line(line: &str) -> io::Result<()> {
+fn emit_line(line: &WorkerLine) -> io::Result<()> {
+    let text = serde_json::to_string(line).expect("worker lines serialize");
     let mut out = io::stdout().lock();
-    writeln!(out, "{line}")?;
+    writeln!(out, "{text}")?;
     out.flush()
 }
 
@@ -120,35 +137,19 @@ pub fn worker_main() -> i32 {
         eprintln!("worker: expected one job line on stdin");
         return 2;
     }
-    let v: Value = match serde_json::from_str(line.trim()) {
-        Ok(v) => v,
+    let job: JobLine = match serde_json::from_str(line.trim()) {
+        Ok(job) => job,
         Err(e) => {
             eprintln!("worker: malformed job line: {e}");
             return 2;
         }
     };
-    let Some(spec_value) = v.get("spec") else {
-        eprintln!("worker: job line has no spec");
-        return 2;
-    };
-    let spec: JobSpec = match serde_json::from_value(spec_value) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("worker: invalid job spec: {e}");
-            return 2;
-        }
-    };
-    let trace_raw = v.get("trace").and_then(|x| x.as_u64()).unwrap_or(0);
-    let heartbeat_ms = v
-        .get("heartbeat_ms")
-        .and_then(|x| x.as_u64())
-        .unwrap_or(1_000);
-    let _trace_scope = zenesis_obs::trace_guard(zenesis_obs::TraceId::from_u64(trace_raw));
-    let cancel = match v.get("deadline_ms").and_then(|x| x.as_u64()) {
+    let _trace_scope = zenesis_obs::trace_guard(zenesis_obs::TraceId::from_u64(job.trace));
+    let cancel = match job.deadline_ms {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::new(),
     };
-    cancel.set_trace(trace_raw);
+    cancel.set_trace(job.trace);
 
     // The heartbeat thread is deliberately independent of the compute
     // threads: it keeps beating while a slice hangs, which is exactly
@@ -161,13 +162,16 @@ pub fn worker_main() -> i32 {
     // heartbeat).
     let done = Arc::new(AtomicBool::new(false));
     let beat_done = Arc::clone(&done);
-    let interval = Duration::from_millis((heartbeat_ms / 4).max(MIN_BEAT_INTERVAL_MS));
+    let interval = Duration::from_millis((job.heartbeat_ms / 4).max(MIN_BEAT_INTERVAL_MS));
     let beater = std::thread::Builder::new()
         .name("worker-beat".into())
         .spawn(move || {
             while !beat_done.load(Ordering::Relaxed) {
-                let pulse = zenesis_par::progress_pulse();
-                if emit_line(&format!("{{\"beat\":{pulse}}}")).is_err() {
+                let beat = WorkerLine {
+                    beat: Some(zenesis_par::progress_pulse()),
+                    ..WorkerLine::default()
+                };
+                if emit_line(&beat).is_err() {
                     return; // supervisor gone; nobody left to reassure
                 }
                 std::thread::park_timeout(interval);
@@ -175,15 +179,15 @@ pub fn worker_main() -> i32 {
         })
         .expect("spawn worker beat thread");
 
-    let report = match catch_unwind(AssertUnwindSafe(|| run_job_with_cancel(&spec, &cancel))) {
-        Ok(result) => {
-            let result_json = serde_json::to_string(&result).expect("job results serialize");
-            format!("{{\"result\":{result_json}}}")
-        }
-        Err(payload) => {
-            let message = Value::String(panic_message(payload.as_ref()));
-            format!("{{\"panic\":{message}}}")
-        }
+    let report = match catch_unwind(AssertUnwindSafe(|| run_job_with_cancel(&job.spec, &cancel))) {
+        Ok(result) => WorkerLine {
+            result: Some(result),
+            ..WorkerLine::default()
+        },
+        Err(payload) => WorkerLine {
+            panic: Some(panic_message(payload.as_ref())),
+            ..WorkerLine::default()
+        },
     };
     done.store(true, Ordering::Relaxed);
     beater.thread().unpark();
@@ -197,6 +201,7 @@ pub fn worker_main() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn batch_spec() -> JobSpec {
         let raw = r#"{"mode": "batch",

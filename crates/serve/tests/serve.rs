@@ -306,6 +306,42 @@ fn parse_errors_answer_without_touching_the_queue() {
 }
 
 #[test]
+fn invalid_specs_answer_at_admission_without_touching_the_queue() {
+    let calls = Arc::new(AtomicU32::new(0));
+    let runner: JobRunner = {
+        let calls = Arc::clone(&calls);
+        Arc::new(move |_spec, _cancel| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            ok_result()
+        })
+    };
+    let mut cfg = config(1, 4);
+    cfg.tenant_cap = 1;
+    let server = Server::start_with_runner(cfg, runner);
+    let (tx, rx) = unbounded::<Response>();
+    let line = format!(
+        r#"{{"id": 9, "tenant": "lab", "trace_id": "beef", "spec": {}}}"#,
+        spec_line("  ")
+    );
+    server.submit_line(&line, 3, &tx);
+    let resp = recv_within(&rx, Duration::from_secs(5));
+    assert_eq!(resp.id, 9, "the envelope's id, not the line number");
+    assert_eq!(resp.trace.to_hex(), "000000000000beef");
+    assert_eq!(resp.status(), "error");
+    assert_eq!(resp.attempts, 0);
+    match &resp.result {
+        JobResult::Error { message } => {
+            assert_eq!(message, "invalid job spec: prompt must be non-empty")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(server.queue_depth(), 0);
+    assert_eq!(server.admission().outstanding("lab"), 0, "no tenant slot");
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "no worker ran it");
+    server.shutdown();
+}
+
+#[test]
 fn closed_queue_refuses_with_shutting_down_message() {
     let runner: JobRunner = Arc::new(|_spec, _cancel| ok_result());
     let server = Server::start_with_runner(config(1, 4), runner);
@@ -694,5 +730,10 @@ fn hostile_pgm_header_answers_error_and_the_next_job_still_runs() {
     assert_eq!(responses[0]["status"].as_str(), Some("error"), "{stdout}");
     let message = responses[0]["result"]["message"].as_str().unwrap_or("");
     assert!(message.contains("too many samples"), "{message}");
+    assert_eq!(
+        responses[0]["attempts"].as_u64(),
+        Some(1),
+        "a file that can never decode is not retried: {stdout}"
+    );
     assert_eq!(responses[1]["status"].as_str(), Some("ok"), "{stdout}");
 }

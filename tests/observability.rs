@@ -168,7 +168,16 @@ fn batch_job_emits_documented_event_stream() {
     assert!(matches!(result, JobResult::Volume { .. }));
 
     let events = zenesis::obs::events::events_snapshot();
-    let kinds: Vec<&str> = events.iter().map(|r| r.event.kind()).collect();
+    let kinds: Vec<String> = events
+        .iter()
+        .map(|r| {
+            zenesis::obs::events::event_json(r)["event"]
+                .as_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let kinds: Vec<&str> = kinds.iter().map(String::as_str).collect();
     assert_eq!(kinds.first(), Some(&"job.start"), "stream starts the job");
     assert_eq!(kinds.last(), Some(&"job.end"), "stream ends the job");
     assert_eq!(kinds.iter().filter(|k| **k == "slice.done").count(), DEPTH);
