@@ -925,7 +925,8 @@ mod tests {
 
         // A file that is there but ends early (an upload still landing)
         // is a short read: retried like a missing one.
-        let tiff = std::fs::read(tiff_fixture("whole.tif", 16)).unwrap();
+        let scratch = Scratch::new("classifier");
+        let tiff = std::fs::read(scratch.tiff("whole.tif", 16)).unwrap();
         for (name, bytes) in [
             (
                 "short.pgm",
@@ -935,7 +936,7 @@ mod tests {
             ("short.ppm", b"P6\n4 4\n255\n\x01\x02".to_vec()),
             ("short.tif", tiff[..tiff.len() / 2].to_vec()),
         ] {
-            let message = run(file_input(&scratch_file(name, &bytes)));
+            let message = run(file_input(&scratch.file(name, &bytes)));
             assert!(message.starts_with("cannot read "), "{name}: {message}");
             assert!(message_is_transient_input(&message), "{name}: {message}");
         }
@@ -948,27 +949,43 @@ mod tests {
             ("maxval.ppm", b"P6\n1 1\n65535\n\x01\x02\x03".to_vec()),
             ("magic.tif", [b"XX".as_slice(), &tiff[2..]].concat()),
         ] {
-            let message = run(file_input(&scratch_file(name, &bytes)));
+            let message = run(file_input(&scratch.file(name, &bytes)));
             assert!(message.starts_with("cannot decode "), "{name}: {message}");
             assert!(!message_is_transient_input(&message), "{name}: {message}");
         }
     }
 
-    /// Writes `bytes` to a file of this test process and returns its path.
-    fn scratch_file(name: &str, bytes: &[u8]) -> String {
-        let dir = std::env::temp_dir().join(format!("zenesis_job_inputs_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, bytes).unwrap();
-        path.to_string_lossy().into_owned()
+    /// A directory of one test's input files, removed when dropped.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Self {
+            let name = format!("zenesis_job_{test}_{}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        /// Writes `bytes` to `name` and returns its path.
+        fn file(&self, name: &str, bytes: &[u8]) -> String {
+            let path = self.0.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            path.to_string_lossy().into_owned()
+        }
+
+        /// A `width`×1 16-bit TIFF ramp, written by the workspace's encoder.
+        fn tiff(&self, name: &str, width: usize) -> String {
+            let path = self.file(name, &[]);
+            let img = zenesis_image::Image::<u16>::from_fn(width, 1, |x, _| (x * 13) as u16);
+            zenesis_tiff::save_tiff_u16(&img, &path).unwrap();
+            path
+        }
     }
 
-    /// A `width`×1 16-bit TIFF ramp, written by the workspace's encoder.
-    fn tiff_fixture(name: &str, width: usize) -> String {
-        let path = scratch_file(name, &[]);
-        let img = zenesis_image::Image::<u16>::from_fn(width, 1, |x, _| (x * 13) as u16);
-        zenesis_tiff::save_tiff_u16(&img, &path).unwrap();
-        path
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     /// The file input for `path`, by its extension.
@@ -986,6 +1003,7 @@ mod tests {
     /// before it is segmented, and the refusal is final.
     #[test]
     fn oversized_file_inputs_are_refused() {
+        let scratch = Scratch::new("oversized");
         let long = MAX_SIDE + 104;
         let wide_pgm = [
             format!("P5\n{long} 2\n255\n").into_bytes(),
@@ -997,14 +1015,14 @@ mod tests {
         ];
         for (path, shape) in [
             (
-                scratch_file("wide.pgm", &wide_pgm.concat()),
+                scratch.file("wide.pgm", &wide_pgm.concat()),
                 format!("{long}x2"),
             ),
             (
-                scratch_file("tall.ppm", &tall_ppm.concat()),
+                scratch.file("tall.ppm", &tall_ppm.concat()),
                 format!("2x{long}"),
             ),
-            (tiff_fixture("wide.tif", long), format!("{long}x1")),
+            (scratch.tiff("wide.tif", long), format!("{long}x1")),
         ] {
             let spec = JobSpec::Interactive {
                 input: file_input(&path),

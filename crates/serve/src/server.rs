@@ -3,6 +3,10 @@
 //! [`Server`] owns a [`BoundedQueue`] of accepted jobs and a fixed set of
 //! worker threads. The failure model is explicit:
 //!
+//! * **Invalid requests** — a line that does not parse, or a spec that
+//!   fails `JobSpec::validate`, is answered `error` at admission
+//!   (`attempts` 0, `serve.job.error` counted); it takes no tenant slot,
+//!   queue slot or worker.
 //! * **Load shed** — a full queue turns the submission into an immediate
 //!   `busy` response ([`JobResult::Busy`]); the job never occupies memory
 //!   or a worker. `job.rejected` is emitted and `serve.job.busy` counted.
@@ -317,6 +321,9 @@ impl Server {
         // A line that does not parse, or a spec that could never run,
         // is answered here: it takes no tenant slot, queue slot or worker.
         let refuse = |id, trace, message| {
+            if zenesis_obs::enabled() {
+                zenesis_obs::counter("serve.job.error").inc();
+            }
             reply.send(Response {
                 id,
                 trace,
