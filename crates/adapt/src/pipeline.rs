@@ -331,7 +331,7 @@ impl AdaptPipeline {
     /// Run the pipeline with NaN/Inf boundary guards after every stage.
     ///
     /// Identical output to [`run`](Self::run) on healthy input (the guard
-    /// only *scans*; it never rewrites pixels). A stage that emits
+    /// reads the stage's trace; it never rewrites pixels). A stage that emits
     /// non-finite values fails fast with [`AdaptError::NonFinite`] naming
     /// the stage, so the volume pipeline can quarantine the slice instead
     /// of feeding poison into DINO/SAM. Denoise stages additionally check
@@ -346,6 +346,10 @@ impl AdaptPipeline {
     /// The one stage loop. The first stage reads `img` itself; each later
     /// stage reads its predecessor's output. The `adapt.<stage>` span
     /// covers `apply` alone, not the guard or the trace.
+    ///
+    /// The guard takes its verdict from the trace's one pass: the mean
+    /// of an `f32` raster is finite exactly when every pixel is (see
+    /// [`Image::min_max_mean`]), so pixels are counted only on failure.
     fn run_stages(
         &self,
         img: &Image<f32>,
@@ -359,15 +363,23 @@ impl AdaptPipeline {
             let mut out = stage.apply(cur.as_ref().unwrap_or(img));
             drop(span);
             if guard {
-                Self::guard_stage(stage, &mut out)?;
+                Self::trip_fault_site(stage, &mut out)?;
             }
-            traces.push(AdaptTrace::of(stage, &out));
+            let trace = AdaptTrace::of(stage, &out);
+            if guard && !trace.out_mean.is_finite() {
+                return Err(AdaptError::NonFinite {
+                    stage: stage.name().to_string(),
+                    count: out.as_slice().iter().filter(|v| !v.is_finite()).count(),
+                });
+            }
+            traces.push(trace);
             cur = Some(out);
         }
         Ok((cur.unwrap_or_else(|| img.clone()), traces))
     }
 
-    fn guard_stage(stage: &AdaptStage, out: &mut Image<f32>) -> Result<(), AdaptError> {
+    /// The `adapt.denoise` fault site, checked after a denoise stage.
+    fn trip_fault_site(stage: &AdaptStage, out: &mut Image<f32>) -> Result<(), AdaptError> {
         let is_denoise = matches!(
             stage,
             AdaptStage::Median { .. }
@@ -378,7 +390,7 @@ impl AdaptPipeline {
         if is_denoise {
             match zenesis_fault::trip("adapt.denoise") {
                 Some(zenesis_fault::Injection::Nan) => {
-                    // Poison a scattering of pixels; the guard below must
+                    // Poison a scattering of pixels; the stage guard must
                     // catch exactly this class of corruption.
                     let px = out.as_mut_slice();
                     let step = (px.len() / 16).max(1);
@@ -393,13 +405,6 @@ impl AdaptPipeline {
                 }
                 None => {}
             }
-        }
-        let count = out.as_slice().iter().filter(|v| !v.is_finite()).count();
-        if count > 0 {
-            return Err(AdaptError::NonFinite {
-                stage: stage.name().to_string(),
-                count,
-            });
         }
         Ok(())
     }
@@ -526,6 +531,61 @@ mod tests {
                 assert!(count >= 1, "count {count}");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checked_run_counts_what_a_direct_scan_counts() {
+        // 13 x 7 = 91 pixels: five full 16-lane blocks and an 11-pixel tail.
+        let clean = Image::<f32>::from_fn(13, 7, |x, y| ((x * 5 + y * 3) % 11) as f32 / 10.0);
+        let poisons: [&[(usize, f32)]; 7] = [
+            &[(0, f32::NAN)],
+            &[(45, f32::NAN)],
+            &[(90, f32::NAN)],
+            &[(17, f32::INFINITY)],
+            &[(86, f32::NEG_INFINITY)],
+            &[(3, f32::INFINITY), (50, f32::NEG_INFINITY)],
+            &[(0, f32::INFINITY), (64, f32::NAN), (88, f32::NEG_INFINITY)],
+        ];
+        // A blur carries ±Inf through to its output (and NaN where they
+        // meet); invert clamps ±Inf away and keeps NaN.
+        let blur = AdaptStage::Gaussian { sigma: 0.7 };
+        for p in [
+            AdaptPipeline::identity().then(blur.clone()),
+            AdaptPipeline::identity()
+                .then(AdaptStage::Invert)
+                .then(blur),
+            AdaptPipeline::minimal(),
+        ] {
+            assert_eq!(p.run_checked(&clean), Ok(p.run(&clean)));
+            for poison in poisons {
+                let mut img = clean.clone();
+                for &(i, v) in poison {
+                    img.as_mut_slice()[i] = v;
+                }
+                // The first stage whose output a pixel-by-pixel scan
+                // finds non-finite, and how many pixels it finds.
+                let mut cur = img.clone();
+                let mut want = None;
+                for stage in &p.stages {
+                    cur = stage.apply(&cur);
+                    let count = cur.as_slice().iter().filter(|v| !v.is_finite()).count();
+                    if count > 0 {
+                        want = Some(AdaptError::NonFinite {
+                            stage: stage.name().to_string(),
+                            count,
+                        });
+                        break;
+                    }
+                }
+                if p.stages.len() == 1 && p.stages[0].name() == "gaussian" {
+                    assert!(want.is_some(), "the blur keeps {poison:?}");
+                }
+                match want {
+                    Some(err) => assert_eq!(p.run_checked(&img), Err(err), "{poison:?}"),
+                    None => assert_eq!(p.run_checked(&img), Ok(p.run(&img)), "{poison:?}"),
+                }
+            }
         }
     }
 

@@ -684,6 +684,33 @@ mod tests {
     use super::*;
     use zenesis_adapt::AdaptPipeline;
 
+    /// A fresh directory under the system temp dir, removed on drop: also
+    /// when the test holding it fails.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
     #[test]
     fn interactive_job_roundtrip() {
         let json = r#"{
@@ -786,8 +813,7 @@ mod tests {
     #[test]
     fn tiff_file_job_roundtrip() {
         // Write a phantom slice as TIFF, then run an interactive job on it.
-        let dir = std::env::temp_dir().join("zenesis_job_tiff");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("zenesis_job_tiff");
         let path = dir.join("slice.tif");
         let g = zenesis_data::generate_slice(&PhantomConfig::new(
             zenesis_data::SampleKind::Amorphous,
@@ -809,8 +835,7 @@ mod tests {
 
     #[test]
     fn tiff_volume_batch_job() {
-        let dir = std::env::temp_dir().join("zenesis_job_tiffvol");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("zenesis_job_tiffvol");
         let path = dir.join("vol.tif");
         let v = generate_volume(SampleKind::Amorphous, 64, 3, 5, &[]);
         zenesis_tiff::save_tiff_volume_u16(&v.volume, &path).unwrap();

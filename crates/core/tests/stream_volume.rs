@@ -11,6 +11,7 @@
 //! on one mutex: the fault plan and the thread count are process-global.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use zenesis_core::temporal::refine_boxes;
@@ -35,13 +36,38 @@ fn pipeline() -> Zenesis {
     Zenesis::new(ZenesisConfig::default())
 }
 
+/// A file or directory under the system temp dir, removed on drop: also
+/// when the test holding it fails.
+struct TempPath(PathBuf);
+
+impl TempPath {
+    fn new(name: &str) -> TempPath {
+        let path = std::env::temp_dir().join(format!("zenesis-stream-{name}"));
+        let _ = std::fs::remove_dir_all(&path);
+        TempPath(path)
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0).or_else(|_| std::fs::remove_dir_all(&self.0));
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
 /// Write the phantom volume as a multi-page 16-bit TIFF and open a
-/// streaming reader over it.
-fn tiff_reader(v: &zenesis_data::VolumeSample, tag: &str) -> VolumeReader {
-    let path =
-        std::env::temp_dir().join(format!("zenesis-stream-{tag}-{}.tif", std::process::id()));
-    zenesis_tiff::save_tiff_volume_u16(&v.volume, &path).unwrap();
-    VolumeReader::open(&path).unwrap()
+/// streaming reader over it; the file goes when the guard drops.
+fn tiff_reader(v: &zenesis_data::VolumeSample, tag: &str) -> (VolumeReader, TempPath) {
+    let path = TempPath::new(&format!("{tag}-{}.tif", std::process::id()));
+    zenesis_tiff::save_tiff_volume_u16(&v.volume, &*path).unwrap();
+    (VolumeReader::open(&*path).unwrap(), path)
 }
 
 #[test]
@@ -50,7 +76,7 @@ fn streamed_tiff_matches_in_memory_bit_identically() {
     let v = generate_volume(SampleKind::Crystalline, 64, 6, 7, &[]);
     let z = pipeline();
     let reference = z.segment_volume(&v.volume, PROMPT);
-    let reader = tiff_reader(&v, "ident");
+    let (reader, _tif) = tiff_reader(&v, "ident");
     assert_eq!(reader.depth(), 6);
     for threads in THREADS {
         let _t = ThreadsGuard::new(threads);
@@ -78,7 +104,7 @@ fn io_tiff_faults_quarantine_slices_not_the_volume() {
     let _g = lock();
     let v = generate_volume(SampleKind::Crystalline, 64, 8, 7, &[]);
     let z = pipeline();
-    let reader = tiff_reader(&v, "chaos");
+    let (reader, _tif) = tiff_reader(&v, "chaos");
     let _armed = FaultPlan::new()
         .site("io.tiff", FaultKind::Error, 0.3, 41)
         .arm();
@@ -164,11 +190,10 @@ fn stage_three_decodes_a_dark_prompt_dark() {
 #[test]
 fn fault_injected_tiff_volume_resumes_bit_identically() {
     let _g = lock();
-    let dir = std::env::temp_dir().join(format!("zenesis-stream-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempPath::new(&format!("resume-{}", std::process::id()));
     let v = generate_volume(SampleKind::Crystalline, 64, 6, 7, &[]);
     let z = pipeline();
-    let reader = tiff_reader(&v, "resume");
+    let (reader, _tif) = tiff_reader(&v, "resume");
     let _armed = FaultPlan::new()
         .site("io.tiff", FaultKind::Error, 0.25, 13)
         .arm();
@@ -180,9 +205,9 @@ fn fault_injected_tiff_volume_resumes_bit_identically() {
 
     for threads in THREADS {
         let _t = ThreadsGuard::new(threads);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&*dir);
         // Checkpointed run under the same (deterministic) fault plan.
-        let spec = CheckpointSpec::new(&dir);
+        let spec = CheckpointSpec::new(&*dir);
         let first = z
             .segment_volume_streamed(&reader, PROMPT, &CancelToken::new(), Some(&spec))
             .expect("checkpointed run completes");
@@ -220,7 +245,6 @@ fn fault_injected_tiff_volume_resumes_bit_identically() {
         );
         assert_eq!(resumed.outcomes, reference.outcomes);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -228,7 +252,7 @@ fn streamed_cancellation_reports_partial_progress() {
     let _g = lock();
     let v = generate_volume(SampleKind::Crystalline, 64, 4, 7, &[]);
     let z = pipeline();
-    let reader = tiff_reader(&v, "cancel");
+    let (reader, _tif) = tiff_reader(&v, "cancel");
     let cancel = CancelToken::new();
     cancel.cancel();
     for threads in THREADS {

@@ -5,6 +5,11 @@ use crate::geometry::BoxRegion;
 use crate::pixel::Pixel;
 use zenesis_par::{par_map_range_min, SMALL_WORK_ELEMS};
 
+/// Lanes of [`Image::min_max_mean`]: sixteen independent `f64` sums are
+/// four AVX2 (eight SSE2) registers, enough add chains to hide the
+/// adder's latency.
+const STAT_LANES: usize = 16;
+
 /// `width * height * channels`, or [`ImageError::TooLarge`] when the
 /// product overflows `usize` (a decoder's header can claim any size).
 pub(crate) fn sample_count(width: usize, height: usize, channels: usize) -> Result<usize> {
@@ -254,25 +259,61 @@ impl<T: Pixel> Image<T> {
     }
 
     /// [`min_max`](Self::min_max) and [`mean_norm`](Self::mean_norm) in
-    /// one pass over the samples: the same `<` comparisons and the same
-    /// left-to-right `f64` sum, so all three values are bit-identical to
-    /// the separate calls.
+    /// one pass over the samples, on 16 independent lanes (sample `i`
+    /// feeds lane `i % 16`) folded in lane order. The lanes are plain
+    /// code, so the result is the same at every thread count and SIMD
+    /// level.
+    ///
+    /// Minimum and maximum are those of `min_max` bit for bit. The mean
+    /// sums in another order than `mean_norm`, so it may differ in its
+    /// last bits. A sum of `f32` samples in `f64` overflows at no raster
+    /// size, so an `Image<f32>`'s mean is finite exactly when every
+    /// sample is.
     pub fn min_max_mean(&self) -> (T, T, f64) {
-        let mut lo = self.data[0];
-        let mut hi = self.data[0];
-        // Whatever zero `Sum for f64` starts from (its sign decides the
-        // sign of an all-`-0.0` sum).
-        let mut sum: f64 = std::iter::empty::<f64>().sum();
-        for &v in &self.data {
-            if v < lo {
-                lo = v;
+        let mut lo = [self.data[0]; STAT_LANES];
+        let mut hi = lo;
+        // `-0.0` is the additive identity: an all-`-0.0` sum stays `-0.0`.
+        let mut sum = [-0.0f64; STAT_LANES];
+        let blocks = self.data.chunks_exact(STAT_LANES);
+        let tail = blocks.remainder();
+        for block in blocks {
+            let block: &[T; STAT_LANES] = block.try_into().expect("whole block");
+            // Extremes and sums in separate loops: each vectorizes on its
+            // own element width.
+            for j in 0..STAT_LANES {
+                let v = block[j];
+                lo[j] = if v < lo[j] { v } else { lo[j] };
+                hi[j] = if hi[j] < v { v } else { hi[j] };
             }
-            if hi < v {
-                hi = v;
+            for j in 0..STAT_LANES {
+                sum[j] += block[j].to_norm() as f64;
             }
-            sum += v.to_norm() as f64;
         }
-        (lo, hi, sum / self.data.len() as f64)
+        for (j, &v) in tail.iter().enumerate() {
+            lo[j] = if v < lo[j] { v } else { lo[j] };
+            hi[j] = if hi[j] < v { v } else { hi[j] };
+            sum[j] += v.to_norm() as f64;
+        }
+        // Lanes break ties by lane, the serial scan by position. The one
+        // tie between two bit patterns is `0.0` against `-0.0`; when the
+        // lanes hold both, the extreme is the first zero.
+        let fold = |lanes: [T; STAT_LANES], better: fn(T, T) -> bool| {
+            let m = lanes
+                .into_iter()
+                .fold(lanes[0], |m, v| if better(v, m) { v } else { m });
+            let bits = |v: T| v.to_norm().to_bits();
+            if lanes.iter().any(|&v| v == m && bits(v) != bits(m)) {
+                self.data.iter().copied().find(|&v| v == m).unwrap_or(m)
+            } else {
+                m
+            }
+        };
+        let total = sum.into_iter().fold(-0.0, |s, v| s + v);
+        (
+            fold(lo, |v, m| v < m),
+            fold(hi, |v, m| m < v),
+            total / self.data.len() as f64,
+        )
     }
 
     /// Population variance of the canonical values.

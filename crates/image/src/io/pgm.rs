@@ -254,8 +254,7 @@ mod tests {
 
     #[test]
     fn file_save_and_load() {
-        let dir = std::env::temp_dir().join("zenesis_pgm_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::io::testing::TempDir::new("zenesis_pgm_test");
         let path = dir.join("t.pgm");
         let img = Image::<u16>::from_fn(8, 8, |x, y| ((x + 1) * (y + 1) * 900) as u16);
         save_pgm_u16(&img, &path).unwrap();

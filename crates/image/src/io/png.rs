@@ -200,8 +200,7 @@ mod tests {
 
     #[test]
     fn files_written() {
-        let dir = std::env::temp_dir().join("zenesis_png_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::io::testing::TempDir::new("zenesis_png_test");
         let g = Image::<u8>::from_fn(16, 16, |x, y| ((x ^ y) * 16) as u8);
         save_png_gray(&g, dir.join("g.png")).unwrap();
         let rgb = RgbImage::filled(8, 8, [255, 0, 0]);

@@ -586,3 +586,89 @@ fn coherence_matches_full_raster_oracle() {
         }
     }
 }
+
+// -------------------------------------------------------- raster statistics
+
+/// A random raster drawn from `palette`: small palettes of signed zeros
+/// make the extremes tie across lanes with different bit patterns.
+fn palette_image(rng: &mut StdRng, w: usize, h: usize, palette: &[f32]) -> Image<f32> {
+    let data = (0..w * h)
+        .map(|_| palette[rng.gen_range(0..palette.len())])
+        .collect();
+    Image::from_vec(w, h, data).unwrap()
+}
+
+/// `min_max_mean` as bits, at 1 and 2 threads, with SIMD dispatch and
+/// forced scalar; every run must agree.
+fn min_max_mean_everywhere(img: &Image<f32>, what: &str) -> (u32, u32, u64) {
+    let bits = || {
+        let (lo, hi, mean) = img.min_max_mean();
+        (lo.to_bits(), hi.to_bits(), mean.to_bits())
+    };
+    let want = bits();
+    for threads in [1, 2] {
+        let _threads = zenesis_par::ThreadsGuard::new(threads);
+        assert_eq!(bits(), want, "{what} threads {threads}");
+        let _scalar = zenesis_tensor::ScalarGuard::new();
+        assert_eq!(bits(), want, "{what} threads {threads} scalar");
+    }
+    want
+}
+
+#[test]
+fn min_max_mean_is_min_max_and_mean_norm_in_one_pass() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let palettes: [&[f32]; 3] = [&[0.0, -0.0, 0.25, 1.0], &[-0.5, 0.0, -0.0], &[0.0, -0.0]];
+    for w in STAT_WIDTHS {
+        for h in STAT_HEIGHTS {
+            let mut images = vec![wild_image(&mut rng, w, h), random_image(&mut rng, w, h, 3)];
+            images.extend(palettes.map(|p| palette_image(&mut rng, w, h, p)));
+            for (k, img) in images.iter().enumerate() {
+                let what = format!("{w}x{h} image {k}");
+                let (lo, hi, mean) = min_max_mean_everywhere(img, &what);
+                let (want_lo, want_hi) = img.min_max();
+                assert_eq!((lo, hi), (want_lo.to_bits(), want_hi.to_bits()), "{what}");
+                // Reassociation error scales with the mean magnitude; on
+                // non-negative rasters this is relative to `mean_norm`.
+                let scale =
+                    img.as_slice().iter().map(|v| v.abs() as f64).sum::<f64>() / img.len() as f64;
+                let (mean, want) = (f64::from_bits(mean), img.mean_norm());
+                assert!(
+                    (mean - want).abs() <= 1e-12 * scale,
+                    "{what}: {mean} vs {want}"
+                );
+            }
+        }
+    }
+    // Integer samples: exact extremes, the mean of the canonical values.
+    let bytes = Image::<u8>::from_fn(37, 5, |x, y| ((x * 7 + y * 31) % 251) as u8);
+    let (lo, hi, mean) = bytes.min_max_mean();
+    assert_eq!((lo, hi), bytes.min_max());
+    assert!((mean - bytes.mean_norm()).abs() <= 1e-12 * bytes.mean_norm());
+}
+
+#[test]
+fn min_max_mean_reads_non_finite_samples_like_min_max() {
+    // 13 x 7 = 91 samples: five full lane blocks and an 11-sample tail.
+    let clean = Image::<f32>::from_fn(13, 7, |x, y| ((x * 5 + y * 3) % 11) as f32 / 10.0);
+    for (i, v) in [
+        (0, f32::NAN),
+        (45, f32::NAN),
+        (90, f32::NAN),
+        (0, f32::INFINITY),
+        (86, f32::NEG_INFINITY),
+    ] {
+        let mut img = clean.clone();
+        img.as_mut_slice()[i] = v;
+        let (lo, hi, mean) = min_max_mean_everywhere(&img, &format!("{v} at {i}"));
+        let (want_lo, want_hi) = img.min_max();
+        assert_eq!(
+            (lo, hi),
+            (want_lo.to_bits(), want_hi.to_bits()),
+            "{v} at {i}"
+        );
+        assert!(!f64::from_bits(mean).is_finite(), "{v} at {i}");
+    }
+    let (.., mean) = clean.min_max_mean();
+    assert!(mean.is_finite());
+}

@@ -268,45 +268,62 @@ impl Sam {
             return Vec::new();
         }
         let _s = zenesis_obs::span("sam.decode");
-        let bbox = prompts.box_constraint();
-        let fg = prompts.fg_points();
-        let bg = prompts.bg_points();
-        let prior = prompts.mask_prior();
+        match self.decode_single(emb, prompts) {
+            Some(mask) => {
+                let quality = quality_score(emb, &mask, 1.0);
+                vec![MaskPrediction {
+                    mask,
+                    stability: 1.0,
+                    quality,
+                    level: 1,
+                }]
+            }
+            None => self.decode_multimask(emb, prompts),
+        }
+    }
 
-        let mut preds: Vec<MaskPrediction> = Vec::new();
-        if let Some(b) = bbox {
-            if fg.is_empty() && prior.is_none() {
-                // Pure box prompt: in-box statistics split.
-                let mask = decode_box(
+    /// The best single mask for a prompt set (all-false if no prompts):
+    /// `predict(..)[0].mask`. A box or mask-prior prompt decodes to one
+    /// candidate, which is returned without scoring it.
+    pub fn segment(&self, emb: &ImageEmbedding, prompts: &PromptSet) -> BitMask {
+        if prompts.is_empty() {
+            let (w, h) = emb.dims();
+            return BitMask::new(w, h);
+        }
+        let _s = zenesis_obs::span("sam.decode");
+        self.decode_single(emb, prompts).unwrap_or_else(|| {
+            let best = self.decode_multimask(emb, prompts).into_iter().next();
+            best.expect("one candidate per tolerance").mask
+        })
+    }
+
+    /// The one mask of a single-candidate prompt set: a pure box prompt
+    /// (in-box statistics split) or a mask prior. `None` for point
+    /// prompts, which decode to several candidates.
+    fn decode_single(&self, emb: &ImageEmbedding, prompts: &PromptSet) -> Option<BitMask> {
+        let prior = prompts.mask_prior();
+        if let Some(b) = prompts.box_constraint() {
+            if prompts.fg_points().is_empty() && prior.is_none() {
+                return Some(decode_box(
                     emb,
                     b,
                     self.config.box_margin,
                     self.config.min_area,
                     self.config.fill_holes,
                     prompts.polarity == crate::prompt::Polarity::Bright,
-                );
-                let quality = quality_score(emb, &mask, 1.0);
-                preds.push(MaskPrediction {
-                    mask,
-                    stability: 1.0,
-                    quality,
-                    level: 1,
-                });
-                return preds;
+                ));
             }
         }
-        if let Some(pr) = &prior {
-            let mask = decode_mask_prior(emb, pr, self.config.step_tol, self.config.tolerances[1]);
-            let quality = quality_score(emb, &mask, 1.0);
-            preds.push(MaskPrediction {
-                mask,
-                stability: 1.0,
-                quality,
-                level: 1,
-            });
-            return preds;
-        }
-        // Point path: multimask at three tolerances, optionally bounded.
+        prior.map(|pr| decode_mask_prior(emb, &pr, self.config.step_tol, self.config.tolerances[1]))
+    }
+
+    /// Point prompts: one mask per tolerance, optionally bounded by the
+    /// box, ranked by quality, best first.
+    fn decode_multimask(&self, emb: &ImageEmbedding, prompts: &PromptSet) -> Vec<MaskPrediction> {
+        let bbox = prompts.box_constraint();
+        let fg = prompts.fg_points();
+        let bg = prompts.bg_points();
+        let mut preds: Vec<MaskPrediction> = Vec::new();
         for (level, &tol) in self.config.tolerances.iter().enumerate() {
             let mask = decode_points(emb, &fg, &bg, self.config.step_tol, tol, bbox);
             let stability = stability_score(emb, &fg, self.config.step_tol, tol);
@@ -322,18 +339,6 @@ impl Sam {
         preds
     }
 
-    /// The best single mask for a prompt set (all-false if no prompts).
-    pub fn segment(&self, emb: &ImageEmbedding, prompts: &PromptSet) -> BitMask {
-        self.predict(emb, prompts)
-            .into_iter()
-            .next()
-            .map(|p| p.mask)
-            .unwrap_or_else(|| {
-                let (w, h) = emb.dims();
-                BitMask::new(w, h)
-            })
-    }
-
     /// Automatic everything-mode, max-confidence selection — the
     /// "SAM-only" baseline of the paper.
     pub fn segment_auto(&self, emb: &ImageEmbedding) -> BitMask {
@@ -344,7 +349,7 @@ impl Sam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::{PointLabel, Prompt};
+    use crate::prompt::{PointLabel, Polarity, Prompt};
     use zenesis_image::{BoxRegion, Point};
 
     fn disk_image() -> Image<f32> {
@@ -427,6 +432,82 @@ mod tests {
         let m = sam.segment(&emb, &ps);
         assert!(m.get(32, 32));
         assert!(!m.get(2, 2));
+    }
+
+    /// Calls of `quality_score` made by `f` on this thread.
+    fn quality_calls<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        use crate::score::QUALITY_CALLS;
+        let before = QUALITY_CALLS.with(|n| n.get());
+        let out = f();
+        (out, QUALITY_CALLS.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn segment_returns_predicts_best_mask_unscored() {
+        use zenesis_adapt::AdaptPipeline;
+        use zenesis_data::{generate_slice, PhantomConfig, SampleKind};
+        let side = 128;
+        for kind in [SampleKind::Amorphous, SampleKind::Crystalline] {
+            let g = generate_slice(&PhantomConfig::new(kind, 5).with_size(side, side));
+            let adapted = AdaptPipeline::recommended().run(&g.raw.to_f32()).0;
+            let mut sam = Sam::new(SamConfig::default());
+            let emb = sam.encode(&adapted);
+            // The awkward boxes of the decoder's oracle test.
+            let boxes = [
+                BoxRegion::full(side, side),
+                BoxRegion::new(0, 0, 1, 1),
+                BoxRegion::new(side - 1, side - 1, side, side),
+                BoxRegion::new(side / 2, side / 2, side / 2 + 1, side / 2 + 1),
+                BoxRegion::new(0, 10, side, 26),
+                BoxRegion::new(40, 0, 48, side),
+                BoxRegion::new(side + 5, side + 5, side + 20, side + 20),
+                BoxRegion::new(side - 10, 30, side + 50, 60),
+            ];
+            let priors = [
+                BitMask::from_box(side, side, BoxRegion::new(30, 30, 60, 50)),
+                BitMask::from_box(side, side, BoxRegion::full(side, side)),
+                BitMask::from_box(side, side, BoxRegion::new(0, 0, 1, 1)),
+            ];
+            let mut single: Vec<PromptSet> = Vec::new();
+            for b in boxes {
+                for polarity in [Polarity::Bright, Polarity::Dark] {
+                    single.push(PromptSet::from_box(b).with_polarity(polarity));
+                }
+            }
+            for prior in &priors {
+                let ps = PromptSet::new().with(Prompt::Mask(prior.clone()));
+                single.push(ps.clone().with(Prompt::Box(boxes[0])));
+                single.push(
+                    ps.clone()
+                        .with(Prompt::Point(Point::new(40, 40), PointLabel::Foreground)),
+                );
+                single.push(ps);
+            }
+            for fill in [true, false] {
+                for min_area in [0, 1, 6, 40] {
+                    sam.config.fill_holes = fill;
+                    sam.config.min_area = min_area;
+                    for ps in &single {
+                        let (mask, calls) = quality_calls(|| sam.segment(&emb, ps));
+                        assert_eq!(calls, 0, "segment scored a single candidate");
+                        let (preds, calls) = quality_calls(|| sam.predict(&emb, ps));
+                        assert_eq!((preds.len(), calls), (1, 1));
+                        assert!(preds[0].quality.is_finite());
+                        assert_eq!(
+                            mask,
+                            preds[0].mask,
+                            "{kind:?} {:?} fill {fill} min_area {min_area}",
+                            ps.box_constraint()
+                        );
+                    }
+                }
+            }
+            // Point prompts keep their ranked candidates.
+            let ps = PromptSet::point(64, 64);
+            let preds = sam.predict(&emb, &ps);
+            assert_eq!(preds.len(), 3);
+            assert_eq!(sam.segment(&emb, &ps), preds[0].mask);
+        }
     }
 
     #[test]

@@ -32,6 +32,13 @@ pub(crate) fn stability_score(
     lo.iou(&hi)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`quality_score`] calls made on this thread, for tests that pin
+    /// which decodes are scored.
+    pub(crate) static QUALITY_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Rank a candidate mask. Components:
 /// `stability^3 * homogeneity * area_weight` where homogeneity is
 /// `1 - min(1, mean_texture / 0.2)` inside the mask and the area weight
@@ -42,6 +49,8 @@ pub(crate) fn stability_score(
 /// keeps a large-but-sloppy region from outranking a genuinely stable
 /// segment on area alone.
 pub(crate) fn quality_score(emb: &ImageEmbedding, mask: &BitMask, stability: f64) -> f64 {
+    #[cfg(test)]
+    QUALITY_CALLS.with(|n| n.set(n.get() + 1));
     let area = mask.count();
     if area == 0 {
         return 0.0;

@@ -38,12 +38,30 @@ fn config(heartbeat_ms: u64) -> ServeConfig {
     }
 }
 
+/// A directory under the system temp dir, removed on drop: also when the
+/// test holding it fails.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
 /// A fresh, empty checkpoint directory under the system temp dir.
-fn checkpoint_dir(tag: &str) -> PathBuf {
+fn checkpoint_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("zenesis-warden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn batch_line(id: u64, dir: &Path, depth: usize) -> String {
@@ -244,7 +262,8 @@ fn unspawnable_worker_answers_one_structured_error() {
     cfg.worker_exe = Some("/nonexistent/zenesis-worker-binary".into());
     let server = Server::start(cfg);
     let (tx, rx) = unbounded::<Response>();
-    server.submit_line(&batch_line(1, &checkpoint_dir("nospawn"), 2), 1, &tx);
+    let dir = checkpoint_dir("nospawn");
+    server.submit_line(&batch_line(1, &dir, 2), 1, &tx);
     let resp = recv_within(&rx, Duration::from_secs(30));
     assert_eq!(resp.attempts, 1);
     match &resp.result {
@@ -308,7 +327,8 @@ fn run_panicking_batch(process_workers: bool, tag: &str) -> PanicReport {
         .map_or(0, |r| r.seq);
     let panics_before = counter("serve.job.panic");
     let (tx, rx) = unbounded::<Response>();
-    server.submit_line(&batch_line(1, &checkpoint_dir(tag), 4), 1, &tx);
+    let dir = checkpoint_dir(tag);
+    server.submit_line(&batch_line(1, &dir, 4), 1, &tx);
     let resp = recv_within(&rx, Duration::from_secs(120));
     server.shutdown();
     let panic_events = zenesis_obs::events::events_snapshot()
@@ -316,7 +336,7 @@ fn run_panicking_batch(process_workers: bool, tag: &str) -> PanicReport {
         .filter(|r| r.seq > events_before)
         .filter(|r| matches!(r.event, zenesis_obs::events::Event::JobPanic { .. }))
         .collect();
-    let flight_reasons = std::fs::read_dir(&flight_dir)
+    let flight_reasons = std::fs::read_dir(&*flight_dir)
         .unwrap()
         .map(|entry| entry.unwrap().path())
         .filter(|path| {

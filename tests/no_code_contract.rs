@@ -4,6 +4,33 @@
 
 use zenesis::core::job::run_job_json;
 
+/// A fresh directory under the system temp dir, removed on drop: also
+/// when the test holding it fails.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
 fn run(json: &str) -> serde_json::Value {
     serde_json::from_str(&run_job_json(json)).expect("response is JSON")
 }
@@ -71,8 +98,7 @@ fn batch_volume_job_reports_corrections() {
 
 #[test]
 fn file_backed_jobs_roundtrip_through_disk() {
-    let dir = std::env::temp_dir().join("zenesis_nocode_it");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("zenesis_nocode_it");
     // Produce inputs in all three on-disk formats from one phantom.
     let g = zenesis::data::generate_slice(&zenesis::data::PhantomConfig::new(
         zenesis::data::SampleKind::Amorphous,
@@ -119,8 +145,7 @@ fn error_paths_are_structured_not_panics() {
 
 #[test]
 fn volume_tiff_file_batch() {
-    let dir = std::env::temp_dir().join("zenesis_nocode_vol");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("zenesis_nocode_vol");
     let v = zenesis::data::generate_volume(zenesis::data::SampleKind::Amorphous, 64, 3, 5, &[]);
     let path = dir.join("v.tif");
     zenesis::tiff::save_tiff_volume_u16(&v.volume, &path).unwrap();
