@@ -1,12 +1,11 @@
 //! Global thread-count configuration.
 //!
 //! All parallel entry points in this crate consult [`current_threads`] at
-//! call time, so a benchmark can sweep thread counts with `set_threads`:
-//! the resident team grows to the largest count asked for, and a call
-//! uses only as many helpers as the count current when it starts. The
-//! initial value comes from the
-//! `ZENESIS_THREADS` environment variable, falling back to the machine's
-//! available parallelism.
+//! call time, so a probe or a test can switch thread counts with
+//! [`ThreadsGuard`]: the resident team grows to the largest count asked
+//! for, and a call uses only as many helpers as the count current when it
+//! starts. The initial value comes from the `ZENESIS_THREADS` environment
+//! variable, falling back to the machine's available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,7 +49,7 @@ pub(crate) fn set_threads(n: usize) {
 }
 
 /// RAII guard that sets the thread count and restores the previous value on
-/// drop. Used by scaling benchmarks and tests.
+/// drop. Used by e2e's one- versus two-thread probes and by tests.
 pub struct ThreadsGuard {
     prev: usize,
 }

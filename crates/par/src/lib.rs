@@ -23,8 +23,6 @@
 //! * [`par_map`] — map a slice to a new `Vec` in parallel, preserving order.
 //! * [`par_map_range`] — map an index range `0..n` to a `Vec` in parallel;
 //!   [`par_map_range_min`] is its per-pixel form with a grain threshold.
-//! * [`par_reduce_range`] — map-reduce over an index range, combined in
-//!   index order.
 //! * [`par_rows`] — process disjoint row-chunks of a flat 2-D buffer.
 //! * [`join`] — run two coarse stages side by side.
 //! * [`par_background`] — run a few long workers at background priority
@@ -36,8 +34,10 @@
 //! inline (`par_rows`, `par_map_range_min`); `par_map` / `par_map_range`
 //! are for few heavy items and fan out from two.
 //!
-//! Thread count is controlled globally via `set_threads` (or the
-//! `ZENESIS_THREADS` environment variable) so benchmarks can sweep scaling.
+//! Thread count is controlled globally via [`ThreadsGuard`] (or the
+//! `ZENESIS_THREADS` environment variable). e2e's `par.*_speedup_t2`
+//! probes and the thread-count bit-identity suites switch it to compare
+//! one and two threads.
 //!
 //! Long-running work (batch volumes, evaluation sweeps, served jobs) can
 //! be interrupted cooperatively through a [`CancelToken`], which also
@@ -57,8 +57,8 @@ pub use config::{available_parallelism, current_threads, ThreadsGuard};
 pub use join::join;
 pub use progress::{progress_pulse, Progress};
 pub use scope::{
-    in_worker, par_background, par_map, par_map_range, par_map_range_min, par_reduce_range,
-    par_rows, par_rows_min, SMALL_WORK_ELEMS,
+    in_worker, par_background, par_map, par_map_range, par_map_range_min, par_rows, par_rows_min,
+    SMALL_WORK_ELEMS,
 };
 pub use team::team_dispatches;
 

@@ -25,13 +25,13 @@ thread_local! {
 }
 
 /// True on a thread currently executing a chunk of a data-parallel call
-/// (`par_map*`, `par_reduce_range`, `par_rows*`), be it a
-/// helper or the participating caller. Every parallel entry point in this
-/// crate checks it and runs inline when set, so nested data parallelism (a
-/// parallel matmul called from a per-head attention chunk, say) degrades to
-/// sequential execution instead of fanning out again. The two arms of a
-/// [`crate::join`] are deliberately *not* marked: they are coarse stages
-/// that may legitimately fan out into data parallelism.
+/// (`par_map*`, `par_rows*`), be it a helper or the participating caller.
+/// Every parallel entry point in this crate checks it and runs inline when
+/// set, so nested data parallelism (a parallel matmul called from a
+/// per-head attention chunk, say) degrades to sequential execution instead
+/// of fanning out again. The two arms of a [`crate::join`] are
+/// deliberately *not* marked: they are coarse stages that may legitimately
+/// fan out into data parallelism.
 ///
 /// Because every parallel result is bit-identical to its sequential
 /// counterpart (disjoint `&mut` bands, sequential order within a band),
@@ -191,31 +191,6 @@ where
     }
 }
 
-/// Parallel map-reduce over `0..n`: `fold` the indices of each chunk into
-/// an accumulator starting from `identity()`, then `combine` the chunk
-/// accumulators in chunk order.
-///
-/// `combine` must be associative and `identity` a true identity for the
-/// result to equal the sequential fold; it need not be commutative. A
-/// proptest enforces this with `Vec` append.
-pub fn par_reduce_range<A, F, C, I>(n: usize, identity: I, fold: F, combine: C) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    C: Fn(A, A) -> A + Sync,
-{
-    let Some(chunk) = plan(n) else {
-        return (0..n).fold(identity(), fold);
-    };
-    let mut partials: Vec<Option<A>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
-    run_chunks(partials.iter_mut(), |c, slot| {
-        let lo = c * chunk;
-        *slot = Some((lo..(lo + chunk).min(n)).fold(identity(), &fold));
-    });
-    partials.into_iter().flatten().fold(identity(), combine)
-}
-
 /// Process a flat row-major 2-D buffer (`rows` rows of `row_len` elements)
 /// in parallel, handing each worker call a disjoint band of full rows.
 ///
@@ -275,19 +250,6 @@ mod tests {
     fn map_empty_and_single() {
         assert!(par_map_range(0, |i| i).is_empty());
         assert_eq!(par_map_range(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn reduce_sum_matches() {
-        let n = 12345usize;
-        let s = par_reduce_range(n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(s, (n as u64 - 1) * n as u64 / 2);
-    }
-
-    #[test]
-    fn reduce_empty_is_identity() {
-        let s = par_reduce_range(0, || 42u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(s, 42);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl ResponseSink {
         ResponseSink(Arc::new(deliver))
     }
 
-    /// Deliver into a crossbeam channel (pipe mode, tests, benches).
+    /// Deliver into a crossbeam channel (pipe mode, tests, e2e's probes).
     /// A hung-up receiver drops the response silently — the submitter
     /// went away and there is nobody left to tell.
     pub(crate) fn from_channel(tx: &Sender<Response>) -> ResponseSink {

@@ -12,7 +12,8 @@ use crate::error::{Result, TiffError};
 use crate::format::{ChunkLayout, Endian, PageMeta, SampleFormat};
 use crate::source::TiffRead;
 
-/// One decoded page, at its native bit depth.
+/// One decoded page, at its native bit depth. Samples read in the
+/// BlackIsZero sense: a WhiteIsZero page arrives inverted (`MAX - v`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TiffPage {
     /// 8-bit unsigned samples.
@@ -126,22 +127,28 @@ pub(crate) fn decode_page(src: &dyn TiffRead, page: &PageMeta, endian: Endian) -
     let w = page.width as usize;
     let h = page.height as usize;
     let le = endian == Endian::Little;
+    // A WhiteIsZero sample `v` is `MAX - v` in BlackIsZero terms, which
+    // for unsigned integers is `v` with every bit flipped. Float pages
+    // are refused as WhiteIsZero at parse time.
+    let flip = if page.white_is_zero { u32::MAX } else { 0 };
     // Width/height are validated nonzero and buffer lengths match the
     // geometry by construction, so from_vec cannot fail below.
     Ok(match (page.bits, page.format) {
         (8, SampleFormat::Uint) => {
-            TiffPage::U8(Image::from_vec(w, h, bytes).expect("validated page geometry"))
+            let px = bytes.into_iter().map(|v| v ^ flip as u8).collect();
+            TiffPage::U8(Image::from_vec(w, h, px).expect("validated page geometry"))
         }
         (16, SampleFormat::Uint) => {
             let px = bytes
                 .chunks_exact(2)
                 .map(|c| {
                     let b = [c[0], c[1]];
-                    if le {
+                    let v = if le {
                         u16::from_le_bytes(b)
                     } else {
                         u16::from_be_bytes(b)
-                    }
+                    };
+                    v ^ flip as u16
                 })
                 .collect();
             TiffPage::U16(Image::from_vec(w, h, px).expect("validated page geometry"))
@@ -160,7 +167,7 @@ pub(crate) fn decode_page(src: &dyn TiffRead, page: &PageMeta, endian: Endian) -
                         SampleFormat::Float => f32::from_bits(v),
                         // 32-bit uints exceed f32's 24-bit mantissa;
                         // normalize through f64 (documented lossy).
-                        SampleFormat::Uint => (v as f64 / u32::MAX as f64) as f32,
+                        SampleFormat::Uint => ((v ^ flip) as f64 / u32::MAX as f64) as f32,
                     }
                 })
                 .collect();

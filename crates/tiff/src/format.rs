@@ -97,6 +97,9 @@ pub(crate) struct PageMeta {
     pub(crate) height: u32,
     pub(crate) bits: u16,
     pub(crate) format: SampleFormat,
+    /// PhotometricInterpretation 0: the sample value 0 is white. Only
+    /// unsigned pages carry it; decode inverts them to BlackIsZero.
+    pub(crate) white_is_zero: bool,
     pub(crate) layout: ChunkLayout,
     pub(crate) next: u64,
 }
@@ -360,12 +363,11 @@ fn validate_ifd(p: &Parser, ifd: u64, raw: RawIfd, next: u64) -> Result<PageMeta
             "{samples} samples/pixel (grayscale only)"
         )));
     }
-    let photometric = raw.photometric.unwrap_or(1);
-    if photometric > 1 {
-        return Err(unsupported(format!(
-            "photometric interpretation {photometric}"
-        )));
-    }
+    let white_is_zero = match raw.photometric.unwrap_or(1) {
+        0 => true,
+        1 => false,
+        p => return Err(unsupported(format!("photometric interpretation {p}"))),
+    };
     let width = raw
         .width
         .ok_or_else(|| inconsistent("missing ImageWidth".into()))?;
@@ -401,6 +403,11 @@ fn validate_ifd(p: &Parser, ifd: u64, raw: RawIfd, next: u64) -> Result<PageMeta
         3 => return Err(unsupported(format!("float samples at {bits} bits"))),
         f => return Err(unsupported(format!("sample format {f}"))),
     };
+    // A float page has no MAX to invert against; image-tiff refuses
+    // WhiteIsZero floats for the same reason.
+    if white_is_zero && format == SampleFormat::Float {
+        return Err(unsupported("WhiteIsZero float samples".into()));
+    }
     let bps = bits / 8;
     // The assembled page must fit in addressable memory.
     let total_bytes = width
@@ -515,6 +522,7 @@ fn validate_ifd(p: &Parser, ifd: u64, raw: RawIfd, next: u64) -> Result<PageMeta
         height: height as u32,
         bits: bits as u16,
         format,
+        white_is_zero,
         layout,
         next,
     })

@@ -11,14 +11,15 @@
 //! | Capability | Scope |
 //! |---|---|
 //! | Containers | classic TIFF (magic 42) and BigTIFF (magic 43), `II` and `MM` byte order |
-//! | Pixels | grayscale, 1 sample/pixel, 8/16/32-bit unsigned or 32-bit IEEE float, uncompressed |
+//! | Pixels | grayscale (BlackIsZero, or WhiteIsZero for unsigned samples), 1 sample/pixel, 8/16/32-bit unsigned or 32-bit IEEE float, uncompressed |
 //! | Layout | strips and tiles |
 //! | Volumes | multi-page stacks streamed slice-by-slice via [`VolumeReader`] (O(one slice) memory) |
 //! | Encoding | deterministic little-endian writer ([`TiffStackWriter`]), image + segmentation-mask helpers |
 //!
 //! Decoded samples are normalized into the repo's `Image<f32>`
 //! substrate: `u8`/`u16` map to `v / MAX` in `[0, 1]`, 32-bit unsigned
-//! maps through `f64` (lossy above 24 bits), floats pass through.
+//! maps through `f64` (lossy above 24 bits), floats pass through. A
+//! WhiteIsZero page is inverted (`MAX - v`) first, so 0.0 is black.
 //!
 //! ```
 //! use zenesis_image::Image;
